@@ -3,7 +3,10 @@
 Generates one heteroscedastic sample, fits the 0.1, 0.5 and 0.9
 conditional quantiles of y on x, and prints the coefficient table along
 with the defining property of a fitted quantile: the share of negative
-residuals stays within (q+1)/n of tau.
+residuals stays within (q+1)/n of tau.  The last two columns are the
+solver's simplex pivots from the least-squares start and the margin of
+its optimality certificate: the smallest slack of the vertex's dual
+weights against [tau - 1, tau].
 """
 
 import numpy as np
@@ -19,14 +22,15 @@ data = Dataset(columns={"y": y, "x": x})
 
 X, _ = build_design(data, (identity("x"),))
 
-print("tau    intercept   slope    obj        frac(res<0)  slack")
+print("tau    intercept   slope    obj        frac(res<0)  slack   pivots  margin")
 for tau in (0.1, 0.5, 0.9):
     fit = fit_quantile_regression(X, data.column("y"), tau)
     frac = np.count_nonzero(fit.residuals < 0) / n
     slack = X.q / n
     print(
         f"{tau:.2f}   {fit.beta[0]:+8.4f}  {fit.beta[1]:+7.4f}  "
-        f"{fit.objective:8.3f}   {frac:.4f}       {slack:.4f}"
+        f"{fit.objective:8.3f}   {frac:.4f}       {slack:.4f}  "
+        f"{fit.iterations:6d}  {fit.margin:.4f}"
     )
 
 # the heteroscedastic noise makes the quantile slopes fan out: the 0.9

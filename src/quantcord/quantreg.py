@@ -1,20 +1,21 @@
 """Linear quantile regression by pinball-loss minimization.
 
-Three-stage solver.  A majorize-minimize phase replaces the check
-function by a smoothed surrogate and solves one weighted least-squares
-problem per outer iteration while the smoothing parameter decays to a
-floor.  A polish phase then snaps the iterate onto the best nearby
-vertex (an exact fit through q observations, where the minimum of the
-piecewise-linear objective lives).  Finally, exact coordinate-wise
-line searches run until no single-coordinate move lowers the
-objective, which certifies optimality along every coordinate
-direction and, in particular, the quantile property of the residual
-sign counts.
+Exact simplex (basis-exchange) solver for the linear program behind the
+check function (Barrodale & Roberts 1973; Koenker & d'Orey 1987).  A
+vertex is an exact fit through q observations, the basis h.  The solver
+starts at the basis nearest the least-squares fit and stops when the
+vertex optimality condition of Koenker (2005, Thm 2.1) holds: with
+psi_i = tau or tau - 1 the side of each non-basic row,
+``v = -X(h)^-T sum_{i not in h} psi_i x_i`` lies in ``[tau - 1, tau]``.
+Otherwise the basis row whose v is furthest out leaves its zero
+residual, and an exact line search along that edge (a weighted-quantile
+walk over the residual breakpoints) picks the row that enters.  A row
+at a zero residual takes its side from a fixed infinitesimal
+perturbation of y, never from the rounding of its residual, so tied and
+discrete data cannot cycle.
 """
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -22,9 +23,8 @@ from .design import DesignMatrix, check_full_rank
 from .exceptions import InvalidArgumentError, NonConvergenceError
 
 DEFAULT_TOL = 1e-10
-MAX_OUTER_ITER = 500
-MAX_POLISH_SWEEPS = 60
-VERTEX_POOL_BUDGET = 300
+MAX_PIVOTS = 500
+_EPS = np.finfo(float).eps
 
 
 def pinball_loss(u, tau):
@@ -47,6 +47,10 @@ class QuantileFit:
 
     ``residuals`` always equals ``y - X @ beta`` as computed with the
     returned coefficients, so it can be recomputed bit for bit.
+    ``basis`` holds the q rows the fit passes through exactly, ``ties``
+    the other rows whose residual is zero to rounding, and ``margin`` the
+    smallest slack of the optimality certificate (see
+    ``fit_quantile_regression``); they are empty/NaN for hand-built fits.
     """
 
     tau: float
@@ -56,14 +60,23 @@ class QuantileFit:
     iterations: int
     converged: bool
     columns: tuple = ()
+    basis: tuple = ()
+    ties: tuple = ()
+    margin: float = float("nan")
 
     def fitted(self, X):
         return np.asarray(X.values if isinstance(X, DesignMatrix) else X) @ self.beta
 
 
 def residual_signs(fit):
-    """Binary indicators: 1 where the residual is <= 0, else 0."""
-    return sign_indicators(fit.residuals)
+    """Binary indicators: 1 where the residual is <= 0, else 0.
+
+    Basis rows and ties are zeros of the fit, so they are 1 even when
+    their computed residual rounds to a few ulps above zero.
+    """
+    signs = sign_indicators(fit.residuals)
+    signs[list(fit.basis) + list(fit.ties)] = 1
+    return signs
 
 
 def sign_indicators(residuals):
@@ -75,124 +88,51 @@ def _objective(residuals, tau):
                                  (tau - 1.0) * residuals)))
 
 
-def _greedy_basis(X, order, q):
-    """First q rows, in |residual| order, that keep the submatrix full rank."""
-    rows = []
-    for i in order:
-        trial = rows + [i]
-        if np.linalg.matrix_rank(X[trial]) == len(trial):
-            rows = trial
-        if len(rows) == q:
-            return rows
-    return None
-
-
-def _vertex_polish(X, y, tau, beta, objective):
-    """Snap the iterate onto the best exact fit through q observations.
-
-    Enumerates row subsets from the smallest-|residual| pool (the whole
-    sample when that stays within the combination budget, which makes
-    tiny problems exhaustive) plus a greedy full-rank basis.  A vertex
-    is preferred whenever it ties the incoming objective to float
-    precision, because only vertices carry exact sign structure.
-    """
-    n, q = X.shape
-    r = y - X @ beta
-    order = np.argsort(np.abs(r), kind="stable")
-
-    pool_size = n
-    while pool_size > q and comb(pool_size, q) > VERTEX_POOL_BUDGET:
-        pool_size -= 1
-    candidates = list(itertools.combinations(order[:pool_size].tolist(), q))
-    greedy = _greedy_basis(X, order.tolist(), q)
-    if greedy is not None:
-        candidates.append(tuple(greedy))
-
-    vertex_beta, vertex_obj = None, np.inf
-    for rows in candidates:
-        A = X[list(rows)]
-        try:
-            b = np.linalg.solve(A, y[list(rows)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(b).all():
-            continue
-        obj = _objective(y - X @ b, tau)
-        if obj < vertex_obj:
-            vertex_beta, vertex_obj = b, obj
-    if vertex_beta is not None and \
-            vertex_obj <= objective + 1e-12 * max(1.0, abs(objective)):
-        return vertex_beta, vertex_obj
-    return beta, objective
-
-
-def _line_search(r, c, tau):
-    """Exact minimizer over delta of ``sum(pinball(r - delta*c))``.
-
-    The objective is piecewise linear in delta with breakpoints r/c and
-    slope jumps |c|; the minimum sits at the breakpoint where the
-    cumulative slope crosses zero (a weighted quantile).
-    """
-    mask = c != 0
-    if not mask.any():
-        return 0.0
-    cm = c[mask]
-    t = r[mask] / cm
-    w = np.abs(cm)
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    descent = tau * np.sum(cm[cm > 0]) + (1.0 - tau) * np.sum(-cm[cm < 0])
-    cum = np.cumsum(w[order])
-    k = min(int(np.searchsorted(cum, descent)), len(t) - 1)
-    return float(t[k])
-
-
-def _coordinate_descent(X, y, tau, beta, objective, max_sweeps=MAX_POLISH_SWEEPS):
-    """Sweep exact per-coordinate line searches to a fixed point.
-
-    Equal-objective moves onto breakpoints are accepted so the iterate
-    settles on a vertex of the optimal face; two consecutive sweeps
-    without strict improvement terminate (optimal plateau reached).
-    Returns the point, its objective, and whether a fixed point or
-    plateau was certified within the sweep budget.
-    """
+def _start_basis(X, r):
+    """First q rows, in stable |r| order, that keep ``X[rows]`` full rank."""
     q = X.shape[1]
-    beta = beta.copy()
-    r = y - X @ beta
-    slack = 1e-12 * max(1.0, abs(objective))
-    flat_sweeps = 0
-    for _ in range(max_sweeps):
-        sweep_start = objective
-        moved = False
-        for j in range(q):
-            d = _line_search(r, X[:, j], tau)
-            if d == 0.0:
-                continue
-            new_r = r - d * X[:, j]
-            new_obj = _objective(new_r, tau)
-            if new_obj <= objective + slack:
-                beta = beta.copy()
-                beta[j] += d
-                r, objective = new_r, new_obj
-                moved = True
-        if not moved:
-            return beta, objective, True
-        if objective >= sweep_start - slack:
-            flat_sweeps += 1
-            if flat_sweeps >= 2:
-                return beta, objective, True
-        else:
-            flat_sweeps = 0
-    return beta, objective, False
+    rows = []
+    for i in np.argsort(np.abs(r), kind="stable"):
+        if np.linalg.matrix_rank(X[rows + [i]]) == len(rows) + 1:
+            rows.append(int(i))
+            if len(rows) == q:
+                break
+    return rows
 
 
-def _wls(X, y, w):
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(sw[:, None] * X, sw * y, rcond=None)
-    return beta
+def _ratio_test(r, rho, above, c, free, slope):
+    """Walk the breakpoints of the edge ``r - t*c``, t >= 0, to its minimum.
+
+    Non-basic row i blocks when it moves toward zero from its side
+    (``above``); it crosses at ``t_i = (r_i + eps*rho_i) / c_i``, compared
+    first on r and then on the infinitesimal perturbation rho, and raises
+    the slope by ``|c_i|``.  The walk stops at the first breakpoint where
+    the slope, starting from ``slope``, turns non-negative: that row
+    enters, and the rows passed on the way change sides.  Returns None
+    when nothing blocks.
+    """
+    block = np.flatnonzero(free & np.where(above, c > 0, c < 0))
+    if block.size == 0:
+        return None
+    cb = c[block]
+    t = r[block] / cb
+    weight = np.abs(cb)
+    # the walk usually stops early: sort only the smallest breakpoints
+    # whose weight covers the slope, widening the cut until it does
+    m = 64
+    while m < t.size:
+        near = np.flatnonzero(t <= np.partition(t, m)[m])
+        if np.sum(weight[near]) >= -slope:
+            break
+        m *= 4
+    else:
+        near = np.arange(t.size)
+    order = near[np.lexsort((rho[block[near]] / cb[near], t[near]))]
+    k = int(np.searchsorted(np.cumsum(weight[order]), -slope))
+    return int(block[order[min(k, order.size - 1)]])
 
 
-def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_OUTER_ITER):
+def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
     """Minimize ``sum(pinball_loss(y - X @ beta, tau))`` over beta.
 
     Parameters
@@ -204,12 +144,26 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_OUTER_ITER)
     tau : float
         Quantile level, strictly inside (0, 1).
     tol : float
-        Relative change of the exact pinball objective between outer
-        iterations that, at the smoothing floor, declares convergence.
+        Certificate tolerance.  The fit is optimal, and ``converged`` is
+        True, when every entry of ``v = -X(h)^-T sum_{i not in h} psi_i x_i``
+        lies in ``[tau - 1 - tol, tau + tol]``; ``tol`` absorbs the
+        rounding of that sum.  ``margin`` on the result is the smallest
+        slack of v against ``[tau - 1, tau]``, reported as 0 for entries
+        within tol of a bound; it is negative only on a failed fit.
     max_iter : int
-        Cap on outer iterations.  NonConvergenceError (carrying the
-        last polished iterate) is raised only when the cap is hit and
-        the polish cannot certify coordinate-wise optimality either.
+        Cap on simplex pivots, counted in ``iterations``.  Hitting it
+        without a certificate raises NonConvergenceError carrying the
+        last vertex as ``last_fit``.
+
+    Each pivot takes the edge with the steepest descent.  Residuals
+    within a few ulps of zero count as exact zeros, and such a row's side
+    is set by a fixed infinitesimal perturbation of y, which keeps
+    tied and discrete data from cycling.  When the optimum is not
+    unique, the fit goes on along zero-cost edges that lower the sum of
+    fitted values, so it returns the optimal vertex that stays optimal
+    at tau - epsilon: the lower end of the quantile process's jump.
+    Exact ties left after that go to the first row or basis position, so
+    results are deterministic.
     """
     if not isinstance(X, DesignMatrix):
         raise InvalidArgumentError("X must be a DesignMatrix")
@@ -223,64 +177,71 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_OUTER_ITER)
     check_full_rank(X)
 
     Xv = X.values
-    scale = float(np.median(np.abs(y - np.median(y))))
-    if scale == 0.0:
-        scale = max(float(np.max(np.abs(y))), 1.0)
-    eps = scale
-    eps_floor = 1e-12 * scale
-
-    beta, *_ = np.linalg.lstsq(Xv, y, rcond=None)
-    r = y - Xv @ beta
-    obj = _objective(r, tau)
-    best_beta, best_obj = beta.copy(), obj
-
-    converged = False
-    polished = False
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        absr = np.abs(r)
-        w = 1.0 / (eps + absr)
-        # shifted response folds the asymmetric linear term into WLS
-        ytilde = y + (2.0 * tau - 1.0) * (eps + absr)
-        beta = _wls(Xv, ytilde, w)
+    n, q = Xv.shape
+    row_max = np.max(np.abs(Xv), axis=1)
+    colsum = Xv.sum(axis=0)
+    delta = np.random.default_rng(0).random(n)
+    ols, *_ = np.linalg.lstsq(Xv, y, rcond=None)
+    basis = _start_basis(Xv, y - Xv @ ols)
+    free = np.ones(n, dtype=bool)
+    free[basis] = False
+    pivots = 0
+    while True:
+        inv = np.linalg.inv(Xv[basis])
+        beta = inv @ y[basis]
         r = y - Xv @ beta
-        new_obj = _objective(r, tau)
-        if new_obj < best_obj:
-            best_beta, best_obj = beta.copy(), new_obj
-        rel = abs(obj - new_obj) / max(obj, new_obj, 1e-300)
-        obj = new_obj
-        if eps <= eps_floor and rel < tol:
-            converged = True
+        r[np.abs(r) <= 4 * q * _EPS * (np.abs(y) + row_max * np.sum(np.abs(beta)))] = 0.0
+        r[basis] = 0.0
+        rho = delta - Xv @ (inv @ delta[basis])
+        above = (r > 0) | ((r == 0) & (rho > 0))
+        psi = np.where(above, tau, tau - 1.0)
+        psi[basis] = 0.0
+        v = -(Xv.T @ psi) @ inv
+        # moving basis row k's fit up (the row goes below) changes the
+        # objective at rate v_k + 1 - tau, moving it down at rate tau - v_k
+        raise_fit = v < tau - 1.0 - tol
+        lower_fit = v > tau + tol
+        converged = not (raise_fit | lower_fit).any()
+        if converged:
+            # optimal: follow zero-cost edges that lower sum(X @ beta)
+            w = colsum @ inv
+            wtol = tol * float(np.max(np.abs(w)))
+            raise_fit = (v <= tau - 1.0 + tol) & (w < -wtol)
+            lower_fit = (v >= tau - tol) & (w > wtol)
+            rate = -np.abs(w)
+        else:
+            rate = np.where(raise_fit, v + 1.0 - tau, tau - v)
+        candidates = np.flatnonzero(raise_fit | lower_fit)
+        if candidates.size == 0 or pivots >= max_iter:
             break
-        if eps <= eps_floor and rel < 1e-7 and not polished:
-            # smooth tail crawls near a vertex; snap once and resume
-            pb, po = _vertex_polish(Xv, y, tau, best_beta, best_obj)
-            pb, po, _ = _coordinate_descent(Xv, y, tau, pb, po)
-            if po <= best_obj:
-                best_beta, best_obj = pb.copy(), po
-            beta = pb
-            r = y - Xv @ beta
-            obj = _objective(r, tau)
-            polished = True
-        eps = max(eps * 0.5, eps_floor)
+        k = candidates[np.argmin(rate[candidates])]
+        d = inv[:, k] if raise_fit[k] else -inv[:, k]
+        c = Xv @ d
+        c[np.abs(c) <= np.sqrt(_EPS) * row_max * np.sum(np.abs(d))] = 0.0
+        enter = _ratio_test(r, rho, above, c, free, 0.0 if converged else rate[k])
+        if enter is None:
+            break
+        free[basis[k]], free[enter] = True, False
+        basis[k] = enter
+        pivots += 1
 
-    beta, obj = _vertex_polish(Xv, y, tau, best_beta, best_obj)
-    beta, obj, certified = _coordinate_descent(Xv, y, tau, beta, obj)
+    margin = float(np.min(np.minimum(v - (tau - 1.0), tau - v)))
     residuals = y - Xv @ beta
-
     fit = QuantileFit(
         tau=tau,
         beta=beta,
         residuals=residuals,
         objective=_objective(residuals, tau),
-        iterations=iterations,
-        converged=converged or certified,
+        iterations=pivots,
+        converged=converged,
         columns=X.columns,
+        basis=tuple(sorted(basis)),
+        ties=tuple(np.flatnonzero(free & (r == 0)).tolist()),
+        margin=max(margin, 0.0) if converged else margin,
     )
     if not fit.converged:
         raise NonConvergenceError(
-            f"quantile regression did not converge in {max_iter} iterations",
+            f"quantile regression did not converge in {max_iter} pivots",
             last_fit=fit,
         )
     return fit

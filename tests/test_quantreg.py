@@ -1,9 +1,14 @@
 """Tests for the pinball loss and the quantile regression solver."""
 
+import contextlib
+import io
 import itertools
 
 import numpy as np
 import pytest
+import yaml
+from scipy import sparse
+from scipy.optimize import linprog
 
 import quantcord.quantreg as qr
 from quantcord import (
@@ -11,11 +16,15 @@ from quantcord import (
     InvalidArgumentError,
     NonConvergenceError,
     SingularDesignError,
+    build_design,
     fit_quantile_regression,
+    identity,
     pinball_loss,
+    read_csv,
     residual_signs,
     sign_indicators,
 )
+from quantcord.cli import main as quantcord_main
 
 # ──────────────────────────────────────────────────────────────────────
 # Helpers
@@ -51,6 +60,21 @@ def _basic_solution_objective(X, y, tau):
         b = np.linalg.solve(A, y[list(rows)])
         best = min(best, float(np.sum(pinball_loss(y - X @ b, tau))))
     return best
+
+
+def _lp_objective(X, y, tau):
+    """Pinball optimum from HiGHS: min tau*1'u + (1-tau)*1'v, X b + u - v = y."""
+    n, q = X.shape
+    eye = sparse.identity(n, format="csr")
+    lp = linprog(
+        np.concatenate([np.zeros(q), np.full(n, tau), np.full(n, 1.0 - tau)]),
+        A_eq=sparse.hstack([sparse.csr_matrix(X), eye, -eye], format="csr"),
+        b_eq=y,
+        bounds=[(None, None)] * q + [(0.0, None)] * (2 * n),
+        method="highs",
+    )
+    assert lp.status == 0, lp.message
+    return lp.fun
 
 
 # ──────────────────────────────────────────────────────────────────────
@@ -242,6 +266,68 @@ class TestOracleEquivalence:
             assert fit.objective >= oracle - 1e-8
 
 
+class TestLinearProgramOracle:
+
+    def test_matches_highs_on_random_and_tied_problems(self):
+        """300 problems; a third with rounded responses, a third with rounded
+        responses and one rounded covariate, so ties and degenerate vertices
+        are common."""
+        rng = np.random.default_rng(47)
+        for trial in range(300):
+            n = int(rng.integers(30, 401))
+            q = int(rng.integers(2, 6))
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
+            y = X @ rng.uniform(-2.0, 2.0, size=q) + rng.standard_t(df=2, size=n)
+            tau = float(rng.uniform(0.05, 0.95))
+            if trial % 3 >= 1:
+                y = np.round(y)
+            if trial % 3 == 2:
+                X[:, 1] = np.round(X[:, 1])
+            fit = fit_quantile_regression(_design(X), y, tau)
+            reference = _lp_objective(X, y, tau)
+            gap = (fit.objective - reference) / reference
+            assert gap <= 1e-9, f"trial {trial}: gap {gap:.3e}"
+            assert fit.converged, f"trial {trial}"
+            assert fit.margin >= 0.0, f"trial {trial}: margin {fit.margin}"
+
+    def test_grouped_tail_draw_is_exact(self, tmp_path):
+        """A grouped n = 5000 draw at tau = 0.9 on which an earlier solver
+        stopped one sign short of the quantile property (4499 residuals
+        <= 0 against n*tau = 4500) while reporting convergence."""
+        scenario = {
+            "n": 5000,
+            "seed": 29000,
+            "covariates": [
+                {"name": "x", "kind": "uniform", "low": 0.0, "high": 1.0},
+                {"name": "g", "kind": "binary", "p": 0.5},
+            ],
+            "coefficients": {
+                "y1": {"intercept": 0.5, "x": 1.0, "g": 0.5},
+                "y2": {"intercept": -0.5, "x": 2.0, "g": -0.5},
+            },
+            "taus": [0.1, 0.5, 0.9],
+            "rho_by_group": {"column": "g", "values": [0.2, 0.8]},
+        }
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+        out = tmp_path / "data.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert quantcord_main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        data, _ = read_csv(out, binary=("g",))
+        X, _ = build_design(data, (identity("x"), identity("g")))
+        y = data.column("y1")
+        tau = 0.9
+
+        fit = fit_quantile_regression(X, y, tau)
+        basis = np.zeros(X.n, dtype=bool)
+        basis[list(fit.basis)] = True
+        below = int(np.sum((fit.residuals < 0) & ~basis))
+        at_or_below = int(np.sum((fit.residuals <= 0) | basis))
+        assert below <= X.n * tau <= at_or_below
+        reference = _lp_objective(X.values, y, tau)
+        assert abs(fit.objective - reference) <= 1e-9 * reference
+
+
 # ──────────────────────────────────────────────────────────────────────
 # Error contracts
 # ──────────────────────────────────────────────────────────────────────
@@ -283,14 +369,9 @@ class TestFitErrors:
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             fit_quantile_regression(X, y, 0.5)
 
-    def test_nonconvergence_carries_last_iterate(self, monkeypatch):
+    def test_nonconvergence_carries_last_iterate(self):
         rng = np.random.default_rng(6)
         X, y = _random_problem(rng, 60, 3)
-
-        def no_certificate(Xv, yv, tau, beta, obj, max_sweeps=0):
-            return beta, obj, False
-
-        monkeypatch.setattr(qr, "_coordinate_descent", no_certificate)
         with pytest.raises(NonConvergenceError, match="did not converge") as excinfo:
             fit_quantile_regression(X, y, 0.5, max_iter=1)
         last = excinfo.value.last_fit
@@ -332,6 +413,34 @@ class TestResidualSigns:
         X = _design(np.column_stack([np.ones(30), x]))
         fit = fit_quantile_regression(X, 1.0 + 2.0 * x, 0.5)
         np.testing.assert_array_equal(residual_signs(fit), np.ones(30, dtype=int))
+
+    def test_basis_rows_are_at_or_below_despite_rounding(self):
+        rng = np.random.default_rng(1)
+        n = 40
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = X @ np.array([0.3, -1.1, 2.7]) + rng.standard_t(df=3, size=n)
+        fit = fit_quantile_regression(_design(X), y, 0.3)
+        rows = list(fit.basis)
+        assert len(rows) == 3
+        # the premise: some basis residual computes to a positive ulp
+        assert (fit.residuals[rows] > 0).any()
+        np.testing.assert_array_equal(fit.residuals, y - X @ fit.beta)
+        signs = residual_signs(fit)
+        np.testing.assert_array_equal(signs[rows], 1)
+        off_basis = np.ones(n, dtype=bool)
+        off_basis[rows] = False
+        np.testing.assert_array_equal(signs[off_basis], sign_indicators(fit.residuals)[off_basis])
+
+    def test_duplicated_rows_share_labels(self):
+        # a row repeated in the sample (as in a bootstrap draw) lies on the
+        # fit exactly when its twin does, whatever the rounding
+        rng = np.random.default_rng(9)
+        X, y = _random_problem(rng, 50, 3)
+        Xd = _design(np.vstack([X.values, X.values]))
+        fit = fit_quantile_regression(Xd, np.concatenate([y, y]), 0.35)
+        assert set(fit.basis) & set(fit.ties) == set()
+        signs = residual_signs(fit)
+        np.testing.assert_array_equal(signs[:50], signs[50:])
 
     def test_sign_indicators_matches_raw_array(self):
         r = np.array([-0.1, 0.0, 0.2])

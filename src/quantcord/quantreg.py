@@ -117,19 +117,15 @@ def _ratio_test(r, rho, above, c, free, slope):
     cb = c[block]
     t = r[block] / cb
     weight = np.abs(cb)
-    # the walk usually stops early: sort only the smallest breakpoints
-    # whose weight covers the slope, widening the cut until it does
-    m = 64
-    while m < t.size:
-        near = np.flatnonzero(t <= np.partition(t, m)[m])
-        if np.sum(weight[near]) >= -slope:
-            break
-        m *= 4
-    else:
-        near = np.arange(t.size)
-    order = near[np.lexsort((rho[block[near]] / cb[near], t[near]))]
+    order = np.argsort(t)
     k = int(np.searchsorted(np.cumsum(weight[order]), -slope))
-    return int(block[order[min(k, order.size - 1)]])
+    stop = t[order[min(k, order.size - 1)]]
+    # only the order among rows tied at the stopping breakpoint decides
+    # which row enters: they are passed in the order of rho
+    tied = np.flatnonzero(t == stop)
+    tied = tied[np.argsort(rho[block[tied]] / cb[tied], kind="stable")]
+    k = int(np.searchsorted(np.cumsum(weight[tied]), -slope - np.sum(weight[t < stop])))
+    return int(block[tied[min(k, tied.size - 1)]])
 
 
 def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
@@ -155,13 +151,14 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
         without a certificate raises NonConvergenceError carrying the
         last vertex as ``last_fit``.
 
-    Each pivot takes the edge with the steepest descent.  Residuals
-    within a few ulps of zero count as exact zeros, and such a row's side
-    is set by a fixed infinitesimal perturbation of y, which keeps
-    tied and discrete data from cycling.  When the optimum is not
-    unique, the fit goes on along zero-cost edges that lower the sum of
-    fitted values, so it returns the optimal vertex that stays optimal
-    at tau - epsilon: the lower end of the quantile process's jump.
+    Each pivot takes the edge with the steepest descent.  Residuals and
+    edge movements within the rounding error of the basis solve count as
+    exact zeros, and a row at a zero residual takes its side from a fixed
+    infinitesimal perturbation of y, which keeps tied and discrete data
+    from cycling.  When the optimum is not unique, the fit goes on along
+    zero-cost edges that lower the sum of fitted values, so it returns the
+    optimal vertex that stays optimal at tau - epsilon: the lower end of
+    the quantile process's jump.
     Exact ties left after that go to the first row or basis position, so
     results are deterministic.
     """
@@ -178,7 +175,7 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
 
     Xv = X.values
     n, q = Xv.shape
-    row_max = np.max(np.abs(Xv), axis=1)
+    abs_x = np.abs(Xv)
     colsum = Xv.sum(axis=0)
     delta = np.random.default_rng(0).random(n)
     ols, *_ = np.linalg.lstsq(Xv, y, rcond=None)
@@ -188,9 +185,14 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
     pivots = 0
     while True:
         inv = np.linalg.inv(Xv[basis])
+        # z = inv @ b is exact for X[h] perturbed by rounding in each
+        # column's own scale, so X @ z can be off by noise * (col_max @ |z|);
+        # that bound also covers the rounding of the product itself
+        noise = 4 * q * _EPS * (abs_x @ np.abs(inv).sum(axis=1))
+        col_max = abs_x[basis].max(axis=0)
         beta = inv @ y[basis]
         r = y - Xv @ beta
-        r[np.abs(r) <= 4 * q * _EPS * (np.abs(y) + row_max * np.sum(np.abs(beta)))] = 0.0
+        r[np.abs(r) <= 4 * q * _EPS * np.abs(y) + noise * (col_max @ np.abs(beta))] = 0.0
         r[basis] = 0.0
         rho = delta - Xv @ (inv @ delta[basis])
         above = (r > 0) | ((r == 0) & (rho > 0))
@@ -217,7 +219,7 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
         k = candidates[np.argmin(rate[candidates])]
         d = inv[:, k] if raise_fit[k] else -inv[:, k]
         c = Xv @ d
-        c[np.abs(c) <= np.sqrt(_EPS) * row_max * np.sum(np.abs(d))] = 0.0
+        c[np.abs(c) <= noise * (col_max @ np.abs(d))] = 0.0
         enter = _ratio_test(r, rho, above, c, free, 0.0 if converged else rate[k])
         if enter is None:
             break

@@ -290,6 +290,50 @@ class TestLinearProgramOracle:
             assert fit.converged, f"trial {trial}"
             assert fit.margin >= 0.0, f"trial {trial}: margin {fit.margin}"
 
+    @pytest.mark.parametrize("offset, spread", [(1.7e9, 3e7), (1e9, 1e6), (5e4, 1e4)])
+    def test_matches_highs_with_large_offset_covariate(self, offset, spread):
+        """An uncentred covariate far from zero (epoch seconds, income):
+        rounding bounds must scale with each row's own terms, not with the
+        offset, or real edge movements and residuals are taken for zero."""
+        rng = np.random.default_rng(53)
+        for trial in range(20):
+            n = int(rng.integers(30, 401))
+            q = int(rng.integers(2, 5))
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
+            z = rng.standard_normal(n)
+            X[:, 1] = offset + spread * z
+            y = 1.0 + 2.0 * z + rng.standard_t(df=2, size=n)
+            if trial % 2:
+                y = np.round(y)
+            tau = float(rng.uniform(0.05, 0.95))
+            fit = fit_quantile_regression(_design(X), y, tau)
+            reference = _lp_objective(X, y, tau)
+            gap = (fit.objective - reference) / reference
+            assert fit.converged, f"trial {trial}"
+            assert gap <= 1e-9, f"trial {trial}: gap {gap:.3e}"
+            assert fit.margin >= 0.0, f"trial {trial}: margin {fit.margin}"
+
+    def test_matches_highs_on_resampled_rows(self):
+        """Bootstrap-style draws with a binary covariate repeat basis rows.
+        A repeat of a basis row has an exactly zero edge movement that the
+        inverse's rounding turns into a few ulps; taking it for a real
+        breakpoint would enter it and make the basis singular (seeds 247
+        and 356 did so under a cut-off that ignored the inverse's error)."""
+        tau = 0.5
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(30, 200))
+            x = rng.uniform(0.0, 1.0, n)
+            g = (rng.random(n) < 0.5).astype(float)
+            y = 0.5 + x + 0.5 * g + rng.standard_normal(n)
+            idx = rng.integers(0, n, n)
+            X = np.column_stack([np.ones(n), x, g])[idx]
+            fit = fit_quantile_regression(_design(X), y[idx], tau)
+            reference = _lp_objective(X, y[idx], tau)
+            gap = (fit.objective - reference) / reference
+            assert fit.converged, f"seed {seed}"
+            assert gap <= 1e-9, f"seed {seed}: gap {gap:.3e}"
+
     def test_grouped_tail_draw_is_exact(self, tmp_path):
         """A grouped n = 5000 draw at tau = 0.9 on which an earlier solver
         stopped one sign short of the quantile property (4499 residuals
@@ -415,21 +459,35 @@ class TestResidualSigns:
         np.testing.assert_array_equal(residual_signs(fit), np.ones(30, dtype=int))
 
     def test_basis_rows_are_at_or_below_despite_rounding(self):
-        rng = np.random.default_rng(1)
+        # basis row 1 and tie row 3 compute to positive ulps; both lie on the fit
+        fit = qr.QuantileFit(
+            tau=0.5,
+            beta=np.array([0.0]),
+            residuals=np.array([-1.0, 5e-324, 2.0, 1e-300]),
+            objective=1.5,
+            iterations=1,
+            converged=True,
+            columns=("intercept",),
+            basis=(1,),
+            ties=(3,),
+        )
+        np.testing.assert_array_equal(residual_signs(fit), [1, 1, 0, 1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solver_labels_basis_rows_at_or_below(self, seed):
+        rng = np.random.default_rng(seed)
         n = 40
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = X @ np.array([0.3, -1.1, 2.7]) + rng.standard_t(df=3, size=n)
         fit = fit_quantile_regression(_design(X), y, 0.3)
         rows = list(fit.basis)
         assert len(rows) == 3
-        # the premise: some basis residual computes to a positive ulp
-        assert (fit.residuals[rows] > 0).any()
         np.testing.assert_array_equal(fit.residuals, y - X @ fit.beta)
         signs = residual_signs(fit)
         np.testing.assert_array_equal(signs[rows], 1)
-        off_basis = np.ones(n, dtype=bool)
-        off_basis[rows] = False
-        np.testing.assert_array_equal(signs[off_basis], sign_indicators(fit.residuals)[off_basis])
+        off_fit = np.ones(n, dtype=bool)
+        off_fit[rows + list(fit.ties)] = False
+        np.testing.assert_array_equal(signs[off_fit], sign_indicators(fit.residuals)[off_fit])
 
     def test_duplicated_rows_share_labels(self):
         # a row repeated in the sample (as in a bootstrap draw) lies on the

@@ -1,11 +1,14 @@
 """Paired nonparametric bootstrap over the whole two-step procedure.
 
 Each replicate resamples rows with replacement (responses and
-covariates travel together) and reruns both steps from scratch, so
-step-1 estimation noise propagates into the step-2 coefficients and
-the phi surface.  Replicates use independent substreams keyed by
-(seed, replicate index), making results reproducible for a fixed seed
-regardless of execution order or worker count.
+covariates travel together) and reruns both steps, so step-1
+estimation noise propagates into the step-2 coefficients and the phi
+surface.  Replicates start both steps from the full-sample
+coefficients, which only shortens the solvers' paths: each fit still
+stops on its own optimality test.  Replicates use independent
+substreams keyed by (seed, replicate index), making results
+reproducible for a fixed seed regardless of execution order or worker
+count.
 """
 
 import warnings
@@ -90,12 +93,12 @@ def phi_interval(draws, estimate, tau, level=DEFAULT_LEVEL):
     return float(b.phi_min + span * lo), float(b.phi_min + span * hi)
 
 
-def _run_replicate(data, spec, tau, grid, seed, b):
+def _run_replicate(data, spec, tau, base, seed, b):
     idx = bootstrap_indices(seed, b, data.n)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run_two_step(data.take(idx), spec, tau, grid=grid)
+            res = run_two_step(data.take(idx), spec, tau, grid=base.grid, start=base)
     except QuantcordError:
         return None
     return (
@@ -108,13 +111,13 @@ def _run_replicate(data, spec, tau, grid, seed, b):
 _WORKER_CTX = {}
 
 
-def _init_worker(data, spec, tau, grid, seed):
-    _WORKER_CTX["args"] = (data, spec, tau, grid, seed)
+def _init_worker(data, spec, tau, base, seed):
+    _WORKER_CTX["args"] = (data, spec, tau, base, seed)
 
 
 def _replicate_task(b):
-    data, spec, tau, grid, seed = _WORKER_CTX["args"]
-    return _run_replicate(data, spec, tau, grid, seed, b)
+    data, spec, tau, base, seed = _WORKER_CTX["args"]
+    return _run_replicate(data, spec, tau, base, seed, b)
 
 
 @dataclass(frozen=True)
@@ -176,15 +179,14 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
 
     base = run_two_step(data, spec, tau)
-    grid = base.grid
 
     if workers == 1:
-        results = [_run_replicate(data, spec, tau, grid, seed, b) for b in range(B)]
+        results = [_run_replicate(data, spec, tau, base, seed, b) for b in range(B)]
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(data, spec, tau, grid, seed),
+            initargs=(data, spec, tau, base, seed),
         ) as pool:
             chunk = max(1, B // (4 * workers))
             results = list(pool.map(_replicate_task, range(B), chunksize=chunk))

@@ -59,17 +59,12 @@ def check_full_rank(design):
     """Raise :class:`SingularDesignError` naming the redundant columns.
 
     A column is offending when it adds no rank beyond the columns to
-    its left, found by incremental QR rank tests.
+    its left: its diagonal entry in one QR factorization is at most
+    ``max(n, q) * eps`` times the largest diagonal entry.
     """
     X = design.values
-    n, q = X.shape
-    offenders = []
-    rank = 0
-    for j in range(q):
-        r = np.linalg.matrix_rank(X[:, : j + 1])
-        if r == rank:
-            offenders.append(design.columns[j])
-        else:
-            rank = r
+    diag = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+    cutoff = max(X.shape) * np.finfo(float).eps * diag.max()
+    offenders = [name for name, r in zip(design.columns, diag) if r <= cutoff]
     if offenders:
         raise SingularDesignError(offenders)

@@ -3,16 +3,19 @@
 Reference category is "00"; the remaining categories get one
 coefficient vector each.  Fitting is Newton-Raphson with step-halving
 on the full multinomial likelihood, whose Hessian doubles as the
-variance estimate.  In merged mode the two discordant labels are
-pooled before fitting and the predicted discordant mass is split
-equally between them at prediction time, never during fitting.
+variance estimate.  The log-likelihood is the difference of two sums,
+``sum(Y * eta)`` and the sum of the row log-partitions, that are much
+larger than it near a tail quantile, so the step-halving test allows a
+slack of a few ulps of those sums, not of the log-likelihood itself.
+In merged mode the two discordant labels are pooled before fitting and
+the predicted discordant mass is split equally between them at
+prediction time, never during fitting.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .concordance import LABELS, MERGED_DISCORDANT, CellProbabilities
 from .design import DesignMatrix, check_full_rank
@@ -64,28 +67,50 @@ def _indicators(z, categories):
     return Y
 
 
+# The Newton kernel keeps one row per non-reference category and one column
+# per observation (Xt = X', Yt = Y'): the row-wise reductions over K = 2 or 3
+# categories then run along the long observation axis, several times faster.
+
+def _log_partition(eta):
+    """Per observation (column of ``eta``), ``log(1 + sum_k exp(eta_k))``
+    and the non-reference probabilities, shifted by the largest exponent."""
+    shift = np.maximum(eta.max(axis=0), 0.0)
+    e = np.exp(eta - shift)
+    total = np.exp(-shift) + e.sum(axis=0)
+    return shift + np.log(total), e / total
+
+
+def _loglik_terms(gamma, Xt, Yt):
+    """Log-likelihood, probabilities, and the size of the two sums whose
+    difference is the log-likelihood (its rounding scales with them)."""
+    eta = gamma @ Xt  # K x n
+    lse, probs = _log_partition(eta)
+    fitted = Yt * eta
+    ll = float(np.sum(fitted) - np.sum(lse))
+    scale = float(np.sum(np.abs(fitted)) + np.sum(lse))  # lse >= 0
+    return ll, probs, scale
+
+
 def _loglik_parts(gamma, X, Y):
-    eta = X @ gamma.T  # n x K
-    lse = logsumexp(np.column_stack([np.zeros(X.shape[0]), eta]), axis=1)
-    ll = float(np.sum(Y * eta) - np.sum(lse))
-    probs = np.exp(eta - lse[:, None])
-    return ll, probs
+    """Log-likelihood and the n x K probabilities, observations in rows."""
+    ll, probs, _ = _loglik_terms(gamma, X.T, Y.T)
+    return ll, probs.T
 
 
-def _gradient(X, Y, probs):
-    return (X.T @ (Y - probs)).T.reshape(-1)  # category-major blocks
+def _gradient(Xt, Yt, probs):
+    return ((Yt - probs) @ Xt.T).reshape(-1)  # category-major blocks
 
 
-def _information(X, probs):
-    n, q = X.shape
-    K = probs.shape[1]
-    info = np.empty((K * q, K * q))
+def _information(Xt, probs):
+    """Fisher information, ``blockdiag(X' diag(p_k) X) - PX PX'``, where
+    row ``k*q + a`` of PX is ``p_ik * x_ia`` over the observations i."""
+    K, n = probs.shape
+    q = Xt.shape[0]
+    PX = (probs[:, None, :] * Xt[None, :, :]).reshape(K * q, n)
+    info = -(PX @ PX.T)
+    diag = PX @ Xt.T  # block k of rows is X' diag(p_k) X
     for k in range(K):
-        for l in range(k, K):
-            w = probs[:, k] * ((k == l) - probs[:, l])
-            block = X.T @ (X * w[:, None])
-            info[k * q:(k + 1) * q, l * q:(l + 1) * q] = block
-            info[l * q:(l + 1) * q, k * q:(k + 1) * q] = block.T
+        info[k * q:(k + 1) * q, k * q:(k + 1) * q] += diag[k * q:(k + 1) * q]
     return info
 
 
@@ -94,9 +119,9 @@ def loglik_gradient(gamma, X2, z, merged=False):
     categories = CATEGORIES_MERGED if merged else CATEGORIES_FULL
     gamma = np.asarray(gamma, dtype=float).reshape(len(categories), X2.q)
     labels = _pool_merged(z) if merged else np.asarray(z, dtype=object)
-    Y = _indicators(labels, categories)
-    _, probs = _loglik_parts(gamma, X2.values, Y)
-    return _gradient(X2.values, Y, probs)
+    Xt, Yt = X2.values.T, _indicators(labels, categories).T
+    _, probs, _ = _loglik_terms(gamma, Xt, Yt)
+    return _gradient(Xt, Yt, probs)
 
 
 def _separation_detected(gamma, X):
@@ -106,8 +131,13 @@ def _separation_detected(gamma, X):
 
 
 def fit_multinomial(X2, z, merged=False, *, tau=0.5,
-                    tol=GRADIENT_TOL, max_iter=MAX_NEWTON_ITER):
+                    tol=GRADIENT_TOL, max_iter=MAX_NEWTON_ITER, start=None):
     """Maximum-likelihood fit of the concordance categories on ``X2``.
+
+    Newton starts at ``start`` (one row of coefficients per category, as
+    ``MultinomialFit.gamma``), or at zero when it is None; the bootstrap
+    starts each replicate at the full-sample fit.  The fit stops when the
+    largest score entry is at most ``tol``.
 
     Raises EmptyCategoryError when any modeled category (including the
     reference) has no observations; a category with zero count has no
@@ -125,20 +155,28 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
         raise InvalidArgumentError(
             f"{labels.size} labels for {X2.n} design rows"
         )
-    Y = _indicators(labels, categories)
+    Yt = np.ascontiguousarray(_indicators(labels, categories).T)
 
     X = X2.values
+    Xt = np.ascontiguousarray(X.T)
     n, q = X.shape
     K = len(categories)
-    gamma = np.zeros((K, q))
-    ll, probs = _loglik_parts(gamma, X, Y)
+    if start is None:
+        gamma = np.zeros((K, q))
+    else:
+        gamma = np.array(start, dtype=float)
+        if gamma.shape != (K, q):
+            raise InvalidArgumentError(
+                f"start has shape {gamma.shape}, expected {(K, q)}"
+            )
+    ll, probs, scale = _loglik_terms(gamma, Xt, Yt)
     path = [ll]
 
-    converged = np.max(np.abs(_gradient(X, Y, probs))) <= tol
+    g = _gradient(Xt, Yt, probs)
+    converged = np.max(np.abs(g)) <= tol
     it = 0
     while not converged and it < max_iter:
-        g = _gradient(X, Y, probs)
-        info = _information(X, probs)
+        info = _information(Xt, probs)
         try:
             step = np.linalg.solve(info, g).reshape(K, q)
         except np.linalg.LinAlgError:
@@ -146,23 +184,27 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
         # step-halving keeps the likelihood path non-decreasing; the
         # few-ulp slack lets the full Newton step through once the
         # likelihood is flat at float resolution (halved steps would
-        # otherwise cycle with the gradient stuck near the tolerance)
-        slack = 4.0 * np.finfo(float).eps * max(1.0, abs(ll))
+        # otherwise cycle with the gradient stuck near the tolerance).
+        # ll is a small difference of two large sums, so its rounding
+        # scales with those sums: a slack in ulps of |ll| rejects the
+        # converging step near tail quantiles
+        slack = 4.0 * np.finfo(float).eps * max(1.0, scale)
         t = 1.0
         improved = False
         for _ in range(40):
             trial = gamma + t * step
-            ll_trial, probs_trial = _loglik_parts(trial, X, Y)
+            ll_trial, probs_trial, scale_trial = _loglik_terms(trial, Xt, Yt)
             if np.isfinite(ll_trial) and ll_trial >= ll - slack:
                 improved = True
                 break
             t /= 2.0
         if not improved:
             break  # no ascent left at this iterate
-        gamma, ll, probs = trial, ll_trial, probs_trial
+        gamma, ll, probs, scale = trial, ll_trial, probs_trial, scale_trial
         path.append(ll)
         it += 1
-        converged = np.max(np.abs(_gradient(X, Y, probs))) <= tol
+        g = _gradient(Xt, Yt, probs)
+        converged = np.max(np.abs(g)) <= tol
 
     separation = _separation_detected(gamma, X)
     if separation:
@@ -173,7 +215,7 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
             stacklevel=2,
         )
 
-    info = _information(X, probs)
+    info = _information(Xt, probs)
     try:
         vcov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
@@ -206,25 +248,16 @@ def predict_cells_rows(fit, X):
         raise InvalidArgumentError(
             f"x has dimension {X.shape[1]}, fit expects {fit.gamma.shape[1]}"
         )
-    eta = X @ fit.gamma.T
-    lse = logsumexpcols(eta)
-    probs = np.exp(eta - lse[:, None])
-    p_ref = np.exp(-lse)
+    lse, probs = _log_partition(fit.gamma @ X.T)
     out = np.empty((X.shape[0], 4))
-    out[:, 0] = p_ref
+    out[:, 0] = np.exp(-lse)
     if fit.merged:
-        out[:, 1] = probs[:, 0]
-        out[:, 2] = probs[:, 1] / 2.0  # equal split of the discordant mass
-        out[:, 3] = probs[:, 1] / 2.0
+        out[:, 1] = probs[0]
+        out[:, 2] = probs[1] / 2.0  # equal split of the discordant mass
+        out[:, 3] = probs[1] / 2.0
     else:
-        out[:, 1] = probs[:, 0]
-        out[:, 2] = probs[:, 1]
-        out[:, 3] = probs[:, 2]
+        out[:, 1:] = probs.T
     return out
-
-
-def logsumexpcols(eta):
-    return logsumexp(np.column_stack([np.zeros(eta.shape[0]), eta]), axis=1)
 
 
 def predict_cells(fit, x):

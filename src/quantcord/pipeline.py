@@ -213,12 +213,14 @@ def _tag_step(err, prefix):
         err.args = (prefix,)
 
 
-def run_two_step(data, spec, tau, grid=None):
+def run_two_step(data, spec, tau, grid=None, start=None):
     """Run the full two-step procedure at one quantile level.
 
     ``grid`` defaults to ``build_grid(data, spec)``; the bootstrap
     passes the original-data grid so replicates are evaluated at
-    identical covariate profiles.
+    identical covariate profiles.  ``start``, a TwoStepResult for the
+    same spec, gives both steps their starting coefficients; the
+    bootstrap passes the full-sample result.
     """
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
@@ -227,9 +229,10 @@ def run_two_step(data, spec, tau, grid=None):
 
     X1, recipe1 = build_design(data, spec.step1_terms)
     fits = []
-    for name in spec.responses:
+    for j, name in enumerate(spec.responses):
+        beta0 = None if start is None else start.step1[j].beta
         try:
-            fits.append(fit_quantile_regression(X1, data.column(name), tau))
+            fits.append(fit_quantile_regression(X1, data.column(name), tau, start=beta0))
         except QuantcordError as err:
             _tag_step(err, f"step 1, response {name!r}")
             raise
@@ -239,7 +242,8 @@ def run_two_step(data, spec, tau, grid=None):
 
     try:
         X2, recipe2 = build_design(data, spec.step2_terms)
-        fit2 = fit_multinomial(X2, labels, merged=spec.merged, tau=tau)
+        fit2 = fit_multinomial(X2, labels, merged=spec.merged, tau=tau,
+                               start=None if start is None else start.step2.gamma)
     except QuantcordError as err:
         _tag_step(err, "step 2")
         raise

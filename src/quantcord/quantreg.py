@@ -3,9 +3,9 @@
 Exact simplex (basis-exchange) solver for the linear program behind the
 check function (Barrodale & Roberts 1973; Koenker & d'Orey 1987).  A
 vertex is an exact fit through q observations, the basis h.  The solver
-starts at the basis nearest the least-squares fit and stops when the
-vertex optimality condition of Koenker (2005, Thm 2.1) holds: with
-psi_i = tau or tau - 1 the side of each non-basic row,
+starts at the basis nearest a starting fit (least squares unless one is
+given) and stops when the vertex optimality condition of Koenker (2005,
+Thm 2.1) holds: with psi_i = tau or tau - 1 the side of each non-basic row,
 ``v = -X(h)^-T sum_{i not in h} psi_i x_i`` lies in ``[tau - 1, tau]``.
 Otherwise the basis row whose v is furthest out leaves its zero
 residual, and an exact line search along that edge (a weighted-quantile
@@ -128,7 +128,8 @@ def _ratio_test(r, rho, above, c, free, slope):
     return int(block[tied[min(k, tied.size - 1)]])
 
 
-def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
+def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS,
+                            start=None):
     """Minimize ``sum(pinball_loss(y - X @ beta, tau))`` over beta.
 
     Parameters
@@ -150,6 +151,12 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
         Cap on simplex pivots, counted in ``iterations``.  Hitting it
         without a certificate raises NonConvergenceError carrying the
         last vertex as ``last_fit``.
+    start : array_like, optional
+        Coefficients to start from, such as the full-sample fit for a
+        bootstrap replicate.  The first basis is the first q rows, by
+        increasing ``|y - X @ start|``, that keep it full rank; the
+        least-squares fit is used when None.  The start changes only the
+        path: the certificate, and so ``converged``, is the same.
 
     Each pivot takes the edge with the steepest descent.  Residuals and
     edge movements within the rounding error of the basis solve count as
@@ -178,8 +185,11 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS):
     abs_x = np.abs(Xv)
     colsum = Xv.sum(axis=0)
     delta = np.random.default_rng(0).random(n)
-    ols, *_ = np.linalg.lstsq(Xv, y, rcond=None)
-    basis = _start_basis(Xv, y - Xv @ ols)
+    if start is None:
+        start, *_ = np.linalg.lstsq(Xv, y, rcond=None)
+    elif np.shape(start) != (q,):
+        raise InvalidArgumentError(f"start has shape {np.shape(start)}, expected {(q,)}")
+    basis = _start_basis(Xv, y - Xv @ np.asarray(start, dtype=float))
     free = np.ones(n, dtype=bool)
     free[basis] = False
     pivots = 0

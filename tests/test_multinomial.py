@@ -1,26 +1,37 @@
 """Tests for the multinomial logistic model of the concordance labels."""
 
+import contextlib
+import io
 import warnings
 
 import numpy as np
 import pytest
+import yaml
+from scipy.special import logsumexp
 
 from quantcord import (
     CATEGORIES_FULL,
     CATEGORIES_MERGED,
     LABELS,
     REFERENCE,
+    AnalysisSpec,
     DesignMatrix,
     EmptyCategoryError,
     InvalidArgumentError,
     SeparationWarning,
     SingularDesignError,
+    bootstrap_indices,
+    build_design,
     fit_multinomial,
+    identity,
     loglik_gradient,
     predict_cells,
     predict_cells_rows,
+    read_csv,
+    run_two_step,
 )
-from quantcord.multinomial import _indicators, _loglik_parts
+from quantcord.cli import main as quantcord_main
+from quantcord.multinomial import GRADIENT_TOL, _indicators, _information, _loglik_parts
 
 
 def _intercept_design(n):
@@ -89,6 +100,32 @@ class TestGradient:
         g = loglik_gradient(fit.gamma, X, z)
         assert np.max(np.abs(g)) <= 1e-8
 
+    def test_warm_start_reaches_cold_start_mle(self):
+        # a bootstrap replicate starts Newton at the full-sample fit
+        rng = np.random.default_rng(17)
+        n = 400
+        x = rng.standard_normal(n)
+        logits = np.column_stack([np.zeros(n), 0.8 * x, -0.5 * x, 0.3 * x])
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        z = np.array([LABELS[rng.choice(4, p=p[i])] for i in range(n)], dtype=object)
+        values = np.column_stack([np.ones(n), x])
+        full = fit_multinomial(DesignMatrix(values, ("intercept", "x"), intercept=True),
+                               z, tau=0.5)
+        for _ in range(5):
+            idx = rng.integers(0, n, n)
+            Xb = DesignMatrix(values[idx], ("intercept", "x"), intercept=True)
+            cold = fit_multinomial(Xb, z[idx], tau=0.5)
+            warm = fit_multinomial(Xb, z[idx], tau=0.5, start=full.gamma)
+            assert warm.converged and cold.converged
+            assert warm.iterations < cold.iterations
+            np.testing.assert_allclose(warm.gamma, cold.gamma, rtol=0, atol=1e-7)
+
+    def test_start_shape_checked(self):
+        z = _labels_from_counts(25, 25, 25, 25)
+        with pytest.raises(InvalidArgumentError, match="start"):
+            fit_multinomial(_intercept_design(100), z, tau=0.5, start=np.zeros(3))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         n, q2 = 50, 3
@@ -114,6 +151,30 @@ class TestGradient:
                 fd[k] = (lp - lm) / (2 * h)
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert np.max(rel) <= 1e-5
+
+    def test_kernel_matches_reference_formulas(self):
+        # log-sum-exp against scipy's, at exponents far past exp's range, and
+        # the information matrix against its blockwise definition
+        rng = np.random.default_rng(18)
+        n, q = 200, 3
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
+        Y = _indicators(np.array([LABELS[i] for i in rng.integers(0, 4, n)], dtype=object),
+                        CATEGORIES_FULL)
+        for scale in (0.5, 400.0):
+            gamma = scale * rng.standard_normal((3, q))
+            ll, probs = _loglik_parts(gamma, X, Y)
+            eta = X @ gamma.T
+            lse = logsumexp(np.column_stack([np.zeros(n), eta]), axis=1)
+            np.testing.assert_allclose(ll, np.sum(Y * eta) - np.sum(lse), rtol=1e-12)
+            np.testing.assert_allclose(probs, np.exp(eta - lse[:, None]), rtol=1e-12,
+                                       atol=1e-300)
+            reference = np.empty((3 * q, 3 * q))
+            for k in range(3):
+                for m in range(3):
+                    w = probs[:, k] * ((k == m) - probs[:, m])
+                    reference[k * q:(k + 1) * q, m * q:(m + 1) * q] = X.T @ (X * w[:, None])
+            np.testing.assert_allclose(_information(X.T, probs.T), reference,
+                                       rtol=0, atol=1e-12 * n)
 
     def test_uniform_softmax_hand_value(self):
         # at gamma = 0 the gradient intercept component is c_z - n/4
@@ -146,6 +207,46 @@ class TestFitBehavior:
         path = np.asarray(fit.loglik_path)
         assert np.all(np.diff(path) >= -1e-10)
         np.testing.assert_allclose(path[-1], fit.loglik, rtol=1e-12)
+
+    @pytest.mark.parametrize("data_seed, boot_seed", [(2000, 2001), (6000, 6000)])
+    def test_tail_quantile_fits_converge(self, tmp_path, data_seed, boot_seed):
+        """At tau = 0.95 the log-likelihood (about -300) is the difference of
+        two sums near 4e3, so the step test's rounding slack must scale with
+        those sums.  A slack in ulps of |ll| rejected the converging Newton
+        step, and the fit ran to its iteration cap: with scipy's log-sum-exp
+        on replicate 3 of both draws, with a max-shifted one on replicates
+        0, 5 and 9 of the second."""
+        scenario = {
+            "n": 1000,
+            "seed": data_seed,
+            "covariates": [{"name": "x", "kind": "uniform", "low": 0.0, "high": 1.0}],
+            "coefficients": {
+                "y1": {"intercept": 0.5, "x": 1.0},
+                "y2": {"intercept": -0.5, "x": 2.0},
+            },
+            "taus": [0.05, 0.95],
+            "rho": 0.6,
+        }
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+        out = tmp_path / "data.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert quantcord_main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        data, _ = read_csv(out)
+        spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.95,),
+                            step1_terms=(identity("x"),), step2_terms=(identity("x"),),
+                            merged=True)
+        samples = [data] + [data.take(bootstrap_indices(boot_seed, b, data.n))
+                            for b in range(10)]
+        for b, sample in enumerate(samples):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = run_two_step(sample, spec, 0.95)
+            fit = res.step2
+            X2, _ = build_design(sample, spec.step2_terms)
+            g = loglik_gradient(fit.gamma, X2, res.labels, merged=True)
+            assert fit.converged, f"sample {b - 1}"
+            assert np.max(np.abs(g)) <= GRADIENT_TOL, f"sample {b - 1}"
 
     def test_empty_category_error(self):
         z = _labels_from_counts(50, 50, 0, 0)

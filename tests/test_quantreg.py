@@ -318,7 +318,9 @@ class TestLinearProgramOracle:
         A repeat of a basis row has an exactly zero edge movement that the
         inverse's rounding turns into a few ulps; taking it for a real
         breakpoint would enter it and make the basis singular (seeds 247
-        and 356 did so under a cut-off that ignored the inverse's error)."""
+        and 356 did so under a cut-off that ignored the inverse's error).
+        Each draw is also fitted from the full-sample coefficients, as a
+        bootstrap replicate is."""
         tau = 0.5
         for seed in range(400):
             rng = np.random.default_rng(seed)
@@ -327,12 +329,20 @@ class TestLinearProgramOracle:
             g = (rng.random(n) < 0.5).astype(float)
             y = 0.5 + x + 0.5 * g + rng.standard_normal(n)
             idx = rng.integers(0, n, n)
-            X = np.column_stack([np.ones(n), x, g])[idx]
+            full = np.column_stack([np.ones(n), x, g])
+            X = full[idx]
             fit = fit_quantile_regression(_design(X), y[idx], tau)
             reference = _lp_objective(X, y[idx], tau)
             gap = (fit.objective - reference) / reference
             assert fit.converged, f"seed {seed}"
             assert gap <= 1e-9, f"seed {seed}: gap {gap:.3e}"
+
+            start = fit_quantile_regression(_design(full), y, tau).beta
+            warm = fit_quantile_regression(_design(X), y[idx], tau, start=start)
+            gap = (warm.objective - reference) / reference
+            assert warm.converged, f"seed {seed}, warm"
+            assert gap <= 1e-9, f"seed {seed}, warm: gap {gap:.3e}"
+            assert warm.margin >= 0.0, f"seed {seed}, warm: margin {warm.margin}"
 
     def test_grouped_tail_draw_is_exact(self, tmp_path):
         """A grouped n = 5000 draw at tau = 0.9 on which an earlier solver
@@ -412,6 +422,11 @@ class TestFitErrors:
         y = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             fit_quantile_regression(X, y, 0.5)
+
+    def test_start_shape_checked(self):
+        X = _intercept_only(5)
+        with pytest.raises(InvalidArgumentError, match="start"):
+            fit_quantile_regression(X, np.arange(5.0), 0.5, start=np.zeros(2))
 
     def test_nonconvergence_carries_last_iterate(self):
         rng = np.random.default_rng(6)

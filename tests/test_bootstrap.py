@@ -1,8 +1,10 @@
 """Tests for the paired bootstrap and the phi interval construction."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import digamma, expit, polygamma
+from scipy.special import digamma, expit, logit, polygamma
 from scipy.stats import norm
 
 from quantcord import (
@@ -16,6 +18,7 @@ from quantcord import (
     phi_interval,
     run_two_step,
 )
+from quantcord.bootstrap import WINSOR_EPS, _expit, _logit, _normal_quantile
 
 SPEC = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
 
@@ -243,6 +246,54 @@ class TestPhiInterval:
     def test_level_validated(self):
         with pytest.raises(InvalidArgumentError, match="level"):
             phi_interval(np.array([0.1, 0.2]), 0.1, 0.5, level=0.0)
+
+    def test_level_just_below_one_gives_inner_band(self):
+        # 0.5 + level / 2 rounds to 1 here, where the upper-tail normal
+        # quantile is infinite and the band would be all of (-1, 1)
+        level = np.nextafter(1.0, 0.0)
+        rng = np.random.default_rng(24)
+        draws = 0.2 + 0.05 * rng.normal(size=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = phi_interval(draws, 0.2, 0.5, level=level)
+        assert -1.0 < lo <= 0.2 <= hi < 1.0
+
+
+def _ulps(got, want):
+    """|got - want| in units of the last place of want."""
+    want = np.asarray(want, dtype=float)
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
+
+
+class TestIntervalArithmetic:
+    """The scipy-free logit, expit and normal quantile behind the bands."""
+
+    def test_logit_matches_scipy(self):
+        u = np.concatenate([
+            [WINSOR_EPS, 1.0 - WINSOR_EPS],
+            np.linspace(WINSOR_EPS, 1.0 - WINSOR_EPS, 2001),
+            np.nextafter(0.5, [0.0, 1.0]),
+            [0.3, 0.65, np.nextafter(0.3, 0.0), np.nextafter(0.65, 1.0)],
+        ])
+        assert _ulps(_logit(u), logit(u)).max() <= 4.0
+
+    def test_expit_matches_scipy_without_overflow(self):
+        t = np.concatenate([np.linspace(-60.0, 60.0, 2401), [-1e3, 1e3]])
+        got = np.array([_expit(x) for x in t])
+        want = expit(t)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+        assert _expit(-1e300) == 0.0 and _expit(1e300) == 1.0
+
+    def test_normal_quantile_matches_scipy(self):
+        # norm.ppf(0.5 + level / 2) evaluates at a rounded argument; allow
+        # 4 ulp of z plus what one ulp of that argument moves z by
+        levels = np.linspace(0.5, 0.999, 500)
+        p = 0.5 + levels / 2.0
+        want = norm.ppf(p)
+        got = np.array([_normal_quantile(lv) for lv in levels])
+        tol = 4.0 * np.spacing(want) + np.spacing(p) / norm.pdf(want)
+        assert np.all(np.abs(got - want) <= tol)
+        assert _normal_quantile(0.95) == pytest.approx(1.959963984540054, abs=1e-15)
 
 
 class TestWinsorizedCount:

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import quantcord
 from quantcord.cli import main
 from quantcord.synthetic import oracle_phi_gaussian
 
@@ -147,6 +151,41 @@ class TestAnalyzeCommittedFixture:
             "summary.txt",
         ]
         assert "timestamp" not in json.dumps(meta).lower()
+
+
+class TestImportClosure:
+
+    # scipy serves only the version string in metadata.json; whatever a
+    # bare ``import scipy`` loads is allowed, and nothing else of scipy
+    SCRIPT = """
+import json
+import sys
+import scipy
+allowed = {m for m in sys.modules if m.startswith("scipy")}
+import quantcord.cli as cli
+cli.load_run_config(sys.argv[1])
+assert cli.main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith("scipy") and m not in allowed
+)))
+"""
+
+    def test_analyze_loads_no_scipy_submodule(self, fixtures_dir, tmp_path):
+        config = _write_yaml(tmp_path / "run.yaml", {
+            "input": str(fixtures_dir / "copula_n5000.csv"),
+            "responses": ["y1", "y2"],
+            "taus": [0.5],
+            "bootstrap": {"enabled": True, "replicates": 20, "workers": 1},
+        })
+        src = os.path.dirname(os.path.dirname(quantcord.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, config, str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == []
 
 
 class TestAnalyzeProfiles:

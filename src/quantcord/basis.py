@@ -86,15 +86,6 @@ class BasisRecipe:
             names = names + t.names
         return names
 
-    @property
-    def required_columns(self):
-        req = []
-        for t in self.terms:
-            for c in (t.spec.column, t.spec.column2):
-                if c and c not in req:
-                    req.append(c)
-        return tuple(req)
-
 
 def _row_count(data):
     if hasattr(data, "n"):

@@ -21,7 +21,7 @@ from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
 from .dataset import read_csv, write_csv
 from .exceptions import QuantcordError
-from .pipeline import CONSTANT_PROFILE, run_two_step
+from .pipeline import CONSTANT_PROFILE, _term_columns, run_two_step
 
 FLOAT_FMT = "%.17g"
 
@@ -36,12 +36,8 @@ def _fmt(x):
 
 
 def _needed_columns(spec):
-    names = list(spec.responses)
-    for t in spec.step1_terms + spec.step2_terms:
-        for c in (t.column, t.column2):
-            if c and c not in names:
-                names.append(c)
-    return names
+    return list(dict.fromkeys(
+        spec.responses + _term_columns(spec.step1_terms + spec.step2_terms)))
 
 
 def _write_rows(path, header, rows):

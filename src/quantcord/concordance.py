@@ -1,4 +1,12 @@
-"""Sign-concordance labels, cell probabilities and the phi coefficient."""
+"""Sign-concordance labels, cell probabilities and the phi coefficient.
+
+A label is an integer cell code k, named ``LABELS[k]``: 0 = "00" (both
+residuals above their fitted quantiles), 1 = "11" (both at or below),
+2 = "01" and 3 = "10" (first digit: first response).  Merged mode pools
+code 3 into code 2, ``MERGED_DISCORDANT``.  CellProbabilities fields,
+predicted cell columns and step-2 coefficient rows (codes 1..3) follow
+the same order.
+"""
 
 from dataclasses import dataclass
 
@@ -6,18 +14,16 @@ import numpy as np
 
 from .exceptions import InvalidArgumentError
 
-# report order matches the label numbering of the concordance variable
 LABELS = ("00", "11", "01", "10")
 MERGED_DISCORDANT = "01+10"
 
+# _CODES[w1, w2] is the cell code of first-response sign w1 and second w2
+_CODES = np.array([[0, 2], [3, 1]])
+
 
 def classify(omega1, omega2):
-    """Combine two residual-sign vectors into concordance labels.
-
-    ``"00"`` both signs positive, ``"11"`` both at or below the fitted
-    quantile, ``"01"``/``"10"`` the two discordant patterns (first index
-    is the first response).
-    """
+    """Cell code of each pair of residual signs (1: at or below the
+    fitted quantile); the module docstring gives the code table."""
     w1 = np.asarray(omega1)
     w2 = np.asarray(omega2)
     if w1.shape != w2.shape or w1.ndim != 1:
@@ -27,8 +33,22 @@ def classify(omega1, omega2):
     for w in (w1, w2):
         if not np.isin(w, (0, 1)).all():
             raise InvalidArgumentError("sign vectors must contain only 0 and 1")
-    lookup = np.array([["00", "01"], ["10", "11"]], dtype=object)
-    return lookup[w1.astype(int), w2.astype(int)]
+    return _CODES[w1.astype(int), w2.astype(int)]
+
+
+def _checked_codes(z):
+    """``z`` as a non-empty 1-d integer array of cell codes in 0..3."""
+    z = np.asarray(z)
+    if z.ndim != 1:
+        raise InvalidArgumentError(f"labels must be 1-d, got shape {z.shape}")
+    if z.size == 0:
+        raise InvalidArgumentError("empty label vector")
+    if z.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"labels must be integer cell codes, got dtype {z.dtype}")
+    bad = (z < 0) | (z >= len(LABELS))
+    if bad.any():
+        raise InvalidArgumentError(f"unknown labels present: {sorted(set(z[bad].tolist()))}")
+    return z.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -55,22 +75,9 @@ class CellProbabilities:
 
 
 def empirical_cells(z, tau):
-    """Relative frequency of each concordance label."""
-    z = np.asarray(z, dtype=object)
-    if z.size == 0:
-        raise InvalidArgumentError("empty label vector")
-    n = z.size
-    counts = {lab: int(np.sum(z == lab)) for lab in LABELS}
-    if sum(counts.values()) != n:
-        bad = sorted(set(z.tolist()) - set(LABELS))
-        raise InvalidArgumentError(f"unknown labels present: {bad}")
-    return CellProbabilities(
-        p00=counts["00"] / n,
-        p11=counts["11"] / n,
-        p01=counts["01"] / n,
-        p10=counts["10"] / n,
-        tau=tau,
-    )
+    """Relative frequency of each concordance cell code."""
+    z = _checked_codes(z)
+    return CellProbabilities(*(np.bincount(z, minlength=4) / z.size).tolist(), tau=tau)
 
 
 def phi(cells):
@@ -80,8 +87,12 @@ def phi(cells):
     denominator is exactly ``tau * (1 - tau)``; empirical margins would
     be off by O(q/n) and break the exact limiting cases.
     """
-    tau = cells.tau
-    return (cells.p11 * cells.p00 - cells.p01 * cells.p10) / (tau * (1.0 - tau))
+    return _fixed_margin_phi(cells.p00, cells.p11, cells.p01, cells.p10, cells.tau)
+
+
+def _fixed_margin_phi(p00, p11, p01, p10, tau):
+    """``phi``'s formula on cell probabilities, scalars or arrays."""
+    return (p11 * p00 - p01 * p10) / (tau * (1.0 - tau))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Multinomial logistic model for the concordance labels.
 
-Reference category is "00"; the remaining categories get one
-coefficient vector each.  Fitting is Newton-Raphson with step-halving
-on the full multinomial likelihood, whose Hessian doubles as the
-variance estimate.  The log-likelihood is the difference of two sums,
-``sum(Y * eta)`` and the sum of the row log-partitions, that are much
-larger than it near a tail quantile, so the step-halving test allows a
-slack of a few ulps of those sums, not of the log-likelihood itself.
-In merged mode the two discordant labels are pooled before fitting and
-the predicted discordant mass is split equally between them at
-prediction time, never during fitting.
+Labels are the integer cell codes of ``concordance``: 0 = "00", the
+reference category, then 1 = "11", 2 = "01" and 3 = "10", each with one
+coefficient vector (row k - 1 of ``gamma`` for code k).  In merged mode
+code 3 is pooled into code 2, "01+10", before fitting, and the predicted
+discordant mass is split equally between "01" and "10" at prediction
+time, never during fitting.  Fitting is Newton-Raphson with
+step-halving on the full multinomial likelihood, whose Hessian doubles
+as the variance estimate.  The log-likelihood is the difference of two
+sums, ``sum(Y * eta)`` and the sum of the row log-partitions, that are
+much larger than it near a tail quantile, so the step-halving test
+allows a slack of a few ulps of those sums, not of the log-likelihood
+itself.
 """
 
 import warnings
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concordance import LABELS, MERGED_DISCORDANT, CellProbabilities
+from .concordance import LABELS, MERGED_DISCORDANT, CellProbabilities, _checked_codes
 from .design import DesignMatrix, check_full_rank
 from .exceptions import EmptyCategoryError, InvalidArgumentError, SeparationWarning
 
@@ -47,24 +49,24 @@ class MultinomialFit:
     loglik_path: tuple = ()
 
 
-def _pool_merged(z):
-    z = np.asarray(z, dtype=object)
-    out = z.copy()
-    out[(z == "01") | (z == "10")] = MERGED_DISCORDANT
-    return out
+def _indicators(z, merged, n):
+    """The categories and their K x n indicators ``z == k``, k = 1..K, for
+    the cell codes of ``n`` observations, pooled in merged mode (code 3
+    joins code 2, "01+10").
 
-
-def _indicators(z, categories):
-    z = np.asarray(z, dtype=object)
-    known = set(categories) | {REFERENCE}
-    bad = sorted(set(z.tolist()) - known)
-    if bad:
-        raise InvalidArgumentError(f"unknown labels present: {bad}")
-    Y = np.column_stack([(z == c).astype(float) for c in categories])
-    missing = [c for c in (REFERENCE, *categories) if not np.any(z == c)]
-    if missing:
-        raise EmptyCategoryError(missing)
-    return Y
+    Raises EmptyCategoryError naming every code 0..K with no observations.
+    """
+    z = _checked_codes(z)
+    if z.size != n:
+        raise InvalidArgumentError(f"{z.size} labels for {n} design rows")
+    categories = CATEGORIES_MERGED if merged else CATEGORIES_FULL
+    K = len(categories)
+    if merged:
+        z = np.minimum(z, 2)
+    empty = np.flatnonzero(np.bincount(z, minlength=K + 1) == 0)
+    if empty.size:
+        raise EmptyCategoryError([(REFERENCE, *categories)[k] for k in empty])
+    return categories, (z == np.arange(1, K + 1)[:, None]).astype(float)
 
 
 # The Newton kernel keeps one row per non-reference category and one column
@@ -116,10 +118,9 @@ def _information(Xt, probs):
 
 def loglik_gradient(gamma, X2, z, merged=False):
     """Analytic score of the multinomial log-likelihood at ``gamma``."""
-    categories = CATEGORIES_MERGED if merged else CATEGORIES_FULL
+    categories, Yt = _indicators(z, merged, X2.n)
     gamma = np.asarray(gamma, dtype=float).reshape(len(categories), X2.q)
-    labels = _pool_merged(z) if merged else np.asarray(z, dtype=object)
-    Xt, Yt = X2.values.T, _indicators(labels, categories).T
+    Xt = X2.values.T
     _, probs, _ = _loglik_terms(gamma, Xt, Yt)
     return _gradient(Xt, Yt, probs)
 
@@ -147,15 +148,7 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
     if not isinstance(X2, DesignMatrix):
         raise InvalidArgumentError("X2 must be a DesignMatrix")
     check_full_rank(X2)
-    categories = CATEGORIES_MERGED if merged else CATEGORIES_FULL
-    labels = _pool_merged(z) if merged else np.asarray(z, dtype=object)
-    if labels.size == 0:
-        raise InvalidArgumentError("empty label vector")
-    if labels.size != X2.n:
-        raise InvalidArgumentError(
-            f"{labels.size} labels for {X2.n} design rows"
-        )
-    Yt = np.ascontiguousarray(_indicators(labels, categories).T)
+    categories, Yt = _indicators(z, merged, X2.n)
 
     X = X2.values
     Xt = np.ascontiguousarray(X.T)
@@ -239,7 +232,7 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
 def predict_cells_rows(fit, X):
     """Cell probabilities for each row of a design array, as an n-by-4 array.
 
-    Columns follow the report order ``("00", "11", "01", "10")``.
+    Column k is the probability of cell code k (``LABELS[k]``).
     """
     X = np.asarray(X.values if isinstance(X, DesignMatrix) else X, dtype=float)
     if X.ndim == 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import build_design, recipe_values
-from .concordance import classify, empirical_cells, phi_bounds
+from .concordance import _fixed_margin_phi, classify, empirical_cells, phi_bounds
 from .dataset import Dataset
 from .exceptions import InvalidArgumentError, QuantcordError
 from .multinomial import fit_multinomial, predict_cells_rows
@@ -63,12 +63,12 @@ class AnalysisSpec:
     @property
     def profile_columns(self):
         """Covariates that get a profile grid, in declaration order."""
-        names = []
-        for t in self.step2_terms:
-            for c in (t.column, t.column2):
-                if c and c not in names:
-                    names.append(c)
-        return tuple(names)
+        return _term_columns(self.step2_terms)
+
+
+def _term_columns(terms):
+    """Columns the terms read, in first-use order, without duplicates."""
+    return tuple(dict.fromkeys(c for t in terms for c in (t.column, t.column2) if c))
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,9 @@ def build_grid(data, spec):
 class PhiSurface:
     """Conditional phi evaluated on an EvaluationGrid at one tau.
 
-    ``cells`` rows follow the report order ("00", "11", "01", "10") so
-    phi is recomputable from them.  Bands are attached by the bootstrap.
+    ``cells`` column k is the probability of cell code k (see
+    ``concordance``), so phi is recomputable from them.  Bands are
+    attached by the bootstrap.
     """
 
     tau: float
@@ -172,8 +173,7 @@ def evaluate_surface(fit2, recipe2, grid, tau):
     else:
         X = np.ones((grid.m, 1))
     cells = predict_cells_rows(fit2, X)
-    denom = tau * (1.0 - tau)
-    phi_vals = (cells[:, 1] * cells[:, 0] - cells[:, 2] * cells[:, 3]) / denom
+    phi_vals = _fixed_margin_phi(*cells.T, tau)
     bounds = phi_bounds(tau)
     out_of_bounds = (phi_vals < bounds.phi_min) | (phi_vals > bounds.phi_max)
     return PhiSurface(
@@ -193,7 +193,9 @@ def evaluate_surface(fit2, recipe2, grid, tau):
 @dataclass(frozen=True)
 class TwoStepResult:
     """Both step-1 fits (response order as declared), the step-2 fit,
-    the evaluated surface, and enough state to redo prediction."""
+    the evaluated surface, and enough state to redo prediction.
+    ``labels`` holds each observation's cell code: 0 = "00", 1 = "11",
+    2 = "01", 3 = "10", as in ``concordance``."""
 
     tau: float
     step1: tuple

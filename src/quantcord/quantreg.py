@@ -64,9 +64,6 @@ class QuantileFit:
     ties: tuple = ()
     margin: float = float("nan")
 
-    def fitted(self, X):
-        return np.asarray(X.values if isinstance(X, DesignMatrix) else X) @ self.beta
-
 
 def residual_signs(fit):
     """Binary indicators: 1 where the residual is <= 0, else 0.

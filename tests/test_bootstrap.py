@@ -8,6 +8,7 @@ from scipy.special import digamma, expit, logit, polygamma
 from scipy.stats import norm
 
 from quantcord import (
+    LABELS,
     AnalysisSpec,
     Dataset,
     DegenerateIntervalWarning,
@@ -155,7 +156,7 @@ class TestBootstrapFailures:
         data = _rare_discordance()
         # the base fit itself sees all four categories
         base = run_two_step(data, SPEC, 0.5)
-        assert set(base.labels) == {"00", "11", "01", "10"}
+        assert set(np.asarray(LABELS)[base.labels]) == {"00", "11", "01", "10"}
         with pytest.raises(InferenceUnreliableError, match="bootstrap replicates failed") as err:
             bootstrap(data, SPEC, 0.5, B=30, seed=11)
         partial = err.value.partial

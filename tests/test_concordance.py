@@ -21,28 +21,27 @@ class TestClassify:
 
     def test_case_list(self):
         z = classify(np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0]))
-        np.testing.assert_array_equal(z, np.array(["00", "11", "01", "10"], dtype=object))
+        np.testing.assert_array_equal(np.asarray(LABELS)[z], ["00", "11", "01", "10"])
 
     def test_identical_vectors_have_no_discordance(self):
         rng = np.random.default_rng(0)
         w = rng.integers(0, 2, size=500)
         z = classify(w, w)
-        assert not np.isin(z, ("01", "10")).any()
+        assert not np.isin(z, (2, 3)).any()
 
     def test_label_ordering_constant(self):
         assert LABELS == ("00", "11", "01", "10")
 
     def test_swap_maps_discordant_labels(self):
-        # exchanging the responses swaps "01" <-> "10" and fixes the rest
+        # exchanging the responses swaps "01" <-> "10" (codes 2 <-> 3) and
+        # fixes the rest
         rng = np.random.default_rng(1)
         w1 = rng.integers(0, 2, size=300)
         w2 = rng.integers(0, 2, size=300)
         z = classify(w1, w2)
         z_swapped = classify(w2, w1)
-        relabel = {"00": "00", "11": "11", "01": "10", "10": "01"}
-        np.testing.assert_array_equal(
-            z_swapped, np.array([relabel[v] for v in z], dtype=object)
-        )
+        relabel = np.array([0, 1, 3, 2])
+        np.testing.assert_array_equal(z_swapped, relabel[z])
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError, match="length"):
@@ -56,14 +55,14 @@ class TestClassify:
 class TestEmpiricalCells:
 
     def test_uniform_counts(self):
-        z = np.array(["00", "11", "01", "10"], dtype=object)
+        z = np.arange(4)
         cells = empirical_cells(z, 0.5)
         np.testing.assert_allclose(
             [cells.p00, cells.p11, cells.p01, cells.p10], [0.25] * 4
         )
 
     def test_counting(self):
-        z = np.array(["00"] * 80 + ["11"] * 20, dtype=object)
+        z = np.array([0] * 80 + [1] * 20)
         cells = empirical_cells(z, 0.2)
         assert (cells.p00, cells.p11, cells.p01, cells.p10) == (0.8, 0.2, 0.0, 0.0)
         assert cells.tau == 0.2
@@ -72,7 +71,7 @@ class TestEmpiricalCells:
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = int(rng.integers(1, 200))
-            z = np.array([LABELS[i] for i in rng.integers(0, 4, n)], dtype=object)
+            z = rng.integers(0, 4, n)
             cells = empirical_cells(z, 0.3)
             total = cells.p00 + cells.p11 + cells.p01 + cells.p10
             np.testing.assert_allclose(total, 1.0, atol=1e-12)
@@ -94,11 +93,16 @@ class TestEmpiricalCells:
 
     def test_empty_vector(self):
         with pytest.raises(InvalidArgumentError, match="empty"):
-            empirical_cells(np.array([], dtype=object), 0.5)
+            empirical_cells(np.array([], dtype=int), 0.5)
 
     def test_unknown_label(self):
         with pytest.raises(InvalidArgumentError, match="unknown labels"):
-            empirical_cells(np.array(["00", "xx"], dtype=object), 0.5)
+            empirical_cells(np.array([0, 7]), 0.5)
+
+    @pytest.mark.parametrize("dtype", [object, str])
+    def test_string_labels_rejected(self, dtype):
+        with pytest.raises(InvalidArgumentError, match="integer cell codes"):
+            empirical_cells(np.array(["00", "11"], dtype=dtype), 0.5)
 
 
 class TestCellProbabilitiesValidation:

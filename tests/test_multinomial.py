@@ -12,7 +12,6 @@ from scipy.special import logsumexp
 from quantcord import (
     CATEGORIES_FULL,
     CATEGORIES_MERGED,
-    LABELS,
     REFERENCE,
     AnalysisSpec,
     DesignMatrix,
@@ -39,9 +38,7 @@ def _intercept_design(n):
 
 
 def _labels_from_counts(c00, c11, c01, c10):
-    return np.array(
-        ["00"] * c00 + ["11"] * c11 + ["01"] * c01 + ["10"] * c10, dtype=object
-    )
+    return np.repeat(np.arange(4), (c00, c11, c01, c10))
 
 
 class TestCategoryConstants:
@@ -95,7 +92,7 @@ class TestGradient:
             ("intercept", "x"),
             intercept=True,
         )
-        z = np.array([LABELS[i] for i in rng.integers(0, 4, n)], dtype=object)
+        z = rng.integers(0, 4, n)
         fit = fit_multinomial(X, z, tau=0.5)
         g = loglik_gradient(fit.gamma, X, z)
         assert np.max(np.abs(g)) <= 1e-8
@@ -108,7 +105,7 @@ class TestGradient:
         logits = np.column_stack([np.zeros(n), 0.8 * x, -0.5 * x, 0.3 * x])
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        z = np.array([LABELS[rng.choice(4, p=p[i])] for i in range(n)], dtype=object)
+        z = np.array([rng.choice(4, p=p[i]) for i in range(n)])
         values = np.column_stack([np.ones(n), x])
         full = fit_multinomial(DesignMatrix(values, ("intercept", "x"), intercept=True),
                                z, tau=0.5)
@@ -136,10 +133,10 @@ class TestGradient:
                 ("intercept", "x1", "x2"),
                 intercept=True,
             )
-            z = np.array([LABELS[i] for i in rng.integers(0, 4, n)], dtype=object)
+            z = rng.integers(0, 4, n)
             gamma = 0.5 * rng.standard_normal((3, q2))
             g = loglik_gradient(gamma, X, z)
-            Y = _indicators(z, CATEGORIES_FULL)
+            Y = _indicators(z, False, n)[1].T
             fd = np.zeros(3 * q2)
             for k in range(3 * q2):
                 plus = gamma.reshape(-1).copy()
@@ -158,8 +155,7 @@ class TestGradient:
         rng = np.random.default_rng(18)
         n, q = 200, 3
         X = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
-        Y = _indicators(np.array([LABELS[i] for i in rng.integers(0, 4, n)], dtype=object),
-                        CATEGORIES_FULL)
+        Y = _indicators(rng.integers(0, 4, n), False, n)[1].T
         for scale in (0.5, 400.0):
             gamma = scale * rng.standard_normal((3, q))
             ll, probs = _loglik_parts(gamma, X, Y)
@@ -200,9 +196,7 @@ class TestFitBehavior:
         logits = np.column_stack([np.zeros(n), 0.8 * x, -0.5 * x, 0.3 * x])
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        z = np.array(
-            [LABELS[rng.choice(4, p=p[i])] for i in range(n)], dtype=object
-        )
+        z = np.array([rng.choice(4, p=p[i]) for i in range(n)])
         fit = fit_multinomial(X, z, tau=0.5)
         path = np.asarray(fit.loglik_path)
         assert np.all(np.diff(path) >= -1e-10)
@@ -286,9 +280,7 @@ class TestFitBehavior:
         x = np.concatenate(
             [rng.uniform(-3.0, 0.8, 45), rng.uniform(1.2, 3.0, 15)]
         )
-        z = np.array(
-            ["00"] * 25 + ["01"] * 10 + ["10"] * 10 + ["11"] * 15, dtype=object
-        )
+        z = np.repeat([0, 2, 3, 1], [25, 10, 10, 15])
         X = DesignMatrix(
             np.column_stack([np.ones(60), x]), ("intercept", "x"), intercept=True
         )
@@ -299,7 +291,16 @@ class TestFitBehavior:
 
     def test_empty_labels(self):
         with pytest.raises(InvalidArgumentError, match="empty"):
-            fit_multinomial(_intercept_design(2), np.array([], dtype=object), tau=0.5)
+            fit_multinomial(_intercept_design(2), np.array([], dtype=int), tau=0.5)
+
+    def test_unknown_labels(self):
+        with pytest.raises(InvalidArgumentError, match="unknown labels"):
+            fit_multinomial(_intercept_design(2), np.array([-1, 0]), tau=0.5)
+
+    def test_string_labels_rejected(self):
+        z = np.array(["00", "11", "01", "10"], dtype=object)
+        with pytest.raises(InvalidArgumentError, match="integer cell codes"):
+            fit_multinomial(_intercept_design(4), z, tau=0.5)
 
     def test_vcov_shape_and_symmetry(self):
         rng = np.random.default_rng(14)
@@ -309,7 +310,7 @@ class TestFitBehavior:
             ("intercept", "x"),
             intercept=True,
         )
-        z = np.array([LABELS[i] for i in rng.integers(0, 4, n)], dtype=object)
+        z = rng.integers(0, 4, n)
         fit = fit_multinomial(X, z, tau=0.5)
         assert fit.vcov.shape == (6, 6)
         np.testing.assert_allclose(fit.vcov, fit.vcov.T, atol=1e-10)
@@ -355,7 +356,7 @@ class TestPredict:
             ("intercept", "x"),
             intercept=True,
         )
-        z = np.array([LABELS[i] for i in rng.integers(0, 4, n)], dtype=object)
+        z = rng.integers(0, 4, n)
         for merged in (False, True):
             fit = fit_multinomial(X, z, merged=merged, tau=0.5)
             grid = DesignMatrix(
@@ -374,11 +375,7 @@ class TestPredict:
         X = DesignMatrix(
             np.column_stack([np.ones(120), x]), ("intercept", "x"), intercept=True
         )
-        z = np.array(
-            ["00"] * 20 + ["11"] * 10 + ["01"] * 15 + ["10"] * 15
-            + ["00"] * 10 + ["11"] * 20 + ["01"] * 15 + ["10"] * 15,
-            dtype=object,
-        )
+        z = np.repeat([0, 1, 2, 3, 0, 1, 2, 3], [20, 10, 15, 15, 10, 20, 15, 15])
         fit_u = fit_multinomial(X, z, tau=0.5)
         fit_m = fit_multinomial(X, z, merged=True, tau=0.5)
         grid = np.array([[1.0, 0.0], [1.0, 1.0]])

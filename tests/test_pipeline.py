@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quantcord import (
+    LABELS,
     AnalysisSpec,
     CellProbabilities,
     Dataset,
@@ -242,11 +243,16 @@ class TestRunTwoStep:
         slack = 2.0 / data.n  # step-1 design has q+1 = 2 columns
         for tau in spec.taus:
             result = run_two_step(data, spec, tau)
-            z = result.labels
+            z = np.asarray(LABELS)[result.labels]
             frac1 = np.mean([lab[0] == "1" for lab in z])
             frac2 = np.mean([lab[1] == "1" for lab in z])
             assert abs(frac1 - tau) <= slack
             assert abs(frac2 - tau) <= slack
+
+    def test_labels_are_integer_codes(self):
+        result = run_two_step(_dependent_data(), _spec(), 0.5)
+        assert np.issubdtype(result.labels.dtype, np.integer)
+        assert set(result.labels.tolist()) == {0, 1, 2, 3}
 
     def test_phi_recomputable_from_stored_cells(self):
         data = _dependent_data()

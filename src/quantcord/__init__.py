@@ -96,10 +96,8 @@ from .synthetic import (
     CovariateSpec,
     ScenarioSpec,
     bvn_cdf,
-    bvn_cdf_monte_carlo,
     generate,
     oracle_phi_gaussian,
-    oracle_phi_gaussian_median_closed_form,
 )
 
 __all__ = [
@@ -138,7 +136,6 @@ __all__ = [
     "QuantileFit", "fit_quantile_regression", "pinball_loss",
     "residual_signs", "sign_indicators",
     # synthetic
-    "CovariateSpec", "ScenarioSpec", "bvn_cdf", "bvn_cdf_monte_carlo",
-    "generate", "oracle_phi_gaussian",
-    "oracle_phi_gaussian_median_closed_form",
+    "CovariateSpec", "ScenarioSpec", "bvn_cdf", "generate",
+    "oracle_phi_gaussian",
 ]

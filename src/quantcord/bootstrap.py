@@ -15,6 +15,9 @@ stays cheap: the normal quantile is the standard library's
 ``statistics.NormalDist.inv_cdf`` (Wichura's AS241, accurate to about
 1e-16), and logit and expit use the formulas of ``scipy.special``, with
 numpy and ``math`` supplying the elementary functions.
+
+The phi bands of a whole surface come from one array pass over the
+m x B matrix of draws; :func:`phi_interval` is its one-row case.
 """
 
 import math
@@ -68,21 +71,39 @@ def _normal_quantile(level):
     return -statistics.NormalDist().inv_cdf((1.0 - level) / 2.0)
 
 
-def _transform_draws(values, tau):
-    """Map phi values to logit of the position inside (phi_min, phi_max).
+def _phi_bands(draws, estimates, tau, level):
+    """:func:`phi_interval` for every row of ``draws``, an m x B
+    C-contiguous matrix of bootstrap draws, around the m ``estimates``.
 
-    Values at or beyond a bound are winsorized to eps inside it.
-    Returns the transformed array, the winsorized count, and whether
-    every value was winsorized toward the same boundary.
+    Returns lower, upper, the winsorized count per row, and a mask of
+    the rows whose draws all sit at one bound.
     """
     b = phi_bounds(tau)
     span = b.phi_max - b.phi_min
-    u = (np.asarray(values, dtype=float) - b.phi_min) / span
+    u = (draws - b.phi_min) / span
     at_low = u < WINSOR_EPS
     at_high = u > 1.0 - WINSOR_EPS
-    clipped = np.clip(u, WINSOR_EPS, 1.0 - WINSOR_EPS)
-    one_boundary = bool(at_low.all() or at_high.all())
-    return _logit(clipped), int(at_low.sum() + at_high.sum()), one_boundary
+    t = _logit(np.clip(u, WINSOR_EPS, 1.0 - WINSOR_EPS))
+    # every reduction runs along one contiguous row, so each row sums in
+    # the order a lone 1-d row would.  Equal draws must give an exactly
+    # zero-width band, and np.std of equal values can come back ~1e-16
+    # through the mean rounding, so only rows with a spread get an SE
+    # (np.std warns even on no rows when B = 1)
+    se = np.zeros(len(t))
+    live = np.ptp(t, axis=1) > 0.0
+    if live.any():
+        se[live] = np.std(t[live], axis=1, ddof=1)
+    t0 = _logit(np.clip((estimates - b.phi_min) / span, WINSOR_EPS, 1.0 - WINSOR_EPS))
+    half = _normal_quantile(level) * se
+    # math.exp, one element at a time: numpy's vectorized exp differs
+    # from it in the last bit for some arguments
+    lo = np.array([_expit(x) for x in (t0 - half).tolist()])
+    hi = np.array([_expit(x) for x in (t0 + half).tolist()])
+    point = se == 0.0
+    lower = np.where(point, estimates, b.phi_min + span * lo)
+    upper = np.where(point, estimates, b.phi_min + span * hi)
+    winsorized = at_low.sum(axis=1) + at_high.sum(axis=1)
+    return lower, upper, winsorized, at_low.all(axis=1) | at_high.all(axis=1)
 
 
 def phi_interval(draws, estimate, tau, level=DEFAULT_LEVEL):
@@ -91,33 +112,26 @@ def phi_interval(draws, estimate, tau, level=DEFAULT_LEVEL):
     phi is mapped affinely from (phi_min(tau), phi_max(tau)) onto (0, 1)
     and logit-transformed; the interval is centered at the estimate's
     transform with the bootstrap SE of the transformed draws, then
-    mapped back.  Out-of-range draws are winsorized first.
+    mapped back.  Out-of-range draws are winsorized first.  Equal draws,
+    or draws all at one bound, give the point mass at the estimate; the
+    second case also warns with DegenerateIntervalWarning.  This is one
+    row of the bands :func:`bootstrap` computes for a whole surface.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise InvalidArgumentError("draws must be nonempty")
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
-    t, _, one_boundary = _transform_draws(draws, tau)
-    if one_boundary:
+    lower, upper, _, one_bound = _phi_bands(
+        draws.reshape(1, -1), np.array([estimate], dtype=float), tau, level
+    )
+    if one_bound[0]:
         warnings.warn(
             "all bootstrap draws at one phi boundary; returning a point mass",
             DegenerateIntervalWarning,
             stacklevel=2,
         )
-        return float(estimate), float(estimate)
-    # identical draws must give an exactly zero-width interval; np.std
-    # of equal values can come back ~1e-16 through the mean rounding
-    spread = float(np.ptp(t)) if t.size > 1 else 0.0
-    se = float(np.std(t, ddof=1)) if spread > 0.0 else 0.0
-    if se == 0.0:
-        return float(estimate), float(estimate)
-    t0 = _transform_draws([estimate], tau)[0][0]
-    z = _normal_quantile(level)
-    b = phi_bounds(tau)
-    span = b.phi_max - b.phi_min
-    lo, hi = _expit(t0 - z * se), _expit(t0 + z * se)
-    return float(b.phi_min + span * lo), float(b.phi_min + span * hi)
+    return float(lower[0]), float(upper[0])
 
 
 def _run_replicate(data, spec, tau, base, seed, b):
@@ -187,7 +201,7 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     B : int
         Replicate count, at least 2.
     seed : int
-        Base seed; replicate b uses substream (seed, b).
+        Non-negative base seed; replicate b uses substream (seed, b).
     level : float
         Coverage level for all intervals.
     workers : int
@@ -204,6 +218,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
     if workers < 1:
         raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
 
     base = run_two_step(data, spec, tau)
 
@@ -220,23 +236,23 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
 
     ok = [r for r in results if r is not None]
     failures = B - len(ok)
+    gamma_draws = np.stack([r[0] for r in ok]) if ok else None
+    phi_draws = np.stack([r[2] for r in ok]) if ok else None
     if failures > MAX_FAILURE_FRACTION * B:
         raise InferenceUnreliableError(
             f"{failures} of {B} bootstrap replicates failed "
             f"(more than {MAX_FAILURE_FRACTION:.0%})",
             partial={
-                "gamma_draws": np.stack([r[0] for r in ok]) if ok else None,
-                "phi_draws": np.stack([r[2] for r in ok]) if ok else None,
+                "gamma_draws": gamma_draws,
+                "phi_draws": phi_draws,
                 "failures": failures,
             },
         )
 
-    gamma_draws = np.stack([r[0] for r in ok])
     beta_draws = {
         name: np.stack([r[1][j] for r in ok])
         for j, name in enumerate(spec.responses)
     }
-    phi_draws = np.stack([r[2] for r in ok])
 
     alpha = 1.0 - level
     gamma_se = np.std(gamma_draws, axis=0, ddof=1)
@@ -244,18 +260,9 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     phi_se = np.std(phi_draws, axis=0, ddof=1)
     gamma_lower = np.quantile(gamma_draws, alpha / 2.0, axis=0)
     gamma_upper = np.quantile(gamma_draws, 1.0 - alpha / 2.0, axis=0)
-
-    m = phi_draws.shape[1]
-    phi_lower = np.empty(m)
-    phi_upper = np.empty(m)
-    winsorized = np.empty(m, dtype=np.int64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateIntervalWarning)
-        for i in range(m):
-            winsorized[i] = _transform_draws(phi_draws[:, i], tau)[1]
-            phi_lower[i], phi_upper[i] = phi_interval(
-                phi_draws[:, i], base.surface.phi[i], tau, level
-            )
+    phi_lower, phi_upper, winsorized, _ = _phi_bands(
+        np.ascontiguousarray(phi_draws.T), base.surface.phi, tau, level
+    )
 
     return BootstrapResult(
         B=B,

@@ -19,11 +19,9 @@ import yaml
 from . import __version__
 from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
-from .dataset import read_csv, write_csv
+from .dataset import FLOAT_FMT, read_csv, write_csv
 from .exceptions import QuantcordError
 from .pipeline import CONSTANT_PROFILE, _term_columns, run_two_step
-
-FLOAT_FMT = "%.17g"
 
 
 def _fmt(x):
@@ -88,19 +86,13 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results, seeds):
         ["tau", "category", "term", "estimate", "se", "ci_lower", "ci_upper"],
         rows)
 
-    covariates = []
-    for v in results[0][1].surface.varying:
-        if v not in covariates:
-            covariates.append(v)
     header = ["tau", "covariate", "value", "phi_hat", "ci_lower", "ci_upper",
               "phi_min", "phi_max", "out_of_bounds_flag"]
-    for cov in covariates:
+    for cov in dict.fromkeys(results[0][1].surface.varying):
         rows = []
         for tau, run, boot in results:
             s = boot.surface if boot is not None else run.surface
-            for i in range(s.m):
-                if s.varying[i] != cov:
-                    continue
+            for i in np.flatnonzero(np.asarray(s.varying) == cov):
                 rows.append([
                     _fmt(tau), cov, _fmt(s.value[i]), _fmt(s.phi[i]),
                     _fmt(s.lower[i]) if s.lower is not None else "",
@@ -184,12 +176,8 @@ def _summary_text(spec, data, report, results):
                 f"{c}={v:.3f}" for c, v in zip(fit2.columns, fit2.gamma[k]))
             lines.append(f"  log-odds {cat} vs 00: {coefs}")
         s = boot.surface if boot is not None else run.surface
-        seen = []
-        for v in s.varying:
-            if v not in seen:
-                seen.append(v)
-        for cov in seen:
-            mask = np.array([v == cov for v in s.varying])
+        for cov in dict.fromkeys(s.varying):
+            mask = np.asarray(s.varying) == cov
             label = "phi (constant model)" if cov == CONSTANT_PROFILE \
                 else f"phi along {cov}"
             lines.append(
@@ -290,7 +278,7 @@ def _cmd_synth(args):
         "oracle": oracle,
     }
 
-    write_csv(args.out, data.columns, float_format=FLOAT_FMT)
+    write_csv(args.out, data.columns)
     sidecar_path = args.out + ".oracle.json"
     try:
         with open(sidecar_path, "w", encoding="utf-8") as fh:

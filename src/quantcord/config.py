@@ -33,6 +33,8 @@ class BootstrapConfig:
             )
         if not 0.0 < self.level < 1.0:
             raise InvalidArgumentError(f"level must be in (0, 1), got {self.level}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

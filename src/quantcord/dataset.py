@@ -8,6 +8,7 @@ import numpy as np
 from .exceptions import IngestionError, InvalidArgumentError
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+FLOAT_FMT = "%.17g"  # round-trips every float64
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def read_csv(path, columns=None, binary=()):
     return data, DropReport(dropped_rows=tuple(dropped), n_kept=data.n)
 
 
-def write_csv(path, columns, float_format="%.17g"):
+def write_csv(path, columns):
     """Write named columns to CSV deterministically (no timestamps)."""
     names = list(columns)
     arrays = [np.asarray(columns[c]) for c in names]
@@ -175,4 +176,4 @@ def write_csv(path, columns, float_format="%.17g"):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
         for i in range(n):
-            writer.writerow([float_format % a[i] for a in arrays])
+            writer.writerow([FLOAT_FMT % a[i] for a in arrays])

@@ -93,12 +93,6 @@ def _loglik_terms(gamma, Xt, Yt):
     return ll, probs, scale
 
 
-def _loglik_parts(gamma, X, Y):
-    """Log-likelihood and the n x K probabilities, observations in rows."""
-    ll, probs, _ = _loglik_terms(gamma, X.T, Y.T)
-    return ll, probs.T
-
-
 def _gradient(Xt, Yt, probs):
     return ((Yt - probs) @ Xt.T).reshape(-1)  # category-major blocks
 
@@ -132,13 +126,13 @@ def _separation_detected(gamma, X):
 
 
 def fit_multinomial(X2, z, merged=False, *, tau=0.5,
-                    tol=GRADIENT_TOL, max_iter=MAX_NEWTON_ITER, start=None):
+                    max_iter=MAX_NEWTON_ITER, start=None):
     """Maximum-likelihood fit of the concordance categories on ``X2``.
 
     Newton starts at ``start`` (one row of coefficients per category, as
     ``MultinomialFit.gamma``), or at zero when it is None; the bootstrap
     starts each replicate at the full-sample fit.  The fit stops when the
-    largest score entry is at most ``tol``.
+    largest score entry is at most ``GRADIENT_TOL``.
 
     Raises EmptyCategoryError when any modeled category (including the
     reference) has no observations; a category with zero count has no
@@ -166,7 +160,7 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
     path = [ll]
 
     g = _gradient(Xt, Yt, probs)
-    converged = np.max(np.abs(g)) <= tol
+    converged = np.max(np.abs(g)) <= GRADIENT_TOL
     it = 0
     while not converged and it < max_iter:
         info = _information(Xt, probs)
@@ -197,7 +191,7 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
         path.append(ll)
         it += 1
         g = _gradient(Xt, Yt, probs)
-        converged = np.max(np.abs(g)) <= tol
+        converged = np.max(np.abs(g)) <= GRADIENT_TOL
 
     separation = _separation_detected(gamma, X)
     if separation:

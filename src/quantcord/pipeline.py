@@ -289,7 +289,7 @@ def phi_profile(surfaces, covariate):
         cols["lower"] = []
         cols["upper"] = []
     for s in surfaces:
-        mask = np.array([v == covariate for v in s.varying])
+        mask = np.asarray(s.varying) == covariate
         k = int(np.count_nonzero(mask))
         cols["tau"].extend([s.tau] * k)
         cols["value"].extend(s.value[mask].tolist())

@@ -125,8 +125,7 @@ def _ratio_test(r, rho, above, c, free, slope):
     return int(block[tied[min(k, tied.size - 1)]])
 
 
-def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS,
-                            start=None):
+def fit_quantile_regression(X, y, tau, max_iter=MAX_PIVOTS, start=None):
     """Minimize ``sum(pinball_loss(y - X @ beta, tau))`` over beta.
 
     Parameters
@@ -137,13 +136,6 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS,
         Response vector of length ``X.n``.
     tau : float
         Quantile level, strictly inside (0, 1).
-    tol : float
-        Certificate tolerance.  The fit is optimal, and ``converged`` is
-        True, when every entry of ``v = -X(h)^-T sum_{i not in h} psi_i x_i``
-        lies in ``[tau - 1 - tol, tau + tol]``; ``tol`` absorbs the
-        rounding of that sum.  ``margin`` on the result is the smallest
-        slack of v against ``[tau - 1, tau]``, reported as 0 for entries
-        within tol of a bound; it is negative only on a failed fit.
     max_iter : int
         Cap on simplex pivots, counted in ``iterations``.  Hitting it
         without a certificate raises NonConvergenceError carrying the
@@ -154,6 +146,13 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS,
         increasing ``|y - X @ start|``, that keep it full rank; the
         least-squares fit is used when None.  The start changes only the
         path: the certificate, and so ``converged``, is the same.
+
+    The fit is optimal, and ``converged`` is True, when every entry of
+    ``v = -X(h)^-T sum_{i not in h} psi_i x_i`` lies in
+    ``[tau - 1 - DEFAULT_TOL, tau + DEFAULT_TOL]``; the tolerance absorbs
+    the rounding of that sum.  ``margin`` on the result is the smallest
+    slack of v against ``[tau - 1, tau]``, reported as 0 for entries
+    within the tolerance of a bound; it is negative only on a failed fit.
 
     Each pivot takes the edge with the steepest descent.  Residuals and
     edge movements within the rounding error of the basis solve count as
@@ -208,15 +207,15 @@ def fit_quantile_regression(X, y, tau, tol=DEFAULT_TOL, max_iter=MAX_PIVOTS,
         v = -(Xv.T @ psi) @ inv
         # moving basis row k's fit up (the row goes below) changes the
         # objective at rate v_k + 1 - tau, moving it down at rate tau - v_k
-        raise_fit = v < tau - 1.0 - tol
-        lower_fit = v > tau + tol
+        raise_fit = v < tau - 1.0 - DEFAULT_TOL
+        lower_fit = v > tau + DEFAULT_TOL
         converged = not (raise_fit | lower_fit).any()
         if converged:
             # optimal: follow zero-cost edges that lower sum(X @ beta)
             w = colsum @ inv
-            wtol = tol * float(np.max(np.abs(w)))
-            raise_fit = (v <= tau - 1.0 + tol) & (w < -wtol)
-            lower_fit = (v >= tau - tol) & (w > wtol)
+            wtol = DEFAULT_TOL * float(np.max(np.abs(w)))
+            raise_fit = (v <= tau - 1.0 + DEFAULT_TOL) & (w < -wtol)
+            lower_fit = (v >= tau - DEFAULT_TOL) & (w > wtol)
             rate = -np.abs(w)
         else:
             rate = np.where(raise_fit, v + 1.0 - tau, tau - v)

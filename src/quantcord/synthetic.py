@@ -57,6 +57,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n < MIN_ROWS:
             raise InvalidArgumentError(f"n must be at least {MIN_ROWS}, got {self.n}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         rhos = ([self.rho] if self.rho_by_group is None
                 else list(self.rho_by_group.values()))
         for r in rhos:
@@ -125,7 +127,7 @@ def generate(scenario):
     return Dataset(columns=out, source=None, meta={"seed": scenario.seed})
 
 
-def bvn_cdf(h, k, rho, abs_tol=1e-9):
+def bvn_cdf(h, k, rho):
     """P(X <= h, Y <= k) for standard bivariate normal, by Plackett's
     identity: Phi(h) Phi(k) plus a 1-d integral over the correlation,
 
@@ -142,28 +144,11 @@ def bvn_cdf(h, k, rho, abs_tol=1e-9):
         s = 1.0 - r * r
         return np.exp(-(h * h - 2.0 * r * h * k + k * k) / (2.0 * s)) / np.sqrt(s)
 
-    val, _ = quad(integrand, 0.0, rho, epsabs=abs_tol, epsrel=1e-12)
+    val, _ = quad(integrand, 0.0, rho, epsabs=1e-9, epsrel=1e-12)
     return float(ndtr(h) * ndtr(k) + val / (2.0 * np.pi))
 
 
-def bvn_cdf_monte_carlo(h, k, rho, draws=10_000_000, seed=0, chunk=1_000_000):
-    """Plain Monte Carlo estimate of the bivariate normal CDF.
-
-    Independent of the quadrature path; used to cross-check it.
-    """
-    rng = np.random.default_rng(seed)
-    hits = 0
-    left = draws
-    while left > 0:
-        m = min(chunk, left)
-        z1 = rng.standard_normal(m)
-        z2 = rho * z1 + np.sqrt(1.0 - rho**2) * rng.standard_normal(m)
-        hits += int(np.count_nonzero((z1 <= h) & (z2 <= k)))
-        left -= m
-    return hits / draws
-
-
-def oracle_phi_gaussian(rho, tau, abs_tol=1e-9):
+def oracle_phi_gaussian(rho, tau):
     """Ground-truth sign-concordance correlation under bivariate
     normal errors: the joint CDF at the matched marginal quantiles,
     centered and scaled by the fixed margins."""
@@ -172,10 +157,6 @@ def oracle_phi_gaussian(rho, tau, abs_tol=1e-9):
     from scipy.special import ndtri
 
     z = float(ndtri(tau))
-    joint = bvn_cdf(z, z, rho, abs_tol=abs_tol)
+    joint = bvn_cdf(z, z, rho)
     return (joint - tau * tau) / (tau * (1.0 - tau))
 
-
-def oracle_phi_gaussian_median_closed_form(rho):
-    """Arcsine closed form at tau = 0.5, for cross-checking the quadrature."""
-    return 2.0 * np.arcsin(rho) / np.pi

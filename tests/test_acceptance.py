@@ -33,13 +33,14 @@ from quantcord import (
 )
 from quantcord.cli import main as cli_main
 from quantcord.design import DesignMatrix
-from quantcord.multinomial import _indicators, _loglik_parts
+from quantcord.multinomial import _indicators
 from quantcord.synthetic import (
     CovariateSpec,
     ScenarioSpec,
     generate,
     oracle_phi_gaussian,
 )
+from oracles import loglik_parts
 
 SPEC = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
 
@@ -164,7 +165,7 @@ class TestAcceptance:
             zg = rng.choice(4, size=80)
             Y = _indicators(zg, False, 80)[1].T
             gamma = rng.normal(scale=0.5, size=(3, 2))
-            _, probs = _loglik_parts(gamma, Xg, Y)
+            _, probs = loglik_parts(gamma, Xg, Y)
             analytic = (Xg.T @ (Y - probs)).T.reshape(-1)
             h = 1e-6
             fd = np.empty_like(analytic)
@@ -174,8 +175,8 @@ class TestAcceptance:
                 up[i] += h
                 dn[i] -= h
                 fd[i] = (
-                    _loglik_parts(up.reshape(3, 2), Xg, Y)[0]
-                    - _loglik_parts(dn.reshape(3, 2), Xg, Y)[0]
+                    loglik_parts(up.reshape(3, 2), Xg, Y)[0]
+                    - loglik_parts(dn.reshape(3, 2), Xg, Y)[0]
                 ) / (2 * h)
             rel = np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))
             worst_grad = max(worst_grad, float(rel))

@@ -1,5 +1,6 @@
 """Tests for the paired bootstrap and the phi interval construction."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -16,10 +17,11 @@ from quantcord import (
     InvalidArgumentError,
     bootstrap,
     bootstrap_indices,
+    phi_bounds,
     phi_interval,
     run_two_step,
 )
-from quantcord.bootstrap import WINSOR_EPS, _expit, _logit, _normal_quantile
+from quantcord.bootstrap import WINSOR_EPS, _expit, _logit, _normal_quantile, _phi_bands
 
 SPEC = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
 
@@ -176,6 +178,10 @@ class TestBootstrapFailures:
         with pytest.raises(InvalidArgumentError, match="workers"):
             bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, workers=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
+            bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, seed=-1)
+
 
 class TestPhiInterval:
 
@@ -312,3 +318,95 @@ class TestWinsorizedCount:
             | (result.phi_draws[:, 0] >= 1.0 - 2e-6)
         )
         assert b[0] == expected
+
+
+def _reference_band(draws, estimate, tau, level):
+    """One row's band by the per-row arithmetic the array pass replaced:
+    lower, upper, winsorized count and whether every draw sits at one
+    bound."""
+    b = phi_bounds(tau)
+    span = b.phi_max - b.phi_min
+
+    def transform(values):
+        u = (np.asarray(values, dtype=float) - b.phi_min) / span
+        at_low = u < WINSOR_EPS
+        at_high = u > 1.0 - WINSOR_EPS
+        t = _logit(np.clip(u, WINSOR_EPS, 1.0 - WINSOR_EPS))
+        return t, int(at_low.sum() + at_high.sum()), bool(at_low.all() or at_high.all())
+
+    t, count, one_bound = transform(draws)
+    if one_bound:
+        return float(estimate), float(estimate), count, True
+    spread = float(np.ptp(t)) if t.size > 1 else 0.0
+    se = float(np.std(t, ddof=1)) if spread > 0.0 else 0.0
+    if se == 0.0:
+        return float(estimate), float(estimate), count, False
+    t0 = transform([estimate])[0][0]
+    z = _normal_quantile(level)
+    lo, hi = _expit(t0 - z * se), _expit(t0 + z * se)
+    return float(b.phi_min + span * lo), float(b.phi_min + span * hi), count, False
+
+
+class TestBandPass:
+    """The array pass over grid rows against the per-row reference."""
+
+    @staticmethod
+    def _draws(B, tau, rng):
+        """B x m draws, a column per grid row as in ``phi_draws``."""
+        lo, hi = phi_bounds(tau).phi_min, phi_bounds(tau).phi_max
+        width = hi - lo
+        mid = lo + 0.5 * width
+        rows = [
+            np.full(B, mid + 0.1 * width),  # all equal
+            np.full(B, hi),  # at the upper bound
+            np.full(B, lo),  # at the lower bound
+            np.full(B, hi + 0.5),  # past the upper bound
+            np.full(B, lo - 1e-9),  # just past the lower bound
+            rng.uniform(lo - 0.2, hi + 0.2, B),  # out-of-range among in-range
+            np.where(rng.random(B) < 0.5, hi, mid),  # mixed: some at a bound
+            np.where(rng.random(B) < 0.5, lo, hi),  # both bounds
+            mid + 1e-12 * rng.standard_normal(B),  # tiny spread
+        ]
+        for _ in range(24):
+            center = rng.uniform(lo, hi)
+            rows.append(center + rng.uniform(1e-3, 0.3) * width * rng.standard_normal(B))
+        return np.array(rows).T
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 10, 1000])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 0.95])
+    def test_matches_per_row_arithmetic_bit_for_bit(self, B, tau):
+        rng = np.random.default_rng(int(1000 * tau) + B)
+        draws = self._draws(B, tau, rng)
+        b = phi_bounds(tau)
+        estimates = rng.uniform(b.phi_min, b.phi_max, draws.shape[1])
+        estimates[:3] = (b.phi_max, b.phi_min, b.phi_max + 0.1)
+        ref = [_reference_band(draws[:, i], estimates[i], tau, 0.95)
+               for i in range(draws.shape[1])]
+        lower, upper, winsorized, one_bound = _phi_bands(
+            np.ascontiguousarray(draws.T), estimates, tau, 0.95
+        )
+        assert np.array_equal(lower, [r[0] for r in ref])
+        assert np.array_equal(upper, [r[1] for r in ref])
+        assert np.array_equal(winsorized, [r[2] for r in ref])
+        assert np.array_equal(one_bound, [r[3] for r in ref])
+
+    def test_bootstrap_is_quiet_on_a_one_bound_row(self, monkeypatch):
+        # every replicate puts the row at phi_max: bootstrap returns the
+        # point mass without a warning, phi_interval still warns
+        module = importlib.import_module("quantcord.bootstrap")
+        run = module._run_replicate
+
+        def pinned(*args):
+            gamma, betas, phi = run(*args)
+            return gamma, betas, np.full_like(phi, 1.0)
+
+        monkeypatch.setattr(module, "_run_replicate", pinned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=6, seed=2)
+        estimate = result.estimate.surface.phi[0]
+        assert result.phi_lower[0] == result.phi_upper[0] == estimate
+        assert result.winsorized[0] == 6
+        with pytest.warns(DegenerateIntervalWarning, match="one phi boundary"):
+            lo, hi = phi_interval(result.phi_draws[:, 0], estimate, 0.5)
+        assert lo == hi == estimate

@@ -100,6 +100,14 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = _write_yaml(tmp_path / "neg.yaml", dict(SMALL_SCENARIO, seed=-3))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.oracle.json").exists()
+
 
 class TestAnalyzeCommittedFixture:
 
@@ -277,6 +285,13 @@ class TestAnalyzeProfiles:
         assert main(args + ["--out", "b1"]) == 0
         assert main(args + ["--out", "b2"]) == 0
         assert _tree_bytes(workdir / "b1") == _tree_bytes(workdir / "b2")
+
+    def test_negative_seed_exits_2(self, workdir, capsys):
+        cfg = self._config(workdir)
+        assert main(["analyze", "--config", cfg, "--bootstrap", "4",
+                     "--seed", "-1", "--out", "out"]) == 2
+        assert "error: bootstrap seed must be non-negative" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
 
     def test_default_output_dir_from_config(self, workdir):
         cfg = self._config(workdir, output_dir="from_config")

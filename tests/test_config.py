@@ -52,6 +52,10 @@ class TestBootstrapConfig:
         with pytest.raises(InvalidArgumentError, match="level"):
             BootstrapConfig(level=1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
+            BootstrapConfig(seed=-1)
+
 
 class TestParseTerm:
 

@@ -30,7 +30,8 @@ from quantcord import (
     run_two_step,
 )
 from quantcord.cli import main as quantcord_main
-from quantcord.multinomial import GRADIENT_TOL, _indicators, _information, _loglik_parts
+from quantcord.multinomial import GRADIENT_TOL, _indicators, _information
+from oracles import loglik_parts
 
 
 def _intercept_design(n):
@@ -143,8 +144,8 @@ class TestGradient:
                 minus = gamma.reshape(-1).copy()
                 plus[k] += h
                 minus[k] -= h
-                lp, _ = _loglik_parts(plus.reshape(3, q2), X.values, Y)
-                lm, _ = _loglik_parts(minus.reshape(3, q2), X.values, Y)
+                lp, _ = loglik_parts(plus.reshape(3, q2), X.values, Y)
+                lm, _ = loglik_parts(minus.reshape(3, q2), X.values, Y)
                 fd[k] = (lp - lm) / (2 * h)
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert np.max(rel) <= 1e-5
@@ -158,7 +159,7 @@ class TestGradient:
         Y = _indicators(rng.integers(0, 4, n), False, n)[1].T
         for scale in (0.5, 400.0):
             gamma = scale * rng.standard_normal((3, q))
-            ll, probs = _loglik_parts(gamma, X, Y)
+            ll, probs = loglik_parts(gamma, X, Y)
             eta = X @ gamma.T
             lse = logsumexp(np.column_stack([np.zeros(n), eta]), axis=1)
             np.testing.assert_allclose(ll, np.sum(Y * eta) - np.sum(lse), rtol=1e-12)

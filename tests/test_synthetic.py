@@ -9,12 +9,11 @@ from quantcord import (
     InvalidArgumentError,
     ScenarioSpec,
     bvn_cdf,
-    bvn_cdf_monte_carlo,
     generate,
     oracle_phi_gaussian,
-    oracle_phi_gaussian_median_closed_form,
     phi_bounds,
 )
+from oracles import bvn_cdf_monte_carlo, oracle_phi_gaussian_median_closed_form
 
 
 class TestScenarioValidation:
@@ -46,6 +45,10 @@ class TestScenarioValidation:
                 group_column="g",
                 covariates=(CovariateSpec("g", "uniform", low=0, high=1),),
             )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
+            ScenarioSpec(n=100, seed=-3)
 
     def test_two_response_names_required(self):
         with pytest.raises(InvalidArgumentError, match="two response names"):

@@ -8,7 +8,9 @@ coefficients, which only shortens the solvers' paths: each fit still
 stops on its own optimality test.  Replicates use independent
 substreams keyed by (seed, replicate index), making results
 reproducible for a fixed seed regardless of execution order or worker
-count.
+count.  Several taus share one call: their full-sample fits run first,
+then one process pool runs every tau's replicates as (tau, replicate)
+tasks.
 
 The interval arithmetic needs no scipy, so that importing this module
 stays cheap: the normal quantile is the standard library's
@@ -152,13 +154,15 @@ def _run_replicate(data, spec, tau, base, seed, b):
 _WORKER_CTX = {}
 
 
-def _init_worker(data, spec, tau, base, seed):
-    _WORKER_CTX["args"] = (data, spec, tau, base, seed)
+def _init_worker(data, spec, taus, bases, seed):
+    _WORKER_CTX["args"] = (data, spec, taus, bases, seed)
 
 
-def _replicate_task(b):
-    data, spec, tau, base, seed = _WORKER_CTX["args"]
-    return _run_replicate(data, spec, tau, base, seed, b)
+def _replicate_task(task):
+    """Replicate b of tau i, from the context the initializer stored."""
+    i, b = task
+    data, spec, taus, bases, seed = _WORKER_CTX["args"]
+    return _run_replicate(data, spec, taus[i], bases[i], seed + i, b)
 
 
 @dataclass(frozen=True)
@@ -192,26 +196,43 @@ class BootstrapResult:
 
 
 def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
-    """Bootstrap the two-step procedure at one quantile level.
+    """Bootstrap the two-step procedure at one or several quantile levels.
 
     Parameters
     ----------
-    data, spec, tau
+    data, spec
         As for :func:`quantcord.pipeline.run_two_step`.
+    tau : float or sequence of float
+        One quantile level, or several, as ``np.quantile`` takes ``q``.
     B : int
-        Replicate count, at least 2.
+        Replicate count per tau, at least 2.
     seed : int
-        Non-negative base seed; replicate b uses substream (seed, b).
+        Non-negative base seed.  The i-th tau of a sequence uses seed
+        ``seed + i`` (a float tau uses ``seed``), and its replicate b
+        uses substream (seed + i, b), so a tau's draws are those of a
+        lone call at that seed.
     level : float
         Coverage level for all intervals.
     workers : int
-        Process count; any value yields identical results.
+        Process count; any value yields identical results.  All full-sample
+        fits run first, then one pool of this many processes runs every
+        tau's replicates.
+
+    Returns
+    -------
+    BootstrapResult for a float ``tau``; a tuple of them, one per tau in
+    order, for a sequence.
 
     Raises
     ------
     InferenceUnreliableError
-        When more than 20% of replicates fail; carries partial draws.
+        When more than 20% of a tau's replicates fail, for the first such
+        tau in order; carries that tau's partial draws.
     """
+    single = np.ndim(tau) == 0
+    taus = (tau,) if single else tuple(tau)
+    if not taus:
+        raise InvalidArgumentError("tau must be a float or a nonempty sequence")
     if B < 2:
         raise InvalidArgumentError(f"B must be at least 2, got {B}")
     if not 0.0 < level < 1.0:
@@ -221,26 +242,37 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     if seed < 0:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
 
-    base = run_two_step(data, spec, tau)
-
+    bases = [run_two_step(data, spec, t) for t in taus]
+    tasks = [(i, b) for i in range(len(taus)) for b in range(B)]
     if workers == 1:
-        results = [_run_replicate(data, spec, tau, base, seed, b) for b in range(B)]
+        results = [
+            _run_replicate(data, spec, taus[i], bases[i], seed + i, b) for i, b in tasks
+        ]
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(data, spec, tau, base, seed),
+            initargs=(data, spec, taus, bases, seed),
         ) as pool:
-            chunk = max(1, B // (4 * workers))
-            results = list(pool.map(_replicate_task, range(B), chunksize=chunk))
+            chunk = max(1, len(tasks) // (4 * workers))
+            results = list(pool.map(_replicate_task, tasks, chunksize=chunk))
 
+    out = tuple(
+        _summarize(spec, t, base, B, seed + i, level, results[i * B:(i + 1) * B])
+        for i, (t, base) in enumerate(zip(taus, bases))
+    )
+    return out[0] if single else out
+
+
+def _summarize(spec, tau, base, B, seed, level, results):
+    """One tau's BootstrapResult from its B replicate results."""
     ok = [r for r in results if r is not None]
     failures = B - len(ok)
     gamma_draws = np.stack([r[0] for r in ok]) if ok else None
     phi_draws = np.stack([r[2] for r in ok]) if ok else None
     if failures > MAX_FAILURE_FRACTION * B:
         raise InferenceUnreliableError(
-            f"{failures} of {B} bootstrap replicates failed "
+            f"at tau {tau:g}, {failures} of {B} bootstrap replicates failed "
             f"(more than {MAX_FAILURE_FRACTION:.0%})",
             partial={
                 "gamma_draws": gamma_draws,

@@ -223,20 +223,17 @@ def _cmd_analyze(args):
             file=sys.stderr,
         )
 
-    results = []
-    seeds = []
-    for i, tau in enumerate(spec.taus):
-        if boot_cfg.enabled:
-            seed = boot_cfg.seed + i
-            seeds.append(seed)
-            boot = bootstrap(
-                data, spec, tau,
-                B=boot_cfg.replicates, seed=seed,
-                level=boot_cfg.level, workers=boot_cfg.workers,
-            )
-            results.append((tau, boot.estimate, boot))
-        else:
-            results.append((tau, run_two_step(data, spec, tau), None))
+    if boot_cfg.enabled:
+        boots = bootstrap(
+            data, spec, spec.taus,
+            B=boot_cfg.replicates, seed=boot_cfg.seed,
+            level=boot_cfg.level, workers=boot_cfg.workers,
+        )
+        results = [(boot.tau, boot.estimate, boot) for boot in boots]
+        seeds = [boot.seed for boot in boots]
+    else:
+        results = [(tau, run_two_step(data, spec, tau), None) for tau in spec.taus]
+        seeds = []
 
     os.makedirs(out_dir, exist_ok=True)
     outputs = _emit_analysis(

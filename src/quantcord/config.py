@@ -58,6 +58,26 @@ def _require_keys(section, d, allowed, required=()):
             raise InvalidArgumentError(f"missing required key {k!r} in {section}")
 
 
+def _int(key, value):
+    """An integer config value: integral numbers only, never a string or bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+
+
+def _float(key, value):
+    """A float config value: any number but a bool, or a string ``float``
+    reads (YAML 1.1 loads ``1e-3`` as a string)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidArgumentError(f"{key} must be a number, got {value!r}")
+
+
 def parse_term(d):
     """One term declaration: {column[, transform[, value]]} or {interaction: [a, b]}."""
     if not isinstance(d, dict):
@@ -103,7 +123,8 @@ def _parse_taus(value):
     if isinstance(value, dict):
         _require_keys("taus", value, ("start", "stop", "step"),
                       required=("start", "stop", "step"))
-        start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
+        start, stop, step = (
+            _float(f"taus.{k}", value[k]) for k in ("start", "stop", "step"))
         if step <= 0:
             raise InvalidArgumentError(f"tau step must be positive, got {step}")
         taus = []
@@ -116,7 +137,7 @@ def _parse_taus(value):
             k += 1
         return tuple(taus)
     if isinstance(value, (list, tuple)):
-        return tuple(float(t) for t in value)
+        return tuple(_float("taus", t) for t in value)
     raise InvalidArgumentError("taus must be a list or a {start, stop, step} range")
 
 
@@ -136,10 +157,11 @@ def run_config_from_dict(d):
         step1_terms=tuple(parse_term(t) for t in d.get("step1_terms", []) or []),
         step2_terms=tuple(parse_term(t) for t in d.get("step2_terms", []) or []),
         merged=bool(d.get("merged", False)),
-        grid_points=int(grid.get("points", DEFAULT_GRID_POINTS)),
-        grid_values={str(k): tuple(float(x) for x in v)
+        grid_points=_int("grid.points", grid.get("points", DEFAULT_GRID_POINTS)),
+        grid_values={str(k): tuple(_float(f"grid.values.{k}", x) for x in v)
                      for k, v in (grid.get("values", {}) or {}).items()},
-        held={str(k): float(v) for k, v in (grid.get("held", {}) or {}).items()},
+        held={str(k): _float(f"grid.held.{k}", v)
+              for k, v in (grid.get("held", {}) or {}).items()},
         binary=tuple(str(b) for b in d.get("binary", []) or []),
     )
     boot = d.get("bootstrap", {}) or {}
@@ -147,10 +169,10 @@ def run_config_from_dict(d):
                   ("enabled", "replicates", "seed", "level", "workers"))
     bootstrap = BootstrapConfig(
         enabled=bool(boot.get("enabled", False)),
-        replicates=int(boot.get("replicates", 1000)),
-        seed=int(boot.get("seed", 0)),
-        level=float(boot.get("level", 0.95)),
-        workers=int(boot.get("workers", 1)),
+        replicates=_int("bootstrap.replicates", boot.get("replicates", 1000)),
+        seed=_int("bootstrap.seed", boot.get("seed", 0)),
+        level=_float("bootstrap.level", boot.get("level", 0.95)),
+        workers=_int("bootstrap.workers", boot.get("workers", 1)),
     )
     return RunConfig(
         input=str(d["input"]),
@@ -203,9 +225,9 @@ def scenario_from_dict(d):
         covariates.append(CovariateSpec(
             name=str(c["name"]),
             kind=str(c.get("kind", "uniform")),
-            low=float(c.get("low", 0.0)),
-            high=float(c.get("high", 1.0)),
-            p=float(c.get("p", 0.5)),
+            low=_float("covariate.low", c.get("low", 0.0)),
+            high=_float("covariate.high", c.get("high", 1.0)),
+            p=_float("covariate.p", c.get("p", 0.5)),
         ))
     rho_by_group = None
     group_column = None
@@ -221,23 +243,24 @@ def scenario_from_dict(d):
             vals = [vals[k] for k in (0, 1)]
         if len(vals) != 2:
             raise InvalidArgumentError("rho_by_group needs values for groups 0 and 1")
-        rho_by_group = {0: float(vals[0]), 1: float(vals[1])}
+        rho_by_group = {g: _float("rho_by_group.values", vals[g]) for g in (0, 1)}
         group_column = str(rbg["column"])
     elif "rho" in d:
-        rho = float(d["rho"])
+        rho = _float("rho", d["rho"])
     coefficients = {
-        str(resp): {str(k): float(v) for k, v in (coefs or {}).items()}
+        str(resp): {str(k): _float(f"coefficients.{resp}.{k}", v)
+                    for k, v in (coefs or {}).items()}
         for resp, coefs in (d.get("coefficients", {}) or {}).items()
     }
     scenario = ScenarioSpec(
-        n=int(d["n"]),
+        n=_int("n", d["n"]),
         rho=rho,
         rho_by_group=rho_by_group,
         group_column=group_column,
         covariates=tuple(covariates),
         coefficients=coefficients,
         response_names=tuple(str(r) for r in d.get("responses", ("y1", "y2"))),
-        seed=int(d.get("seed", 0)),
+        seed=_int("seed", d.get("seed", 0)),
     )
     taus = _parse_taus(d.get("taus", list(DEFAULT_TAUS)))
     for t in taus:

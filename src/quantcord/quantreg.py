@@ -16,6 +16,7 @@ discrete data cannot cycle.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +84,14 @@ def sign_indicators(residuals):
 def _objective(residuals, tau):
     return float(np.sum(np.where(residuals > 0, tau * residuals,
                                  (tau - 1.0) * residuals)))
+
+
+@lru_cache(maxsize=8)
+def _perturbation(n):
+    """The fixed tie-breaking perturbation of y for n rows, read-only."""
+    delta = np.random.default_rng(0).random(n)
+    delta.flags.writeable = False
+    return delta
 
 
 def _start_basis(X, r):
@@ -180,7 +189,7 @@ def fit_quantile_regression(X, y, tau, max_iter=MAX_PIVOTS, start=None):
     n, q = Xv.shape
     abs_x = np.abs(Xv)
     colsum = Xv.sum(axis=0)
-    delta = np.random.default_rng(0).random(n)
+    delta = _perturbation(n)
     if start is None:
         start, *_ = np.linalg.lstsq(Xv, y, rcond=None)
     elif np.shape(start) != (q,):

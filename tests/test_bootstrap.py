@@ -45,6 +45,20 @@ def _rare_discordance(n=40, seed=81):
     return Dataset(columns={"y1": e, "y2": y2})
 
 
+def _rare_upper_discordance(n=40, seed=1):
+    """Weakly dependent below the 0.8 quantile of y1 and far apart above
+    it, except one swapped pair: tau 0.5 is well populated, while most
+    resamples at tau 0.8 lose a discordant category."""
+    rng = np.random.default_rng(seed)
+    e1 = rng.normal(size=n)
+    e2 = 0.3 * e1 + np.sqrt(1.0 - 0.09) * rng.normal(size=n)
+    top = e1 > np.quantile(e1, 0.8)
+    y2 = np.where(top, 100.0 + e1, e2)
+    i, j = np.flatnonzero(top)[0], np.flatnonzero(~top)[0]
+    y2[i], y2[j] = y2[j], y2[i]
+    return Dataset(columns={"y1": e1, "y2": y2})
+
+
 class TestBootstrapIndices:
 
     def test_deterministic_per_replicate(self):
@@ -115,6 +129,80 @@ class TestBootstrapDeterminism:
         np.testing.assert_array_equal(serial.phi_draws, par.phi_draws)
         np.testing.assert_array_equal(serial.phi_lower, par.phi_lower)
         np.testing.assert_array_equal(serial.phi_upper, par.phi_upper)
+
+
+_FIELDS = ("B", "seed", "tau", "level", "failures", "gamma_draws", "phi_draws",
+           "gamma_se", "phi_se", "gamma_lower", "gamma_upper", "phi_lower",
+           "phi_upper", "winsorized")
+
+
+def _assert_same_result(a, b):
+    for name in _FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in SPEC.responses:
+        assert np.array_equal(a.beta_draws[name], b.beta_draws[name])
+        assert np.array_equal(a.beta_se[name], b.beta_se[name])
+    assert np.array_equal(a.estimate.step2.gamma, b.estimate.step2.gamma)
+    for field in ("phi", "se", "lower", "upper"):
+        assert np.array_equal(getattr(a.surface, field), getattr(b.surface, field))
+
+
+class TestManyTaus:
+
+    def test_matches_lone_calls_at_consecutive_seeds(self):
+        data = _copula_like(120, seed=80)
+        taus = (0.25, 0.75)
+        both = bootstrap(data, SPEC, taus, B=8, seed=5, workers=2)
+        assert isinstance(both, tuple) and len(both) == 2
+        for i, tau in enumerate(taus):
+            alone = bootstrap(data, SPEC, tau, B=8, seed=5 + i)
+            assert both[i].tau == tau and both[i].seed == 5 + i
+            _assert_same_result(both[i], alone)
+
+    def test_float_tau_returns_one_result_and_a_list_a_tuple(self):
+        data = _copula_like(80, seed=2)
+        one = bootstrap(data, SPEC, 0.5, B=4, seed=3)
+        listed = bootstrap(data, SPEC, [0.5], B=4, seed=3)
+        assert not isinstance(one, tuple)
+        assert isinstance(listed, tuple) and len(listed) == 1
+        _assert_same_result(one, listed[0])
+
+    def test_empty_tau_sequence_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="nonempty"):
+            bootstrap(_copula_like(60, seed=1), SPEC, (), B=4)
+
+    def test_one_pool_serves_every_tau(self, monkeypatch):
+        module = importlib.import_module("quantcord.bootstrap")
+        made = []
+
+        class CountingPool(module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
+        out = bootstrap(_copula_like(80, seed=2), SPEC, (0.25, 0.5, 0.75),
+                        B=4, seed=1, workers=2)
+        assert len(out) == 3
+        assert made == [2]
+
+    def test_first_unreliable_tau_raises_its_lone_partial(self):
+        data = _rare_upper_discordance()
+        assert bootstrap(data, SPEC, 0.5, B=30, seed=10).failures == 0
+        with pytest.raises(InferenceUnreliableError) as lone:
+            bootstrap(data, SPEC, 0.8, B=30, seed=11)
+        with pytest.raises(InferenceUnreliableError) as third:
+            bootstrap(data, SPEC, 0.8, B=30, seed=12)
+        assert third.value.partial["failures"] != lone.value.partial["failures"]
+        # taus 2 and 3 both fail; the second tau, at seed 11, raises
+        with pytest.raises(InferenceUnreliableError) as many:
+            bootstrap(data, SPEC, (0.5, 0.8, 0.8), B=30, seed=10, workers=2)
+        assert str(many.value) == str(lone.value)
+        assert str(many.value).startswith("at tau 0.8, ")
+        expected, got = lone.value.partial, many.value.partial
+        assert got["failures"] == expected["failures"]
+        assert np.array_equal(got["gamma_draws"], expected["gamma_draws"])
+        assert np.array_equal(got["phi_draws"], expected["phi_draws"])
 
 
 @pytest.fixture(scope="module")

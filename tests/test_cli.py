@@ -108,6 +108,15 @@ class TestSynth:
         assert not out.exists()
         assert not (tmp_path / "x.csv.oracle.json").exists()
 
+    @pytest.mark.parametrize("key,value", [("seed", "abc"), ("seed", 2.7), ("n", "abc")])
+    def test_non_integer_scenario_number_exits_2(self, tmp_path, capsys, key, value):
+        cfg = _write_yaml(tmp_path / "bad.yaml", dict(SMALL_SCENARIO, **{key: value}))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.oracle.json").exists()
+
 
 class TestAnalyzeCommittedFixture:
 
@@ -292,6 +301,26 @@ class TestAnalyzeProfiles:
                      "--seed", "-1", "--out", "out"]) == 2
         assert "error: bootstrap seed must be non-negative" in capsys.readouterr().err
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("workers", "abc"), ("workers", 2.5), ("replicates", "abc"), ("seed", 2.7),
+    ])
+    def test_non_integer_bootstrap_number_exits_2(self, workdir, capsys, key, value):
+        cfg = self._config(workdir, bootstrap={"enabled": True, key: value})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert f"error: bootstrap.{key} must be an integer" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    def test_two_taus_in_one_pool_match_serial_bytes(self, workdir):
+        trees = {}
+        for workers in (1, 2):
+            cfg = self._config(workdir, taus=[0.25, 0.75], bootstrap={
+                "enabled": True, "replicates": 8, "seed": 4, "workers": workers})
+            assert main(["analyze", "--config", cfg, "--out", f"w{workers}"]) == 0
+            trees[workers] = _tree_bytes(workdir / f"w{workers}")
+        assert trees[1] == trees[2]
+        meta = json.loads(trees[2]["metadata.json"])
+        assert meta["bootstrap"]["per_tau_seeds"] == [4, 5]
 
     def test_default_output_dir_from_config(self, workdir):
         cfg = self._config(workdir, output_dir="from_config")

@@ -328,3 +328,67 @@ class TestScenarioConfig:
         scenario, taus = scenario_from_dict({"n": 100, "rho": 0.25})
         text = yaml.safe_dump(scenario_to_dict(scenario, taus))
         assert "rho: 0.25" in text
+
+
+class TestNumberParsing:
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 2.7), ("workers", 2.5), ("replicates", 99.5),
+        ("seed", "3"), ("workers", "abc"), ("replicates", True),
+    ])
+    def test_bootstrap_integer_keys_reject_non_integers(self, key, value):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"bootstrap.{key} must be an integer"):
+            run_config_from_dict(_run_dict(bootstrap={key: value}))
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 2.7), ("seed", "abc"), ("seed", False), ("n", 100.5), ("n", "abc"),
+    ])
+    def test_scenario_integer_keys_reject_non_integers(self, key, value):
+        d = {"n": 100}
+        d[key] = value
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be an integer"):
+            scenario_from_dict(d)
+
+    def test_integral_floats_are_integers(self):
+        cfg = run_config_from_dict(
+            _run_dict(bootstrap={"seed": 4.0, "workers": 2.0}, grid={"points": 7.0}))
+        assert (cfg.bootstrap.seed, cfg.bootstrap.workers) == (4, 2)
+        assert cfg.spec.grid_points == 7
+        assert isinstance(cfg.bootstrap.seed, int)
+        scenario, _ = scenario_from_dict({"n": 100.0, "seed": 3.0})
+        assert (scenario.n, scenario.seed) == (100, 3)
+
+    def test_grid_points_must_be_an_integer(self):
+        with pytest.raises(InvalidArgumentError, match="grid.points must be an integer"):
+            run_config_from_dict(_run_dict(grid={"points": 12.5}))
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"bootstrap": {"level": "abc"}}, "bootstrap.level"),
+        ({"bootstrap": {"level": True}}, "bootstrap.level"),
+        ({"taus": [0.5, "high"]}, "taus"),
+        ({"taus": {"start": 0.1, "stop": "x", "step": 0.1}}, "taus.stop"),
+        ({"grid": {"held": {"g": "one"}}}, "grid.held.g"),
+        ({"grid": {"values": {"x": [0, None]}}}, "grid.values.x"),
+    ])
+    def test_run_float_keys_reject_non_numbers(self, extra, key):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be a number"):
+            run_config_from_dict(_run_dict(**extra))
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"rho": "abc"}, "rho"),
+        ({"rho": True}, "rho"),
+        ({"rho_by_group": {"column": "g", "values": [0.2, "x"]}}, "rho_by_group.values"),
+        ({"covariates": [{"name": "x", "low": "lo"}]}, "covariate.low"),
+        ({"coefficients": {"y1": {"x": "big"}}}, "coefficients.y1.x"),
+    ])
+    def test_scenario_float_keys_reject_non_numbers(self, extra, key):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be a number"):
+            scenario_from_dict(dict({"n": 100}, **extra))
+
+    def test_exponent_strings_read_as_floats(self):
+        # YAML 1.1 loads 1e-3 (no decimal point) as a string
+        d = yaml.safe_load("n: 100\nrho: 1e-3\n")
+        assert d["rho"] == "1e-3"
+        scenario, _ = scenario_from_dict(d)
+        assert scenario.rho == 1e-3

@@ -71,8 +71,6 @@ from .multinomial import (
     REFERENCE,
     MultinomialFit,
     fit_multinomial,
-    loglik_gradient,
-    predict_cells,
     predict_cells_rows,
 )
 from .pipeline import (
@@ -90,7 +88,6 @@ from .quantreg import (
     fit_quantile_regression,
     pinball_loss,
     residual_signs,
-    sign_indicators,
 )
 from .synthetic import (
     CovariateSpec,
@@ -127,14 +124,13 @@ __all__ = [
     "SingularDesignError",
     # multinomial
     "CATEGORIES_FULL", "CATEGORIES_MERGED", "REFERENCE", "MultinomialFit",
-    "fit_multinomial", "loglik_gradient", "predict_cells",
-    "predict_cells_rows",
+    "fit_multinomial", "predict_cells_rows",
     # pipeline
     "AnalysisSpec", "EvaluationGrid", "PhiSurface", "TwoStepResult",
     "build_grid", "evaluate_surface", "phi_profile", "run_two_step",
     # quantreg
     "QuantileFit", "fit_quantile_regression", "pinball_loss",
-    "residual_signs", "sign_indicators",
+    "residual_signs",
     # synthetic
     "CovariateSpec", "ScenarioSpec", "bvn_cdf", "generate",
     "oracle_phi_gaussian",

@@ -74,14 +74,13 @@ class FittedTerm:
 
 @dataclass(frozen=True)
 class BasisRecipe:
-    """Fitted terms plus intercept flag; immutable and reusable."""
+    """Fitted terms, after the intercept; immutable and reusable."""
 
     terms: tuple
-    intercept: bool
 
     @property
     def columns(self):
-        names = ("intercept",) if self.intercept else ()
+        names = ("intercept",)
         for t in self.terms:
             names = names + t.names
         return names
@@ -183,13 +182,13 @@ def _eval_term(term, data):
     return natural_spline_columns(col, term.knots)
 
 
-def build_design(data, terms, intercept=True):
-    """Fit all data-dependent constants and assemble the design.
+def build_design(data, terms):
+    """Fit all data-dependent constants and assemble the design, an
+    intercept column followed by the terms' columns.
 
     Returns the design matrix and the recipe that rebuilds it.
     """
-    fitted = tuple(_fit_term(t, data) for t in terms)
-    recipe = BasisRecipe(terms=fitted, intercept=intercept)
+    recipe = BasisRecipe(terms=tuple(_fit_term(t, data) for t in terms))
     return apply_recipe(recipe, data), recipe
 
 
@@ -200,8 +199,7 @@ def recipe_values(recipe, data):
     Returns the value array and the sorted indices of rows where a
     spline input fell beyond its boundary knots (linear extrapolation).
     """
-    n = _row_count(data)
-    blocks = []
+    blocks = [np.ones((_row_count(data), 1))]
     extrapolated = set()
     for term in recipe.terms:
         block = _eval_term(term, data)
@@ -210,10 +208,7 @@ def recipe_values(recipe, data):
             outside = np.nonzero((col < term.knots[0]) | (col > term.knots[-1]))[0]
             extrapolated.update(outside.tolist())
         blocks.append(block)
-    if recipe.intercept:
-        blocks.insert(0, np.ones((n, 1)))
-    values = np.hstack(blocks) if blocks else np.empty((n, 0))
-    return values, sorted(extrapolated)
+    return np.hstack(blocks), sorted(extrapolated)
 
 
 def apply_recipe(recipe, data):
@@ -221,14 +216,7 @@ def apply_recipe(recipe, data):
 
     Stored knots and centers are reused, never re-estimated.  Spline
     inputs beyond the boundary knots extrapolate linearly (natural
-    spline property); the affected row indices are listed under
-    ``meta["extrapolated_rows"]``.
+    spline property); :func:`recipe_values` lists the affected rows.
     """
-    values, extrapolated = recipe_values(recipe, data)
-    meta = {"extrapolated_rows": extrapolated} if extrapolated else {}
-    return DesignMatrix(
-        values=values,
-        columns=recipe.columns,
-        intercept=recipe.intercept,
-        meta=meta,
-    )
+    values, _ = recipe_values(recipe, data)
+    return DesignMatrix(values=values, columns=recipe.columns, intercept=True)

@@ -215,8 +215,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         Coverage level for all intervals.
     workers : int
         Process count; any value yields identical results.  All full-sample
-        fits run first, then one pool of this many processes runs every
-        tau's replicates.
+        fits run first, then one pool of this many processes, or fewer when
+        there are fewer replicates, runs every tau's replicates.
 
     Returns
     -------
@@ -244,6 +244,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
 
     bases = [run_two_step(data, spec, t) for t in taus]
     tasks = [(i, b) for i in range(len(taus)) for b in range(B)]
+    # the pool forks all its workers at the first submit, needed or not
+    workers = min(workers, len(tasks))
     if workers == 1:
         results = [
             _run_replicate(data, spec, taus[i], bases[i], seed + i, b) for i, b in tasks

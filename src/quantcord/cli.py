@@ -20,7 +20,7 @@ from . import __version__
 from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
 from .dataset import FLOAT_FMT, read_csv, write_csv
-from .exceptions import QuantcordError
+from .exceptions import InvalidArgumentError, QuantcordError
 from .pipeline import CONSTANT_PROFILE, _term_columns, run_two_step
 
 
@@ -199,8 +199,18 @@ def _cmd_analyze(args):
         spec = dataclasses.replace(spec, taus=tuple(sorted(set(args.taus))))
     if args.merged:
         spec = dataclasses.replace(spec, merged=True)
+    profiles = {}
+    for cov in spec.profile_columns:
+        name = _profile_filename(cov)
+        if name in profiles:
+            raise InvalidArgumentError(
+                f"covariates {profiles[name]!r} and {cov!r} would both write {name}")
+        profiles[name] = cov
     boot_cfg = cfg.bootstrap
     if args.bootstrap is not None:
+        if args.bootstrap < 0:
+            raise InvalidArgumentError(
+                f"--bootstrap must be non-negative, got {args.bootstrap}")
         if args.bootstrap > 0:
             boot_cfg = dataclasses.replace(
                 boot_cfg, enabled=True, replicates=args.bootstrap)

@@ -1,7 +1,7 @@
 """Column-oriented numeric datasets and CSV ingestion."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,6 @@ class Dataset:
     """
 
     columns: dict
-    source: str = None
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         cols = {}
@@ -61,10 +59,7 @@ class Dataset:
         """Row subset / resample; pairs of responses and covariates
         always travel together because selection is by whole row."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            columns={k: v[idx] for k, v in self.columns.items()},
-            source=self.source,
-        )
+        return Dataset(columns={k: v[idx] for k, v in self.columns.items()})
 
     def __contains__(self, name):
         return name in self.columns
@@ -113,6 +108,9 @@ def read_csv(path, columns=None, binary=()):
             raise IngestionError(
                 f"{path}: missing columns {missing_cols}; header has {header}"
             )
+        repeated = [c for c in dict.fromkeys(used) if header.count(c) > 1]
+        if repeated:
+            raise IngestionError(f"{path}: header repeats columns {repeated}")
         for b in binary:
             if b not in used:
                 raise IngestionError(
@@ -122,6 +120,7 @@ def read_csv(path, columns=None, binary=()):
 
         parsed = {c: [] for c in used}
         dropped = []
+        kept = []
         for rownum, row in enumerate(reader, start=1):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -142,6 +141,7 @@ def read_csv(path, columns=None, binary=()):
             if has_missing:
                 dropped.append(rownum)
                 continue
+            kept.append(rownum)
             for c in used:
                 parsed[c].append(values[c])
 
@@ -152,18 +152,12 @@ def read_csv(path, columns=None, binary=()):
         arr = np.asarray(parsed[b])
         bad = np.nonzero(~np.isin(arr, (0.0, 1.0)))[0]
         if bad.size:
-            kept_rownum = [r for r in range(1, len(arr) + len(dropped) + 1)
-                           if r not in dropped]
             raise IngestionError(
                 f"{path}: binary column {b!r} contains {float(arr[bad[0]])!r} "
-                f"at data row {kept_rownum[bad[0]]}"
+                f"at data row {kept[bad[0]]}"
             )
 
-    data = Dataset(
-        columns={c: np.asarray(parsed[c]) for c in used},
-        source=str(path),
-        meta={"dropped_rows": tuple(dropped)},
-    )
+    data = Dataset(columns={c: np.asarray(parsed[c]) for c in used})
     return data, DropReport(dropped_rows=tuple(dropped), n_kept=data.n)
 
 

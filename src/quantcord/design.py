@@ -1,6 +1,6 @@
 """Validated design matrices shared by the regression steps."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class DesignMatrix:
     values: np.ndarray
     columns: tuple
     intercept: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

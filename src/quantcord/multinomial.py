@@ -6,12 +6,11 @@ coefficient vector (row k - 1 of ``gamma`` for code k).  In merged mode
 code 3 is pooled into code 2, "01+10", before fitting, and the predicted
 discordant mass is split equally between "01" and "10" at prediction
 time, never during fitting.  Fitting is Newton-Raphson with
-step-halving on the full multinomial likelihood, whose Hessian doubles
-as the variance estimate.  The log-likelihood is the difference of two
-sums, ``sum(Y * eta)`` and the sum of the row log-partitions, that are
-much larger than it near a tail quantile, so the step-halving test
-allows a slack of a few ulps of those sums, not of the log-likelihood
-itself.
+step-halving on the full multinomial likelihood.  The log-likelihood is
+the difference of two sums, ``sum(Y * eta)`` and the sum of the row
+log-partitions, that are much larger than it near a tail quantile, so
+the step-halving test allows a slack of a few ulps of those sums, not
+of the log-likelihood itself.
 """
 
 import warnings
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concordance import LABELS, MERGED_DISCORDANT, CellProbabilities, _checked_codes
+from .concordance import LABELS, MERGED_DISCORDANT, _checked_codes
 from .design import DesignMatrix, check_full_rank
 from .exceptions import EmptyCategoryError, InvalidArgumentError, SeparationWarning
 
@@ -38,13 +37,11 @@ class MultinomialFit:
 
     categories: tuple
     gamma: np.ndarray  # one row of coefficients per non-reference category
-    tau: float
     loglik: float
     converged: bool
     iterations: int
     columns: tuple
     merged: bool
-    vcov: np.ndarray = None
     separation: bool = False
     loglik_path: tuple = ()
 
@@ -110,29 +107,20 @@ def _information(Xt, probs):
     return info
 
 
-def loglik_gradient(gamma, X2, z, merged=False):
-    """Analytic score of the multinomial log-likelihood at ``gamma``."""
-    categories, Yt = _indicators(z, merged, X2.n)
-    gamma = np.asarray(gamma, dtype=float).reshape(len(categories), X2.q)
-    Xt = X2.values.T
-    _, probs, _ = _loglik_terms(gamma, Xt, Yt)
-    return _gradient(Xt, Yt, probs)
-
-
 def _separation_detected(gamma, X):
     sd = X.std(axis=0)
     scale = np.where(sd > 0, sd, 1.0)  # intercept and constant columns: raw value
     return bool(np.any(np.abs(gamma) * scale[None, :] > SEPARATION_COEF))
 
 
-def fit_multinomial(X2, z, merged=False, *, tau=0.5,
-                    max_iter=MAX_NEWTON_ITER, start=None):
+def fit_multinomial(X2, z, merged=False, *, start=None):
     """Maximum-likelihood fit of the concordance categories on ``X2``.
 
     Newton starts at ``start`` (one row of coefficients per category, as
     ``MultinomialFit.gamma``), or at zero when it is None; the bootstrap
     starts each replicate at the full-sample fit.  The fit stops when the
-    largest score entry is at most ``GRADIENT_TOL``.
+    largest score entry is at most ``GRADIENT_TOL``; it stops unconverged
+    after ``MAX_NEWTON_ITER`` steps, or when no step raises the likelihood.
 
     Raises EmptyCategoryError when any modeled category (including the
     reference) has no observations; a category with zero count has no
@@ -162,7 +150,7 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
     g = _gradient(Xt, Yt, probs)
     converged = np.max(np.abs(g)) <= GRADIENT_TOL
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < MAX_NEWTON_ITER:
         info = _information(Xt, probs)
         try:
             step = np.linalg.solve(info, g).reshape(K, q)
@@ -202,22 +190,14 @@ def fit_multinomial(X2, z, merged=False, *, tau=0.5,
             stacklevel=2,
         )
 
-    info = _information(Xt, probs)
-    try:
-        vcov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        vcov = None
-
     return MultinomialFit(
         categories=categories,
         gamma=gamma,
-        tau=tau,
         loglik=ll,
         converged=converged,
         iterations=it,
         columns=X2.columns,
         merged=merged,
-        vcov=vcov,
         separation=separation,
         loglik_path=tuple(path),
     )
@@ -247,13 +227,6 @@ def predict_cells_rows(fit, X):
     return out
 
 
-def predict_cells(fit, x):
-    """Predicted cell probabilities at a single covariate vector."""
-    row = predict_cells_rows(fit, np.asarray(x, dtype=float))[0]
-    return CellProbabilities(p00=row[0], p11=row[1], p01=row[2], p10=row[3],
-                             tau=fit.tau)
-
-
 __all__ = [
     "LABELS",
     "REFERENCE",
@@ -261,7 +234,5 @@ __all__ = [
     "CATEGORIES_MERGED",
     "MultinomialFit",
     "fit_multinomial",
-    "loglik_gradient",
-    "predict_cells",
     "predict_cells_rows",
 ]

@@ -193,7 +193,7 @@ def evaluate_surface(fit2, recipe2, grid, tau):
 @dataclass(frozen=True)
 class TwoStepResult:
     """Both step-1 fits (response order as declared), the step-2 fit,
-    the evaluated surface, and enough state to redo prediction.
+    the evaluated surface, the empirical cells and the grid.
     ``labels`` holds each observation's cell code: 0 = "00", 1 = "11",
     2 = "01", 3 = "10", as in ``concordance``."""
 
@@ -201,8 +201,6 @@ class TwoStepResult:
     step1: tuple
     step2: object
     surface: PhiSurface
-    recipe1: object
-    recipe2: object
     labels: np.ndarray
     empirical: object
     grid: EvaluationGrid
@@ -229,7 +227,7 @@ def run_two_step(data, spec, tau, grid=None, start=None):
     if not 0.0 < tau < 1.0:
         raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
 
-    X1, recipe1 = build_design(data, spec.step1_terms)
+    X1, _ = build_design(data, spec.step1_terms)
     fits = []
     for j, name in enumerate(spec.responses):
         beta0 = None if start is None else start.step1[j].beta
@@ -244,7 +242,7 @@ def run_two_step(data, spec, tau, grid=None, start=None):
 
     try:
         X2, recipe2 = build_design(data, spec.step2_terms)
-        fit2 = fit_multinomial(X2, labels, merged=spec.merged, tau=tau,
+        fit2 = fit_multinomial(X2, labels, merged=spec.merged,
                                start=None if start is None else start.step2.gamma)
     except QuantcordError as err:
         _tag_step(err, "step 2")
@@ -258,8 +256,6 @@ def run_two_step(data, spec, tau, grid=None, start=None):
         step1=tuple(fits),
         step2=fit2,
         surface=surface,
-        recipe1=recipe1,
-        recipe2=recipe2,
         labels=labels,
         empirical=empirical_cells(labels, tau),
         grid=grid,

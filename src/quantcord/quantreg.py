@@ -72,13 +72,9 @@ def residual_signs(fit):
     Basis rows and ties are zeros of the fit, so they are 1 even when
     their computed residual rounds to a few ulps above zero.
     """
-    signs = sign_indicators(fit.residuals)
+    signs = (fit.residuals <= 0).astype(np.int64)
     signs[list(fit.basis) + list(fit.ties)] = 1
     return signs
-
-
-def sign_indicators(residuals):
-    return (np.asarray(residuals, dtype=float) <= 0).astype(np.int64)
 
 
 def _objective(residuals, tau):
@@ -134,7 +130,7 @@ def _ratio_test(r, rho, above, c, free, slope):
     return int(block[tied[min(k, tied.size - 1)]])
 
 
-def fit_quantile_regression(X, y, tau, max_iter=MAX_PIVOTS, start=None):
+def fit_quantile_regression(X, y, tau, start=None):
     """Minimize ``sum(pinball_loss(y - X @ beta, tau))`` over beta.
 
     Parameters
@@ -145,10 +141,6 @@ def fit_quantile_regression(X, y, tau, max_iter=MAX_PIVOTS, start=None):
         Response vector of length ``X.n``.
     tau : float
         Quantile level, strictly inside (0, 1).
-    max_iter : int
-        Cap on simplex pivots, counted in ``iterations``.  Hitting it
-        without a certificate raises NonConvergenceError carrying the
-        last vertex as ``last_fit``.
     start : array_like, optional
         Coefficients to start from, such as the full-sample fit for a
         bootstrap replicate.  The first basis is the first q rows, by
@@ -162,6 +154,8 @@ def fit_quantile_regression(X, y, tau, max_iter=MAX_PIVOTS, start=None):
     the rounding of that sum.  ``margin`` on the result is the smallest
     slack of v against ``[tau - 1, tau]``, reported as 0 for entries
     within the tolerance of a bound; it is negative only on a failed fit.
+    Reaching ``MAX_PIVOTS`` pivots without the certificate raises
+    NonConvergenceError carrying the last vertex as ``last_fit``.
 
     Each pivot takes the edge with the steepest descent.  Residuals and
     edge movements within the rounding error of the basis solve count as
@@ -229,7 +223,7 @@ def fit_quantile_regression(X, y, tau, max_iter=MAX_PIVOTS, start=None):
         else:
             rate = np.where(raise_fit, v + 1.0 - tau, tau - v)
         candidates = np.flatnonzero(raise_fit | lower_fit)
-        if candidates.size == 0 or pivots >= max_iter:
+        if candidates.size == 0 or pivots >= MAX_PIVOTS:
             break
         k = candidates[np.argmin(rate[candidates])]
         d = inv[:, k] if raise_fit[k] else -inv[:, k]
@@ -258,7 +252,7 @@ def fit_quantile_regression(X, y, tau, max_iter=MAX_PIVOTS, start=None):
     )
     if not fit.converged:
         raise NonConvergenceError(
-            f"quantile regression did not converge in {max_iter} pivots",
+            f"quantile regression did not converge in {MAX_PIVOTS} pivots",
             last_fit=fit,
         )
     return fit

@@ -124,7 +124,7 @@ def generate(scenario):
             y = y + float(b) * cols[cov]
         out[name] = y + err
     out.update(cols)
-    return Dataset(columns=out, source=None, meta={"seed": scenario.seed})
+    return Dataset(columns=out)
 
 
 def bvn_cdf(h, k, rho):

@@ -132,37 +132,35 @@ class TestBuildDesign:
         }
 
     def test_identity_terms_column_count(self, data):
-        X, _ = build_design(data, [identity("x1"), identity("x2")], intercept=True)
+        X, _ = build_design(data, [identity("x1"), identity("x2")])
         assert X.q == 3
         assert X.columns == ("intercept", "x1", "x2")
         assert X.intercept
 
     def test_declaration_order(self, data):
-        X, _ = build_design(data, [identity("x2"), identity("x1")], intercept=True)
+        X, _ = build_design(data, [identity("x2"), identity("x1")])
         assert X.columns == ("intercept", "x2", "x1")
         np.testing.assert_array_equal(X.values[:, 1], data["x2"])
 
     def test_center_with_explicit_constant(self, data):
-        X, _ = build_design(data, [center("x1", 37.0)], intercept=False)
-        np.testing.assert_array_equal(X.values[:, 0], data["x1"] - 37.0)
-        assert X.columns == ("x1-37",)
+        X, _ = build_design(data, [center("x1", 37.0)])
+        np.testing.assert_array_equal(X.values[:, 1], data["x1"] - 37.0)
+        assert X.columns == ("intercept", "x1-37")
 
     def test_center_default_is_training_mean(self, data):
-        X, recipe = build_design(data, [center("x1")], intercept=False)
-        np.testing.assert_allclose(X.values[:, 0].mean(), 0.0, atol=1e-12)
+        X, recipe = build_design(data, [center("x1")])
+        np.testing.assert_allclose(X.values[:, 1].mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(recipe.terms[0].center_value, data["x1"].mean())
 
     def test_centered_constant_rejected_downstream(self, data):
         # all-zero column builds fine, then fails the rank check by name
-        X, _ = build_design(
-            data, [identity("x1"), center("const37", 37.0)], intercept=True
-        )
+        X, _ = build_design(data, [identity("x1"), center("const37", 37.0)])
         np.testing.assert_array_equal(X.values[:, 2], np.zeros(60))
         with pytest.raises(SingularDesignError, match="const37-37"):
             check_full_rank(X)
 
     def test_spline_term_adds_three_columns(self, data):
-        X, recipe = build_design(data, [spline("x1")], intercept=True)
+        X, recipe = build_design(data, [spline("x1")])
         assert X.q == 4
         assert X.columns == ("intercept", "s(x1).1", "s(x1).2", "s(x1).3")
         knots = recipe.terms[0].knots
@@ -170,7 +168,7 @@ class TestBuildDesign:
         np.testing.assert_allclose(knots[1], np.quantile(data["x1"], 1 / 3))
 
     def test_interaction_is_product(self, data):
-        X, _ = build_design(data, [interaction("x2", "g")], intercept=True)
+        X, _ = build_design(data, [interaction("x2", "g")])
         np.testing.assert_array_equal(X.values[:, 1], data["x2"] * data["g"])
         assert X.columns == ("intercept", "x2:g")
 
@@ -195,9 +193,7 @@ class TestRecipeReuse:
     def fitted(self):
         rng = np.random.default_rng(5)
         data = {"x": rng.uniform(0, 10, 80), "g": rng.integers(0, 2, 80).astype(float)}
-        X, recipe = build_design(
-            data, [spline("x"), center("x"), interaction("x", "g")], intercept=True
-        )
+        X, recipe = build_design(data, [spline("x"), center("x"), interaction("x", "g")])
         return data, X, recipe
 
     def test_round_trip_bit_for_bit(self, fitted):
@@ -235,14 +231,6 @@ class TestRecipeReuse:
         vals, _ = recipe_values(recipe, probe)
         second = (vals[0] - 2 * vals[1] + vals[2]) / h**2
         assert np.max(np.abs(second)) <= 1e-8
-
-    def test_apply_recipe_records_extrapolated_rows(self, fitted):
-        data, X, recipe = fitted
-        lo, hi = recipe.terms[0].knots[0], recipe.terms[0].knots[-1]
-        inside = np.linspace(lo, hi, 10)
-        grid = {"x": np.concatenate([inside, [hi + 1.0]]), "g": np.zeros(11)}
-        design = apply_recipe(recipe, grid)
-        assert design.meta["extrapolated_rows"] == [10]
 
     def test_grid_missing_required_column(self, fitted):
         _, _, recipe = fitted

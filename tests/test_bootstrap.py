@@ -171,7 +171,9 @@ class TestManyTaus:
         with pytest.raises(InvalidArgumentError, match="nonempty"):
             bootstrap(_copula_like(60, seed=1), SPEC, (), B=4)
 
-    def test_one_pool_serves_every_tau(self, monkeypatch):
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every pool that bootstrap() makes."""
         module = importlib.import_module("quantcord.bootstrap")
         made = []
 
@@ -181,10 +183,20 @@ class TestManyTaus:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
+        return made
+
+    def test_one_pool_serves_every_tau(self, pool_sizes):
         out = bootstrap(_copula_like(80, seed=2), SPEC, (0.25, 0.5, 0.75),
                         B=4, seed=1, workers=2)
         assert len(out) == 3
-        assert made == [2]
+        assert pool_sizes == [2]
+
+    def test_pool_has_no_more_workers_than_tasks(self, pool_sizes):
+        data = _copula_like(60, seed=4)
+        pooled = bootstrap(data, SPEC, 0.5, B=2, seed=1, workers=4)
+        assert pool_sizes == [2]
+        serial = bootstrap(data, SPEC, 0.5, B=2, seed=1, workers=1)
+        np.testing.assert_array_equal(pooled.phi_draws, serial.phi_draws)
 
     def test_first_unreliable_tau_raises_its_lone_partial(self):
         data = _rare_upper_discordance()

@@ -302,6 +302,24 @@ class TestAnalyzeProfiles:
         assert "error: bootstrap seed must be non-negative" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    def test_negative_bootstrap_exits_2(self, workdir, capsys):
+        cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 4})
+        assert main(["analyze", "--config", cfg, "--bootstrap", "-3", "--out", "out"]) == 2
+        assert "error: --bootstrap must be non-negative, got -3" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    def test_colliding_profile_files_exit_2(self, workdir, capsys):
+        # "x.1" and "x1" both reduce to phi_profile_x1.csv
+        data, _ = quantcord.read_csv(workdir / "small.csv")
+        x = data.column("x")
+        quantcord.write_csv(workdir / "two.csv", dict(data.columns, **{"x.1": x, "x1": x * x}))
+        cfg = self._config(workdir, input="two.csv",
+                           step2_terms=[{"column": "x.1"}, {"column": "x1"}])
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert "error: covariates 'x.1' and 'x1' would both write phi_profile_x1.csv" in err
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("workers", "abc"), ("workers", 2.5), ("replicates", "abc"), ("seed", 2.7),
     ])

@@ -64,7 +64,6 @@ class TestReadCsv:
         assert data.n == 3
         assert report.n_dropped == 0
         np.testing.assert_array_equal(data.column("y1"), [1.5, -0.5, 3.0])
-        assert data.source == str(p)
 
     def test_missing_cell_drops_row_with_report(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1,2\n,3\n4,5\n")
@@ -116,6 +115,17 @@ class TestReadCsv:
         p = self._write(tmp_path, "y,g\n1,0\n2,2\n3,1\n")
         with pytest.raises(IngestionError, match="data row 2"):
             read_csv(p, binary=["g"])
+
+    def test_binary_error_counts_blank_lines(self, tmp_path):
+        # data rows are numbered as in dropped_rows, blank lines included
+        p = self._write(tmp_path, "y1,y2,g\n1,2,0\n\n\n3,4,1\n5,6,7\n")
+        with pytest.raises(IngestionError, match="contains 7.0 at data row 5$"):
+            read_csv(p, binary=["g"])
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        p = self._write(tmp_path, "y1,y2,x,x\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(IngestionError, match="repeats columns \\['x'\\]"):
+            read_csv(p, columns=["y1", "y2", "x"])
 
     def test_binary_ok(self, tmp_path):
         p = self._write(tmp_path, "y,g\n1,0\n2,1\n3,1\n")

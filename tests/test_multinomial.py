@@ -23,19 +23,37 @@ from quantcord import (
     build_design,
     fit_multinomial,
     identity,
-    loglik_gradient,
-    predict_cells,
     predict_cells_rows,
     read_csv,
     run_two_step,
 )
 from quantcord.cli import main as quantcord_main
-from quantcord.multinomial import GRADIENT_TOL, _indicators, _information
+from quantcord.multinomial import (
+    GRADIENT_TOL,
+    _gradient,
+    _indicators,
+    _information,
+    _loglik_terms,
+)
 from oracles import loglik_parts
 
 
 def _intercept_design(n):
     return DesignMatrix(np.ones((n, 1)), ("intercept",), intercept=True)
+
+
+def _score(gamma, X2, z, merged=False):
+    """The score at ``gamma`` from the kernel ``fit_multinomial`` runs."""
+    categories, Yt = _indicators(z, merged, X2.n)
+    gamma = np.asarray(gamma, dtype=float).reshape(len(categories), X2.q)
+    Xt = X2.values.T
+    _, probs, _ = _loglik_terms(gamma, Xt, Yt)
+    return _gradient(Xt, Yt, probs)
+
+
+def _cells(fit):
+    """Cell probabilities of an intercept-only fit, codes 0..3."""
+    return predict_cells_rows(fit, np.array([[1.0]]))[0]
 
 
 def _labels_from_counts(c00, c11, c01, c10):
@@ -54,19 +72,19 @@ class TestInterceptOnlyClosedForm:
 
     def test_equal_counts_give_zero_intercepts(self):
         z = _labels_from_counts(25, 25, 25, 25)
-        fit = fit_multinomial(_intercept_design(100), z, tau=0.5)
+        fit = fit_multinomial(_intercept_design(100), z)
         np.testing.assert_allclose(fit.gamma, np.zeros((3, 1)), atol=1e-9)
 
     def test_log_count_ratios(self):
         z = _labels_from_counts(40, 40, 10, 10)
-        fit = fit_multinomial(_intercept_design(100), z, tau=0.5)
+        fit = fit_multinomial(_intercept_design(100), z)
         expected = np.log(np.array([40, 10, 10]) / 40.0)
         np.testing.assert_allclose(fit.gamma[:, 0], expected, atol=1e-8)
         np.testing.assert_allclose(fit.gamma[1, 0], -1.3863, atol=5e-5)
 
     def test_merged_pools_before_fitting(self):
         z = _labels_from_counts(40, 40, 10, 10)
-        fit = fit_multinomial(_intercept_design(100), z, merged=True, tau=0.5)
+        fit = fit_multinomial(_intercept_design(100), z, merged=True)
         assert fit.merged
         assert fit.categories == ("11", "01+10")
         np.testing.assert_allclose(fit.gamma[0, 0], 0.0, atol=1e-8)
@@ -77,7 +95,7 @@ class TestInterceptOnlyClosedForm:
         for _ in range(20):
             counts = rng.integers(5, 80, size=4)
             z = _labels_from_counts(*counts)
-            fit = fit_multinomial(_intercept_design(int(counts.sum())), z, tau=0.5)
+            fit = fit_multinomial(_intercept_design(int(counts.sum())), z)
             expected = np.log(counts[1:] / counts[0])
             np.testing.assert_allclose(fit.gamma[:, 0], expected, atol=1e-8)
             assert fit.converged
@@ -94,8 +112,8 @@ class TestGradient:
             intercept=True,
         )
         z = rng.integers(0, 4, n)
-        fit = fit_multinomial(X, z, tau=0.5)
-        g = loglik_gradient(fit.gamma, X, z)
+        fit = fit_multinomial(X, z)
+        g = _score(fit.gamma, X, z)
         assert np.max(np.abs(g)) <= 1e-8
 
     def test_warm_start_reaches_cold_start_mle(self):
@@ -108,13 +126,12 @@ class TestGradient:
         p /= p.sum(axis=1, keepdims=True)
         z = np.array([rng.choice(4, p=p[i]) for i in range(n)])
         values = np.column_stack([np.ones(n), x])
-        full = fit_multinomial(DesignMatrix(values, ("intercept", "x"), intercept=True),
-                               z, tau=0.5)
+        full = fit_multinomial(DesignMatrix(values, ("intercept", "x"), intercept=True), z)
         for _ in range(5):
             idx = rng.integers(0, n, n)
             Xb = DesignMatrix(values[idx], ("intercept", "x"), intercept=True)
-            cold = fit_multinomial(Xb, z[idx], tau=0.5)
-            warm = fit_multinomial(Xb, z[idx], tau=0.5, start=full.gamma)
+            cold = fit_multinomial(Xb, z[idx])
+            warm = fit_multinomial(Xb, z[idx], start=full.gamma)
             assert warm.converged and cold.converged
             assert warm.iterations < cold.iterations
             np.testing.assert_allclose(warm.gamma, cold.gamma, rtol=0, atol=1e-7)
@@ -122,7 +139,7 @@ class TestGradient:
     def test_start_shape_checked(self):
         z = _labels_from_counts(25, 25, 25, 25)
         with pytest.raises(InvalidArgumentError, match="start"):
-            fit_multinomial(_intercept_design(100), z, tau=0.5, start=np.zeros(3))
+            fit_multinomial(_intercept_design(100), z, start=np.zeros(3))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -136,7 +153,7 @@ class TestGradient:
             )
             z = rng.integers(0, 4, n)
             gamma = 0.5 * rng.standard_normal((3, q2))
-            g = loglik_gradient(gamma, X, z)
+            g = _score(gamma, X, z)
             Y = _indicators(z, False, n)[1].T
             fd = np.zeros(3 * q2)
             for k in range(3 * q2):
@@ -178,7 +195,7 @@ class TestGradient:
         counts = (30, 25, 24, 21)
         z = _labels_from_counts(*counts)
         n = sum(counts)
-        g = loglik_gradient(np.zeros((3, 1)), _intercept_design(n), z)
+        g = _score(np.zeros((3, 1)), _intercept_design(n), z)
         np.testing.assert_allclose(
             g, np.array([counts[1], counts[2], counts[3]]) - n / 4.0, atol=1e-12
         )
@@ -198,7 +215,7 @@ class TestFitBehavior:
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         z = np.array([rng.choice(4, p=p[i]) for i in range(n)])
-        fit = fit_multinomial(X, z, tau=0.5)
+        fit = fit_multinomial(X, z)
         path = np.asarray(fit.loglik_path)
         assert np.all(np.diff(path) >= -1e-10)
         np.testing.assert_allclose(path[-1], fit.loglik, rtol=1e-12)
@@ -239,27 +256,27 @@ class TestFitBehavior:
                 res = run_two_step(sample, spec, 0.95)
             fit = res.step2
             X2, _ = build_design(sample, spec.step2_terms)
-            g = loglik_gradient(fit.gamma, X2, res.labels, merged=True)
+            g = _score(fit.gamma, X2, res.labels, merged=True)
             assert fit.converged, f"sample {b - 1}"
             assert np.max(np.abs(g)) <= GRADIENT_TOL, f"sample {b - 1}"
 
     def test_empty_category_error(self):
         z = _labels_from_counts(50, 50, 0, 0)
         with pytest.raises(EmptyCategoryError, match="merged discordance mode") as ei:
-            fit_multinomial(_intercept_design(100), z, tau=0.5)
+            fit_multinomial(_intercept_design(100), z)
         assert set(ei.value.missing) == {"01", "10"}
 
     def test_merged_mode_still_needs_discordance(self):
         z = _labels_from_counts(50, 50, 0, 0)
         with pytest.raises(EmptyCategoryError, match="01\\+10"):
-            fit_multinomial(_intercept_design(100), z, merged=True, tau=0.5)
+            fit_multinomial(_intercept_design(100), z, merged=True)
 
     def test_merged_mode_survives_one_sided_discordance(self):
         # "10" empty alone is fatal unmerged but fine after pooling
         z = _labels_from_counts(40, 40, 20, 0)
         with pytest.raises(EmptyCategoryError):
-            fit_multinomial(_intercept_design(100), z, tau=0.5)
-        fit = fit_multinomial(_intercept_design(100), z, merged=True, tau=0.5)
+            fit_multinomial(_intercept_design(100), z)
+        fit = fit_multinomial(_intercept_design(100), z, merged=True)
         np.testing.assert_allclose(fit.gamma[1, 0], np.log(20.0 / 40.0), atol=1e-8)
 
     def test_rank_deficient_design(self):
@@ -272,7 +289,7 @@ class TestFitBehavior:
         )
         z = _labels_from_counts(10, 10, 10, 10)
         with pytest.raises(SingularDesignError, match="x3"):
-            fit_multinomial(X, z, tau=0.5)
+            fit_multinomial(X, z)
 
     def test_separation_warning(self):
         # "11" owns x > 1.2 exclusively: complete separation, coefficients
@@ -286,68 +303,42 @@ class TestFitBehavior:
             np.column_stack([np.ones(60), x]), ("intercept", "x"), intercept=True
         )
         with pytest.warns(SeparationWarning):
-            fit = fit_multinomial(X, z, tau=0.5)
+            fit = fit_multinomial(X, z)
         assert fit.separation
         assert np.max(np.abs(fit.gamma)) > 30.0
 
     def test_empty_labels(self):
         with pytest.raises(InvalidArgumentError, match="empty"):
-            fit_multinomial(_intercept_design(2), np.array([], dtype=int), tau=0.5)
+            fit_multinomial(_intercept_design(2), np.array([], dtype=int))
 
     def test_unknown_labels(self):
         with pytest.raises(InvalidArgumentError, match="unknown labels"):
-            fit_multinomial(_intercept_design(2), np.array([-1, 0]), tau=0.5)
+            fit_multinomial(_intercept_design(2), np.array([-1, 0]))
 
     def test_string_labels_rejected(self):
         z = np.array(["00", "11", "01", "10"], dtype=object)
         with pytest.raises(InvalidArgumentError, match="integer cell codes"):
-            fit_multinomial(_intercept_design(4), z, tau=0.5)
-
-    def test_vcov_shape_and_symmetry(self):
-        rng = np.random.default_rng(14)
-        n = 150
-        X = DesignMatrix(
-            np.column_stack([np.ones(n), rng.standard_normal(n)]),
-            ("intercept", "x"),
-            intercept=True,
-        )
-        z = rng.integers(0, 4, n)
-        fit = fit_multinomial(X, z, tau=0.5)
-        assert fit.vcov.shape == (6, 6)
-        np.testing.assert_allclose(fit.vcov, fit.vcov.T, atol=1e-10)
-        assert np.all(np.linalg.eigvalsh(fit.vcov) > 0)
+            fit_multinomial(_intercept_design(4), z)
 
 
 class TestPredict:
 
     def test_uniform_softmax(self):
         z = _labels_from_counts(25, 25, 25, 25)
-        fit = fit_multinomial(_intercept_design(100), z, tau=0.5)
-        cells = predict_cells(fit, np.array([1.0]))
-        np.testing.assert_allclose(
-            [cells.p00, cells.p11, cells.p01, cells.p10], [0.25] * 4, atol=1e-9
-        )
+        fit = fit_multinomial(_intercept_design(100), z)
+        np.testing.assert_allclose(_cells(fit), [0.25] * 4, atol=1e-9)
 
     def test_saturated_reproduction(self):
         z = _labels_from_counts(40, 40, 10, 10)
-        fit = fit_multinomial(_intercept_design(100), z, tau=0.5)
-        cells = predict_cells(fit, np.array([1.0]))
-        np.testing.assert_allclose(
-            [cells.p00, cells.p11, cells.p01, cells.p10],
-            [0.4, 0.4, 0.1, 0.1],
-            atol=1e-10,
-        )
+        fit = fit_multinomial(_intercept_design(100), z)
+        np.testing.assert_allclose(_cells(fit), [0.4, 0.4, 0.1, 0.1], atol=1e-10)
 
     def test_merged_equal_split(self):
         z = _labels_from_counts(40, 40, 10, 10)
-        fit = fit_multinomial(_intercept_design(100), z, merged=True, tau=0.5)
-        cells = predict_cells(fit, np.array([1.0]))
-        assert cells.p01 == cells.p10
-        np.testing.assert_allclose(
-            [cells.p00, cells.p11, cells.p01, cells.p10],
-            [0.4, 0.4, 0.1, 0.1],
-            atol=1e-10,
-        )
+        fit = fit_multinomial(_intercept_design(100), z, merged=True)
+        cells = _cells(fit)
+        assert cells[2] == cells[3]
+        np.testing.assert_allclose(cells, [0.4, 0.4, 0.1, 0.1], atol=1e-10)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(15)
@@ -359,7 +350,7 @@ class TestPredict:
         )
         z = rng.integers(0, 4, n)
         for merged in (False, True):
-            fit = fit_multinomial(X, z, merged=merged, tau=0.5)
+            fit = fit_multinomial(X, z, merged=merged)
             grid = DesignMatrix(
                 np.column_stack([np.ones(50), np.linspace(-3, 3, 50)]),
                 ("intercept", "x"),
@@ -377,8 +368,8 @@ class TestPredict:
             np.column_stack([np.ones(120), x]), ("intercept", "x"), intercept=True
         )
         z = np.repeat([0, 1, 2, 3, 0, 1, 2, 3], [20, 10, 15, 15, 10, 20, 15, 15])
-        fit_u = fit_multinomial(X, z, tau=0.5)
-        fit_m = fit_multinomial(X, z, merged=True, tau=0.5)
+        fit_u = fit_multinomial(X, z)
+        fit_m = fit_multinomial(X, z, merged=True)
         grid = np.array([[1.0, 0.0], [1.0, 1.0]])
         P_u = predict_cells_rows(fit_u, grid)
         P_m = predict_cells_rows(fit_m, grid)
@@ -388,6 +379,6 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         z = _labels_from_counts(25, 25, 25, 25)
-        fit = fit_multinomial(_intercept_design(100), z, tau=0.5)
+        fit = fit_multinomial(_intercept_design(100), z)
         with pytest.raises(InvalidArgumentError, match="dimension"):
-            predict_cells(fit, np.array([1.0, 2.0]))
+            predict_cells_rows(fit, np.array([1.0, 2.0]))

@@ -297,7 +297,6 @@ class TestRunTwoStep:
         fit = MultinomialFit(
             categories=("11", "01", "10"),
             gamma=np.log(p[1:] / p[0])[:, None],
-            tau=0.25,
             loglik=0.0,
             converged=True,
             iterations=1,

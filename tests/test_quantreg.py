@@ -22,7 +22,6 @@ from quantcord import (
     pinball_loss,
     read_csv,
     residual_signs,
-    sign_indicators,
 )
 from quantcord.cli import main as quantcord_main
 
@@ -428,11 +427,12 @@ class TestFitErrors:
         with pytest.raises(InvalidArgumentError, match="start"):
             fit_quantile_regression(X, np.arange(5.0), 0.5, start=np.zeros(2))
 
-    def test_nonconvergence_carries_last_iterate(self):
+    def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         rng = np.random.default_rng(6)
         X, y = _random_problem(rng, 60, 3)
-        with pytest.raises(NonConvergenceError, match="did not converge") as excinfo:
-            fit_quantile_regression(X, y, 0.5, max_iter=1)
+        monkeypatch.setattr(qr, "MAX_PIVOTS", 1)
+        with pytest.raises(NonConvergenceError, match="did not converge in 1 pivots") as excinfo:
+            fit_quantile_regression(X, y, 0.5)
         last = excinfo.value.last_fit
         assert last is not None
         assert last.converged is False
@@ -502,7 +502,7 @@ class TestResidualSigns:
         np.testing.assert_array_equal(signs[rows], 1)
         off_fit = np.ones(n, dtype=bool)
         off_fit[rows + list(fit.ties)] = False
-        np.testing.assert_array_equal(signs[off_fit], sign_indicators(fit.residuals)[off_fit])
+        np.testing.assert_array_equal(signs[off_fit], (fit.residuals[off_fit] <= 0).astype(int))
 
     def test_duplicated_rows_share_labels(self):
         # a row repeated in the sample (as in a bootstrap draw) lies on the
@@ -514,7 +514,3 @@ class TestResidualSigns:
         assert set(fit.basis) & set(fit.ties) == set()
         signs = residual_signs(fit)
         np.testing.assert_array_equal(signs[:50], signs[50:])
-
-    def test_sign_indicators_matches_raw_array(self):
-        r = np.array([-0.1, 0.0, 0.2])
-        np.testing.assert_array_equal(sign_indicators(r), [1, 1, 0])

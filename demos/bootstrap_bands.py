@@ -35,16 +35,16 @@ spec = AnalysisSpec(
     binary=("g",),
 )
 result = bootstrap(data, spec, 0.5, B=200, seed=17)
-surface = result.surface
+surface = result.estimate.surface
 
 print(f"replicates: 200, failures: {result.failures}")
 print("\ng    phi_hat   se       95% band             oracle   covered")
-for i, value in enumerate(surface.value):
+for i, value in enumerate(surface.grid.value):
     truth = oracle_phi_gaussian({0.0: 0.2, 1.0: 0.8}[value], 0.5)
     lo, hi = surface.lower[i], surface.upper[i]
     covered = "yes" if lo <= truth <= hi else "no"
     print(
-        f"{value:.0f}    {surface.phi[i]:+.4f}   {result.phi_se[i]:.4f}"
+        f"{value:.0f}    {surface.phi[i]:+.4f}   {surface.se[i]:.4f}"
         f"   [{lo:+.4f}, {hi:+.4f}]   {truth:+.4f}   {covered}"
     )
 

@@ -26,7 +26,7 @@ import math
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def _run_replicate(data, spec, tau, base, seed, b):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run_two_step(data.take(idx), spec, tau, grid=base.grid, start=base)
+            res = run_two_step(data.take(idx), spec, tau, grid=base.surface.grid, start=base)
     except QuantcordError:
         return None
     return (
@@ -169,15 +169,15 @@ def _replicate_task(task):
 class BootstrapResult:
     """Replicate draws plus the derived SEs and intervals.
 
-    Successful draw count is ``B - failures`` in every draw array.
-    ``gamma_lower``/``gamma_upper`` are percentile intervals; the phi
-    bands are Wald intervals on the rescaled-logit scale and also live
-    on ``surface`` (a copy of the point-estimate surface with bands).
+    ``estimate`` is the full-sample TwoStepResult; its surface carries
+    the phi bands: the bootstrap ``se`` and the ``lower``/``upper`` Wald
+    intervals on the rescaled-logit scale.  Successful draw count is
+    ``B - failures`` in every draw array.  ``gamma_lower``/``gamma_upper``
+    are percentile intervals.
     """
 
     B: int
     seed: int
-    tau: float
     level: float
     failures: int
     estimate: object
@@ -186,13 +186,9 @@ class BootstrapResult:
     phi_draws: np.ndarray
     gamma_se: np.ndarray
     beta_se: dict
-    phi_se: np.ndarray
     gamma_lower: np.ndarray
     gamma_upper: np.ndarray
-    phi_lower: np.ndarray
-    phi_upper: np.ndarray
     winsorized: np.ndarray
-    surface: object
 
 
 def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
@@ -221,7 +217,9 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     Returns
     -------
     BootstrapResult for a float ``tau``; a tuple of them, one per tau in
-    order, for a sequence.
+    order, for a sequence.  Its ``estimate`` is the full-sample
+    :func:`~quantcord.pipeline.run_two_step` result with the phi bands
+    set on ``estimate.surface``.
 
     Raises
     ------
@@ -260,13 +258,13 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
             results = list(pool.map(_replicate_task, tasks, chunksize=chunk))
 
     out = tuple(
-        _summarize(spec, t, base, B, seed + i, level, results[i * B:(i + 1) * B])
-        for i, (t, base) in enumerate(zip(taus, bases))
+        _summarize(spec, base, B, seed + i, level, results[i * B:(i + 1) * B])
+        for i, base in enumerate(bases)
     )
     return out[0] if single else out
 
 
-def _summarize(spec, tau, base, B, seed, level, results):
+def _summarize(spec, base, B, seed, level, results):
     """One tau's BootstrapResult from its B replicate results."""
     ok = [r for r in results if r is not None]
     failures = B - len(ok)
@@ -274,7 +272,7 @@ def _summarize(spec, tau, base, B, seed, level, results):
     phi_draws = np.stack([r[2] for r in ok]) if ok else None
     if failures > MAX_FAILURE_FRACTION * B:
         raise InferenceUnreliableError(
-            f"at tau {tau:g}, {failures} of {B} bootstrap replicates failed "
+            f"at tau {base.tau:g}, {failures} of {B} bootstrap replicates failed "
             f"(more than {MAX_FAILURE_FRACTION:.0%})",
             partial={
                 "gamma_draws": gamma_draws,
@@ -291,30 +289,26 @@ def _summarize(spec, tau, base, B, seed, level, results):
     alpha = 1.0 - level
     gamma_se = np.std(gamma_draws, axis=0, ddof=1)
     beta_se = {k: np.std(v, axis=0, ddof=1) for k, v in beta_draws.items()}
-    phi_se = np.std(phi_draws, axis=0, ddof=1)
     gamma_lower = np.quantile(gamma_draws, alpha / 2.0, axis=0)
     gamma_upper = np.quantile(gamma_draws, 1.0 - alpha / 2.0, axis=0)
-    phi_lower, phi_upper, winsorized, _ = _phi_bands(
-        np.ascontiguousarray(phi_draws.T), base.surface.phi, tau, level
+    lower, upper, winsorized, _ = _phi_bands(
+        np.ascontiguousarray(phi_draws.T), base.surface.phi, base.tau, level
     )
+    surface = replace(base.surface, se=np.std(phi_draws, axis=0, ddof=1),
+                      lower=lower, upper=upper)
 
     return BootstrapResult(
         B=B,
         seed=seed,
-        tau=tau,
         level=level,
         failures=failures,
-        estimate=base,
+        estimate=replace(base, surface=surface),
         gamma_draws=gamma_draws,
         beta_draws=beta_draws,
         phi_draws=phi_draws,
         gamma_se=gamma_se,
         beta_se=beta_se,
-        phi_se=phi_se,
         gamma_lower=gamma_lower,
         gamma_upper=gamma_upper,
-        phi_lower=phi_lower,
-        phi_upper=phi_upper,
         winsorized=winsorized,
-        surface=base.surface.with_bands(se=phi_se, lower=phi_lower, upper=phi_upper),
     )

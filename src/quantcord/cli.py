@@ -21,7 +21,7 @@ from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
 from .dataset import FLOAT_FMT, read_csv, write_csv
 from .exceptions import InvalidArgumentError, QuantcordError
-from .pipeline import CONSTANT_PROFILE, _term_columns, run_two_step
+from .pipeline import CONSTANT_PROFILE, phi_profile, run_two_step
 
 
 def _fmt(x):
@@ -31,11 +31,6 @@ def _fmt(x):
     if np.isnan(x):
         return ""
     return FLOAT_FMT % x
-
-
-def _needed_columns(spec):
-    return list(dict.fromkeys(
-        spec.responses + _term_columns(spec.step1_terms + spec.step2_terms)))
 
 
 def _write_rows(path, header, rows):
@@ -52,25 +47,29 @@ def _profile_filename(covariate):
     return f"phi_profile_{safe or 'constant'}.csv"
 
 
-def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results, seeds):
-    """Write every output table; returns the list of file names."""
+def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results):
+    """Write every output table; returns the list of file names.
+
+    ``results`` holds one (TwoStepResult, BootstrapResult or None) pair
+    per tau; with the bootstrap, the first is the second's estimate.
+    """
     files = {}
 
     rows = []
-    for tau, run, boot in results:
+    for run, boot in results:
         for j, name in enumerate(spec.responses):
             fit = run.step1[j]
             se = boot.beta_se[name] if boot is not None else None
             for k, term in enumerate(fit.columns):
                 rows.append([
-                    _fmt(tau), name, term, _fmt(fit.beta[k]),
+                    _fmt(run.tau), name, term, _fmt(fit.beta[k]),
                     _fmt(se[k]) if se is not None else "",
                 ])
     files["step1_coefficients.csv"] = (
         ["tau", "response", "term", "estimate", "se"], rows)
 
     rows = []
-    for tau, run, boot in results:
+    for run, boot in results:
         fit2 = run.step2
         for k, cat in enumerate(fit2.categories):
             for q, term in enumerate(fit2.columns):
@@ -80,7 +79,7 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results, seeds):
                     lo = _fmt(boot.gamma_lower[k, q])
                     hi = _fmt(boot.gamma_upper[k, q])
                 rows.append([
-                    _fmt(tau), cat, term, _fmt(fit2.gamma[k, q]), se, lo, hi,
+                    _fmt(run.tau), cat, term, _fmt(fit2.gamma[k, q]), se, lo, hi,
                 ])
     files["step2_coefficients.csv"] = (
         ["tau", "category", "term", "estimate", "se", "ci_lower", "ci_upper"],
@@ -88,19 +87,14 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results, seeds):
 
     header = ["tau", "covariate", "value", "phi_hat", "ci_lower", "ci_upper",
               "phi_min", "phi_max", "out_of_bounds_flag"]
-    for cov in dict.fromkeys(results[0][1].surface.varying):
-        rows = []
-        for tau, run, boot in results:
-            s = boot.surface if boot is not None else run.surface
-            for i in np.flatnonzero(np.asarray(s.varying) == cov):
-                rows.append([
-                    _fmt(tau), cov, _fmt(s.value[i]), _fmt(s.phi[i]),
-                    _fmt(s.lower[i]) if s.lower is not None else "",
-                    _fmt(s.upper[i]) if s.upper is not None else "",
-                    _fmt(s.phi_min), _fmt(s.phi_max),
-                    int(s.out_of_bounds[i]),
-                ])
-        files[_profile_filename(cov)] = (header, rows)
+    surfaces = [run.surface for run, _ in results]
+    for cov in dict.fromkeys(surfaces[0].grid.varying):
+        t = phi_profile(surfaces, cov)
+        blank = [None] * len(t["tau"])
+        rows = zip(t["tau"], t["value"], t["phi_hat"], t.get("lower", blank),
+                   t.get("upper", blank), t["phi_min"], t["phi_max"], t["out_of_bounds"])
+        files[_profile_filename(cov)] = (header, [
+            [_fmt(tau), cov, *map(_fmt, vals), int(flag)] for tau, *vals, flag in rows])
 
     meta = {
         "command": "analyze",
@@ -118,15 +112,15 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results, seeds):
             "enabled": boot_cfg.enabled,
             "replicates": boot_cfg.replicates if boot_cfg.enabled else 0,
             "level": boot_cfg.level,
-            "per_tau_seeds": seeds,
+            "per_tau_seeds": [boot.seed for _, boot in results if boot is not None],
         },
         "replicate_failures": {
-            _fmt(tau): (boot.failures if boot is not None else 0)
-            for tau, _, boot in results
+            _fmt(run.tau): (boot.failures if boot is not None else 0)
+            for run, boot in results
         },
         "winsorized_draws": {
-            _fmt(tau): (int(boot.winsorized.sum()) if boot is not None else 0)
-            for tau, _, boot in results
+            _fmt(run.tau): (int(boot.winsorized.sum()) if boot is not None else 0)
+            for run, boot in results
         },
         "outputs": sorted(files) + ["metadata.json", "summary.txt"],
     }
@@ -163,8 +157,8 @@ def _summary_text(spec, data, report, results):
         + ("  [merged discordant categories]" if spec.merged else ""),
         "",
     ]
-    for tau, run, boot in results:
-        lines.append(f"tau = {tau:g}")
+    for run, boot in results:
+        lines.append(f"tau = {run.tau:g}")
         for j, name in enumerate(spec.responses):
             fit = run.step1[j]
             coefs = "  ".join(
@@ -175,15 +169,15 @@ def _summary_text(spec, data, report, results):
             coefs = "  ".join(
                 f"{c}={v:.3f}" for c, v in zip(fit2.columns, fit2.gamma[k]))
             lines.append(f"  log-odds {cat} vs 00: {coefs}")
-        s = boot.surface if boot is not None else run.surface
-        for cov in dict.fromkeys(s.varying):
-            mask = np.asarray(s.varying) == cov
+        s = run.surface
+        for cov in dict.fromkeys(s.grid.varying):
+            mask = np.asarray(s.grid.varying) == cov
             label = "phi (constant model)" if cov == CONSTANT_PROFILE \
                 else f"phi along {cov}"
             lines.append(
                 f"  {label}: {np.min(s.phi[mask]):.3f} "
                 f"to {np.max(s.phi[mask]):.3f} "
-                f"(bounds {s.phi_min:.3f}, {s.phi_max:.3f})")
+                f"(bounds {s.bounds.phi_min:.3f}, {s.bounds.phi_max:.3f})")
         if boot is not None:
             lines.append(
                 f"  bootstrap: B={boot.B}, failures={boot.failures}, "
@@ -220,11 +214,10 @@ def _cmd_analyze(args):
         boot_cfg = dataclasses.replace(boot_cfg, seed=args.seed)
     out_dir = args.out or cfg.output_dir
 
-    needed = _needed_columns(spec)
     data, report = read_csv(
         cfg.input,
-        columns=needed,
-        binary=[b for b in spec.binary if b in needed],
+        columns=spec.columns,
+        binary=[b for b in spec.binary if b in spec.columns],
     )
     if report.n_dropped:
         print(
@@ -239,15 +232,12 @@ def _cmd_analyze(args):
             B=boot_cfg.replicates, seed=boot_cfg.seed,
             level=boot_cfg.level, workers=boot_cfg.workers,
         )
-        results = [(boot.tau, boot.estimate, boot) for boot in boots]
-        seeds = [boot.seed for boot in boots]
+        results = [(boot.estimate, boot) for boot in boots]
     else:
-        results = [(tau, run_two_step(data, spec, tau), None) for tau in spec.taus]
-        seeds = []
+        results = [(run_two_step(data, spec, tau), None) for tau in spec.taus]
 
     os.makedirs(out_dir, exist_ok=True)
-    outputs = _emit_analysis(
-        out_dir, cfg, spec, boot_cfg, data, report, results, seeds)
+    outputs = _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results)
     print(f"wrote {len(outputs)} files to {out_dir}")
     return 0
 

@@ -6,12 +6,13 @@ conditional sign-correlation phi is evaluated on per-covariate
 profile grids, never clipped to its theoretical bounds.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .basis import build_design, recipe_values
-from .concordance import _fixed_margin_phi, classify, empirical_cells, phi_bounds
+from .concordance import PhiBounds, _fixed_margin_phi, classify, empirical_cells, phi_bounds
 from .dataset import Dataset
 from .exceptions import InvalidArgumentError, QuantcordError
 from .multinomial import fit_multinomial, predict_cells_rows
@@ -64,6 +65,12 @@ class AnalysisSpec:
     def profile_columns(self):
         """Covariates that get a profile grid, in declaration order."""
         return _term_columns(self.step2_terms)
+
+    @property
+    def columns(self):
+        """Every column the analysis reads: the responses, then the terms'."""
+        return tuple(dict.fromkeys(
+            self.responses + _term_columns(self.step1_terms + self.step2_terms)))
 
 
 def _term_columns(terms):
@@ -137,33 +144,25 @@ def build_grid(data, spec):
 
 @dataclass(frozen=True)
 class PhiSurface:
-    """Conditional phi evaluated on an EvaluationGrid at one tau.
+    """Conditional phi at one tau on ``grid``, an EvaluationGrid, with
+    ``bounds``, the PhiBounds of that tau.
 
     ``cells`` column k is the probability of cell code k (see
-    ``concordance``), so phi is recomputable from them.  Bands are
-    attached by the bootstrap.
+    ``concordance``), so phi is recomputable from them.  ``se``,
+    ``lower`` and ``upper`` are the bootstrap bands, None until
+    :func:`quantcord.bootstrap.bootstrap` sets them with
+    ``dataclasses.replace``.
     """
 
     tau: float
-    varying: tuple
-    value: np.ndarray
-    columns: dict
+    grid: EvaluationGrid
+    bounds: PhiBounds
     cells: np.ndarray
     phi: np.ndarray
-    phi_min: float
-    phi_indep: float
-    phi_max: float
     out_of_bounds: np.ndarray
     se: np.ndarray = None
     lower: np.ndarray = None
     upper: np.ndarray = None
-
-    @property
-    def m(self):
-        return len(self.varying)
-
-    def with_bands(self, se, lower, upper):
-        return replace(self, se=se, lower=lower, upper=upper)
 
 
 def evaluate_surface(fit2, recipe2, grid, tau):
@@ -175,25 +174,20 @@ def evaluate_surface(fit2, recipe2, grid, tau):
     cells = predict_cells_rows(fit2, X)
     phi_vals = _fixed_margin_phi(*cells.T, tau)
     bounds = phi_bounds(tau)
-    out_of_bounds = (phi_vals < bounds.phi_min) | (phi_vals > bounds.phi_max)
     return PhiSurface(
         tau=tau,
-        varying=grid.varying,
-        value=grid.value,
-        columns=grid.columns,
+        grid=grid,
+        bounds=bounds,
         cells=cells,
         phi=phi_vals,
-        phi_min=bounds.phi_min,
-        phi_indep=bounds.phi_indep,
-        phi_max=bounds.phi_max,
-        out_of_bounds=out_of_bounds,
+        out_of_bounds=(phi_vals < bounds.phi_min) | (phi_vals > bounds.phi_max),
     )
 
 
 @dataclass(frozen=True)
 class TwoStepResult:
     """Both step-1 fits (response order as declared), the step-2 fit,
-    the evaluated surface, the empirical cells and the grid.
+    the evaluated surface and the empirical cells.
     ``labels`` holds each observation's cell code: 0 = "00", 1 = "11",
     2 = "01", 3 = "10", as in ``concordance``."""
 
@@ -203,7 +197,6 @@ class TwoStepResult:
     surface: PhiSurface
     labels: np.ndarray
     empirical: object
-    grid: EvaluationGrid
 
 
 def _tag_step(err, prefix):
@@ -258,41 +251,35 @@ def run_two_step(data, spec, tau, grid=None, start=None):
         surface=surface,
         labels=labels,
         empirical=empirical_cells(labels, tau),
-        grid=grid,
     )
 
 
 def phi_profile(surfaces, covariate):
     """Long-format profile table for one covariate across surfaces.
 
-    Columns: tau, value, phi_hat, phi_min, phi_max, plus lower/upper
-    when every surface carries confidence bands.  Rows are ordered by
-    tau, then by grid position.
+    Columns: tau, value, phi_hat, phi_min, phi_max, out_of_bounds, plus
+    lower/upper when every surface carries confidence bands.  Rows are
+    ordered by tau, then by grid position.
     """
     surfaces = sorted(surfaces, key=lambda s: s.tau)
     if not surfaces:
         raise InvalidArgumentError("no surfaces given")
-    known = set()
-    for s in surfaces:
-        known.update(s.varying)
+    known = {v for s in surfaces for v in s.grid.varying}
     if covariate not in known:
         raise InvalidArgumentError(
             f"covariate {covariate!r} has no profile; available: {sorted(known)}"
         )
-    with_bands = all(s.lower is not None and s.upper is not None for s in surfaces)
-    cols = {k: [] for k in ("tau", "value", "phi_hat", "phi_min", "phi_max")}
-    if with_bands:
-        cols["lower"] = []
-        cols["upper"] = []
-    for s in surfaces:
-        mask = np.asarray(s.varying) == covariate
-        k = int(np.count_nonzero(mask))
-        cols["tau"].extend([s.tau] * k)
-        cols["value"].extend(s.value[mask].tolist())
-        cols["phi_hat"].extend(s.phi[mask].tolist())
-        cols["phi_min"].extend([s.phi_min] * k)
-        cols["phi_max"].extend([s.phi_max] * k)
-        if with_bands:
-            cols["lower"].extend(s.lower[mask].tolist())
-            cols["upper"].extend(s.upper[mask].tolist())
-    return {k: np.asarray(v) for k, v in cols.items()}
+    masks = [np.asarray(s.grid.varying) == covariate for s in surfaces]
+
+    def column(attr):
+        get = attrgetter(attr)
+        return np.concatenate(
+            [np.broadcast_to(get(s), m.shape)[m] for s, m in zip(surfaces, masks)]
+        )
+
+    names = {"tau": "tau", "value": "grid.value", "phi_hat": "phi",
+             "phi_min": "bounds.phi_min", "phi_max": "bounds.phi_max",
+             "out_of_bounds": "out_of_bounds"}
+    if all(s.lower is not None and s.upper is not None for s in surfaces):
+        names.update(lower="lower", upper="upper")
+    return {k: column(attr) for k, attr in names.items()}

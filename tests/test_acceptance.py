@@ -217,7 +217,7 @@ class TestAcceptance:
         surface = run_two_step(data, gspec, 0.5).surface
         worst = 0.0
         for val, rho in ((0.0, 0.2), (1.0, 0.8)):
-            i = int(np.where(surface.columns["g"] == val)[0][0])
+            i = int(np.where(surface.grid.columns["g"] == val)[0][0])
             worst = max(worst, abs(surface.phi[i] - oracle_phi_gaussian(rho, 0.5)))
         ok = worst <= 0.07
         _report(6, "two-group phi recovery (rho 0.2 / 0.8)", ok,
@@ -256,7 +256,7 @@ class TestAcceptance:
         for d in range(200):
             fresh = generate(ScenarioSpec(n=1000, rho=0.5, seed=5000 + d))
             phis.append(run_two_step(fresh, SPEC, 0.5).surface.phi[0])
-        se = float(boot.phi_se[0])
+        se = float(boot.estimate.surface.se[0])
         sd = float(np.std(phis, ddof=1))
         ratio = se / sd
         elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """Tests for the paired bootstrap and the phi interval construction."""
 
+import dataclasses
 import importlib
 import warnings
 
@@ -106,8 +107,8 @@ class TestBootstrapDeterminism:
         r2 = bootstrap(data, SPEC, 0.5, B=24, seed=7)
         np.testing.assert_array_equal(r1.gamma_draws, r2.gamma_draws)
         np.testing.assert_array_equal(r1.phi_draws, r2.phi_draws)
-        np.testing.assert_array_equal(r1.phi_lower, r2.phi_lower)
-        np.testing.assert_array_equal(r1.phi_upper, r2.phi_upper)
+        np.testing.assert_array_equal(r1.estimate.surface.lower, r2.estimate.surface.lower)
+        np.testing.assert_array_equal(r1.estimate.surface.upper, r2.estimate.surface.upper)
         np.testing.assert_array_equal(r1.gamma_se, r2.gamma_se)
         for name in SPEC.responses:
             np.testing.assert_array_equal(
@@ -127,13 +128,32 @@ class TestBootstrapDeterminism:
         par = bootstrap(data, SPEC, 0.5, B=12, seed=3, workers=2)
         np.testing.assert_array_equal(serial.gamma_draws, par.gamma_draws)
         np.testing.assert_array_equal(serial.phi_draws, par.phi_draws)
-        np.testing.assert_array_equal(serial.phi_lower, par.phi_lower)
-        np.testing.assert_array_equal(serial.phi_upper, par.phi_upper)
+        np.testing.assert_array_equal(serial.estimate.surface.lower, par.estimate.surface.lower)
+        np.testing.assert_array_equal(serial.estimate.surface.upper, par.estimate.surface.upper)
 
 
-_FIELDS = ("B", "seed", "tau", "level", "failures", "gamma_draws", "phi_draws",
-           "gamma_se", "phi_se", "gamma_lower", "gamma_upper", "phi_lower",
-           "phi_upper", "winsorized")
+_FIELDS = ("B", "seed", "level", "failures", "gamma_draws", "phi_draws",
+           "gamma_se", "gamma_lower", "gamma_upper", "winsorized")
+
+
+def _assert_same_fields(a, b):
+    """Dataclasses ``a`` and ``b`` equal field by field, arrays exactly
+    (NaN equal to NaN)."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same_fields(x, y)
+        elif isinstance(x, tuple) and x and dataclasses.is_dataclass(x[0]):
+            assert len(x) == len(y), f.name
+            for u, v in zip(x, y):
+                _assert_same_fields(u, v)
+        elif isinstance(x, dict):
+            assert x.keys() == y.keys(), f.name
+            for k in x:
+                np.testing.assert_array_equal(x[k], y[k], err_msg=f"{f.name}[{k!r}]")
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
 
 
 def _assert_same_result(a, b):
@@ -142,9 +162,11 @@ def _assert_same_result(a, b):
     for name in SPEC.responses:
         assert np.array_equal(a.beta_draws[name], b.beta_draws[name])
         assert np.array_equal(a.beta_se[name], b.beta_se[name])
+    assert a.estimate.tau == b.estimate.tau
     assert np.array_equal(a.estimate.step2.gamma, b.estimate.step2.gamma)
     for field in ("phi", "se", "lower", "upper"):
-        assert np.array_equal(getattr(a.surface, field), getattr(b.surface, field))
+        assert np.array_equal(getattr(a.estimate.surface, field),
+                              getattr(b.estimate.surface, field))
 
 
 class TestManyTaus:
@@ -156,7 +178,7 @@ class TestManyTaus:
         assert isinstance(both, tuple) and len(both) == 2
         for i, tau in enumerate(taus):
             alone = bootstrap(data, SPEC, tau, B=8, seed=5 + i)
-            assert both[i].tau == tau and both[i].seed == 5 + i
+            assert both[i].estimate.tau == tau and both[i].seed == 5 + i
             _assert_same_result(both[i], alone)
 
     def test_float_tau_returns_one_result_and_a_list_a_tuple(self):
@@ -235,16 +257,27 @@ class TestBootstrapResultShape:
         assert result.estimate.tau == 0.5
         assert len(result.estimate.step1) == 2
 
+    def test_estimate_equals_run_two_step_but_for_bands(self, result):
+        # every field but the surface's bands is the full-sample fit's
+        fresh = run_two_step(_copula_like(150, seed=80), SPEC, 0.5)
+        banded = result.estimate.surface
+        assert fresh.surface.se is fresh.surface.lower is fresh.surface.upper is None
+        _assert_same_fields(
+            result.estimate, dataclasses.replace(fresh, surface=dataclasses.replace(
+                fresh.surface, se=banded.se, lower=banded.lower, upper=banded.upper)))
+
     def test_surface_carries_bands(self, result):
-        surf = result.surface
-        np.testing.assert_array_equal(surf.lower, result.phi_lower)
-        np.testing.assert_array_equal(surf.upper, result.phi_upper)
-        np.testing.assert_array_equal(surf.se, result.phi_se)
+        surf = result.estimate.surface
+        lower, upper, _, _ = _phi_bands(
+            np.ascontiguousarray(result.phi_draws.T), surf.phi, 0.5, result.level)
+        np.testing.assert_array_equal(surf.lower, lower)
+        np.testing.assert_array_equal(surf.upper, upper)
+        np.testing.assert_array_equal(surf.se, np.std(result.phi_draws, axis=0, ddof=1))
 
     def test_interval_contains_estimate(self, result):
-        phi_hat = result.estimate.surface.phi
-        assert np.all(result.phi_lower <= phi_hat)
-        assert np.all(phi_hat <= result.phi_upper)
+        surf = result.estimate.surface
+        assert np.all(surf.lower <= surf.phi)
+        assert np.all(surf.phi <= surf.upper)
 
     def test_gamma_percentile_interval_brackets_draws(self, result):
         assert np.all(result.gamma_lower <= result.gamma_upper)
@@ -505,7 +538,8 @@ class TestBandPass:
             warnings.simplefilter("error")
             result = bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=6, seed=2)
         estimate = result.estimate.surface.phi[0]
-        assert result.phi_lower[0] == result.phi_upper[0] == estimate
+        surf = result.estimate.surface
+        assert surf.lower[0] == surf.upper[0] == estimate
         assert result.winsorized[0] == 6
         with pytest.warns(DegenerateIntervalWarning, match="one phi boundary"):
             lo, hi = phi_interval(result.phi_draws[:, 0], estimate, 0.5)

@@ -1,5 +1,7 @@
 """Tests for the end-to-end two-step procedure and its profile grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ class TestAnalysisSpecValidation:
             step2_terms=(identity("x"), interaction("x", "g"), identity("w"))
         )
         assert spec.profile_columns == ("x", "g", "w")
+
+    def test_columns_are_responses_then_terms_deduplicated(self):
+        spec = _spec(
+            step1_terms=(identity("w"), identity("y1")),
+            step2_terms=(identity("x"), interaction("x", "w")),
+        )
+        assert spec.columns == ("y1", "y2", "w", "x")
 
 
 class TestBuildGrid:
@@ -190,7 +199,7 @@ class TestRunTwoStep:
         data = Dataset(columns={"y1": e, "y2": e + 0.15 * noise})
         result = run_two_step(data, _spec(), 0.5)
         assert result.surface.phi[0] > 0.85
-        assert result.surface.phi_max == 1.0
+        assert result.surface.bounds.phi_max == 1.0
         assert not result.surface.out_of_bounds[0]
 
     def test_near_antithetic_responses_push_phi_toward_minimum(self):
@@ -200,7 +209,7 @@ class TestRunTwoStep:
         data = Dataset(columns={"y1": e, "y2": -e + 0.15 * noise})
         result = run_two_step(data, _spec(), 0.5)
         assert result.surface.phi[0] < -0.85
-        assert result.surface.phi_min == -1.0
+        assert result.surface.bounds.phi_min == -1.0
 
     def test_copula_fixture_recovers_oracle_phi(self, copula_data):
         result = run_two_step(copula_data, _spec(), 0.5)
@@ -259,7 +268,7 @@ class TestRunTwoStep:
         spec = _spec(step2_terms=(identity("x"),), grid_points=9)
         result = run_two_step(data, spec, 0.5)
         surface = result.surface
-        for i in range(surface.m):
+        for i in range(surface.grid.m):
             cells = CellProbabilities(
                 p00=surface.cells[i, 0],
                 p11=surface.cells[i, 1],
@@ -284,10 +293,7 @@ class TestRunTwoStep:
         data = _dependent_data()
         for tau in (0.1, 0.5, 0.8):
             surface = run_two_step(data, _spec(), tau).surface
-            bounds = phi_bounds(tau)
-            assert surface.phi_min == bounds.phi_min
-            assert surface.phi_indep == bounds.phi_indep
-            assert surface.phi_max == bounds.phi_max
+            assert surface.bounds == phi_bounds(tau)
 
     def test_out_of_bounds_flagged_but_never_clipped(self):
         # model-based cell probabilities need not honor the tau margins,
@@ -326,8 +332,8 @@ class TestRunTwoStep:
             columns={"x": np.array([0.0, 1.0])},
         )
         result = run_two_step(data, spec, 0.5, grid=grid)
-        assert result.grid is grid
-        assert result.surface.m == 2
+        assert result.surface.grid is grid
+        assert result.surface.phi.shape == (2,)
 
 
 class TestPhiProfile:
@@ -346,6 +352,8 @@ class TestPhiProfile:
         bounds = phi_bounds(0.5)
         np.testing.assert_array_equal(table["phi_min"], np.full(3, bounds.phi_min))
         np.testing.assert_array_equal(table["phi_max"], np.full(3, bounds.phi_max))
+        np.testing.assert_array_equal(table["phi_hat"], surfaces[0].phi)
+        np.testing.assert_array_equal(table["out_of_bounds"], surfaces[0].out_of_bounds)
 
     def test_tau_010_bound_columns(self):
         _, surfaces = self._surfaces(taus=(0.1,))
@@ -357,12 +365,14 @@ class TestPhiProfile:
     def test_band_columns_absent_without_bootstrap(self):
         _, surfaces = self._surfaces()
         table = phi_profile(surfaces, "x")
-        assert set(table) == {"tau", "value", "phi_hat", "phi_min", "phi_max"}
+        assert set(table) == {"tau", "value", "phi_hat", "phi_min", "phi_max",
+                              "out_of_bounds"}
 
     def test_band_columns_present_when_all_surfaces_have_bands(self):
         _, surfaces = self._surfaces()
         banded = [
-            s.with_bands(np.full(s.m, 0.1), s.phi - 0.2, s.phi + 0.2)
+            dataclasses.replace(s, se=np.full(s.phi.shape, 0.1),
+                                lower=s.phi - 0.2, upper=s.phi + 0.2)
             for s in surfaces
         ]
         table = phi_profile(banded, "x")

@@ -324,7 +324,7 @@ def main(argv=None):
     except QuantcordError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except yaml.YAMLError as err:

@@ -48,7 +48,7 @@ class RunConfig:
 
 
 def _require_keys(section, d, allowed, required=()):
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(set(_mapping(section, d)) - set(allowed))
     if unknown:
         raise InvalidArgumentError(
             f"unknown keys in {section}: {unknown}; allowed: {sorted(allowed)}"
@@ -65,6 +65,27 @@ def _int(key, value):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+
+
+def _bool(key, value):
+    """A boolean config value: true or false only, never a string or number."""
+    if isinstance(value, bool):
+        return value
+    raise InvalidArgumentError(f"{key} must be true or false, got {value!r}")
+
+
+def _list(key, value):
+    """A list config value: a sequence, never a scalar, string or mapping."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise InvalidArgumentError(f"{key} must be a list, got {value!r}")
+
+
+def _mapping(key, value):
+    """A mapping config value, such as a section or a table keyed by column."""
+    if isinstance(value, dict):
+        return value
+    raise InvalidArgumentError(f"{key} must be a mapping, got {value!r}")
 
 
 def _float(key, value):
@@ -152,23 +173,26 @@ def run_config_from_dict(d):
     grid = d.get("grid", {}) or {}
     _require_keys("grid", grid, ("points", "values", "held"))
     spec = AnalysisSpec(
-        responses=tuple(str(r) for r in d["responses"]),
+        responses=tuple(str(r) for r in _list("responses", d["responses"])),
         taus=_parse_taus(d.get("taus", list(DEFAULT_TAUS))),
-        step1_terms=tuple(parse_term(t) for t in d.get("step1_terms", []) or []),
-        step2_terms=tuple(parse_term(t) for t in d.get("step2_terms", []) or []),
-        merged=bool(d.get("merged", False)),
+        step1_terms=tuple(
+            parse_term(t) for t in _list("step1_terms", d.get("step1_terms", []) or [])),
+        step2_terms=tuple(
+            parse_term(t) for t in _list("step2_terms", d.get("step2_terms", []) or [])),
+        merged=_bool("merged", d.get("merged", False)),
         grid_points=_int("grid.points", grid.get("points", DEFAULT_GRID_POINTS)),
-        grid_values={str(k): tuple(_float(f"grid.values.{k}", x) for x in v)
-                     for k, v in (grid.get("values", {}) or {}).items()},
+        grid_values={
+            str(k): tuple(_float(f"grid.values.{k}", x) for x in _list(f"grid.values.{k}", v))
+            for k, v in _mapping("grid.values", grid.get("values", {}) or {}).items()},
         held={str(k): _float(f"grid.held.{k}", v)
-              for k, v in (grid.get("held", {}) or {}).items()},
-        binary=tuple(str(b) for b in d.get("binary", []) or []),
+              for k, v in _mapping("grid.held", grid.get("held", {}) or {}).items()},
+        binary=tuple(str(b) for b in _list("binary", d.get("binary", []) or [])),
     )
     boot = d.get("bootstrap", {}) or {}
     _require_keys("bootstrap", boot,
                   ("enabled", "replicates", "seed", "level", "workers"))
     bootstrap = BootstrapConfig(
-        enabled=bool(boot.get("enabled", False)),
+        enabled=_bool("bootstrap.enabled", boot.get("enabled", False)),
         replicates=_int("bootstrap.replicates", boot.get("replicates", 1000)),
         seed=_int("bootstrap.seed", boot.get("seed", 0)),
         level=_float("bootstrap.level", boot.get("level", 0.95)),
@@ -219,7 +243,7 @@ def scenario_from_dict(d):
     """Parse a synth config; returns the scenario and the sidecar taus."""
     _require_keys("scenario", d, _SCENARIO_KEYS, required=("n",))
     covariates = []
-    for c in d.get("covariates", []) or []:
+    for c in _list("covariates", d.get("covariates", []) or []):
         _require_keys("covariate", c, ("name", "kind", "low", "high", "p"),
                       required=("name",))
         covariates.append(CovariateSpec(
@@ -240,8 +264,8 @@ def scenario_from_dict(d):
                       required=("column", "values"))
         vals = rbg["values"]
         if isinstance(vals, dict):
-            vals = [vals[k] for k in (0, 1)]
-        if len(vals) != 2:
+            vals = [vals.get(k) for k in (0, 1)]
+        if len(_list("rho_by_group.values", vals)) != 2:
             raise InvalidArgumentError("rho_by_group needs values for groups 0 and 1")
         rho_by_group = {g: _float("rho_by_group.values", vals[g]) for g in (0, 1)}
         group_column = str(rbg["column"])
@@ -249,8 +273,8 @@ def scenario_from_dict(d):
         rho = _float("rho", d["rho"])
     coefficients = {
         str(resp): {str(k): _float(f"coefficients.{resp}.{k}", v)
-                    for k, v in (coefs or {}).items()}
-        for resp, coefs in (d.get("coefficients", {}) or {}).items()
+                    for k, v in _mapping(f"coefficients.{resp}", coefs or {}).items()}
+        for resp, coefs in _mapping("coefficients", d.get("coefficients", {}) or {}).items()
     }
     scenario = ScenarioSpec(
         n=_int("n", d["n"]),
@@ -259,7 +283,8 @@ def scenario_from_dict(d):
         group_column=group_column,
         covariates=tuple(covariates),
         coefficients=coefficients,
-        response_names=tuple(str(r) for r in d.get("responses", ("y1", "y2"))),
+        response_names=tuple(
+            str(r) for r in _list("responses", d.get("responses", ("y1", "y2")))),
         seed=_int("seed", d.get("seed", 0)),
     )
     taus = _parse_taus(d.get("taus", list(DEFAULT_TAUS)))

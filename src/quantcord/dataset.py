@@ -77,6 +77,15 @@ class DropReport:
         return len(self.dropped_rows)
 
 
+def _utf8_lines(path, fh):
+    """The lines of ``fh``; a byte sequence that is not UTF-8 raises
+    IngestionError naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as err:
+        raise IngestionError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def read_csv(path, columns=None, binary=()):
     """Parse a comma-separated file into a Dataset.
 
@@ -96,7 +105,7 @@ def read_csv(path, columns=None, binary=()):
     (Dataset, DropReport)
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:

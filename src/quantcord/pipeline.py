@@ -60,6 +60,13 @@ class AnalysisSpec:
             raise InvalidArgumentError(f"taus must be strictly increasing: {self.taus}")
         if self.grid_points < 2:
             raise InvalidArgumentError("grid_points must be at least 2")
+        for what, given in (("grid values", self.grid_values), ("held value", self.held)):
+            for name in given:
+                if name not in self.profile_columns:
+                    raise InvalidArgumentError(
+                        f"{what} given for {name!r}, which has no profile; "
+                        f"available covariates: {list(self.profile_columns)}"
+                    )
 
     @property
     def profile_columns(self):
@@ -277,9 +284,9 @@ def phi_profile(surfaces, covariate):
             [np.broadcast_to(get(s), m.shape)[m] for s, m in zip(surfaces, masks)]
         )
 
-    names = {"tau": "tau", "value": "grid.value", "phi_hat": "phi",
+    sources = {"tau": "tau", "value": "grid.value", "phi_hat": "phi",
              "phi_min": "bounds.phi_min", "phi_max": "bounds.phi_max",
              "out_of_bounds": "out_of_bounds"}
     if all(s.lower is not None and s.upper is not None for s in surfaces):
-        names.update(lower="lower", upper="upper")
-    return {k: column(attr) for k, attr in names.items()}
+        sources.update(lower="lower", upper="upper")
+    return {k: column(attr) for k, attr in sources.items()}

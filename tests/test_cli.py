@@ -118,6 +118,21 @@ class TestSynth:
         assert not (tmp_path / "x.csv.oracle.json").exists()
 
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("covariates", 5, "covariates must be a list"),
+        ("rho_by_group", 5, "rho_by_group must be a mapping"),
+        ("responses", 5, "responses must be a list"),
+        ("coefficients", {"y1": 5}, "coefficients.y1 must be a mapping"),
+    ], ids=["covariates", "rho_by_group", "responses", "coefficients.y1"])
+    def test_wrong_yaml_type_exits_2(self, tmp_path, capsys, key, value, message):
+        scenario = {k: v for k, v in SMALL_SCENARIO.items() if k != "rho"}
+        cfg = _write_yaml(tmp_path / "bad.yaml", dict(scenario, **{key: value}))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAnalyzeCommittedFixture:
 
     def _run(self, fixtures_dir, monkeypatch, out_dir):
@@ -329,6 +344,25 @@ class TestAnalyzeProfiles:
         assert f"error: bootstrap.{key} must be an integer" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"grid": 5}, "grid must be a mapping"),
+        ({"bootstrap": 5}, "bootstrap must be a mapping"),
+        ({"responses": 5}, "responses must be a list"),
+        ({"binary": 5}, "binary must be a list"),
+        ({"grid": {"values": {"x": 5}}}, "grid.values.x must be a list"),
+        ({"merged": "no"}, "merged must be true or false"),
+        ({"bootstrap": {"enabled": "false"}}, "bootstrap.enabled must be true or false"),
+        ({"grid": {"values": {"nosuch": [1, 2]}}},
+         "grid values given for 'nosuch', which has no profile; available covariates: ['x']"),
+        ({"grid": {"held": {"alsonot": 1}}}, "held value given for 'alsonot'"),
+    ], ids=["grid", "bootstrap", "responses", "binary", "grid.values.x", "merged",
+            "bootstrap.enabled", "grid.values.nosuch", "grid.held.alsonot"])
+    def test_bad_config_value_exits_2(self, workdir, capsys, overrides, message):
+        cfg = self._config(workdir, **overrides)
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_two_taus_in_one_pool_match_serial_bytes(self, workdir):
         trees = {}
         for workers in (1, 2):
@@ -380,6 +414,48 @@ class TestAnalyzeFailures:
                            "responses": ["y1", "y2"]})
         assert main(["analyze", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", "--config", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def _small_run(self, tmp_path, monkeypatch, **overrides):
+        monkeypatch.chdir(tmp_path)
+        _synth(tmp_path)
+        return _write_yaml(tmp_path / "run.yaml", dict(
+            {"input": "small.csv", "responses": ["y1", "y2"], "taus": [0.5]},
+            **overrides))
+
+    def test_directory_as_input_exits_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "data").mkdir()
+        cfg = self._small_run(tmp_path, monkeypatch, input="data")
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_below_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = self._small_run(tmp_path, monkeypatch, output_dir="small.csv/out")
+        before = (tmp_path / "small.csv").read_bytes()
+        assert main(["analyze", "--config", cfg]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert (tmp_path / "small.csv").read_bytes() == before
+
+    def test_unwritable_output_removes_written_files(self, tmp_path, monkeypatch, capsys):
+        cfg = self._small_run(tmp_path, monkeypatch)
+        (tmp_path / "out" / "summary.txt").mkdir(parents=True)
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["summary.txt"]
+
+    def test_non_utf8_csv_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.csv").write_bytes(
+            "y1,y2,note\n1.0,2.0,caf\u00e9\n".encode("latin-1"))
+        cfg = _write_yaml(tmp_path / "run.yaml",
+                          {"input": "latin1.csv", "responses": ["y1", "y2"]})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert "error: latin1.csv: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_yaml_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

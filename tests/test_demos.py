@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the README's Python example, runs to completion
+against the package sources."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +13,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_exits_0(script, tmp_path):
+def _run_python(args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_exits_0(script, tmp_path):
+    _run_python([str(script)], tmp_path)
+
+
+def test_readme_python_example_exits_0(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    _run_python(["-c", blocks[0]], tmp_path)
 
 
 def test_demos_found():

@@ -72,6 +72,16 @@ class TestAnalysisSpecValidation:
         with pytest.raises(InvalidArgumentError, match="grid_points"):
             _spec(grid_points=1)
 
+    def test_grid_overrides_must_name_profiled_covariates(self):
+        terms = (identity("x"),)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"'nosuch'.*available covariates: \['x'\]"):
+            _spec(step2_terms=terms, grid_values={"nosuch": (1.0, 2.0)})
+        with pytest.raises(InvalidArgumentError, match="held value given for 'alsonot'"):
+            _spec(step2_terms=terms, held={"alsonot": 1.0})
+        with pytest.raises(InvalidArgumentError, match="available covariates: \\[\\]"):
+            _spec(held={"x": 1.0})
+
     def test_profile_columns_deduplicated_in_order(self):
         spec = _spec(
             step2_terms=(identity("x"), interaction("x", "g"), identity("w"))

@@ -131,20 +131,38 @@ def natural_spline_columns(x, knots):
     return np.column_stack(cols)
 
 
+def sorted_quantile(s, q):
+    """``np.quantile(s, q, axis=0)`` for ``s`` sorted along axis 0.
+
+    numpy's default linear method, term for term: the virtual index
+    ``(n - 1) * q``, its floor and fraction, and numpy's two-sided lerp.
+    Sorting once serves several levels, and ``np.quantile`` imports
+    ``numpy.ma`` on its first call.
+    """
+    n = len(s)
+    v = (n - 1) * q
+    i = min(int(v), n - 1)  # the floor, as v >= 0
+    lo, hi = s[i], s[min(i + 1, n - 1)]
+    g = v - i
+    diff = hi - lo
+    return hi - diff * (1 - g) if g >= 0.5 else lo + diff * g
+
+
 def tertile_knots(x):
     """Boundary knots at min/max, interior at the empirical tertiles
     (linear-interpolation sample quantiles)."""
-    x = np.asarray(x, dtype=float)
-    if np.unique(x).size < SPLINE_MIN_DISTINCT:
+    s = np.sort(np.asarray(x, dtype=float))
+    distinct = 1 + int(np.count_nonzero(s[1:] != s[:-1]))
+    if distinct < SPLINE_MIN_DISTINCT:
         raise InvalidArgumentError(
             f"spline term needs at least {SPLINE_MIN_DISTINCT} distinct "
-            f"values, got {np.unique(x).size}"
+            f"values, got {distinct}"
         )
     knots = (
-        float(np.min(x)),
-        float(np.quantile(x, 1.0 / 3.0)),
-        float(np.quantile(x, 2.0 / 3.0)),
-        float(np.max(x)),
+        float(s[0]),
+        float(sorted_quantile(s, 1.0 / 3.0)),
+        float(sorted_quantile(s, 2.0 / 3.0)),
+        float(s[-1]),
     )
     if not all(a < b for a, b in zip(knots, knots[1:])):
         raise InvalidArgumentError(

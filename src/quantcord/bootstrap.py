@@ -9,8 +9,8 @@ stops on its own optimality test.  Replicates use independent
 substreams keyed by (seed, replicate index), making results
 reproducible for a fixed seed regardless of execution order or worker
 count.  Several taus share one call: their full-sample fits run first,
-then one process pool runs every tau's replicates as (tau, replicate)
-tasks.
+then every tau's replicates run as (tau, replicate) tasks, in the
+calling process and in one pool of child processes beside it.
 
 The interval arithmetic needs no scipy, so that importing this module
 stays cheap: the normal quantile is the standard library's
@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .basis import sorted_quantile
 from .concordance import phi_bounds
 from .exceptions import (
     DegenerateIntervalWarning,
@@ -210,9 +211,10 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     level : float
         Coverage level for all intervals.
     workers : int
-        Process count; any value yields identical results.  All full-sample
-        fits run first, then one pool of this many processes, or fewer when
-        there are fewer replicates, runs every tau's replicates.
+        Process count, the calling process included; any value yields
+        identical results.  All full-sample fits run first, then the caller
+        and one pool of ``workers - 1`` child processes (fewer when there
+        are fewer replicates) run every tau's replicates.
 
     Returns
     -------
@@ -250,12 +252,20 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         ]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=workers - 1,
             initializer=_init_worker,
             initargs=(data, spec, taus, bases, seed),
         ) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            results = list(pool.map(_replicate_task, tasks, chunksize=chunk))
+            futures = [pool.submit(_replicate_task, task) for task in tasks]
+            # the parent is the last worker: it runs tasks from the end of
+            # the queue, which the children take from the front
+            own = {}
+            for k in reversed(range(len(tasks))):
+                if not futures[k].cancel():
+                    break
+                i, b = tasks[k]
+                own[k] = _run_replicate(data, spec, taus[i], bases[i], seed + i, b)
+            results = [own[k] if f.cancelled() else f.result() for k, f in enumerate(futures)]
 
     out = tuple(
         _summarize(spec, base, B, seed + i, level, results[i * B:(i + 1) * B])
@@ -289,8 +299,9 @@ def _summarize(spec, base, B, seed, level, results):
     alpha = 1.0 - level
     gamma_se = np.std(gamma_draws, axis=0, ddof=1)
     beta_se = {k: np.std(v, axis=0, ddof=1) for k, v in beta_draws.items()}
-    gamma_lower = np.quantile(gamma_draws, alpha / 2.0, axis=0)
-    gamma_upper = np.quantile(gamma_draws, 1.0 - alpha / 2.0, axis=0)
+    ordered = np.sort(gamma_draws, axis=0)
+    gamma_lower = sorted_quantile(ordered, alpha / 2.0)
+    gamma_upper = sorted_quantile(ordered, 1.0 - alpha / 2.0)
     lower, upper, winsorized, _ = _phi_bands(
         np.ascontiguousarray(phi_draws.T), base.surface.phi, base.tau, level
     )

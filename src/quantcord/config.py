@@ -58,6 +58,13 @@ def _require_keys(section, d, allowed, required=()):
             raise InvalidArgumentError(f"missing required key {k!r} in {section}")
 
 
+def _optional(d, key, default):
+    """``d[key]``, or ``default`` when the key is missing or null; any other
+    value, falsy or not, goes on to the type check."""
+    value = d.get(key)
+    return default if value is None else value
+
+
 def _int(key, value):
     """An integer config value: integral numbers only, never a string or bool."""
     if isinstance(value, float) and value.is_integer():
@@ -170,25 +177,25 @@ _RUN_KEYS = (
 
 def run_config_from_dict(d):
     _require_keys("config", d, _RUN_KEYS, required=("input", "responses"))
-    grid = d.get("grid", {}) or {}
+    grid = _optional(d, "grid", {})
     _require_keys("grid", grid, ("points", "values", "held"))
     spec = AnalysisSpec(
         responses=tuple(str(r) for r in _list("responses", d["responses"])),
         taus=_parse_taus(d.get("taus", list(DEFAULT_TAUS))),
         step1_terms=tuple(
-            parse_term(t) for t in _list("step1_terms", d.get("step1_terms", []) or [])),
+            parse_term(t) for t in _list("step1_terms", _optional(d, "step1_terms", []))),
         step2_terms=tuple(
-            parse_term(t) for t in _list("step2_terms", d.get("step2_terms", []) or [])),
+            parse_term(t) for t in _list("step2_terms", _optional(d, "step2_terms", []))),
         merged=_bool("merged", d.get("merged", False)),
         grid_points=_int("grid.points", grid.get("points", DEFAULT_GRID_POINTS)),
         grid_values={
             str(k): tuple(_float(f"grid.values.{k}", x) for x in _list(f"grid.values.{k}", v))
-            for k, v in _mapping("grid.values", grid.get("values", {}) or {}).items()},
+            for k, v in _mapping("grid.values", _optional(grid, "values", {})).items()},
         held={str(k): _float(f"grid.held.{k}", v)
-              for k, v in _mapping("grid.held", grid.get("held", {}) or {}).items()},
-        binary=tuple(str(b) for b in _list("binary", d.get("binary", []) or [])),
+              for k, v in _mapping("grid.held", _optional(grid, "held", {})).items()},
+        binary=tuple(str(b) for b in _list("binary", _optional(d, "binary", []))),
     )
-    boot = d.get("bootstrap", {}) or {}
+    boot = _optional(d, "bootstrap", {})
     _require_keys("bootstrap", boot,
                   ("enabled", "replicates", "seed", "level", "workers"))
     bootstrap = BootstrapConfig(
@@ -243,7 +250,7 @@ def scenario_from_dict(d):
     """Parse a synth config; returns the scenario and the sidecar taus."""
     _require_keys("scenario", d, _SCENARIO_KEYS, required=("n",))
     covariates = []
-    for c in _list("covariates", d.get("covariates", []) or []):
+    for c in _list("covariates", _optional(d, "covariates", [])):
         _require_keys("covariate", c, ("name", "kind", "low", "high", "p"),
                       required=("name",))
         covariates.append(CovariateSpec(
@@ -271,11 +278,12 @@ def scenario_from_dict(d):
         group_column = str(rbg["column"])
     elif "rho" in d:
         rho = _float("rho", d["rho"])
-    coefficients = {
-        str(resp): {str(k): _float(f"coefficients.{resp}.{k}", v)
-                    for k, v in _mapping(f"coefficients.{resp}", coefs or {}).items()}
-        for resp, coefs in _mapping("coefficients", d.get("coefficients", {}) or {}).items()
-    }
+    table = _mapping("coefficients", _optional(d, "coefficients", {}))
+    coefficients = {}
+    for resp in table:
+        coefs = _mapping(f"coefficients.{resp}", _optional(table, resp, {}))
+        coefficients[str(resp)] = {
+            str(k): _float(f"coefficients.{resp}.{k}", v) for k, v in coefs.items()}
     scenario = ScenarioSpec(
         n=_int("n", d["n"]),
         rho=rho,
@@ -316,20 +324,23 @@ def scenario_to_dict(scenario, taus=DEFAULT_TAUS):
     return out
 
 
-def load_run_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        d = yaml.safe_load(fh)
+def _load_mapping(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = yaml.safe_load(fh)
+    except UnicodeDecodeError as err:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({err.reason})") from None
     if not isinstance(d, dict):
         raise InvalidArgumentError(f"{path}: config must be a mapping")
-    return run_config_from_dict(d)
+    return d
+
+
+def load_run_config(path):
+    return run_config_from_dict(_load_mapping(path))
 
 
 def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        d = yaml.safe_load(fh)
-    if not isinstance(d, dict):
-        raise InvalidArgumentError(f"{path}: config must be a mapping")
-    return scenario_from_dict(d)
+    return scenario_from_dict(_load_mapping(path))
 
 
 def dump_run_config(cfg, path):

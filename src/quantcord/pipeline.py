@@ -104,7 +104,10 @@ def _held_default(data, name, binary):
     if name in binary:
         ones = np.count_nonzero(col == 1.0)
         return 1.0 if ones * 2 > col.size else 0.0
-    return float(np.median(col))
+    # np.median's arithmetic, without the numpy.ma import it makes
+    s = np.sort(col)
+    k = s.size // 2
+    return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
 
 
 def build_grid(data, spec):

@@ -25,6 +25,7 @@ from .exceptions import InvalidArgumentError, NonConvergenceError
 
 DEFAULT_TOL = 1e-10
 MAX_PIVOTS = 500
+_HEAD = 32  # breakpoints sorted at first by the ratio test
 _EPS = np.finfo(float).eps
 
 
@@ -90,15 +91,34 @@ def _perturbation(n):
     return delta
 
 
-def _start_basis(X, r):
-    """First q rows, in stable |r| order, that keep ``X[rows]`` full rank."""
-    q = X.shape[1]
+def _independent_rows(X, order, q):
+    """The first q rows in ``order`` that keep ``X[rows]`` full rank, or
+    fewer when ``order`` runs out."""
     rows = []
-    for i in np.argsort(np.abs(r), kind="stable"):
+    for i in order:
         if np.linalg.matrix_rank(X[rows + [i]]) == len(rows) + 1:
             rows.append(int(i))
             if len(rows) == q:
                 break
+    return rows
+
+
+def _start_basis(X, r):
+    """First q rows, in stable |r| order, that keep ``X[rows]`` full rank."""
+    q = X.shape[1]
+    a = np.abs(r)
+    # the rows at or below the 4q-th smallest |r|, in full stable order: a
+    # resample's copies of one row often fill the first q places
+    m = min(4 * q, a.size)
+    head = np.flatnonzero(a <= np.partition(a, m - 1)[m - 1])
+    head = head[np.argsort(a[head], kind="stable")]
+    # every row subset of a full-rank set passes matrix_rank's tolerance
+    # too (singular values interlace), so the row-by-row walk keeps them all
+    if np.linalg.matrix_rank(X[head[:q]]) == q:
+        return head[:q].tolist()
+    rows = _independent_rows(X, head, q)
+    if len(rows) < q:
+        rows = _independent_rows(X, np.argsort(a, kind="stable"), q)
     return rows
 
 
@@ -119,9 +139,17 @@ def _ratio_test(r, rho, above, c, free, slope):
     cb = c[block]
     t = r[block] / cb
     weight = np.abs(cb)
-    order = np.argsort(t)
-    k = int(np.searchsorted(np.cumsum(weight[order]), -slope))
-    stop = t[order[min(k, order.size - 1)]]
+    # the walk is short, so only a head of the smallest breakpoints is
+    # sorted, grown until its weight turns the slope
+    m = _HEAD
+    while True:
+        head = np.argpartition(t, m - 1)[:m] if m < t.size else np.arange(t.size)
+        head = head[np.argsort(t[head])]
+        k = int(np.searchsorted(np.cumsum(weight[head]), -slope))
+        if k < head.size or head.size == t.size:
+            break
+        m *= 8
+    stop = t[head[min(k, head.size - 1)]]
     # only the order among rows tied at the stopping breakpoint decides
     # which row enters: they are passed in the order of rho
     tied = np.flatnonzero(t == stop)

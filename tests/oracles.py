@@ -32,3 +32,33 @@ def loglik_parts(gamma, X, Y):
     in rows, from the package's K x n kernel."""
     ll, probs, _ = _loglik_terms(gamma, X.T, Y.T)
     return ll, probs.T
+
+
+def start_basis_row_by_row(X, r):
+    """The solver's first basis by a full stable sort of |r| and one rank
+    check per row: the first q rows that keep ``X[rows]`` full rank."""
+    q = X.shape[1]
+    rows = []
+    for i in np.argsort(np.abs(r), kind="stable"):
+        if np.linalg.matrix_rank(X[rows + [i]]) == len(rows) + 1:
+            rows.append(int(i))
+            if len(rows) == q:
+                break
+    return rows
+
+
+def ratio_test_full_sort(r, rho, above, c, free, slope):
+    """The solver's ratio test by a full sort of every blocking breakpoint."""
+    block = np.flatnonzero(free & np.where(above, c > 0, c < 0))
+    if block.size == 0:
+        return None
+    cb = c[block]
+    t = r[block] / cb
+    weight = np.abs(cb)
+    order = np.argsort(t)
+    k = int(np.searchsorted(np.cumsum(weight[order]), -slope))
+    stop = t[order[min(k, order.size - 1)]]
+    tied = np.flatnonzero(t == stop)
+    tied = tied[np.argsort(rho[block[tied]] / cb[tied], kind="stable")]
+    k = int(np.searchsorted(np.cumsum(weight[tied]), -slope - np.sum(weight[t < stop])))
+    return int(block[tied[min(k, tied.size - 1)]])

@@ -19,6 +19,7 @@ from quantcord import (
     spline,
     tertile_knots,
 )
+from quantcord.basis import sorted_quantile
 
 
 class TestTermSpec:
@@ -38,6 +39,30 @@ class TestTermSpec:
     def test_interaction_needs_second_column(self):
         with pytest.raises(InvalidArgumentError, match="two columns"):
             TermSpec("interaction", "a")
+
+
+class TestSortedQuantile:
+    """np.quantile's linear method from one sort; equality is ``==``, so
+    only the sign of an exact zero may differ (numpy's partition order
+    decides which of -0.0 and 0.0 it takes)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 100, 101])
+    def test_matches_numpy_on_a_column(self, n):
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1)):
+            s = np.sort(x)
+            for q in (0.0, 0.025, 1 / 3, 0.5, 2 / 3, 0.975, 1.0):
+                assert sorted_quantile(s, q) == np.quantile(x, q), (n, q)
+
+    @pytest.mark.parametrize("n", [2, 7, 24, 25])
+    def test_matches_numpy_along_axis_0(self, n):
+        # B = n draws of two coefficients, as the percentile intervals take them
+        rng = np.random.default_rng(n)
+        draws = rng.standard_normal((n, 2))
+        draws[: n // 2, 1] = np.round(draws[: n // 2, 1])
+        s = np.sort(draws, axis=0)
+        for q in (0.025, 0.05, 0.5, 0.95, 0.975):
+            np.testing.assert_array_equal(sorted_quantile(s, q), np.quantile(draws, q, axis=0))
 
 
 class TestTertileKnots:

@@ -5,6 +5,7 @@
 so a renamed or removed name breaks the traced benchmark runs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,42 @@ def test_tracer_installs(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+POOL_SCRIPT = """
+import json
+import sys
+import numpy as np
+import tracer
+from quantcord import AnalysisSpec, Dataset
+t = tracer.Tracer(sys.argv[1])
+tracer.install(t)
+boot = sys.modules["quantcord.bootstrap"]
+rng = np.random.default_rng(4)
+e = rng.standard_normal((2, 80))
+data = Dataset(columns={"y1": e[0], "y2": 0.5 * e[0] + e[1]})
+spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
+boot.bootstrap(data, spec, (0.25, 0.75), B=6, seed=1, workers=2)
+spans = t.collect()
+print(json.dumps({
+    "parent": t.root_pid,
+    "replicates": [s["pid"] for s in spans if s["name"] == "bootstrap.replicate"],
+    "pools": [s["workers"] for s in spans if s["name"] == "bootstrap.pool"],
+}))
+"""
+
+
+def test_tracer_reads_the_parent_and_its_pool(tmp_path):
+    # at workers=2 the parent runs replicates beside a pool of one child
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    pids = out["replicates"]
+    assert len(pids) == 12
+    assert out["parent"] in pids
+    assert len(set(pids) - {out["parent"]}) == 1
+    assert out["pools"] == [1]

@@ -207,16 +207,31 @@ class TestManyTaus:
         monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
         return made
 
-    def test_one_pool_serves_every_tau(self, pool_sizes):
-        out = bootstrap(_copula_like(80, seed=2), SPEC, (0.25, 0.5, 0.75),
-                        B=4, seed=1, workers=2)
+    def test_one_pool_serves_every_tau(self, pool_sizes, monkeypatch):
+        # the parent is one of the ``workers`` processes: one child beside it
+        module = importlib.import_module("quantcord.bootstrap")
+        run = module._run_replicate
+        in_parent = []  # a forked child appends to its own copy
+
+        def counted(*args):
+            in_parent.append(args[-1])
+            return run(*args)
+
+        monkeypatch.setattr(module, "_run_replicate", counted)
+        data = _copula_like(80, seed=2)
+        taus = (0.25, 0.5, 0.75)
+        out = bootstrap(data, SPEC, taus, B=4, seed=1, workers=2)
         assert len(out) == 3
-        assert pool_sizes == [2]
+        assert pool_sizes == [1]
+        assert len(in_parent) >= 1
+        serial = bootstrap(data, SPEC, taus, B=4, seed=1, workers=1)
+        for pooled, alone in zip(out, serial):
+            _assert_same_result(pooled, alone)
 
     def test_pool_has_no_more_workers_than_tasks(self, pool_sizes):
         data = _copula_like(60, seed=4)
         pooled = bootstrap(data, SPEC, 0.5, B=2, seed=1, workers=4)
-        assert pool_sizes == [2]
+        assert pool_sizes == [1]
         serial = bootstrap(data, SPEC, 0.5, B=2, seed=1, workers=1)
         np.testing.assert_array_equal(pooled.phi_draws, serial.phi_draws)
 

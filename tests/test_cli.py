@@ -123,7 +123,10 @@ class TestSynth:
         ("rho_by_group", 5, "rho_by_group must be a mapping"),
         ("responses", 5, "responses must be a list"),
         ("coefficients", {"y1": 5}, "coefficients.y1 must be a mapping"),
-    ], ids=["covariates", "rho_by_group", "responses", "coefficients.y1"])
+        ("covariates", 0, "covariates must be a list, got 0"),
+        ("coefficients", {"y1": 0}, "coefficients.y1 must be a mapping, got 0"),
+    ], ids=["covariates", "rho_by_group", "responses", "coefficients.y1",
+            "covariates-0", "coefficients.y1-0"])
     def test_wrong_yaml_type_exits_2(self, tmp_path, capsys, key, value, message):
         scenario = {k: v for k, v in SMALL_SCENARIO.items() if k != "rho"}
         cfg = _write_yaml(tmp_path / "bad.yaml", dict(scenario, **{key: value}))
@@ -202,6 +205,18 @@ print(json.dumps(sorted(
 )))
 """
 
+    @staticmethod
+    def _run(script, *args):
+        """The last stdout line of ``script`` run in a fresh interpreter, as JSON."""
+        src = os.path.dirname(os.path.dirname(quantcord.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
     def test_analyze_loads_no_scipy_submodule(self, fixtures_dir, tmp_path):
         config = _write_yaml(tmp_path / "run.yaml", {
             "input": str(fixtures_dir / "copula_n5000.csv"),
@@ -209,15 +224,28 @@ print(json.dumps(sorted(
             "taus": [0.5],
             "bootstrap": {"enabled": True, "replicates": 20, "workers": 1},
         })
-        src = os.path.dirname(os.path.dirname(quantcord.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, config, str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert loaded == []
+        assert self._run(self.SCRIPT, config, tmp_path / "out") == []
+
+    def test_analyze_does_not_import_numpy_ma(self, tmp_path):
+        # tertile knots, the held median and the percentile intervals would
+        # each import numpy.ma through np.unique, np.median or np.quantile
+        config = _write_yaml(tmp_path / "run.yaml", {
+            "input": _synth(tmp_path),
+            "responses": ["y1", "y2"],
+            "taus": [0.5],
+            "step1_terms": [{"column": "x"}],
+            "step2_terms": [{"column": "x", "transform": "spline"}],
+            "grid": {"points": 5},
+            "bootstrap": {"enabled": True, "replicates": 10, "workers": 1},
+        })
+        script = """
+import json
+import sys
+import quantcord.cli as cli
+assert cli.main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+        assert self._run(script, config, tmp_path / "out") is False
 
 
 class TestAnalyzeProfiles:
@@ -355,8 +383,13 @@ class TestAnalyzeProfiles:
         ({"grid": {"values": {"nosuch": [1, 2]}}},
          "grid values given for 'nosuch', which has no profile; available covariates: ['x']"),
         ({"grid": {"held": {"alsonot": 1}}}, "held value given for 'alsonot'"),
+        ({"grid": 0}, "grid must be a mapping, got 0"),
+        ({"bootstrap": False}, "bootstrap must be a mapping, got False"),
+        ({"binary": 0}, "binary must be a list, got 0"),
+        ({"step1_terms": 0}, "step1_terms must be a list, got 0"),
     ], ids=["grid", "bootstrap", "responses", "binary", "grid.values.x", "merged",
-            "bootstrap.enabled", "grid.values.nosuch", "grid.held.alsonot"])
+            "bootstrap.enabled", "grid.values.nosuch", "grid.held.alsonot",
+            "grid-0", "bootstrap-false", "binary-0", "step1_terms-0"])
     def test_bad_config_value_exits_2(self, workdir, capsys, overrides, message):
         cfg = self._config(workdir, **overrides)
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
@@ -455,6 +488,15 @@ class TestAnalyzeFailures:
                           {"input": "latin1.csv", "responses": ["y1", "y2"]})
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
         assert "error: latin1.csv: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "synth"])
+    def test_non_utf8_config_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.yaml").write_bytes(
+            "input: caf\u00e9.csv\nresponses: [y1, y2]\nn: 10\n".encode("latin-1"))
+        assert main([command, "--config", "latin1.yaml", "--out", "out"]) == 2
+        assert "error: latin1.yaml: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_yaml_exits_2(self, tmp_path, capsys):

@@ -21,7 +21,12 @@ from quantcord import (
     run_two_step,
 )
 from quantcord.multinomial import MultinomialFit
-from quantcord.pipeline import CONSTANT_PROFILE, EvaluationGrid, evaluate_surface
+from quantcord.pipeline import (
+    CONSTANT_PROFILE,
+    EvaluationGrid,
+    _held_default,
+    evaluate_surface,
+)
 
 
 def _dependent_data(seed=63, n=600, slope=0.5):
@@ -154,6 +159,14 @@ class TestBuildGrid:
         np.testing.assert_array_equal(grid.columns["g"][5:], [0.0, 1.0])
         np.testing.assert_allclose(grid.columns["x"][5:],
                                    np.full(2, np.median(x)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 100, 101])
+    def test_held_median_matches_numpy(self, n):
+        # == lets only the sign of an exact zero differ from np.median
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), np.round(rng.standard_normal(n))):
+            data = Dataset(columns={"x": x})
+            assert _held_default(data, "x", ()) == np.median(x)
 
     def test_held_override(self):
         data = _dependent_data()

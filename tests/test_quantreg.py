@@ -24,6 +24,7 @@ from quantcord import (
     residual_signs,
 )
 from quantcord.cli import main as quantcord_main
+from oracles import ratio_test_full_sort, start_basis_row_by_row
 
 # ──────────────────────────────────────────────────────────────────────
 # Helpers
@@ -384,6 +385,104 @@ class TestLinearProgramOracle:
 # ──────────────────────────────────────────────────────────────────────
 # Error contracts
 # ──────────────────────────────────────────────────────────────────────
+
+class TestSelectionMatchesFullSort:
+    """The ratio test sorts only a head of the breakpoints, and the first
+    basis only the rows at or below the q-th (then 4q-th) smallest |r|;
+    both must pick the rows the full sorts pick."""
+
+    @staticmethod
+    def _edge(rng, n):
+        """A random edge: residuals and movements on a coarse grid (ties,
+        zeros) or not, repeated entries as in a resample, and a slope that
+        often needs more breakpoints than the first head holds."""
+        coarse = rng.random() < 0.5
+        r = rng.standard_normal(n)
+        c = rng.standard_normal(n)
+        rho = rng.random(n)
+        if coarse:
+            r, c = np.round(r * 4) / 4, np.round(c * 4) / 4
+        idx = rng.integers(0, n, n)
+        r, c, rho = r[idx], c[idx], rho[idx]
+        above = (r > 0) | ((r == 0) & (rho > 0))
+        free = rng.random(n) < 0.98
+        blocking = free & np.where(above, c > 0, c < 0)
+        slope = -rng.uniform(0.0, 1.1) * np.abs(c[blocking]).sum()
+        return r, rho, above, c, free, slope
+
+    def test_ratio_test_on_random_edges(self):
+        long_walks = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            n = int(rng.choice([3, 40, 400, 3000]))
+            args = self._edge(rng, n)
+            assert qr._ratio_test(*args) == ratio_test_full_sort(*args), f"seed {seed}"
+            r, rho, above, c, free, slope = args
+            block = free & np.where(above, c > 0, c < 0)
+            t = r[block] / c[block]
+            walk = np.searchsorted(np.cumsum(np.abs(c[block])[np.argsort(t)]), -slope)
+            long_walks += walk >= 8 * qr._HEAD
+        assert long_walks >= 50
+
+    def test_start_basis_on_ties_and_repeated_rows(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 300))
+            q = int(rng.integers(1, 5))
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
+            if q > 1 and rng.random() < 0.5:
+                X[:, 1] = (X[:, 1] > 0).astype(float)  # few distinct rows
+            idx = rng.integers(0, n, n)
+            r = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))[idx]
+            X = X[idx]
+            assert qr._start_basis(X, r) == start_basis_row_by_row(X, r), f"seed {seed}"
+
+    def test_start_basis_past_the_head(self):
+        # the 4q smallest |r| all sit on one design row, so the walk needs
+        # rows beyond them
+        rng = np.random.default_rng(3)
+        n, q = 60, 3
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
+        X[:20] = X[0]
+        r = np.concatenate([rng.uniform(0.0, 0.1, 20), rng.uniform(1.0, 2.0, n - 20)])
+        rows = qr._start_basis(X, r)
+        assert rows == start_basis_row_by_row(X, r)
+        assert rows[0] < 20 and min(rows[1:]) >= 20
+
+    def test_solver_steps_match_full_sort(self, monkeypatch):
+        # every ratio test and first basis of warm and cold fits on tied,
+        # resampled data, checked against the full sorts as the solver runs
+        new_ratio_test, new_start_basis = qr._ratio_test, qr._start_basis
+        calls = {"ratio": 0, "start": 0}
+
+        def ratio_test(*args):
+            calls["ratio"] += 1
+            expected = ratio_test_full_sort(*args)
+            assert new_ratio_test(*args) == expected
+            return expected
+
+        def start_basis(X, r):
+            calls["start"] += 1
+            expected = start_basis_row_by_row(X, r)
+            assert new_start_basis(X, r) == expected
+            return expected
+
+        monkeypatch.setattr(qr, "_ratio_test", ratio_test)
+        monkeypatch.setattr(qr, "_start_basis", start_basis)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.choice([50, 500, 2000]))
+            x = np.round(rng.uniform(0.0, 1.0, n), 2)
+            g = (rng.random(n) < 0.5).astype(float)
+            y = np.round(0.5 + x + 0.5 * g + rng.standard_t(df=3, size=n), 1)
+            full = np.column_stack([np.ones(n), x, g])
+            tau = float(rng.choice([0.05, 0.5, 0.9]))
+            start = fit_quantile_regression(_design(full), y, tau).beta
+            idx = rng.integers(0, n, n)
+            fit_quantile_regression(_design(full[idx]), y[idx], tau)
+            fit_quantile_regression(_design(full[idx]), y[idx], tau, start=start)
+        assert calls["start"] == 120 and calls["ratio"] > 120
+
 
 class TestFitErrors:
 

@@ -185,6 +185,8 @@ def _fit_term(spec, data):
         _get_column(data, spec.column2)
         return FittedTerm(spec)
     col = _get_column(data, spec.column)
+    if not np.isfinite(col).all():
+        raise InvalidArgumentError(f"spline column {spec.column!r} is not finite")
     return FittedTerm(spec, knots=tertile_knots(col))
 
 

@@ -2,20 +2,22 @@
 
 The grammar is plain key/value with nested sections; model terms are
 declared (column, transform, interaction pair), there is no formula
-language.  ``from_dict``/``to_dict`` round-trip identically, which the
-tests pin down.
+language.  Each section is one table from key to parser, which lists the
+allowed keys and types each value; :func:`_read` walks a table.  A key
+left out or set to null, at any level, is not passed on, so its default
+is the one on the dataclass it feeds.  Names and paths are strings (a
+number is read as its text).  ``from_dict``/``to_dict`` round-trip
+identically, which the tests pin down.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import yaml
 
-from .basis import TermSpec, center, identity, interaction, spline
+from .basis import center, identity, interaction, spline
 from .exceptions import InvalidArgumentError
-from .pipeline import DEFAULT_GRID_POINTS, AnalysisSpec
+from .pipeline import DEFAULT_TAUS, AnalysisSpec
 from .synthetic import CovariateSpec, ScenarioSpec
-
-DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
 @dataclass(frozen=True)
@@ -47,22 +49,26 @@ class RunConfig:
     output_dir: str = "quantcord_out"
 
 
-def _require_keys(section, d, allowed, required=()):
-    unknown = sorted(set(_mapping(section, d)) - set(allowed))
+def _read(section, d, table, required=(), prefix=None):
+    """The keys of mapping ``d`` that are set, each parsed by its ``table``
+    entry, a ``parse(key_path, value)``.  Keys left out or null are not in
+    the result, so the dataclass they feed supplies the default."""
+    unknown = sorted(set(_mapping(section, d)) - set(table), key=str)
     if unknown:
         raise InvalidArgumentError(
-            f"unknown keys in {section}: {unknown}; allowed: {sorted(allowed)}"
+            f"unknown keys in {section}: {unknown}; allowed: {sorted(table)}"
         )
+    given = {k: v for k, v in d.items() if v is not None}
     for k in required:
-        if k not in d:
+        if k not in given:
             raise InvalidArgumentError(f"missing required key {k!r} in {section}")
+    prefix = f"{section}." if prefix is None else prefix
+    return {k: table[k](prefix + k, v) for k, v in given.items()}
 
 
-def _optional(d, key, default):
-    """``d[key]``, or ``default`` when the key is missing or null; any other
-    value, falsy or not, goes on to the type check."""
-    value = d.get(key)
-    return default if value is None else value
+def _section(name, table, required=(), make=dict):
+    """Parser for a nested section: ``make`` called with its set keys."""
+    return lambda key, value: make(**_read(name, value, table, required))
 
 
 def _int(key, value):
@@ -79,6 +85,14 @@ def _bool(key, value):
     if isinstance(value, bool):
         return value
     raise InvalidArgumentError(f"{key} must be true or false, got {value!r}")
+
+
+def _str(key, value):
+    """A name or path: a string, or a number read as its text (YAML loads a
+    column named ``2020`` as an int); never a bool, list or mapping."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise InvalidArgumentError(f"{key} must be a string, got {value!r}")
 
 
 def _list(key, value):
@@ -106,34 +120,43 @@ def _float(key, value):
     raise InvalidArgumentError(f"{key} must be a number, got {value!r}")
 
 
+def _list_of(parse):
+    """Parser for a list whose items ``parse`` reads; a null item is an error."""
+    return lambda key, value: tuple(parse(key, x) for x in _list(key, value))
+
+
+def _table(parse):
+    """Parser for a mapping keyed by column name, such as ``grid.held``;
+    an entry set to null is left out."""
+    return lambda key, value: {
+        _str(key, k): parse(f"{key}.{k}", v)
+        for k, v in _mapping(key, value).items() if v is not None}
+
+
+_INTERACTION = {"interaction": _list_of(_str)}
+_TERM = {"column": _str, "transform": _str, "value": _float}
+
+
 def parse_term(d):
     """One term declaration: {column[, transform[, value]]} or {interaction: [a, b]}."""
-    if not isinstance(d, dict):
-        raise InvalidArgumentError(f"term must be a mapping, got {d!r}")
-    if "interaction" in d:
-        _require_keys("term", d, ("interaction",))
-        pair = d["interaction"]
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    if isinstance(d, dict) and "interaction" in d:
+        pair = _read("term", d, _INTERACTION, required=("interaction",))["interaction"]
+        if len(pair) != 2:
             raise InvalidArgumentError(
-                f"interaction needs exactly two column names, got {pair!r}"
+                f"interaction needs exactly two column names, got {list(pair)!r}"
             )
-        return interaction(str(pair[0]), str(pair[1]))
-    _require_keys("term", d, ("column", "transform", "value"), required=("column",))
-    col = str(d["column"])
-    transform = d.get("transform", "identity")
-    if transform == "identity":
-        if "value" in d:
-            raise InvalidArgumentError("identity terms take no value")
-        return identity(col)
+        return interaction(*pair)
+    t = _read("term", d, _TERM, required=("column",))
+    transform = t.get("transform", "identity")
     if transform == "center":
-        return center(col, d.get("value"))
-    if transform == "spline":
-        if "value" in d:
-            raise InvalidArgumentError("spline terms take no value")
-        return spline(col)
-    raise InvalidArgumentError(
-        f"unknown transform {transform!r}; use identity, center or spline"
-    )
+        return center(t["column"], t.get("value"))
+    if transform not in ("identity", "spline"):
+        raise InvalidArgumentError(
+            f"unknown transform {transform!r}; use identity, center or spline"
+        )
+    if "value" in t:
+        raise InvalidArgumentError(f"{transform} terms take no value")
+    return identity(t["column"]) if transform == "identity" else spline(t["column"])
 
 
 def term_to_dict(term):
@@ -147,12 +170,13 @@ def term_to_dict(term):
     return out
 
 
-def _parse_taus(value):
+_TAU_RANGE = dict.fromkeys(("start", "stop", "step"), _float)
+
+
+def _parse_taus(key, value):
     if isinstance(value, dict):
-        _require_keys("taus", value, ("start", "stop", "step"),
-                      required=("start", "stop", "step"))
-        start, stop, step = (
-            _float(f"taus.{k}", value[k]) for k in ("start", "stop", "step"))
+        r = _read(key, value, _TAU_RANGE, required=tuple(_TAU_RANGE))
+        start, stop, step = (r[k] for k in _TAU_RANGE)
         if step <= 0:
             raise InvalidArgumentError(f"tau step must be positive, got {step}")
         taus = []
@@ -165,57 +189,39 @@ def _parse_taus(value):
             k += 1
         return tuple(taus)
     if isinstance(value, (list, tuple)):
-        return tuple(_float("taus", t) for t in value)
+        return _list_of(_float)(key, value)
     raise InvalidArgumentError("taus must be a list or a {start, stop, step} range")
 
 
-_RUN_KEYS = (
-    "input", "output_dir", "responses", "taus", "merged", "binary",
-    "step1_terms", "step2_terms", "grid", "bootstrap",
-)
+_TERMS = _list_of(lambda key, t: parse_term(t))
+_GRID = {"points": _int, "values": _table(_list_of(_float)), "held": _table(_float)}
+_GRID_FIELDS = {"points": "grid_points", "values": "grid_values", "held": "held"}
+_BOOTSTRAP = {"enabled": _bool, "replicates": _int, "seed": _int, "level": _float,
+              "workers": _int}
+_RUN = {
+    "input": _str,
+    "output_dir": _str,
+    "responses": _list_of(_str),
+    "taus": _parse_taus,
+    "merged": _bool,
+    "binary": _list_of(_str),
+    "step1_terms": _TERMS,
+    "step2_terms": _TERMS,
+    "grid": _section("grid", _GRID),
+    "bootstrap": _section("bootstrap", _BOOTSTRAP, make=BootstrapConfig),
+}
 
 
 def run_config_from_dict(d):
-    _require_keys("config", d, _RUN_KEYS, required=("input", "responses"))
-    grid = _optional(d, "grid", {})
-    _require_keys("grid", grid, ("points", "values", "held"))
-    spec = AnalysisSpec(
-        responses=tuple(str(r) for r in _list("responses", d["responses"])),
-        taus=_parse_taus(d.get("taus", list(DEFAULT_TAUS))),
-        step1_terms=tuple(
-            parse_term(t) for t in _list("step1_terms", _optional(d, "step1_terms", []))),
-        step2_terms=tuple(
-            parse_term(t) for t in _list("step2_terms", _optional(d, "step2_terms", []))),
-        merged=_bool("merged", d.get("merged", False)),
-        grid_points=_int("grid.points", grid.get("points", DEFAULT_GRID_POINTS)),
-        grid_values={
-            str(k): tuple(_float(f"grid.values.{k}", x) for x in _list(f"grid.values.{k}", v))
-            for k, v in _mapping("grid.values", _optional(grid, "values", {})).items()},
-        held={str(k): _float(f"grid.held.{k}", v)
-              for k, v in _mapping("grid.held", _optional(grid, "held", {})).items()},
-        binary=tuple(str(b) for b in _list("binary", _optional(d, "binary", []))),
-    )
-    boot = _optional(d, "bootstrap", {})
-    _require_keys("bootstrap", boot,
-                  ("enabled", "replicates", "seed", "level", "workers"))
-    bootstrap = BootstrapConfig(
-        enabled=_bool("bootstrap.enabled", boot.get("enabled", False)),
-        replicates=_int("bootstrap.replicates", boot.get("replicates", 1000)),
-        seed=_int("bootstrap.seed", boot.get("seed", 0)),
-        level=_float("bootstrap.level", boot.get("level", 0.95)),
-        workers=_int("bootstrap.workers", boot.get("workers", 1)),
-    )
-    return RunConfig(
-        input=str(d["input"]),
-        spec=spec,
-        bootstrap=bootstrap,
-        output_dir=str(d.get("output_dir", "quantcord_out")),
-    )
+    given = _read("config", d, _RUN, required=("input", "responses"), prefix="")
+    run = {k: given.pop(k) for k in ("input", "output_dir", "bootstrap") if k in given}
+    grid = {_GRID_FIELDS[k]: v for k, v in given.pop("grid", {}).items()}
+    return RunConfig(spec=AnalysisSpec(**given, **grid), **run)
 
 
 def run_config_to_dict(cfg):
     spec = cfg.spec
-    out = {
+    return {
         "input": cfg.input,
         "output_dir": cfg.output_dir,
         "responses": list(spec.responses),
@@ -229,87 +235,56 @@ def run_config_to_dict(cfg):
             "values": {k: list(v) for k, v in spec.grid_values.items()},
             "held": dict(spec.held),
         },
-        "bootstrap": {
-            "enabled": cfg.bootstrap.enabled,
-            "replicates": cfg.bootstrap.replicates,
-            "seed": cfg.bootstrap.seed,
-            "level": cfg.bootstrap.level,
-            "workers": cfg.bootstrap.workers,
-        },
+        "bootstrap": asdict(cfg.bootstrap),
     }
-    return out
 
 
-_SCENARIO_KEYS = (
-    "n", "seed", "rho", "rho_by_group", "covariates", "coefficients",
-    "responses", "taus",
-)
+def _group_values(key, value):
+    """rho for groups 0 and 1, from a two-item list or a {0: .., 1: ..} mapping."""
+    if isinstance(value, dict):
+        value = [value.get(g) for g in (0, 1)]
+    if len(_list(key, value)) != 2:
+        raise InvalidArgumentError("rho_by_group needs values for groups 0 and 1")
+    return {g: _float(key, value[g]) for g in (0, 1)}
+
+
+_COVARIATE = {"name": _str, "kind": _str, "low": _float, "high": _float, "p": _float}
+_RHO_BY_GROUP = {"column": _str, "values": _group_values}
+_SCENARIO = {
+    "n": _int,
+    "seed": _int,
+    "rho": _float,
+    "rho_by_group": _section("rho_by_group", _RHO_BY_GROUP, required=tuple(_RHO_BY_GROUP)),
+    "covariates": _list_of(
+        _section("covariate", _COVARIATE, required=("name",), make=CovariateSpec)),
+    "coefficients": _table(_table(_float)),
+    "responses": _list_of(_str),
+    "taus": _parse_taus,
+}
 
 
 def scenario_from_dict(d):
     """Parse a synth config; returns the scenario and the sidecar taus."""
-    _require_keys("scenario", d, _SCENARIO_KEYS, required=("n",))
-    covariates = []
-    for c in _list("covariates", _optional(d, "covariates", [])):
-        _require_keys("covariate", c, ("name", "kind", "low", "high", "p"),
-                      required=("name",))
-        covariates.append(CovariateSpec(
-            name=str(c["name"]),
-            kind=str(c.get("kind", "uniform")),
-            low=_float("covariate.low", c.get("low", 0.0)),
-            high=_float("covariate.high", c.get("high", 1.0)),
-            p=_float("covariate.p", c.get("p", 0.5)),
-        ))
-    rho_by_group = None
-    group_column = None
-    rho = 0.5
-    if "rho_by_group" in d:
-        if "rho" in d:
-            raise InvalidArgumentError("give either rho or rho_by_group, not both")
-        rbg = d["rho_by_group"]
-        _require_keys("rho_by_group", rbg, ("column", "values"),
-                      required=("column", "values"))
-        vals = rbg["values"]
-        if isinstance(vals, dict):
-            vals = [vals.get(k) for k in (0, 1)]
-        if len(_list("rho_by_group.values", vals)) != 2:
-            raise InvalidArgumentError("rho_by_group needs values for groups 0 and 1")
-        rho_by_group = {g: _float("rho_by_group.values", vals[g]) for g in (0, 1)}
-        group_column = str(rbg["column"])
-    elif "rho" in d:
-        rho = _float("rho", d["rho"])
-    table = _mapping("coefficients", _optional(d, "coefficients", {}))
-    coefficients = {}
-    for resp in table:
-        coefs = _mapping(f"coefficients.{resp}", _optional(table, resp, {}))
-        coefficients[str(resp)] = {
-            str(k): _float(f"coefficients.{resp}.{k}", v) for k, v in coefs.items()}
-    scenario = ScenarioSpec(
-        n=_int("n", d["n"]),
-        rho=rho,
-        rho_by_group=rho_by_group,
-        group_column=group_column,
-        covariates=tuple(covariates),
-        coefficients=coefficients,
-        response_names=tuple(
-            str(r) for r in _list("responses", d.get("responses", ("y1", "y2")))),
-        seed=_int("seed", d.get("seed", 0)),
-    )
-    taus = _parse_taus(d.get("taus", list(DEFAULT_TAUS)))
+    given = _read("scenario", d, _SCENARIO, required=("n",), prefix="")
+    taus = given.pop("taus", DEFAULT_TAUS)
     for t in taus:
         if not 0.0 < t < 1.0:
             raise InvalidArgumentError(f"tau must be in (0, 1), got {t}")
-    return scenario, taus
+    if "rho_by_group" in given:
+        if "rho" in given:
+            raise InvalidArgumentError("give either rho or rho_by_group, not both")
+        rbg = given.pop("rho_by_group")
+        given.update(rho_by_group=rbg["values"], group_column=rbg["column"])
+    if "responses" in given:
+        given["response_names"] = given.pop("responses")
+    return ScenarioSpec(**given), taus
 
 
 def scenario_to_dict(scenario, taus=DEFAULT_TAUS):
     out = {
         "n": scenario.n,
         "seed": scenario.seed,
-        "covariates": [
-            {"name": c.name, "kind": c.kind, "low": c.low, "high": c.high, "p": c.p}
-            for c in scenario.covariates
-        ],
+        "covariates": [asdict(c) for c in scenario.covariates],
         "coefficients": {k: dict(v) for k, v in scenario.coefficients.items()},
         "responses": list(scenario.response_names),
         "taus": list(taus),

@@ -19,6 +19,7 @@ from .multinomial import fit_multinomial, predict_cells_rows
 from .quantreg import fit_quantile_regression, residual_signs
 
 DEFAULT_GRID_POINTS = 100
+DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
 CONSTANT_PROFILE = "(constant)"
 
 
@@ -32,7 +33,7 @@ class AnalysisSpec:
     """
 
     responses: tuple
-    taus: tuple
+    taus: tuple = DEFAULT_TAUS
     step1_terms: tuple = ()
     step2_terms: tuple = ()
     merged: bool = False

@@ -78,11 +78,6 @@ def residual_signs(fit):
     return signs
 
 
-def _objective(residuals, tau):
-    return float(np.sum(np.where(residuals > 0, tau * residuals,
-                                 (tau - 1.0) * residuals)))
-
-
 @lru_cache(maxsize=8)
 def _perturbation(n):
     """The fixed tie-breaking perturbation of y for n rows, read-only."""
@@ -270,7 +265,7 @@ def fit_quantile_regression(X, y, tau, start=None):
         tau=tau,
         beta=beta,
         residuals=residuals,
-        objective=_objective(residuals, tau),
+        objective=float(np.sum(pinball_loss(residuals, tau))),
         iterations=pivots,
         converged=converged,
         columns=X.columns,

@@ -77,6 +77,12 @@ class ScenarioSpec:
                 )
         if len(self.response_names) != 2:
             raise InvalidArgumentError("exactly two response names required")
+        columns = list(self.response_names) + [c.name for c in self.covariates]
+        repeated = sorted({c for c in columns if columns.count(c) > 1})
+        if repeated:
+            raise InvalidArgumentError(
+                f"responses and covariates must have distinct names, repeated: {repeated}"
+            )
         names = {c.name for c in self.covariates}
         for resp, coefs in self.coefficients.items():
             if resp not in self.response_names:

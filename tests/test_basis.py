@@ -1,5 +1,7 @@
 """Tests for term declarations, spline bases, and recipe reuse."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -210,6 +212,16 @@ class TestBuildDesign:
         data = {"x": np.tile([0.0, 1.0], 20)}
         with pytest.raises(InvalidArgumentError, match="distinct"):
             build_design(data, [spline("x")])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spline_rejects_non_finite_column(self, bad):
+        x = np.linspace(0.0, 1.0, 40)
+        x[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError,
+                               match="spline column 'x' is not finite"):
+                build_design({"x": x}, [spline("x")])
 
 
 class TestRecipeReuse:

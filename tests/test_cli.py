@@ -135,6 +135,15 @@ class TestSynth:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_response_shadowed_by_covariate_exits_2(self, tmp_path, capsys):
+        scenario = dict(SMALL_SCENARIO, covariates=[{"name": "x"}, {"name": "y1"}])
+        cfg = _write_yaml(tmp_path / "bad.yaml", scenario)
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: responses and covariates must have distinct names, repeated: ['y1']" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommittedFixture:
 
@@ -406,6 +415,24 @@ class TestAnalyzeProfiles:
         assert trees[1] == trees[2]
         meta = json.loads(trees[2]["metadata.json"])
         assert meta["bootstrap"]["per_tau_seeds"] == [4, 5]
+
+    def test_null_output_dir_takes_the_default(self, workdir):
+        cfg = self._config(workdir, output_dir=None)
+        assert main(["analyze", "--config", cfg]) == 0
+        assert (workdir / "quantcord_out" / "metadata.json").exists()
+        assert not (workdir / "None").exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"output_dir": [1]}, "output_dir must be a string, got [1]"),
+        ({"step2_terms": [{"column": "x", "transform": "center", "value": "abc"}]},
+         "term.value must be a number, got 'abc'"),
+    ], ids=["output_dir-list", "term.value-string"])
+    def test_bad_name_or_term_value_exits_2(self, workdir, capsys, overrides, message):
+        cfg = self._config(workdir, **overrides)
+        assert main(["analyze", "--config", cfg]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (workdir / "[1]").exists()
+        assert not (workdir / "quantcord_out").exists()
 
     def test_default_output_dir_from_config(self, workdir):
         cfg = self._config(workdir, output_dir="from_config")

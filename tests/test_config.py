@@ -1,11 +1,15 @@
 """Tests for YAML config parsing, validation, and round-trips."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 from quantcord import (
     BootstrapConfig,
+    CovariateSpec,
     InvalidArgumentError,
     RunConfig,
     center,
@@ -14,6 +18,14 @@ from quantcord import (
     spline,
 )
 from quantcord.config import (
+    _BOOTSTRAP,
+    _COVARIATE,
+    _GRID,
+    _INTERACTION,
+    _RHO_BY_GROUP,
+    _RUN,
+    _SCENARIO,
+    _TERM,
     DEFAULT_TAUS,
     dump_run_config,
     load_run_config,
@@ -27,6 +39,7 @@ from quantcord.config import (
 )
 
 MINIMAL_RUN = {"input": "data.csv", "responses": ["y1", "y2"]}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run_dict(**extra):
@@ -187,6 +200,12 @@ class TestRunConfig:
     def test_unknown_bootstrap_key(self):
         with pytest.raises(InvalidArgumentError, match="unknown keys in bootstrap"):
             run_config_from_dict(_run_dict(bootstrap={"B": 100}))
+
+    def test_unknown_keys_of_mixed_types_are_named(self):
+        d = _run_dict(zz=2)
+        d[1] = "x"
+        with pytest.raises(InvalidArgumentError, match=r"unknown keys in config: \[1, 'zz'\]"):
+            run_config_from_dict(d)
 
     def test_input_required(self):
         with pytest.raises(InvalidArgumentError, match="missing required key 'input'"):
@@ -392,3 +411,123 @@ class TestNumberParsing:
         assert d["rho"] == "1e-3"
         scenario, _ = scenario_from_dict(d)
         assert scenario.rho == 1e-3
+
+
+class TestNullsAndNames:
+
+    @pytest.mark.parametrize("extra", [
+        {"output_dir": None}, {"merged": None}, {"taus": None}, {"binary": None},
+        {"step1_terms": None}, {"grid": None}, {"grid": {"points": None}},
+        {"grid": {"values": {"x": None}, "held": {"x": None}}}, {"bootstrap": None},
+        {"bootstrap": {"level": None, "seed": None, "enabled": None}},
+    ])
+    def test_null_run_keys_take_their_defaults(self, extra):
+        base = _run_dict(step2_terms=[{"column": "x"}])
+        assert run_config_from_dict(dict(base, **extra)) == run_config_from_dict(base)
+
+    @pytest.mark.parametrize("extra", [
+        {"seed": None}, {"rho": None}, {"taus": None}, {"responses": None},
+        {"covariates": None}, {"coefficients": None}, {"coefficients": {"y1": None}},
+    ])
+    def test_null_scenario_keys_take_their_defaults(self, extra):
+        assert scenario_from_dict(dict({"n": 100}, **extra)) == scenario_from_dict({"n": 100})
+
+    def test_null_covariate_and_term_keys_take_their_defaults(self):
+        scenario, _ = scenario_from_dict(
+            {"n": 100, "covariates": [{"name": "x", "kind": None, "low": None, "p": None}]})
+        assert scenario.covariates == (CovariateSpec("x"),)
+        assert parse_term({"column": "x", "transform": None, "value": None}) == identity("x")
+        assert parse_term({"column": "x", "transform": "center", "value": None}) == center("x")
+
+    def test_null_required_key_is_missing(self):
+        with pytest.raises(InvalidArgumentError, match="missing required key 'column' in term"):
+            parse_term({"column": None})
+        with pytest.raises(InvalidArgumentError, match="missing required key 'input'"):
+            run_config_from_dict(_run_dict(input=None))
+
+    @pytest.mark.parametrize("value", ["abc", True, [1.0]])
+    def test_term_value_must_be_a_number(self, value):
+        with pytest.raises(InvalidArgumentError, match="term.value must be a number"):
+            parse_term({"column": "x", "transform": "center", "value": value})
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"input": True}, "input"),
+        ({"output_dir": [1]}, "output_dir"),
+        ({"output_dir": {"a": 1}}, "output_dir"),
+        ({"responses": ["y1", ["y2"]]}, "responses"),
+        ({"binary": [False]}, "binary"),
+        ({"step1_terms": [{"column": True}]}, "term.column"),
+        ({"step1_terms": [{"interaction": ["x", {"g": 1}]}]}, "term.interaction"),
+    ])
+    def test_run_names_must_be_strings(self, extra, key):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be a string"):
+            run_config_from_dict(_run_dict(**extra))
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"covariates": [{"name": ["x"]}]}, "covariate.name"),
+        ({"covariates": [{"name": "x", "kind": {"binary": 1}}]}, "covariate.kind"),
+        ({"responses": ["y1", False]}, "responses"),
+        ({"rho_by_group": {"column": True, "values": [0.2, 0.8]}}, "rho_by_group.column"),
+    ])
+    def test_scenario_names_must_be_strings(self, extra, key):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be a string"):
+            scenario_from_dict(dict({"n": 100}, **extra))
+
+    def test_numbers_are_read_as_names(self):
+        cfg = run_config_from_dict(_run_dict(input=2020, responses=[1, 2]))
+        assert (cfg.input, cfg.spec.responses) == ("2020", ("1", "2"))
+
+
+class TestDumpCoversParseTables:
+    """A key cannot be read without also being written."""
+
+    def test_run_dump(self):
+        out = run_config_to_dict(run_config_from_dict(_run_dict()))
+        assert set(out) == set(_RUN)
+        assert set(out["grid"]) == set(_GRID)
+        assert set(out["bootstrap"]) == set(_BOOTSTRAP)
+
+    def test_scenario_dump(self):
+        g = [{"name": "g", "kind": "binary"}]
+        plain, taus = scenario_from_dict({"n": 100, "covariates": g})
+        grouped, _ = scenario_from_dict(
+            {"n": 100, "covariates": g, "rho_by_group": {"column": "g", "values": [0.2, 0.8]}})
+        a, b = scenario_to_dict(plain, taus), scenario_to_dict(grouped, taus)
+        assert set(a) | set(b) == set(_SCENARIO)
+        assert set(a) ^ set(b) == {"rho", "rho_by_group"}
+        assert set(a["covariates"][0]) == set(_COVARIATE)
+        assert set(b["rho_by_group"]) == set(_RHO_BY_GROUP)
+
+    def test_term_dump(self):
+        assert set(term_to_dict(center("x", 1.0))) == set(_TERM)
+        assert set(term_to_dict(interaction("x", "g"))) == set(_INTERACTION)
+
+
+def _readme_block(name):
+    """The README's fenced YAML block whose first line is ``# <name>``."""
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    (block,) = [b for b in blocks if b.startswith(f"# {name}\n")]
+    return block
+
+
+class TestReadmeConfigs:
+    """The configs the README documents load through the parsers."""
+
+    def test_scenario_block(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(_readme_block("scenario.yaml"), encoding="utf-8")
+        scenario, taus = load_scenario(path)
+        assert (scenario.n, scenario.seed, scenario.rho) == (500, 29, 0.5)
+        assert [c.name for c in scenario.covariates] == ["x", "g"]
+        assert scenario.coefficients == {"y1": {"intercept": 1.0, "x": 0.5},
+                                         "y2": {"x": -0.25}}
+        assert taus == (0.25, 0.5, 0.75)
+
+    def test_run_block(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(_readme_block("run.yaml"), encoding="utf-8")
+        cfg = load_run_config(path)
+        assert (cfg.input, cfg.output_dir) == ("copula.csv", "results")
+        assert cfg.spec.step2_terms == (spline("x"), identity("g"), interaction("x", "g"))
+        assert cfg.spec.grid_values == {"x": (-1.0, 0.0, 1.0)}
+        assert cfg.bootstrap == BootstrapConfig(enabled=True)

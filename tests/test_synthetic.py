@@ -54,6 +54,16 @@ class TestScenarioValidation:
         with pytest.raises(InvalidArgumentError, match="two response names"):
             ScenarioSpec(n=100, response_names=("y",))
 
+    @pytest.mark.parametrize("responses,covariates", [
+        (("y1", "y2"), ("x", "y1")),
+        (("y1", "y2"), ("x", "x")),
+        (("a", "a"), ()),
+    ], ids=["covariate-shadows-response", "two-covariates", "two-responses"])
+    def test_column_names_must_be_distinct(self, responses, covariates):
+        with pytest.raises(InvalidArgumentError, match="distinct names, repeated"):
+            ScenarioSpec(n=100, response_names=responses,
+                         covariates=tuple(CovariateSpec(c) for c in covariates))
+
     def test_covariate_kind_validation(self):
         with pytest.raises(InvalidArgumentError, match="unknown covariate kind"):
             CovariateSpec("x", "gamma")

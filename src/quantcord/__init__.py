@@ -52,7 +52,7 @@ from .config import (
     scenario_to_dict,
     term_to_dict,
 )
-from .dataset import Dataset, DropReport, read_csv, write_csv
+from .dataset import Dataset, DropReport, read_csv
 from .design import DesignMatrix, check_full_rank
 from .exceptions import (
     DegenerateIntervalWarning,
@@ -114,7 +114,7 @@ __all__ = [
     "run_config_to_dict", "scenario_from_dict", "scenario_to_dict",
     "term_to_dict",
     # dataset
-    "Dataset", "DropReport", "read_csv", "write_csv",
+    "Dataset", "DropReport", "read_csv",
     # design
     "DesignMatrix", "check_full_rank",
     # exceptions

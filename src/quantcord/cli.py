@@ -1,7 +1,8 @@
 """Command-line front end: ``quantcord analyze`` and ``quantcord synth``.
 
-All computation happens before any file is written, so a failing run
-leaves no partial outputs.  Outputs contain no timestamps; rerunning
+Each command renders every output file to text before it writes any,
+and :func:`_write_outputs` removes the files already written if a later
+write fails, so a failing run leaves no partial outputs.  Outputs contain no timestamps; rerunning
 with the same config and seed reproduces every file byte for byte.
 """
 
@@ -19,7 +20,7 @@ import yaml
 from . import __version__
 from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
-from .dataset import FLOAT_FMT, read_csv, write_csv
+from .dataset import FLOAT_FMT, csv_text, read_csv
 from .exceptions import InvalidArgumentError, QuantcordError
 from .pipeline import CONSTANT_PROFILE, phi_profile, run_two_step
 
@@ -33,13 +34,24 @@ def _fmt(x):
     return FLOAT_FMT % x
 
 
-def _write_rows(path, header, rows):
-    import csv
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+
+def _write_outputs(files):
+    """Write each ``{path: text}`` entry in order, with ``"\\n"`` line ends;
+    if any write fails, remove the files this call opened and re-raise."""
+    opened = []
+    try:
+        for path, text in files.items():
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                opened.append(path)
+                fh.write(text)
+    except BaseException:
+        for path in opened:
+            if os.path.exists(path):
+                os.unlink(path)
+        raise
 
 
 def _profile_filename(covariate):
@@ -47,8 +59,9 @@ def _profile_filename(covariate):
     return f"phi_profile_{safe or 'constant'}.csv"
 
 
-def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results):
-    """Write every output table; returns the list of file names.
+def _render_analysis(cfg, spec, boot_cfg, data, report, results):
+    """Every output file of ``analyze`` as ``{file name: text}``, in the
+    order that ``metadata.json`` lists them under ``outputs``.
 
     ``results`` holds one (TwoStepResult, BootstrapResult or None) pair
     per tau; with the bootstrap, the first is the second's estimate.
@@ -65,7 +78,7 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results):
                     _fmt(run.tau), name, term, _fmt(fit.beta[k]),
                     _fmt(se[k]) if se is not None else "",
                 ])
-    files["step1_coefficients.csv"] = (
+    files["step1_coefficients.csv"] = csv_text(
         ["tau", "response", "term", "estimate", "se"], rows)
 
     rows = []
@@ -81,7 +94,7 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results):
                 rows.append([
                     _fmt(run.tau), cat, term, _fmt(fit2.gamma[k, q]), se, lo, hi,
                 ])
-    files["step2_coefficients.csv"] = (
+    files["step2_coefficients.csv"] = csv_text(
         ["tau", "category", "term", "estimate", "se", "ci_lower", "ci_upper"],
         rows)
 
@@ -93,9 +106,10 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results):
         blank = [None] * len(t["tau"])
         rows = zip(t["tau"], t["value"], t["phi_hat"], t.get("lower", blank),
                    t.get("upper", blank), t["phi_min"], t["phi_max"], t["out_of_bounds"])
-        files[_profile_filename(cov)] = (header, [
+        files[_profile_filename(cov)] = csv_text(header, [
             [_fmt(tau), cov, *map(_fmt, vals), int(flag)] for tau, *vals, flag in rows])
 
+    files = dict(sorted(files.items()))
     meta = {
         "command": "analyze",
         "package_version": __version__,
@@ -122,30 +136,11 @@ def _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results):
             _fmt(run.tau): (int(boot.winsorized.sum()) if boot is not None else 0)
             for run, boot in results
         },
-        "outputs": sorted(files) + ["metadata.json", "summary.txt"],
+        "outputs": [*files, "metadata.json", "summary.txt"],
     }
-
-    written = []
-    try:
-        for name, (header, rows) in files.items():
-            path = os.path.join(out_dir, name)
-            _write_rows(path, header, rows)
-            written.append(path)
-        path = os.path.join(out_dir, "metadata.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-        path = os.path.join(out_dir, "summary.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_summary_text(spec, data, report, results))
-        written.append(path)
-    except BaseException:
-        for p in written:
-            if os.path.exists(p):
-                os.unlink(p)
-        raise
-    return meta["outputs"]
+    files["metadata.json"] = _json_text(meta)
+    files["summary.txt"] = _summary_text(spec, data, report, results)
+    return files
 
 
 def _summary_text(spec, data, report, results):
@@ -236,9 +231,10 @@ def _cmd_analyze(args):
     else:
         results = [(run_two_step(data, spec, tau), None) for tau in spec.taus]
 
+    files = _render_analysis(cfg, spec, boot_cfg, data, report, results)
     os.makedirs(out_dir, exist_ok=True)
-    outputs = _emit_analysis(out_dir, cfg, spec, boot_cfg, data, report, results)
-    print(f"wrote {len(outputs)} files to {out_dir}")
+    _write_outputs({os.path.join(out_dir, name): text for name, text in files.items()})
+    print(f"wrote {len(files)} files to {out_dir}")
     return 0
 
 
@@ -275,16 +271,10 @@ def _cmd_synth(args):
         "oracle": oracle,
     }
 
-    write_csv(args.out, data.columns)
+    rows = ([FLOAT_FMT % v for v in row] for row in zip(*data.columns.values()))
     sidecar_path = args.out + ".oracle.json"
-    try:
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except BaseException:
-        if os.path.exists(args.out):
-            os.unlink(args.out)
-        raise
+    _write_outputs({args.out: csv_text(data.names, rows),
+                    sidecar_path: _json_text(sidecar)})
     print(f"wrote {args.out} (n={scenario.n}) and {sidecar_path}")
     return 0
 

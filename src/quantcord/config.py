@@ -10,6 +10,7 @@ number is read as its text).  ``from_dict``/``to_dict`` round-trip
 identically, which the tests pin down.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import yaml
@@ -37,6 +38,8 @@ class BootstrapConfig:
             raise InvalidArgumentError(f"level must be in (0, 1), got {self.level}")
         if self.seed < 0:
             raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {self.seed}")
+        if self.workers < 1:
+            raise InvalidArgumentError(f"bootstrap workers must be at least 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,20 @@ def _mapping(key, value):
 
 
 def _float(key, value):
-    """A float config value: any number but a bool, or a string ``float``
-    reads (YAML 1.1 loads ``1e-3`` as a string)."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise InvalidArgumentError(f"{key} must be a number, got {value!r}")
+    """A finite float config value: any number but a bool, or a string
+    ``float`` reads (YAML 1.1 loads ``1e-3`` as a string).  No key has a
+    meaningful NaN or infinity."""
+    if isinstance(value, bool):
+        raise InvalidArgumentError(f"{key} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"{key} must be a finite number, got {value!r}")
+    return x
 
 
 def _list_of(parse):

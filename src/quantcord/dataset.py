@@ -1,6 +1,7 @@
-"""Column-oriented numeric datasets and CSV ingestion."""
+"""Column-oriented numeric datasets, CSV ingestion and the CSV output form."""
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,8 @@ def read_csv(path, columns=None, binary=()):
     Parameters
     ----------
     path : str
-        CSV with a header row, period decimal mark, UTF-8.
+        CSV with a header row, period decimal mark, UTF-8 (a leading
+        byte-order mark is skipped).
     columns : sequence of str, optional
         The columns actually used; rows with missing cells in these
         columns are dropped (and reported), other columns are ignored.
@@ -104,7 +106,7 @@ def read_csv(path, columns=None, binary=()):
     -------
     (Dataset, DropReport)
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_utf8_lines(path, fh))
         try:
             header = next(reader)
@@ -170,13 +172,11 @@ def read_csv(path, columns=None, binary=()):
     return data, DropReport(dropped_rows=tuple(dropped), n_kept=data.n)
 
 
-def write_csv(path, columns):
-    """Write named columns to CSV deterministically (no timestamps)."""
-    names = list(columns)
-    arrays = [np.asarray(columns[c]) for c in names]
-    n = len(arrays[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([FLOAT_FMT % a[i] for a in arrays])
+def csv_text(header, rows):
+    """The CSV form of every table quantcord writes: the header row, then
+    ``rows`` of cells, comma-separated with ``"\\n"`` line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -12,6 +12,7 @@ import yaml
 
 import quantcord
 from quantcord.cli import main
+from quantcord.dataset import FLOAT_FMT, csv_text
 from quantcord.synthetic import oracle_phi_gaussian
 
 SMALL_SCENARIO = {
@@ -133,6 +134,27 @@ class TestSynth:
         out = tmp_path / "x.csv"
         assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("taus", {"start": 0.1, "stop": float("inf"), "step": 0.1}, "taus.stop"),
+        ("covariates", [{"name": "x", "kind": "uniform", "low": -1.0, "high": float("inf")}],
+         "covariate.high"),
+        ("coefficients", {"y1": {"x": float("nan")}}, "coefficients.y1.x"),
+    ], ids=["taus-range", "covariate-high", "coefficient"])
+    def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys, key, value, message):
+        cfg = _write_yaml(tmp_path / "bad.yaml", dict(SMALL_SCENARIO, **{key: value}))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {message} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_sidecar_removes_the_csv(self, tmp_path, capsys):
+        cfg = _write_yaml(tmp_path / "scenario.yaml", SMALL_SCENARIO)
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.oracle.json").mkdir()
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_response_shadowed_by_covariate_exits_2(self, tmp_path, capsys):
@@ -360,11 +382,37 @@ class TestAnalyzeProfiles:
         assert "error: --bootstrap must be non-negative, got -3" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    def test_bootstrap_zero_switches_off_the_configured_bootstrap(self, workdir):
+        cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 8})
+        assert main(["analyze", "--config", cfg, "--bootstrap", "0", "--out", "out"]) == 0
+        out = workdir / "out"
+        assert all(r["se"] == "" for r in _table(out / "step1_coefficients.csv"))
+        for name in ("step2_coefficients.csv", "phi_profile_x.csv"):
+            assert all(r["ci_lower"] == "" and r["ci_upper"] == "" for r in _table(out / name))
+        meta = json.load(open(out / "metadata.json", encoding="utf-8"))
+        assert meta["bootstrap"]["enabled"] is False
+        assert meta["bootstrap"]["replicates"] == 0
+        assert meta["bootstrap"]["per_tau_seeds"] == []
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"taus": {"start": 0.1, "stop": float("inf"), "step": 0.1}}, "taus.stop"),
+        ({"grid": {"values": {"x": [0.2, float("nan")]}}}, "grid.values.x"),
+        ({"step2_terms": [{"column": "x", "transform": "center", "value": float("inf")}]},
+         "term.value"),
+    ], ids=["taus-range", "grid-values", "center-value"])
+    def test_non_finite_config_number_exits_2(self, workdir, capsys, overrides, key):
+        cfg = self._config(workdir, **overrides)
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_colliding_profile_files_exit_2(self, workdir, capsys):
         # "x.1" and "x1" both reduce to phi_profile_x1.csv
         data, _ = quantcord.read_csv(workdir / "small.csv")
         x = data.column("x")
-        quantcord.write_csv(workdir / "two.csv", dict(data.columns, **{"x.1": x, "x1": x * x}))
+        cols = dict(data.columns, **{"x.1": x, "x1": x * x})
+        rows = ([FLOAT_FMT % v for v in row] for row in zip(*cols.values()))
+        (workdir / "two.csv").write_text(csv_text(list(cols), rows), encoding="utf-8")
         cfg = self._config(workdir, input="two.csv",
                            step2_terms=[{"column": "x.1"}, {"column": "x1"}])
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2

@@ -69,6 +69,12 @@ class TestBootstrapConfig:
         with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
             BootstrapConfig(seed=-1)
 
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_workers_below_one_rejected(self, enabled):
+        with pytest.raises(InvalidArgumentError,
+                           match="bootstrap workers must be at least 1, got 0"):
+            run_config_from_dict(_run_dict(bootstrap={"enabled": enabled, "workers": 0}))
+
 
 class TestParseTerm:
 
@@ -403,6 +409,29 @@ class TestNumberParsing:
     ])
     def test_scenario_float_keys_reject_non_numbers(self, extra, key):
         with pytest.raises(InvalidArgumentError, match=f"{key} must be a number"):
+            scenario_from_dict(dict({"n": 100}, **extra))
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"bootstrap": {"level": float("nan")}}, "bootstrap.level"),
+        ({"taus": {"start": 0.1, "stop": float("inf"), "step": 0.1}}, "taus.stop"),
+        ({"grid": {"values": {"x": [0.2, "nan"]}}}, "grid.values.x"),
+        ({"grid": {"held": {"x": "-inf"}}}, "grid.held.x"),
+        ({"step2_terms": [{"column": "x", "transform": "center",
+                           "value": float("inf")}]}, "term.value"),
+    ])
+    def test_run_float_keys_reject_non_finite(self, extra, key):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be a finite number"):
+            run_config_from_dict(_run_dict(**extra))
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"rho": float("nan")}, "rho"),
+        ({"rho": 10**400}, "rho"),
+        ({"covariates": [{"name": "x", "high": float("inf")}]}, "covariate.high"),
+        ({"coefficients": {"y1": {"x": float("nan")}}}, "coefficients.y1.x"),
+        ({"taus": {"start": 0.1, "stop": "inf", "step": 0.1}}, "taus.stop"),
+    ])
+    def test_scenario_float_keys_reject_non_finite(self, extra, key):
+        with pytest.raises(InvalidArgumentError, match=f"{key} must be a finite number"):
             scenario_from_dict(dict({"n": 100}, **extra))
 
     def test_exponent_strings_read_as_floats(self):

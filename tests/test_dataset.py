@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from quantcord import Dataset, IngestionError, InvalidArgumentError, read_csv, write_csv
+from quantcord import Dataset, IngestionError, InvalidArgumentError, read_csv
+from quantcord.dataset import FLOAT_FMT, csv_text
 
 
 class TestDataset:
@@ -138,32 +139,40 @@ class TestReadCsv:
         assert data.n == 2
         assert report.n_dropped == 0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfy1,y2,x\n1.5,2.5,3.5\n")
+        data, _ = read_csv(p, columns=["y1", "y2"])
+        assert data.names == ("y1", "y2")
+        np.testing.assert_array_equal(data.column("y1"), [1.5])
+
     def test_whitespace_tolerated(self, tmp_path):
         p = self._write(tmp_path, " y1 , y2 \n 1.5 , 2.5 \n")
         data, _ = read_csv(p)
         np.testing.assert_array_equal(data.column("y1"), [1.5])
 
 
-class TestWriteCsv:
+def _columns_csv(columns):
+    rows = ([FLOAT_FMT % v for v in row] for row in zip(*columns.values()))
+    return csv_text(list(columns), rows)
+
+
+class TestCsvText:
 
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(7)
         cols = {"y1": rng.standard_normal(50), "y2": rng.standard_normal(50)}
         p = tmp_path / "out.csv"
-        write_csv(p, cols)
+        p.write_text(_columns_csv(cols), encoding="utf-8")
         data, _ = read_csv(p)
         np.testing.assert_array_equal(data.column("y1"), cols["y1"])
         np.testing.assert_array_equal(data.column("y2"), cols["y2"])
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self):
         rng = np.random.default_rng(8)
         cols = {"a": rng.standard_normal(20)}
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(p1, cols)
-        write_csv(p2, cols)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert _columns_csv(cols) == _columns_csv(cols)
 
-    def test_header_order_is_column_order(self, tmp_path):
-        p = tmp_path / "o.csv"
-        write_csv(p, {"b": [1.0], "a": [2.0]})
-        assert p.read_text().splitlines()[0] == "b,a"
+    def test_header_order_is_column_order(self):
+        text = csv_text(["b", "a"], [["1", "2"]])
+        assert text == "b,a\n1,2\n"

@@ -42,15 +42,11 @@ from .concordance import (
 from .config import (
     BootstrapConfig,
     RunConfig,
-    dump_run_config,
     load_run_config,
     load_scenario,
     parse_term,
     run_config_from_dict,
-    run_config_to_dict,
     scenario_from_dict,
-    scenario_to_dict,
-    term_to_dict,
 )
 from .dataset import Dataset, DropReport, read_csv
 from .design import DesignMatrix, check_full_rank
@@ -109,10 +105,8 @@ __all__ = [
     "LABELS", "MERGED_DISCORDANT", "CellProbabilities", "PhiBounds",
     "classify", "empirical_cells", "limiting_cells", "phi", "phi_bounds",
     # config
-    "BootstrapConfig", "RunConfig", "dump_run_config", "load_run_config",
-    "load_scenario", "parse_term", "run_config_from_dict",
-    "run_config_to_dict", "scenario_from_dict", "scenario_to_dict",
-    "term_to_dict",
+    "BootstrapConfig", "RunConfig", "load_run_config", "load_scenario",
+    "parse_term", "run_config_from_dict", "scenario_from_dict",
     # dataset
     "Dataset", "DropReport", "read_csv",
     # design

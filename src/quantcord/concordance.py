@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, check_tau
 
 LABELS = ("00", "11", "01", "10")
 MERGED_DISCORDANT = "01+10"
@@ -67,8 +67,7 @@ class CellProbabilities:
             raise InvalidArgumentError(f"cells must lie in [0, 1], got {cells}")
         if abs(sum(cells) - 1.0) > 1e-12:
             raise InvalidArgumentError(f"cells must sum to 1, got {sum(cells)!r}")
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidArgumentError(f"tau must be in (0, 1), got {self.tau}")
+        check_tau(self.tau)
 
     def as_array(self):
         return np.array([self.p00, self.p11, self.p01, self.p10])
@@ -106,8 +105,7 @@ class PhiBounds:
 
 def phi_bounds(tau):
     """Theoretical limits of phi: depend on tau only, not on the data."""
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+    check_tau(tau)
     if tau <= 0.5:
         lo = -tau / (1.0 - tau)
     else:
@@ -120,8 +118,7 @@ def limiting_cells(case, tau):
 
     ``case`` is one of ``"independence"``, ``"max"``, ``"min"``.
     """
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+    check_tau(tau)
     if case == "independence":
         return CellProbabilities((1 - tau) ** 2, tau**2, tau - tau**2,
                                  tau - tau**2, tau)

@@ -1,4 +1,4 @@
-"""Config files: YAML in, validated dataclasses out, and back again.
+"""Config files: YAML in, validated dataclasses out.
 
 The grammar is plain key/value with nested sections; model terms are
 declared (column, transform, interaction pair), there is no formula
@@ -6,17 +6,17 @@ language.  Each section is one table from key to parser, which lists the
 allowed keys and types each value; :func:`_read` walks a table.  A key
 left out or set to null, at any level, is not passed on, so its default
 is the one on the dataclass it feeds.  Names and paths are strings (a
-number is read as its text).  ``from_dict``/``to_dict`` round-trip
-identically, which the tests pin down.
+number is read as its text).  The tables are the only place that lists
+a key; configs are read, never written.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import yaml
 
 from .basis import center, identity, interaction, spline
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, check_tau
 from .pipeline import DEFAULT_TAUS, AnalysisSpec
 from .synthetic import CovariateSpec, ScenarioSpec
 
@@ -168,18 +168,8 @@ def parse_term(d):
     return identity(t["column"]) if transform == "identity" else spline(t["column"])
 
 
-def term_to_dict(term):
-    if term.kind == "interaction":
-        return {"interaction": [term.column, term.column2]}
-    out = {"column": term.column}
-    if term.kind != "identity":
-        out["transform"] = term.kind
-    if term.kind == "center" and term.center is not None:
-        out["value"] = term.center
-    return out
-
-
 _TAU_RANGE = dict.fromkeys(("start", "stop", "step"), _float)
+MAX_RANGE_TAUS = 1000  # the most taus a {start, stop, step} range may give
 
 
 def _parse_taus(key, value):
@@ -188,11 +178,17 @@ def _parse_taus(key, value):
         start, stop, step = (r[k] for k in _TAU_RANGE)
         if step <= 0:
             raise InvalidArgumentError(f"tau step must be positive, got {step}")
+        top = stop + 1e-12
+        after_first = (top - start) / step
+        if after_first >= MAX_RANGE_TAUS:
+            raise InvalidArgumentError(
+                f"{key} range gives {after_first + 1:.0f} taus; at most "
+                f"{MAX_RANGE_TAUS} are allowed")
         taus = []
         k = 0
         while True:
             t = start + k * step
-            if t > stop + 1e-12:
+            if t > top:
                 break
             taus.append(round(t, 12))
             k += 1
@@ -228,26 +224,6 @@ def run_config_from_dict(d):
     return RunConfig(spec=AnalysisSpec(**given, **grid), **run)
 
 
-def run_config_to_dict(cfg):
-    spec = cfg.spec
-    return {
-        "input": cfg.input,
-        "output_dir": cfg.output_dir,
-        "responses": list(spec.responses),
-        "taus": list(spec.taus),
-        "merged": spec.merged,
-        "binary": list(spec.binary),
-        "step1_terms": [term_to_dict(t) for t in spec.step1_terms],
-        "step2_terms": [term_to_dict(t) for t in spec.step2_terms],
-        "grid": {
-            "points": spec.grid_points,
-            "values": {k: list(v) for k, v in spec.grid_values.items()},
-            "held": dict(spec.held),
-        },
-        "bootstrap": asdict(cfg.bootstrap),
-    }
-
-
 def _group_values(key, value):
     """rho for groups 0 and 1, from a two-item list or a {0: .., 1: ..} mapping."""
     if isinstance(value, dict):
@@ -277,8 +253,7 @@ def scenario_from_dict(d):
     given = _read("scenario", d, _SCENARIO, required=("n",), prefix="")
     taus = given.pop("taus", DEFAULT_TAUS)
     for t in taus:
-        if not 0.0 < t < 1.0:
-            raise InvalidArgumentError(f"tau must be in (0, 1), got {t}")
+        check_tau(t)
     if "rho_by_group" in given:
         if "rho" in given:
             raise InvalidArgumentError("give either rho or rho_by_group, not both")
@@ -287,25 +262,6 @@ def scenario_from_dict(d):
     if "responses" in given:
         given["response_names"] = given.pop("responses")
     return ScenarioSpec(**given), taus
-
-
-def scenario_to_dict(scenario, taus=DEFAULT_TAUS):
-    out = {
-        "n": scenario.n,
-        "seed": scenario.seed,
-        "covariates": [asdict(c) for c in scenario.covariates],
-        "coefficients": {k: dict(v) for k, v in scenario.coefficients.items()},
-        "responses": list(scenario.response_names),
-        "taus": list(taus),
-    }
-    if scenario.rho_by_group is not None:
-        out["rho_by_group"] = {
-            "column": scenario.group_column,
-            "values": [scenario.rho_by_group[0], scenario.rho_by_group[1]],
-        }
-    else:
-        out["rho"] = scenario.rho
-    return out
 
 
 def _load_mapping(path):
@@ -326,7 +282,3 @@ def load_run_config(path):
 def load_scenario(path):
     return scenario_from_dict(_load_mapping(path))
 
-
-def dump_run_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(run_config_to_dict(cfg), fh, sort_keys=False)

@@ -3,6 +3,7 @@
 import csv
 import io
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -143,12 +144,18 @@ def read_csv(path, columns=None, binary=()):
                     has_missing = True
                     continue
                 try:
-                    values[c] = float(cell)
+                    x = float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{path}: cannot parse cell {cell!r} at data row "
                         f"{rownum}, column {c!r}"
                     ) from None
+                if not isfinite(x):
+                    raise IngestionError(
+                        f"{path}: non-finite cell {cell!r} at data row "
+                        f"{rownum}, column {c!r}"
+                    )
+                values[c] = x
             if has_missing:
                 dropped.append(rownum)
                 continue

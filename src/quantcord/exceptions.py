@@ -9,6 +9,12 @@ class InvalidArgumentError(QuantcordError, ValueError):
     """An argument is outside its documented domain."""
 
 
+def check_tau(tau):
+    """Raise InvalidArgumentError unless the quantile level ``tau`` is in (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+
+
 class SingularDesignError(QuantcordError):
     """The design matrix is rank deficient.
 

@@ -14,7 +14,7 @@ import numpy as np
 from .basis import build_design, recipe_values
 from .concordance import PhiBounds, _fixed_margin_phi, classify, empirical_cells, phi_bounds
 from .dataset import Dataset
-from .exceptions import InvalidArgumentError, QuantcordError
+from .exceptions import InvalidArgumentError, QuantcordError, check_tau
 from .multinomial import fit_multinomial, predict_cells_rows
 from .quantreg import fit_quantile_regression, residual_signs
 
@@ -55,12 +55,15 @@ class AnalysisSpec:
         if not self.taus:
             raise InvalidArgumentError("at least one tau is required")
         for t in self.taus:
-            if not 0.0 < t < 1.0:
-                raise InvalidArgumentError(f"tau must be in (0, 1), got {t}")
+            check_tau(t)
         if any(a >= b for a, b in zip(self.taus, self.taus[1:])):
             raise InvalidArgumentError(f"taus must be strictly increasing: {self.taus}")
         if self.grid_points < 2:
             raise InvalidArgumentError("grid_points must be at least 2")
+        for name, vals in self.grid_values.items():
+            if np.ndim(vals) != 1 or np.size(vals) == 0:
+                raise InvalidArgumentError(
+                    f"grid values for {name!r} must be a non-empty 1-d list, got {vals!r}")
         for what, given in (("grid values", self.grid_values), ("held value", self.held)):
             for name in given:
                 if name not in self.profile_columns:
@@ -133,8 +136,6 @@ def build_grid(data, spec):
     for name in names:
         if name in spec.grid_values:
             vals = np.asarray(spec.grid_values[name], dtype=float)
-            if vals.ndim != 1 or vals.size == 0:
-                raise InvalidArgumentError(f"grid values for {name!r} must be a 1-d list")
         elif name in spec.binary:
             vals = np.array([0.0, 1.0])
         else:
@@ -228,8 +229,7 @@ def run_two_step(data, spec, tau, grid=None, start=None):
     """
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+    check_tau(tau)
 
     X1, _ = build_design(data, spec.step1_terms)
     fits = []

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .design import DesignMatrix, check_full_rank
-from .exceptions import InvalidArgumentError, NonConvergenceError
+from .exceptions import InvalidArgumentError, NonConvergenceError, check_tau
 
 DEFAULT_TOL = 1e-10
 MAX_PIVOTS = 500
@@ -34,8 +34,7 @@ def pinball_loss(u, tau):
 
     Nonnegative, zero exactly at ``u == 0``.  Accepts scalars or arrays.
     """
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+    check_tau(tau)
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise InvalidArgumentError("residual argument must be finite")
@@ -193,8 +192,7 @@ def fit_quantile_regression(X, y, tau, start=None):
     """
     if not isinstance(X, DesignMatrix):
         raise InvalidArgumentError("X must be a DesignMatrix")
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+    check_tau(tau)
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != X.n:
         raise InvalidArgumentError(f"y has length {y.shape[0]}, design has {X.n} rows")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, check_tau
 
 MIN_ROWS = 50
 
@@ -158,8 +158,7 @@ def oracle_phi_gaussian(rho, tau):
     """Ground-truth sign-concordance correlation under bivariate
     normal errors: the joint CDF at the matched marginal quantiles,
     centered and scaled by the fixed margins."""
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+    check_tau(tau)
     from scipy.special import ndtri
 
     z = float(ndtri(tau))

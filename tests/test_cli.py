@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -522,6 +523,24 @@ class TestAnalyzeFailures:
                            "responses": ["y1", "y2"]})
         assert main(["analyze", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_long_tau_range_exits_2_at_once(self, tmp_path, capsys):
+        cfg = _write_yaml(tmp_path / "run.yaml",
+                          {"input": str(tmp_path / "none.csv"), "responses": ["y1", "y2"],
+                           "taus": {"start": 0.1, "stop": 0.9, "step": 1.0e-11}})
+        start = time.perf_counter()
+        assert main(["analyze", "--config", cfg]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "error: taus range gives 80000000001 taus" in capsys.readouterr().err
+
+    def test_empty_grid_values_exit_2_before_reading_input(self, tmp_path, capsys):
+        cfg = _write_yaml(tmp_path / "run.yaml",
+                          {"input": str(tmp_path / "none.csv"), "responses": ["y1", "y2"],
+                           "step2_terms": [{"column": "x"}], "grid": {"values": {"x": []}}})
+        assert main(["analyze", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: grid values for 'x' must be a non-empty 1-d list" in err
+        assert "none.csv" not in err
 
     def test_directory_as_config_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path)]) == 2

@@ -92,6 +92,15 @@ class TestReadCsv:
         with pytest.raises(IngestionError, match=r"'abc' at data row 2, column 'y2'"):
             read_csv(p)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "-Infinity"])
+    @pytest.mark.parametrize("column", ["y1", "x"], ids=["response", "covariate"])
+    def test_non_finite_cell_names_coordinates(self, tmp_path, cell, column):
+        row2 = dict({"y1": "2", "x": "4"}, **{column: cell})
+        p = self._write(tmp_path, f"y1,y2,x\n1,0.5,3\n{row2['y1']},0.5,{row2['x']}\n")
+        with pytest.raises(IngestionError,
+                           match=rf"non-finite cell '{cell}' at data row 2, column '{column}'"):
+            read_csv(p, columns=["y1", "y2", "x"])
+
     def test_missing_column_error(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1,2\n")
         with pytest.raises(IngestionError, match="missing columns \\['y3'\\]"):

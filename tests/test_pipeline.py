@@ -188,11 +188,13 @@ class TestBuildGrid:
         np.testing.assert_array_equal(grid.columns["x"], [0.0, 0.5, 1.0])
 
     def test_grid_values_must_be_1d(self):
-        data = _dependent_data()
-        spec = _spec(step2_terms=(identity("x"),),
-                     grid_values={"x": [[0.0, 1.0]]})
         with pytest.raises(InvalidArgumentError, match="1-d"):
-            build_grid(data, spec)
+            _spec(step2_terms=(identity("x"),), grid_values={"x": [[0.0, 1.0]]})
+
+    def test_grid_values_must_not_be_empty(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="grid values for 'x' must be a non-empty 1-d list"):
+            _spec(step2_terms=(identity("x"),), grid_values={"x": ()})
 
 
 class TestRunTwoStep:

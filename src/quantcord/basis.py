@@ -3,14 +3,15 @@
 A list of term declarations is turned into a numeric design plus a
 recipe holding every data-dependent constant (spline knots, centering
 values), so that prediction grids are evaluated with the training
-constants and reproduce the training design bit for bit.
+constants and reproduce the training design bit for bit.  With frequency
+weights the constants are those of the rows repeated by their weights.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix
+from .design import DesignMatrix, check_weights
 from .exceptions import InvalidArgumentError
 
 SPLINE_MIN_DISTINCT = 8
@@ -131,27 +132,36 @@ def natural_spline_columns(x, knots):
     return np.column_stack(cols)
 
 
-def sorted_quantile(s, q):
+def sorted_quantile(s, q, ends=None):
     """``np.quantile(s, q, axis=0)`` for ``s`` sorted along axis 0.
 
     numpy's default linear method, term for term: the virtual index
     ``(n - 1) * q``, its floor and fraction, and numpy's two-sided lerp.
     Sorting once serves several levels, and ``np.quantile`` imports
-    ``numpy.ma`` on its first call.
+    ``numpy.ma`` on its first call.  ``ends``, the running sum of
+    frequency weights along ``s``, gives the quantile of ``s`` with entry
+    j repeated ``ends[j] - ends[j - 1]`` times, without repeating it.
     """
-    n = len(s)
+    n = len(s) if ends is None else ends[-1]
     v = (n - 1) * q
     i = min(int(v), n - 1)  # the floor, as v >= 0
-    lo, hi = s[i], s[min(i + 1, n - 1)]
+    at = (i, min(i + 1, n - 1))
+    if ends is not None:  # the entries at those positions of the repeats
+        at = np.searchsorted(ends, at, side="right")
+    lo, hi = s[at[0]], s[at[1]]
     g = v - i
     diff = hi - lo
     return hi - diff * (1 - g) if g >= 0.5 else lo + diff * g
 
 
-def tertile_knots(x):
+def tertile_knots(x, weights=None):
     """Boundary knots at min/max, interior at the empirical tertiles
-    (linear-interpolation sample quantiles)."""
-    s = np.sort(np.asarray(x, dtype=float))
+    (linear-interpolation sample quantiles), of ``x`` with entry i repeated
+    ``weights[i]`` times (once when ``weights`` is None)."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x)  # equal values may come in any order
+    s = x[order]
+    ends = np.cumsum(check_weights(weights, x.size)[order])
     distinct = 1 + int(np.count_nonzero(s[1:] != s[:-1]))
     if distinct < SPLINE_MIN_DISTINCT:
         raise InvalidArgumentError(
@@ -160,8 +170,8 @@ def tertile_knots(x):
         )
     knots = (
         float(s[0]),
-        float(sorted_quantile(s, 1.0 / 3.0)),
-        float(sorted_quantile(s, 2.0 / 3.0)),
+        float(sorted_quantile(s, 1.0 / 3.0, ends)),
+        float(sorted_quantile(s, 2.0 / 3.0, ends)),
         float(s[-1]),
     )
     if not all(a < b for a, b in zip(knots, knots[1:])):
@@ -172,13 +182,15 @@ def tertile_knots(x):
     return knots
 
 
-def _fit_term(spec, data):
+def _fit_term(spec, data, w):
     if spec.kind == "identity":
         _get_column(data, spec.column)
         return FittedTerm(spec)
     if spec.kind == "center":
         col = _get_column(data, spec.column)
-        value = float(np.mean(col)) if spec.center is None else float(spec.center)
+        # the weighted mean, with np.mean's arithmetic when every weight is 1
+        value = (float(np.sum(w * col) / np.sum(w)) if spec.center is None
+                 else float(spec.center))
         return FittedTerm(spec, center_value=value)
     if spec.kind == "interaction":
         _get_column(data, spec.column)
@@ -187,7 +199,7 @@ def _fit_term(spec, data):
     col = _get_column(data, spec.column)
     if not np.isfinite(col).all():
         raise InvalidArgumentError(f"spline column {spec.column!r} is not finite")
-    return FittedTerm(spec, knots=tertile_knots(col))
+    return FittedTerm(spec, knots=tertile_knots(col, w))
 
 
 def _eval_term(term, data):
@@ -202,13 +214,17 @@ def _eval_term(term, data):
     return natural_spline_columns(col, term.knots)
 
 
-def build_design(data, terms):
+def build_design(data, terms, weights=None):
     """Fit all data-dependent constants and assemble the design, an
     intercept column followed by the terms' columns.
 
+    ``weights``, positive finite frequency weights of the rows (None: unit
+    weights), give the knots and centres of the rows repeated that often;
+    the design itself has one row per data row.
     Returns the design matrix and the recipe that rebuilds it.
     """
-    recipe = BasisRecipe(terms=tuple(_fit_term(t, data) for t in terms))
+    w = check_weights(weights, _row_count(data))
+    recipe = BasisRecipe(terms=tuple(_fit_term(t, data, w) for t in terms))
     return apply_recipe(recipe, data), recipe
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import check_weights
 from .exceptions import InvalidArgumentError, check_tau
 
 LABELS = ("00", "11", "01", "10")
@@ -73,10 +74,13 @@ class CellProbabilities:
         return np.array([self.p00, self.p11, self.p01, self.p10])
 
 
-def empirical_cells(z, tau):
-    """Relative frequency of each concordance cell code."""
+def empirical_cells(z, tau, weights=None):
+    """Relative frequency of each concordance cell code, each label counted
+    with its frequency weight (once when ``weights`` is None)."""
     z = _checked_codes(z)
-    return CellProbabilities(*(np.bincount(z, minlength=4) / z.size).tolist(), tau=tau)
+    w = check_weights(weights, z.size)
+    counts = np.bincount(z, weights=w, minlength=4)
+    return CellProbabilities(*(counts / np.sum(w)).tolist(), tau=tau)
 
 
 def phi(cells):

@@ -3,7 +3,6 @@
 import csv
 import io
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -79,13 +78,27 @@ class DropReport:
         return len(self.dropped_rows)
 
 
-def _utf8_lines(path, fh):
-    """The lines of ``fh``; a byte sequence that is not UTF-8 raises
-    IngestionError naming the file."""
+def _column_values(cells):
+    """The numbers in a column of cells, and the positions of the cells that
+    need a closer look: those ``float()`` rejects, which come out NaN, and
+    those it parses to a non-finite number.
+
+    The column converts in one numpy call, which accepts exactly what
+    ``float()`` accepts, surrounding whitespace included; only a column
+    with a rejected cell converts cell by cell.
+    """
     try:
-        yield from fh
-    except UnicodeDecodeError as err:
-        raise IngestionError(f"{path}: not UTF-8 text ({err.reason})") from None
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        values = np.array([_float_or_nan(cell) for cell in cells], dtype=float)
+    return values, np.flatnonzero(~np.isfinite(values))
+
+
+def _float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return float("nan")
 
 
 def read_csv(path, columns=None, binary=()):
@@ -106,77 +119,81 @@ def read_csv(path, columns=None, binary=()):
     Returns
     -------
     (Dataset, DropReport)
+
+    A cell that is neither missing nor a finite number raises
+    IngestionError naming the first such cell by data row, then by column.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(_utf8_lines(path, fh))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        used = list(columns) if columns is not None else header
-        missing_cols = [c for c in used if c not in header]
-        if missing_cols:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise IngestionError(f"{path}: not UTF-8 text ({err.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    used = list(columns) if columns is not None else header
+    missing_cols = [c for c in used if c not in header]
+    if missing_cols:
+        raise IngestionError(
+            f"{path}: missing columns {missing_cols}; header has {header}"
+        )
+    repeated = [c for c in dict.fromkeys(used) if header.count(c) > 1]
+    if repeated:
+        raise IngestionError(f"{path}: header repeats columns {repeated}")
+    for b in binary:
+        if b not in used:
             raise IngestionError(
-                f"{path}: missing columns {missing_cols}; header has {header}"
+                f"{path}: binary column {b!r} is not among the used columns"
             )
-        repeated = [c for c in dict.fromkeys(used) if header.count(c) > 1]
-        if repeated:
-            raise IngestionError(f"{path}: header repeats columns {repeated}")
-        for b in binary:
-            if b not in used:
-                raise IngestionError(
-                    f"{path}: binary column {b!r} is not among the used columns"
-                )
-        col_idx = {c: header.index(c) for c in used}
+    col_idx = {c: header.index(c) for c in used}
+    rownums, rows = [], []
+    for rownum, row in enumerate(reader, start=1):
+        if "".join(row).strip():  # not a blank line or a row of blank cells
+            rownums.append(rownum)
+            rows.append(row)
 
-        parsed = {c: [] for c in used}
-        dropped = []
-        kept = []
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
+    parsed = {}
+    missing = np.zeros(len(rows), dtype=bool)
+    errors = []  # the first bad cell of each column: (row, column position, ...)
+    for pos, (c, j) in enumerate(col_idx.items()):
+        cells = [row[j] if j < len(row) else "" for row in rows]
+        parsed[c], check = _column_values(cells)
+        for k in check.tolist():
+            cell = cells[k].strip()
+            if cell.lower() in MISSING_TOKENS:
+                missing[k] = True
                 continue
-            values = {}
-            has_missing = False
-            for c, j in col_idx.items():
-                cell = row[j].strip() if j < len(row) else ""
-                if cell.lower() in MISSING_TOKENS:
-                    has_missing = True
-                    continue
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: cannot parse cell {cell!r} at data row "
-                        f"{rownum}, column {c!r}"
-                    ) from None
-                if not isfinite(x):
-                    raise IngestionError(
-                        f"{path}: non-finite cell {cell!r} at data row "
-                        f"{rownum}, column {c!r}"
-                    )
-                values[c] = x
-            if has_missing:
-                dropped.append(rownum)
-                continue
-            kept.append(rownum)
-            for c in used:
-                parsed[c].append(values[c])
+            try:
+                float(cell)
+                what = "non-finite"
+            except ValueError:
+                what = "cannot parse"
+            errors.append((k, pos, what, cell, c))
+            break
+    if errors:
+        k, _, what, cell, c = min(errors)
+        raise IngestionError(
+            f"{path}: {what} cell {cell!r} at data row {rownums[k]}, column {c!r}"
+        )
 
-    if not parsed[used[0]]:
+    kept = [r for r, m in zip(rownums, missing.tolist()) if not m]
+    if not kept:
         raise IngestionError(f"{path}: no usable data rows")
 
+    data = Dataset(columns={c: v[~missing] for c, v in parsed.items()})
     for b in binary:
-        arr = np.asarray(parsed[b])
+        arr = data.column(b)
         bad = np.nonzero(~np.isin(arr, (0.0, 1.0)))[0]
         if bad.size:
             raise IngestionError(
                 f"{path}: binary column {b!r} contains {float(arr[bad[0]])!r} "
                 f"at data row {kept[bad[0]]}"
             )
-
-    data = Dataset(columns={c: np.asarray(parsed[c]) for c in used})
-    return data, DropReport(dropped_rows=tuple(dropped), n_kept=data.n)
+    dropped = tuple(r for r, m in zip(rownums, missing.tolist()) if m)
+    return data, DropReport(dropped_rows=dropped, n_kept=data.n)
 
 
 def csv_text(header, rows):

@@ -67,3 +67,24 @@ def check_full_rank(design):
     offenders = [name for name, r in zip(design.columns, diag) if r <= cutoff]
     if offenders:
         raise SingularDesignError(offenders)
+
+
+def check_weights(weights, n):
+    """Frequency weights for ``n`` rows as a float array, unit weights when
+    ``weights`` is None.
+
+    Row i with weight w_i counts as w_i copies of the row, so a bootstrap
+    resample is its distinct rows weighted by their counts.  Raises
+    InvalidArgumentError unless there are n weights, all finite and positive.
+    """
+    if weights is None:
+        return np.ones(n)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("weights must be numbers") from None
+    if w.shape != (n,):
+        raise InvalidArgumentError(f"weights have shape {w.shape}, expected ({n},)")
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise InvalidArgumentError("weights must be finite and positive")
+    return w

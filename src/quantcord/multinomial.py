@@ -10,7 +10,8 @@ step-halving on the full multinomial likelihood.  The log-likelihood is
 the difference of two sums, ``sum(Y * eta)`` and the sum of the row
 log-partitions, that are much larger than it near a tail quantile, so
 the step-halving test allows a slack of a few ulps of those sums, not
-of the log-likelihood itself.
+of the log-likelihood itself.  Frequency weights scale each observation's
+terms in both sums, the score and the information.
 """
 
 import warnings
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concordance import LABELS, MERGED_DISCORDANT, _checked_codes
-from .design import DesignMatrix, check_full_rank
+from .design import DesignMatrix, check_full_rank, check_weights
 from .exceptions import EmptyCategoryError, InvalidArgumentError, SeparationWarning
 
 REFERENCE = "00"
@@ -69,6 +70,8 @@ def _indicators(z, merged, n):
 # The Newton kernel keeps one row per non-reference category and one column
 # per observation (Xt = X', Yt = Y'): the row-wise reductions over K = 2 or 3
 # categories then run along the long observation axis, several times faster.
+# Yt holds the weighted indicators w_i * [z_i == k], and Xs the columns of Xt
+# scaled by sqrt(w_i); unit weights leave both bit for bit unchanged.
 
 def _log_partition(eta):
     """Per observation (column of ``eta``), ``log(1 + sum_k exp(eta_k))``
@@ -79,41 +82,46 @@ def _log_partition(eta):
     return shift + np.log(total), e / total
 
 
-def _loglik_terms(gamma, Xt, Yt):
+def _loglik_terms(gamma, Xt, Yt, w):
     """Log-likelihood, probabilities, and the size of the two sums whose
     difference is the log-likelihood (its rounding scales with them)."""
     eta = gamma @ Xt  # K x n
     lse, probs = _log_partition(eta)
     fitted = Yt * eta
-    ll = float(np.sum(fitted) - np.sum(lse))
-    scale = float(np.sum(np.abs(fitted)) + np.sum(lse))  # lse >= 0
+    wlse = w * lse
+    ll = float(np.sum(fitted) - np.sum(wlse))
+    scale = float(np.sum(np.abs(fitted)) + np.sum(wlse))  # lse >= 0
     return ll, probs, scale
 
 
-def _gradient(Xt, Yt, probs):
-    return ((Yt - probs) @ Xt.T).reshape(-1)  # category-major blocks
+def _gradient(Xt, Yt, w, probs):
+    return ((Yt - w * probs) @ Xt.T).reshape(-1)  # category-major blocks
 
 
-def _information(Xt, probs):
-    """Fisher information, ``blockdiag(X' diag(p_k) X) - PX PX'``, where
-    row ``k*q + a`` of PX is ``p_ik * x_ia`` over the observations i."""
+def _information(Xs, probs):
+    """Fisher information, ``blockdiag(X' W diag(p_k) X) - PX PX'``, where
+    row ``k*q + a`` of PX is ``sqrt(w_i) * p_ik * x_ia`` over the
+    observations i."""
     K, n = probs.shape
-    q = Xt.shape[0]
-    PX = (probs[:, None, :] * Xt[None, :, :]).reshape(K * q, n)
+    q = Xs.shape[0]
+    PX = (probs[:, None, :] * Xs[None, :, :]).reshape(K * q, n)
     info = -(PX @ PX.T)
-    diag = PX @ Xt.T  # block k of rows is X' diag(p_k) X
+    diag = PX @ Xs.T  # block k of rows is X' W diag(p_k) X
     for k in range(K):
         info[k * q:(k + 1) * q, k * q:(k + 1) * q] += diag[k * q:(k + 1) * q]
     return info
 
 
-def _separation_detected(gamma, X):
-    sd = X.std(axis=0)
+def _separation_detected(gamma, X, w):
+    # the weighted column SDs, with np.std's arithmetic
+    total = np.sum(w)
+    mean = np.sum(w[:, None] * X, axis=0) / total
+    sd = np.sqrt(np.sum(w[:, None] * (X - mean) ** 2, axis=0) / total)
     scale = np.where(sd > 0, sd, 1.0)  # intercept and constant columns: raw value
     return bool(np.any(np.abs(gamma) * scale[None, :] > SEPARATION_COEF))
 
 
-def fit_multinomial(X2, z, merged=False, *, start=None):
+def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     """Maximum-likelihood fit of the concordance categories on ``X2``.
 
     Newton starts at ``start`` (one row of coefficients per category, as
@@ -121,6 +129,9 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
     starts each replicate at the full-sample fit.  The fit stops when the
     largest score entry is at most ``GRADIENT_TOL``; it stops unconverged
     after ``MAX_NEWTON_ITER`` steps, or when no step raises the likelihood.
+    ``weights`` are positive finite frequency weights, one per row (None:
+    unit weights), as :func:`quantcord.quantreg.fit_quantile_regression`
+    takes them.
 
     Raises EmptyCategoryError when any modeled category (including the
     reference) has no observations; a category with zero count has no
@@ -129,11 +140,14 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
     """
     if not isinstance(X2, DesignMatrix):
         raise InvalidArgumentError("X2 must be a DesignMatrix")
+    w = check_weights(weights, X2.n)
     check_full_rank(X2)
     categories, Yt = _indicators(z, merged, X2.n)
+    Yt = Yt * w
 
     X = X2.values
     Xt = np.ascontiguousarray(X.T)
+    Xs = Xt * np.sqrt(w)
     n, q = X.shape
     K = len(categories)
     if start is None:
@@ -144,14 +158,14 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
             raise InvalidArgumentError(
                 f"start has shape {gamma.shape}, expected {(K, q)}"
             )
-    ll, probs, scale = _loglik_terms(gamma, Xt, Yt)
+    ll, probs, scale = _loglik_terms(gamma, Xt, Yt, w)
     path = [ll]
 
-    g = _gradient(Xt, Yt, probs)
+    g = _gradient(Xt, Yt, w, probs)
     converged = np.max(np.abs(g)) <= GRADIENT_TOL
     it = 0
     while not converged and it < MAX_NEWTON_ITER:
-        info = _information(Xt, probs)
+        info = _information(Xs, probs)
         try:
             step = np.linalg.solve(info, g).reshape(K, q)
         except np.linalg.LinAlgError:
@@ -168,7 +182,7 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
         improved = False
         for _ in range(40):
             trial = gamma + t * step
-            ll_trial, probs_trial, scale_trial = _loglik_terms(trial, Xt, Yt)
+            ll_trial, probs_trial, scale_trial = _loglik_terms(trial, Xt, Yt, w)
             if np.isfinite(ll_trial) and ll_trial >= ll - slack:
                 improved = True
                 break
@@ -178,10 +192,10 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
         gamma, ll, probs, scale = trial, ll_trial, probs_trial, scale_trial
         path.append(ll)
         it += 1
-        g = _gradient(Xt, Yt, probs)
+        g = _gradient(Xt, Yt, w, probs)
         converged = np.max(np.abs(g)) <= GRADIENT_TOL
 
-    separation = _separation_detected(gamma, X)
+    separation = _separation_detected(gamma, X, w)
     if separation:
         warnings.warn(
             "possible complete separation: standardized coefficient "

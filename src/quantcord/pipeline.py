@@ -3,7 +3,9 @@
 Step 1 fits one quantile regression per response; step 2 classifies
 the residual-sign pairs and fits the multinomial model; finally the
 conditional sign-correlation phi is evaluated on per-covariate
-profile grids, never clipped to its theoretical bounds.
+profile grids, never clipped to its theoretical bounds.  Both steps are
+M-estimators, so rows with frequency weights (a bootstrap resample's
+distinct rows and their counts) give the fits of the repeated rows.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +16,7 @@ import numpy as np
 from .basis import build_design, recipe_values
 from .concordance import PhiBounds, _fixed_margin_phi, classify, empirical_cells, phi_bounds
 from .dataset import Dataset
+from .design import check_weights
 from .exceptions import InvalidArgumentError, QuantcordError, check_tau
 from .multinomial import fit_multinomial, predict_cells_rows
 from .quantreg import fit_quantile_regression, residual_signs
@@ -218,25 +221,33 @@ def _tag_step(err, prefix):
         err.args = (prefix,)
 
 
-def run_two_step(data, spec, tau, grid=None, start=None):
+def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
     """Run the full two-step procedure at one quantile level.
 
     ``grid`` defaults to ``build_grid(data, spec)``; the bootstrap
     passes the original-data grid so replicates are evaluated at
     identical covariate profiles.  ``start``, a TwoStepResult for the
     same spec, gives both steps their starting coefficients; the
-    bootstrap passes the full-sample result.
+    bootstrap passes the full-sample result.  ``weights`` are positive
+    finite frequency weights of the rows (None: unit weights).  Both
+    designs' knots and centres, both steps' fits and the empirical cells
+    then are those of the rows repeated by their weights, while the
+    residuals and labels keep one entry per row.  A bootstrap replicate
+    passes its distinct rows with their resample counts.  The default
+    grid is built from the rows as given, without their weights.
     """
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
     check_tau(tau)
+    weights = check_weights(weights, data.n)
 
-    X1, _ = build_design(data, spec.step1_terms)
+    X1, _ = build_design(data, spec.step1_terms, weights)
     fits = []
     for j, name in enumerate(spec.responses):
         beta0 = None if start is None else start.step1[j].beta
         try:
-            fits.append(fit_quantile_regression(X1, data.column(name), tau, start=beta0))
+            fits.append(fit_quantile_regression(
+                X1, data.column(name), tau, start=beta0, weights=weights))
         except QuantcordError as err:
             _tag_step(err, f"step 1, response {name!r}")
             raise
@@ -245,9 +256,10 @@ def run_two_step(data, spec, tau, grid=None, start=None):
     labels = classify(omega1, omega2)
 
     try:
-        X2, recipe2 = build_design(data, spec.step2_terms)
+        X2, recipe2 = build_design(data, spec.step2_terms, weights)
         fit2 = fit_multinomial(X2, labels, merged=spec.merged,
-                               start=None if start is None else start.step2.gamma)
+                               start=None if start is None else start.step2.gamma,
+                               weights=weights)
     except QuantcordError as err:
         _tag_step(err, "step 2")
         raise
@@ -261,7 +273,7 @@ def run_two_step(data, spec, tau, grid=None, start=None):
         step2=fit2,
         surface=surface,
         labels=labels,
-        empirical=empirical_cells(labels, tau),
+        empirical=empirical_cells(labels, tau, weights),
     )
 
 

@@ -7,6 +7,9 @@ starts at the basis nearest a starting fit (least squares unless one is
 given) and stops when the vertex optimality condition of Koenker (2005,
 Thm 2.1) holds: with psi_i = tau or tau - 1 the side of each non-basic row,
 ``v = -X(h)^-T sum_{i not in h} psi_i x_i`` lies in ``[tau - 1, tau]``.
+Frequency weights w_i scale row i's loss, so a weighted fit on distinct
+rows is the fit on the rows repeated w_i times: psi_i becomes w_i psi_i
+and basis row k's bounds become ``[w_k (tau - 1), w_k tau]``.
 Otherwise the basis row whose v is furthest out leaves its zero
 residual, and an exact line search along that edge (a weighted-quantile
 walk over the residual breakpoints) picks the row that enters.  A row
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import DesignMatrix, check_full_rank
+from .design import DesignMatrix, check_full_rank, check_weights
 from .exceptions import InvalidArgumentError, NonConvergenceError, check_tau
 
 DEFAULT_TOL = 1e-10
@@ -78,11 +81,17 @@ def residual_signs(fit):
 
 
 @lru_cache(maxsize=8)
-def _perturbation(n):
-    """The fixed tie-breaking perturbation of y for n rows, read-only."""
-    delta = np.random.default_rng(0).random(n)
+def _perturbation_block(size):
+    delta = np.random.default_rng(0).random(size)
     delta.flags.writeable = False
     return delta
+
+
+def _perturbation(n):
+    """The fixed tie-breaking perturbation of y for n rows, read-only: the
+    first n draws of one stream, cached in power-of-two blocks so that fits
+    on varying row counts (bootstrap replicates) share them."""
+    return _perturbation_block(1 << (n - 1).bit_length())[:n]
 
 
 def _independent_rows(X, order, q):
@@ -116,14 +125,14 @@ def _start_basis(X, r):
     return rows
 
 
-def _ratio_test(r, rho, above, c, free, slope):
+def _ratio_test(r, rho, above, c, w, free, slope):
     """Walk the breakpoints of the edge ``r - t*c``, t >= 0, to its minimum.
 
     Non-basic row i blocks when it moves toward zero from its side
     (``above``); it crosses at ``t_i = (r_i + eps*rho_i) / c_i``, compared
     first on r and then on the infinitesimal perturbation rho, and raises
-    the slope by ``|c_i|``.  The walk stops at the first breakpoint where
-    the slope, starting from ``slope``, turns non-negative: that row
+    the slope by ``w_i * |c_i|``.  The walk stops at the first breakpoint
+    where the slope, starting from ``slope``, turns non-negative: that row
     enters, and the rows passed on the way change sides.  Returns None
     when nothing blocks.
     """
@@ -132,7 +141,7 @@ def _ratio_test(r, rho, above, c, free, slope):
         return None
     cb = c[block]
     t = r[block] / cb
-    weight = np.abs(cb)
+    weight = w[block] * np.abs(cb)
     # the walk is short, so only a head of the smallest breakpoints is
     # sorted, grown until its weight turns the slope
     m = _HEAD
@@ -152,8 +161,8 @@ def _ratio_test(r, rho, above, c, free, slope):
     return int(block[tied[min(k, tied.size - 1)]])
 
 
-def fit_quantile_regression(X, y, tau, start=None):
-    """Minimize ``sum(pinball_loss(y - X @ beta, tau))`` over beta.
+def fit_quantile_regression(X, y, tau, start=None, weights=None):
+    """Minimize ``sum(weights * pinball_loss(y - X @ beta, tau))`` over beta.
 
     Parameters
     ----------
@@ -169,12 +178,17 @@ def fit_quantile_regression(X, y, tau, start=None):
         increasing ``|y - X @ start|``, that keep it full rank; the
         least-squares fit is used when None.  The start changes only the
         path: the certificate, and so ``converged``, is the same.
+    weights : array_like, optional
+        Positive finite frequency weights, one per row; None means unit
+        weights.  A bootstrap replicate passes its resample counts and
+        fits the distinct rows only.
 
     The fit is optimal, and ``converged`` is True, when every entry of
-    ``v = -X(h)^-T sum_{i not in h} psi_i x_i`` lies in
-    ``[tau - 1 - DEFAULT_TOL, tau + DEFAULT_TOL]``; the tolerance absorbs
-    the rounding of that sum.  ``margin`` on the result is the smallest
-    slack of v against ``[tau - 1, tau]``, reported as 0 for entries
+    ``v = -X(h)^-T sum_{i not in h} w_i psi_i x_i`` lies in
+    ``[w_k (tau - 1) - DEFAULT_TOL, w_k tau + DEFAULT_TOL]``, with w_k the
+    weight of basis row k; the tolerance absorbs the rounding of that sum.
+    ``margin`` on the result is the smallest slack of v against those
+    bounds without the tolerance, reported as 0 for entries
     within the tolerance of a bound; it is negative only on a failed fit.
     Reaching ``MAX_PIVOTS`` pivots without the certificate raises
     NonConvergenceError carrying the last vertex as ``last_fit``.
@@ -198,12 +212,16 @@ def fit_quantile_regression(X, y, tau, start=None):
         raise InvalidArgumentError(f"y has length {y.shape[0]}, design has {X.n} rows")
     if not np.isfinite(y).all():
         raise InvalidArgumentError("y contains non-finite values")
+    w = check_weights(weights, X.n)
     check_full_rank(X)
 
     Xv = X.values
     n, q = Xv.shape
     abs_x = np.abs(Xv)
-    colsum = Xv.sum(axis=0)
+    # every weighted sum is ``np.sum(w * a)``, so unit weights give the
+    # unweighted fit bit for bit
+    colsum = np.sum(w[:, None] * Xv, axis=0)
+    y_noise = 4 * q * _EPS * np.abs(y)
     delta = _perturbation(n)
     if start is None:
         start, *_ = np.linalg.lstsq(Xv, y, rcond=None)
@@ -222,27 +240,31 @@ def fit_quantile_regression(X, y, tau, start=None):
         col_max = abs_x[basis].max(axis=0)
         beta = inv @ y[basis]
         r = y - Xv @ beta
-        r[np.abs(r) <= 4 * q * _EPS * np.abs(y) + noise * (col_max @ np.abs(beta))] = 0.0
+        r[np.abs(r) <= y_noise + noise * (col_max @ np.abs(beta))] = 0.0
         r[basis] = 0.0
         rho = delta - Xv @ (inv @ delta[basis])
         above = (r > 0) | ((r == 0) & (rho > 0))
         psi = np.where(above, tau, tau - 1.0)
         psi[basis] = 0.0
-        v = -(Xv.T @ psi) @ inv
+        v = -(Xv.T @ (w * psi)) @ inv
         # moving basis row k's fit up (the row goes below) changes the
-        # objective at rate v_k + 1 - tau, moving it down at rate tau - v_k
-        raise_fit = v < tau - 1.0 - DEFAULT_TOL
-        lower_fit = v > tau + DEFAULT_TOL
+        # objective at rate v_k + w_k (1 - tau), moving it down at rate
+        # w_k tau - v_k; the first is formed as (v_k + w_k) - w_k tau, which
+        # is the unweighted v_k + 1 - tau bit for bit
+        wb = w[basis]
+        low, high = wb * (tau - 1.0), wb * tau
+        raise_fit = v < low - DEFAULT_TOL
+        lower_fit = v > high + DEFAULT_TOL
         converged = not (raise_fit | lower_fit).any()
         if converged:
-            # optimal: follow zero-cost edges that lower sum(X @ beta)
-            w = colsum @ inv
-            wtol = DEFAULT_TOL * float(np.max(np.abs(w)))
-            raise_fit = (v <= tau - 1.0 + DEFAULT_TOL) & (w < -wtol)
-            lower_fit = (v >= tau - DEFAULT_TOL) & (w > wtol)
-            rate = -np.abs(w)
+            # optimal: follow zero-cost edges that lower sum(w * (X @ beta))
+            u = colsum @ inv
+            utol = DEFAULT_TOL * float(np.max(np.abs(u)))
+            raise_fit = (v <= low + DEFAULT_TOL) & (u < -utol)
+            lower_fit = (v >= high - DEFAULT_TOL) & (u > utol)
+            rate = -np.abs(u)
         else:
-            rate = np.where(raise_fit, v + 1.0 - tau, tau - v)
+            rate = np.where(raise_fit, v + wb - high, high - v)
         candidates = np.flatnonzero(raise_fit | lower_fit)
         if candidates.size == 0 or pivots >= MAX_PIVOTS:
             break
@@ -250,20 +272,20 @@ def fit_quantile_regression(X, y, tau, start=None):
         d = inv[:, k] if raise_fit[k] else -inv[:, k]
         c = Xv @ d
         c[np.abs(c) <= noise * (col_max @ np.abs(d))] = 0.0
-        enter = _ratio_test(r, rho, above, c, free, 0.0 if converged else rate[k])
+        enter = _ratio_test(r, rho, above, c, w, free, 0.0 if converged else rate[k])
         if enter is None:
             break
         free[basis[k]], free[enter] = True, False
         basis[k] = enter
         pivots += 1
 
-    margin = float(np.min(np.minimum(v - (tau - 1.0), tau - v)))
+    margin = float(np.min(np.minimum(v - low, high - v)))
     residuals = y - Xv @ beta
     fit = QuantileFit(
         tau=tau,
         beta=beta,
         residuals=residuals,
-        objective=float(np.sum(pinball_loss(residuals, tau))),
+        objective=float(np.sum(w * pinball_loss(residuals, tau))),
         iterations=pivots,
         converged=converged,
         columns=X.columns,

@@ -1,7 +1,11 @@
 """Reference implementations that the tests check the package against."""
 
+import csv
+import math
+
 import numpy as np
 
+from quantcord.dataset import MISSING_TOKENS
 from quantcord.multinomial import _loglik_terms
 
 
@@ -30,7 +34,7 @@ def oracle_phi_gaussian_median_closed_form(rho):
 def loglik_parts(gamma, X, Y):
     """Multinomial log-likelihood and the n x K probabilities, observations
     in rows, from the package's K x n kernel."""
-    ll, probs, _ = _loglik_terms(gamma, X.T, Y.T)
+    ll, probs, _ = _loglik_terms(gamma, X.T, Y.T, np.ones(len(X)))
     return ll, probs.T
 
 
@@ -47,14 +51,14 @@ def start_basis_row_by_row(X, r):
     return rows
 
 
-def ratio_test_full_sort(r, rho, above, c, free, slope):
+def ratio_test_full_sort(r, rho, above, c, w, free, slope):
     """The solver's ratio test by a full sort of every blocking breakpoint."""
     block = np.flatnonzero(free & np.where(above, c > 0, c < 0))
     if block.size == 0:
         return None
     cb = c[block]
     t = r[block] / cb
-    weight = np.abs(cb)
+    weight = w[block] * np.abs(cb)
     order = np.argsort(t)
     k = int(np.searchsorted(np.cumsum(weight[order]), -slope))
     stop = t[order[min(k, order.size - 1)]]
@@ -62,3 +66,37 @@ def ratio_test_full_sort(r, rho, above, c, free, slope):
     tied = tied[np.argsort(rho[block[tied]] / cb[tied], kind="stable")]
     k = int(np.searchsorted(np.cumsum(weight[tied]), -slope - np.sum(weight[t < stop])))
     return int(block[tied[min(k, tied.size - 1)]])
+
+
+def read_csv_cell_by_cell(path, columns):
+    """``read_csv`` of the used ``columns`` by one ``float()`` per cell in
+    row-major order: the columns and dropped row numbers, or the message of
+    the first bad cell."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        parsed, dropped = {c: [] for c in columns}, []
+        for rownum, row in enumerate(reader, start=1):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            values = {}
+            for c in columns:
+                j = header.index(c)
+                cell = row[j].strip() if j < len(row) else ""
+                if cell.lower() in MISSING_TOKENS:
+                    continue
+                try:
+                    x = float(cell)
+                except ValueError:
+                    return f"{path}: cannot parse cell {cell!r} at data row {rownum}, column {c!r}"
+                if not math.isfinite(x):
+                    return f"{path}: non-finite cell {cell!r} at data row {rownum}, column {c!r}"
+                values[c] = x
+            if len(values) < len(columns):
+                dropped.append(rownum)
+            else:
+                for c in columns:
+                    parsed[c].append(values[c])
+    if not parsed[columns[0]]:
+        return f"{path}: no usable data rows"
+    return parsed, tuple(dropped)

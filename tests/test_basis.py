@@ -91,6 +91,64 @@ class TestTertileKnots:
             tertile_knots(x)
 
 
+class TestFrequencyWeights:
+    """Weighted knots and centres are those of the rows repeated by their
+    weights; the knots bit for bit."""
+
+    @staticmethod
+    def _resample(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 400))
+        x = rng.uniform(0, 10, n)
+        if seed % 2:
+            x = np.round(x, 1)  # ties between distinct rows
+        counts = np.bincount(rng.integers(0, n, n), minlength=n)
+        rows = np.flatnonzero(counts)
+        return x, counts, rows
+
+    def test_knots_equal_expanded_column_bit_for_bit(self):
+        for seed in range(200):
+            x, counts, rows = self._resample(seed)
+            assert tertile_knots(x[rows], counts[rows]) == \
+                tertile_knots(np.repeat(x, counts)), f"seed {seed}"
+
+    def test_sorted_quantile_of_repeats(self):
+        for seed in range(50):
+            x, counts, rows = self._resample(seed)
+            order = np.argsort(x[rows], kind="stable")
+            ends = np.cumsum(counts[rows][order])
+            expanded = np.sort(np.repeat(x, counts))
+            for q in (0.0, 0.025, 1 / 3, 0.5, 2 / 3, 0.975, 1.0):
+                assert sorted_quantile(x[rows][order], q, ends) == \
+                    sorted_quantile(expanded, q), (seed, q)
+
+    def test_design_constants_match_expanded_rows(self):
+        terms = [spline("x"), center("x")]
+        for seed in range(50):
+            x, counts, rows = self._resample(seed)
+            X, recipe = build_design({"x": x[rows]}, terms, weights=counts[rows])
+            _, expanded = build_design({"x": np.repeat(x, counts)}, terms)
+            assert recipe.terms[0].knots == expanded.terms[0].knots
+            assert recipe.terms[1].center_value == pytest.approx(
+                expanded.terms[1].center_value, rel=1e-14, abs=1e-14)
+            np.testing.assert_array_equal(X.values, apply_recipe(recipe, {"x": x[rows]}).values)
+
+    def test_unit_weights_equal_no_weights(self):
+        rng = np.random.default_rng(5)
+        data = {"x": rng.uniform(0, 10, 300), "z": rng.standard_normal(300)}
+        terms = [spline("x"), center("z"), interaction("x", "z")]
+        X, recipe = build_design(data, terms)
+        Xw, recipe_w = build_design(data, terms, weights=np.ones(300))
+        assert recipe == recipe_w
+        assert np.array_equal(X.values, Xw.values)
+        assert tertile_knots(data["x"]) == tertile_knots(data["x"], np.ones(300))
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0]])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(InvalidArgumentError, match="weights"):
+            build_design({"x": np.arange(3.0)}, [identity("x")], weights=weights)
+
+
 class TestNaturalSplineColumns:
 
     @pytest.fixture

@@ -16,8 +16,11 @@ from quantcord import (
     DegenerateIntervalWarning,
     InferenceUnreliableError,
     InvalidArgumentError,
+    QuantcordError,
+    SingularDesignError,
     bootstrap,
     bootstrap_indices,
+    identity,
     phi_bounds,
     phi_interval,
     run_two_step,
@@ -313,6 +316,41 @@ class TestBootstrapFailures:
         assert partial["failures"] > 0.2 * 30
         assert partial["gamma_draws"].shape[0] == 30 - partial["failures"]
         assert partial["phi_draws"].shape[0] == 30 - partial["failures"]
+
+    def test_rank_deficient_resample_fails_as_before(self):
+        # one row has g = 0: a resample without it has g = 1 on every row,
+        # so its distinct rows are as rank deficient as its repeats, and
+        # each replicate fails exactly when the fit on the repeats does
+        rng = np.random.default_rng(7)
+        n = 40
+        g = np.ones(n)
+        g[0] = 0.0
+        data = Dataset(columns={"y1": rng.normal(size=n), "y2": rng.normal(size=n), "g": g})
+        spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,), step1_terms=(identity("g"),))
+        base = run_two_step(data, spec, 0.5)
+        module = importlib.import_module("quantcord.bootstrap")
+        failed = singular = 0
+        for b in range(30):
+            idx = bootstrap_indices(3, b, n)
+            counts = np.bincount(idx, minlength=n)
+            rows = np.flatnonzero(counts)
+            kwargs = dict(grid=base.surface.grid, start=base)
+            try:
+                run_two_step(data.take(idx), spec, 0.5, **kwargs)
+                error = None
+            except QuantcordError as err:
+                error = type(err)
+            if error is SingularDesignError:
+                singular += 1
+                with pytest.raises(SingularDesignError, match="offending columns: g"):
+                    run_two_step(data.take(rows), spec, 0.5, weights=counts[rows], **kwargs)
+            replicate = module._run_replicate(data, spec, 0.5, base, 3, b)
+            assert (replicate is None) == (error is not None), f"replicate {b}"
+            failed += error is not None
+        assert singular >= 6
+        with pytest.raises(InferenceUnreliableError) as err:
+            bootstrap(data, spec, 0.5, B=30, seed=3)
+        assert err.value.partial["failures"] == failed
 
     def test_b_floor(self):
         with pytest.raises(InvalidArgumentError, match="B must be at least 2"):

@@ -61,6 +61,20 @@ class TestEmpiricalCells:
             [cells.p00, cells.p11, cells.p01, cells.p10], [0.25] * 4
         )
 
+    def test_weights_count_repeats(self):
+        rng = np.random.default_rng(3)
+        for n in (5, 60, 999):
+            z = rng.integers(0, 4, n)
+            counts = rng.integers(1, 6, n)
+            weighted = empirical_cells(z, 0.3, weights=counts)
+            assert weighted == empirical_cells(np.repeat(z, counts), 0.3)
+            assert empirical_cells(z, 0.3, weights=np.ones(n)) == empirical_cells(z, 0.3)
+
+    @pytest.mark.parametrize("weights", [[1.0, -2.0], [np.inf, 1.0], [1.0]])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(InvalidArgumentError, match="weights"):
+            empirical_cells(np.array([0, 1]), 0.5, weights=weights)
+
     def test_counting(self):
         z = np.array([0] * 80 + [1] * 20)
         cells = empirical_cells(z, 0.2)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from quantcord import Dataset, IngestionError, InvalidArgumentError, read_csv
-from quantcord.dataset import FLOAT_FMT, csv_text
+from quantcord.dataset import FLOAT_FMT, _column_values, csv_text
+from oracles import read_csv_cell_by_cell
 
 
 class TestDataset:
@@ -155,10 +156,92 @@ class TestReadCsv:
         assert data.names == ("y1", "y2")
         np.testing.assert_array_equal(data.column("y1"), [1.5])
 
+    def test_repeated_used_column_read_once(self, tmp_path):
+        # a name given twice in ``columns`` once came out with every value
+        # twice (or, beside another column, as a length mismatch)
+        p = self._write(tmp_path, "y1,y2\n1,2\n3,4\n")
+        data, _ = read_csv(p, columns=["y1", "y2", "y1"])
+        assert data.names == ("y1", "y2")
+        np.testing.assert_array_equal(data.column("y1"), [1.0, 3.0])
+
     def test_whitespace_tolerated(self, tmp_path):
         p = self._write(tmp_path, " y1 , y2 \n 1.5 , 2.5 \n")
         data, _ = read_csv(p)
         np.testing.assert_array_equal(data.column("y1"), [1.5])
+
+
+# cells float() accepts, with their values, and cells it rejects
+ACCEPTED = {
+    " 2 ": 2.0, "+3": 3.0, "1_000": 1000.0, "\u0661\u0662\u0663": 123.0,
+    "\U0001d7d1.5": 3.5, "\xa05": 5.0, ".5": 0.5, "1e-400": 0.0, "-0": -0.0,
+}
+NON_FINITE = ("nan", "-nan", "NaN", "inf", "-Infinity", "1e400")
+REJECTED = ("0x10", "", "  ", "na", "1,5", "1 000", "1d3", "--1", "1_", "1\x00", "abc")
+
+
+class TestColumnConversion:
+    """One numpy conversion per column, with the cells it cannot take, or
+    takes to a non-finite number, singled out for the per-cell checks."""
+
+    def test_accepts_exactly_what_float_accepts(self):
+        tokens = list(ACCEPTED) + list(NON_FINITE) + list(REJECTED)
+        for column in [tokens, list(ACCEPTED) + list(NON_FINITE)] + [[t] for t in tokens]:
+            values, check = _column_values(column)
+            for k, token in enumerate(column):
+                try:
+                    x = float(token)
+                except ValueError:
+                    assert k in check and np.isnan(values[k]), repr(token)
+                    continue
+                assert (k in check) == (not np.isfinite(x)), repr(token)
+                if np.isfinite(x):
+                    assert values[k] == ACCEPTED[token] == x, repr(token)
+                    assert np.signbit(values[k]) == np.signbit(x), repr(token)
+
+    def test_matches_cell_by_cell_reference(self, tmp_path):
+        # random tables of numbers, missing tokens, short rows, blank lines,
+        # an unused column and, in some, cells that are not finite numbers
+        pool = ["1.5", " -2 ", "+3", "1_000", "\u0663.25", "7", "0.125", "1e-3"]
+        missing = ["", "NA", "nan", " None ", "null", "  "]
+        bad = ["abc", "-nan", "inf", "1e400", "0x10", "-Infinity"]
+        outcomes = set()
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            lines = ["y1, y2 ,x,unused"]
+            for _ in range(int(rng.integers(1, 12))):
+                u = rng.random()
+                if u < 0.08:
+                    lines.append("")
+                    continue
+                cells = []
+                for _ in range(4):
+                    v = rng.random()
+                    src = bad if v < 0.03 else missing if v < 0.15 else pool
+                    cells.append(src[int(rng.integers(len(src)))])
+                if u < 0.15:
+                    cells = cells[:int(rng.integers(1, 4))]
+                lines.append(",".join(cells))
+            p = self._write(tmp_path, "\n".join(lines) + "\n")
+            expected = read_csv_cell_by_cell(p, ["y1", "y2", "x"])
+            if isinstance(expected, str):
+                with pytest.raises(IngestionError) as err:
+                    read_csv(p, columns=["y1", "y2", "x"])
+                assert str(err.value) == expected, f"seed {seed}"
+                outcomes.add(expected.split(": ")[1].split(" cell")[0])
+                continue
+            data, report = read_csv(p, columns=["y1", "y2", "x"])
+            columns, dropped = expected
+            assert report.dropped_rows == dropped, f"seed {seed}"
+            for c, values in columns.items():
+                assert data.column(c).tolist() == values, f"seed {seed}"
+            outcomes.add("dropped" if dropped else "clean")
+        assert outcomes >= {"clean", "dropped", "cannot parse", "non-finite",
+                            "no usable data rows"}
+
+    def _write(self, tmp_path, text):
+        p = tmp_path / "data.csv"
+        p.write_text(text, encoding="utf-8")
+        return p
 
 
 def _columns_csv(columns):

@@ -30,10 +30,12 @@ from quantcord import (
 from quantcord.cli import main as quantcord_main
 from quantcord.multinomial import (
     GRADIENT_TOL,
+    SEPARATION_COEF,
     _gradient,
     _indicators,
     _information,
     _loglik_terms,
+    _separation_detected,
 )
 from oracles import loglik_parts
 
@@ -47,8 +49,9 @@ def _score(gamma, X2, z, merged=False):
     categories, Yt = _indicators(z, merged, X2.n)
     gamma = np.asarray(gamma, dtype=float).reshape(len(categories), X2.q)
     Xt = X2.values.T
-    _, probs, _ = _loglik_terms(gamma, Xt, Yt)
-    return _gradient(Xt, Yt, probs)
+    w = np.ones(X2.n)
+    _, probs, _ = _loglik_terms(gamma, Xt, Yt, w)
+    return _gradient(Xt, Yt, w, probs)
 
 
 def _cells(fit):
@@ -319,6 +322,67 @@ class TestFitBehavior:
         z = np.array(["00", "11", "01", "10"], dtype=object)
         with pytest.raises(InvalidArgumentError, match="integer cell codes"):
             fit_multinomial(_intercept_design(4), z)
+
+
+class TestFrequencyWeights:
+    """Distinct rows weighted by their counts fit as the repeated rows do."""
+
+    @staticmethod
+    def _draw(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(80, 600))
+        x = np.round(rng.standard_normal(n), int(rng.integers(1, 3)))
+        g = (rng.random(n) < 0.5).astype(float)
+        values = np.column_stack([np.ones(n), x, g])
+        logits = np.column_stack([np.zeros(n), 0.8 * x + g, -0.5 * x, 0.3 * x - g])
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        z = (rng.random(n)[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
+        counts = np.bincount(rng.integers(0, n, n), minlength=n)
+        return values, z, counts, np.flatnonzero(counts), bool(seed % 2)
+
+    @staticmethod
+    def _design(values):
+        return DesignMatrix(values, ("intercept", "x", "g"), intercept=True)
+
+    def test_loglik_matches_expanded_fit(self):
+        for seed in range(60):
+            values, z, counts, rows, merged = self._draw(seed)
+            idx = np.repeat(np.arange(len(z)), counts)
+            expanded = fit_multinomial(self._design(values[idx]), z[idx], merged)
+            weighted = fit_multinomial(self._design(values[rows]), z[rows], merged,
+                                       weights=counts[rows])
+            assert weighted.converged and expanded.converged, f"seed {seed}"
+            assert weighted.loglik == pytest.approx(expanded.loglik, rel=1e-12), f"seed {seed}"
+            assert weighted.separation == expanded.separation, f"seed {seed}"
+            np.testing.assert_allclose(weighted.gamma, expanded.gamma, rtol=1e-6, atol=1e-8)
+
+    def test_separation_check_uses_weighted_spread(self):
+        # a coefficient just below and just above the threshold for the
+        # SD of the repeated column
+        for seed in range(20):
+            values, _, counts, rows, _ = self._draw(seed)
+            for j in (1, 2):
+                sd = np.repeat(values, counts, axis=0)[:, j].std()
+                for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+                    gamma = np.zeros((3, 3))
+                    gamma[seed % 3, j] = factor * SEPARATION_COEF / sd
+                    flagged = _separation_detected(gamma, values[rows], counts[rows] * 1.0)
+                    assert flagged == (factor > 1.0), (seed, j, factor)
+
+    def test_unit_weights_equal_no_weights(self):
+        for seed in range(10):
+            values, z, _, _, merged = self._draw(seed)
+            plain = fit_multinomial(self._design(values), z, merged)
+            unit = fit_multinomial(self._design(values), z, merged, weights=np.ones(len(z)))
+            assert np.array_equal(plain.gamma, unit.gamma)
+            assert plain.loglik_path == unit.loglik_path
+            assert (plain.iterations, plain.separation) == (unit.iterations, unit.separation)
+
+    @pytest.mark.parametrize("weights", [[0.0] * 8, [-1.0] * 8, [np.nan] * 8, [1.0] * 7])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(InvalidArgumentError, match="weights"):
+            fit_multinomial(_intercept_design(8), np.arange(8) % 4, weights=weights)
 
 
 class TestPredict:

@@ -19,6 +19,7 @@ from quantcord import (
     phi_bounds,
     phi_profile,
     run_two_step,
+    spline,
 )
 from quantcord.multinomial import MultinomialFit
 from quantcord.pipeline import (
@@ -359,6 +360,56 @@ class TestRunTwoStep:
         result = run_two_step(data, spec, 0.5, grid=grid)
         assert result.surface.grid is grid
         assert result.surface.phi.shape == (2,)
+
+
+class TestFrequencyWeights:
+    """A resample's distinct rows weighted by their counts, as a bootstrap
+    replicate fits them, against the resample with its repeats."""
+
+    SPEC = _spec(step1_terms=(identity("x"),), step2_terms=(spline("x"),),
+                 grid_points=9)
+
+    def test_replicate_matches_expanded_resample(self):
+        data = _dependent_data(seed=5, n=400)
+        unique = 0
+        for seed in range(40):
+            tau = (0.2, 0.5, 0.8)[seed % 3]
+            base = run_two_step(data, self.SPEC, tau)
+            rng = np.random.default_rng(seed)
+            counts = np.bincount(rng.integers(0, data.n, data.n), minlength=data.n)
+            rows = np.flatnonzero(counts)
+            kwargs = dict(grid=base.surface.grid, start=base)
+            expanded = run_two_step(data.take(np.repeat(np.arange(data.n), counts)),
+                                    self.SPEC, tau, **kwargs)
+            weighted = run_two_step(data.take(rows), self.SPEC, tau,
+                                    weights=counts[rows], **kwargs)
+            for fw, fe in zip(weighted.step1, expanded.step1):
+                assert fw.objective == pytest.approx(fe.objective, rel=1e-12), f"seed {seed}"
+            if min(f.margin for f in weighted.step1) <= 0.0:
+                continue  # an optimum that is not unique may take another vertex
+            unique += 1
+            assert weighted.empirical == expanded.empirical, f"seed {seed}"
+            assert weighted.step2.loglik == pytest.approx(expanded.step2.loglik, rel=1e-12)
+            np.testing.assert_allclose(weighted.surface.phi, expanded.surface.phi,
+                                       rtol=0, atol=1e-9)
+        assert unique >= 30
+
+    def test_unit_weights_equal_no_weights(self):
+        data = _dependent_data(seed=6, n=300)
+        for tau in (0.1, 0.5):
+            plain = run_two_step(data, self.SPEC, tau)
+            unit = run_two_step(data, self.SPEC, tau, weights=np.ones(data.n))
+            for a, b in zip(plain.step1, unit.step1):
+                assert np.array_equal(a.beta, b.beta) and a.basis == b.basis
+            assert np.array_equal(plain.step2.gamma, unit.step2.gamma)
+            assert np.array_equal(plain.labels, unit.labels)
+            assert plain.empirical == unit.empirical
+            assert np.array_equal(plain.surface.phi, unit.surface.phi)
+
+    @pytest.mark.parametrize("weights", [np.zeros(50), np.full(50, np.nan), np.ones(49)])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(InvalidArgumentError, match="weights"):
+            run_two_step(_dependent_data(n=50), self.SPEC, 0.5, weights=weights)
 
 
 class TestPhiProfile:

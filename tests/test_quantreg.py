@@ -320,7 +320,8 @@ class TestLinearProgramOracle:
         breakpoint would enter it and make the basis singular (seeds 247
         and 356 did so under a cut-off that ignored the inverse's error).
         Each draw is also fitted from the full-sample coefficients, as a
-        bootstrap replicate is."""
+        bootstrap replicate is, and on its distinct rows weighted by their
+        counts, as a bootstrap replicate now is."""
         tau = 0.5
         for seed in range(400):
             rng = np.random.default_rng(seed)
@@ -343,6 +344,59 @@ class TestLinearProgramOracle:
             assert warm.converged, f"seed {seed}, warm"
             assert gap <= 1e-9, f"seed {seed}, warm: gap {gap:.3e}"
             assert warm.margin >= 0.0, f"seed {seed}, warm: margin {warm.margin}"
+
+            counts = np.bincount(idx, minlength=n)
+            rows = np.flatnonzero(counts)
+            weighted = fit_quantile_regression(_design(full[rows]), y[rows], tau,
+                                               start=start, weights=counts[rows])
+            gap = (weighted.objective - reference) / reference
+            assert weighted.converged, f"seed {seed}, weighted"
+            assert gap <= 1e-9, f"seed {seed}, weighted: gap {gap:.3e}"
+            assert weighted.margin >= 0.0, f"seed {seed}, weighted: margin {weighted.margin}"
+
+    def test_weighted_fit_matches_highs_on_expanded_rows(self):
+        """A resample's distinct rows weighted by their counts have the
+        resample's optimum, with continuous, rounded and discrete y and tail
+        taus, fitted cold and from the full-sample coefficients."""
+        for seed in range(300):
+            rng = np.random.default_rng(1000 + seed)
+            n = int(rng.integers(30, 200))
+            tau = float(rng.choice([0.1, 0.25, 0.5, 0.9]))
+            x = rng.uniform(0.0, 1.0, n)
+            g = (rng.random(n) < 0.5).astype(float)
+            y = 0.5 + x + 0.5 * g + rng.standard_t(df=3, size=n)
+            kind = seed % 3
+            if kind == 1:
+                y = np.round(y, 1)
+            elif kind == 2:
+                y = np.floor(np.clip(y, -1.0, 3.0))  # five values
+            full = np.column_stack([np.ones(n), np.round(x, 2), g])
+            idx = rng.integers(0, n, n)
+            reference = _lp_objective(full[idx], y[idx], tau)
+            counts = np.bincount(idx, minlength=n)
+            rows = np.flatnonzero(counts)
+            start = fit_quantile_regression(_design(full), y, tau).beta
+            for beta0 in (None, start):
+                fit = fit_quantile_regression(_design(full[rows]), y[rows], tau,
+                                              start=beta0, weights=counts[rows])
+                gap = (fit.objective - reference) / max(reference, 1.0)
+                label = f"seed {seed}, {'warm' if beta0 is not None else 'cold'}"
+                assert fit.converged and fit.margin >= 0.0, label
+                assert abs(gap) <= 1e-9, f"{label}: gap {gap:.3e}"
+                expanded = np.sum(pinball_loss(y[idx] - full[idx] @ fit.beta, tau))
+                assert fit.objective == pytest.approx(expanded, rel=1e-12, abs=1e-12), label
+
+    def test_unit_weights_equal_no_weights(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X, y = _random_problem(rng, int(rng.integers(20, 300)), 3)
+            y = np.round(y, int(rng.integers(0, 3)))
+            tau = float(rng.choice([0.1, 0.5, 0.75]))
+            plain = fit_quantile_regression(X, y, tau)
+            unit = fit_quantile_regression(X, y, tau, weights=np.ones(X.n))
+            for field in ("beta", "residuals", "objective", "iterations", "basis",
+                          "ties", "margin"):
+                assert np.array_equal(getattr(plain, field), getattr(unit, field)), field
 
     def test_grouped_tail_draw_is_exact(self, tmp_path):
         """A grouped n = 5000 draw at tau = 0.9 on which an earlier solver
@@ -392,9 +446,10 @@ class TestSelectionMatchesFullSort:
     both must pick the rows the full sorts pick."""
 
     @staticmethod
-    def _edge(rng, n):
+    def _edge(rng, n, weighted=False):
         """A random edge: residuals and movements on a coarse grid (ties,
-        zeros) or not, repeated entries as in a resample, and a slope that
+        zeros) or not, repeated entries as in a resample (or, ``weighted``,
+        its distinct entries with their counts as weights), and a slope that
         often needs more breakpoints than the first head holds."""
         coarse = rng.random() < 0.5
         r = rng.standard_normal(n)
@@ -403,26 +458,38 @@ class TestSelectionMatchesFullSort:
         if coarse:
             r, c = np.round(r * 4) / 4, np.round(c * 4) / 4
         idx = rng.integers(0, n, n)
-        r, c, rho = r[idx], c[idx], rho[idx]
+        if weighted:
+            w = np.bincount(idx, minlength=n).astype(float)
+            r, c, rho, w = (a[w > 0] for a in (r, c, rho, w))
+        else:
+            r, c, rho, w = r[idx], c[idx], rho[idx], np.ones(n)
         above = (r > 0) | ((r == 0) & (rho > 0))
-        free = rng.random(n) < 0.98
+        free = rng.random(r.size) < 0.98
         blocking = free & np.where(above, c > 0, c < 0)
-        slope = -rng.uniform(0.0, 1.1) * np.abs(c[blocking]).sum()
-        return r, rho, above, c, free, slope
+        slope = -rng.uniform(0.0, 1.1) * (w * np.abs(c))[blocking].sum()
+        return r, rho, above, c, w, free, slope
 
-    def test_ratio_test_on_random_edges(self):
+    def _long_walks(self, weighted):
+        """Check 400 random edges against the full sort; returns how many
+        walked past the head grown twice."""
         long_walks = 0
         for seed in range(400):
             rng = np.random.default_rng(seed)
             n = int(rng.choice([3, 40, 400, 3000]))
-            args = self._edge(rng, n)
+            args = self._edge(rng, n, weighted)
             assert qr._ratio_test(*args) == ratio_test_full_sort(*args), f"seed {seed}"
-            r, rho, above, c, free, slope = args
+            r, rho, above, c, w, free, slope = args
             block = free & np.where(above, c > 0, c < 0)
             t = r[block] / c[block]
-            walk = np.searchsorted(np.cumsum(np.abs(c[block])[np.argsort(t)]), -slope)
+            walk = np.searchsorted(np.cumsum((w * np.abs(c))[block][np.argsort(t)]), -slope)
             long_walks += walk >= 8 * qr._HEAD
-        assert long_walks >= 50
+        return long_walks
+
+    def test_ratio_test_on_random_edges(self):
+        assert self._long_walks(weighted=False) >= 50
+
+    def test_ratio_test_on_weighted_edges(self):
+        assert self._long_walks(weighted=True) >= 50
 
     def test_start_basis_on_ties_and_repeated_rows(self):
         for seed in range(300):
@@ -451,7 +518,8 @@ class TestSelectionMatchesFullSort:
 
     def test_solver_steps_match_full_sort(self, monkeypatch):
         # every ratio test and first basis of warm and cold fits on tied,
-        # resampled data, checked against the full sorts as the solver runs
+        # resampled data, and of warm fits on its distinct rows weighted by
+        # their counts, checked against the full sorts as the solver runs
         new_ratio_test, new_start_basis = qr._ratio_test, qr._start_basis
         calls = {"ratio": 0, "start": 0}
 
@@ -481,7 +549,11 @@ class TestSelectionMatchesFullSort:
             idx = rng.integers(0, n, n)
             fit_quantile_regression(_design(full[idx]), y[idx], tau)
             fit_quantile_regression(_design(full[idx]), y[idx], tau, start=start)
-        assert calls["start"] == 120 and calls["ratio"] > 120
+            counts = np.bincount(idx, minlength=n)
+            rows = np.flatnonzero(counts)
+            fit_quantile_regression(_design(full[rows]), y[rows], tau, start=start,
+                                    weights=counts[rows])
+        assert calls["start"] == 160 and calls["ratio"] > 160
 
 
 class TestFitErrors:
@@ -520,6 +592,15 @@ class TestFitErrors:
         y = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             fit_quantile_regression(X, y, 0.5)
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, 2.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0, 1.0],
+        [1.0, np.nan, 1.0, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0], np.ones((5, 1)), ["a"] * 5,
+    ], ids=["zero", "negative", "nan", "inf", "short", "2-d", "text"])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(InvalidArgumentError, match="weights"):
+            fit_quantile_regression(_intercept_only(5), np.arange(5.0), 0.5, weights=weights)
 
     def test_start_shape_checked(self):
         X = _intercept_only(5)

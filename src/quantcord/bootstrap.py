@@ -9,11 +9,11 @@ the same fits as on the resample with its repeats, at about 63% of the
 rows (the pairs bootstrap written as a multinomial-weight bootstrap,
 Koenker 2005, ch. 3).  Replicates start both steps from the full-sample
 coefficients, which only shortens the solvers' paths: each fit still
-stops on its own optimality test.  Replicates use independent
-substreams keyed by (seed, replicate index), making results
-reproducible for a fixed seed regardless of execution order or worker
-count.  Several taus share one call: their full-sample fits run first,
-then every tau's replicates run as (tau, replicate) tasks, in the
+stops on its own optimality test.  Replicate b fits one resample, drawn
+from the substream keyed by (seed, b), at every tau: results are
+reproducible for a fixed seed whatever the execution order, worker count
+or other taus of the call, and the draws are joint across taus.  The
+full-sample fits run first, then the replicates, one task each, in the
 calling process and in one pool of child processes beside it.
 
 The interval arithmetic needs no scipy, so that importing this module
@@ -27,6 +27,7 @@ m x B matrix of draws; :func:`phi_interval` is its one-row case.
 """
 
 import math
+import numbers
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -119,14 +120,20 @@ def phi_interval(draws, estimate, tau, level=DEFAULT_LEVEL):
     phi is mapped affinely from (phi_min(tau), phi_max(tau)) onto (0, 1)
     and logit-transformed; the interval is centered at the estimate's
     transform with the bootstrap SE of the transformed draws, then
-    mapped back.  Out-of-range draws are winsorized first.  Equal draws,
-    or draws all at one bound, give the point mass at the estimate; the
-    second case also warns with DegenerateIntervalWarning.  This is one
-    row of the bands :func:`bootstrap` computes for a whole surface.
+    mapped back.  Out-of-range draws, infinite ones included, are
+    winsorized first; a NaN draw or a non-finite estimate is an error.
+    Equal draws, or draws all at one bound, give the point mass at the
+    estimate; the second case also warns with DegenerateIntervalWarning.
+    This is one row of the bands :func:`bootstrap` computes for a whole
+    surface.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.size == 0:
         raise InvalidArgumentError("draws must be nonempty")
+    if np.isnan(draws).any():
+        raise InvalidArgumentError("draws must not be NaN")
+    if not np.isfinite(estimate):
+        raise InvalidArgumentError(f"estimate must be finite, got {estimate}")
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
     lower, upper, _, one_bound = _phi_bands(
@@ -141,14 +148,13 @@ def phi_interval(draws, estimate, tau, level=DEFAULT_LEVEL):
     return float(lower[0]), float(upper[0])
 
 
-def _run_replicate(data, spec, tau, base, seed, b):
-    counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
-    rows = np.flatnonzero(counts)
+def _run_replicate(sample, spec, base, weights):
+    """One replicate's fit at ``base.tau``, or None when it fails."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run_two_step(data.take(rows), spec, tau, grid=base.surface.grid,
-                               start=base, weights=counts[rows])
+            res = run_two_step(sample, spec, base.tau, grid=base.surface.grid,
+                               start=base, weights=weights)
     except QuantcordError:
         return None
     return (
@@ -158,18 +164,24 @@ def _run_replicate(data, spec, tau, base, seed, b):
     )
 
 
+def _replicate(data, spec, bases, seed, b):
+    """Replicate b's result at every base's tau, from one resample."""
+    counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
+    rows = np.flatnonzero(counts)
+    sample, weights = data.take(rows), counts[rows]
+    return [_run_replicate(sample, spec, base, weights) for base in bases]
+
+
 _WORKER_CTX = {}
 
 
-def _init_worker(data, spec, taus, bases, seed):
-    _WORKER_CTX["args"] = (data, spec, taus, bases, seed)
+def _init_worker(data, spec, bases, seed):
+    _WORKER_CTX["args"] = (data, spec, bases, seed)
 
 
-def _replicate_task(task):
-    """Replicate b of tau i, from the context the initializer stored."""
-    i, b = task
-    data, spec, taus, bases, seed = _WORKER_CTX["args"]
-    return _run_replicate(data, spec, taus[i], bases[i], seed + i, b)
+def _replicate_task(b):
+    """Replicate b, from the context the initializer stored."""
+    return _replicate(*_WORKER_CTX["args"], b)
 
 
 @dataclass(frozen=True)
@@ -184,7 +196,6 @@ class BootstrapResult:
     """
 
     B: int
-    seed: int
     level: float
     failures: int
     estimate: object
@@ -208,19 +219,18 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     tau : float or sequence of float
         One quantile level, or several, as ``np.quantile`` takes ``q``.
     B : int
-        Replicate count per tau, at least 2.
+        Replicate count, at least 2; each replicate serves every tau.
     seed : int
-        Non-negative base seed.  The i-th tau of a sequence uses seed
-        ``seed + i`` (a float tau uses ``seed``), and its replicate b
-        uses substream (seed + i, b), so a tau's draws are those of a
-        lone call at that seed.
+        Non-negative seed.  Replicate b resamples from substream
+        (seed, b) and fits that one resample at every tau, so a tau's
+        draws are those of a lone call at the same seed.
     level : float
         Coverage level for all intervals.
     workers : int
         Process count, the calling process included; any value yields
         identical results.  All full-sample fits run first, then the caller
         and one pool of ``workers - 1`` child processes (fewer when there
-        are fewer replicates) run every tau's replicates.
+        are fewer replicates) run the replicates.
 
     Returns
     -------
@@ -234,11 +244,17 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     InferenceUnreliableError
         When more than 20% of a tau's replicates fail, for the first such
         tau in order; carries that tau's partial draws.
+    InvalidArgumentError
+        Before any fit, for an empty tau sequence, a level outside (0, 1),
+        or a ``B``, ``seed`` or ``workers`` not an integer in range.
     """
     single = np.ndim(tau) == 0
     taus = (tau,) if single else tuple(tau)
     if not taus:
         raise InvalidArgumentError("tau must be a float or a nonempty sequence")
+    for name, value in (("B", B), ("seed", seed), ("workers", workers)):
+        if not isinstance(value, numbers.Integral):
+            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if B < 2:
         raise InvalidArgumentError(f"B must be at least 2, got {B}")
     if not 0.0 < level < 1.0:
@@ -249,38 +265,34 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
 
     bases = [run_two_step(data, spec, t) for t in taus]
-    tasks = [(i, b) for i in range(len(taus)) for b in range(B)]
     # the pool forks all its workers at the first submit, needed or not
-    workers = min(workers, len(tasks))
+    workers = min(workers, B)
     if workers == 1:
-        results = [
-            _run_replicate(data, spec, taus[i], bases[i], seed + i, b) for i, b in tasks
-        ]
+        results = [_replicate(data, spec, bases, seed, b) for b in range(B)]
     else:
         with ProcessPoolExecutor(
             max_workers=workers - 1,
             initializer=_init_worker,
-            initargs=(data, spec, taus, bases, seed),
+            initargs=(data, spec, bases, seed),
         ) as pool:
-            futures = [pool.submit(_replicate_task, task) for task in tasks]
-            # the parent is the last worker: it runs tasks from the end of
-            # the queue, which the children take from the front
+            futures = [pool.submit(_replicate_task, b) for b in range(B)]
+            # the parent is the last worker: it runs replicates from the end
+            # of the queue, which the children take from the front
             own = {}
-            for k in reversed(range(len(tasks))):
-                if not futures[k].cancel():
+            for b in reversed(range(B)):
+                if not futures[b].cancel():
                     break
-                i, b = tasks[k]
-                own[k] = _run_replicate(data, spec, taus[i], bases[i], seed + i, b)
-            results = [own[k] if f.cancelled() else f.result() for k, f in enumerate(futures)]
+                own[b] = _replicate(data, spec, bases, seed, b)
+            results = [own[b] if f.cancelled() else f.result() for b, f in enumerate(futures)]
 
     out = tuple(
-        _summarize(spec, base, B, seed + i, level, results[i * B:(i + 1) * B])
+        _summarize(spec, base, B, level, [r[i] for r in results])
         for i, base in enumerate(bases)
     )
     return out[0] if single else out
 
 
-def _summarize(spec, base, B, seed, level, results):
+def _summarize(spec, base, B, level, results):
     """One tau's BootstrapResult from its B replicate results."""
     ok = [r for r in results if r is not None]
     failures = B - len(ok)
@@ -316,7 +328,6 @@ def _summarize(spec, base, B, seed, level, results):
 
     return BootstrapResult(
         B=B,
-        seed=seed,
         level=level,
         failures=failures,
         estimate=replace(base, surface=surface),

@@ -126,7 +126,7 @@ def _render_analysis(cfg, spec, boot_cfg, data, report, results):
             "enabled": boot_cfg.enabled,
             "replicates": boot_cfg.replicates if boot_cfg.enabled else 0,
             "level": boot_cfg.level,
-            "per_tau_seeds": [boot.seed for _, boot in results if boot is not None],
+            "seed": boot_cfg.seed if boot_cfg.enabled else None,
         },
         "replicate_failures": {
             _fmt(run.tau): (boot.failures if boot is not None else 0)

@@ -110,8 +110,9 @@ def _start_basis(X, r):
     """First q rows, in stable |r| order, that keep ``X[rows]`` full rank."""
     q = X.shape[1]
     a = np.abs(r)
-    # the rows at or below the 4q-th smallest |r|, in full stable order: a
-    # resample's copies of one row often fill the first q places
+    # the rows at or below the 4q-th smallest |r|, in full stable order:
+    # the first q are rank deficient when they all share one value of a
+    # binary covariate, or when two of them are copies of one data row
     m = min(4 * q, a.size)
     head = np.flatnonzero(a <= np.partition(a, m - 1)[m - 1])
     head = head[np.argsort(a[head], kind="stable")]

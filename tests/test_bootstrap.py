@@ -135,7 +135,7 @@ class TestBootstrapDeterminism:
         np.testing.assert_array_equal(serial.estimate.surface.upper, par.estimate.surface.upper)
 
 
-_FIELDS = ("B", "seed", "level", "failures", "gamma_draws", "phi_draws",
+_FIELDS = ("B", "level", "failures", "gamma_draws", "phi_draws",
            "gamma_se", "gamma_lower", "gamma_upper", "winsorized")
 
 
@@ -174,15 +174,41 @@ def _assert_same_result(a, b):
 
 class TestManyTaus:
 
-    def test_matches_lone_calls_at_consecutive_seeds(self):
+    def test_matches_lone_calls_at_the_same_seed(self):
         data = _copula_like(120, seed=80)
         taus = (0.25, 0.75)
         both = bootstrap(data, SPEC, taus, B=8, seed=5, workers=2)
         assert isinstance(both, tuple) and len(both) == 2
         for i, tau in enumerate(taus):
-            alone = bootstrap(data, SPEC, tau, B=8, seed=5 + i)
-            assert both[i].estimate.tau == tau and both[i].seed == 5 + i
+            alone = bootstrap(data, SPEC, tau, B=8, seed=5)
+            assert both[i].estimate.tau == tau
             _assert_same_result(both[i], alone)
+
+    def test_one_resample_serves_every_tau(self, monkeypatch):
+        module = importlib.import_module("quantcord.bootstrap")
+        run = module._run_replicate
+        calls = []
+
+        def recorded(sample, spec, base, weights):
+            calls.append((base.tau, weights))
+            return run(sample, spec, base, weights)
+
+        monkeypatch.setattr(module, "_run_replicate", recorded)
+        data = _copula_like(80, seed=2)
+        taus = (0.25, 0.5, 0.75)
+        bootstrap(data, SPEC, taus, B=5, seed=4)
+        assert [tau for tau, _ in calls] == list(taus) * 5
+        for b in range(5):
+            counts = np.bincount(bootstrap_indices(4, b, data.n), minlength=data.n)
+            for _, weights in calls[3 * b:3 * b + 3]:
+                np.testing.assert_array_equal(weights, counts[counts > 0])
+
+    def test_a_tau_does_not_depend_on_the_other_taus(self):
+        data = _copula_like(100, seed=6)
+        ab = bootstrap(data, SPEC, (0.25, 0.75), B=6, seed=9)
+        ba = bootstrap(data, SPEC, (0.75, 0.25), B=6, seed=9)
+        _assert_same_result(ab[1], ba[0])
+        _assert_same_result(ab[0], ba[1])
 
     def test_float_tau_returns_one_result_and_a_list_a_tuple(self):
         data = _copula_like(80, seed=2)
@@ -242,13 +268,13 @@ class TestManyTaus:
         data = _rare_upper_discordance()
         assert bootstrap(data, SPEC, 0.5, B=30, seed=10).failures == 0
         with pytest.raises(InferenceUnreliableError) as lone:
-            bootstrap(data, SPEC, 0.8, B=30, seed=11)
+            bootstrap(data, SPEC, 0.8, B=30, seed=10)
         with pytest.raises(InferenceUnreliableError) as third:
-            bootstrap(data, SPEC, 0.8, B=30, seed=12)
+            bootstrap(data, SPEC, 0.85, B=30, seed=10)
         assert third.value.partial["failures"] != lone.value.partial["failures"]
-        # taus 2 and 3 both fail; the second tau, at seed 11, raises
+        # taus 2 and 3 both fail; the second tau raises
         with pytest.raises(InferenceUnreliableError) as many:
-            bootstrap(data, SPEC, (0.5, 0.8, 0.8), B=30, seed=10, workers=2)
+            bootstrap(data, SPEC, (0.5, 0.8, 0.85), B=30, seed=10, workers=2)
         assert str(many.value) == str(lone.value)
         assert str(many.value).startswith("at tau 0.8, ")
         expected, got = lone.value.partial, many.value.partial
@@ -344,7 +370,7 @@ class TestBootstrapFailures:
                 singular += 1
                 with pytest.raises(SingularDesignError, match="offending columns: g"):
                     run_two_step(data.take(rows), spec, 0.5, weights=counts[rows], **kwargs)
-            replicate = module._run_replicate(data, spec, 0.5, base, 3, b)
+            replicate = module._replicate(data, spec, [base], 3, b)[0]
             assert (replicate is None) == (error is not None), f"replicate {b}"
             failed += error is not None
         assert singular >= 6
@@ -367,6 +393,27 @@ class TestBootstrapFailures:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
             bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, seed=-1)
+
+    @pytest.mark.parametrize("name,value", [
+        ("B", 2.5), ("B", 4.0), ("B", "4"), ("seed", 1.5), ("seed", np.float64(3.0)),
+        ("workers", 1.5), ("workers", None),
+    ])
+    def test_non_integral_counts_rejected_before_any_fit(self, name, value, monkeypatch):
+        module = importlib.import_module("quantcord.bootstrap")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before validating")
+
+        monkeypatch.setattr(module, "run_two_step", no_fit)
+        kwargs = {"B": 4, "seed": 1, "workers": 1, name: value}
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
+            bootstrap(_copula_like(60, seed=1), SPEC, (0.25, 0.5), **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        data = _copula_like(60, seed=1)
+        numpy_ints = bootstrap(data, SPEC, 0.5, B=np.int64(4), seed=np.uint32(3),
+                               workers=np.int32(1))
+        _assert_same_result(numpy_ints, bootstrap(data, SPEC, 0.5, B=4, seed=3))
 
 
 class TestPhiInterval:
@@ -426,6 +473,21 @@ class TestPhiInterval:
         lo, hi = phi_interval(draws, 0.0, 0.5)
         assert np.isfinite(lo) and np.isfinite(hi)
         assert -1.0 <= lo < hi <= 1.0
+
+    def test_infinite_draws_winsorized_like_any_out_of_range_draw(self):
+        finite = phi_interval([-1.5, 0.1, 0.3, 2.0], 0.2, 0.5)
+        assert phi_interval([-np.inf, 0.1, 0.3, np.inf], 0.2, 0.5) == finite
+
+    @pytest.mark.parametrize("draws,estimate,match", [
+        ([np.nan, np.nan, 0.1], 0.2, "NaN"),
+        ([0.1, np.nan, 0.3], 0.2, "NaN"),
+        ([0.1, 0.2, 0.3], np.nan, "estimate must be finite"),
+        ([0.1, 0.2, 0.3], np.inf, "estimate must be finite"),
+        ([0.1, 0.2, 0.3], -np.inf, "estimate must be finite"),
+    ])
+    def test_nan_draws_and_non_finite_estimate_rejected(self, draws, estimate, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            phi_interval(draws, estimate, 0.5)
 
     def test_boundary_point_mass_warns(self):
         with pytest.warns(DegenerateIntervalWarning, match="one phi boundary"):

@@ -360,7 +360,7 @@ class TestAnalyzeProfiles:
         step2 = _table(workdir / "out" / "step2_coefficients.csv")
         assert all(r["ci_lower"] != "" for r in step2)
         meta = json.load(open(workdir / "out" / "metadata.json", encoding="utf-8"))
-        assert meta["bootstrap"]["per_tau_seeds"] == [3]
+        assert meta["bootstrap"]["seed"] == 3
         assert meta["bootstrap"]["replicates"] == 16
 
     def test_bootstrap_rerun_is_byte_identical(self, workdir):
@@ -393,7 +393,7 @@ class TestAnalyzeProfiles:
         meta = json.load(open(out / "metadata.json", encoding="utf-8"))
         assert meta["bootstrap"]["enabled"] is False
         assert meta["bootstrap"]["replicates"] == 0
-        assert meta["bootstrap"]["per_tau_seeds"] == []
+        assert meta["bootstrap"]["seed"] is None
 
     @pytest.mark.parametrize("overrides,key", [
         ({"taus": {"start": 0.1, "stop": float("inf"), "step": 0.1}}, "taus.stop"),
@@ -463,7 +463,7 @@ class TestAnalyzeProfiles:
             trees[workers] = _tree_bytes(workdir / f"w{workers}")
         assert trees[1] == trees[2]
         meta = json.loads(trees[2]["metadata.json"])
-        assert meta["bootstrap"]["per_tau_seeds"] == [4, 5]
+        assert meta["bootstrap"]["seed"] == 4
 
     def test_null_output_dir_takes_the_default(self, workdir):
         cfg = self._config(workdir, output_dir=None)

@@ -22,12 +22,7 @@ from .basis import (
     spline,
     tertile_knots,
 )
-from .bootstrap import (
-    BootstrapResult,
-    bootstrap,
-    bootstrap_indices,
-    phi_interval,
-)
+from .bootstrap import BootstrapResult, bootstrap, bootstrap_indices
 from .concordance import (
     LABELS,
     MERGED_DISCORDANT,
@@ -51,7 +46,6 @@ from .config import (
 from .dataset import Dataset, DropReport, read_csv
 from .design import DesignMatrix, check_full_rank
 from .exceptions import (
-    DegenerateIntervalWarning,
     EmptyCategoryError,
     InferenceUnreliableError,
     IngestionError,
@@ -100,7 +94,7 @@ __all__ = [
     "identity", "interaction", "natural_spline_columns", "recipe_values",
     "spline", "tertile_knots",
     # bootstrap
-    "BootstrapResult", "bootstrap", "bootstrap_indices", "phi_interval",
+    "BootstrapResult", "bootstrap", "bootstrap_indices",
     # concordance
     "LABELS", "MERGED_DISCORDANT", "CellProbabilities", "PhiBounds",
     "classify", "empirical_cells", "limiting_cells", "phi", "phi_bounds",
@@ -112,10 +106,9 @@ __all__ = [
     # design
     "DesignMatrix", "check_full_rank",
     # exceptions
-    "DegenerateIntervalWarning", "EmptyCategoryError",
-    "InferenceUnreliableError", "IngestionError", "InvalidArgumentError",
-    "NonConvergenceError", "QuantcordError", "SeparationWarning",
-    "SingularDesignError",
+    "EmptyCategoryError", "InferenceUnreliableError", "IngestionError",
+    "InvalidArgumentError", "NonConvergenceError", "QuantcordError",
+    "SeparationWarning", "SingularDesignError",
     # multinomial
     "CATEGORIES_FULL", "CATEGORIES_MERGED", "REFERENCE", "MultinomialFit",
     "fit_multinomial", "predict_cells_rows",

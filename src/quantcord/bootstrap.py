@@ -21,9 +21,6 @@ stays cheap: the normal quantile is the standard library's
 ``statistics.NormalDist.inv_cdf`` (Wichura's AS241, accurate to about
 1e-16), and logit and expit use the formulas of ``scipy.special``, with
 numpy and ``math`` supplying the elementary functions.
-
-The phi bands of a whole surface come from one array pass over the
-m x B matrix of draws; :func:`phi_interval` is its one-row case.
 """
 
 import math
@@ -37,12 +34,7 @@ import numpy as np
 
 from .basis import sorted_quantile
 from .concordance import phi_bounds
-from .exceptions import (
-    DegenerateIntervalWarning,
-    InferenceUnreliableError,
-    InvalidArgumentError,
-    QuantcordError,
-)
+from .exceptions import InferenceUnreliableError, InvalidArgumentError, QuantcordError
 from .pipeline import run_two_step
 
 DEFAULT_B = 1000
@@ -80,11 +72,17 @@ def _normal_quantile(level):
 
 
 def _phi_bands(draws, estimates, tau, level):
-    """:func:`phi_interval` for every row of ``draws``, an m x B
-    C-contiguous matrix of bootstrap draws, around the m ``estimates``.
+    """Wald bands for phi on the rescaled-logit scale, one per row of
+    ``draws``, an m x B C-contiguous matrix of bootstrap draws, around
+    the m ``estimates``.
 
-    Returns lower, upper, the winsorized count per row, and a mask of
-    the rows whose draws all sit at one bound.
+    phi is mapped affinely from (phi_min(tau), phi_max(tau)) onto (0, 1)
+    and logit-transformed; each band is centered at its estimate's
+    transform with the bootstrap SE of the row's transformed draws, then
+    mapped back.  Out-of-range draws, infinite ones included, are
+    winsorized first.  Equal draws, or draws all at one bound, give the
+    point mass at the estimate.  Returns lower, upper and the winsorized
+    count per row.
     """
     b = phi_bounds(tau)
     span = b.phi_max - b.phi_min
@@ -110,42 +108,7 @@ def _phi_bands(draws, estimates, tau, level):
     point = se == 0.0
     lower = np.where(point, estimates, b.phi_min + span * lo)
     upper = np.where(point, estimates, b.phi_min + span * hi)
-    winsorized = at_low.sum(axis=1) + at_high.sum(axis=1)
-    return lower, upper, winsorized, at_low.all(axis=1) | at_high.all(axis=1)
-
-
-def phi_interval(draws, estimate, tau, level=DEFAULT_LEVEL):
-    """Wald interval for phi on the rescaled-logit scale.
-
-    phi is mapped affinely from (phi_min(tau), phi_max(tau)) onto (0, 1)
-    and logit-transformed; the interval is centered at the estimate's
-    transform with the bootstrap SE of the transformed draws, then
-    mapped back.  Out-of-range draws, infinite ones included, are
-    winsorized first; a NaN draw or a non-finite estimate is an error.
-    Equal draws, or draws all at one bound, give the point mass at the
-    estimate; the second case also warns with DegenerateIntervalWarning.
-    This is one row of the bands :func:`bootstrap` computes for a whole
-    surface.
-    """
-    draws = np.asarray(draws, dtype=float)
-    if draws.size == 0:
-        raise InvalidArgumentError("draws must be nonempty")
-    if np.isnan(draws).any():
-        raise InvalidArgumentError("draws must not be NaN")
-    if not np.isfinite(estimate):
-        raise InvalidArgumentError(f"estimate must be finite, got {estimate}")
-    if not 0.0 < level < 1.0:
-        raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
-    lower, upper, _, one_bound = _phi_bands(
-        draws.reshape(1, -1), np.array([estimate], dtype=float), tau, level
-    )
-    if one_bound[0]:
-        warnings.warn(
-            "all bootstrap draws at one phi boundary; returning a point mass",
-            DegenerateIntervalWarning,
-            stacklevel=2,
-        )
-    return float(lower[0]), float(upper[0])
+    return lower, upper, at_low.sum(axis=1) + at_high.sum(axis=1)
 
 
 def _run_replicate(sample, spec, base, weights):
@@ -246,14 +209,15 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         tau in order; carries that tau's partial draws.
     InvalidArgumentError
         Before any fit, for an empty tau sequence, a level outside (0, 1),
-        or a ``B``, ``seed`` or ``workers`` not an integer in range.
+        or a ``B``, ``seed`` or ``workers`` not an integer in range (a bool is
+        not one).
     """
     single = np.ndim(tau) == 0
     taus = (tau,) if single else tuple(tau)
     if not taus:
         raise InvalidArgumentError("tau must be a float or a nonempty sequence")
     for name, value in (("B", B), ("seed", seed), ("workers", workers)):
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if B < 2:
         raise InvalidArgumentError(f"B must be at least 2, got {B}")
@@ -320,7 +284,7 @@ def _summarize(spec, base, B, level, results):
     ordered = np.sort(gamma_draws, axis=0)
     gamma_lower = sorted_quantile(ordered, alpha / 2.0)
     gamma_upper = sorted_quantile(ordered, 1.0 - alpha / 2.0)
-    lower, upper, winsorized, _ = _phi_bands(
+    lower, upper, winsorized = _phi_bands(
         np.ascontiguousarray(phi_draws.T), base.surface.phi, base.tau, level
     )
     surface = replace(base.surface, se=np.std(phi_draws, axis=0, ddof=1),

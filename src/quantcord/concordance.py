@@ -64,6 +64,8 @@ class CellProbabilities:
 
     def __post_init__(self):
         cells = (self.p00, self.p11, self.p01, self.p10)
+        if not np.isfinite(cells).all():
+            raise InvalidArgumentError(f"cells must be finite, got {cells}")
         if any(c < 0 or c > 1 for c in cells):
             raise InvalidArgumentError(f"cells must lie in [0, 1], got {cells}")
         if abs(sum(cells) - 1.0) > 1e-12:

@@ -62,9 +62,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(columns={k: v[idx] for k, v in self.columns.items()})
 
-    def __contains__(self, name):
-        return name in self.columns
-
 
 @dataclass(frozen=True)
 class DropReport:

@@ -70,7 +70,3 @@ class InferenceUnreliableError(QuantcordError):
 
 class SeparationWarning(UserWarning):
     """Quasi-complete separation suspected in a multinomial fit."""
-
-
-class DegenerateIntervalWarning(UserWarning):
-    """All bootstrap draws sit at one boundary; interval is a point mass."""

@@ -44,7 +44,6 @@ class MultinomialFit:
     columns: tuple
     merged: bool
     separation: bool = False
-    loglik_path: tuple = ()
 
 
 def _indicators(z, merged, n):
@@ -124,11 +123,12 @@ def _separation_detected(gamma, X, w):
 def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     """Maximum-likelihood fit of the concordance categories on ``X2``.
 
-    Newton starts at ``start`` (one row of coefficients per category, as
-    ``MultinomialFit.gamma``), or at zero when it is None; the bootstrap
-    starts each replicate at the full-sample fit.  The fit stops when the
-    largest score entry is at most ``GRADIENT_TOL``; it stops unconverged
-    after ``MAX_NEWTON_ITER`` steps, or when no step raises the likelihood.
+    Newton starts at ``start`` (finite, one row of coefficients per
+    category, as ``MultinomialFit.gamma``), or at zero when it is None;
+    the bootstrap starts each replicate at the full-sample fit.  The fit
+    stops when the largest score entry is at most ``GRADIENT_TOL``; it
+    stops unconverged after ``MAX_NEWTON_ITER`` steps, or when no step
+    raises the likelihood.
     ``weights`` are positive finite frequency weights, one per row (None:
     unit weights), as :func:`quantcord.quantreg.fit_quantile_regression`
     takes them.
@@ -158,8 +158,9 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
             raise InvalidArgumentError(
                 f"start has shape {gamma.shape}, expected {(K, q)}"
             )
+        if not np.isfinite(gamma).all():
+            raise InvalidArgumentError("start contains non-finite values")
     ll, probs, scale = _loglik_terms(gamma, Xt, Yt, w)
-    path = [ll]
 
     g = _gradient(Xt, Yt, w, probs)
     converged = np.max(np.abs(g)) <= GRADIENT_TOL
@@ -190,7 +191,6 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
         if not improved:
             break  # no ascent left at this iterate
         gamma, ll, probs, scale = trial, ll_trial, probs_trial, scale_trial
-        path.append(ll)
         it += 1
         g = _gradient(Xt, Yt, w, probs)
         converged = np.max(np.abs(g)) <= GRADIENT_TOL
@@ -213,7 +213,6 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
         columns=X2.columns,
         merged=merged,
         separation=separation,
-        loglik_path=tuple(path),
     )
 
 

@@ -202,15 +202,14 @@ def evaluate_surface(fit2, recipe2, grid, tau):
 @dataclass(frozen=True)
 class TwoStepResult:
     """Both step-1 fits (response order as declared), the step-2 fit,
-    the evaluated surface and the empirical cells.
-    ``labels`` holds each observation's cell code: 0 = "00", 1 = "11",
-    2 = "01", 3 = "10", as in ``concordance``."""
+    the evaluated surface and the empirical cells, the relative
+    frequencies of the cell codes 0 = "00", 1 = "11", 2 = "01" and
+    3 = "10" of ``concordance``."""
 
     tau: float
     step1: tuple
     step2: object
     surface: PhiSurface
-    labels: np.ndarray
     empirical: object
 
 
@@ -232,7 +231,7 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
     finite frequency weights of the rows (None: unit weights).  Both
     designs' knots and centres, both steps' fits and the empirical cells
     then are those of the rows repeated by their weights, while the
-    residuals and labels keep one entry per row.  A bootstrap replicate
+    step-1 residuals keep one entry per row.  A bootstrap replicate
     passes its distinct rows with their resample counts.  The default
     grid is built from the rows as given, without their weights.
     """
@@ -272,7 +271,6 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
         step1=tuple(fits),
         step2=fit2,
         surface=surface,
-        labels=labels,
         empirical=empirical_cells(labels, tau, weights),
     )
 

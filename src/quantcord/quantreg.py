@@ -174,7 +174,7 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
     tau : float
         Quantile level, strictly inside (0, 1).
     start : array_like, optional
-        Coefficients to start from, such as the full-sample fit for a
+        Finite coefficients to start from, such as the full-sample fit for a
         bootstrap replicate.  The first basis is the first q rows, by
         increasing ``|y - X @ start|``, that keep it full rank; the
         least-squares fit is used when None.  The start changes only the
@@ -228,6 +228,8 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
         start, *_ = np.linalg.lstsq(Xv, y, rcond=None)
     elif np.shape(start) != (q,):
         raise InvalidArgumentError(f"start has shape {np.shape(start)}, expected {(q,)}")
+    elif not np.isfinite(start).all():
+        raise InvalidArgumentError("start contains non-finite values")
     basis = _start_basis(Xv, y - Xv @ np.asarray(start, dtype=float))
     free = np.ones(n, dtype=bool)
     free[basis] = False

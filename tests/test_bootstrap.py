@@ -13,16 +13,16 @@ from quantcord import (
     LABELS,
     AnalysisSpec,
     Dataset,
-    DegenerateIntervalWarning,
     InferenceUnreliableError,
     InvalidArgumentError,
     QuantcordError,
     SingularDesignError,
     bootstrap,
     bootstrap_indices,
+    classify,
     identity,
     phi_bounds,
-    phi_interval,
+    residual_signs,
     run_two_step,
 )
 from quantcord.bootstrap import WINSOR_EPS, _expit, _logit, _normal_quantile, _phi_bands
@@ -312,7 +312,7 @@ class TestBootstrapResultShape:
 
     def test_surface_carries_bands(self, result):
         surf = result.estimate.surface
-        lower, upper, _, _ = _phi_bands(
+        lower, upper, _ = _phi_bands(
             np.ascontiguousarray(result.phi_draws.T), surf.phi, 0.5, result.level)
         np.testing.assert_array_equal(surf.lower, lower)
         np.testing.assert_array_equal(surf.upper, upper)
@@ -335,7 +335,8 @@ class TestBootstrapFailures:
         data = _rare_discordance()
         # the base fit itself sees all four categories
         base = run_two_step(data, SPEC, 0.5)
-        assert set(np.asarray(LABELS)[base.labels]) == {"00", "11", "01", "10"}
+        labels = classify(residual_signs(base.step1[0]), residual_signs(base.step1[1]))
+        assert set(np.asarray(LABELS)[labels]) == {"00", "11", "01", "10"}
         with pytest.raises(InferenceUnreliableError, match="bootstrap replicates failed") as err:
             bootstrap(data, SPEC, 0.5, B=30, seed=11)
         partial = err.value.partial
@@ -397,6 +398,7 @@ class TestBootstrapFailures:
     @pytest.mark.parametrize("name,value", [
         ("B", 2.5), ("B", 4.0), ("B", "4"), ("seed", 1.5), ("seed", np.float64(3.0)),
         ("workers", 1.5), ("workers", None),
+        ("B", True), ("seed", True), ("seed", False), ("workers", True),
     ])
     def test_non_integral_counts_rejected_before_any_fit(self, name, value, monkeypatch):
         module = importlib.import_module("quantcord.bootstrap")
@@ -416,10 +418,18 @@ class TestBootstrapFailures:
         _assert_same_result(numpy_ints, bootstrap(data, SPEC, 0.5, B=4, seed=3))
 
 
+def _band(draws, estimate, tau, level=0.95):
+    """The band of one row of draws, from the array pass."""
+    lower, upper, _ = _phi_bands(np.asarray(draws, dtype=float).reshape(1, -1),
+                                 np.array([estimate], dtype=float), tau, level)
+    return float(lower[0]), float(upper[0])
+
+
 class TestPhiInterval:
+    """The Wald band of one row of draws."""
 
     def test_all_draws_equal_gives_zero_width(self):
-        lo, hi = phi_interval(np.full(50, 0.3), 0.3, 0.5)
+        lo, hi = _band(np.full(50, 0.3), 0.3, 0.5)
         assert lo == hi == 0.3
 
     def test_symmetric_draws_contain_zero_at_median(self):
@@ -427,7 +437,7 @@ class TestPhiInterval:
         rng = np.random.default_rng(21)
         half = rng.uniform(0.05, 0.4, size=200)
         draws = np.concatenate([half, -half])
-        lo, hi = phi_interval(draws, 0.0, 0.5)
+        lo, hi = _band(draws, 0.0, 0.5)
         assert lo < 0.0 < hi
         np.testing.assert_allclose(lo, -hi, rtol=0, atol=1e-12)
 
@@ -444,7 +454,7 @@ class TestPhiInterval:
         se = np.sqrt(polygamma(1, a) + polygamma(1, b))
         z = norm.ppf(0.975)
         expected = (-1.0 + 2.0 * expit(t0 - z * se), -1.0 + 2.0 * expit(t0 + z * se))
-        lo, hi = phi_interval(draws, estimate, 0.5)
+        lo, hi = _band(draws, estimate, 0.5)
         np.testing.assert_allclose((lo, hi), expected, rtol=0, atol=0.01)
 
     def test_containment_random_configurations(self):
@@ -453,7 +463,7 @@ class TestPhiInterval:
             tau = rng.uniform(0.1, 0.9)
             center = rng.uniform(-0.3, 0.8)
             draws = center + rng.normal(0.0, 0.05, size=100)
-            lo, hi = phi_interval(draws, center, tau)
+            lo, hi = _band(draws, center, tau)
             assert lo <= center <= hi
 
     def test_wider_draws_give_nested_intervals(self):
@@ -462,45 +472,31 @@ class TestPhiInterval:
         base = rng.normal(0.0, 1.0, size=300)
         narrow = 0.2 + 0.02 * base
         wide = 0.2 + 0.08 * base
-        lo_n, hi_n = phi_interval(narrow, 0.2, 0.5)
-        lo_w, hi_w = phi_interval(wide, 0.2, 0.5)
+        lo_n, hi_n = _band(narrow, 0.2, 0.5)
+        lo_w, hi_w = _band(wide, 0.2, 0.5)
         assert lo_w < lo_n < hi_n < hi_w
 
     def test_out_of_range_draws_winsorized(self):
         # values at or past a bound are pulled eps inside before the
         # transform, so the interval stays finite
         draws = np.array([-1.5, -1.0, 0.0, 0.2, 2.0, 1.0])
-        lo, hi = phi_interval(draws, 0.0, 0.5)
+        lo, hi = _band(draws, 0.0, 0.5)
         assert np.isfinite(lo) and np.isfinite(hi)
         assert -1.0 <= lo < hi <= 1.0
 
     def test_infinite_draws_winsorized_like_any_out_of_range_draw(self):
-        finite = phi_interval([-1.5, 0.1, 0.3, 2.0], 0.2, 0.5)
-        assert phi_interval([-np.inf, 0.1, 0.3, np.inf], 0.2, 0.5) == finite
+        finite = _band([-1.5, 0.1, 0.3, 2.0], 0.2, 0.5)
+        assert _band([-np.inf, 0.1, 0.3, np.inf], 0.2, 0.5) == finite
 
-    @pytest.mark.parametrize("draws,estimate,match", [
-        ([np.nan, np.nan, 0.1], 0.2, "NaN"),
-        ([0.1, np.nan, 0.3], 0.2, "NaN"),
-        ([0.1, 0.2, 0.3], np.nan, "estimate must be finite"),
-        ([0.1, 0.2, 0.3], np.inf, "estimate must be finite"),
-        ([0.1, 0.2, 0.3], -np.inf, "estimate must be finite"),
-    ])
-    def test_nan_draws_and_non_finite_estimate_rejected(self, draws, estimate, match):
-        with pytest.raises(InvalidArgumentError, match=match):
-            phi_interval(draws, estimate, 0.5)
-
-    def test_boundary_point_mass_warns(self):
-        with pytest.warns(DegenerateIntervalWarning, match="one phi boundary"):
-            lo, hi = phi_interval(np.ones(10), 1.0, 0.5)
+    def test_boundary_draws_give_point_mass(self):
+        lo, hi = _band(np.ones(10), 1.0, 0.5)
         assert lo == hi == 1.0
 
-    def test_empty_draws_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="nonempty"):
-            phi_interval(np.array([]), 0.0, 0.5)
-
     def test_level_validated(self):
+        # the bands' level is checked where bootstrap() takes it;
+        # TestBootstrapFailures covers level 1
         with pytest.raises(InvalidArgumentError, match="level"):
-            phi_interval(np.array([0.1, 0.2]), 0.1, 0.5, level=0.0)
+            bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, level=0.0)
 
     def test_level_just_below_one_gives_inner_band(self):
         # 0.5 + level / 2 rounds to 1 here, where the upper-tail normal
@@ -510,7 +506,7 @@ class TestPhiInterval:
         draws = 0.2 + 0.05 * rng.normal(size=200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lo, hi = phi_interval(draws, 0.2, 0.5, level=level)
+            lo, hi = _band(draws, 0.2, 0.5, level=level)
         assert -1.0 < lo <= 0.2 <= hi < 1.0
 
 
@@ -570,8 +566,7 @@ class TestWinsorizedCount:
 
 def _reference_band(draws, estimate, tau, level):
     """One row's band by the per-row arithmetic the array pass replaced:
-    lower, upper, winsorized count and whether every draw sits at one
-    bound."""
+    lower, upper and winsorized count."""
     b = phi_bounds(tau)
     span = b.phi_max - b.phi_min
 
@@ -584,15 +579,15 @@ def _reference_band(draws, estimate, tau, level):
 
     t, count, one_bound = transform(draws)
     if one_bound:
-        return float(estimate), float(estimate), count, True
+        return float(estimate), float(estimate), count
     spread = float(np.ptp(t)) if t.size > 1 else 0.0
     se = float(np.std(t, ddof=1)) if spread > 0.0 else 0.0
     if se == 0.0:
-        return float(estimate), float(estimate), count, False
+        return float(estimate), float(estimate), count
     t0 = transform([estimate])[0][0]
     z = _normal_quantile(level)
     lo, hi = _expit(t0 - z * se), _expit(t0 + z * se)
-    return float(b.phi_min + span * lo), float(b.phi_min + span * hi), count, False
+    return float(b.phi_min + span * lo), float(b.phi_min + span * hi), count
 
 
 class TestBandPass:
@@ -630,17 +625,16 @@ class TestBandPass:
         estimates[:3] = (b.phi_max, b.phi_min, b.phi_max + 0.1)
         ref = [_reference_band(draws[:, i], estimates[i], tau, 0.95)
                for i in range(draws.shape[1])]
-        lower, upper, winsorized, one_bound = _phi_bands(
+        lower, upper, winsorized = _phi_bands(
             np.ascontiguousarray(draws.T), estimates, tau, 0.95
         )
         assert np.array_equal(lower, [r[0] for r in ref])
         assert np.array_equal(upper, [r[1] for r in ref])
         assert np.array_equal(winsorized, [r[2] for r in ref])
-        assert np.array_equal(one_bound, [r[3] for r in ref])
 
     def test_bootstrap_is_quiet_on_a_one_bound_row(self, monkeypatch):
         # every replicate puts the row at phi_max: bootstrap returns the
-        # point mass without a warning, phi_interval still warns
+        # point mass without a warning
         module = importlib.import_module("quantcord.bootstrap")
         run = module._run_replicate
 
@@ -656,6 +650,3 @@ class TestBandPass:
         surf = result.estimate.surface
         assert surf.lower[0] == surf.upper[0] == estimate
         assert result.winsorized[0] == 6
-        with pytest.warns(DegenerateIntervalWarning, match="one phi boundary"):
-            lo, hi = phi_interval(result.phi_draws[:, 0], estimate, 0.5)
-        assert lo == hi == estimate

@@ -121,6 +121,14 @@ class TestEmpiricalCells:
 
 class TestCellProbabilitiesValidation:
 
+    @pytest.mark.parametrize("cells", [
+        (np.nan, 0.5, 0.25, 0.25), (0.5, np.nan, 0.25, 0.25),
+        (0.25, 0.25, np.inf, 0.5), (0.5, 0.5, 0.0, -np.inf),
+    ])
+    def test_non_finite_cell_rejected(self, cells):
+        with pytest.raises(InvalidArgumentError, match="cells must be finite"):
+            CellProbabilities(*cells, tau=0.5)
+
     def test_negative_cell_rejected(self):
         with pytest.raises(InvalidArgumentError, match="lie in"):
             CellProbabilities(p00=-0.1, p11=0.6, p01=0.25, p10=0.25, tau=0.5)

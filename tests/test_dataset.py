@@ -31,8 +31,8 @@ class TestDataset:
 
     def test_contains(self):
         d = Dataset(columns={"a": [1.0, 2.0]})
-        assert "a" in d
-        assert "b" not in d
+        assert "a" in d.names
+        assert "b" not in d.names
 
     def test_take_keeps_rows_paired(self):
         d = Dataset(columns={"y1": [1.0, 2.0, 3.0], "y2": [10.0, 20.0, 30.0]})
@@ -86,7 +86,7 @@ class TestReadCsv:
         data, report = read_csv(p, columns=["y1", "y2"])
         assert data.n == 2
         assert report.n_dropped == 0
-        assert "extra" not in data
+        assert "extra" not in data.names
 
     def test_unparseable_cell_names_coordinates(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1,2\n3,abc\n")

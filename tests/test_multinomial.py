@@ -9,6 +9,7 @@ import pytest
 import yaml
 from scipy.special import logsumexp
 
+import quantcord.multinomial as mn
 from quantcord import (
     CATEGORIES_FULL,
     CATEGORIES_MERGED,
@@ -21,10 +22,12 @@ from quantcord import (
     SingularDesignError,
     bootstrap_indices,
     build_design,
+    classify,
     fit_multinomial,
     identity,
     predict_cells_rows,
     read_csv,
+    residual_signs,
     run_two_step,
 )
 from quantcord.cli import main as quantcord_main
@@ -144,6 +147,14 @@ class TestGradient:
         with pytest.raises(InvalidArgumentError, match="start"):
             fit_multinomial(_intercept_design(100), z, start=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        z = _labels_from_counts(25, 25, 25, 25)
+        start = np.zeros((3, 1))
+        start[1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="start contains non-finite"):
+            fit_multinomial(_intercept_design(100), z, start=start)
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         n, q2 = 50, 3
@@ -206,7 +217,7 @@ class TestGradient:
 
 class TestFitBehavior:
 
-    def test_loglik_path_nondecreasing(self):
+    def test_loglik_path_nondecreasing(self, monkeypatch):
         rng = np.random.default_rng(13)
         n = 300
         x = rng.standard_normal(n)
@@ -219,9 +230,13 @@ class TestFitBehavior:
         p /= p.sum(axis=1, keepdims=True)
         z = np.array([rng.choice(4, p=p[i]) for i in range(n)])
         fit = fit_multinomial(X, z)
-        path = np.asarray(fit.loglik_path)
+        # the fit capped at k Newton steps ends at the path's k-th iterate
+        path = []
+        for k in range(fit.iterations + 1):
+            monkeypatch.setattr(mn, "MAX_NEWTON_ITER", k)
+            path.append(fit_multinomial(X, z).loglik)
         assert np.all(np.diff(path) >= -1e-10)
-        np.testing.assert_allclose(path[-1], fit.loglik, rtol=1e-12)
+        assert path[-1] == fit.loglik
 
     @pytest.mark.parametrize("data_seed, boot_seed", [(2000, 2001), (6000, 6000)])
     def test_tail_quantile_fits_converge(self, tmp_path, data_seed, boot_seed):
@@ -259,7 +274,8 @@ class TestFitBehavior:
                 res = run_two_step(sample, spec, 0.95)
             fit = res.step2
             X2, _ = build_design(sample, spec.step2_terms)
-            g = _score(fit.gamma, X2, res.labels, merged=True)
+            labels = classify(residual_signs(res.step1[0]), residual_signs(res.step1[1]))
+            g = _score(fit.gamma, X2, labels, merged=True)
             assert fit.converged, f"sample {b - 1}"
             assert np.max(np.abs(g)) <= GRADIENT_TOL, f"sample {b - 1}"
 
@@ -370,14 +386,21 @@ class TestFrequencyWeights:
                     flagged = _separation_detected(gamma, values[rows], counts[rows] * 1.0)
                     assert flagged == (factor > 1.0), (seed, j, factor)
 
-    def test_unit_weights_equal_no_weights(self):
+    def test_unit_weights_equal_no_weights(self, monkeypatch):
         for seed in range(10):
             values, z, _, _, merged = self._draw(seed)
             plain = fit_multinomial(self._design(values), z, merged)
             unit = fit_multinomial(self._design(values), z, merged, weights=np.ones(len(z)))
             assert np.array_equal(plain.gamma, unit.gamma)
-            assert plain.loglik_path == unit.loglik_path
+            assert plain.loglik == unit.loglik
             assert (plain.iterations, plain.separation) == (unit.iterations, unit.separation)
+            # the log-likelihood after every Newton step, from capped fits
+            with monkeypatch.context() as m:
+                for k in range(plain.iterations):
+                    m.setattr(mn, "MAX_NEWTON_ITER", k)
+                    capped = [fit_multinomial(self._design(values), z, merged, weights=w)
+                              for w in (None, np.ones(len(z)))]
+                    assert capped[0].loglik == capped[1].loglik, (seed, k)
 
     @pytest.mark.parametrize("weights", [[0.0] * 8, [-1.0] * 8, [np.nan] * 8, [1.0] * 7])
     def test_bad_weights_rejected(self, weights):

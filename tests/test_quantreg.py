@@ -607,6 +607,12 @@ class TestFitErrors:
         with pytest.raises(InvalidArgumentError, match="start"):
             fit_quantile_regression(X, np.arange(5.0), 0.5, start=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        X, y = _random_problem(np.random.default_rng(8), 40, 2)
+        with pytest.raises(InvalidArgumentError, match="start contains non-finite"):
+            fit_quantile_regression(X, y, 0.5, start=[0.0, bad])
+
     def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         rng = np.random.default_rng(6)
         X, y = _random_problem(rng, 60, 3)

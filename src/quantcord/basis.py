@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import Dataset
 from .design import DesignMatrix, check_weights
 from .exceptions import InvalidArgumentError
 
@@ -87,30 +88,6 @@ class BasisRecipe:
         return names
 
 
-def _row_count(data):
-    if hasattr(data, "n"):
-        return data.n
-    d = dict(data)
-    if not d:
-        raise InvalidArgumentError("cannot infer row count from empty data")
-    return len(np.asarray(next(iter(d.values()))))
-
-
-def _get_column(data, name):
-    try:
-        if hasattr(data, "column"):
-            col = data.column(name)
-        else:
-            col = data[name]
-    except KeyError:
-        raise InvalidArgumentError(f"column {name!r} not found in data") from None
-    try:
-        col = np.asarray(col, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"column {name!r} is not numeric") from None
-    return col
-
-
 def natural_spline_columns(x, knots):
     """Natural cubic spline basis on fixed knots, excluding the constant.
 
@@ -183,20 +160,15 @@ def tertile_knots(x, weights=None):
 
 
 def _fit_term(spec, data, w):
-    if spec.kind == "identity":
-        _get_column(data, spec.column)
-        return FittedTerm(spec)
     if spec.kind == "center":
-        col = _get_column(data, spec.column)
+        col = data.column(spec.column)
         # the weighted mean, with np.mean's arithmetic when every weight is 1
         value = (float(np.sum(w * col) / np.sum(w)) if spec.center is None
                  else float(spec.center))
         return FittedTerm(spec, center_value=value)
-    if spec.kind == "interaction":
-        _get_column(data, spec.column)
-        _get_column(data, spec.column2)
+    if spec.kind != "spline":  # identity and interaction have no constants
         return FittedTerm(spec)
-    col = _get_column(data, spec.column)
+    col = data.column(spec.column)
     if not np.isfinite(col).all():
         raise InvalidArgumentError(f"spline column {spec.column!r} is not finite")
     return FittedTerm(spec, knots=tertile_knots(col, w))
@@ -204,43 +176,48 @@ def _fit_term(spec, data, w):
 
 def _eval_term(term, data):
     s = term.spec
-    col = _get_column(data, s.column)
+    col = data.column(s.column)
     if s.kind == "identity":
         return col[:, None]
     if s.kind == "center":
         return (col - term.center_value)[:, None]
     if s.kind == "interaction":
-        return (col * _get_column(data, s.column2))[:, None]
+        return (col * data.column(s.column2))[:, None]
     return natural_spline_columns(col, term.knots)
 
 
 def build_design(data, terms, weights=None):
-    """Fit all data-dependent constants and assemble the design, an
-    intercept column followed by the terms' columns.
+    """Fit all data-dependent constants on the Dataset ``data`` and
+    assemble the design, an intercept column followed by the terms' columns.
 
     ``weights``, positive finite frequency weights of the rows (None: unit
     weights), give the knots and centres of the rows repeated that often;
     the design itself has one row per data row.
     Returns the design matrix and the recipe that rebuilds it.
     """
-    w = check_weights(weights, _row_count(data))
+    if not isinstance(data, Dataset):
+        raise InvalidArgumentError("data must be a Dataset")
+    w = check_weights(weights, data.n)
     recipe = BasisRecipe(terms=tuple(_fit_term(t, data, w) for t in terms))
     return apply_recipe(recipe, data), recipe
 
 
 def recipe_values(recipe, data):
-    """Raw design values for a fitted recipe, with no row-count floor.
+    """Raw design values of a fitted recipe on the Dataset ``data``, with
+    no row-count floor.
 
     Used for prediction grids, which may have fewer rows than columns.
     Returns the value array and the sorted indices of rows where a
     spline input fell beyond its boundary knots (linear extrapolation).
     """
-    blocks = [np.ones((_row_count(data), 1))]
+    if not isinstance(data, Dataset):
+        raise InvalidArgumentError("data must be a Dataset")
+    blocks = [np.ones((data.n, 1))]
     extrapolated = set()
     for term in recipe.terms:
         block = _eval_term(term, data)
         if term.spec.kind == "spline":
-            col = _get_column(data, term.spec.column)
+            col = data.column(term.spec.column)
             outside = np.nonzero((col < term.knots[0]) | (col > term.knots[-1]))[0]
             extrapolated.update(outside.tolist())
         blocks.append(block)

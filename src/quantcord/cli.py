@@ -14,7 +14,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -115,7 +114,6 @@ def _render_analysis(cfg, spec, boot_cfg, data, report, results):
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "input": cfg.input,
         "n_rows": data.n,
         "dropped_rows": list(report.dropped_rows),

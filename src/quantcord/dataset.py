@@ -26,7 +26,10 @@ class Dataset:
         cols = {}
         n = None
         for name, values in self.columns.items():
-            arr = np.asarray(values, dtype=float)
+            try:
+                arr = np.asarray(values, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(f"column {name!r} is not numeric") from None
             if arr.ndim != 1:
                 raise InvalidArgumentError(f"column {name!r} is not 1-d")
             if n is None:

@@ -21,7 +21,12 @@ import numpy as np
 
 from .concordance import LABELS, MERGED_DISCORDANT, _checked_codes
 from .design import DesignMatrix, check_full_rank, check_weights
-from .exceptions import EmptyCategoryError, InvalidArgumentError, SeparationWarning
+from .exceptions import (
+    EmptyCategoryError,
+    InvalidArgumentError,
+    NonConvergenceError,
+    SeparationWarning,
+)
 
 REFERENCE = "00"
 CATEGORIES_FULL = ("11", "01", "10")
@@ -34,7 +39,12 @@ SEPARATION_COEF = 30.0
 
 @dataclass(frozen=True)
 class MultinomialFit:
-    """Fitted category log-odds against the "00" reference."""
+    """Fitted category log-odds against the "00" reference.
+
+    ``fit_multinomial`` returns only converged fits, so ``converged`` is
+    True on every fit it returns; it is False only on the ``last_fit`` of
+    its NonConvergenceError.
+    """
 
     categories: tuple
     gamma: np.ndarray  # one row of coefficients per non-reference category
@@ -126,9 +136,10 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     Newton starts at ``start`` (finite, one row of coefficients per
     category, as ``MultinomialFit.gamma``), or at zero when it is None;
     the bootstrap starts each replicate at the full-sample fit.  The fit
-    stops when the largest score entry is at most ``GRADIENT_TOL``; it
-    stops unconverged after ``MAX_NEWTON_ITER`` steps, or when no step
-    raises the likelihood.
+    converges when the largest score entry is at most ``GRADIENT_TOL``.
+    Reaching ``MAX_NEWTON_ITER`` steps without that, or an iterate where
+    no step raises the likelihood, raises NonConvergenceError carrying
+    the last iterate as ``last_fit``.
     ``weights`` are positive finite frequency weights, one per row (None:
     unit weights), as :func:`quantcord.quantreg.fit_quantile_regression`
     takes them.
@@ -163,7 +174,7 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     ll, probs, scale = _loglik_terms(gamma, Xt, Yt, w)
 
     g = _gradient(Xt, Yt, w, probs)
-    converged = np.max(np.abs(g)) <= GRADIENT_TOL
+    converged = bool(np.max(np.abs(g)) <= GRADIENT_TOL)
     it = 0
     while not converged and it < MAX_NEWTON_ITER:
         info = _information(Xs, probs)
@@ -193,7 +204,7 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
         gamma, ll, probs, scale = trial, ll_trial, probs_trial, scale_trial
         it += 1
         g = _gradient(Xt, Yt, w, probs)
-        converged = np.max(np.abs(g)) <= GRADIENT_TOL
+        converged = bool(np.max(np.abs(g)) <= GRADIENT_TOL)
 
     separation = _separation_detected(gamma, X, w)
     if separation:
@@ -204,7 +215,7 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
             stacklevel=2,
         )
 
-    return MultinomialFit(
+    fit = MultinomialFit(
         categories=categories,
         gamma=gamma,
         loglik=ll,
@@ -214,6 +225,13 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
         merged=merged,
         separation=separation,
     )
+    if not converged:
+        raise NonConvergenceError(
+            f"multinomial fit did not converge in {it} Newton steps: largest "
+            f"score entry {np.max(np.abs(g)):.3g} exceeds {GRADIENT_TOL:g}",
+            last_fit=fit,
+        )
+    return fit
 
 
 def predict_cells_rows(fit, X):

@@ -8,6 +8,7 @@ M-estimators, so rows with frequency weights (a bootstrap resample's
 distinct rows and their counts) give the fits of the repeated rows.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -46,6 +47,16 @@ class AnalysisSpec:
     binary: tuple = ()
 
     def __post_init__(self):
+        for name in ("responses", "binary"):  # a string would split into letters
+            value = getattr(self, name)
+            if isinstance(value, str):
+                raise InvalidArgumentError(
+                    f"{name} must be a sequence of column names, got {value!r}")
+        if not isinstance(self.merged, bool):  # "no" is truthy
+            raise InvalidArgumentError(f"merged must be True or False, got {self.merged!r}")
+        points = self.grid_points
+        if isinstance(points, bool) or not isinstance(points, numbers.Integral):
+            raise InvalidArgumentError(f"grid_points must be an integer, got {points!r}")
         object.__setattr__(self, "responses", tuple(self.responses))
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
         object.__setattr__(self, "step1_terms", tuple(self.step1_terms))
@@ -183,7 +194,7 @@ class PhiSurface:
 def evaluate_surface(fit2, recipe2, grid, tau):
     """Predict cell probabilities on the grid and map them to phi."""
     if grid.columns:
-        X, _ = recipe_values(recipe2, grid.columns)
+        X, _ = recipe_values(recipe2, Dataset(columns=grid.columns))
     else:
         X = np.ones((grid.m, 1))
     cells = predict_cells_rows(fit2, X)

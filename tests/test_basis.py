@@ -7,6 +7,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from quantcord import (
+    Dataset,
     InvalidArgumentError,
     SingularDesignError,
     TermSpec,
@@ -126,27 +127,30 @@ class TestFrequencyWeights:
         terms = [spline("x"), center("x")]
         for seed in range(50):
             x, counts, rows = self._resample(seed)
-            X, recipe = build_design({"x": x[rows]}, terms, weights=counts[rows])
-            _, expanded = build_design({"x": np.repeat(x, counts)}, terms)
+            distinct = Dataset(columns={"x": x[rows]})
+            X, recipe = build_design(distinct, terms, weights=counts[rows])
+            _, expanded = build_design(Dataset(columns={"x": np.repeat(x, counts)}), terms)
             assert recipe.terms[0].knots == expanded.terms[0].knots
             assert recipe.terms[1].center_value == pytest.approx(
                 expanded.terms[1].center_value, rel=1e-14, abs=1e-14)
-            np.testing.assert_array_equal(X.values, apply_recipe(recipe, {"x": x[rows]}).values)
+            np.testing.assert_array_equal(X.values, apply_recipe(recipe, distinct).values)
 
     def test_unit_weights_equal_no_weights(self):
         rng = np.random.default_rng(5)
-        data = {"x": rng.uniform(0, 10, 300), "z": rng.standard_normal(300)}
+        data = Dataset(columns={"x": rng.uniform(0, 10, 300), "z": rng.standard_normal(300)})
         terms = [spline("x"), center("z"), interaction("x", "z")]
         X, recipe = build_design(data, terms)
         Xw, recipe_w = build_design(data, terms, weights=np.ones(300))
         assert recipe == recipe_w
         assert np.array_equal(X.values, Xw.values)
-        assert tertile_knots(data["x"]) == tertile_knots(data["x"], np.ones(300))
+        x = data.column("x")
+        assert tertile_knots(x) == tertile_knots(x, np.ones(300))
 
     @pytest.mark.parametrize("weights", [[1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0]])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(InvalidArgumentError, match="weights"):
-            build_design({"x": np.arange(3.0)}, [identity("x")], weights=weights)
+            build_design(Dataset(columns={"x": np.arange(3.0)}), [identity("x")],
+                         weights=weights)
 
 
 class TestNaturalSplineColumns:
@@ -209,12 +213,12 @@ class TestBuildDesign:
     @pytest.fixture
     def data(self):
         rng = np.random.default_rng(4)
-        return {
+        return Dataset(columns={
             "x1": rng.uniform(0, 10, 60),
             "x2": rng.standard_normal(60),
             "g": rng.integers(0, 2, 60).astype(float),
             "const37": np.full(60, 37.0),
-        }
+        })
 
     def test_identity_terms_column_count(self, data):
         X, _ = build_design(data, [identity("x1"), identity("x2")])
@@ -225,17 +229,17 @@ class TestBuildDesign:
     def test_declaration_order(self, data):
         X, _ = build_design(data, [identity("x2"), identity("x1")])
         assert X.columns == ("intercept", "x2", "x1")
-        np.testing.assert_array_equal(X.values[:, 1], data["x2"])
+        np.testing.assert_array_equal(X.values[:, 1], data.column("x2"))
 
     def test_center_with_explicit_constant(self, data):
         X, _ = build_design(data, [center("x1", 37.0)])
-        np.testing.assert_array_equal(X.values[:, 1], data["x1"] - 37.0)
+        np.testing.assert_array_equal(X.values[:, 1], data.column("x1") - 37.0)
         assert X.columns == ("intercept", "x1-37")
 
     def test_center_default_is_training_mean(self, data):
         X, recipe = build_design(data, [center("x1")])
         np.testing.assert_allclose(X.values[:, 1].mean(), 0.0, atol=1e-12)
-        np.testing.assert_allclose(recipe.terms[0].center_value, data["x1"].mean())
+        np.testing.assert_allclose(recipe.terms[0].center_value, data.column("x1").mean())
 
     def test_centered_constant_rejected_downstream(self, data):
         # all-zero column builds fine, then fails the rank check by name
@@ -250,11 +254,11 @@ class TestBuildDesign:
         assert X.columns == ("intercept", "s(x1).1", "s(x1).2", "s(x1).3")
         knots = recipe.terms[0].knots
         assert len(knots) == 4
-        np.testing.assert_allclose(knots[1], np.quantile(data["x1"], 1 / 3))
+        np.testing.assert_allclose(knots[1], np.quantile(data.column("x1"), 1 / 3))
 
     def test_interaction_is_product(self, data):
         X, _ = build_design(data, [interaction("x2", "g")])
-        np.testing.assert_array_equal(X.values[:, 1], data["x2"] * data["g"])
+        np.testing.assert_array_equal(X.values[:, 1], data.column("x2") * data.column("g"))
         assert X.columns == ("intercept", "x2:g")
 
     def test_missing_column(self, data):
@@ -262,12 +266,13 @@ class TestBuildDesign:
             build_design(data, [identity("nope")])
 
     def test_non_numeric_column(self):
-        data = {"x": np.array(["a", "b", "c", "d"], dtype=object)}
-        with pytest.raises(InvalidArgumentError, match="not numeric"):
-            build_design(data, [identity("x")])
+        # a Dataset holds only float columns; the design never sees others
+        for values in (["a", "b", "c", "d"], [1.0, {}, 2.0, 3.0]):
+            with pytest.raises(InvalidArgumentError, match="column 'x' is not numeric"):
+                Dataset(columns={"w": np.arange(4.0), "x": np.array(values, dtype=object)})
 
     def test_spline_needs_enough_distinct(self):
-        data = {"x": np.tile([0.0, 1.0], 20)}
+        data = Dataset(columns={"x": np.tile([0.0, 1.0], 20)})
         with pytest.raises(InvalidArgumentError, match="distinct"):
             build_design(data, [spline("x")])
 
@@ -279,7 +284,7 @@ class TestBuildDesign:
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError,
                                match="spline column 'x' is not finite"):
-                build_design({"x": x}, [spline("x")])
+                build_design(Dataset(columns={"x": x}), [spline("x")])
 
 
 class TestRecipeReuse:
@@ -287,7 +292,8 @@ class TestRecipeReuse:
     @pytest.fixture
     def fitted(self):
         rng = np.random.default_rng(5)
-        data = {"x": rng.uniform(0, 10, 80), "g": rng.integers(0, 2, 80).astype(float)}
+        data = Dataset(columns={
+            "x": rng.uniform(0, 10, 80), "g": rng.integers(0, 2, 80).astype(float)})
         X, recipe = build_design(data, [spline("x"), center("x"), interaction("x", "g")])
         return data, X, recipe
 
@@ -299,35 +305,46 @@ class TestRecipeReuse:
 
     def test_single_training_row_reproduced(self, fitted):
         data, X, recipe = fitted
-        row = {k: v[3:4] for k, v in data.items()}
+        row = data.take([3])
         values, extrapolated = recipe_values(recipe, row)
         np.testing.assert_array_equal(values[0], X.values[3])
         assert extrapolated == []
 
     def test_knots_not_reestimated_on_grid(self, fitted):
         data, X, recipe = fitted
-        grid = {"x": np.linspace(2, 4, 10), "g": np.zeros(10)}
+        grid = Dataset(columns={"x": np.linspace(2, 4, 10), "g": np.zeros(10)})
         values, _ = recipe_values(recipe, grid)
-        expected = natural_spline_columns(grid["x"], recipe.terms[0].knots)
+        expected = natural_spline_columns(grid.column("x"), recipe.terms[0].knots)
         np.testing.assert_array_equal(values[:, 1:4], expected)
 
     def test_extrapolation_flagged_not_fatal(self, fitted):
         data, X, recipe = fitted
         lo, hi = recipe.terms[0].knots[0], recipe.terms[0].knots[-1]
-        grid = {
+        grid = Dataset(columns={
             "x": np.array([lo - 1.0, 0.5 * (lo + hi), hi + 2.0]),
             "g": np.zeros(3),
-        }
+        })
         values, extrapolated = recipe_values(recipe, grid)
         assert extrapolated == [0, 2]
         # beyond the boundary the spline columns continue linearly
         h = 1e-2
-        probe = {"x": np.array([hi + 2.0 - h, hi + 2.0, hi + 2.0 + h]), "g": np.zeros(3)}
+        probe = Dataset(columns={
+            "x": np.array([hi + 2.0 - h, hi + 2.0, hi + 2.0 + h]), "g": np.zeros(3)})
         vals, _ = recipe_values(recipe, probe)
         second = (vals[0] - 2 * vals[1] + vals[2]) / h**2
         assert np.max(np.abs(second)) <= 1e-8
 
     def test_grid_missing_required_column(self, fitted):
         _, _, recipe = fitted
-        with pytest.raises(InvalidArgumentError, match="'g' not found"):
-            recipe_values(recipe, {"x": np.linspace(0, 1, 5)})
+        with pytest.raises(InvalidArgumentError, match=r"'g' not found; available: \['x'\]"):
+            recipe_values(recipe, Dataset(columns={"x": np.linspace(0, 1, 5)}))
+
+    @pytest.mark.parametrize("call", [
+        lambda data, recipe: build_design(data, [identity("x")]),
+        lambda data, recipe: apply_recipe(recipe, data),
+        lambda data, recipe: recipe_values(recipe, data),
+    ], ids=["build_design", "apply_recipe", "recipe_values"])
+    def test_rows_must_be_a_dataset(self, fitted, call):
+        data, _, recipe = fitted
+        with pytest.raises(InvalidArgumentError, match="data must be a Dataset"):
+            call(dict(data.columns), recipe)

@@ -379,6 +379,27 @@ class TestBootstrapFailures:
             bootstrap(data, spec, 0.5, B=30, seed=3)
         assert err.value.partial["failures"] == failed
 
+    def test_unconverged_replicate_counts_as_failure(self, monkeypatch):
+        # replicates start step 2 at the full-sample fit; the first one to
+        # run gets no Newton step, so its fit stops short of the optimum
+        pipeline = importlib.import_module("quantcord.pipeline")
+        multinomial = importlib.import_module("quantcord.multinomial")
+        fit = pipeline.fit_multinomial
+        capped = []
+
+        def first_replicate_capped(*args, start=None, **kwargs):
+            with monkeypatch.context() as m:
+                if start is not None and not capped:
+                    capped.append(True)
+                    m.setattr(multinomial, "MAX_NEWTON_ITER", 0)
+                return fit(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_multinomial", first_replicate_capped)
+        result = bootstrap(_copula_like(400, 5), SPEC, 0.5, B=10, seed=1)
+        assert capped
+        assert result.failures == 1
+        assert result.phi_draws.shape[0] == 9
+
     def test_b_floor(self):
         with pytest.raises(InvalidArgumentError, match="B must be at least 2"):
             bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=1)

@@ -18,6 +18,7 @@ from quantcord import (
     DesignMatrix,
     EmptyCategoryError,
     InvalidArgumentError,
+    NonConvergenceError,
     SeparationWarning,
     SingularDesignError,
     bootstrap_indices,
@@ -230,13 +231,29 @@ class TestFitBehavior:
         p /= p.sum(axis=1, keepdims=True)
         z = np.array([rng.choice(4, p=p[i]) for i in range(n)])
         fit = fit_multinomial(X, z)
-        # the fit capped at k Newton steps ends at the path's k-th iterate
+        # the fit capped at k Newton steps ends at the path's k-th iterate,
+        # which its NonConvergenceError carries short of the last step
         path = []
-        for k in range(fit.iterations + 1):
+        for k in range(fit.iterations):
             monkeypatch.setattr(mn, "MAX_NEWTON_ITER", k)
-            path.append(fit_multinomial(X, z).loglik)
+            with pytest.raises(NonConvergenceError) as excinfo:
+                fit_multinomial(X, z)
+            path.append(excinfo.value.last_fit.loglik)
+        monkeypatch.setattr(mn, "MAX_NEWTON_ITER", fit.iterations)
+        path.append(fit_multinomial(X, z).loglik)
         assert np.all(np.diff(path) >= -1e-10)
         assert path[-1] == fit.loglik
+
+    def test_unconverged_fit_raises_with_last_iterate(self, monkeypatch):
+        z = _labels_from_counts(30, 20, 10, 5)
+        monkeypatch.setattr(mn, "MAX_NEWTON_ITER", 1)
+        with pytest.raises(NonConvergenceError,
+                           match="did not converge in 1 Newton steps") as excinfo:
+            fit_multinomial(_intercept_design(65), z)
+        last = excinfo.value.last_fit
+        assert last.converged is False
+        assert last.iterations == 1
+        assert last.gamma.shape == (3, 1)
 
     @pytest.mark.parametrize("data_seed, boot_seed", [(2000, 2001), (6000, 6000)])
     def test_tail_quantile_fits_converge(self, tmp_path, data_seed, boot_seed):
@@ -394,12 +411,16 @@ class TestFrequencyWeights:
             assert np.array_equal(plain.gamma, unit.gamma)
             assert plain.loglik == unit.loglik
             assert (plain.iterations, plain.separation) == (unit.iterations, unit.separation)
-            # the log-likelihood after every Newton step, from capped fits
+            # the log-likelihood after every Newton step, from the last
+            # iterates of capped fits
             with monkeypatch.context() as m:
                 for k in range(plain.iterations):
                     m.setattr(mn, "MAX_NEWTON_ITER", k)
-                    capped = [fit_multinomial(self._design(values), z, merged, weights=w)
-                              for w in (None, np.ones(len(z)))]
+                    capped = []
+                    for w in (None, np.ones(len(z))):
+                        with pytest.raises(NonConvergenceError) as excinfo:
+                            fit_multinomial(self._design(values), z, merged, weights=w)
+                        capped.append(excinfo.value.last_fit)
                     assert capped[0].loglik == capped[1].loglik, (seed, k)
 
     @pytest.mark.parametrize("weights", [[0.0] * 8, [-1.0] * 8, [np.nan] * 8, [1.0] * 7])

@@ -12,6 +12,7 @@ from quantcord import (
     Dataset,
     EmptyCategoryError,
     InvalidArgumentError,
+    NonConvergenceError,
     build_grid,
     classify,
     identity,
@@ -23,6 +24,7 @@ from quantcord import (
     run_two_step,
     spline,
 )
+import quantcord.multinomial as multinomial
 from quantcord.multinomial import MultinomialFit
 from quantcord.pipeline import (
     CONSTANT_PROFILE,
@@ -84,6 +86,19 @@ class TestAnalysisSpecValidation:
     def test_grid_points_floor(self):
         with pytest.raises(InvalidArgumentError, match="grid_points"):
             _spec(grid_points=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("responses", "y1"), ("binary", "gx"), ("merged", "no"), ("merged", 1),
+        ("grid_points", 2.5), ("grid_points", True),
+    ])
+    def test_values_that_would_change_meaning_rejected(self, field, value):
+        # a string splits into one-letter names, and a truthy string or a
+        # float grid size would pass on to the run
+        expected = {"responses": "a sequence of column names",
+                    "binary": "a sequence of column names",
+                    "merged": "True or False", "grid_points": "an integer"}[field]
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be {expected}"):
+            _spec(**{field: value})
 
     def test_grid_overrides_must_name_profiled_covariates(self):
         terms = (identity("x"),)
@@ -257,6 +272,13 @@ class TestRunTwoStep:
         )
         with pytest.raises(InvalidArgumentError, match="step 1, response 'y1'"):
             run_two_step(data, _spec(), 0.5)
+
+    def test_unconverged_step2_raises_with_provenance(self, monkeypatch):
+        monkeypatch.setattr(multinomial, "MAX_NEWTON_ITER", 0)
+        with pytest.raises(NonConvergenceError,
+                           match="^step 2: multinomial fit did not converge") as excinfo:
+            run_two_step(_dependent_data(), _spec(step2_terms=(identity("x"),)), 0.5)
+        assert excinfo.value.last_fit.converged is False
 
     def test_data_must_be_dataset(self):
         with pytest.raises(InvalidArgumentError, match="Dataset"):

@@ -9,14 +9,13 @@ bounds together with the cell probabilities of the limiting cases.
 
 from quantcord import limiting_cells, phi, phi_bounds
 
-print("tau    phi_min   phi_indep  phi_max   cells at min (00,11,01,10)")
+print("tau    phi_min   phi_max   cells at min (00,11,01,10)")
 for tau in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95):
     bounds = phi_bounds(tau)
     low = limiting_cells("min", tau)
     cells = ", ".join(f"{p:.3f}" for p in low.as_array())
     print(
-        f"{tau:.2f}   {bounds.phi_min:+.4f}   {bounds.phi_indep:+.4f}"
-        f"    {bounds.phi_max:+.4f}   ({cells})"
+        f"{tau:.2f}   {bounds.phi_min:+.4f}   {bounds.phi_max:+.4f}   ({cells})"
     )
 
 # sanity: phi recomputed from the limiting cells lands on the bound

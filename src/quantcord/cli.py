@@ -237,28 +237,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_synth(args):
-    from .synthetic import generate, oracle_phi_gaussian
+    from .synthetic import generate, oracle
 
     scenario, taus = load_scenario(args.config)
     data = generate(scenario)
-
-    if scenario.rho_by_group is not None:
-        oracle = {
-            "group_column": scenario.group_column,
-            "groups": {
-                str(g): {
-                    "rho": scenario.rho_by_group[g],
-                    "phi": {_fmt(t): oracle_phi_gaussian(scenario.rho_by_group[g], t)
-                            for t in taus},
-                }
-                for g in (0, 1)
-            },
-        }
-    else:
-        oracle = {
-            "rho": scenario.rho,
-            "phi": {_fmt(t): oracle_phi_gaussian(scenario.rho, t) for t in taus},
-        }
     sidecar = {
         "command": "synth",
         "package_version": __version__,
@@ -266,7 +248,7 @@ def _cmd_synth(args):
         "seed": scenario.seed,
         "responses": list(scenario.response_names),
         "taus": list(taus),
-        "oracle": oracle,
+        "oracle": oracle(scenario, taus),
     }
 
     rows = ([FLOAT_FMT % v for v in row] for row in zip(*data.columns.values()))

@@ -102,10 +102,10 @@ def _fixed_margin_phi(p00, p11, p01, p10, tau):
 
 @dataclass(frozen=True)
 class PhiBounds:
-    """Attainable range of phi for fixed margins at quantile tau."""
+    """Attainable range of phi for fixed margins at quantile tau;
+    independence gives phi = 0 at every tau."""
 
     phi_min: float
-    phi_indep: float
     phi_max: float
 
 
@@ -116,7 +116,7 @@ def phi_bounds(tau):
         lo = -tau / (1.0 - tau)
     else:
         lo = -(1.0 - tau) / tau
-    return PhiBounds(phi_min=lo, phi_indep=0.0, phi_max=1.0)
+    return PhiBounds(phi_min=lo, phi_max=1.0)
 
 
 def limiting_cells(case, tau):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import yaml
 
 from .basis import center, identity, interaction, spline
-from .exceptions import InvalidArgumentError, check_tau
+from .bootstrap import DEFAULT_B, DEFAULT_LEVEL
+from .exceptions import InvalidArgumentError, check_taus
 from .pipeline import DEFAULT_TAUS, AnalysisSpec
 from .synthetic import CovariateSpec, ScenarioSpec
 
@@ -24,9 +25,9 @@ from .synthetic import CovariateSpec, ScenarioSpec
 @dataclass(frozen=True)
 class BootstrapConfig:
     enabled: bool = False
-    replicates: int = 1000
+    replicates: int = DEFAULT_B
     seed: int = 0
-    level: float = 0.95
+    level: float = DEFAULT_LEVEL
     workers: int = 1
 
     def __post_init__(self):
@@ -252,8 +253,7 @@ def scenario_from_dict(d):
     """Parse a synth config; returns the scenario and the sidecar taus."""
     given = _read("scenario", d, _SCENARIO, required=("n",), prefix="")
     taus = given.pop("taus", DEFAULT_TAUS)
-    for t in taus:
-        check_tau(t)
+    check_taus(taus)
     if "rho_by_group" in given:
         if "rho" in given:
             raise InvalidArgumentError("give either rho or rho_by_group, not both")

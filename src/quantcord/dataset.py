@@ -71,7 +71,6 @@ class DropReport:
     """Rows removed during ingestion because a used cell was missing."""
 
     dropped_rows: tuple  # 1-based data row numbers (header excluded)
-    n_kept: int
 
     @property
     def n_dropped(self):
@@ -193,7 +192,7 @@ def read_csv(path, columns=None, binary=()):
                 f"at data row {kept[bad[0]]}"
             )
     dropped = tuple(r for r, m in zip(rownums, missing.tolist()) if m)
-    return data, DropReport(dropped_rows=dropped, n_kept=data.n)
+    return data, DropReport(dropped_rows=dropped)
 
 
 def csv_text(header, rows):

@@ -15,6 +15,17 @@ def check_tau(tau):
         raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
 
 
+def check_taus(taus):
+    """Raise InvalidArgumentError unless ``taus`` is a non-empty, strictly
+    increasing sequence of quantile levels in (0, 1)."""
+    if not taus:
+        raise InvalidArgumentError("at least one tau is required")
+    for t in taus:
+        check_tau(t)
+    if any(a >= b for a, b in zip(taus, taus[1:])):
+        raise InvalidArgumentError(f"taus must be strictly increasing: {taus}")
+
+
 class SingularDesignError(QuantcordError):
     """The design matrix is rank deficient.
 
@@ -31,9 +42,11 @@ class SingularDesignError(QuantcordError):
 
 
 class NonConvergenceError(QuantcordError):
-    """An iterative solver hit its iteration cap.
+    """An iterative solver stopped without certifying its fit.
 
-    The last iterate is attached so callers can inspect or salvage it.
+    The last iterate is attached as ``last_fit`` so callers can inspect or
+    salvage it: a QuantileFit whose ``margin`` is negative, or a
+    MultinomialFit whose ``converged`` is False.
     """
 
     def __init__(self, message, last_fit=None):

@@ -43,7 +43,8 @@ class MultinomialFit:
 
     ``fit_multinomial`` returns only converged fits, so ``converged`` is
     True on every fit it returns; it is False only on the ``last_fit`` of
-    its NonConvergenceError.
+    its NonConvergenceError.  It stays because the benchmark's tracer
+    (``bench/tracer.py``) reads it.
     """
 
     categories: tuple
@@ -256,14 +257,3 @@ def predict_cells_rows(fit, X):
     else:
         out[:, 1:] = probs.T
     return out
-
-
-__all__ = [
-    "LABELS",
-    "REFERENCE",
-    "CATEGORIES_FULL",
-    "CATEGORIES_MERGED",
-    "MultinomialFit",
-    "fit_multinomial",
-    "predict_cells_rows",
-]

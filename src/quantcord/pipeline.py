@@ -18,7 +18,7 @@ from .basis import build_design, recipe_values
 from .concordance import PhiBounds, _fixed_margin_phi, classify, empirical_cells, phi_bounds
 from .dataset import Dataset
 from .design import check_weights
-from .exceptions import InvalidArgumentError, QuantcordError, check_tau
+from .exceptions import InvalidArgumentError, QuantcordError, check_tau, check_taus
 from .multinomial import fit_multinomial, predict_cells_rows
 from .quantreg import fit_quantile_regression, residual_signs
 
@@ -66,12 +66,7 @@ class AnalysisSpec:
             raise InvalidArgumentError(
                 f"responses must be two distinct columns, got {self.responses}"
             )
-        if not self.taus:
-            raise InvalidArgumentError("at least one tau is required")
-        for t in self.taus:
-            check_tau(t)
-        if any(a >= b for a, b in zip(self.taus, self.taus[1:])):
-            raise InvalidArgumentError(f"taus must be strictly increasing: {self.taus}")
+        check_taus(self.taus)
         if self.grid_points < 2:
             raise InvalidArgumentError("grid_points must be at least 2")
         for name, vals in self.grid_values.items():

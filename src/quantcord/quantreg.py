@@ -62,7 +62,6 @@ class QuantileFit:
     residuals: np.ndarray
     objective: float
     iterations: int
-    converged: bool
     columns: tuple = ()
     basis: tuple = ()
     ties: tuple = ()
@@ -178,13 +177,13 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
         bootstrap replicate.  The first basis is the first q rows, by
         increasing ``|y - X @ start|``, that keep it full rank; the
         least-squares fit is used when None.  The start changes only the
-        path: the certificate, and so ``converged``, is the same.
+        path: the certificate is the same.
     weights : array_like, optional
         Positive finite frequency weights, one per row; None means unit
         weights.  A bootstrap replicate passes its resample counts and
         fits the distinct rows only.
 
-    The fit is optimal, and ``converged`` is True, when every entry of
+    The fit is optimal when every entry of
     ``v = -X(h)^-T sum_{i not in h} w_i psi_i x_i`` lies in
     ``[w_k (tau - 1) - DEFAULT_TOL, w_k tau + DEFAULT_TOL]``, with w_k the
     weight of basis row k; the tolerance absorbs the rounding of that sum.
@@ -290,13 +289,12 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
         residuals=residuals,
         objective=float(np.sum(w * pinball_loss(residuals, tau))),
         iterations=pivots,
-        converged=converged,
         columns=X.columns,
         basis=tuple(sorted(basis)),
         ties=tuple(np.flatnonzero(free & (r == 0)).tolist()),
         margin=max(margin, 0.0) if converged else margin,
     )
-    if not fit.converged:
+    if not converged:
         raise NonConvergenceError(
             f"quantile regression did not converge in {MAX_PIVOTS} pivots",
             last_fit=fit,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import FLOAT_FMT, Dataset
 from .exceptions import InvalidArgumentError, check_tau
 
 MIN_ROWS = 50
@@ -165,3 +165,16 @@ def oracle_phi_gaussian(rho, tau):
     joint = bvn_cdf(z, z, rho)
     return (joint - tau * tau) / (tau * (1.0 - tau))
 
+
+def oracle(scenario, taus):
+    """The scenario's true phi at each tau, keyed by ``FLOAT_FMT % tau``,
+    with the correlation it comes from: one ``{"rho", "phi"}`` entry, or
+    one per group under ``"groups"`` beside the ``"group_column"``."""
+
+    def truth(rho):
+        return {"rho": rho, "phi": {FLOAT_FMT % t: oracle_phi_gaussian(rho, t) for t in taus}}
+
+    if scenario.rho_by_group is None:
+        return truth(scenario.rho)
+    return {"group_column": scenario.group_column,
+            "groups": {str(g): truth(scenario.rho_by_group[g]) for g in (0, 1)}}

@@ -18,7 +18,7 @@ def fixtures_dir():
 def copula_data():
     """The committed n=5000, rho=0.5 Gaussian-copula fixture."""
     data, report = read_csv(FIXTURES / "copula_n5000.csv")
-    assert report.n_kept == 5000
+    assert data.n == 5000
     return data
 
 

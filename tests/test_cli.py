@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,22 +53,22 @@ class TestSynth:
 
     def test_writes_header_and_n_rows(self, tmp_path):
         out = _synth(tmp_path)
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "y1,y2,x"
         assert len(lines) == 301
 
     def test_repeated_seed_is_byte_identical(self, tmp_path):
         a = _synth(tmp_path, "a.csv")
         b = _synth(tmp_path, "b.csv")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
         assert (
-            open(a + ".oracle.json", "rb").read()
-            == open(b + ".oracle.json", "rb").read()
+            Path(a + ".oracle.json").read_bytes()
+            == Path(b + ".oracle.json").read_bytes()
         )
 
     def test_sidecar_carries_oracle_phi(self, tmp_path):
         out = _synth(tmp_path)
-        sidecar = json.load(open(out + ".oracle.json", encoding="utf-8"))
+        sidecar = json.loads(Path(out + ".oracle.json").read_text(encoding="utf-8"))
         assert sidecar["n"] == 300
         assert sidecar["responses"] == ["y1", "y2"]
         np.testing.assert_allclose(
@@ -86,7 +87,7 @@ class TestSynth:
             "taus": [0.5],
         }
         out = _synth(tmp_path, scenario=scenario)
-        oracle = json.load(open(out + ".oracle.json", encoding="utf-8"))["oracle"]
+        oracle = json.loads(Path(out + ".oracle.json").read_text(encoding="utf-8"))["oracle"]
         assert oracle["group_column"] == "g"
         np.testing.assert_allclose(
             oracle["groups"]["0"]["phi"]["0.5"], oracle_phi_gaussian(0.2, 0.5),
@@ -202,7 +203,7 @@ class TestAnalyzeCommittedFixture:
     def test_metadata_contents(self, fixtures_dir, monkeypatch, tmp_path):
         out = tmp_path / "out"
         assert self._run(fixtures_dir, monkeypatch, out) == 0
-        meta = json.load(open(out / "metadata.json", encoding="utf-8"))
+        meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
         assert meta["command"] == "analyze"
         assert meta["n_rows"] == 5000
         assert meta["taus"] == [0.5]
@@ -354,7 +355,7 @@ class TestAnalyzeProfiles:
         assert all(r["se"] != "" for r in step1)
         step2 = _table(workdir / "out" / "step2_coefficients.csv")
         assert all(r["ci_lower"] != "" for r in step2)
-        meta = json.load(open(workdir / "out" / "metadata.json", encoding="utf-8"))
+        meta = json.loads((workdir / "out" / "metadata.json").read_text(encoding="utf-8"))
         assert meta["bootstrap"]["seed"] == 3
         assert meta["bootstrap"]["replicates"] == 16
 
@@ -385,7 +386,7 @@ class TestAnalyzeProfiles:
         assert all(r["se"] == "" for r in _table(out / "step1_coefficients.csv"))
         for name in ("step2_coefficients.csv", "phi_profile_x.csv"):
             assert all(r["ci_lower"] == "" and r["ci_upper"] == "" for r in _table(out / name))
-        meta = json.load(open(out / "metadata.json", encoding="utf-8"))
+        meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
         assert meta["bootstrap"]["enabled"] is False
         assert meta["bootstrap"]["replicates"] == 0
         assert meta["bootstrap"]["seed"] is None
@@ -616,6 +617,6 @@ class TestAnalyzeFailures:
                            "taus": [0.5]})
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 0
         assert "dropped 1 rows" in capsys.readouterr().err
-        meta = json.load(open(tmp_path / "out" / "metadata.json", encoding="utf-8"))
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text(encoding="utf-8"))
         assert meta["dropped_rows"] == [2]
         assert meta["n_rows"] == 7

@@ -186,12 +186,12 @@ class TestPhiBounds:
 
     def test_median(self):
         b = phi_bounds(0.5)
-        assert (b.phi_min, b.phi_indep, b.phi_max) == (-1.0, 0.0, 1.0)
+        assert (b.phi_min, b.phi_max) == (-1.0, 1.0)
 
     def test_tau_tenth(self):
         b = phi_bounds(0.1)
         np.testing.assert_allclose(b.phi_min, -1.0 / 9.0)
-        assert (b.phi_indep, b.phi_max) == (0.0, 1.0)
+        assert b.phi_max == 1.0
 
     def test_symmetric_tails(self):
         b_low, b_high = phi_bounds(0.1), phi_bounds(0.9)

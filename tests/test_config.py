@@ -340,6 +340,21 @@ class TestScenarioConfig:
         with pytest.raises(InvalidArgumentError, match="tau must be in"):
             scenario_from_dict({"n": 100, "taus": [0.5, 1.5]})
 
+    @pytest.mark.parametrize("taus, message", [
+        ([], "at least one tau is required"),
+        ([0.9, 0.1, 0.1], "taus must be strictly increasing"),
+        ([0.1, 0.1], "taus must be strictly increasing"),
+        ([0.9, 0.1], "taus must be strictly increasing"),
+    ], ids=["empty", "unsorted-repeat", "repeat", "decreasing"])
+    def test_taus_follow_the_run_config_rule(self, taus, message):
+        """One rule for both configs: a repeated tau wrote a sidecar whose
+        "taus" listed more values than its oracle had keys, and an empty
+        list wrote an empty oracle."""
+        with pytest.raises(InvalidArgumentError, match=message):
+            scenario_from_dict({"n": 100, "taus": taus})
+        with pytest.raises(InvalidArgumentError, match=message):
+            run_config_from_dict(_run_dict(taus=taus))
+
     def test_dict_round_trip_simple_rho(self):
         # every key spelled out, defaults included
         scenario, taus = scenario_from_dict(

@@ -72,7 +72,6 @@ class TestReadCsv:
         data, report = read_csv(p)
         assert data.n == 2
         assert report.dropped_rows == (2,)
-        assert report.n_kept == 2
         np.testing.assert_array_equal(data.column("y1"), [1.0, 4.0])
 
     def test_na_tokens_count_as_missing(self, tmp_path):

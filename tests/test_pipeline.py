@@ -441,6 +441,97 @@ class TestFrequencyWeights:
             run_two_step(_dependent_data(n=50), self.SPEC, 0.5, weights=weights)
 
 
+class TestMetamorphicRelations:
+    """Transformations of the input that leave phi unchanged by the
+    method's construction, so each needs no oracle.  Each tolerance is
+    about ten times the largest gap measured on this data; a map that
+    keeps every residual-sign label gives step 2 the same input, so its
+    phi is equal bit for bit."""
+
+    TAUS = (0.1, 0.5, 0.9)
+    STEP2 = {"identity": identity("x"), "spline": spline("x")}
+
+    @staticmethod
+    def _data(n=800):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-2.0, 2.0, size=n)
+        e1 = rng.normal(size=n)
+        e2 = 0.5 * e1 + rng.normal(size=n)
+        return Dataset(columns={"y1": 1.0 + 0.8 * x + e1, "y2": -0.5 - 0.3 * x + e2,
+                                "x": x})
+
+    def _spec(self, step2, responses=("y1", "y2")):
+        return _spec(responses=responses, taus=self.TAUS, step1_terms=(identity("x"),),
+                     step2_terms=(self.STEP2[step2],), grid_points=9)
+
+    def _pairs(self, step2, changed, spec=None, grid=None):
+        """(original, changed) results per tau, on the original's grid
+        unless another is given."""
+        data, base_spec = self._data(), self._spec(step2)
+        base_grid = build_grid(data, base_spec)
+        for tau in self.TAUS:
+            yield (run_two_step(data, base_spec, tau, grid=base_grid),
+                   run_two_step(changed, spec or base_spec, tau, grid=grid or base_grid))
+
+    @pytest.mark.parametrize("step2", sorted(STEP2))
+    def test_swapping_responses_swaps_discordant_cells(self, step2):
+        spec = self._spec(step2, responses=("y2", "y1"))
+        for base, swapped in self._pairs(step2, self._data(), spec=spec):
+            assert swapped.step2.categories == base.step2.categories == ("11", "01", "10")
+            np.testing.assert_allclose(swapped.step2.gamma, base.step2.gamma[[0, 2, 1]],
+                                       rtol=0, atol=3e-13)
+            np.testing.assert_allclose(swapped.surface.phi, base.surface.phi,
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("step2", sorted(STEP2))
+    def test_permuting_rows(self, step2):
+        perm = np.random.default_rng(99).permutation(800)
+        for base, permuted in self._pairs(step2, self._data().take(perm)):
+            np.testing.assert_array_equal(_labels(permuted), _labels(base)[perm])
+            np.testing.assert_allclose(permuted.surface.phi, base.surface.phi,
+                                       rtol=0, atol=3e-14)
+
+    @pytest.mark.parametrize("step2", sorted(STEP2))
+    def test_increasing_affine_map_of_a_response(self, step2):
+        columns = dict(self._data().columns)
+        columns["y1"] = 3.0 * columns["y1"] - 7.5
+        for base, mapped in self._pairs(step2, Dataset(columns=columns)):
+            np.testing.assert_array_equal(_labels(mapped), _labels(base))
+            np.testing.assert_array_equal(mapped.surface.phi, base.surface.phi)
+
+    @pytest.mark.parametrize("step2", sorted(STEP2))
+    def test_affine_map_of_the_covariate_on_the_mapped_grid(self, step2):
+        a, b = 2.5, -1.25
+        data = self._data()
+        grid = build_grid(data, self._spec(step2))
+        mapped_grid = EvaluationGrid(varying=grid.varying, value=a * grid.value + b,
+                                     columns={"x": a * grid.columns["x"] + b})
+        columns = dict(data.columns)
+        columns["x"] = a * columns["x"] + b
+        for base, mapped in self._pairs(step2, Dataset(columns=columns), grid=mapped_grid):
+            np.testing.assert_array_equal(_labels(mapped), _labels(base))
+            # step 2's Newton fits stop at a score below 1e-8, on
+            # differently scaled columns
+            np.testing.assert_allclose(mapped.surface.phi, base.surface.phi,
+                                       rtol=0, atol=3e-10)
+
+    @pytest.mark.parametrize("step2", sorted(STEP2))
+    def test_integer_weights_equal_repeated_rows(self, step2):
+        data, spec = self._data(), self._spec(step2)
+        grid = build_grid(data, spec)
+        counts = np.random.default_rng(7).integers(1, 4, data.n)
+        repeated = data.take(np.repeat(np.arange(data.n), counts))
+        for tau in self.TAUS:
+            weighted = run_two_step(data, spec, tau, grid=grid, weights=counts)
+            expanded = run_two_step(repeated, spec, tau, grid=grid)
+            assert min(f.margin for f in weighted.step1) > 0.0  # a unique optimum
+            np.testing.assert_array_equal(np.repeat(_labels(weighted), counts),
+                                          _labels(expanded))
+            assert weighted.empirical == expanded.empirical
+            np.testing.assert_allclose(weighted.surface.phi, expanded.surface.phi,
+                                       rtol=0, atol=5e-14)
+
+
 class TestPhiProfile:
 
     def _surfaces(self, taus=(0.1, 0.5)):

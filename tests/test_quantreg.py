@@ -133,7 +133,7 @@ class TestFitKnownCases:
         X = _intercept_only(3)
         fit = fit_quantile_regression(X, np.array([1.0, 2.0, 3.0]), 0.5)
         np.testing.assert_allclose(fit.beta, [2.0], atol=1e-10)
-        assert fit.converged
+        assert fit.margin >= 0.0
 
     def test_tenth_order_statistic_region(self):
         # minimizer may be anywhere on the flat region; compare objectives
@@ -287,7 +287,6 @@ class TestLinearProgramOracle:
             reference = _lp_objective(X, y, tau)
             gap = (fit.objective - reference) / reference
             assert gap <= 1e-9, f"trial {trial}: gap {gap:.3e}"
-            assert fit.converged, f"trial {trial}"
             assert fit.margin >= 0.0, f"trial {trial}: margin {fit.margin}"
 
     @pytest.mark.parametrize("offset, spread", [(1.7e9, 3e7), (1e9, 1e6), (5e4, 1e4)])
@@ -309,7 +308,6 @@ class TestLinearProgramOracle:
             fit = fit_quantile_regression(_design(X), y, tau)
             reference = _lp_objective(X, y, tau)
             gap = (fit.objective - reference) / reference
-            assert fit.converged, f"trial {trial}"
             assert gap <= 1e-9, f"trial {trial}: gap {gap:.3e}"
             assert fit.margin >= 0.0, f"trial {trial}: margin {fit.margin}"
 
@@ -335,13 +333,12 @@ class TestLinearProgramOracle:
             fit = fit_quantile_regression(_design(X), y[idx], tau)
             reference = _lp_objective(X, y[idx], tau)
             gap = (fit.objective - reference) / reference
-            assert fit.converged, f"seed {seed}"
+            assert fit.margin >= 0.0, f"seed {seed}: margin {fit.margin}"
             assert gap <= 1e-9, f"seed {seed}: gap {gap:.3e}"
 
             start = fit_quantile_regression(_design(full), y, tau).beta
             warm = fit_quantile_regression(_design(X), y[idx], tau, start=start)
             gap = (warm.objective - reference) / reference
-            assert warm.converged, f"seed {seed}, warm"
             assert gap <= 1e-9, f"seed {seed}, warm: gap {gap:.3e}"
             assert warm.margin >= 0.0, f"seed {seed}, warm: margin {warm.margin}"
 
@@ -350,7 +347,6 @@ class TestLinearProgramOracle:
             weighted = fit_quantile_regression(_design(full[rows]), y[rows], tau,
                                                start=start, weights=counts[rows])
             gap = (weighted.objective - reference) / reference
-            assert weighted.converged, f"seed {seed}, weighted"
             assert gap <= 1e-9, f"seed {seed}, weighted: gap {gap:.3e}"
             assert weighted.margin >= 0.0, f"seed {seed}, weighted: margin {weighted.margin}"
 
@@ -381,7 +377,7 @@ class TestLinearProgramOracle:
                                               start=beta0, weights=counts[rows])
                 gap = (fit.objective - reference) / max(reference, 1.0)
                 label = f"seed {seed}, {'warm' if beta0 is not None else 'cold'}"
-                assert fit.converged and fit.margin >= 0.0, label
+                assert fit.margin >= 0.0, label
                 assert abs(gap) <= 1e-9, f"{label}: gap {gap:.3e}"
                 expanded = np.sum(pinball_loss(y[idx] - full[idx] @ fit.beta, tau))
                 assert fit.objective == pytest.approx(expanded, rel=1e-12, abs=1e-12), label
@@ -621,7 +617,7 @@ class TestFitErrors:
             fit_quantile_regression(X, y, 0.5)
         last = excinfo.value.last_fit
         assert last is not None
-        assert last.converged is False
+        assert last.margin < 0
         assert last.beta.shape == (3,)
 
 
@@ -640,7 +636,6 @@ class TestResidualSigns:
             residuals=residuals,
             objective=float(np.sum(pinball_loss(residuals, 0.5))),
             iterations=1,
-            converged=True,
             columns=("intercept",),
         )
 
@@ -667,7 +662,6 @@ class TestResidualSigns:
             residuals=np.array([-1.0, 5e-324, 2.0, 1e-300]),
             objective=1.5,
             iterations=1,
-            converged=True,
             columns=("intercept",),
             basis=(1,),
             ties=(3,),

@@ -232,4 +232,4 @@ def apply_recipe(recipe, data):
     spline property); :func:`recipe_values` lists the affected rows.
     """
     values, _ = recipe_values(recipe, data)
-    return DesignMatrix(values=values, columns=recipe.columns, intercept=True)
+    return DesignMatrix(values=values, columns=recipe.columns)

@@ -147,6 +147,22 @@ def _replicate_task(b):
     return _replicate(*_WORKER_CTX["args"], b)
 
 
+def check_arguments(B, seed, level, workers):
+    """Raise InvalidArgumentError unless ``B`` >= 2, ``seed`` >= 0 and
+    ``workers`` >= 1 are integers (not bools) and ``level`` is in (0, 1)."""
+    for name, value in (("B", B), ("seed", seed), ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidArgumentError(f"bootstrap {name} must be an integer, got {value!r}")
+    if B < 2:
+        raise InvalidArgumentError(f"bootstrap B must be at least 2, got {B}")
+    if not 0.0 < level < 1.0:
+        raise InvalidArgumentError(f"bootstrap level must be in (0, 1), got {level}")
+    if workers < 1:
+        raise InvalidArgumentError(f"bootstrap workers must be at least 1, got {workers}")
+    if seed < 0:
+        raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class BootstrapResult:
     """Replicate draws plus the derived SEs and intervals.
@@ -216,17 +232,7 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     taus = (tau,) if single else tuple(tau)
     if not taus:
         raise InvalidArgumentError("tau must be a float or a nonempty sequence")
-    for name, value in (("B", B), ("seed", seed), ("workers", workers)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    if B < 2:
-        raise InvalidArgumentError(f"B must be at least 2, got {B}")
-    if not 0.0 < level < 1.0:
-        raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    check_arguments(B, seed, level, workers)
 
     bases = [run_two_step(data, spec, t) for t in taus]
     # the pool forks all its workers at the first submit, needed or not

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import yaml
 
 from .basis import center, identity, interaction, spline
-from .bootstrap import DEFAULT_B, DEFAULT_LEVEL
+from .bootstrap import DEFAULT_B, DEFAULT_LEVEL, check_arguments
 from .exceptions import InvalidArgumentError, check_taus
 from .pipeline import DEFAULT_TAUS, AnalysisSpec
 from .synthetic import CovariateSpec, ScenarioSpec
@@ -31,16 +31,9 @@ class BootstrapConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.enabled and self.replicates < 2:
-            raise InvalidArgumentError(
-                f"bootstrap replicates must be at least 2, got {self.replicates}"
-            )
-        if not 0.0 < self.level < 1.0:
-            raise InvalidArgumentError(f"level must be in (0, 1), got {self.level}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {self.seed}")
-        if self.workers < 1:
-            raise InvalidArgumentError(f"bootstrap workers must be at least 1, got {self.workers}")
+        # a disabled bootstrap runs no replicates, so their count is not checked
+        check_arguments(self.replicates if self.enabled else DEFAULT_B,
+                        self.seed, self.level, self.workers)
 
 
 @dataclass(frozen=True)

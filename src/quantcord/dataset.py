@@ -61,8 +61,22 @@ class Dataset:
 
     def take(self, indices):
         """Row subset / resample; pairs of responses and covariates
-        always travel together because selection is by whole row."""
-        idx = np.asarray(indices, dtype=np.intp)
+        always travel together because selection is by whole row.
+
+        ``indices`` are row numbers, integers in [0, n), repeats allowed;
+        a boolean mask, a float or a number out of range raises
+        InvalidArgumentError.  No indices give a dataset of no rows.
+        """
+        idx = np.asarray(indices)
+        if idx.size:
+            if idx.dtype.kind not in "iu":
+                raise InvalidArgumentError(
+                    f"row indices must be integers, got {idx.dtype} values")
+            out = idx[(idx < 0) | (idx >= self.n)]
+            if out.size:
+                raise InvalidArgumentError(
+                    f"row index {out[0]} is out of range for {self.n} rows")
+        idx = idx.astype(np.intp, copy=False)
         return Dataset(columns={k: v[idx] for k, v in self.columns.items()})
 
 

@@ -11,7 +11,6 @@ from .exceptions import InvalidArgumentError, SingularDesignError
 class DesignMatrix:
     """An n-by-q numeric design with named columns.
 
-    When ``intercept`` is True the first column must be identically one.
     Construction validates shape, finiteness and name uniqueness;
     rank is checked separately by the fitting routines so that the
     error can name the offending columns.
@@ -19,7 +18,6 @@ class DesignMatrix:
 
     values: np.ndarray
     columns: tuple
-    intercept: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -40,10 +38,6 @@ class DesignMatrix:
             )
         if not np.isfinite(values).all():
             raise InvalidArgumentError("design contains non-finite entries")
-        if self.intercept and not np.all(values[:, 0] == 1.0):
-            raise InvalidArgumentError(
-                "intercept flag set but first column is not identically 1"
-            )
 
     @property
     def n(self):
@@ -88,3 +82,17 @@ def check_weights(weights, n):
     if not (np.isfinite(w) & (w > 0)).all():
         raise InvalidArgumentError("weights must be finite and positive")
     return w
+
+
+def check_start(start, shape):
+    """A copy of ``start`` as floats; InvalidArgumentError unless they are
+    finite numbers of ``shape``."""
+    try:
+        s = np.array(start, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("start must be numbers") from None
+    if s.shape != shape:
+        raise InvalidArgumentError(f"start has shape {s.shape}, expected {shape}")
+    if not np.isfinite(s).all():
+        raise InvalidArgumentError("start contains non-finite values")
+    return s

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concordance import LABELS, MERGED_DISCORDANT, _checked_codes
-from .design import DesignMatrix, check_full_rank, check_weights
+from .design import DesignMatrix, check_full_rank, check_start, check_weights
 from .exceptions import (
     EmptyCategoryError,
     InvalidArgumentError,
@@ -39,7 +39,9 @@ SEPARATION_COEF = 30.0
 
 @dataclass(frozen=True)
 class MultinomialFit:
-    """Fitted category log-odds against the "00" reference.
+    """Fitted category log-odds against the "00" reference, one row of
+    ``gamma`` per entry of ``categories``: ``CATEGORIES_MERGED`` for a
+    merged-mode fit, ``CATEGORIES_FULL`` otherwise.
 
     ``fit_multinomial`` returns only converged fits, so ``converged`` is
     True on every fit it returns; it is False only on the ``last_fit`` of
@@ -53,7 +55,6 @@ class MultinomialFit:
     converged: bool
     iterations: int
     columns: tuple
-    merged: bool
     separation: bool = False
 
 
@@ -162,16 +163,7 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     Xs = Xt * np.sqrt(w)
     n, q = X.shape
     K = len(categories)
-    if start is None:
-        gamma = np.zeros((K, q))
-    else:
-        gamma = np.array(start, dtype=float)
-        if gamma.shape != (K, q):
-            raise InvalidArgumentError(
-                f"start has shape {gamma.shape}, expected {(K, q)}"
-            )
-        if not np.isfinite(gamma).all():
-            raise InvalidArgumentError("start contains non-finite values")
+    gamma = np.zeros((K, q)) if start is None else check_start(start, (K, q))
     ll, probs, scale = _loglik_terms(gamma, Xt, Yt, w)
 
     g = _gradient(Xt, Yt, w, probs)
@@ -223,7 +215,6 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
         converged=converged,
         iterations=it,
         columns=X2.columns,
-        merged=merged,
         separation=separation,
     )
     if not converged:
@@ -250,7 +241,7 @@ def predict_cells_rows(fit, X):
     lse, probs = _log_partition(fit.gamma @ X.T)
     out = np.empty((X.shape[0], 4))
     out[:, 0] = np.exp(-lse)
-    if fit.merged:
+    if fit.categories == CATEGORIES_MERGED:
         out[:, 1] = probs[0]
         out[:, 2] = probs[1] / 2.0  # equal split of the discordant mass
         out[:, 3] = probs[1] / 2.0

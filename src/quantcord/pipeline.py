@@ -17,7 +17,6 @@ import numpy as np
 from .basis import build_design, recipe_values
 from .concordance import PhiBounds, _fixed_margin_phi, classify, empirical_cells, phi_bounds
 from .dataset import Dataset
-from .design import check_weights
 from .exceptions import InvalidArgumentError, QuantcordError, check_tau, check_taus
 from .multinomial import fit_multinomial, predict_cells_rows
 from .quantreg import fit_quantile_regression, residual_signs
@@ -32,8 +31,10 @@ class AnalysisSpec:
     """Everything needed to run the two-step procedure on a dataset.
 
     ``binary`` names covariates whose profile grid is {0, 1} and whose
-    held-constant default is the majority value.  ``grid_values`` and
-    ``held`` override the per-covariate defaults.
+    held-constant default is the majority value.  ``grid_values`` (a
+    non-empty list per covariate) and ``held`` (one value per covariate)
+    override the per-covariate defaults; every value in them must be a
+    finite number.
     """
 
     responses: tuple
@@ -73,6 +74,13 @@ class AnalysisSpec:
             if np.ndim(vals) != 1 or np.size(vals) == 0:
                 raise InvalidArgumentError(
                     f"grid values for {name!r} must be a non-empty 1-d list, got {vals!r}")
+            if not _finite_numbers(vals):
+                raise InvalidArgumentError(
+                    f"grid values for {name!r} must be finite numbers, got {vals!r}")
+        for name, value in self.held.items():
+            if np.ndim(value) != 0 or not _finite_numbers(value):
+                raise InvalidArgumentError(
+                    f"held value for {name!r} must be a finite number, got {value!r}")
         for what, given in (("grid values", self.grid_values), ("held value", self.held)):
             for name in given:
                 if name not in self.profile_columns:
@@ -91,6 +99,14 @@ class AnalysisSpec:
         """Every column the analysis reads: the responses, then the terms'."""
         return tuple(dict.fromkeys(
             self.responses + _term_columns(self.step1_terms + self.step2_terms)))
+
+
+def _finite_numbers(values):
+    """Whether ``values``, a number or a list of them, are all finite numbers."""
+    try:
+        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
+    except (TypeError, ValueError):
+        return False
 
 
 def _term_columns(terms):
@@ -241,11 +257,7 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
     passes its distinct rows with their resample counts.  The default
     grid is built from the rows as given, without their weights.
     """
-    if not isinstance(data, Dataset):
-        raise InvalidArgumentError("data must be a Dataset")
     check_tau(tau)
-    weights = check_weights(weights, data.n)
-
     X1, _ = build_design(data, spec.step1_terms, weights)
     fits = []
     for j, name in enumerate(spec.responses):

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import DesignMatrix, check_full_rank, check_weights
+from .design import DesignMatrix, check_full_rank, check_start, check_weights
 from .exceptions import InvalidArgumentError, NonConvergenceError, check_tau
 
 DEFAULT_TOL = 1e-10
@@ -47,7 +47,8 @@ def pinball_loss(u, tau):
 
 @dataclass(frozen=True)
 class QuantileFit:
-    """Result of one quantile regression.
+    """Result of one quantile regression, at the tau its caller passed
+    (a run keeps it as ``TwoStepResult.tau``).
 
     ``residuals`` always equals ``y - X @ beta`` as computed with the
     returned coefficients, so it can be recomputed bit for bit.
@@ -57,7 +58,6 @@ class QuantileFit:
     ``fit_quantile_regression``); they are empty/NaN for hand-built fits.
     """
 
-    tau: float
     beta: np.ndarray
     residuals: np.ndarray
     objective: float
@@ -225,11 +225,9 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
     delta = _perturbation(n)
     if start is None:
         start, *_ = np.linalg.lstsq(Xv, y, rcond=None)
-    elif np.shape(start) != (q,):
-        raise InvalidArgumentError(f"start has shape {np.shape(start)}, expected {(q,)}")
-    elif not np.isfinite(start).all():
-        raise InvalidArgumentError("start contains non-finite values")
-    basis = _start_basis(Xv, y - Xv @ np.asarray(start, dtype=float))
+    else:
+        start = check_start(start, (q,))
+    basis = _start_basis(Xv, y - Xv @ start)
     free = np.ones(n, dtype=bool)
     free[basis] = False
     pivots = 0
@@ -284,7 +282,6 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
     margin = float(np.min(np.minimum(v - low, high - v)))
     residuals = y - Xv @ beta
     fit = QuantileFit(
-        tau=tau,
         beta=beta,
         residuals=residuals,
         objective=float(np.sum(w * pinball_loss(residuals, tau))),

@@ -75,7 +75,7 @@ def _random_problem(rng):
     beta = rng.normal(size=q + 1)
     y = X @ beta + rng.standard_t(df=3, size=n)
     cols = ("intercept",) + tuple(f"x{j}" for j in range(1, q + 1))
-    return DesignMatrix(X, cols, intercept=True), y
+    return DesignMatrix(X, cols), y
 
 
 def _exhaustive_objective(X, y, tau):
@@ -123,7 +123,7 @@ class TestAcceptance:
             y = rng.normal(size=n)
             tau = float(rng.uniform(0.1, 0.9))
             cols = ("intercept",) + tuple(f"x{j}" for j in range(1, q + 1))
-            fit = fit_quantile_regression(DesignMatrix(X, cols, intercept=True), y, tau)
+            fit = fit_quantile_regression(DesignMatrix(X, cols), y, tau)
             worst = max(worst, abs(fit.objective - _exhaustive_objective(X, y, tau)))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-8 and elapsed < 10.0
@@ -155,7 +155,7 @@ class TestAcceptance:
         for _ in range(20):
             counts = rng.integers(5, 60, size=4)
             z = np.repeat(np.arange(4), counts)
-            X = DesignMatrix(np.ones((len(z), 1)), ("intercept",), intercept=True)
+            X = DesignMatrix(np.ones((len(z), 1)), ("intercept",))
             fit = fit_multinomial(X, z)
             expected = np.log(counts[1:] / counts[0])
             worst_mle = max(worst_mle, float(np.max(np.abs(fit.gamma[:, 0] - expected))))

@@ -224,7 +224,7 @@ class TestBuildDesign:
         X, _ = build_design(data, [identity("x1"), identity("x2")])
         assert X.q == 3
         assert X.columns == ("intercept", "x1", "x2")
-        assert X.intercept
+        assert np.all(X.values[:, 0] == 1.0)
 
     def test_declaration_order(self, data):
         X, _ = build_design(data, [identity("x2"), identity("x1")])

@@ -509,6 +509,26 @@ class TestAnalyzeFailures:
         assert "error: step 2:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_bootstrap_replicates_exit_2(self, tmp_path, monkeypatch, capsys, workers):
+        # two responses concordant but for one swapped pair of rows beside
+        # the median: every replicate's step 2 finds an empty cell
+        monkeypatch.chdir(tmp_path)
+        y1 = np.random.default_rng(11).normal(size=40)
+        y2 = y1.copy()
+        swap = np.argsort(y1)[[18, 21]]
+        y2[swap] = y2[swap[::-1]]
+        (tmp_path / "near.csv").write_text(
+            csv_text(["y1", "y2"], zip(y1.tolist(), y2.tolist())), encoding="utf-8")
+        cfg = _write_yaml(tmp_path / "run.yaml", {
+            "input": "near.csv", "responses": ["y1", "y2"], "taus": [0.5],
+            "bootstrap": {"enabled": True, "replicates": 10, "seed": 11,
+                          "workers": workers}})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert ("error: at tau 0.5, 10 of 10 bootstrap replicates failed (more than 20%)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "none.yaml")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -52,6 +52,13 @@ class TestBootstrapConfig:
         with pytest.raises(InvalidArgumentError, match="at least 2"):
             BootstrapConfig(enabled=True, replicates=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", 2.5), ("replicates", True), ("seed", 1.5), ("workers", "2"),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            BootstrapConfig(enabled=True, **{field: value})
+
     def test_level_bounds(self):
         with pytest.raises(InvalidArgumentError, match="level"):
             BootstrapConfig(level=1.0)

@@ -40,6 +40,23 @@ class TestDataset:
         np.testing.assert_array_equal(sub.column("y1"), [3.0, 1.0, 3.0])
         np.testing.assert_array_equal(sub.column("y2"), [30.0, 10.0, 30.0])
 
+    @pytest.mark.parametrize("indices, match", [
+        (np.array([True, False, True]), "must be integers, got bool"),
+        ([0.9, 2.2], "must be integers, got float64"),
+        ([0, 3], "row index 3 is out of range for 3 rows"),
+        ([-1], "row index -1 is out of range for 3 rows"),
+    ])
+    def test_take_rejects_masks_floats_and_rows_out_of_range(self, indices, match):
+        d = Dataset(columns={"a": [1.0, 2.0, 3.0]})
+        with pytest.raises(InvalidArgumentError, match=match):
+            d.take(indices)
+
+    def test_take_of_no_indices_has_no_rows(self):
+        d = Dataset(columns={"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]})
+        sub = d.take([])
+        assert sub.n == 0
+        assert sub.names == ("a", "b")
+
     def test_take_rows_are_copies_of_originals(self):
         rng = np.random.default_rng(1)
         d = Dataset(columns={"a": rng.standard_normal(20), "b": rng.standard_normal(20)})

@@ -14,7 +14,7 @@ from quantcord import (
 class TestDesignMatrixValidation:
 
     def test_valid_construction(self):
-        X = DesignMatrix(np.ones((5, 1)), ("intercept",), intercept=True)
+        X = DesignMatrix(np.ones((5, 1)), ("intercept",))
         assert X.n == 5
         assert X.q == 1
         assert X.columns == ("intercept",)
@@ -45,15 +45,10 @@ class TestDesignMatrixValidation:
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             DesignMatrix(vals, ("a",))
 
-    def test_intercept_flag_checks_first_column(self):
-        vals = np.column_stack([np.full(5, 2.0), np.arange(5.0)])
-        with pytest.raises(InvalidArgumentError, match="identically 1"):
-            DesignMatrix(vals, ("intercept", "x"), intercept=True)
-
     def test_frozen(self):
         X = DesignMatrix(np.ones((5, 1)), ("intercept",))
         with pytest.raises(AttributeError):
-            X.intercept = True
+            X.columns = ("a",)
 
 
 class TestCheckFullRank:
@@ -63,7 +58,6 @@ class TestCheckFullRank:
         X = DesignMatrix(
             np.column_stack([np.ones(20), rng.standard_normal((20, 2))]),
             ("intercept", "x1", "x2"),
-            intercept=True,
         )
         check_full_rank(X)  # no raise
 

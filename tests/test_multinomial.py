@@ -45,7 +45,7 @@ from oracles import loglik_parts
 
 
 def _intercept_design(n):
-    return DesignMatrix(np.ones((n, 1)), ("intercept",), intercept=True)
+    return DesignMatrix(np.ones((n, 1)), ("intercept",))
 
 
 def _score(gamma, X2, z, merged=False):
@@ -92,7 +92,7 @@ class TestInterceptOnlyClosedForm:
     def test_merged_pools_before_fitting(self):
         z = _labels_from_counts(40, 40, 10, 10)
         fit = fit_multinomial(_intercept_design(100), z, merged=True)
-        assert fit.merged
+        assert fit.categories == CATEGORIES_MERGED
         assert fit.categories == ("11", "01+10")
         np.testing.assert_allclose(fit.gamma[0, 0], 0.0, atol=1e-8)
         np.testing.assert_allclose(fit.gamma[1, 0], np.log(20.0 / 40.0), atol=1e-8)
@@ -116,7 +116,6 @@ class TestGradient:
         X = DesignMatrix(
             np.column_stack([np.ones(n), rng.standard_normal(n)]),
             ("intercept", "x"),
-            intercept=True,
         )
         z = rng.integers(0, 4, n)
         fit = fit_multinomial(X, z)
@@ -133,10 +132,10 @@ class TestGradient:
         p /= p.sum(axis=1, keepdims=True)
         z = np.array([rng.choice(4, p=p[i]) for i in range(n)])
         values = np.column_stack([np.ones(n), x])
-        full = fit_multinomial(DesignMatrix(values, ("intercept", "x"), intercept=True), z)
+        full = fit_multinomial(DesignMatrix(values, ("intercept", "x")), z)
         for _ in range(5):
             idx = rng.integers(0, n, n)
-            Xb = DesignMatrix(values[idx], ("intercept", "x"), intercept=True)
+            Xb = DesignMatrix(values[idx], ("intercept", "x"))
             cold = fit_multinomial(Xb, z[idx])
             warm = fit_multinomial(Xb, z[idx], start=full.gamma)
             assert warm.converged and cold.converged
@@ -156,6 +155,11 @@ class TestGradient:
         with pytest.raises(InvalidArgumentError, match="start contains non-finite"):
             fit_multinomial(_intercept_design(100), z, start=start)
 
+    def test_start_that_is_not_numbers_rejected(self):
+        z = _labels_from_counts(25, 25, 25, 25)
+        with pytest.raises(InvalidArgumentError, match="start must be numbers"):
+            fit_multinomial(_intercept_design(100), z, start=[["a"], ["b"], ["c"]])
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         n, q2 = 50, 3
@@ -164,7 +168,6 @@ class TestGradient:
             X = DesignMatrix(
                 np.column_stack([np.ones(n), rng.standard_normal((n, q2 - 1))]),
                 ("intercept", "x1", "x2"),
-                intercept=True,
             )
             z = rng.integers(0, 4, n)
             gamma = 0.5 * rng.standard_normal((3, q2))
@@ -223,7 +226,7 @@ class TestFitBehavior:
         n = 300
         x = rng.standard_normal(n)
         X = DesignMatrix(
-            np.column_stack([np.ones(n), x]), ("intercept", "x"), intercept=True
+            np.column_stack([np.ones(n), x]), ("intercept", "x")
         )
         # covariate-dependent label probabilities
         logits = np.column_stack([np.zeros(n), 0.8 * x, -0.5 * x, 0.3 * x])
@@ -321,7 +324,6 @@ class TestFitBehavior:
         X = DesignMatrix(
             np.column_stack([np.ones(n), x, 3.0 * x]),
             ("intercept", "x", "x3"),
-            intercept=True,
         )
         z = _labels_from_counts(10, 10, 10, 10)
         with pytest.raises(SingularDesignError, match="x3"):
@@ -336,7 +338,7 @@ class TestFitBehavior:
         )
         z = np.repeat([0, 2, 3, 1], [25, 10, 10, 15])
         X = DesignMatrix(
-            np.column_stack([np.ones(60), x]), ("intercept", "x"), intercept=True
+            np.column_stack([np.ones(60), x]), ("intercept", "x")
         )
         with pytest.warns(SeparationWarning):
             fit = fit_multinomial(X, z)
@@ -376,7 +378,7 @@ class TestFrequencyWeights:
 
     @staticmethod
     def _design(values):
-        return DesignMatrix(values, ("intercept", "x", "g"), intercept=True)
+        return DesignMatrix(values, ("intercept", "x", "g"))
 
     def test_loglik_matches_expanded_fit(self):
         for seed in range(60):
@@ -454,7 +456,6 @@ class TestPredict:
         X = DesignMatrix(
             np.column_stack([np.ones(n), rng.standard_normal(n)]),
             ("intercept", "x"),
-            intercept=True,
         )
         z = rng.integers(0, 4, n)
         for merged in (False, True):
@@ -462,7 +463,6 @@ class TestPredict:
             grid = DesignMatrix(
                 np.column_stack([np.ones(50), np.linspace(-3, 3, 50)]),
                 ("intercept", "x"),
-                intercept=True,
             )
             P = predict_cells_rows(fit, grid)
             assert P.shape == (50, 4)
@@ -473,7 +473,7 @@ class TestPredict:
         # balanced discordance within each covariate pattern
         x = np.repeat([0.0, 1.0], 60)
         X = DesignMatrix(
-            np.column_stack([np.ones(120), x]), ("intercept", "x"), intercept=True
+            np.column_stack([np.ones(120), x]), ("intercept", "x")
         )
         z = np.repeat([0, 1, 2, 3, 0, 1, 2, 3], [20, 10, 15, 15, 10, 20, 15, 15])
         fit_u = fit_multinomial(X, z)

@@ -25,7 +25,7 @@ from quantcord import (
     spline,
 )
 import quantcord.multinomial as multinomial
-from quantcord.multinomial import MultinomialFit
+from quantcord.multinomial import CATEGORIES_MERGED, MultinomialFit
 from quantcord.pipeline import (
     CONSTANT_PROFILE,
     EvaluationGrid,
@@ -109,6 +109,18 @@ class TestAnalysisSpecValidation:
             _spec(step2_terms=terms, held={"alsonot": 1.0})
         with pytest.raises(InvalidArgumentError, match="available covariates: \\[\\]"):
             _spec(held={"x": 1.0})
+
+    @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan], [0.0, "abc"]])
+    def test_grid_values_must_be_finite_numbers(self, values):
+        with pytest.raises(InvalidArgumentError,
+                           match="grid values for 'x' must be finite numbers"):
+            _spec(step2_terms=(identity("x"),), grid_values={"x": values})
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "abc", None, [1.0]])
+    def test_held_value_must_be_a_finite_number(self, value):
+        with pytest.raises(InvalidArgumentError,
+                           match="held value for 'x' must be a finite number"):
+            _spec(step2_terms=(identity("x"),), held={"x": value})
 
     def test_profile_columns_deduplicated_in_order(self):
         spec = _spec(
@@ -362,7 +374,6 @@ class TestRunTwoStep:
             converged=True,
             iterations=1,
             columns=("intercept",),
-            merged=False,
         )
         grid = EvaluationGrid(
             varying=(CONSTANT_PROFILE,), value=np.array([np.nan]), columns={}
@@ -376,7 +387,7 @@ class TestRunTwoStep:
     def test_merged_mode_threads_through(self):
         data = _dependent_data()
         result = run_two_step(data, _spec(merged=True), 0.5)
-        assert result.step2.merged
+        assert result.step2.categories == CATEGORIES_MERGED
         assert result.surface.cells[0, 2] == result.surface.cells[0, 3]
 
     def test_explicit_grid_is_used_verbatim(self):

@@ -30,11 +30,11 @@ from oracles import ratio_test_full_sort, start_basis_row_by_row
 # Helpers
 # ──────────────────────────────────────────────────────────────────────
 
-def _design(values, columns=None, intercept=True):
+def _design(values, columns=None):
     values = np.asarray(values, dtype=float)
     if columns is None:
         columns = ["intercept"] + [f"x{j}" for j in range(1, values.shape[1])]
-    return DesignMatrix(values, tuple(columns), intercept=intercept)
+    return DesignMatrix(values, tuple(columns))
 
 
 def _intercept_only(n):
@@ -609,6 +609,12 @@ class TestFitErrors:
         with pytest.raises(InvalidArgumentError, match="start contains non-finite"):
             fit_quantile_regression(X, y, 0.5, start=[0.0, bad])
 
+    @pytest.mark.parametrize("bad", [["a", "b"], [[0.0], [0.0, 1.0]], {"beta": 0.0}])
+    def test_start_that_is_not_numbers_rejected(self, bad):
+        X, y = _random_problem(np.random.default_rng(8), 40, 2)
+        with pytest.raises(InvalidArgumentError, match="start must be numbers"):
+            fit_quantile_regression(X, y, 0.5, start=bad)
+
     def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         rng = np.random.default_rng(6)
         X, y = _random_problem(rng, 60, 3)
@@ -631,7 +637,6 @@ class TestResidualSigns:
         residuals = np.asarray(residuals, dtype=float)
         n = residuals.size
         return qr.QuantileFit(
-            tau=0.5,
             beta=np.array([0.0]),
             residuals=residuals,
             objective=float(np.sum(pinball_loss(residuals, 0.5))),
@@ -657,7 +662,6 @@ class TestResidualSigns:
     def test_basis_rows_are_at_or_below_despite_rounding(self):
         # basis row 1 and tie row 3 compute to positive ulps; both lie on the fit
         fit = qr.QuantileFit(
-            tau=0.5,
             beta=np.array([0.0]),
             residuals=np.array([-1.0, 5e-324, 2.0, 1e-300]),
             objective=1.5,

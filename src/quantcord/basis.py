@@ -7,13 +7,13 @@ constants and reproduce the training design bit for bit.  With frequency
 weights the constants are those of the rows repeated by their weights.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import Dataset
 from .design import DesignMatrix, check_weights
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, check_number
 
 SPLINE_MIN_DISTINCT = 8
 
@@ -23,9 +23,9 @@ class TermSpec:
     """One declared model term.
 
     kind is one of ``identity``, ``center``, ``spline``, ``interaction``.
-    ``center`` uses the explicit constant when given, otherwise the
-    training-sample mean.  ``interaction`` is the elementwise product
-    of two raw columns.
+    ``center`` subtracts the explicit finite constant when given, otherwise
+    the training-sample mean, and its fitted term holds it.  ``interaction``
+    multiplies ``column`` and ``column2``; no other kind takes either field.
     """
 
     kind: str
@@ -34,10 +34,17 @@ class TermSpec:
     center: float = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "center", "spline", "interaction"):
-            raise InvalidArgumentError(f"unknown term kind {self.kind!r}")
+        kinds = ("identity", "center", "spline", "interaction")
+        if self.kind not in kinds:
+            raise InvalidArgumentError(f"unknown term kind {self.kind!r}; use one of {kinds}")
         if self.kind == "interaction" and not self.column2:
             raise InvalidArgumentError("interaction terms need two columns")
+        if self.kind != "interaction" and self.column2 is not None:
+            raise InvalidArgumentError(f"{self.kind} terms take one column")
+        if self.center is not None and self.kind != "center":
+            raise InvalidArgumentError(f"{self.kind} terms take no value")
+        if self.center is not None:
+            check_number("center value", self.center)
 
 
 def identity(column):
@@ -59,7 +66,6 @@ def interaction(column, column2):
 @dataclass(frozen=True)
 class FittedTerm:
     spec: TermSpec
-    center_value: float = None
     knots: tuple = None
 
     @property
@@ -68,7 +74,7 @@ class FittedTerm:
         if s.kind == "identity":
             return (s.column,)
         if s.kind == "center":
-            return (f"{s.column}-{self.center_value:g}",)
+            return (f"{s.column}-{s.center:g}",)
         if s.kind == "interaction":
             return (f"{s.column}:{s.column2}",)
         return tuple(f"s({s.column}).{j}" for j in (1, 2, 3))
@@ -165,7 +171,7 @@ def _fit_term(spec, data, w):
         # the weighted mean, with np.mean's arithmetic when every weight is 1
         value = (float(np.sum(w * col) / np.sum(w)) if spec.center is None
                  else float(spec.center))
-        return FittedTerm(spec, center_value=value)
+        return FittedTerm(replace(spec, center=value))
     if spec.kind != "spline":  # identity and interaction have no constants
         return FittedTerm(spec)
     col = data.column(spec.column)
@@ -180,7 +186,7 @@ def _eval_term(term, data):
     if s.kind == "identity":
         return col[:, None]
     if s.kind == "center":
-        return (col - term.center_value)[:, None]
+        return (col - s.center)[:, None]
     if s.kind == "interaction":
         return (col * data.column(s.column2))[:, None]
     return natural_spline_columns(col, term.knots)
@@ -207,21 +213,13 @@ def recipe_values(recipe, data):
     no row-count floor.
 
     Used for prediction grids, which may have fewer rows than columns.
-    Returns the value array and the sorted indices of rows where a
-    spline input fell beyond its boundary knots (linear extrapolation).
     """
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
     blocks = [np.ones((data.n, 1))]
-    extrapolated = set()
     for term in recipe.terms:
-        block = _eval_term(term, data)
-        if term.spec.kind == "spline":
-            col = data.column(term.spec.column)
-            outside = np.nonzero((col < term.knots[0]) | (col > term.knots[-1]))[0]
-            extrapolated.update(outside.tolist())
-        blocks.append(block)
-    return np.hstack(blocks), sorted(extrapolated)
+        blocks.append(_eval_term(term, data))
+    return np.hstack(blocks)
 
 
 def apply_recipe(recipe, data):
@@ -229,7 +227,6 @@ def apply_recipe(recipe, data):
 
     Stored knots and centers are reused, never re-estimated.  Spline
     inputs beyond the boundary knots extrapolate linearly (natural
-    spline property); :func:`recipe_values` lists the affected rows.
+    spline property).
     """
-    values, _ = recipe_values(recipe, data)
-    return DesignMatrix(values=values, columns=recipe.columns)
+    return DesignMatrix(values=recipe_values(recipe, data), columns=recipe.columns)

@@ -24,7 +24,6 @@ numpy and ``math`` supplying the elementary functions.
 """
 
 import math
-import numbers
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +33,12 @@ import numpy as np
 
 from .basis import sorted_quantile
 from .concordance import phi_bounds
-from .exceptions import InferenceUnreliableError, InvalidArgumentError, QuantcordError
+from .exceptions import (
+    InferenceUnreliableError,
+    InvalidArgumentError,
+    QuantcordError,
+    check_number,
+)
 from .pipeline import run_two_step
 
 DEFAULT_B = 1000
@@ -151,8 +155,7 @@ def check_arguments(B, seed, level, workers):
     """Raise InvalidArgumentError unless ``B`` >= 2, ``seed`` >= 0 and
     ``workers`` >= 1 are integers (not bools) and ``level`` is in (0, 1)."""
     for name, value in (("B", B), ("seed", seed), ("workers", workers)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidArgumentError(f"bootstrap {name} must be an integer, got {value!r}")
+        check_number(f"bootstrap {name}", value, integer=True)
     if B < 2:
         raise InvalidArgumentError(f"bootstrap B must be at least 2, got {B}")
     if not 0.0 < level < 1.0:

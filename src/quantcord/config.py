@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .basis import center, identity, interaction, spline
+from .basis import TermSpec, interaction
 from .bootstrap import DEFAULT_B, DEFAULT_LEVEL, check_arguments
 from .exceptions import InvalidArgumentError, check_taus
 from .pipeline import DEFAULT_TAUS, AnalysisSpec
@@ -150,16 +150,7 @@ def parse_term(d):
             )
         return interaction(*pair)
     t = _read("term", d, _TERM, required=("column",))
-    transform = t.get("transform", "identity")
-    if transform == "center":
-        return center(t["column"], t.get("value"))
-    if transform not in ("identity", "spline"):
-        raise InvalidArgumentError(
-            f"unknown transform {transform!r}; use identity, center or spline"
-        )
-    if "value" in t:
-        raise InvalidArgumentError(f"{transform} terms take no value")
-    return identity(t["column"]) if transform == "identity" else spline(t["column"])
+    return TermSpec(t.get("transform", "identity"), t["column"], center=t.get("value"))
 
 
 _TAU_RANGE = dict.fromkeys(("start", "stop", "step"), _float)
@@ -219,9 +210,10 @@ def run_config_from_dict(d):
 
 
 def _group_values(key, value):
-    """rho for groups 0 and 1, from a two-item list or a {0: .., 1: ..} mapping."""
+    """rho by group, from a two-item list (groups 0 and 1) or a mapping, whose
+    groups ``ScenarioSpec`` checks."""
     if isinstance(value, dict):
-        value = [value.get(g) for g in (0, 1)]
+        return {g: _float(f"{key}.{g}", v) for g, v in value.items()}
     if len(_list(key, value)) != 2:
         raise InvalidArgumentError("rho_by_group needs values for groups 0 and 1")
     return {g: _float(key, value[g]) for g in (0, 1)}
@@ -248,8 +240,6 @@ def scenario_from_dict(d):
     taus = given.pop("taus", DEFAULT_TAUS)
     check_taus(taus)
     if "rho_by_group" in given:
-        if "rho" in given:
-            raise InvalidArgumentError("give either rho or rho_by_group, not both")
         rbg = given.pop("rho_by_group")
         given.update(rho_by_group=rbg["values"], group_column=rbg["column"])
     if "responses" in given:

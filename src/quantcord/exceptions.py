@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+import math
+import numbers
+
 
 class QuantcordError(Exception):
     """Base class for all package-specific errors."""
@@ -10,9 +13,20 @@ class InvalidArgumentError(QuantcordError, ValueError):
 
 
 def check_tau(tau):
-    """Raise InvalidArgumentError unless the quantile level ``tau`` is in (0, 1)."""
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau}")
+    """Raise InvalidArgumentError unless the quantile level ``tau`` is a real
+    number in (0, 1)."""
+    if not (isinstance(tau, numbers.Real) and 0.0 < tau < 1.0):
+        raise InvalidArgumentError(f"tau must be in (0, 1), got {tau!r}")
+
+
+def check_number(name, value, integer=False):
+    """Raise InvalidArgumentError naming ``name`` unless ``value`` is a
+    finite number, or an integer when ``integer``; never a bool."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+            integer or math.isfinite(value)):
+        what = "an integer" if integer else "a finite number"
+        raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")
 
 
 def check_taus(taus):

@@ -8,7 +8,6 @@ M-estimators, so rows with frequency weights (a bootstrap resample's
 distinct rows and their counts) give the fits of the repeated rows.
 """
 
-import numbers
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -17,7 +16,13 @@ import numpy as np
 from .basis import build_design, recipe_values
 from .concordance import PhiBounds, _fixed_margin_phi, classify, empirical_cells, phi_bounds
 from .dataset import Dataset
-from .exceptions import InvalidArgumentError, QuantcordError, check_tau, check_taus
+from .exceptions import (
+    InvalidArgumentError,
+    QuantcordError,
+    check_number,
+    check_tau,
+    check_taus,
+)
 from .multinomial import fit_multinomial, predict_cells_rows
 from .quantreg import fit_quantile_regression, residual_signs
 
@@ -55,11 +60,15 @@ class AnalysisSpec:
                     f"{name} must be a sequence of column names, got {value!r}")
         if not isinstance(self.merged, bool):  # "no" is truthy
             raise InvalidArgumentError(f"merged must be True or False, got {self.merged!r}")
-        points = self.grid_points
-        if isinstance(points, bool) or not isinstance(points, numbers.Integral):
-            raise InvalidArgumentError(f"grid_points must be an integer, got {points!r}")
+        check_number("grid_points", self.grid_points, integer=True)
+        try:
+            taus = tuple(self.taus)
+        except TypeError:  # a lone tau is not a sequence of them
+            raise InvalidArgumentError(
+                f"taus must be a sequence of quantile levels, got {self.taus!r}") from None
+        check_taus(taus)
         object.__setattr__(self, "responses", tuple(self.responses))
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        object.__setattr__(self, "taus", tuple(float(t) for t in taus))
         object.__setattr__(self, "step1_terms", tuple(self.step1_terms))
         object.__setattr__(self, "step2_terms", tuple(self.step2_terms))
         object.__setattr__(self, "binary", tuple(self.binary))
@@ -67,7 +76,6 @@ class AnalysisSpec:
             raise InvalidArgumentError(
                 f"responses must be two distinct columns, got {self.responses}"
             )
-        check_taus(self.taus)
         if self.grid_points < 2:
             raise InvalidArgumentError("grid_points must be at least 2")
         for name, vals in self.grid_values.items():
@@ -205,7 +213,7 @@ class PhiSurface:
 def evaluate_surface(fit2, recipe2, grid, tau):
     """Predict cell probabilities on the grid and map them to phi."""
     if grid.columns:
-        X, _ = recipe_values(recipe2, Dataset(columns=grid.columns))
+        X = recipe_values(recipe2, Dataset(columns=grid.columns))
     else:
         X = np.ones((grid.m, 1))
     cells = predict_cells_rows(fit2, X)

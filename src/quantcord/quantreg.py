@@ -19,7 +19,6 @@ discrete data cannot cycle.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,20 +76,6 @@ def residual_signs(fit):
     signs = (fit.residuals <= 0).astype(np.int64)
     signs[list(fit.basis) + list(fit.ties)] = 1
     return signs
-
-
-@lru_cache(maxsize=8)
-def _perturbation_block(size):
-    delta = np.random.default_rng(0).random(size)
-    delta.flags.writeable = False
-    return delta
-
-
-def _perturbation(n):
-    """The fixed tie-breaking perturbation of y for n rows, read-only: the
-    first n draws of one stream, cached in power-of-two blocks so that fits
-    on varying row counts (bootstrap replicates) share them."""
-    return _perturbation_block(1 << (n - 1).bit_length())[:n]
 
 
 def _independent_rows(X, order, q):
@@ -222,7 +207,7 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
     # unweighted fit bit for bit
     colsum = np.sum(w[:, None] * Xv, axis=0)
     y_noise = 4 * q * _EPS * np.abs(y)
-    delta = _perturbation(n)
+    delta = np.random.default_rng(0).random(n)  # the fixed tie-breaking perturbation of y
     if start is None:
         start, *_ = np.linalg.lstsq(Xv, y, rcond=None)
     else:

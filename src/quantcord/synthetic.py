@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import FLOAT_FMT, Dataset
-from .exceptions import InvalidArgumentError, check_tau
+from .exceptions import InvalidArgumentError, check_number, check_tau
 
 MIN_ROWS = 50
 
@@ -27,6 +27,8 @@ class CovariateSpec:
     p: float = 0.5
 
     def __post_init__(self):
+        for name in ("low", "high", "p"):
+            check_number(name, getattr(self, name))
         if self.kind not in ("uniform", "binary"):
             raise InvalidArgumentError(f"unknown covariate kind {self.kind!r}")
         if self.kind == "uniform" and not self.low < self.high:
@@ -39,14 +41,15 @@ class CovariateSpec:
 class ScenarioSpec:
     """Recipe for one synthetic dataset.
 
-    ``rho`` is either a single correlation or, together with
-    ``group_column`` (a binary covariate), a {0: rho0, 1: rho1} map.
+    The errors' correlation is either ``rho`` (0.5 when neither is given)
+    or, together with ``group_column`` (a binary covariate),
+    ``rho_by_group``, a {0: rho0, 1: rho1} map; not both.
     ``coefficients`` maps each response name to {"intercept": b0,
     covariate: b, ...}; omitted entries are zero.
     """
 
     n: int
-    rho: float = 0.5
+    rho: float = None
     rho_by_group: dict = None
     group_column: str = None
     covariates: tuple = ()
@@ -55,13 +58,24 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number("n", self.n, integer=True)
+        check_number("seed", self.seed, integer=True)
         if self.n < MIN_ROWS:
             raise InvalidArgumentError(f"n must be at least {MIN_ROWS}, got {self.n}")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
-        rhos = ([self.rho] if self.rho_by_group is None
-                else list(self.rho_by_group.values()))
-        for r in rhos:
+        if self.rho_by_group is None:
+            object.__setattr__(self, "rho", 0.5 if self.rho is None else self.rho)
+            rhos = {"rho": self.rho}
+        elif self.rho is not None:
+            raise InvalidArgumentError("give either rho or rho_by_group, not both")
+        elif not isinstance(self.rho_by_group, dict) or set(self.rho_by_group) != {0, 1}:
+            raise InvalidArgumentError(
+                f"rho_by_group needs values for groups 0 and 1, got {self.rho_by_group!r}")
+        else:
+            rhos = {f"rho_by_group[{g}]": self.rho_by_group[g] for g in (0, 1)}
+        for name, r in rhos.items():
+            check_number(name, r)
             if not -1.0 < r < 1.0:
                 raise InvalidArgumentError(f"|rho| must be < 1, got {r}")
         if (self.rho_by_group is None) != (self.group_column is None):
@@ -75,6 +89,9 @@ class ScenarioSpec:
                     f"group column {self.group_column!r} must be a declared "
                     "binary covariate"
                 )
+        if isinstance(self.response_names, str):  # "ab" would name columns a and b
+            raise InvalidArgumentError(
+                f"response_names must be a sequence of two names, got {self.response_names!r}")
         if len(self.response_names) != 2:
             raise InvalidArgumentError("exactly two response names required")
         columns = list(self.response_names) + [c.name for c in self.covariates]

@@ -36,12 +36,37 @@ class TestTermSpec:
         assert (t.column, t.column2) == ("a", "b")
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidArgumentError, match="unknown term kind"):
+        with pytest.raises(InvalidArgumentError, match=(
+                r"unknown term kind 'quadratic'; "
+                r"use one of \('identity', 'center', 'spline', 'interaction'\)")):
             TermSpec("quadratic", "x")
 
     def test_interaction_needs_second_column(self):
         with pytest.raises(InvalidArgumentError, match="two columns"):
             TermSpec("interaction", "a")
+
+    @pytest.mark.parametrize("kind", ["identity", "center", "spline"])
+    @pytest.mark.parametrize("column2", ["z", ""])
+    def test_second_column_only_on_interactions(self, kind, column2):
+        with pytest.raises(InvalidArgumentError, match=f"{kind} terms take one column"):
+            TermSpec(kind, "x", column2=column2)
+
+    @pytest.mark.parametrize("kind,column2", [
+        ("identity", None), ("spline", None), ("interaction", "z")])
+    def test_value_only_on_center_terms(self, kind, column2):
+        with pytest.raises(InvalidArgumentError, match=f"{kind} terms take no value"):
+            TermSpec(kind, "x", column2=column2, center=1.0)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", True, np.nan, np.inf, [1.0], np.array(1.0)])
+    def test_center_value_must_be_a_finite_number(self, value):
+        with pytest.raises(InvalidArgumentError,
+                           match="center value must be a finite number"):
+            center("x", value)
+
+    def test_fitted_center_is_held_on_its_spec(self):
+        data = Dataset(columns={"x": np.array([1.0, 2.0, 6.0])})
+        _, recipe = build_design(data, [center("x")])
+        assert recipe.terms[0].spec == center("x", 3.0)
 
 
 class TestSortedQuantile:
@@ -131,8 +156,8 @@ class TestFrequencyWeights:
             X, recipe = build_design(distinct, terms, weights=counts[rows])
             _, expanded = build_design(Dataset(columns={"x": np.repeat(x, counts)}), terms)
             assert recipe.terms[0].knots == expanded.terms[0].knots
-            assert recipe.terms[1].center_value == pytest.approx(
-                expanded.terms[1].center_value, rel=1e-14, abs=1e-14)
+            assert recipe.terms[1].spec.center == pytest.approx(
+                expanded.terms[1].spec.center, rel=1e-14, abs=1e-14)
             np.testing.assert_array_equal(X.values, apply_recipe(recipe, distinct).values)
 
     def test_unit_weights_equal_no_weights(self):
@@ -239,7 +264,7 @@ class TestBuildDesign:
     def test_center_default_is_training_mean(self, data):
         X, recipe = build_design(data, [center("x1")])
         np.testing.assert_allclose(X.values[:, 1].mean(), 0.0, atol=1e-12)
-        np.testing.assert_allclose(recipe.terms[0].center_value, data.column("x1").mean())
+        np.testing.assert_allclose(recipe.terms[0].spec.center, data.column("x1").mean())
 
     def test_centered_constant_rejected_downstream(self, data):
         # all-zero column builds fine, then fails the rank check by name
@@ -306,31 +331,29 @@ class TestRecipeReuse:
     def test_single_training_row_reproduced(self, fitted):
         data, X, recipe = fitted
         row = data.take([3])
-        values, extrapolated = recipe_values(recipe, row)
+        values = recipe_values(recipe, row)
         np.testing.assert_array_equal(values[0], X.values[3])
-        assert extrapolated == []
 
     def test_knots_not_reestimated_on_grid(self, fitted):
         data, X, recipe = fitted
         grid = Dataset(columns={"x": np.linspace(2, 4, 10), "g": np.zeros(10)})
-        values, _ = recipe_values(recipe, grid)
+        values = recipe_values(recipe, grid)
         expected = natural_spline_columns(grid.column("x"), recipe.terms[0].knots)
         np.testing.assert_array_equal(values[:, 1:4], expected)
 
-    def test_extrapolation_flagged_not_fatal(self, fitted):
+    def test_extrapolation_is_linear_not_fatal(self, fitted):
         data, X, recipe = fitted
         lo, hi = recipe.terms[0].knots[0], recipe.terms[0].knots[-1]
         grid = Dataset(columns={
             "x": np.array([lo - 1.0, 0.5 * (lo + hi), hi + 2.0]),
             "g": np.zeros(3),
         })
-        values, extrapolated = recipe_values(recipe, grid)
-        assert extrapolated == [0, 2]
+        assert np.isfinite(recipe_values(recipe, grid)).all()
         # beyond the boundary the spline columns continue linearly
         h = 1e-2
         probe = Dataset(columns={
             "x": np.array([hi + 2.0 - h, hi + 2.0, hi + 2.0 + h]), "g": np.zeros(3)})
-        vals, _ = recipe_values(recipe, probe)
+        vals = recipe_values(recipe, probe)
         second = (vals[0] - 2 * vals[1] + vals[2]) / h**2
         assert np.max(np.abs(second)) <= 1e-8
 

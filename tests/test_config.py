@@ -113,8 +113,12 @@ class TestParseTerm:
             parse_term({"column": "x", "transform": "spline", "value": 1.0})
 
     def test_unknown_transform(self):
-        with pytest.raises(InvalidArgumentError, match="unknown transform"):
+        with pytest.raises(InvalidArgumentError, match="unknown term kind 'poly'; use one of"):
             parse_term({"column": "x", "transform": "poly"})
+
+    def test_interaction_transform_needs_the_pair_form(self):
+        with pytest.raises(InvalidArgumentError, match="interaction terms need two columns"):
+            parse_term({"column": "x", "transform": "interaction"})
 
     def test_column_required(self):
         with pytest.raises(InvalidArgumentError, match="missing required key 'column'"):
@@ -332,6 +336,15 @@ class TestScenarioConfig:
                     "covariates": [{"name": "g", "kind": "binary"}],
                 }
             )
+
+    @pytest.mark.parametrize("values", [{0: 0.2}, {0: 0.2, 1: 0.8, 2: 0.5}, {"0": 0.2, "1": 0.8}])
+    def test_rho_by_group_mapping_names_groups_0_and_1(self, values):
+        with pytest.raises(InvalidArgumentError, match="needs values for groups 0 and 1"):
+            scenario_from_dict({
+                "n": 100,
+                "rho_by_group": {"column": "g", "values": values},
+                "covariates": [{"name": "g", "kind": "binary"}],
+            })
 
     def test_unknown_scenario_key(self):
         with pytest.raises(InvalidArgumentError, match="unknown keys in scenario"):

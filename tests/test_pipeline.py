@@ -1,6 +1,7 @@
 """Tests for the end-to-end two-step procedure and its profile grids."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ class TestAnalysisSpecValidation:
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(InvalidArgumentError, match="tau must be in"):
                 _spec(taus=(bad,))
+
+    @pytest.mark.parametrize("taus,message", [
+        (0.5, "taus must be a sequence of quantile levels, got 0.5"),
+        (None, "taus must be a sequence of quantile levels, got None"),
+        ((None,), "tau must be in \\(0, 1\\), got None"),
+        (("a",), "tau must be in \\(0, 1\\), got 'a'"),
+        ((0.2, "0.5"), "tau must be in \\(0, 1\\), got '0.5'"),
+    ])
+    def test_taus_must_be_a_sequence_of_numbers(self, taus, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            _spec(taus=taus)
 
     def test_taus_strictly_increasing(self):
         with pytest.raises(InvalidArgumentError, match="strictly increasing"):
@@ -300,6 +312,12 @@ class TestRunTwoStep:
         data = _dependent_data()
         with pytest.raises(InvalidArgumentError, match="tau must be in"):
             run_two_step(data, _spec(), 1.5)
+
+    @pytest.mark.parametrize("tau", ["0.5", None, np.array([0.5]), np.array(0.5)])
+    def test_tau_must_be_a_real_number(self, tau):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"tau must be in \(0, 1\), got " + re.escape(repr(tau))):
+            run_two_step(_dependent_data(), _spec(), tau)
 
     def test_order_equivariance_saturated_step2(self):
         # swapping the responses relabels "01" <-> "10"; the saturated

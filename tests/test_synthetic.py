@@ -64,6 +64,48 @@ class TestScenarioValidation:
             ScenarioSpec(n=100, response_names=responses,
                          covariates=tuple(CovariateSpec(c) for c in covariates))
 
+    def test_rho_and_rho_by_group_exclusive(self):
+        with pytest.raises(InvalidArgumentError, match="either rho or rho_by_group, not both"):
+            ScenarioSpec(n=100, rho=0.3, rho_by_group={0: 0.2, 1: 0.8}, group_column="g",
+                         covariates=(CovariateSpec("g", "binary"),))
+
+    def test_rho_defaults_only_without_groups(self):
+        assert ScenarioSpec(n=100).rho == 0.5
+        grouped = ScenarioSpec(n=100, rho_by_group={0: 0.2, 1: 0.8}, group_column="g",
+                               covariates=(CovariateSpec("g", "binary"),))
+        assert grouped.rho is None
+
+    @pytest.mark.parametrize("groups", [
+        {0: 0.2}, {0: 0.2, 1: 0.8, 2: 0.5}, {1: 0.2, 2: 0.8}, [0.2, 0.8]])
+    def test_rho_by_group_needs_groups_0_and_1(self, groups):
+        with pytest.raises(InvalidArgumentError, match="rho_by_group needs values for groups 0 and 1"):
+            ScenarioSpec(n=100, rho_by_group=groups, group_column="g",
+                         covariates=(CovariateSpec("g", "binary"),))
+
+    def test_response_names_must_not_be_a_string(self):
+        with pytest.raises(InvalidArgumentError, match="response_names must be a sequence"):
+            ScenarioSpec(n=100, response_names="ab")
+
+    @pytest.mark.parametrize("field,value,what", [
+        ("n", "100", "an integer"), ("n", 100.0, "an integer"), ("n", True, "an integer"),
+        ("seed", "3", "an integer"), ("seed", None, "an integer"),
+        ("rho", "0.5", "a finite number"), ("rho", [0.5], "a finite number")])
+    def test_scenario_numbers_are_checked_by_name(self, field, value, what):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be {what}, got"):
+            ScenarioSpec(**dict({"n": 100}, **{field: value}))
+
+    def test_group_rho_must_be_a_number(self):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"rho_by_group\[1\] must be a finite number"):
+            ScenarioSpec(n=100, rho_by_group={0: 0.2, 1: "0.8"}, group_column="g",
+                         covariates=(CovariateSpec("g", "binary"),))
+
+    @pytest.mark.parametrize("field,value", [
+        ("low", "0"), ("high", None), ("high", np.inf), ("p", "0.5"), ("p", True)])
+    def test_covariate_numbers_are_checked_by_name(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be a finite number"):
+            CovariateSpec("x", "binary" if field == "p" else "uniform", **{field: value})
+
     def test_covariate_kind_validation(self):
         with pytest.raises(InvalidArgumentError, match="unknown covariate kind"):
             CovariateSpec("x", "gamma")

@@ -25,8 +25,7 @@ from .basis import (
 from .bootstrap import BootstrapResult, bootstrap, bootstrap_indices
 from .concordance import (
     LABELS,
-    MERGED_DISCORDANT,
-    CellProbabilities,
+    MERGED_LABELS,
     PhiBounds,
     classify,
     empirical_cells,
@@ -56,9 +55,6 @@ from .exceptions import (
     SingularDesignError,
 )
 from .multinomial import (
-    CATEGORIES_FULL,
-    CATEGORIES_MERGED,
-    REFERENCE,
     MultinomialFit,
     fit_multinomial,
     predict_cells_rows,
@@ -96,8 +92,8 @@ __all__ = [
     # bootstrap
     "BootstrapResult", "bootstrap", "bootstrap_indices",
     # concordance
-    "LABELS", "MERGED_DISCORDANT", "CellProbabilities", "PhiBounds",
-    "classify", "empirical_cells", "limiting_cells", "phi", "phi_bounds",
+    "LABELS", "MERGED_LABELS", "PhiBounds", "classify", "empirical_cells",
+    "limiting_cells", "phi", "phi_bounds",
     # config
     "BootstrapConfig", "RunConfig", "load_run_config", "load_scenario",
     "parse_term", "run_config_from_dict", "scenario_from_dict",
@@ -110,8 +106,7 @@ __all__ = [
     "InvalidArgumentError", "NonConvergenceError", "QuantcordError",
     "SeparationWarning", "SingularDesignError",
     # multinomial
-    "CATEGORIES_FULL", "CATEGORIES_MERGED", "REFERENCE", "MultinomialFit",
-    "fit_multinomial", "predict_cells_rows",
+    "MultinomialFit", "fit_multinomial", "predict_cells_rows",
     # pipeline
     "AnalysisSpec", "EvaluationGrid", "PhiSurface", "TwoStepResult",
     "build_grid", "evaluate_surface", "phi_profile", "run_two_step",

@@ -174,10 +174,7 @@ def _fit_term(spec, data, w):
         return FittedTerm(replace(spec, center=value))
     if spec.kind != "spline":  # identity and interaction have no constants
         return FittedTerm(spec)
-    col = data.column(spec.column)
-    if not np.isfinite(col).all():
-        raise InvalidArgumentError(f"spline column {spec.column!r} is not finite")
-    return FittedTerm(spec, knots=tertile_knots(col, w))
+    return FittedTerm(spec, knots=tertile_knots(data.column(spec.column), w))
 
 
 def _eval_term(term, data):
@@ -204,6 +201,10 @@ def build_design(data, terms, weights=None):
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
     w = check_weights(weights, data.n)
+    for t in terms:
+        for name in (t.column, t.column2):
+            if name and not np.isfinite(data.column(name)).all():
+                raise InvalidArgumentError(f"{t.kind} column {name!r} is not finite")
     recipe = BasisRecipe(terms=tuple(_fit_term(t, data, w) for t in terms))
     return apply_recipe(recipe, data), recipe
 

@@ -153,9 +153,11 @@ def _replicate_task(b):
 
 def check_arguments(B, seed, level, workers):
     """Raise InvalidArgumentError unless ``B`` >= 2, ``seed`` >= 0 and
-    ``workers`` >= 1 are integers (not bools) and ``level`` is in (0, 1)."""
+    ``workers`` >= 1 are integers (not bools) and ``level`` is a number in
+    (0, 1)."""
     for name, value in (("B", B), ("seed", seed), ("workers", workers)):
         check_number(f"bootstrap {name}", value, integer=True)
+    check_number("bootstrap level", level)
     if B < 2:
         raise InvalidArgumentError(f"bootstrap B must be at least 2, got {B}")
     if not 0.0 < level < 1.0:

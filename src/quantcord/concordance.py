@@ -3,9 +3,10 @@
 A label is an integer cell code k, named ``LABELS[k]``: 0 = "00" (both
 residuals above their fitted quantiles), 1 = "11" (both at or below),
 2 = "01" and 3 = "10" (first digit: first response).  Merged mode pools
-code 3 into code 2, ``MERGED_DISCORDANT``.  CellProbabilities fields,
-predicted cell columns and step-2 coefficient rows (codes 1..3) follow
-the same order.
+code 3 into code 2, so its fitted codes are named ``MERGED_LABELS``.
+Cell probabilities are arrays whose last axis holds the four cells in
+code order; predicted cell columns and step-2 coefficient rows (fitted
+codes 1..K) follow the same order.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from .design import check_weights
 from .exceptions import InvalidArgumentError, check_tau
 
 LABELS = ("00", "11", "01", "10")
-MERGED_DISCORDANT = "01+10"
+MERGED_LABELS = ("00", "11", "01+10")
 
 # _CODES[w1, w2] is the cell code of first-response sign w1 and second w2
 _CODES = np.array([[0, 2], [3, 1]])
@@ -52,51 +53,53 @@ def _checked_codes(z):
     return z.astype(np.intp, copy=False)
 
 
-@dataclass(frozen=True)
-class CellProbabilities:
-    """Joint probabilities of the four sign patterns at quantile tau."""
-
-    p00: float
-    p11: float
-    p01: float
-    p10: float
-    tau: float
-
-    def __post_init__(self):
-        cells = (self.p00, self.p11, self.p01, self.p10)
-        if not np.isfinite(cells).all():
-            raise InvalidArgumentError(f"cells must be finite, got {cells}")
-        if any(c < 0 or c > 1 for c in cells):
-            raise InvalidArgumentError(f"cells must lie in [0, 1], got {cells}")
-        if abs(sum(cells) - 1.0) > 1e-12:
-            raise InvalidArgumentError(f"cells must sum to 1, got {sum(cells)!r}")
-        check_tau(self.tau)
-
-    def as_array(self):
-        return np.array([self.p00, self.p11, self.p01, self.p10])
+def pool(z, merged):
+    """The fitted code of each cell code in ``z``: the code itself, or in
+    merged mode code 2 for code 3."""
+    z = _checked_codes(z)
+    return np.minimum(z, 2) if merged else z
 
 
-def empirical_cells(z, tau, weights=None):
+def split_cells(probs):
+    """The four cells, in code order, from the probabilities of the fitted
+    codes along the last axis of ``probs``: three columns (merged mode)
+    give "01" and "10" half of "01+10" each."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape[-1] == len(LABELS):
+        return probs
+    half = probs[..., 2:] / 2.0
+    return np.concatenate([probs[..., :2], half, half], axis=-1)
+
+
+def empirical_cells(z, weights=None):
     """Relative frequency of each concordance cell code, each label counted
     with its frequency weight (once when ``weights`` is None)."""
     z = _checked_codes(z)
     w = check_weights(weights, z.size)
-    counts = np.bincount(z, weights=w, minlength=4)
-    return CellProbabilities(*(counts / np.sum(w)).tolist(), tau=tau)
+    return np.bincount(z, weights=w, minlength=len(LABELS)) / np.sum(w)
 
 
-def phi(cells):
-    """Correlation between the two sign indicators.
+def phi(cells, tau):
+    """Correlation between the two sign indicators, one per row of
+    ``cells`` (last axis: the four cells in code order).
 
     Uses the fixed theoretical margins tau and 1-tau, so the
     denominator is exactly ``tau * (1 - tau)``; empirical margins would
     be off by O(q/n) and break the exact limiting cases.
     """
-    return _fixed_margin_phi(cells.p00, cells.p11, cells.p01, cells.p10, cells.tau)
-
-
-def _fixed_margin_phi(p00, p11, p01, p10, tau):
-    """``phi``'s formula on cell probabilities, scalars or arrays."""
+    cells = np.asarray(cells, dtype=float)
+    if cells.ndim == 0 or cells.shape[-1] != len(LABELS):
+        raise InvalidArgumentError(
+            f"cells must have the four cells on their last axis, got shape {cells.shape}")
+    if not np.isfinite(cells).all():
+        raise InvalidArgumentError(f"cells must be finite, got {cells}")
+    if ((cells < 0) | (cells > 1)).any():
+        raise InvalidArgumentError(f"cells must lie in [0, 1], got {cells}")
+    total = cells.sum(axis=-1)
+    if (np.abs(total - 1.0) > 1e-12).any():
+        raise InvalidArgumentError(f"cells must sum to 1, got {total}")
+    check_tau(tau)
+    p00, p11, p01, p10 = np.moveaxis(cells, -1, 0)
     return (p11 * p00 - p01 * p10) / (tau * (1.0 - tau))
 
 
@@ -120,18 +123,18 @@ def phi_bounds(tau):
 
 
 def limiting_cells(case, tau):
-    """Cell probabilities of the three limiting dependence patterns.
+    """Cell probabilities, in code order, of the three limiting dependence
+    patterns.
 
     ``case`` is one of ``"independence"``, ``"max"``, ``"min"``.
     """
     check_tau(tau)
     if case == "independence":
-        return CellProbabilities((1 - tau) ** 2, tau**2, tau - tau**2,
-                                 tau - tau**2, tau)
+        return np.array([(1 - tau) ** 2, tau**2, tau - tau**2, tau - tau**2])
     if case == "max":
-        return CellProbabilities(1 - tau, tau, 0.0, 0.0, tau)
+        return np.array([1 - tau, tau, 0.0, 0.0])
     if case == "min":
         if tau <= 0.5:
-            return CellProbabilities(1 - 2 * tau, 0.0, tau, tau, tau)
-        return CellProbabilities(0.0, 2 * tau - 1, 1 - tau, 1 - tau, tau)
+            return np.array([1 - 2 * tau, 0.0, tau, tau])
+        return np.array([0.0, 2 * tau - 1, 1 - tau, 1 - tau])
     raise InvalidArgumentError(f"unknown limiting case {case!r}")

@@ -1,11 +1,11 @@
 """Multinomial logistic model for the concordance labels.
 
-Labels are the integer cell codes of ``concordance``: 0 = "00", the
-reference category, then 1 = "11", 2 = "01" and 3 = "10", each with one
-coefficient vector (row k - 1 of ``gamma`` for code k).  In merged mode
-code 3 is pooled into code 2, "01+10", before fitting, and the predicted
-discordant mass is split equally between "01" and "10" at prediction
-time, never during fitting.  Fitting is Newton-Raphson with
+Labels are the integer cell codes of ``concordance``, pooled into its
+fitted codes (``concordance.pool``) before fitting.  Fitted code 0, "00",
+is the reference category; each other fitted code k has one coefficient
+vector, row k - 1 of ``gamma``.  In merged mode the predicted "01+10"
+mass is split back over "01" and "10" (``concordance.split_cells``) at
+prediction time, never during fitting.  Fitting is Newton-Raphson with
 step-halving on the full multinomial likelihood.  The log-likelihood is
 the difference of two sums, ``sum(Y * eta)`` and the sum of the row
 log-partitions, that are much larger than it near a tail quantile, so
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concordance import LABELS, MERGED_DISCORDANT, _checked_codes
+from .concordance import LABELS, MERGED_LABELS, pool, split_cells
 from .design import DesignMatrix, check_full_rank, check_start, check_weights
 from .exceptions import (
     EmptyCategoryError,
@@ -27,10 +27,6 @@ from .exceptions import (
     NonConvergenceError,
     SeparationWarning,
 )
-
-REFERENCE = "00"
-CATEGORIES_FULL = ("11", "01", "10")
-CATEGORIES_MERGED = ("11", MERGED_DISCORDANT)
 
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITER = 100
@@ -40,8 +36,9 @@ SEPARATION_COEF = 30.0
 @dataclass(frozen=True)
 class MultinomialFit:
     """Fitted category log-odds against the "00" reference, one row of
-    ``gamma`` per entry of ``categories``: ``CATEGORIES_MERGED`` for a
-    merged-mode fit, ``CATEGORIES_FULL`` otherwise.
+    ``gamma`` per entry of ``categories``: the fitted codes 1..K of
+    ``concordance``, ``MERGED_LABELS[1:]`` for a merged-mode fit and
+    ``LABELS[1:]`` otherwise.
 
     ``fit_multinomial`` returns only converged fits, so ``converged`` is
     True on every fit it returns; it is False only on the ``last_fit`` of
@@ -60,22 +57,19 @@ class MultinomialFit:
 
 def _indicators(z, merged, n):
     """The categories and their K x n indicators ``z == k``, k = 1..K, for
-    the cell codes of ``n`` observations, pooled in merged mode (code 3
-    joins code 2, "01+10").
+    the fitted codes of ``n`` observations' cell codes.
 
-    Raises EmptyCategoryError naming every code 0..K with no observations.
+    Raises EmptyCategoryError naming every fitted code 0..K with no
+    observations.
     """
-    z = _checked_codes(z)
+    z = pool(z, merged)
     if z.size != n:
         raise InvalidArgumentError(f"{z.size} labels for {n} design rows")
-    categories = CATEGORIES_MERGED if merged else CATEGORIES_FULL
-    K = len(categories)
-    if merged:
-        z = np.minimum(z, 2)
-    empty = np.flatnonzero(np.bincount(z, minlength=K + 1) == 0)
+    names = MERGED_LABELS if merged else LABELS
+    empty = np.flatnonzero(np.bincount(z, minlength=len(names)) == 0)
     if empty.size:
-        raise EmptyCategoryError([(REFERENCE, *categories)[k] for k in empty])
-    return categories, (z == np.arange(1, K + 1)[:, None]).astype(float)
+        raise EmptyCategoryError([names[k] for k in empty])
+    return names[1:], (z == np.arange(1, len(names))[:, None]).astype(float)
 
 
 # The Newton kernel keeps one row per non-reference category and one column
@@ -227,24 +221,11 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
 
 
 def predict_cells_rows(fit, X):
-    """Cell probabilities for each row of a design array, as an n-by-4 array.
-
-    Column k is the probability of cell code k (``LABELS[k]``).
-    """
-    X = np.asarray(X.values if isinstance(X, DesignMatrix) else X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != fit.gamma.shape[1]:
+    """Cell probabilities for each row of the 2-d design array ``X``, as an
+    n-by-4 array whose column k is the probability of cell code k."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != fit.gamma.shape[1]:
         raise InvalidArgumentError(
-            f"x has dimension {X.shape[1]}, fit expects {fit.gamma.shape[1]}"
-        )
+            f"X must be an n-by-{fit.gamma.shape[1]} array, got shape {X.shape}")
     lse, probs = _log_partition(fit.gamma @ X.T)
-    out = np.empty((X.shape[0], 4))
-    out[:, 0] = np.exp(-lse)
-    if fit.categories == CATEGORIES_MERGED:
-        out[:, 1] = probs[0]
-        out[:, 2] = probs[1] / 2.0  # equal split of the discordant mass
-        out[:, 3] = probs[1] / 2.0
-    else:
-        out[:, 1:] = probs.T
-    return out
+    return split_cells(np.column_stack([np.exp(-lse), probs.T]))

@@ -14,7 +14,7 @@ from operator import attrgetter
 import numpy as np
 
 from .basis import build_design, recipe_values
-from .concordance import PhiBounds, _fixed_margin_phi, classify, empirical_cells, phi_bounds
+from .concordance import PhiBounds, classify, empirical_cells, phi, phi_bounds
 from .dataset import Dataset
 from .exceptions import (
     InvalidArgumentError,
@@ -39,7 +39,7 @@ class AnalysisSpec:
     held-constant default is the majority value.  ``grid_values`` (a
     non-empty list per covariate) and ``held`` (one value per covariate)
     override the per-covariate defaults; every value in them must be a
-    finite number.
+    finite number, and not a bool.
     """
 
     responses: tuple
@@ -82,13 +82,10 @@ class AnalysisSpec:
             if np.ndim(vals) != 1 or np.size(vals) == 0:
                 raise InvalidArgumentError(
                     f"grid values for {name!r} must be a non-empty 1-d list, got {vals!r}")
-            if not _finite_numbers(vals):
-                raise InvalidArgumentError(
-                    f"grid values for {name!r} must be finite numbers, got {vals!r}")
+            for value in vals:
+                check_number(f"grid value for {name!r}", value)
         for name, value in self.held.items():
-            if np.ndim(value) != 0 or not _finite_numbers(value):
-                raise InvalidArgumentError(
-                    f"held value for {name!r} must be a finite number, got {value!r}")
+            check_number(f"held value for {name!r}", value)
         for what, given in (("grid values", self.grid_values), ("held value", self.held)):
             for name in given:
                 if name not in self.profile_columns:
@@ -107,14 +104,6 @@ class AnalysisSpec:
         """Every column the analysis reads: the responses, then the terms'."""
         return tuple(dict.fromkeys(
             self.responses + _term_columns(self.step1_terms + self.step2_terms)))
-
-
-def _finite_numbers(values):
-    """Whether ``values``, a number or a list of them, are all finite numbers."""
-    try:
-        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
-    except (TypeError, ValueError):
-        return False
 
 
 def _term_columns(terms):
@@ -217,7 +206,7 @@ def evaluate_surface(fit2, recipe2, grid, tau):
     else:
         X = np.ones((grid.m, 1))
     cells = predict_cells_rows(fit2, X)
-    phi_vals = _fixed_margin_phi(*cells.T, tau)
+    phi_vals = phi(cells, tau)
     bounds = phi_bounds(tau)
     return PhiSurface(
         tau=tau,
@@ -233,8 +222,7 @@ def evaluate_surface(fit2, recipe2, grid, tau):
 class TwoStepResult:
     """Both step-1 fits (response order as declared), the step-2 fit,
     the evaluated surface and the empirical cells, the relative
-    frequencies of the cell codes 0 = "00", 1 = "11", 2 = "01" and
-    3 = "10" of ``concordance``."""
+    frequencies of the cell codes of ``concordance``."""
 
     tau: float
     step1: tuple
@@ -297,7 +285,7 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
         step1=tuple(fits),
         step2=fit2,
         surface=surface,
-        empirical=empirical_cells(labels, tau, weights),
+        empirical=empirical_cells(labels, weights),
     )
 
 

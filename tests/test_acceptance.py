@@ -138,9 +138,9 @@ class TestAcceptance:
             expected_min = -tau / (1 - tau) if tau <= 0.5 else -(1 - tau) / tau
             worst = max(
                 worst,
-                abs(phi(limiting_cells("independence", tau)) - 0.0),
-                abs(phi(limiting_cells("max", tau)) - 1.0),
-                abs(phi(limiting_cells("min", tau)) - expected_min),
+                abs(phi(limiting_cells("independence", tau), tau) - 0.0),
+                abs(phi(limiting_cells("max", tau), tau) - 1.0),
+                abs(phi(limiting_cells("min", tau), tau) - expected_min),
                 abs(phi_bounds(tau).phi_min - expected_min),
             )
         ok = worst <= 1e-12

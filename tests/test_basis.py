@@ -311,6 +311,18 @@ class TestBuildDesign:
                                match="spline column 'x' is not finite"):
                 build_design(Dataset(columns={"x": x}), [spline("x")])
 
+    @pytest.mark.parametrize("term", [
+        identity("x"), center("x"), spline("x"), interaction("x", "y1"),
+        interaction("y1", "x"),
+    ], ids=["identity", "center", "spline", "interaction", "interaction-column2"])
+    def test_non_finite_term_column_named(self, term):
+        x = np.linspace(0.0, 1.0, 40)
+        x[7] = np.nan
+        data = Dataset(columns={"x": x, "y1": np.ones(40)})
+        with pytest.raises(InvalidArgumentError,
+                           match=f"{term.kind} column 'x' is not finite"):
+            build_design(data, [identity("y1"), term])
+
 
 class TestRecipeReuse:
 

@@ -420,6 +420,7 @@ class TestBootstrapFailures:
         ("B", 2.5), ("B", 4.0), ("B", "4"), ("seed", 1.5), ("seed", np.float64(3.0)),
         ("workers", 1.5), ("workers", None),
         ("B", True), ("seed", True), ("seed", False), ("workers", True),
+        ("level", "0.9"), ("level", None),
     ])
     def test_non_integral_counts_rejected_before_any_fit(self, name, value, monkeypatch):
         module = importlib.import_module("quantcord.bootstrap")
@@ -429,7 +430,8 @@ class TestBootstrapFailures:
 
         monkeypatch.setattr(module, "run_two_step", no_fit)
         kwargs = {"B": 4, "seed": 1, "workers": 1, name: value}
-        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
+        what = "a finite number" if name == "level" else "an integer"
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be {what}"):
             bootstrap(_copula_like(60, seed=1), SPEC, (0.25, 0.5), **kwargs)
 
     def test_numpy_integer_counts_accepted(self):

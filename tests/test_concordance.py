@@ -1,11 +1,12 @@
-"""Tests for concordance labels, cell probabilities, phi, and its bounds."""
+"""Tests for concordance labels, merged pooling, cell probabilities, phi,
+and its bounds."""
 
 import numpy as np
 import pytest
 
 from quantcord import (
     LABELS,
-    CellProbabilities,
+    MERGED_LABELS,
     InvalidArgumentError,
     classify,
     empirical_cells,
@@ -13,6 +14,7 @@ from quantcord import (
     phi,
     phi_bounds,
 )
+from quantcord.concordance import pool, split_cells
 
 TAU_GRID = np.arange(0.05, 0.951, 0.05)
 
@@ -31,6 +33,7 @@ class TestClassify:
 
     def test_label_ordering_constant(self):
         assert LABELS == ("00", "11", "01", "10")
+        assert MERGED_LABELS == ("00", "11", "01+10")
 
     def test_swap_maps_discordant_labels(self):
         # exchanging the responses swaps "01" <-> "10" (codes 2 <-> 3) and
@@ -56,39 +59,33 @@ class TestEmpiricalCells:
 
     def test_uniform_counts(self):
         z = np.arange(4)
-        cells = empirical_cells(z, 0.5)
-        np.testing.assert_allclose(
-            [cells.p00, cells.p11, cells.p01, cells.p10], [0.25] * 4
-        )
+        np.testing.assert_allclose(empirical_cells(z), [0.25] * 4)
 
     def test_weights_count_repeats(self):
         rng = np.random.default_rng(3)
         for n in (5, 60, 999):
             z = rng.integers(0, 4, n)
             counts = rng.integers(1, 6, n)
-            weighted = empirical_cells(z, 0.3, weights=counts)
-            assert weighted == empirical_cells(np.repeat(z, counts), 0.3)
-            assert empirical_cells(z, 0.3, weights=np.ones(n)) == empirical_cells(z, 0.3)
+            weighted = empirical_cells(z, weights=counts)
+            np.testing.assert_array_equal(weighted, empirical_cells(np.repeat(z, counts)))
+            np.testing.assert_array_equal(empirical_cells(z, weights=np.ones(n)),
+                                          empirical_cells(z))
 
     @pytest.mark.parametrize("weights", [[1.0, -2.0], [np.inf, 1.0], [1.0]])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(InvalidArgumentError, match="weights"):
-            empirical_cells(np.array([0, 1]), 0.5, weights=weights)
+            empirical_cells(np.array([0, 1]), weights=weights)
 
     def test_counting(self):
         z = np.array([0] * 80 + [1] * 20)
-        cells = empirical_cells(z, 0.2)
-        assert (cells.p00, cells.p11, cells.p01, cells.p10) == (0.8, 0.2, 0.0, 0.0)
-        assert cells.tau == 0.2
+        assert empirical_cells(z).tolist() == [0.8, 0.2, 0.0, 0.0]
 
     def test_cells_sum_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = int(rng.integers(1, 200))
             z = rng.integers(0, 4, n)
-            cells = empirical_cells(z, 0.3)
-            total = cells.p00 + cells.p11 + cells.p01 + cells.p10
-            np.testing.assert_allclose(total, 1.0, atol=1e-12)
+            np.testing.assert_allclose(empirical_cells(z).sum(), 1.0, atol=1e-12)
 
     def test_independent_signs_near_independence_row(self):
         # margins tau each, independent -> cells ((1-t)^2, t^2, t-t^2, t-t^2)
@@ -97,49 +94,77 @@ class TestEmpiricalCells:
         for tau in (0.25, 0.5, 0.8):
             w1 = (rng.uniform(size=n) < tau).astype(int)
             w2 = (rng.uniform(size=n) < tau).astype(int)
-            cells = empirical_cells(classify(w1, w2), tau)
+            got = empirical_cells(classify(w1, w2))
             expected = np.array(
                 [(1 - tau) ** 2, tau**2, tau - tau**2, tau - tau**2]
             )
-            got = np.array([cells.p00, cells.p11, cells.p01, cells.p10])
             se = np.sqrt(expected * (1 - expected) / n)
             assert np.all(np.abs(got - expected) <= 3 * se + 1e-12)
 
     def test_empty_vector(self):
         with pytest.raises(InvalidArgumentError, match="empty"):
-            empirical_cells(np.array([], dtype=int), 0.5)
+            empirical_cells(np.array([], dtype=int))
 
     def test_unknown_label(self):
-        with pytest.raises(InvalidArgumentError, match="unknown labels"):
-            empirical_cells(np.array([0, 7]), 0.5)
+        for read_codes in (empirical_cells, lambda z: pool(z, merged=True)):
+            with pytest.raises(InvalidArgumentError, match="unknown labels"):
+                read_codes(np.array([0, 7]))
 
     @pytest.mark.parametrize("dtype", [object, str])
     def test_string_labels_rejected(self, dtype):
         with pytest.raises(InvalidArgumentError, match="integer cell codes"):
-            empirical_cells(np.array(["00", "11"], dtype=dtype), 0.5)
+            empirical_cells(np.array(["00", "11"], dtype=dtype))
+
+
+class TestPooling:
+
+    def test_pool_maps_code_3_to_code_2_in_merged_mode_only(self):
+        z = np.array([0, 1, 2, 3, 3])
+        np.testing.assert_array_equal(pool(z, merged=False), z)
+        np.testing.assert_array_equal(pool(z, merged=True), [0, 1, 2, 2, 2])
+
+    def test_split_of_pooled_frequencies_averages_discordant_cells(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 500):
+            z = rng.integers(0, 4, n)
+            pooled = np.bincount(pool(z, merged=True), minlength=3) / n
+            cells = empirical_cells(z)
+            expected = np.r_[cells[:2], [(cells[2] + cells[3]) / 2] * 2]
+            np.testing.assert_allclose(split_cells(pooled), expected, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(split_cells(cells), cells)
 
 
 class TestCellProbabilitiesValidation:
+    """``phi``'s rules on cell probabilities, for one row and for each row
+    of an m x 4 array."""
+
+    @staticmethod
+    def _rejects(cells, tau, match):
+        rows = np.array([[0.25] * 4, cells])
+        for given in (cells, rows):
+            with pytest.raises(InvalidArgumentError, match=match):
+                phi(given, tau)
 
     @pytest.mark.parametrize("cells", [
         (np.nan, 0.5, 0.25, 0.25), (0.5, np.nan, 0.25, 0.25),
         (0.25, 0.25, np.inf, 0.5), (0.5, 0.5, 0.0, -np.inf),
     ])
     def test_non_finite_cell_rejected(self, cells):
-        with pytest.raises(InvalidArgumentError, match="cells must be finite"):
-            CellProbabilities(*cells, tau=0.5)
+        self._rejects(cells, 0.5, "cells must be finite")
 
     def test_negative_cell_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="lie in"):
-            CellProbabilities(p00=-0.1, p11=0.6, p01=0.25, p10=0.25, tau=0.5)
+        self._rejects((-0.1, 0.6, 0.25, 0.25), 0.5, "lie in")
 
     def test_sum_away_from_one_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="sum to 1"):
-            CellProbabilities(p00=0.5, p11=0.5, p01=0.5, p10=0.5, tau=0.5)
+        self._rejects((0.5, 0.5, 0.5, 0.5), 0.5, "sum to 1")
 
     def test_tau_bounds(self):
-        with pytest.raises(InvalidArgumentError, match="tau"):
-            CellProbabilities(p00=0.25, p11=0.25, p01=0.25, p10=0.25, tau=1.0)
+        self._rejects((0.25, 0.25, 0.25, 0.25), 1.0, "tau")
+
+    @pytest.mark.parametrize("cells", [(0.5, 0.5), np.full((2, 3), 1 / 3), 0.25])
+    def test_cells_without_four_columns_rejected(self, cells):
+        with pytest.raises(InvalidArgumentError, match="four cells"):
+            phi(cells, 0.5)
 
 
 class TestPhi:
@@ -147,39 +172,35 @@ class TestPhi:
     def test_independence_row_gives_zero(self):
         for tau in TAU_GRID:
             cells = limiting_cells("independence", tau)
-            np.testing.assert_allclose(phi(cells), 0.0, atol=1e-12)
+            np.testing.assert_allclose(phi(cells, tau), 0.0, atol=1e-12)
 
     def test_max_row_gives_one(self):
         for tau in TAU_GRID:
             cells = limiting_cells("max", tau)
-            np.testing.assert_allclose(phi(cells), 1.0, atol=1e-12)
+            np.testing.assert_allclose(phi(cells, tau), 1.0, atol=1e-12)
 
     def test_min_row_gives_phi_min(self):
         for tau in TAU_GRID:
             cells = limiting_cells("min", tau)
-            np.testing.assert_allclose(phi(cells), phi_bounds(tau).phi_min, atol=1e-12)
+            np.testing.assert_allclose(phi(cells, tau), phi_bounds(tau).phi_min, atol=1e-12)
 
     def test_min_row_hand_value_at_quarter(self):
         # p00 = 1-2t = 0.5, p01 = p10 = 0.25, p11 = 0 -> -t/(1-t) = -1/3
-        cells = CellProbabilities(p00=0.5, p11=0.0, p01=0.25, p10=0.25, tau=0.25)
-        np.testing.assert_allclose(phi(cells), -1.0 / 3.0, atol=1e-15)
+        np.testing.assert_allclose(phi([0.5, 0.0, 0.25, 0.25], 0.25), -1.0 / 3.0,
+                                   atol=1e-15)
 
     def test_fixed_margin_denominator(self):
         # equal cells at tau != 0.5: numerator zero regardless of margins
-        cells = CellProbabilities(p00=0.25, p11=0.25, p01=0.25, p10=0.25, tau=0.2)
-        np.testing.assert_allclose(phi(cells), 0.0, atol=1e-15)
+        np.testing.assert_allclose(phi([0.25] * 4, 0.2), 0.0, atol=1e-15)
         # asymmetric example evaluated by hand against tau(1-tau)
-        cells = CellProbabilities(p00=0.7, p11=0.1, p01=0.1, p10=0.1, tau=0.2)
-        np.testing.assert_allclose(phi(cells), (0.07 - 0.01) / 0.16)
+        np.testing.assert_allclose(phi([0.7, 0.1, 0.1, 0.1], 0.2), (0.07 - 0.01) / 0.16)
 
     def test_swap_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             raw = rng.dirichlet(np.ones(4))
             tau = float(rng.uniform(0.05, 0.95))
-            a = CellProbabilities(raw[0], raw[1], raw[2], raw[3], tau)
-            b = CellProbabilities(raw[0], raw[1], raw[3], raw[2], tau)
-            np.testing.assert_allclose(phi(a), phi(b), rtol=1e-15)
+            np.testing.assert_allclose(phi(raw, tau), phi(raw[[0, 1, 3, 2]], tau), rtol=1e-15)
 
 
 class TestPhiBounds:
@@ -222,28 +243,17 @@ class TestLimitingCells:
     def test_rows_are_valid_distributions(self):
         for case in ("independence", "max", "min"):
             for tau in TAU_GRID:
-                cells = limiting_cells(case, tau)
-                total = cells.p00 + cells.p11 + cells.p01 + cells.p10
-                np.testing.assert_allclose(total, 1.0, atol=1e-12)
+                np.testing.assert_allclose(limiting_cells(case, tau).sum(), 1.0, atol=1e-12)
 
     def test_max_row_structure(self):
-        cells = limiting_cells("max", 0.3)
-        np.testing.assert_allclose(
-            [cells.p00, cells.p11, cells.p01, cells.p10], [0.7, 0.3, 0.0, 0.0]
-        )
+        np.testing.assert_allclose(limiting_cells("max", 0.3), [0.7, 0.3, 0.0, 0.0])
 
     def test_min_row_structure_below_median(self):
-        cells = limiting_cells("min", 0.25)
-        np.testing.assert_allclose(
-            [cells.p00, cells.p11, cells.p01, cells.p10], [0.5, 0.0, 0.25, 0.25]
-        )
+        np.testing.assert_allclose(limiting_cells("min", 0.25), [0.5, 0.0, 0.25, 0.25])
 
     def test_min_row_structure_above_median(self):
         # mirrored: p11 = 2tau-1, discordant cells 1-tau each
-        cells = limiting_cells("min", 0.75)
-        np.testing.assert_allclose(
-            [cells.p00, cells.p11, cells.p01, cells.p10], [0.0, 0.5, 0.25, 0.25]
-        )
+        np.testing.assert_allclose(limiting_cells("min", 0.75), [0.0, 0.5, 0.25, 0.25])
 
     def test_unknown_case(self):
         with pytest.raises(InvalidArgumentError, match="unknown limiting case"):

@@ -60,8 +60,9 @@ class TestBootstrapConfig:
             BootstrapConfig(enabled=True, **{field: value})
 
     def test_level_bounds(self):
-        with pytest.raises(InvalidArgumentError, match="level"):
-            BootstrapConfig(level=1.0)
+        for level in (1.0, "0.9", None):
+            with pytest.raises(InvalidArgumentError, match="level"):
+                BootstrapConfig(level=level)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):

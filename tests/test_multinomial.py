@@ -11,9 +11,8 @@ from scipy.special import logsumexp
 
 import quantcord.multinomial as mn
 from quantcord import (
-    CATEGORIES_FULL,
-    CATEGORIES_MERGED,
-    REFERENCE,
+    LABELS,
+    MERGED_LABELS,
     AnalysisSpec,
     DesignMatrix,
     EmptyCategoryError,
@@ -70,9 +69,14 @@ def _labels_from_counts(c00, c11, c01, c10):
 class TestCategoryConstants:
 
     def test_reference_and_orderings(self):
-        assert REFERENCE == "00"
-        assert CATEGORIES_FULL == ("11", "01", "10")
-        assert CATEGORIES_MERGED == ("11", "01+10")
+        # fitted code 0, "00", is the reference; a fit's categories are the
+        # other fitted codes, in code order
+        z = _labels_from_counts(40, 40, 10, 10)
+        full = fit_multinomial(_intercept_design(100), z)
+        merged = fit_multinomial(_intercept_design(100), z, merged=True)
+        assert LABELS[0] == MERGED_LABELS[0] == "00"
+        assert full.categories == LABELS[1:] == ("11", "01", "10")
+        assert merged.categories == MERGED_LABELS[1:] == ("11", "01+10")
 
 
 class TestInterceptOnlyClosedForm:
@@ -92,7 +96,6 @@ class TestInterceptOnlyClosedForm:
     def test_merged_pools_before_fitting(self):
         z = _labels_from_counts(40, 40, 10, 10)
         fit = fit_multinomial(_intercept_design(100), z, merged=True)
-        assert fit.categories == CATEGORIES_MERGED
         assert fit.categories == ("11", "01+10")
         np.testing.assert_allclose(fit.gamma[0, 0], 0.0, atol=1e-8)
         np.testing.assert_allclose(fit.gamma[1, 0], np.log(20.0 / 40.0), atol=1e-8)
@@ -464,8 +467,10 @@ class TestPredict:
                 np.column_stack([np.ones(50), np.linspace(-3, 3, 50)]),
                 ("intercept", "x"),
             )
-            P = predict_cells_rows(fit, grid)
+            P = predict_cells_rows(fit, grid.values)
             assert P.shape == (50, 4)
+            if merged:  # "01+10" splits evenly over "01" and "10"
+                np.testing.assert_array_equal(P[:, 2], P[:, 3])
             np.testing.assert_allclose(P.sum(axis=1), np.ones(50), atol=1e-12)
             assert np.all(P >= 0)
 
@@ -488,5 +493,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         z = _labels_from_counts(25, 25, 25, 25)
         fit = fit_multinomial(_intercept_design(100), z)
-        with pytest.raises(InvalidArgumentError, match="dimension"):
-            predict_cells_rows(fit, np.array([1.0, 2.0]))
+        # a row of the wrong width, and the row as a 1-d vector
+        for X in (np.array([[1.0, 2.0]]), np.array([1.0])):
+            with pytest.raises(InvalidArgumentError, match="n-by-1 array"):
+                predict_cells_rows(fit, X)

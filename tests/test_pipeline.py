@@ -9,7 +9,6 @@ import pytest
 from quantcord import (
     LABELS,
     AnalysisSpec,
-    CellProbabilities,
     Dataset,
     EmptyCategoryError,
     InvalidArgumentError,
@@ -26,7 +25,7 @@ from quantcord import (
     spline,
 )
 import quantcord.multinomial as multinomial
-from quantcord.multinomial import CATEGORIES_MERGED, MultinomialFit
+from quantcord.multinomial import MultinomialFit
 from quantcord.pipeline import (
     CONSTANT_PROFILE,
     EvaluationGrid,
@@ -122,13 +121,13 @@ class TestAnalysisSpecValidation:
         with pytest.raises(InvalidArgumentError, match="available covariates: \\[\\]"):
             _spec(held={"x": 1.0})
 
-    @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan], [0.0, "abc"]])
+    @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan], [0.0, "abc"], [True, False]])
     def test_grid_values_must_be_finite_numbers(self, values):
         with pytest.raises(InvalidArgumentError,
-                           match="grid values for 'x' must be finite numbers"):
+                           match="grid value for 'x' must be a finite number"):
             _spec(step2_terms=(identity("x"),), grid_values={"x": values})
 
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "abc", None, [1.0]])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "abc", None, [1.0], True])
     def test_held_value_must_be_a_finite_number(self, value):
         with pytest.raises(InvalidArgumentError,
                            match="held value for 'x' must be a finite number"):
@@ -349,30 +348,21 @@ class TestRunTwoStep:
         assert set(labels.tolist()) == {0, 1, 2, 3}
 
     def test_phi_recomputable_from_stored_cells(self):
+        # phi of the m x 4 cells is the surface, and phi of each row its
+        # entry, bit for bit
         data = _dependent_data()
         spec = _spec(step2_terms=(identity("x"),), grid_points=9)
         result = run_two_step(data, spec, 0.5)
         surface = result.surface
+        np.testing.assert_array_equal(phi(surface.cells, surface.tau), surface.phi)
         for i in range(surface.grid.m):
-            cells = CellProbabilities(
-                p00=surface.cells[i, 0],
-                p11=surface.cells[i, 1],
-                p01=surface.cells[i, 2],
-                p10=surface.cells[i, 3],
-                tau=surface.tau,
-            )
-            assert abs(phi(cells) - surface.phi[i]) <= 1e-12
+            assert phi(surface.cells[i], surface.tau) == surface.phi[i]
 
     def test_saturated_surface_matches_empirical_cells(self):
         data = _dependent_data()
         result = run_two_step(data, _spec(), 0.5)
-        emp = result.empirical
-        np.testing.assert_allclose(
-            result.surface.cells[0],
-            [emp.p00, emp.p11, emp.p01, emp.p10],
-            rtol=0,
-            atol=1e-10,
-        )
+        np.testing.assert_allclose(result.surface.cells[0], result.empirical,
+                                   rtol=0, atol=1e-10)
 
     def test_bounds_annotated_on_surface(self):
         data = _dependent_data()
@@ -405,7 +395,7 @@ class TestRunTwoStep:
     def test_merged_mode_threads_through(self):
         data = _dependent_data()
         result = run_two_step(data, _spec(merged=True), 0.5)
-        assert result.step2.categories == CATEGORIES_MERGED
+        assert result.step2.categories == ("11", "01+10")
         assert result.surface.cells[0, 2] == result.surface.cells[0, 3]
 
     def test_explicit_grid_is_used_verbatim(self):
@@ -446,7 +436,8 @@ class TestFrequencyWeights:
             if min(f.margin for f in weighted.step1) <= 0.0:
                 continue  # an optimum that is not unique may take another vertex
             unique += 1
-            assert weighted.empirical == expanded.empirical, f"seed {seed}"
+            np.testing.assert_array_equal(weighted.empirical, expanded.empirical,
+                                          err_msg=f"seed {seed}")
             assert weighted.step2.loglik == pytest.approx(expanded.step2.loglik, rel=1e-12)
             np.testing.assert_allclose(weighted.surface.phi, expanded.surface.phi,
                                        rtol=0, atol=1e-9)
@@ -461,7 +452,7 @@ class TestFrequencyWeights:
                 assert np.array_equal(a.beta, b.beta) and a.basis == b.basis
             assert np.array_equal(plain.step2.gamma, unit.step2.gamma)
             assert np.array_equal(_labels(plain), _labels(unit))
-            assert plain.empirical == unit.empirical
+            assert np.array_equal(plain.empirical, unit.empirical)
             assert np.array_equal(plain.surface.phi, unit.surface.phi)
 
     @pytest.mark.parametrize("weights", [np.zeros(50), np.full(50, np.nan), np.ones(49)])
@@ -556,7 +547,7 @@ class TestMetamorphicRelations:
             assert min(f.margin for f in weighted.step1) > 0.0  # a unique optimum
             np.testing.assert_array_equal(np.repeat(_labels(weighted), counts),
                                           _labels(expanded))
-            assert weighted.empirical == expanded.empirical
+            np.testing.assert_array_equal(weighted.empirical, expanded.empirical)
             np.testing.assert_allclose(weighted.surface.phi, expanded.surface.phi,
                                        rtol=0, atol=5e-14)
 

@@ -78,7 +78,6 @@ from .quantreg import (
 from .synthetic import (
     CovariateSpec,
     ScenarioSpec,
-    bvn_cdf,
     generate,
     oracle_phi_gaussian,
 )
@@ -114,6 +113,5 @@ __all__ = [
     "QuantileFit", "fit_quantile_regression", "pinball_loss",
     "residual_signs",
     # synthetic
-    "CovariateSpec", "ScenarioSpec", "bvn_cdf", "generate",
-    "oracle_phi_gaussian",
+    "CovariateSpec", "ScenarioSpec", "generate", "oracle_phi_gaussian",
 ]

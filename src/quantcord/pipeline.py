@@ -79,7 +79,11 @@ class AnalysisSpec:
         if self.grid_points < 2:
             raise InvalidArgumentError("grid_points must be at least 2")
         for name, vals in self.grid_values.items():
-            if np.ndim(vals) != 1 or np.size(vals) == 0:
+            try:
+                one_d = np.ndim(vals) == 1 and np.size(vals) > 0
+            except ValueError:  # a ragged nest of lists
+                one_d = False
+            if not one_d:
                 raise InvalidArgumentError(
                     f"grid values for {name!r} must be a non-empty 1-d list, got {vals!r}")
             for value in vals:

@@ -3,9 +3,11 @@
 The generator draws error pairs from a bivariate normal with unit
 margins and a fixed (or group-dependent) correlation, so the true
 sign-concordance correlation at any quantile has an independent
-ground truth through the bivariate normal CDF.
+ground truth: one integral, on a fixed Gauss-Legendre rule.
 """
 
+import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,14 @@ from .dataset import FLOAT_FMT, Dataset
 from .exceptions import InvalidArgumentError, check_number, check_tau
 
 MIN_ROWS = 50
+GAUSS_LEGENDRE_NODES = 20
+
+
+def _check_rho(name, rho):
+    """Raise InvalidArgumentError naming ``name`` unless rho is a finite number in (-1, 1)."""
+    check_number(name, rho)
+    if not -1.0 < rho < 1.0:
+        raise InvalidArgumentError(f"|{name}| must be < 1, got {rho}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +55,7 @@ class ScenarioSpec:
     or, together with ``group_column`` (a binary covariate),
     ``rho_by_group``, a {0: rho0, 1: rho1} map; not both.
     ``coefficients`` maps each response name to {"intercept": b0,
-    covariate: b, ...}; omitted entries are zero.
+    covariate: b, ...} of finite numbers; omitted entries are zero.
     """
 
     n: int
@@ -75,9 +85,7 @@ class ScenarioSpec:
         else:
             rhos = {f"rho_by_group[{g}]": self.rho_by_group[g] for g in (0, 1)}
         for name, r in rhos.items():
-            check_number(name, r)
-            if not -1.0 < r < 1.0:
-                raise InvalidArgumentError(f"|rho| must be < 1, got {r}")
+            _check_rho(name, r)
         if (self.rho_by_group is None) != (self.group_column is None):
             raise InvalidArgumentError(
                 "rho_by_group and group_column must be given together"
@@ -101,16 +109,23 @@ class ScenarioSpec:
                 f"responses and covariates must have distinct names, repeated: {repeated}"
             )
         names = {c.name for c in self.covariates}
+        if not isinstance(self.coefficients, dict):
+            raise InvalidArgumentError(
+                f"coefficients must be a mapping, got {self.coefficients!r}")
         for resp, coefs in self.coefficients.items():
             if resp not in self.response_names:
                 raise InvalidArgumentError(
                     f"coefficients given for unknown response {resp!r}"
                 )
-            for cov in coefs:
+            if not isinstance(coefs, dict):
+                raise InvalidArgumentError(
+                    f"coefficients of {resp!r} must be a mapping, got {coefs!r}")
+            for cov, b in coefs.items():
                 if cov != "intercept" and cov not in names:
                     raise InvalidArgumentError(
                         f"coefficient references unknown covariate {cov!r}"
                     )
+                check_number(f"coefficient of {resp!r} on {cov!r}", b)
 
 
 def generate(scenario):
@@ -150,37 +165,19 @@ def generate(scenario):
     return Dataset(columns=out)
 
 
-def bvn_cdf(h, k, rho):
-    """P(X <= h, Y <= k) for standard bivariate normal, by Plackett's
-    identity: Phi(h) Phi(k) plus a 1-d integral over the correlation,
-
-        (1 / 2 pi) int_0^rho exp(-(h^2 - 2 r h k + k^2) / (2 (1 - r^2)))
-                             / sqrt(1 - r^2) dr.
-    """
-    from scipy.integrate import quad
-    from scipy.special import ndtr
-
-    if not -1.0 < rho < 1.0:
-        raise InvalidArgumentError(f"|rho| must be < 1, got {rho}")
-
-    def integrand(r):
-        s = 1.0 - r * r
-        return np.exp(-(h * h - 2.0 * r * h * k + k * k) / (2.0 * s)) / np.sqrt(s)
-
-    val, _ = quad(integrand, 0.0, rho, epsabs=1e-9, epsrel=1e-12)
-    return float(ndtr(h) * ndtr(k) + val / (2.0 * np.pi))
-
-
 def oracle_phi_gaussian(rho, tau):
-    """Ground-truth sign-concordance correlation under bivariate
-    normal errors: the joint CDF at the matched marginal quantiles,
-    centered and scaled by the fixed margins."""
+    """Ground-truth sign-concordance correlation under bivariate normal errors
+    with correlation ``rho``: with z = Phi^-1(tau), Plackett's identity and
+    r = sin(theta) give phi = int_0^asin(rho) exp(-z^2 / (1 + sin theta)) dtheta
+    / (2 pi tau (1 - tau)), here on a fixed Gauss-Legendre rule: within 1e-13 for
+    |rho| <= 0.95, but the integrand steepens near -1 (7e-10 at -0.99, 6e-7 at -0.999)."""
+    _check_rho("rho", rho)
     check_tau(tau)
-    from scipy.special import ndtri
-
-    z = float(ndtri(tau))
-    joint = bvn_cdf(z, z, rho)
-    return (joint - tau * tau) / (tau * (1.0 - tau))
+    z = statistics.NormalDist().inv_cdf(tau)
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+    half = math.asin(rho) / 2.0
+    integrand = np.exp(-z * z / (1.0 + np.sin(half * (nodes + 1.0))))
+    return float(half * np.dot(weights, integrand) / (2.0 * math.pi * tau * (1.0 - tau)))
 
 
 def oracle(scenario, taus):

@@ -6,7 +6,39 @@ import math
 import numpy as np
 
 from quantcord.dataset import MISSING_TOKENS
+from quantcord.exceptions import InvalidArgumentError
 from quantcord.multinomial import _loglik_terms
+
+
+def bvn_cdf(h, k, rho):
+    """P(X <= h, Y <= k) for standard bivariate normal, by Plackett's
+    identity: Phi(h) Phi(k) plus a 1-d integral over the correlation,
+
+        (1 / 2 pi) int_0^rho exp(-(h^2 - 2 r h k + k^2) / (2 (1 - r^2)))
+                             / sqrt(1 - r^2) dr.
+    """
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    if not -1.0 < rho < 1.0:
+        raise InvalidArgumentError(f"|rho| must be < 1, got {rho}")
+
+    def integrand(r):
+        s = 1.0 - r * r
+        return np.exp(-(h * h - 2.0 * r * h * k + k * k) / (2.0 * s)) / np.sqrt(s)
+
+    val, _ = quad(integrand, 0.0, rho, epsabs=1e-9, epsrel=1e-12)
+    return float(ndtr(h) * ndtr(k) + val / (2.0 * np.pi))
+
+
+def oracle_phi_gaussian_quad(rho, tau):
+    """The Gaussian phi oracle by scipy's adaptive quadrature: ``bvn_cdf``
+    at the matched marginal quantiles, centered and scaled by the fixed
+    margins."""
+    from scipy.special import ndtri
+
+    z = float(ndtri(tau))
+    return (bvn_cdf(z, z, rho) - tau * tau) / (tau * (1.0 - tau))
 
 
 def bvn_cdf_monte_carlo(h, k, rho, draws=10_000_000, seed=0, chunk=1_000_000):

@@ -254,6 +254,19 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
         })
         assert self._run(self.SCRIPT, config, tmp_path / "out") == []
 
+    def test_synth_loads_no_scipy_submodule(self, fixtures_dir, tmp_path):
+        # the oracle integrates on a fixed rule with numpy alone
+        script = """
+import json
+import sys
+import quantcord.cli as cli
+assert cli.main(["synth", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+        out = tmp_path / "data.csv"
+        assert self._run(script, fixtures_dir / "scenario_n5000.yaml", out) == []
+        assert Path(str(out) + ".oracle.json").exists()
+
     def test_analyze_does_not_import_numpy_ma(self, tmp_path):
         # tertile knots, the held median and the percentile intervals would
         # each import numpy.ma through np.unique, np.median or np.quantile

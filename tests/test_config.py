@@ -515,6 +515,12 @@ class TestNumberParsing:
         scenario, _ = scenario_from_dict(d)
         assert scenario.rho == 1e-3
 
+    def test_exponent_string_coefficients_read_as_floats(self):
+        d = yaml.safe_load("n: 100\ncovariates: [{name: x}]\ncoefficients: {y1: {x: 1e-3}}\n")
+        assert d["coefficients"]["y1"]["x"] == "1e-3"
+        scenario, _ = scenario_from_dict(d)
+        assert scenario.coefficients == {"y1": {"x": 1e-3}}
+
 
 class TestNullsAndNames:
 

@@ -1,11 +1,15 @@
 """The package's public name list and its module boundaries."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import quantcord
 
 SRC = Path(quantcord.__file__).resolve().parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+RUNTIME_PACKAGES = {"numpy", "yaml", "quantcord"}
 
 
 class TestPublicNames:
@@ -33,3 +37,28 @@ class TestModuleBoundaries:
                     found += [f"{path.name}: {node.module}.{a.name}" for a in node.names
                               if a.name.startswith("_") and not a.name.endswith("__")]
         assert found == []
+
+    def test_every_import_is_stdlib_numpy_yaml_or_the_package(self):
+        # every import statement counts, a lazy one inside a function too;
+        # TestImportClosure sees only the paths a test runs
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}: {m}" for m in modules if m.split(".")[0]
+                          not in sys.stdlib_module_names | RUNTIME_PACKAGES]
+        assert found == []
+
+    def test_runtime_dependencies_are_numpy_and_pyyaml(self):
+        # read without tomllib, which Python 3.10 lacks
+        text = PYPROJECT.read_text(encoding="utf-8")
+        project = re.search(r"^\[project\]$(.*?)(?=^\[)", text, re.M | re.S).group(1)
+        listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
+        names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0)
+                 for d in re.findall(r'"([^"]+)"', listed)}
+        assert names == {"numpy", "PyYAML"}

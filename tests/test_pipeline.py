@@ -237,6 +237,11 @@ class TestBuildGrid:
         with pytest.raises(InvalidArgumentError, match="1-d"):
             _spec(step2_terms=(identity("x"),), grid_values={"x": [[0.0, 1.0]]})
 
+    def test_ragged_grid_values_name_the_covariate(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="grid values for 'x' must be a non-empty 1-d list"):
+            _spec(step2_terms=(identity("x"),), grid_values={"x": [1.0, [2.0, 3.0]]})
+
     def test_grid_values_must_not_be_empty(self):
         with pytest.raises(InvalidArgumentError,
                            match="grid values for 'x' must be a non-empty 1-d list"):

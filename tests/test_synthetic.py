@@ -8,12 +8,16 @@ from quantcord import (
     CovariateSpec,
     InvalidArgumentError,
     ScenarioSpec,
-    bvn_cdf,
     generate,
     oracle_phi_gaussian,
     phi_bounds,
 )
-from oracles import bvn_cdf_monte_carlo, oracle_phi_gaussian_median_closed_form
+from oracles import (
+    bvn_cdf,
+    bvn_cdf_monte_carlo,
+    oracle_phi_gaussian_median_closed_form,
+    oracle_phi_gaussian_quad,
+)
 
 
 class TestScenarioValidation:
@@ -99,6 +103,32 @@ class TestScenarioValidation:
                            match=r"rho_by_group\[1\] must be a finite number"):
             ScenarioSpec(n=100, rho_by_group={0: 0.2, 1: "0.8"}, group_column="g",
                          covariates=(CovariateSpec("g", "binary"),))
+
+    def test_group_rho_range_names_the_group(self):
+        with pytest.raises(InvalidArgumentError, match=r"^\|rho_by_group\[1\]\| must be < 1"):
+            ScenarioSpec(n=100, rho_by_group={0: 0.2, 1: 1.0}, group_column="g",
+                         covariates=(CovariateSpec("g", "binary"),))
+
+    @pytest.mark.parametrize("term,value", [
+        ("x", float("nan")), ("x", np.inf), ("x", -np.inf), ("x", "0.5"), ("x", None),
+        ("x", True), ("intercept", float("nan"))],
+        ids=["nan", "inf", "-inf", "string", "none", "bool", "intercept-nan"])
+    def test_coefficients_are_checked_by_response_and_term(self, term, value):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^coefficient of 'y2' on '{term}' must be a finite number"):
+            ScenarioSpec(n=100, covariates=(CovariateSpec("x"),),
+                         coefficients={"y1": {"x": 1.0},
+                                       "y2": {"intercept": 0.0, "x": 0.5, term: value}})
+
+    @pytest.mark.parametrize("coefficients,match", [
+        ([("y1", {"x": 1.0})], "^coefficients must be a mapping"),
+        ("y1", "^coefficients must be a mapping"),
+        ({"y1": 1.0}, "^coefficients of 'y1' must be a mapping"),
+        ({"y1": [("x", 1.0)]}, "^coefficients of 'y1' must be a mapping"),
+    ], ids=["list", "string", "number", "list-of-pairs"])
+    def test_coefficients_must_be_mappings(self, coefficients, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            ScenarioSpec(n=100, covariates=(CovariateSpec("x"),), coefficients=coefficients)
 
     @pytest.mark.parametrize("field,value", [
         ("low", "0"), ("high", None), ("high", np.inf), ("p", "0.5"), ("p", True)])
@@ -313,3 +343,28 @@ class TestOraclePhi:
 
     def test_rho_near_one_approaches_max(self):
         assert oracle_phi_gaussian(0.999, 0.5) > 0.95
+
+    def test_matches_scipy_quadrature(self):
+        # the fixed 20-node rule against scipy's adaptive quadrature
+        taus = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
+        worst = max(abs(oracle_phi_gaussian(float(rho), tau) - oracle_phi_gaussian_quad(rho, tau))
+                    for rho in np.linspace(-0.95, 0.95, 39) for tau in taus)
+        assert worst <= 1e-13
+
+    def test_median_equals_arcsine_to_rounding(self):
+        for rho in [0.5, *np.linspace(-0.99, 0.99, 199)]:
+            assert abs(oracle_phi_gaussian(float(rho), 0.5)
+                       - oracle_phi_gaussian_median_closed_form(rho)) <= 4.4e-16
+
+    @pytest.mark.parametrize("rho,match", [
+        ("0.5", "^rho must be a finite number"), (None, "^rho must be a finite number"),
+        (float("nan"), "^rho must be a finite number"), (True, "^rho must be a finite number"),
+        (1.0, r"^\|rho\| must be < 1"), (-1.5, r"^\|rho\| must be < 1")])
+    def test_rho_is_checked_by_name(self, rho, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            oracle_phi_gaussian(rho, 0.5)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, "0.5"])
+    def test_tau_is_checked(self, tau):
+        with pytest.raises(InvalidArgumentError, match="tau must be in"):
+            oracle_phi_gaussian(0.5, tau)

@@ -37,7 +37,10 @@ spec = AnalysisSpec(
 result = bootstrap(data, spec, 0.5, B=200, seed=17)
 surface = result.estimate.surface
 
-print(f"replicates: 200, failures: {result.failures}")
+# every draw array has one row per replicate; a failed one is NaN and
+# False in result.ok, and the SEs and bands read the other rows
+print(f"replicates: {result.B}, failures: {result.failures}, "
+      f"phi draws: {result.phi_draws.shape[0]} x {result.phi_draws.shape[1]}")
 print("\ng    phi_hat   se       95% band             oracle   covered")
 for i, value in enumerate(surface.grid.value):
     truth = oracle_phi_gaussian({0.0: 0.2, 1.0: 0.8}[value], 0.5)

@@ -12,9 +12,10 @@ coefficients, which only shortens the solvers' paths: each fit still
 stops on its own optimality test.  Replicate b fits one resample, drawn
 from the substream keyed by (seed, b), at every tau: results are
 reproducible for a fixed seed whatever the execution order, worker count
-or other taus of the call, and the draws are joint across taus.  The
-full-sample fits run first, then the replicates, one task each, in the
-calling process and in one pool of child processes beside it.
+or other taus of the call, and row b of every tau's draws is that
+resample (NaN where its fit failed).  The full-sample fits run first,
+then the replicates, one task each, in the calling process and in one
+pool of child processes beside it.
 
 The interval arithmetic needs no scipy, so that importing this module
 stays cheap: the normal quantile is the standard library's
@@ -115,8 +116,13 @@ def _phi_bands(draws, estimates, tau, level):
     return lower, upper, at_low.sum(axis=1) + at_high.sum(axis=1)
 
 
+def _draw(res):
+    """A two-step result's gamma, the beta of each response, and phi."""
+    return res.step2.gamma, tuple(f.beta for f in res.step1), res.surface.phi
+
+
 def _run_replicate(sample, spec, base, weights):
-    """One replicate's fit at ``base.tau``, or None when it fails."""
+    """One replicate's draw at ``base.tau``, or None when it fails."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -124,11 +130,7 @@ def _run_replicate(sample, spec, base, weights):
                                start=base, weights=weights)
     except QuantcordError:
         return None
-    return (
-        res.step2.gamma,
-        tuple(f.beta for f in res.step1),
-        res.surface.phi,
-    )
+    return _draw(res)
 
 
 def _replicate(data, spec, bases, seed, b):
@@ -170,18 +172,17 @@ def check_arguments(B, seed, level, workers):
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Replicate draws plus the derived SEs and intervals.
+    """One tau's draws, row b from replicate b (NaN where the success mask
+    ``ok`` is False), plus the SEs and intervals of the rows where it holds.
 
     ``estimate`` is the full-sample TwoStepResult; its surface carries
     the phi bands: the bootstrap ``se`` and the ``lower``/``upper`` Wald
-    intervals on the rescaled-logit scale.  Successful draw count is
-    ``B - failures`` in every draw array.  ``gamma_lower``/``gamma_upper``
+    intervals on the rescaled-logit scale.  ``gamma_lower``/``gamma_upper``
     are percentile intervals.
     """
 
-    B: int
     level: float
-    failures: int
+    ok: np.ndarray
     estimate: object
     gamma_draws: np.ndarray
     beta_draws: dict
@@ -191,6 +192,14 @@ class BootstrapResult:
     gamma_lower: np.ndarray
     gamma_upper: np.ndarray
     winsorized: np.ndarray
+
+    @property
+    def B(self):
+        return len(self.ok)
+
+    @property
+    def failures(self):
+        return int(np.count_nonzero(~self.ok))
 
 
 def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
@@ -219,7 +228,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     Returns
     -------
     BootstrapResult for a float ``tau``; a tuple of them, one per tau in
-    order, for a sequence.  Its ``estimate`` is the full-sample
+    order, for a sequence: views of one B x T mask ``ok`` and one (B, T,
+    ...) array per quantity.  Its ``estimate`` is the full-sample
     :func:`~quantcord.pipeline.run_two_step` result with the phi bands
     set on ``estimate.surface``.
 
@@ -227,7 +237,7 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     ------
     InferenceUnreliableError
         When more than 20% of a tau's replicates fail, for the first such
-        tau in order; carries that tau's partial draws.
+        tau in order; its ``partial`` holds that tau's ``ok`` and draws.
     InvalidArgumentError
         Before any fit, for an empty tau sequence, a level outside (0, 1),
         or a ``B``, ``seed`` or ``workers`` not an integer in range (a bool is
@@ -260,58 +270,46 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
                 own[b] = _replicate(data, spec, bases, seed, b)
             results = [own[b] if f.cancelled() else f.result() for b, f in enumerate(futures)]
 
-    out = tuple(
-        _summarize(spec, base, B, level, [r[i] for r in results])
-        for i, base in enumerate(bases)
-    )
+    # row b of each array is replicate b at every tau, NaN where it failed
+    ok = np.array([[r is not None for r in row] for row in results])
+    draws = [np.full(ok.shape + np.shape(x), np.nan) for x in _draw(bases[0])]
+    for b, i in zip(*np.nonzero(ok)):
+        for array, x in zip(draws, results[b][i]):
+            array[b, i] = x
+    out = tuple(_summarize(spec, base, level, ok[:, i], *(a[:, i] for a in draws))
+                for i, base in enumerate(bases))
     return out[0] if single else out
 
 
-def _summarize(spec, base, B, level, results):
-    """One tau's BootstrapResult from its B replicate results."""
-    ok = [r for r in results if r is not None]
-    failures = B - len(ok)
-    gamma_draws = np.stack([r[0] for r in ok]) if ok else None
-    phi_draws = np.stack([r[2] for r in ok]) if ok else None
-    if failures > MAX_FAILURE_FRACTION * B:
+def _summarize(spec, base, level, ok, gamma, beta, phi):
+    """One tau's BootstrapResult from its column ``ok`` of the success mask
+    and its views of the replicate-aligned gamma, beta and phi arrays."""
+    draws = {"ok": ok, "gamma_draws": gamma, "phi_draws": phi,
+             "beta_draws": {name: beta[:, j] for j, name in enumerate(spec.responses)}}
+    failures = np.count_nonzero(~ok)
+    if failures > MAX_FAILURE_FRACTION * len(ok):
         raise InferenceUnreliableError(
-            f"at tau {base.tau:g}, {failures} of {B} bootstrap replicates failed "
+            f"at tau {base.tau:g}, {failures} of {len(ok)} bootstrap replicates failed "
             f"(more than {MAX_FAILURE_FRACTION:.0%})",
-            partial={
-                "gamma_draws": gamma_draws,
-                "phi_draws": phi_draws,
-                "failures": failures,
-            },
+            partial=draws,
         )
 
-    beta_draws = {
-        name: np.stack([r[1][j] for r in ok])
-        for j, name in enumerate(spec.responses)
-    }
-
+    # the successful rows, in replicate order
+    gammas, phis = gamma[ok], phi[ok]
     alpha = 1.0 - level
-    gamma_se = np.std(gamma_draws, axis=0, ddof=1)
-    beta_se = {k: np.std(v, axis=0, ddof=1) for k, v in beta_draws.items()}
-    ordered = np.sort(gamma_draws, axis=0)
-    gamma_lower = sorted_quantile(ordered, alpha / 2.0)
-    gamma_upper = sorted_quantile(ordered, 1.0 - alpha / 2.0)
+    ordered = np.sort(gammas, axis=0)
     lower, upper, winsorized = _phi_bands(
-        np.ascontiguousarray(phi_draws.T), base.surface.phi, base.tau, level
+        np.ascontiguousarray(phis.T), base.surface.phi, base.tau, level
     )
-    surface = replace(base.surface, se=np.std(phi_draws, axis=0, ddof=1),
+    surface = replace(base.surface, se=np.std(phis, axis=0, ddof=1),
                       lower=lower, upper=upper)
-
     return BootstrapResult(
-        B=B,
         level=level,
-        failures=failures,
         estimate=replace(base, surface=surface),
-        gamma_draws=gamma_draws,
-        beta_draws=beta_draws,
-        phi_draws=phi_draws,
-        gamma_se=gamma_se,
-        beta_se=beta_se,
-        gamma_lower=gamma_lower,
-        gamma_upper=gamma_upper,
+        gamma_se=np.std(gammas, axis=0, ddof=1),
+        beta_se={k: np.std(v[ok], axis=0, ddof=1) for k, v in draws["beta_draws"].items()},
+        gamma_lower=sorted_quantile(ordered, alpha / 2.0),
+        gamma_upper=sorted_quantile(ordered, 1.0 - alpha / 2.0),
         winsorized=winsorized,
+        **draws,
     )

@@ -87,7 +87,8 @@ class IngestionError(QuantcordError):
 class InferenceUnreliableError(QuantcordError):
     """Too many bootstrap replicates failed for the results to be trusted.
 
-    ``partial`` carries whatever was computed from the surviving replicates.
+    ``partial`` maps ``ok``, ``gamma_draws``, ``beta_draws`` and ``phi_draws`` to
+    the tau's draws as a BootstrapResult holds them, NaN where ``ok`` is False.
     """
 
     def __init__(self, message, partial=None):

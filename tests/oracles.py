@@ -27,7 +27,7 @@ def bvn_cdf(h, k, rho):
         s = 1.0 - r * r
         return np.exp(-(h * h - 2.0 * r * h * k + k * k) / (2.0 * s)) / np.sqrt(s)
 
-    val, _ = quad(integrand, 0.0, rho, epsabs=1e-9, epsrel=1e-12)
+    val, _ = quad(integrand, 0.0, rho, epsabs=1e-14, epsrel=1e-12)
     return float(ndtr(h) * ndtr(k) + val / (2.0 * np.pi))
 
 

@@ -249,8 +249,9 @@ class TestAcceptance:
         boot = bootstrap(data, SPEC, 0.5, B=1000, seed=42)
         again = bootstrap(data, SPEC, 0.5, B=1000, seed=42)
         reproducible = bool(
-            np.array_equal(boot.phi_draws, again.phi_draws)
-            and np.array_equal(boot.gamma_draws, again.gamma_draws)
+            np.array_equal(boot.ok, again.ok)
+            and np.array_equal(boot.phi_draws, again.phi_draws, equal_nan=True)
+            and np.array_equal(boot.gamma_draws, again.gamma_draws, equal_nan=True)
         )
         phis = []
         for d in range(200):

@@ -135,7 +135,7 @@ class TestBootstrapDeterminism:
         np.testing.assert_array_equal(serial.estimate.surface.upper, par.estimate.surface.upper)
 
 
-_FIELDS = ("B", "level", "failures", "gamma_draws", "phi_draws",
+_FIELDS = ("B", "level", "failures", "ok", "gamma_draws", "phi_draws",
            "gamma_se", "gamma_lower", "gamma_upper", "winsorized")
 
 
@@ -160,11 +160,14 @@ def _assert_same_fields(a, b):
 
 
 def _assert_same_result(a, b):
+    """Results ``a`` and ``b`` equal exactly, a failed replicate's NaN
+    draws included."""
     for name in _FIELDS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name,
+                                      strict=True)
     for name in SPEC.responses:
-        assert np.array_equal(a.beta_draws[name], b.beta_draws[name])
-        assert np.array_equal(a.beta_se[name], b.beta_se[name])
+        np.testing.assert_array_equal(a.beta_draws[name], b.beta_draws[name], strict=True)
+        np.testing.assert_array_equal(a.beta_se[name], b.beta_se[name], strict=True)
     assert a.estimate.tau == b.estimate.tau
     assert np.array_equal(a.estimate.step2.gamma, b.estimate.step2.gamma)
     for field in ("phi", "se", "lower", "upper"):
@@ -271,16 +274,67 @@ class TestManyTaus:
             bootstrap(data, SPEC, 0.8, B=30, seed=10)
         with pytest.raises(InferenceUnreliableError) as third:
             bootstrap(data, SPEC, 0.85, B=30, seed=10)
-        assert third.value.partial["failures"] != lone.value.partial["failures"]
+        assert (np.count_nonzero(~third.value.partial["ok"])
+                != np.count_nonzero(~lone.value.partial["ok"]))
         # taus 2 and 3 both fail; the second tau raises
         with pytest.raises(InferenceUnreliableError) as many:
             bootstrap(data, SPEC, (0.5, 0.8, 0.85), B=30, seed=10, workers=2)
         assert str(many.value) == str(lone.value)
         assert str(many.value).startswith("at tau 0.8, ")
         expected, got = lone.value.partial, many.value.partial
-        assert got["failures"] == expected["failures"]
-        assert np.array_equal(got["gamma_draws"], expected["gamma_draws"])
-        assert np.array_equal(got["phi_draws"], expected["phi_draws"])
+        assert got.keys() == expected.keys() == {"ok", "gamma_draws", "beta_draws", "phi_draws"}
+        np.testing.assert_array_equal(got["ok"], expected["ok"], strict=True)
+        for name in ("gamma_draws", "phi_draws"):
+            np.testing.assert_array_equal(got[name], expected[name], strict=True)
+        for name in SPEC.responses:
+            np.testing.assert_array_equal(got["beta_draws"][name],
+                                          expected["beta_draws"][name], strict=True)
+
+
+class TestAlignedDraws:
+
+    def test_a_replicate_failing_at_one_tau_keeps_its_row_at_every_tau(self, monkeypatch):
+        module = importlib.import_module("quantcord.bootstrap")
+        data = _copula_like(120, seed=80)
+        taus, B, seed, b, bad = (0.25, 0.75), 12, 3, 4, 1
+        clean = bootstrap(data, SPEC, taus, B=B, seed=seed)
+        counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
+        run = module._run_replicate
+
+        def fails_once(sample, spec, base, weights):
+            # replicate b is known by its weights, in a forked worker too
+            if base.tau == taus[bad] and np.array_equal(weights, counts[counts > 0]):
+                return None
+            return run(sample, spec, base, weights)
+
+        monkeypatch.setattr(module, "_run_replicate", fails_once)
+        serial = bootstrap(data, SPEC, taus, B=B, seed=seed, workers=1)
+        pooled = bootstrap(data, SPEC, taus, B=B, seed=seed, workers=2)
+        bases = [run_two_step(data, SPEC, t) for t in taus]
+        replicate = module._replicate(data, SPEC, bases, seed, b)
+        assert replicate[bad] is None
+        others = np.arange(B) != b
+        for i, (got, ref) in enumerate(zip(serial, clean)):
+            _assert_same_result(got, pooled[i])
+            assert got.ok.tolist() == [i != bad or r != b for r in range(B)]
+            rows = [got.gamma_draws[b], *(got.beta_draws[n][b] for n in SPEC.responses),
+                    got.phi_draws[b]]
+            if i == bad:
+                assert all(np.isnan(row).all() for row in rows)
+            else:
+                gamma, betas, phi = replicate[i]
+                for row, want in zip(rows, (gamma, *betas, phi)):
+                    np.testing.assert_array_equal(row, want, strict=True)
+            for name in ("gamma_draws", "phi_draws"):
+                np.testing.assert_array_equal(getattr(got, name)[others],
+                                              getattr(ref, name)[others], strict=True)
+            for name in SPEC.responses:
+                np.testing.assert_array_equal(got.beta_draws[name][others],
+                                              ref.beta_draws[name][others], strict=True)
+        # both taus view one array per quantity and one mask
+        for name in ("ok", "gamma_draws", "phi_draws"):
+            first, second = getattr(serial[0], name), getattr(serial[1], name)
+            assert first.base is not None and first.base is second.base, name
 
 
 @pytest.fixture(scope="module")
@@ -291,11 +345,12 @@ def result():
 class TestBootstrapResultShape:
 
     def test_draw_counts_equal_b_minus_failures(self, result):
+        # every draw array has B rows; the successful ones are finite
         k = result.B - result.failures
-        assert result.gamma_draws.shape[0] == k
-        assert result.phi_draws.shape[0] == k
-        for v in result.beta_draws.values():
-            assert v.shape[0] == k
+        assert result.ok.shape == (result.B,) and np.count_nonzero(result.ok) == k
+        for draws in (result.gamma_draws, result.phi_draws, *result.beta_draws.values()):
+            assert draws.shape[0] == result.B
+            assert np.isfinite(draws.reshape(result.B, -1)).all(axis=1).sum() == k
 
     def test_estimate_is_full_two_step_result(self, result):
         assert result.estimate.tau == 0.5
@@ -312,11 +367,12 @@ class TestBootstrapResultShape:
 
     def test_surface_carries_bands(self, result):
         surf = result.estimate.surface
+        draws = result.phi_draws[result.ok]
         lower, upper, _ = _phi_bands(
-            np.ascontiguousarray(result.phi_draws.T), surf.phi, 0.5, result.level)
+            np.ascontiguousarray(draws.T), surf.phi, 0.5, result.level)
         np.testing.assert_array_equal(surf.lower, lower)
         np.testing.assert_array_equal(surf.upper, upper)
-        np.testing.assert_array_equal(surf.se, np.std(result.phi_draws, axis=0, ddof=1))
+        np.testing.assert_array_equal(surf.se, np.std(draws, axis=0, ddof=1))
 
     def test_interval_contains_estimate(self, result):
         surf = result.estimate.surface
@@ -325,8 +381,9 @@ class TestBootstrapResultShape:
 
     def test_gamma_percentile_interval_brackets_draws(self, result):
         assert np.all(result.gamma_lower <= result.gamma_upper)
-        assert np.all(result.gamma_lower >= result.gamma_draws.min(axis=0))
-        assert np.all(result.gamma_upper <= result.gamma_draws.max(axis=0))
+        draws = result.gamma_draws[result.ok]
+        assert np.all(result.gamma_lower >= draws.min(axis=0))
+        assert np.all(result.gamma_upper <= draws.max(axis=0))
 
 
 class TestBootstrapFailures:
@@ -340,9 +397,13 @@ class TestBootstrapFailures:
         with pytest.raises(InferenceUnreliableError, match="bootstrap replicates failed") as err:
             bootstrap(data, SPEC, 0.5, B=30, seed=11)
         partial = err.value.partial
-        assert partial["failures"] > 0.2 * 30
-        assert partial["gamma_draws"].shape[0] == 30 - partial["failures"]
-        assert partial["phi_draws"].shape[0] == 30 - partial["failures"]
+        failed = ~partial["ok"]
+        assert np.count_nonzero(failed) > 0.2 * 30
+        # every draw array keeps all 30 rows, NaN exactly where a replicate failed
+        for draws in (partial["gamma_draws"], partial["phi_draws"],
+                      *partial["beta_draws"].values()):
+            assert draws.shape[0] == 30
+            np.testing.assert_array_equal(np.isnan(draws.reshape(30, -1)).any(axis=1), failed)
 
     def test_rank_deficient_resample_fails_as_before(self):
         # one row has g = 0: a resample without it has g = 1 on every row,
@@ -356,7 +417,7 @@ class TestBootstrapFailures:
         spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,), step1_terms=(identity("g"),))
         base = run_two_step(data, spec, 0.5)
         module = importlib.import_module("quantcord.bootstrap")
-        failed = singular = 0
+        failed, singular = [], 0
         for b in range(30):
             idx = bootstrap_indices(3, b, n)
             counts = np.bincount(idx, minlength=n)
@@ -373,11 +434,11 @@ class TestBootstrapFailures:
                     run_two_step(data.take(rows), spec, 0.5, weights=counts[rows], **kwargs)
             replicate = module._replicate(data, spec, [base], 3, b)[0]
             assert (replicate is None) == (error is not None), f"replicate {b}"
-            failed += error is not None
+            failed.append(error is not None)
         assert singular >= 6
         with pytest.raises(InferenceUnreliableError) as err:
             bootstrap(data, spec, 0.5, B=30, seed=3)
-        assert err.value.partial["failures"] == failed
+        np.testing.assert_array_equal(~err.value.partial["ok"], failed)
 
     def test_unconverged_replicate_counts_as_failure(self, monkeypatch):
         # replicates start step 2 at the full-sample fit; the first one to
@@ -398,7 +459,8 @@ class TestBootstrapFailures:
         result = bootstrap(_copula_like(400, 5), SPEC, 0.5, B=10, seed=1)
         assert capped
         assert result.failures == 1
-        assert result.phi_draws.shape[0] == 9
+        assert np.flatnonzero(~result.ok).tolist() == [0]
+        assert result.phi_draws.shape[0] == 10 and np.isnan(result.phi_draws[0]).all()
 
     def test_b_floor(self):
         with pytest.raises(InvalidArgumentError, match="B must be at least 2"):

@@ -1,6 +1,7 @@
 """End-to-end tests for the quantcord command-line interface."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import pytest
 import yaml
 
 import quantcord
+from quantcord import bootstrap, bootstrap_indices, load_run_config, read_csv
+from quantcord.bootstrap import _phi_bands
 from quantcord.cli import main
 from quantcord.dataset import FLOAT_FMT, csv_text
 from quantcord.synthetic import oracle_phi_gaussian
@@ -473,6 +476,57 @@ class TestAnalyzeProfiles:
         assert trees[1] == trees[2]
         meta = json.loads(trees[2]["metadata.json"])
         assert meta["bootstrap"]["seed"] == 4
+
+    def test_a_failed_replicate_leaves_only_its_tau(self, workdir, monkeypatch):
+        module = importlib.import_module("quantcord.bootstrap")
+        run = module._run_replicate
+        B, seed, b = 8, 4, 2
+
+        def fails_once(sample, spec, base, weights):
+            # replicate b at tau 0.75, known by its weights in a forked worker too
+            n = int(weights.sum())
+            counts = np.bincount(bootstrap_indices(seed, b, n), minlength=n)
+            if base.tau == 0.75 and np.array_equal(weights, counts[counts > 0]):
+                return None
+            return run(sample, spec, base, weights)
+
+        monkeypatch.setattr(module, "_run_replicate", fails_once)
+        trees = {}
+        for workers in (1, 2):
+            cfg = self._config(workdir, taus=[0.25, 0.75], bootstrap={
+                "enabled": True, "replicates": B, "seed": seed, "workers": workers})
+            assert main(["analyze", "--config", cfg, "--out", f"w{workers}"]) == 0
+            trees[workers] = _tree_bytes(workdir / f"w{workers}")
+        assert trees[1] == trees[2]
+        assert json.loads(trees[1]["metadata.json"])["replicate_failures"] == {
+            "0.25": 0, "0.75": 1}
+        summary = trees[1]["summary.txt"].decode("utf-8").splitlines()
+        assert [line.split(", ")[1] for line in summary if "bootstrap:" in line] == [
+            "failures=0", "failures=1"]
+
+        # the SE and band columns read the successful rows only
+        spec = load_run_config(cfg).spec
+        data, _ = read_csv("small.csv", columns=spec.columns)
+        tables = {name: _table(workdir / "w1" / name) for name in (
+            "phi_profile_x.csv", "step1_coefficients.csv", "step2_coefficients.csv")}
+        for boot in bootstrap(data, spec, spec.taus, B=B, seed=seed):
+            tau, ok = boot.estimate.tau, boot.ok
+            assert ok.tolist() == [tau != 0.75 or r != b for r in range(B)]
+
+            def column(name, field, **match):
+                return [float(r[field]) for r in tables[name] if float(r["tau"]) == tau
+                        and all(r[k] == v for k, v in match.items())]
+
+            phis = boot.phi_draws[ok]
+            lower, upper, _ = _phi_bands(np.ascontiguousarray(phis.T),
+                                         boot.estimate.surface.phi, tau, boot.level)
+            assert column("phi_profile_x.csv", "ci_lower") == lower.tolist()
+            assert column("phi_profile_x.csv", "ci_upper") == upper.tolist()
+            for name in spec.responses:
+                se = np.std(boot.beta_draws[name][ok], axis=0, ddof=1)
+                assert column("step1_coefficients.csv", "se", response=name) == se.tolist()
+            se = np.std(boot.gamma_draws[ok], axis=0, ddof=1)
+            assert column("step2_coefficients.csv", "se") == se.ravel().tolist()
 
     def test_null_output_dir_takes_the_default(self, workdir):
         cfg = self._config(workdir, output_dir=None)

@@ -63,7 +63,9 @@ from .pipeline import (
     AnalysisSpec,
     EvaluationGrid,
     PhiSurface,
+    SampleDesigns,
     TwoStepResult,
+    build_designs,
     build_grid,
     evaluate_surface,
     phi_profile,
@@ -107,8 +109,9 @@ __all__ = [
     # multinomial
     "MultinomialFit", "fit_multinomial", "predict_cells_rows",
     # pipeline
-    "AnalysisSpec", "EvaluationGrid", "PhiSurface", "TwoStepResult",
-    "build_grid", "evaluate_surface", "phi_profile", "run_two_step",
+    "AnalysisSpec", "EvaluationGrid", "PhiSurface", "SampleDesigns",
+    "TwoStepResult", "build_designs", "build_grid", "evaluate_surface",
+    "phi_profile", "run_two_step",
     # quantreg
     "QuantileFit", "fit_quantile_regression", "pinball_loss",
     "residual_signs",

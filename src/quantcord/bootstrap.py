@@ -10,7 +10,8 @@ rows (the pairs bootstrap written as a multinomial-weight bootstrap,
 Koenker 2005, ch. 3).  Replicates start both steps from the full-sample
 coefficients, which only shortens the solvers' paths: each fit still
 stops on its own optimality test.  Replicate b fits one resample, drawn
-from the substream keyed by (seed, b), at every tau: results are
+from the substream keyed by (seed, b), at every tau, on designs built
+once for that resample (no design depends on tau): results are
 reproducible for a fixed seed whatever the execution order, worker count
 or other taus of the call, and row b of every tau's draws is that
 resample (NaN where its fit failed).  The full-sample fits run first,
@@ -40,7 +41,7 @@ from .exceptions import (
     QuantcordError,
     check_number,
 )
-from .pipeline import run_two_step
+from .pipeline import build_designs, run_two_step
 
 DEFAULT_B = 1000
 DEFAULT_LEVEL = 0.95
@@ -122,23 +123,30 @@ def _draw(res):
 
 
 def _run_replicate(sample, spec, base, weights):
-    """One replicate's draw at ``base.tau``, or None when it fails."""
+    """One replicate's draw at ``base.tau`` from ``sample``, the SampleDesigns
+    of its distinct rows and their counts ``weights``, or None when it fails."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run_two_step(sample, spec, base.tau, grid=base.surface.grid,
-                               start=base, weights=weights)
+            res = run_two_step(sample.data, spec, base.tau, grid=base.surface.grid,
+                               start=base, weights=weights, designs=sample)
     except QuantcordError:
         return None
     return _draw(res)
 
 
 def _replicate(data, spec, bases, seed, b):
-    """Replicate b's result at every base's tau, from one resample."""
+    """Replicate b's result at every base's tau, from one resample and its
+    designs, built once; None at every tau when they cannot be built."""
     counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
     rows = np.flatnonzero(counts)
-    sample, weights = data.take(rows), counts[rows]
-    return [_run_replicate(sample, spec, base, weights) for base in bases]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sample = build_designs(data.take(rows), spec, counts[rows])
+    except QuantcordError:
+        return [None] * len(bases)
+    return [_run_replicate(sample, spec, base, sample.weights) for base in bases]
 
 
 _WORKER_CTX = {}
@@ -213,6 +221,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         One quantile level, or several, as ``np.quantile`` takes ``q``.
     B : int
         Replicate count, at least 2; each replicate serves every tau.
+        Both steps' designs are built once for the full sample and once
+        per replicate, whatever the number of taus.
     seed : int
         Non-negative seed.  Replicate b resamples from substream
         (seed, b) and fits that one resample at every tau, so a tau's
@@ -249,7 +259,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         raise InvalidArgumentError("tau must be a float or a nonempty sequence")
     check_arguments(B, seed, level, workers)
 
-    bases = [run_two_step(data, spec, t) for t in taus]
+    designs = build_designs(data, spec)
+    bases = [run_two_step(data, spec, t, designs=designs) for t in taus]
     # the pool forks all its workers at the first submit, needed or not
     workers = min(workers, B)
     if workers == 1:

@@ -21,7 +21,7 @@ from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
 from .dataset import FLOAT_FMT, csv_text, read_csv
 from .exceptions import InvalidArgumentError, QuantcordError
-from .pipeline import CONSTANT_PROFILE, phi_profile, run_two_step
+from .pipeline import CONSTANT_PROFILE, build_designs, phi_profile, run_two_step
 
 
 def _fmt(x):
@@ -227,7 +227,8 @@ def _cmd_analyze(args):
         )
         results = [(boot.estimate, boot) for boot in boots]
     else:
-        results = [(run_two_step(data, spec, tau), None) for tau in spec.taus]
+        designs = build_designs(data, spec)
+        results = [(run_two_step(data, spec, tau, designs=designs), None) for tau in spec.taus]
 
     files = _render_analysis(cfg, spec, boot_cfg, data, report, results)
     os.makedirs(out_dir, exist_ok=True)

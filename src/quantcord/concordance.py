@@ -33,7 +33,7 @@ def classify(omega1, omega2):
             f"sign vectors must be 1-d and equal length, got {w1.shape} and {w2.shape}"
         )
     for w in (w1, w2):
-        if not np.isin(w, (0, 1)).all():
+        if not ((w == 0) | (w == 1)).all():
             raise InvalidArgumentError("sign vectors must contain only 0 and 1")
     return _CODES[w1.astype(int), w2.astype(int)]
 

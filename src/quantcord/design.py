@@ -1,6 +1,7 @@
 """Validated design matrices shared by the regression steps."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,16 +12,22 @@ from .exceptions import InvalidArgumentError, SingularDesignError
 class DesignMatrix:
     """An n-by-q numeric design with named columns.
 
-    Construction validates shape, finiteness and name uniqueness;
-    rank is checked separately by the fitting routines so that the
-    error can name the offending columns.
+    Construction validates shape, finiteness and name uniqueness, and keeps
+    a read-only copy of the values, so that what depends on them alone is
+    computed once per design however many fits read it: the rank verdict,
+    ``abs_values``, the contiguous transpose ``transposed`` and step 1's
+    tie-breaking ``perturbation``.  A sample's designs are built once and
+    serve every tau.  Rank is checked by the fitting routines
+    (:func:`check_full_rank`), so that the error can name the offending
+    columns.
     """
 
     values: np.ndarray
     columns: tuple
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "columns", tuple(self.columns))
         if values.ndim != 2:
@@ -47,20 +54,45 @@ class DesignMatrix:
     def q(self):
         return self.values.shape[1]
 
+    @cached_property
+    def rank_offenders(self):
+        """Names of the columns that add no rank beyond the columns to their
+        left: each one's diagonal entry in one QR factorization is at most
+        ``max(n, q) * eps`` times the largest diagonal entry."""
+        X = self.values
+        diag = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+        cutoff = max(X.shape) * np.finfo(float).eps * diag.max()
+        return tuple(name for name, r in zip(self.columns, diag) if r <= cutoff)
+
+    @cached_property
+    def abs_values(self):
+        return _read_only(np.abs(self.values))
+
+    @cached_property
+    def transposed(self):
+        """The q-by-n transpose, C-contiguous."""
+        return _read_only(np.ascontiguousarray(self.values.T))
+
+    @cached_property
+    def perturbation(self):
+        """Step 1's fixed tie-breaking perturbation of y, one draw per row."""
+        return _read_only(np.random.default_rng(0).random(self.n))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def check_full_rank(design):
-    """Raise :class:`SingularDesignError` naming the redundant columns.
+    """Raise :class:`SingularDesignError` naming the redundant columns
+    (``design.rank_offenders``).
 
-    A column is offending when it adds no rank beyond the columns to
-    its left: its diagonal entry in one QR factorization is at most
-    ``max(n, q) * eps`` times the largest diagonal entry.
+    Each fit calls it once; only the first call on a design factors it,
+    and every call on a singular design raises a new error.
     """
-    X = design.values
-    diag = np.abs(np.diag(np.linalg.qr(X, mode="r")))
-    cutoff = max(X.shape) * np.finfo(float).eps * diag.max()
-    offenders = [name for name, r in zip(design.columns, diag) if r <= cutoff]
-    if offenders:
-        raise SingularDesignError(offenders)
+    if design.rank_offenders:
+        raise SingularDesignError(design.rank_offenders)
 
 
 def check_weights(weights, n):

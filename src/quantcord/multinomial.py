@@ -153,7 +153,7 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     Yt = Yt * w
 
     X = X2.values
-    Xt = np.ascontiguousarray(X.T)
+    Xt = X2.transposed
     Xs = Xt * np.sqrt(w)
     n, q = X.shape
     K = len(categories)

@@ -3,9 +3,11 @@
 Step 1 fits one quantile regression per response; step 2 classifies
 the residual-sign pairs and fits the multinomial model; finally the
 conditional sign-correlation phi is evaluated on per-covariate
-profile grids, never clipped to its theoretical bounds.  Both steps are
-M-estimators, so rows with frequency weights (a bootstrap resample's
-distinct rows and their counts) give the fits of the repeated rows.
+profile grids, never clipped to its theoretical bounds.  No design
+depends on tau, so a sample's designs (``build_designs``) serve every
+tau's ``run_two_step``.  Both steps are M-estimators, so rows with
+frequency weights (a bootstrap resample's distinct rows and their
+counts) give the fits of the repeated rows.
 """
 
 from dataclasses import dataclass, field
@@ -13,9 +15,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .basis import build_design, recipe_values
+from .basis import BasisRecipe, build_design, recipe_values
 from .concordance import PhiBounds, classify, empirical_cells, phi, phi_bounds
 from .dataset import Dataset
+from .design import DesignMatrix
 from .exceptions import (
     InvalidArgumentError,
     QuantcordError,
@@ -242,7 +245,34 @@ def _tag_step(err, prefix):
         err.args = (prefix,)
 
 
-def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
+@dataclass(frozen=True)
+class SampleDesigns:
+    """One sample's designs, which no tau changes: the rows ``data``, their
+    frequency ``weights`` (None: unit weights), step 1's design ``X1``,
+    and step 2's design ``X2`` with the ``recipe2`` that evaluates the
+    grid.  Built by :func:`build_designs`."""
+
+    data: Dataset
+    weights: object
+    X1: DesignMatrix
+    X2: DesignMatrix
+    recipe2: BasisRecipe
+
+
+def build_designs(data, spec, weights=None):
+    """Both steps' designs for the rows of ``data`` with frequency
+    ``weights``, built once to serve :func:`run_two_step` at every tau.
+    An error building step 2's design is tagged ``step 2``."""
+    X1, _ = build_design(data, spec.step1_terms, weights)
+    try:
+        X2, recipe2 = build_design(data, spec.step2_terms, weights)
+    except QuantcordError as err:
+        _tag_step(err, "step 2")
+        raise
+    return SampleDesigns(data, weights, X1, X2, recipe2)
+
+
+def run_two_step(data, spec, tau, grid=None, start=None, weights=None, designs=None):
     """Run the full two-step procedure at one quantile level.
 
     ``grid`` defaults to ``build_grid(data, spec)``; the bootstrap
@@ -256,15 +286,21 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
     step-1 residuals keep one entry per row.  A bootstrap replicate
     passes its distinct rows with their resample counts.  The default
     grid is built from the rows as given, without their weights.
+    ``designs``, the :class:`SampleDesigns` of this ``data`` and these
+    ``weights`` from :func:`build_designs`, lets every tau of one sample
+    share its designs; they are built here when it is None.
     """
     check_tau(tau)
-    X1, _ = build_design(data, spec.step1_terms, weights)
+    if designs is None:
+        designs = build_designs(data, spec, weights)
+    elif designs.data is not data or designs.weights is not weights:
+        raise InvalidArgumentError("designs were built from other rows or weights")
     fits = []
     for j, name in enumerate(spec.responses):
         beta0 = None if start is None else start.step1[j].beta
         try:
             fits.append(fit_quantile_regression(
-                X1, data.column(name), tau, start=beta0, weights=weights))
+                designs.X1, data.column(name), tau, start=beta0, weights=weights))
         except QuantcordError as err:
             _tag_step(err, f"step 1, response {name!r}")
             raise
@@ -273,8 +309,7 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
     labels = classify(omega1, omega2)
 
     try:
-        X2, recipe2 = build_design(data, spec.step2_terms, weights)
-        fit2 = fit_multinomial(X2, labels, merged=spec.merged,
+        fit2 = fit_multinomial(designs.X2, labels, merged=spec.merged,
                                start=None if start is None else start.step2.gamma,
                                weights=weights)
     except QuantcordError as err:
@@ -283,7 +318,7 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None):
 
     if grid is None:
         grid = build_grid(data, spec)
-    surface = evaluate_surface(fit2, recipe2, grid, tau)
+    surface = evaluate_surface(fit2, designs.recipe2, grid, tau)
     return TwoStepResult(
         tau=tau,
         step1=tuple(fits),

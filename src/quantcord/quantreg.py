@@ -141,6 +141,8 @@ def _ratio_test(r, rho, above, c, w, free, slope):
     # only the order among rows tied at the stopping breakpoint decides
     # which row enters: they are passed in the order of rho
     tied = np.flatnonzero(t == stop)
+    if tied.size == 1:  # a lone row at the stop enters whatever the slope
+        return int(block[tied[0]])
     tied = tied[np.argsort(rho[block[tied]] / cb[tied], kind="stable")]
     k = int(np.searchsorted(np.cumsum(weight[tied]), -slope - np.sum(weight[t < stop])))
     return int(block[tied[min(k, tied.size - 1)]])
@@ -202,12 +204,12 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
 
     Xv = X.values
     n, q = Xv.shape
-    abs_x = np.abs(Xv)
+    abs_x = X.abs_values
     # every weighted sum is ``np.sum(w * a)``, so unit weights give the
     # unweighted fit bit for bit
     colsum = np.sum(w[:, None] * Xv, axis=0)
     y_noise = 4 * q * _EPS * np.abs(y)
-    delta = np.random.default_rng(0).random(n)  # the fixed tie-breaking perturbation of y
+    delta = X.perturbation
     if start is None:
         start, *_ = np.linalg.lstsq(Xv, y, rcond=None)
     else:

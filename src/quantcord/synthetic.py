@@ -20,6 +20,8 @@ GAUSS_LEGENDRE_NODES = 20
 # below this rho, 1 + sin(theta) nears 0 and the integrand steepens
 STEEP_RHO = -0.95
 STEEP_NODES = 100
+# below this rho, the integral is split into panels halving toward -pi/2
+GRADED_RHO = -0.9999
 
 
 def _check_rho(name, rho):
@@ -173,15 +175,35 @@ def oracle_phi_gaussian(rho, tau):
     with correlation ``rho``: with z = Phi^-1(tau), Plackett's identity and
     r = sin(theta) give phi = int_0^asin(rho) exp(-z^2 / (1 + sin theta)) dtheta
     / (2 pi tau (1 - tau)), here on a Gauss-Legendre rule of 20 nodes, or of 100
-    below rho = -0.95: within 1e-13 of the exact integral for rho >= -0.9999."""
+    below rho = -0.95: within 1e-13 of the exact integral for rho >= -0.9999.
+
+    Below rho = -0.9999 the integrand falls to 0 within a few multiples of
+    |z| of theta = -pi/2.  There, with u = theta + pi/2, so that
+    1 + sin(theta) = 2 sin^2(u / 2) without cancellation, the integral over
+    [acos(-rho), pi/2] is split into panels that halve toward its lower
+    end, each on the 20-node rule: within 1e-15 of the exact integral."""
     _check_rho("rho", rho)
     check_tau(tau)
     z = statistics.NormalDist().inv_cdf(tau)
+    scale = 2.0 * math.pi * tau * (1.0 - tau)
+    if rho < GRADED_RHO:
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+        low = math.acos(-rho)
+        ends = [math.pi / 2.0]
+        while ends[-1] / 2.0 > low:
+            ends.append(ends[-1] / 2.0)
+        ends.append(low)
+        total = 0.0
+        for hi, lo in zip(ends, ends[1:]):
+            half = (hi - lo) / 2.0
+            u = lo + half * (nodes + 1.0)
+            total += half * np.dot(weights, np.exp(-z * z / (2.0 * np.sin(u / 2.0) ** 2)))
+        return float(-total / scale)
     nodes, weights = np.polynomial.legendre.leggauss(
         GAUSS_LEGENDRE_NODES if rho >= STEEP_RHO else STEEP_NODES)
     half = math.asin(rho) / 2.0
     integrand = np.exp(-z * z / (1.0 + np.sin(half * (nodes + 1.0))))
-    return float(half * np.dot(weights, integrand) / (2.0 * math.pi * tau * (1.0 - tau)))
+    return float(half * np.dot(weights, integrand) / scale)
 
 
 def oracle(scenario, taus):

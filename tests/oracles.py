@@ -41,6 +41,23 @@ def oracle_phi_gaussian_quad(rho, tau):
     return (bvn_cdf(z, z, rho) - tau * tau) / (tau * (1.0 - tau))
 
 
+def oracle_phi_gaussian_mpmath(rho, tau, digits=40):
+    """The Gaussian phi oracle's integral for rho < 0 in ``digits``-digit
+    arithmetic by mpmath's tanh-sinh quadrature in theta, split at
+    theta = -pi/2 + u_0 2^k, u_0 = asin(rho) + pi/2, where the integrand
+    turns toward 0."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        rho, tau = mpmath.mpf(rho), mpmath.mpf(tau)
+        z2 = 2 * mpmath.erfinv(2 * tau - 1) ** 2
+        points = [mpmath.asin(rho)]
+        while points[-1] < 0:
+            points.append(min(2 * points[-1] + mpmath.pi / 2, 0))
+        value = -mpmath.quad(lambda t: mpmath.exp(-z2 / (1 + mpmath.sin(t))), points)
+        return float(value / (2 * mpmath.pi * tau * (1 - tau)))
+
+
 def bvn_cdf_monte_carlo(h, k, rho, draws=10_000_000, seed=0, chunk=1_000_000):
     """Plain Monte Carlo estimate of the bivariate normal CDF.
 
@@ -94,6 +111,30 @@ def ratio_test_full_sort(r, rho, above, c, w, free, slope):
     order = np.argsort(t)
     k = int(np.searchsorted(np.cumsum(weight[order]), -slope))
     stop = t[order[min(k, order.size - 1)]]
+    tied = np.flatnonzero(t == stop)
+    tied = tied[np.argsort(rho[block[tied]] / cb[tied], kind="stable")]
+    k = int(np.searchsorted(np.cumsum(weight[tied]), -slope - np.sum(weight[t < stop])))
+    return int(block[tied[min(k, tied.size - 1)]])
+
+
+def ratio_test_tie_walk(r, rho, above, c, w, free, slope, head=32):
+    """The solver's ratio test without its exit for a lone row at the
+    stopping breakpoint: the rows there are always ordered by rho and walked."""
+    block = np.flatnonzero(free & np.where(above, c > 0, c < 0))
+    if block.size == 0:
+        return None
+    cb = c[block]
+    t = r[block] / cb
+    weight = w[block] * np.abs(cb)
+    m = head
+    while True:
+        top = np.argpartition(t, m - 1)[:m] if m < t.size else np.arange(t.size)
+        top = top[np.argsort(t[top])]
+        k = int(np.searchsorted(np.cumsum(weight[top]), -slope))
+        if k < top.size or top.size == t.size:
+            break
+        m *= 8
+    stop = t[top[min(k, top.size - 1)]]
     tied = np.flatnonzero(t == stop)
     tied = tied[np.argsort(rho[block[tied]] / cb[tied], kind="stable")]
     k = int(np.searchsorted(np.cumsum(weight[tied]), -slope - np.sum(weight[t < stop])))

@@ -24,6 +24,7 @@ from quantcord import (
     phi_bounds,
     residual_signs,
     run_two_step,
+    spline,
 )
 from quantcord.bootstrap import WINSOR_EPS, _expit, _logit, _normal_quantile, _phi_bands
 
@@ -205,6 +206,19 @@ class TestManyTaus:
             counts = np.bincount(bootstrap_indices(4, b, data.n), minlength=data.n)
             for _, weights in calls[3 * b:3 * b + 3]:
                 np.testing.assert_array_equal(weights, counts[counts > 0])
+
+    @pytest.mark.parametrize("taus", [0.5, (0.25, 0.5, 0.75)])
+    def test_designs_are_built_once_per_sample(self, monkeypatch, taus):
+        # both designs of the full sample and of each of the B resamples,
+        # whatever the number of taus
+        pipeline = importlib.import_module("quantcord.pipeline")
+        build, built = pipeline.build_design, []
+        monkeypatch.setattr(pipeline, "build_design",
+                            lambda *a, **k: built.append(a[0].n) or build(*a, **k))
+        data = _copula_like(80, seed=2)
+        bootstrap(data, SPEC, taus, B=5, seed=4)
+        assert len(built) == 2 * (5 + 1)
+        assert built[:2] == [80, 80]
 
     def test_a_tau_does_not_depend_on_the_other_taus(self):
         data = _copula_like(100, seed=6)
@@ -404,6 +418,26 @@ class TestBootstrapFailures:
                       *partial["beta_draws"].values()):
             assert draws.shape[0] == 30
             np.testing.assert_array_equal(np.isnan(draws.reshape(30, -1)).any(axis=1), failed)
+
+    def test_a_resample_without_designs_fails_at_every_tau(self):
+        # row 0 holds the eighth distinct value of the spline's column, so a
+        # resample without it cannot build its step-1 design
+        rng = np.random.default_rng(12)
+        n = 80
+        g = np.concatenate([[7.0], rng.integers(0, 7, n - 1).astype(float)])
+        data = Dataset(columns={"y1": rng.normal(size=n), "y2": rng.normal(size=n), "g": g})
+        spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.25, 0.75),
+                            step1_terms=(spline("g"),))
+        bases = [run_two_step(data, spec, t) for t in spec.taus]
+        module = importlib.import_module("quantcord.bootstrap")
+        drawn = []
+        for b in range(12):
+            has_row_0 = bool(np.any(bootstrap_indices(3, b, n) == 0))
+            replicate = module._replicate(data, spec, bases, 3, b)
+            if not has_row_0:
+                assert replicate == [None, None]
+            drawn.append(has_row_0)
+        assert 0 < sum(drawn) < 12
 
     def test_rank_deficient_resample_fails_as_before(self):
         # one row has g = 0: a resample without it has g = 1 on every row,

@@ -93,3 +93,57 @@ class TestCheckFullRank:
         with pytest.raises(SingularDesignError) as excinfo:
             check_full_rank(X)
         assert excinfo.value.columns == ["x2", "x3"]
+
+    def test_each_call_raises_a_new_error(self):
+        # a caller may edit the error it catches (run_two_step prefixes the
+        # step to its message), so no call may re-raise an earlier one
+        x = np.linspace(0, 1, 25)
+        X = DesignMatrix(np.column_stack([np.ones(25), x, 2 * x]), ("intercept", "x", "x2"))
+        errors = []
+        for _ in range(3):
+            with pytest.raises(SingularDesignError) as excinfo:
+                check_full_rank(X)
+            errors.append(excinfo.value)
+            excinfo.value.args = ("edited",)
+        assert len({id(e) for e in errors}) == 3
+        assert [e.columns for e in errors] == [["x2"]] * 3
+        with pytest.raises(SingularDesignError, match="^design matrix is rank deficient; "
+                           "offending columns: x2$"):
+            check_full_rank(X)
+
+    def test_factors_each_design_once(self, monkeypatch):
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        rng = np.random.default_rng(4)
+        X = DesignMatrix(np.column_stack([np.ones(20), rng.standard_normal(20)]),
+                         ("intercept", "x"))
+        for _ in range(3):
+            check_full_rank(X)
+        assert len(calls) == 1
+        check_full_rank(DesignMatrix(X.values, X.columns))
+        assert len(calls) == 2
+
+
+class TestCachedValues:
+
+    def test_values_are_a_read_only_copy(self):
+        given = np.ones((5, 2))
+        X = DesignMatrix(given, ("a", "b"))
+        assert not X.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            X.values[0, 0] = 2.0
+        given[0, 0] = 2.0  # the caller's array stays writable and apart
+        assert given.flags.writeable and X.values[0, 0] == 1.0
+
+    def test_cached_arrays_are_read_only_and_exact(self):
+        rng = np.random.default_rng(5)
+        values = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
+        X = DesignMatrix(values, ("intercept", "x1", "x2"))
+        np.testing.assert_array_equal(X.abs_values, np.abs(values), strict=True)
+        np.testing.assert_array_equal(X.transposed, values.T, strict=True)
+        assert X.transposed.flags.c_contiguous
+        np.testing.assert_array_equal(
+            X.perturbation, np.random.default_rng(0).random(30), strict=True)
+        for a in (X.abs_values, X.transposed, X.perturbation):
+            assert not a.flags.writeable
+        assert X.perturbation is X.perturbation

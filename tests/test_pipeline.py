@@ -13,6 +13,8 @@ from quantcord import (
     EmptyCategoryError,
     InvalidArgumentError,
     NonConvergenceError,
+    SingularDesignError,
+    build_designs,
     build_grid,
     classify,
     identity,
@@ -25,6 +27,7 @@ from quantcord import (
     spline,
 )
 import quantcord.multinomial as multinomial
+import quantcord.quantreg as quantreg
 from quantcord.multinomial import MultinomialFit
 from quantcord.pipeline import (
     CONSTANT_PROFILE,
@@ -413,6 +416,69 @@ class TestRunTwoStep:
         result = run_two_step(data, spec, 0.5, grid=grid)
         assert result.surface.grid is grid
         assert result.surface.phi.shape == (2,)
+
+
+class TestSampleDesigns:
+
+    def test_shared_designs_give_each_tau_its_own_run(self):
+        data = _dependent_data()
+        spec = _spec(step1_terms=(spline("x"),), step2_terms=(identity("x"),))
+        counts = np.random.default_rng(3).integers(1, 4, size=data.n)
+        for weights in (None, counts):
+            designs = build_designs(data, spec, weights)
+            for tau in (0.25, 0.5, 0.75):
+                shared = run_two_step(data, spec, tau, weights=weights, designs=designs)
+                alone = run_two_step(data, spec, tau, weights=weights)
+                for a, b in zip(shared.step1, alone.step1):
+                    np.testing.assert_array_equal(a.beta, b.beta, strict=True)
+                    np.testing.assert_array_equal(a.residuals, b.residuals, strict=True)
+                np.testing.assert_array_equal(shared.step2.gamma, alone.step2.gamma, strict=True)
+                np.testing.assert_array_equal(shared.surface.phi, alone.surface.phi, strict=True)
+
+    def test_one_rank_check_per_fit_one_factoring_per_design(self, monkeypatch):
+        checks, factorings = [], []
+        for module in (quantreg, multinomial):
+            check = module.check_full_rank
+            monkeypatch.setattr(module, "check_full_rank",
+                                lambda X, check=check: checks.append(X) or check(X))
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: factorings.append(1) or qr(*a, **k))
+        data = _dependent_data()
+        spec = _spec(step1_terms=(identity("x"),), step2_terms=(identity("x"),))
+        designs = build_designs(data, spec)
+        for tau in (0.25, 0.5, 0.75):
+            run_two_step(data, spec, tau, designs=designs)
+        assert len(checks) == 9  # two step-1 fits and one step-2 fit per tau
+        assert {id(X) for X in checks} == {id(designs.X1), id(designs.X2)}
+        assert len(factorings) == 2
+
+    def test_a_singular_design_tags_each_error_once(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=50)
+        data = Dataset(columns={"y1": rng.normal(size=50), "y2": rng.normal(size=50),
+                                "x": x, "x2": 2.0 * x})
+        spec = _spec(step1_terms=(identity("x"), identity("x2")))
+        designs = build_designs(data, spec)
+        for tau in (0.25, 0.5):
+            with pytest.raises(SingularDesignError) as err:
+                run_two_step(data, spec, tau, designs=designs)
+            assert str(err.value) == (
+                "step 1, response 'y1': design matrix is rank deficient; "
+                "offending columns: x2")
+
+    def test_designs_of_other_rows_or_weights_are_rejected(self):
+        data = _dependent_data()
+        designs = build_designs(data, _spec())
+        for rows, weights in ((data.take(np.arange(data.n)), None), (data, np.ones(data.n))):
+            with pytest.raises(InvalidArgumentError, match="other rows or weights"):
+                run_two_step(rows, _spec(), 0.5, weights=weights, designs=designs)
+
+    def test_a_step2_design_error_is_tagged(self):
+        rng = np.random.default_rng(9)
+        data = Dataset(columns={"y1": rng.normal(size=60), "y2": rng.normal(size=60),
+                                "g": np.arange(60) % 3.0})
+        with pytest.raises(InvalidArgumentError, match="^step 2: spline term needs"):
+            build_designs(data, _spec(step2_terms=(spline("g"),)))
 
 
 class TestFrequencyWeights:

@@ -24,7 +24,7 @@ from quantcord import (
     residual_signs,
 )
 from quantcord.cli import main as quantcord_main
-from oracles import ratio_test_full_sort, start_basis_row_by_row
+from oracles import ratio_test_full_sort, ratio_test_tie_walk, start_basis_row_by_row
 
 # ──────────────────────────────────────────────────────────────────────
 # Helpers
@@ -486,6 +486,23 @@ class TestSelectionMatchesFullSort:
 
     def test_ratio_test_on_weighted_edges(self):
         assert self._long_walks(weighted=True) >= 50
+
+    def test_lone_row_exit_picks_the_tie_walks_row(self):
+        # a lone row at the stopping breakpoint is returned without the tie
+        # walk; both it and the walk over several tied rows occur here
+        lone = several = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            args = self._edge(rng, int(rng.choice([3, 40, 400, 3000])), bool(seed % 2))
+            got = qr._ratio_test(*args)
+            assert got == ratio_test_tie_walk(*args, head=qr._HEAD), f"seed {seed}"
+            if got is not None:
+                r, rho, above, c, w, free, slope = args
+                block = free & np.where(above, c > 0, c < 0)
+                at_stop = np.count_nonzero(r[block] / c[block] == r[got] / c[got])
+                lone += at_stop == 1
+                several += at_stop > 1
+        assert lone >= 50 and several >= 50
 
     def test_start_basis_on_ties_and_repeated_rows(self):
         for seed in range(300):

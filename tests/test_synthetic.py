@@ -16,6 +16,7 @@ from oracles import (
     bvn_cdf,
     bvn_cdf_monte_carlo,
     oracle_phi_gaussian_median_closed_form,
+    oracle_phi_gaussian_mpmath,
     oracle_phi_gaussian_quad,
 )
 
@@ -352,6 +353,16 @@ class TestOraclePhi:
         worst = max(abs(oracle_phi_gaussian(float(rho), tau) - oracle_phi_gaussian_quad(rho, tau))
                     for rho in rhos for tau in taus)
         assert worst <= 1e-13
+
+    def test_matches_a_40_digit_integral_near_rho_minus_one(self):
+        # below rho = -0.9999 the 100-node rule erred by up to 6.4e-10
+        pytest.importorskip("mpmath")
+        taus = (0.01, 0.05, 0.1, 0.25, 0.4, 0.49, 0.5, 0.51, 0.6, 0.75, 0.9, 0.95, 0.99)
+        rhos = (-0.9999, -0.99991, -0.99999, -0.999999, -1 + 1e-10, float(np.nextafter(-1, 0)))
+        worst = {rho: max(abs(oracle_phi_gaussian(rho, t) - oracle_phi_gaussian_mpmath(rho, t))
+                          for t in taus) for rho in rhos}
+        assert worst.pop(-0.9999) <= 1e-13  # the 100-node rule's floor
+        assert max(worst.values()) <= 1e-15  # the graded rule below it
 
     def test_median_equals_arcsine_to_rounding(self):
         for rho in [0.5, *np.linspace(-0.99, 0.99, 199)]:

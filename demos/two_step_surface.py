@@ -16,6 +16,7 @@ from quantcord import (
     AnalysisSpec,
     CovariateSpec,
     ScenarioSpec,
+    build_designs,
     generate,
     identity,
     oracle_phi_gaussian,
@@ -41,7 +42,9 @@ spec = AnalysisSpec(
     step2_terms=(identity("g"),),
     binary=("g",),
 )
-surfaces = [run_two_step(data, spec, tau).surface for tau in spec.taus]
+# one sample (its designs and grid) serves every tau
+sample = build_designs(data, spec)
+surfaces = [run_two_step(sample, tau).surface for tau in spec.taus]
 table = phi_profile(surfaces, "g")
 
 print("tau    g    phi_hat   oracle    error")

@@ -10,8 +10,8 @@ rows (the pairs bootstrap written as a multinomial-weight bootstrap,
 Koenker 2005, ch. 3).  Replicates start both steps from the full-sample
 coefficients, which only shortens the solvers' paths: each fit still
 stops on its own optimality test.  Replicate b fits one resample, drawn
-from the substream keyed by (seed, b), at every tau, on designs built
-once for that resample (no design depends on tau): results are
+from the substream keyed by (seed, b), at every tau, built once (no
+design depends on tau) and evaluated on the full sample's grid: results are
 reproducible for a fixed seed whatever the execution order, worker count
 or other taus of the call, and row b of every tau's draws is that
 resample (NaN where its fit failed).  The full-sample fits run first,
@@ -122,31 +122,30 @@ def _draw(res):
     return res.step2.gamma, tuple(f.beta for f in res.step1), res.surface.phi
 
 
-def _run_replicate(sample, spec, base, weights):
+def _run_replicate(sample, base):
     """One replicate's draw at ``base.tau`` from ``sample``, the SampleDesigns
-    of its distinct rows and their counts ``weights``, or None when it fails."""
+    of its distinct rows and their counts, or None when it fails."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run_two_step(sample.data, spec, base.tau, grid=base.surface.grid,
-                               start=base, weights=weights, designs=sample)
+            res = run_two_step(sample, base.tau, start=base)
     except QuantcordError:
         return None
     return _draw(res)
 
 
 def _replicate(data, spec, bases, seed, b):
-    """Replicate b's result at every base's tau, from one resample and its
-    designs, built once; None at every tau when they cannot be built."""
+    """Replicate b's result at every base's tau, from one resample built once
+    on the full-sample grid; None at every tau when its designs cannot be built."""
     counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
     rows = np.flatnonzero(counts)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sample = build_designs(data.take(rows), spec, counts[rows])
+            sample = build_designs(data.take(rows), spec, counts[rows], bases[0].surface.grid)
     except QuantcordError:
         return [None] * len(bases)
-    return [_run_replicate(sample, spec, base, sample.weights) for base in bases]
+    return [_run_replicate(sample, base) for base in bases]
 
 
 _WORKER_CTX = {}
@@ -216,13 +215,13 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     Parameters
     ----------
     data, spec
-        As for :func:`quantcord.pipeline.run_two_step`.
+        As for :func:`quantcord.pipeline.build_designs`, at unit weights.
     tau : float or sequence of float
         One quantile level, or several, as ``np.quantile`` takes ``q``.
     B : int
         Replicate count, at least 2; each replicate serves every tau.
-        Both steps' designs are built once for the full sample and once
-        per replicate, whatever the number of taus.
+        The full sample and each resample are built once, whatever the
+        number of taus, and the full sample's grid serves every replicate.
     seed : int
         Non-negative seed.  Replicate b resamples from substream
         (seed, b) and fits that one resample at every tau, so a tau's
@@ -259,8 +258,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         raise InvalidArgumentError("tau must be a float or a nonempty sequence")
     check_arguments(B, seed, level, workers)
 
-    designs = build_designs(data, spec)
-    bases = [run_two_step(data, spec, t, designs=designs) for t in taus]
+    sample = build_designs(data, spec)
+    bases = [run_two_step(sample, t) for t in taus]
     # the pool forks all its workers at the first submit, needed or not
     workers = min(workers, B)
     if workers == 1:

@@ -9,6 +9,7 @@ with the same config and seed reproduces every file byte for byte.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -28,7 +29,7 @@ def _fmt(x):
     if x is None:
         return ""
     x = float(x)
-    if np.isnan(x):
+    if math.isnan(x):
         return ""
     return FLOAT_FMT % x
 
@@ -227,8 +228,8 @@ def _cmd_analyze(args):
         )
         results = [(boot.estimate, boot) for boot in boots]
     else:
-        designs = build_designs(data, spec)
-        results = [(run_two_step(data, spec, tau, designs=designs), None) for tau in spec.taus]
+        sample = build_designs(data, spec)
+        results = [(run_two_step(sample, tau), None) for tau in spec.taus]
 
     files = _render_analysis(cfg, spec, boot_cfg, data, report, results)
     os.makedirs(out_dir, exist_ok=True)

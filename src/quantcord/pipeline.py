@@ -4,8 +4,8 @@ Step 1 fits one quantile regression per response; step 2 classifies
 the residual-sign pairs and fits the multinomial model; finally the
 conditional sign-correlation phi is evaluated on per-covariate
 profile grids, never clipped to its theoretical bounds.  No design
-depends on tau, so a sample's designs (``build_designs``) serve every
-tau's ``run_two_step``.  Both steps are M-estimators, so rows with
+depends on tau, so one sample (``build_designs``) serves every tau's
+``run_two_step``.  Both steps are M-estimators, so rows with
 frequency weights (a bootstrap resample's distinct rows and their
 counts) give the fits of the repeated rows.
 """
@@ -247,21 +247,26 @@ def _tag_step(err, prefix):
 
 @dataclass(frozen=True)
 class SampleDesigns:
-    """One sample's designs, which no tau changes: the rows ``data``, their
-    frequency ``weights`` (None: unit weights), step 1's design ``X1``,
-    and step 2's design ``X2`` with the ``recipe2`` that evaluates the
-    grid.  Built by :func:`build_designs`."""
+    """One sample, ready to fit at any tau: the rows ``data``, their
+    frequency ``weights`` (None: unit weights), the ``spec``, step 1's
+    design ``X1``, step 2's design ``X2`` with the ``recipe2`` that
+    evaluates it on the evaluation ``grid``.  No tau changes any of them.
+    Built by :func:`build_designs`."""
 
     data: Dataset
     weights: object
+    spec: AnalysisSpec
     X1: DesignMatrix
     X2: DesignMatrix
     recipe2: BasisRecipe
+    grid: EvaluationGrid
 
 
-def build_designs(data, spec, weights=None):
-    """Both steps' designs for the rows of ``data`` with frequency
-    ``weights``, built once to serve :func:`run_two_step` at every tau.
+def build_designs(data, spec, weights=None, grid=None):
+    """The sample of the rows of ``data`` with frequency ``weights`` (None:
+    unit weights), built once to serve :func:`run_two_step` at every tau.
+    ``grid`` defaults to ``build_grid(data, spec)``, of the rows without
+    their weights; the bootstrap gives every replicate the full sample's.
     An error building step 2's design is tagged ``step 2``."""
     X1, _ = build_design(data, spec.step1_terms, weights)
     try:
@@ -269,38 +274,33 @@ def build_designs(data, spec, weights=None):
     except QuantcordError as err:
         _tag_step(err, "step 2")
         raise
-    return SampleDesigns(data, weights, X1, X2, recipe2)
+    if grid is None:
+        grid = build_grid(data, spec)
+    return SampleDesigns(data, weights, spec, X1, X2, recipe2, grid)
 
 
-def run_two_step(data, spec, tau, grid=None, start=None, weights=None, designs=None):
-    """Run the full two-step procedure at one quantile level.
+def run_two_step(sample, tau, start=None):
+    """Run the full two-step procedure on ``sample``, a
+    :class:`SampleDesigns` from :func:`build_designs`, at one quantile
+    level.
 
-    ``grid`` defaults to ``build_grid(data, spec)``; the bootstrap
-    passes the original-data grid so replicates are evaluated at
-    identical covariate profiles.  ``start``, a TwoStepResult for the
-    same spec, gives both steps their starting coefficients; the
-    bootstrap passes the full-sample result.  ``weights`` are positive
-    finite frequency weights of the rows (None: unit weights).  Both
-    designs' knots and centres, both steps' fits and the empirical cells
-    then are those of the rows repeated by their weights, while the
-    step-1 residuals keep one entry per row.  A bootstrap replicate
-    passes its distinct rows with their resample counts.  The default
-    grid is built from the rows as given, without their weights.
-    ``designs``, the :class:`SampleDesigns` of this ``data`` and these
-    ``weights`` from :func:`build_designs`, lets every tau of one sample
-    share its designs; they are built here when it is None.
+    ``start``, a TwoStepResult of the same spec, gives both steps their
+    starting coefficients; the bootstrap passes the full-sample result.
+    Both steps' fits and the empirical cells are those of the sample's
+    rows repeated by their weights, while the step-1 residuals keep one
+    entry per row.
     """
+    if not isinstance(sample, SampleDesigns):
+        raise InvalidArgumentError(
+            f"run_two_step fits a sample from build_designs, got {type(sample).__name__}")
     check_tau(tau)
-    if designs is None:
-        designs = build_designs(data, spec, weights)
-    elif designs.data is not data or designs.weights is not weights:
-        raise InvalidArgumentError("designs were built from other rows or weights")
+    data, spec, weights = sample.data, sample.spec, sample.weights
     fits = []
     for j, name in enumerate(spec.responses):
         beta0 = None if start is None else start.step1[j].beta
         try:
             fits.append(fit_quantile_regression(
-                designs.X1, data.column(name), tau, start=beta0, weights=weights))
+                sample.X1, data.column(name), tau, start=beta0, weights=weights))
         except QuantcordError as err:
             _tag_step(err, f"step 1, response {name!r}")
             raise
@@ -309,16 +309,14 @@ def run_two_step(data, spec, tau, grid=None, start=None, weights=None, designs=N
     labels = classify(omega1, omega2)
 
     try:
-        fit2 = fit_multinomial(designs.X2, labels, merged=spec.merged,
+        fit2 = fit_multinomial(sample.X2, labels, merged=spec.merged,
                                start=None if start is None else start.step2.gamma,
                                weights=weights)
     except QuantcordError as err:
         _tag_step(err, "step 2")
         raise
 
-    if grid is None:
-        grid = build_grid(data, spec)
-    surface = evaluate_surface(fit2, designs.recipe2, grid, tau)
+    surface = evaluate_surface(fit2, sample.recipe2, sample.grid, tau)
     return TwoStepResult(
         tau=tau,
         step1=tuple(fits),

@@ -19,6 +19,7 @@ from quantcord import (
     apply_recipe,
     bootstrap,
     build_design,
+    build_designs,
     fit_multinomial,
     fit_quantile_regression,
     identity,
@@ -191,7 +192,7 @@ class TestAcceptance:
         for i, rho in enumerate((0.0, 0.5, 0.9)):
             data = generate(ScenarioSpec(n=5000, rho=rho, seed=301 + i))
             for tau in (0.1, 0.5, 0.9):
-                phi_hat = run_two_step(data, SPEC, tau).surface.phi[0]
+                phi_hat = run_two_step(build_designs(data, SPEC), tau).surface.phi[0]
                 worst = max(worst, abs(phi_hat - oracle_phi_gaussian(rho, tau)))
         closed = abs(oracle_phi_gaussian(0.5, 0.5) - 1.0 / 3.0)
         elapsed = time.perf_counter() - start
@@ -214,7 +215,7 @@ class TestAcceptance:
             responses=("y1", "y2"), taus=(0.5,),
             step2_terms=(identity("g"),), binary=("g",),
         )
-        surface = run_two_step(data, gspec, 0.5).surface
+        surface = run_two_step(build_designs(data, gspec), 0.5).surface
         worst = 0.0
         for val, rho in ((0.0, 0.2), (1.0, 0.8)):
             i = int(np.where(surface.grid.columns["g"] == val)[0][0])
@@ -232,8 +233,8 @@ class TestAcceptance:
             columns={"y1": np.where(swap, y2, y1), "y2": np.where(swap, y1, y2)}
         )
         merged_spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,), merged=True)
-        unmerged = run_two_step(data, SPEC, 0.5)
-        merged = run_two_step(data, merged_spec, 0.5)
+        unmerged = run_two_step(build_designs(data, SPEC), 0.5)
+        merged = run_two_step(build_designs(data, merged_spec), 0.5)
         diff = abs(unmerged.surface.phi[0] - merged.surface.phi[0])
         split_exact = bool(
             np.all(merged.surface.cells[:, 2] == merged.surface.cells[:, 3])
@@ -256,7 +257,7 @@ class TestAcceptance:
         phis = []
         for d in range(200):
             fresh = generate(ScenarioSpec(n=1000, rho=0.5, seed=5000 + d))
-            phis.append(run_two_step(fresh, SPEC, 0.5).surface.phi[0])
+            phis.append(run_two_step(build_designs(fresh, SPEC), 0.5).surface.phi[0])
         se = float(boot.estimate.surface.se[0])
         sd = float(np.std(phis, ddof=1))
         ratio = se / sd

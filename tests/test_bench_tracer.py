@@ -48,6 +48,8 @@ print(json.dumps({
     "parent": t.root_pid,
     "replicates": [s["pid"] for s in spans if s["name"] == "bootstrap.replicate"],
     "pools": [s["workers"] for s in spans if s["name"] == "bootstrap.pool"],
+    "fits": sum(s["name"] == "pipeline.run_two_step" for s in spans),
+    "grids": sum(s["name"] == "pipeline.build_grid" for s in spans),
 }))
 """
 
@@ -66,3 +68,6 @@ def test_tracer_reads_the_parent_and_its_pool(tmp_path):
     assert out["parent"] in pids
     assert len(set(pids) - {out["parent"]}) == 1
     assert out["pools"] == [1]
+    # the two full-sample fits and the 6 replicates' at each tau, on one grid
+    assert out["fits"] == 2 + 12
+    assert out["grids"] == 1

@@ -19,6 +19,7 @@ from quantcord import (
     SingularDesignError,
     bootstrap,
     bootstrap_indices,
+    build_designs,
     classify,
     identity,
     phi_bounds,
@@ -193,9 +194,9 @@ class TestManyTaus:
         run = module._run_replicate
         calls = []
 
-        def recorded(sample, spec, base, weights):
-            calls.append((base.tau, weights))
-            return run(sample, spec, base, weights)
+        def recorded(sample, base):
+            calls.append((base.tau, sample.weights))
+            return run(sample, base)
 
         monkeypatch.setattr(module, "_run_replicate", recorded)
         data = _copula_like(80, seed=2)
@@ -219,6 +220,24 @@ class TestManyTaus:
         bootstrap(data, SPEC, taus, B=5, seed=4)
         assert len(built) == 2 * (5 + 1)
         assert built[:2] == [80, 80]
+
+    @pytest.mark.parametrize("taus", [0.5, (0.25, 0.5, 0.75)])
+    def test_the_grid_is_built_once_per_call(self, monkeypatch, taus):
+        # the full sample's grid, which every replicate's sample holds
+        pipeline = importlib.import_module("quantcord.pipeline")
+        module = importlib.import_module("quantcord.bootstrap")
+        build, grids = pipeline.build_grid, []
+        monkeypatch.setattr(pipeline, "build_grid",
+                            lambda *a: grids.append(build(*a)) or grids[-1])
+        run, held = module._run_replicate, []
+        monkeypatch.setattr(module, "_run_replicate",
+                            lambda sample, base: held.append(sample.grid) or run(sample, base))
+        out = bootstrap(_copula_like(80, seed=2), SPEC, taus, B=5, seed=4)
+        assert len(grids) == 1
+        assert len(held) == 5 * np.size(taus)
+        assert all(grid is grids[0] for grid in held)
+        for result in (out,) if np.ndim(taus) == 0 else out:
+            assert result.estimate.surface.grid is grids[0]
 
     def test_a_tau_does_not_depend_on_the_other_taus(self):
         data = _copula_like(100, seed=6)
@@ -315,16 +334,16 @@ class TestAlignedDraws:
         counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
         run = module._run_replicate
 
-        def fails_once(sample, spec, base, weights):
+        def fails_once(sample, base):
             # replicate b is known by its weights, in a forked worker too
-            if base.tau == taus[bad] and np.array_equal(weights, counts[counts > 0]):
+            if base.tau == taus[bad] and np.array_equal(sample.weights, counts[counts > 0]):
                 return None
-            return run(sample, spec, base, weights)
+            return run(sample, base)
 
         monkeypatch.setattr(module, "_run_replicate", fails_once)
         serial = bootstrap(data, SPEC, taus, B=B, seed=seed, workers=1)
         pooled = bootstrap(data, SPEC, taus, B=B, seed=seed, workers=2)
-        bases = [run_two_step(data, SPEC, t) for t in taus]
+        bases = [run_two_step(build_designs(data, SPEC), t) for t in taus]
         replicate = module._replicate(data, SPEC, bases, seed, b)
         assert replicate[bad] is None
         others = np.arange(B) != b
@@ -372,7 +391,7 @@ class TestBootstrapResultShape:
 
     def test_estimate_equals_run_two_step_but_for_bands(self, result):
         # every field but the surface's bands is the full-sample fit's
-        fresh = run_two_step(_copula_like(150, seed=80), SPEC, 0.5)
+        fresh = run_two_step(build_designs(_copula_like(150, seed=80), SPEC), 0.5)
         banded = result.estimate.surface
         assert fresh.surface.se is fresh.surface.lower is fresh.surface.upper is None
         _assert_same_fields(
@@ -405,7 +424,7 @@ class TestBootstrapFailures:
     def test_excess_failures_raise_with_partial_results(self):
         data = _rare_discordance()
         # the base fit itself sees all four categories
-        base = run_two_step(data, SPEC, 0.5)
+        base = run_two_step(build_designs(data, SPEC), 0.5)
         labels = classify(residual_signs(base.step1[0]), residual_signs(base.step1[1]))
         assert set(np.asarray(LABELS)[labels]) == {"00", "11", "01", "10"}
         with pytest.raises(InferenceUnreliableError, match="bootstrap replicates failed") as err:
@@ -428,7 +447,7 @@ class TestBootstrapFailures:
         data = Dataset(columns={"y1": rng.normal(size=n), "y2": rng.normal(size=n), "g": g})
         spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.25, 0.75),
                             step1_terms=(spline("g"),))
-        bases = [run_two_step(data, spec, t) for t in spec.taus]
+        bases = [run_two_step(build_designs(data, spec), t) for t in spec.taus]
         module = importlib.import_module("quantcord.bootstrap")
         drawn = []
         for b in range(12):
@@ -449,23 +468,24 @@ class TestBootstrapFailures:
         g[0] = 0.0
         data = Dataset(columns={"y1": rng.normal(size=n), "y2": rng.normal(size=n), "g": g})
         spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,), step1_terms=(identity("g"),))
-        base = run_two_step(data, spec, 0.5)
+        base = run_two_step(build_designs(data, spec), 0.5)
         module = importlib.import_module("quantcord.bootstrap")
         failed, singular = [], 0
         for b in range(30):
             idx = bootstrap_indices(3, b, n)
             counts = np.bincount(idx, minlength=n)
             rows = np.flatnonzero(counts)
-            kwargs = dict(grid=base.surface.grid, start=base)
+            grid = base.surface.grid
             try:
-                run_two_step(data.take(idx), spec, 0.5, **kwargs)
+                run_two_step(build_designs(data.take(idx), spec, grid=grid), 0.5, start=base)
                 error = None
             except QuantcordError as err:
                 error = type(err)
             if error is SingularDesignError:
                 singular += 1
                 with pytest.raises(SingularDesignError, match="offending columns: g"):
-                    run_two_step(data.take(rows), spec, 0.5, weights=counts[rows], **kwargs)
+                    run_two_step(build_designs(data.take(rows), spec, counts[rows], grid), 0.5,
+                                 start=base)
             replicate = module._replicate(data, spec, [base], 3, b)[0]
             assert (replicate is None) == (error is not None), f"replicate {b}"
             failed.append(error is not None)

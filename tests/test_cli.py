@@ -482,13 +482,14 @@ class TestAnalyzeProfiles:
         run = module._run_replicate
         B, seed, b = 8, 4, 2
 
-        def fails_once(sample, spec, base, weights):
+        def fails_once(sample, base):
             # replicate b at tau 0.75, known by its weights in a forked worker too
+            weights = sample.weights
             n = int(weights.sum())
             counts = np.bincount(bootstrap_indices(seed, b, n), minlength=n)
             if base.tau == 0.75 and np.array_equal(weights, counts[counts > 0]):
                 return None
-            return run(sample, spec, base, weights)
+            return run(sample, base)
 
         monkeypatch.setattr(module, "_run_replicate", fails_once)
         trees = {}

@@ -22,6 +22,7 @@ from quantcord import (
     SingularDesignError,
     bootstrap_indices,
     build_design,
+    build_designs,
     classify,
     fit_multinomial,
     identity,
@@ -294,7 +295,7 @@ class TestFitBehavior:
         for b, sample in enumerate(samples):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = run_two_step(sample, spec, 0.95)
+                res = run_two_step(build_designs(sample, spec), 0.95)
             fit = res.step2
             X2, _ = build_design(sample, spec.step2_terms)
             labels = classify(residual_signs(res.step1[0]), residual_signs(res.step1[1]))

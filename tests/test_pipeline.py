@@ -258,7 +258,7 @@ class TestRunTwoStep:
         y1 = rng.normal(size=200)
         data = Dataset(columns={"y1": y1, "y2": y1.copy()})
         with pytest.raises(EmptyCategoryError, match="^step 2:") as err:
-            run_two_step(data, _spec(), 0.5)
+            run_two_step(build_designs(data, _spec()), 0.5)
         assert tuple(err.value.missing) == ("01", "10")
 
     def test_antithetic_responses_raise_empty_category(self):
@@ -268,7 +268,7 @@ class TestRunTwoStep:
         y1 = rng.normal(size=200)
         data = Dataset(columns={"y1": y1, "y2": -y1})
         with pytest.raises(EmptyCategoryError, match="^step 2:") as err:
-            run_two_step(data, _spec(), 0.5)
+            run_two_step(build_designs(data, _spec()), 0.5)
         assert tuple(err.value.missing) == ("00", "11")
 
     def test_near_identical_responses_push_phi_toward_one(self):
@@ -276,7 +276,7 @@ class TestRunTwoStep:
         e = rng.normal(size=4000)
         noise = rng.normal(size=4000)
         data = Dataset(columns={"y1": e, "y2": e + 0.15 * noise})
-        result = run_two_step(data, _spec(), 0.5)
+        result = run_two_step(build_designs(data, _spec()), 0.5)
         assert result.surface.phi[0] > 0.85
         assert result.surface.bounds.phi_max == 1.0
         assert not result.surface.out_of_bounds[0]
@@ -286,12 +286,12 @@ class TestRunTwoStep:
         e = rng.normal(size=4000)
         noise = rng.normal(size=4000)
         data = Dataset(columns={"y1": e, "y2": -e + 0.15 * noise})
-        result = run_two_step(data, _spec(), 0.5)
+        result = run_two_step(build_designs(data, _spec()), 0.5)
         assert result.surface.phi[0] < -0.85
         assert result.surface.bounds.phi_min == -1.0
 
     def test_copula_fixture_recovers_oracle_phi(self, copula_data):
-        result = run_two_step(copula_data, _spec(), 0.5)
+        result = run_two_step(build_designs(copula_data, _spec()), 0.5)
         assert abs(result.surface.phi[0] - 1.0 / 3.0) < 0.05
 
     def test_step1_error_carries_provenance(self):
@@ -302,37 +302,38 @@ class TestRunTwoStep:
             }
         )
         with pytest.raises(InvalidArgumentError, match="step 1, response 'y1'"):
-            run_two_step(data, _spec(), 0.5)
+            run_two_step(build_designs(data, _spec()), 0.5)
 
     def test_unconverged_step2_raises_with_provenance(self, monkeypatch):
         monkeypatch.setattr(multinomial, "MAX_NEWTON_ITER", 0)
         with pytest.raises(NonConvergenceError,
                            match="^step 2: multinomial fit did not converge") as excinfo:
-            run_two_step(_dependent_data(), _spec(step2_terms=(identity("x"),)), 0.5)
+            run_two_step(build_designs(_dependent_data(), _spec(step2_terms=(identity("x"),))),
+                         0.5)
         assert excinfo.value.last_fit.converged is False
 
     def test_data_must_be_dataset(self):
         with pytest.raises(InvalidArgumentError, match="Dataset"):
-            run_two_step({"y1": np.zeros(3)}, _spec(), 0.5)
+            run_two_step(build_designs({"y1": np.zeros(3)}, _spec()), 0.5)
 
     def test_tau_validated(self):
         data = _dependent_data()
         with pytest.raises(InvalidArgumentError, match="tau must be in"):
-            run_two_step(data, _spec(), 1.5)
+            run_two_step(build_designs(data, _spec()), 1.5)
 
     @pytest.mark.parametrize("tau", ["0.5", None, np.array([0.5]), np.array(0.5)])
     def test_tau_must_be_a_real_number(self, tau):
         with pytest.raises(InvalidArgumentError,
                            match=r"tau must be in \(0, 1\), got " + re.escape(repr(tau))):
-            run_two_step(_dependent_data(), _spec(), tau)
+            run_two_step(build_designs(_dependent_data(), _spec()), tau)
 
     def test_order_equivariance_saturated_step2(self):
         # swapping the responses relabels "01" <-> "10"; the saturated
         # intercept-only step-2 model reproduces the relabeled counts, so
         # the phi surface is unchanged
         data = _dependent_data()
-        forward = run_two_step(data, _spec(responses=("y1", "y2")), 0.5)
-        swapped = run_two_step(data, _spec(responses=("y2", "y1")), 0.5)
+        forward = run_two_step(build_designs(data, _spec(responses=("y1", "y2"))), 0.5)
+        swapped = run_two_step(build_designs(data, _spec(responses=("y2", "y1"))), 0.5)
         np.testing.assert_allclose(
             forward.surface.phi, swapped.surface.phi, rtol=0, atol=1e-10
         )
@@ -343,7 +344,7 @@ class TestRunTwoStep:
         spec = _spec(taus=(0.25, 0.5, 0.75), step1_terms=(identity("x"),))
         slack = 2.0 / data.n  # step-1 design has q+1 = 2 columns
         for tau in spec.taus:
-            result = run_two_step(data, spec, tau)
+            result = run_two_step(build_designs(data, spec), tau)
             z = np.asarray(LABELS)[_labels(result)]
             frac1 = np.mean([lab[0] == "1" for lab in z])
             frac2 = np.mean([lab[1] == "1" for lab in z])
@@ -351,7 +352,7 @@ class TestRunTwoStep:
             assert abs(frac2 - tau) <= slack
 
     def test_labels_are_integer_codes(self):
-        labels = _labels(run_two_step(_dependent_data(), _spec(), 0.5))
+        labels = _labels(run_two_step(build_designs(_dependent_data(), _spec()), 0.5))
         assert np.issubdtype(labels.dtype, np.integer)
         assert set(labels.tolist()) == {0, 1, 2, 3}
 
@@ -360,7 +361,7 @@ class TestRunTwoStep:
         # entry, bit for bit
         data = _dependent_data()
         spec = _spec(step2_terms=(identity("x"),), grid_points=9)
-        result = run_two_step(data, spec, 0.5)
+        result = run_two_step(build_designs(data, spec), 0.5)
         surface = result.surface
         np.testing.assert_array_equal(phi(surface.cells, surface.tau), surface.phi)
         for i in range(surface.grid.m):
@@ -368,14 +369,14 @@ class TestRunTwoStep:
 
     def test_saturated_surface_matches_empirical_cells(self):
         data = _dependent_data()
-        result = run_two_step(data, _spec(), 0.5)
+        result = run_two_step(build_designs(data, _spec()), 0.5)
         np.testing.assert_allclose(result.surface.cells[0], result.empirical,
                                    rtol=0, atol=1e-10)
 
     def test_bounds_annotated_on_surface(self):
         data = _dependent_data()
         for tau in (0.1, 0.5, 0.8):
-            surface = run_two_step(data, _spec(), tau).surface
+            surface = run_two_step(build_designs(data, _spec()), tau).surface
             assert surface.bounds == phi_bounds(tau)
 
     def test_out_of_bounds_flagged_but_never_clipped(self):
@@ -402,7 +403,7 @@ class TestRunTwoStep:
 
     def test_merged_mode_threads_through(self):
         data = _dependent_data()
-        result = run_two_step(data, _spec(merged=True), 0.5)
+        result = run_two_step(build_designs(data, _spec(merged=True)), 0.5)
         assert result.step2.categories == ("11", "01+10")
         assert result.surface.cells[0, 2] == result.surface.cells[0, 3]
 
@@ -413,7 +414,7 @@ class TestRunTwoStep:
             varying=("x", "x"), value=np.array([0.0, 1.0]),
             columns={"x": np.array([0.0, 1.0])},
         )
-        result = run_two_step(data, spec, 0.5, grid=grid)
+        result = run_two_step(build_designs(data, spec, grid=grid), 0.5)
         assert result.surface.grid is grid
         assert result.surface.phi.shape == (2,)
 
@@ -427,8 +428,8 @@ class TestSampleDesigns:
         for weights in (None, counts):
             designs = build_designs(data, spec, weights)
             for tau in (0.25, 0.5, 0.75):
-                shared = run_two_step(data, spec, tau, weights=weights, designs=designs)
-                alone = run_two_step(data, spec, tau, weights=weights)
+                shared = run_two_step(designs, tau)
+                alone = run_two_step(build_designs(data, spec, weights), tau)
                 for a, b in zip(shared.step1, alone.step1):
                     np.testing.assert_array_equal(a.beta, b.beta, strict=True)
                     np.testing.assert_array_equal(a.residuals, b.residuals, strict=True)
@@ -447,7 +448,7 @@ class TestSampleDesigns:
         spec = _spec(step1_terms=(identity("x"),), step2_terms=(identity("x"),))
         designs = build_designs(data, spec)
         for tau in (0.25, 0.5, 0.75):
-            run_two_step(data, spec, tau, designs=designs)
+            run_two_step(designs, tau)
         assert len(checks) == 9  # two step-1 fits and one step-2 fit per tau
         assert {id(X) for X in checks} == {id(designs.X1), id(designs.X2)}
         assert len(factorings) == 2
@@ -461,17 +462,26 @@ class TestSampleDesigns:
         designs = build_designs(data, spec)
         for tau in (0.25, 0.5):
             with pytest.raises(SingularDesignError) as err:
-                run_two_step(data, spec, tau, designs=designs)
+                run_two_step(designs, tau)
             assert str(err.value) == (
                 "step 1, response 'y1': design matrix is rank deficient; "
                 "offending columns: x2")
 
-    def test_designs_of_other_rows_or_weights_are_rejected(self):
+    @pytest.mark.parametrize("rows", [_dependent_data(), None])
+    def test_only_a_sample_can_be_fitted(self, rows):
+        with pytest.raises(InvalidArgumentError, match="build_designs"):
+            run_two_step(rows, 0.5)
+
+    def test_a_sample_owns_its_spec_and_its_unweighted_grid(self):
         data = _dependent_data()
-        designs = build_designs(data, _spec())
-        for rows, weights in ((data.take(np.arange(data.n)), None), (data, np.ones(data.n))):
-            with pytest.raises(InvalidArgumentError, match="other rows or weights"):
-                run_two_step(rows, _spec(), 0.5, weights=weights, designs=designs)
+        spec = _spec(step2_terms=(identity("x"),), grid_points=5)
+        counts = np.random.default_rng(4).integers(1, 4, size=data.n)
+        sample = build_designs(data, spec, counts)
+        assert sample.spec is spec and sample.weights is counts
+        grid = build_grid(data, spec)
+        assert sample.grid.varying == grid.varying
+        np.testing.assert_array_equal(sample.grid.columns["x"], grid.columns["x"], strict=True)
+        assert run_two_step(sample, 0.5).surface.grid is sample.grid
 
     def test_a_step2_design_error_is_tagged(self):
         rng = np.random.default_rng(9)
@@ -493,15 +503,15 @@ class TestFrequencyWeights:
         unique = 0
         for seed in range(40):
             tau = (0.2, 0.5, 0.8)[seed % 3]
-            base = run_two_step(data, self.SPEC, tau)
+            base = run_two_step(build_designs(data, self.SPEC), tau)
             rng = np.random.default_rng(seed)
             counts = np.bincount(rng.integers(0, data.n, data.n), minlength=data.n)
             rows = np.flatnonzero(counts)
-            kwargs = dict(grid=base.surface.grid, start=base)
-            expanded = run_two_step(data.take(np.repeat(np.arange(data.n), counts)),
-                                    self.SPEC, tau, **kwargs)
-            weighted = run_two_step(data.take(rows), self.SPEC, tau,
-                                    weights=counts[rows], **kwargs)
+            grid = base.surface.grid
+            expanded = run_two_step(build_designs(data.take(np.repeat(np.arange(data.n), counts)),
+                                                  self.SPEC, grid=grid), tau, start=base)
+            weighted = run_two_step(build_designs(data.take(rows), self.SPEC, counts[rows], grid),
+                                    tau, start=base)
             for fw, fe in zip(weighted.step1, expanded.step1):
                 assert fw.objective == pytest.approx(fe.objective, rel=1e-12), f"seed {seed}"
             if min(f.margin for f in weighted.step1) <= 0.0:
@@ -517,8 +527,8 @@ class TestFrequencyWeights:
     def test_unit_weights_equal_no_weights(self):
         data = _dependent_data(seed=6, n=300)
         for tau in (0.1, 0.5):
-            plain = run_two_step(data, self.SPEC, tau)
-            unit = run_two_step(data, self.SPEC, tau, weights=np.ones(data.n))
+            plain = run_two_step(build_designs(data, self.SPEC), tau)
+            unit = run_two_step(build_designs(data, self.SPEC, np.ones(data.n)), tau)
             for a, b in zip(plain.step1, unit.step1):
                 assert np.array_equal(a.beta, b.beta) and a.basis == b.basis
             assert np.array_equal(plain.step2.gamma, unit.step2.gamma)
@@ -529,7 +539,7 @@ class TestFrequencyWeights:
     @pytest.mark.parametrize("weights", [np.zeros(50), np.full(50, np.nan), np.ones(49)])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(InvalidArgumentError, match="weights"):
-            run_two_step(_dependent_data(n=50), self.SPEC, 0.5, weights=weights)
+            run_two_step(build_designs(_dependent_data(n=50), self.SPEC, weights), 0.5)
 
 
 class TestMetamorphicRelations:
@@ -561,8 +571,9 @@ class TestMetamorphicRelations:
         data, base_spec = self._data(), self._spec(step2)
         base_grid = build_grid(data, base_spec)
         for tau in self.TAUS:
-            yield (run_two_step(data, base_spec, tau, grid=base_grid),
-                   run_two_step(changed, spec or base_spec, tau, grid=grid or base_grid))
+            yield (run_two_step(build_designs(data, base_spec, grid=base_grid), tau),
+                   run_two_step(build_designs(changed, spec or base_spec, grid=grid or base_grid),
+                                tau))
 
     @pytest.mark.parametrize("step2", sorted(STEP2))
     def test_swapping_responses_swaps_discordant_cells(self, step2):
@@ -613,8 +624,8 @@ class TestMetamorphicRelations:
         counts = np.random.default_rng(7).integers(1, 4, data.n)
         repeated = data.take(np.repeat(np.arange(data.n), counts))
         for tau in self.TAUS:
-            weighted = run_two_step(data, spec, tau, grid=grid, weights=counts)
-            expanded = run_two_step(repeated, spec, tau, grid=grid)
+            weighted = run_two_step(build_designs(data, spec, counts, grid), tau)
+            expanded = run_two_step(build_designs(repeated, spec, grid=grid), tau)
             assert min(f.margin for f in weighted.step1) > 0.0  # a unique optimum
             np.testing.assert_array_equal(np.repeat(_labels(weighted), counts),
                                           _labels(expanded))
@@ -628,7 +639,7 @@ class TestPhiProfile:
     def _surfaces(self, taus=(0.1, 0.5)):
         data = _dependent_data()
         spec = _spec(taus=taus, step2_terms=(identity("x"),), grid_points=3)
-        return data, [run_two_step(data, spec, t).surface for t in taus]
+        return data, [run_two_step(build_designs(data, spec), t).surface for t in taus]
 
     def test_three_point_grid_gives_three_rows(self):
         data, surfaces = self._surfaces(taus=(0.5,))

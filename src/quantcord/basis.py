@@ -195,8 +195,8 @@ def build_design(data, terms, weights=None):
 
     ``weights``, positive finite frequency weights of the rows (None: unit
     weights), give the knots and centres of the rows repeated that often;
-    the design itself has one row per data row.
-    Returns the design matrix and the recipe that rebuilds it.
+    the design has one row per data row, and carries the weights.
+    Returns the design matrix and the recipe that rebuilds its values.
     """
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
@@ -206,7 +206,7 @@ def build_design(data, terms, weights=None):
             if name and not np.isfinite(data.column(name)).all():
                 raise InvalidArgumentError(f"{t.kind} column {name!r} is not finite")
     recipe = BasisRecipe(terms=tuple(_fit_term(t, data, w) for t in terms))
-    return apply_recipe(recipe, data), recipe
+    return DesignMatrix(recipe_values(recipe, data), recipe.columns, w), recipe
 
 
 def recipe_values(recipe, data):

@@ -1,4 +1,4 @@
-"""Validated design matrices shared by the regression steps."""
+"""Validated, weighted design matrices shared by the regression steps."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -10,24 +10,27 @@ from .exceptions import InvalidArgumentError, SingularDesignError
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """An n-by-q numeric design with named columns.
+    """An n-by-q numeric design with named columns, whose row i counts as
+    ``weights[i]`` copies of itself in every fit (unit weights when None).
 
-    Construction validates shape, finiteness and name uniqueness, and keeps
-    a read-only copy of the values, so that what depends on them alone is
-    computed once per design however many fits read it: the rank verdict,
-    ``abs_values``, the contiguous transpose ``transposed`` and step 1's
-    tie-breaking ``perturbation``.  A sample's designs are built once and
-    serve every tau.  Rank is checked by the fitting routines
-    (:func:`check_full_rank`), so that the error can name the offending
-    columns.
+    Construction validates shape, finiteness, names and weights, and keeps
+    read-only copies of values and weights, so that what depends on them
+    alone is computed once per design however many fits read it: the rank
+    verdict, ``abs_values``, ``transposed``, step 1's ``perturbation`` and
+    the weighted constants.  A sample's designs serve every tau.  Rank is
+    checked by the fitting routines (:func:`check_full_rank`), so that the
+    error can name the offending columns.
     """
 
     values: np.ndarray
     columns: tuple
+    weights: np.ndarray = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
+        if isinstance(self.columns, (str, bytes)):  # it would split into letters
+            raise InvalidArgumentError(
+                f"design columns must be a sequence of names, got {self.columns!r}")
+        values = _read_only(np.array(self.values, dtype=float))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "columns", tuple(self.columns))
         if values.ndim != 2:
@@ -45,6 +48,7 @@ class DesignMatrix:
             )
         if not np.isfinite(values).all():
             raise InvalidArgumentError("design contains non-finite entries")
+        object.__setattr__(self, "weights", _read_only(check_weights(self.weights, n)))
 
     @property
     def n(self):
@@ -78,6 +82,25 @@ class DesignMatrix:
         """Step 1's fixed tie-breaking perturbation of y, one draw per row."""
         return _read_only(np.random.default_rng(0).random(self.n))
 
+    # weighted constants: unit weights give the unweighted ones bit for bit
+    @cached_property
+    def weighted_sums(self):
+        """The weighted column sums, ``sum_i w_i x_i``."""
+        return _read_only(np.sum(self.weights[:, None] * self.values, axis=0))
+
+    @cached_property
+    def scaled_transposed(self):
+        """``transposed`` with column i scaled by ``sqrt(w_i)``."""
+        return _read_only(self.transposed * np.sqrt(self.weights))
+
+    @cached_property
+    def column_scale(self):
+        """Each column's weighted SD (np.std's arithmetic), or 1 where it is
+        0: the intercept and constant columns."""
+        w, total = self.weights[:, None], np.sum(self.weights)
+        sd = np.sqrt(np.sum(w * (self.values - self.weighted_sums / total) ** 2, axis=0) / total)
+        return _read_only(np.where(sd > 0, sd, 1.0))
+
 
 def _read_only(a):
     a.flags.writeable = False
@@ -96,21 +119,23 @@ def check_full_rank(design):
 
 
 def check_weights(weights, n):
-    """Frequency weights for ``n`` rows as a float array, unit weights when
-    ``weights`` is None.
+    """Frequency weights for ``n`` rows as a new float array, unit weights
+    when ``weights`` is None.
 
-    Row i with weight w_i counts as w_i copies of the row, so a bootstrap
-    resample is its distinct rows weighted by their counts.  Raises
-    InvalidArgumentError unless there are n weights, all finite and positive.
+    Raises InvalidArgumentError unless there are n weights, all finite and
+    positive integers or floats; a bool is not a number.
     """
     if weights is None:
         return np.ones(n)
     try:
-        w = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError("weights must be numbers") from None
+        w = np.asarray(weights)
+    except ValueError:  # a ragged nest of lists
+        w = None
+    if w is None or w.dtype.kind not in "iuf":
+        raise InvalidArgumentError("weights must be numbers")
     if w.shape != (n,):
         raise InvalidArgumentError(f"weights have shape {w.shape}, expected ({n},)")
+    w = w.astype(float)
     if not (np.isfinite(w) & (w > 0)).all():
         raise InvalidArgumentError("weights must be finite and positive")
     return w

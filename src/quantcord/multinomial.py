@@ -10,8 +10,8 @@ step-halving on the full multinomial likelihood.  The log-likelihood is
 the difference of two sums, ``sum(Y * eta)`` and the sum of the row
 log-partitions, that are much larger than it near a tail quantile, so
 the step-halving test allows a slack of a few ulps of those sums, not
-of the log-likelihood itself.  Frequency weights scale each observation's
-terms in both sums, the score and the information.
+of the log-likelihood itself.  The design's frequency weights scale each
+observation's terms in both sums, the score and the information.
 """
 
 import warnings
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concordance import LABELS, MERGED_LABELS, pool, split_cells
-from .design import DesignMatrix, check_full_rank, check_start, check_weights
+from .design import DesignMatrix, check_full_rank, check_start
 from .exceptions import (
     EmptyCategoryError,
     InvalidArgumentError,
@@ -117,16 +117,12 @@ def _information(Xs, probs):
     return info
 
 
-def _separation_detected(gamma, X, w):
-    # the weighted column SDs, with np.std's arithmetic
-    total = np.sum(w)
-    mean = np.sum(w[:, None] * X, axis=0) / total
-    sd = np.sqrt(np.sum(w[:, None] * (X - mean) ** 2, axis=0) / total)
-    scale = np.where(sd > 0, sd, 1.0)  # intercept and constant columns: raw value
-    return bool(np.any(np.abs(gamma) * scale[None, :] > SEPARATION_COEF))
+def _separation_detected(gamma, X2):
+    """Whether a coefficient exceeds ``SEPARATION_COEF`` column scales."""
+    return bool(np.any(np.abs(gamma) * X2.column_scale[None, :] > SEPARATION_COEF))
 
 
-def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
+def fit_multinomial(X2, z, merged=False, *, start=None):
     """Maximum-likelihood fit of the concordance categories on ``X2``.
 
     Newton starts at ``start`` (finite, one row of coefficients per
@@ -136,9 +132,6 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     Reaching ``MAX_NEWTON_ITER`` steps without that, or an iterate where
     no step raises the likelihood, raises NonConvergenceError carrying
     the last iterate as ``last_fit``.
-    ``weights`` are positive finite frequency weights, one per row (None:
-    unit weights), as :func:`quantcord.quantreg.fit_quantile_regression`
-    takes them.
 
     Raises EmptyCategoryError when any modeled category (including the
     reference) has no observations; a category with zero count has no
@@ -147,16 +140,11 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
     """
     if not isinstance(X2, DesignMatrix):
         raise InvalidArgumentError("X2 must be a DesignMatrix")
-    w = check_weights(weights, X2.n)
     check_full_rank(X2)
     categories, Yt = _indicators(z, merged, X2.n)
+    w, Xt, Xs = X2.weights, X2.transposed, X2.scaled_transposed
     Yt = Yt * w
-
-    X = X2.values
-    Xt = X2.transposed
-    Xs = Xt * np.sqrt(w)
-    n, q = X.shape
-    K = len(categories)
+    q, K = X2.q, len(categories)
     gamma = np.zeros((K, q)) if start is None else check_start(start, (K, q))
     ll, probs, scale = _loglik_terms(gamma, Xt, Yt, w)
 
@@ -193,7 +181,7 @@ def fit_multinomial(X2, z, merged=False, *, start=None, weights=None):
         g = _gradient(Xt, Yt, w, probs)
         converged = bool(np.max(np.abs(g)) <= GRADIENT_TOL)
 
-    separation = _separation_detected(gamma, X, w)
+    separation = _separation_detected(gamma, X2)
     if separation:
         warnings.warn(
             "possible complete separation: standardized coefficient "

@@ -5,8 +5,8 @@ the residual-sign pairs and fits the multinomial model; finally the
 conditional sign-correlation phi is evaluated on per-covariate
 profile grids, never clipped to its theoretical bounds.  No design
 depends on tau, so one sample (``build_designs``) serves every tau's
-``run_two_step``.  Both steps are M-estimators, so rows with
-frequency weights (a bootstrap resample's distinct rows and their
+``run_two_step``.  Both steps are M-estimators, so designs whose rows
+carry frequency weights (a bootstrap resample's distinct rows and their
 counts) give the fits of the repeated rows.
 """
 
@@ -58,17 +58,19 @@ class AnalysisSpec:
     def __post_init__(self):
         for name in ("responses", "binary"):  # a string would split into letters
             value = getattr(self, name)
-            if isinstance(value, str):
+            if isinstance(value, (str, bytes)):
                 raise InvalidArgumentError(
                     f"{name} must be a sequence of column names, got {value!r}")
         if not isinstance(self.merged, bool):  # "no" is truthy
             raise InvalidArgumentError(f"merged must be True or False, got {self.merged!r}")
         check_number("grid_points", self.grid_points, integer=True)
-        try:
-            taus = tuple(self.taus)
-        except TypeError:  # a lone tau is not a sequence of them
+        try:  # a lone tau is not a sequence of them, nor is a string
+            taus = None if isinstance(self.taus, (str, bytes)) else tuple(self.taus)
+        except TypeError:
+            taus = None
+        if taus is None:
             raise InvalidArgumentError(
-                f"taus must be a sequence of quantile levels, got {self.taus!r}") from None
+                f"taus must be a sequence of quantile levels, got {self.taus!r}")
         check_taus(taus)
         object.__setattr__(self, "responses", tuple(self.responses))
         object.__setattr__(self, "taus", tuple(float(t) for t in taus))
@@ -247,14 +249,13 @@ def _tag_step(err, prefix):
 
 @dataclass(frozen=True)
 class SampleDesigns:
-    """One sample, ready to fit at any tau: the rows ``data``, their
-    frequency ``weights`` (None: unit weights), the ``spec``, step 1's
-    design ``X1``, step 2's design ``X2`` with the ``recipe2`` that
-    evaluates it on the evaluation ``grid``.  No tau changes any of them.
+    """One sample, ready to fit at any tau: the rows ``data``, the
+    ``spec``, step 1's design ``X1``, step 2's design ``X2`` with the
+    ``recipe2`` that evaluates it on the evaluation ``grid``.  Both designs
+    carry the rows' frequency weights.  No tau changes any of them.
     Built by :func:`build_designs`."""
 
     data: Dataset
-    weights: object
     spec: AnalysisSpec
     X1: DesignMatrix
     X2: DesignMatrix
@@ -276,7 +277,7 @@ def build_designs(data, spec, weights=None, grid=None):
         raise
     if grid is None:
         grid = build_grid(data, spec)
-    return SampleDesigns(data, weights, spec, X1, X2, recipe2, grid)
+    return SampleDesigns(data, spec, X1, X2, recipe2, grid)
 
 
 def run_two_step(sample, tau, start=None):
@@ -294,13 +295,13 @@ def run_two_step(sample, tau, start=None):
         raise InvalidArgumentError(
             f"run_two_step fits a sample from build_designs, got {type(sample).__name__}")
     check_tau(tau)
-    data, spec, weights = sample.data, sample.spec, sample.weights
+    data, spec = sample.data, sample.spec
     fits = []
     for j, name in enumerate(spec.responses):
         beta0 = None if start is None else start.step1[j].beta
         try:
             fits.append(fit_quantile_regression(
-                sample.X1, data.column(name), tau, start=beta0, weights=weights))
+                sample.X1, data.column(name), tau, start=beta0))
         except QuantcordError as err:
             _tag_step(err, f"step 1, response {name!r}")
             raise
@@ -310,8 +311,7 @@ def run_two_step(sample, tau, start=None):
 
     try:
         fit2 = fit_multinomial(sample.X2, labels, merged=spec.merged,
-                               start=None if start is None else start.step2.gamma,
-                               weights=weights)
+                               start=None if start is None else start.step2.gamma)
     except QuantcordError as err:
         _tag_step(err, "step 2")
         raise
@@ -322,7 +322,7 @@ def run_two_step(sample, tau, start=None):
         step1=tuple(fits),
         step2=fit2,
         surface=surface,
-        empirical=empirical_cells(labels, weights),
+        empirical=empirical_cells(labels, sample.X1.weights),
     )
 
 

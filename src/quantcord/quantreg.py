@@ -7,9 +7,9 @@ starts at the basis nearest a starting fit (least squares unless one is
 given) and stops when the vertex optimality condition of Koenker (2005,
 Thm 2.1) holds: with psi_i = tau or tau - 1 the side of each non-basic row,
 ``v = -X(h)^-T sum_{i not in h} psi_i x_i`` lies in ``[tau - 1, tau]``.
-Frequency weights w_i scale row i's loss, so a weighted fit on distinct
-rows is the fit on the rows repeated w_i times: psi_i becomes w_i psi_i
-and basis row k's bounds become ``[w_k (tau - 1), w_k tau]``.
+The design's frequency weights w_i scale row i's loss, so a weighted fit
+on distinct rows is the fit on the rows repeated w_i times: psi_i becomes
+w_i psi_i and basis row k's bounds become ``[w_k (tau - 1), w_k tau]``.
 Otherwise the basis row whose v is furthest out leaves its zero
 residual, and an exact line search along that edge (a weighted-quantile
 walk over the residual breakpoints) picks the row that enters.  A row
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, check_full_rank, check_start, check_weights
+from .design import DesignMatrix, check_full_rank, check_start
 from .exceptions import InvalidArgumentError, NonConvergenceError, check_tau
 
 DEFAULT_TOL = 1e-10
@@ -148,8 +148,8 @@ def _ratio_test(r, rho, above, c, w, free, slope):
     return int(block[tied[min(k, tied.size - 1)]])
 
 
-def fit_quantile_regression(X, y, tau, start=None, weights=None):
-    """Minimize ``sum(weights * pinball_loss(y - X @ beta, tau))`` over beta.
+def fit_quantile_regression(X, y, tau, start=None):
+    """Minimize ``sum(X.weights * pinball_loss(y - X @ beta, tau))`` over beta.
 
     Parameters
     ----------
@@ -165,10 +165,6 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
         increasing ``|y - X @ start|``, that keep it full rank; the
         least-squares fit is used when None.  The start changes only the
         path: the certificate is the same.
-    weights : array_like, optional
-        Positive finite frequency weights, one per row; None means unit
-        weights.  A bootstrap replicate passes its resample counts and
-        fits the distinct rows only.
 
     The fit is optimal when every entry of
     ``v = -X(h)^-T sum_{i not in h} w_i psi_i x_i`` lies in
@@ -199,15 +195,13 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
         raise InvalidArgumentError(f"y has length {y.shape[0]}, design has {X.n} rows")
     if not np.isfinite(y).all():
         raise InvalidArgumentError("y contains non-finite values")
-    w = check_weights(weights, X.n)
     check_full_rank(X)
 
     Xv = X.values
     n, q = Xv.shape
-    abs_x = X.abs_values
+    abs_x, w = X.abs_values, X.weights
     # every weighted sum is ``np.sum(w * a)``, so unit weights give the
     # unweighted fit bit for bit
-    colsum = np.sum(w[:, None] * Xv, axis=0)
     y_noise = 4 * q * _EPS * np.abs(y)
     delta = X.perturbation
     if start is None:
@@ -245,7 +239,7 @@ def fit_quantile_regression(X, y, tau, start=None, weights=None):
         converged = not (raise_fit | lower_fit).any()
         if converged:
             # optimal: follow zero-cost edges that lower sum(w * (X @ beta))
-            u = colsum @ inv
+            u = X.weighted_sums @ inv
             utol = DEFAULT_TOL * float(np.max(np.abs(u)))
             raise_fit = (v <= low + DEFAULT_TOL) & (u < -utol)
             lower_fit = (v >= high - DEFAULT_TOL) & (u > utol)

@@ -195,7 +195,7 @@ class TestManyTaus:
         calls = []
 
         def recorded(sample, base):
-            calls.append((base.tau, sample.weights))
+            calls.append((base.tau, sample.X1.weights))
             return run(sample, base)
 
         monkeypatch.setattr(module, "_run_replicate", recorded)
@@ -336,7 +336,7 @@ class TestAlignedDraws:
 
         def fails_once(sample, base):
             # replicate b is known by its weights, in a forked worker too
-            if base.tau == taus[bad] and np.array_equal(sample.weights, counts[counts > 0]):
+            if base.tau == taus[bad] and np.array_equal(sample.X1.weights, counts[counts > 0]):
                 return None
             return run(sample, base)
 

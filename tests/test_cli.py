@@ -484,7 +484,7 @@ class TestAnalyzeProfiles:
 
         def fails_once(sample, base):
             # replicate b at tau 0.75, known by its weights in a forked worker too
-            weights = sample.weights
+            weights = sample.X1.weights
             n = int(weights.sum())
             counts = np.bincount(bootstrap_indices(seed, b, n), minlength=n)
             if base.tau == 0.75 and np.array_equal(weights, counts[counts > 0]):

@@ -71,7 +71,8 @@ class TestEmpiricalCells:
             np.testing.assert_array_equal(empirical_cells(z, weights=np.ones(n)),
                                           empirical_cells(z))
 
-    @pytest.mark.parametrize("weights", [[1.0, -2.0], [np.inf, 1.0], [1.0]])
+    @pytest.mark.parametrize("weights", [[1.0, -2.0], [np.inf, 1.0], [1.0], ["1", "1"],
+                                         [True, True]])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(InvalidArgumentError, match="weights"):
             empirical_cells(np.array([0, 1]), weights=weights)

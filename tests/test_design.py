@@ -45,6 +45,11 @@ class TestDesignMatrixValidation:
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             DesignMatrix(vals, ("a",))
 
+    @pytest.mark.parametrize("columns", ["ab", b"ab"], ids=["str", "bytes"])
+    def test_a_string_is_not_a_sequence_of_names(self, columns):
+        with pytest.raises(InvalidArgumentError, match="sequence of names, got"):
+            DesignMatrix(np.ones((5, 2)), columns)
+
     def test_frozen(self):
         X = DesignMatrix(np.ones((5, 1)), ("intercept",))
         with pytest.raises(AttributeError):
@@ -147,3 +152,36 @@ class TestCachedValues:
         for a in (X.abs_values, X.transposed, X.perturbation):
             assert not a.flags.writeable
         assert X.perturbation is X.perturbation
+
+    def test_weights_are_a_read_only_copy(self):
+        given = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
+        X = DesignMatrix(np.ones((5, 1)), ("intercept",), given)
+        assert not X.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            X.weights[0] = 2.0
+        given[0] = 5.0  # the caller's array stays writable and apart
+        assert given.flags.writeable and X.weights[0] == 1.0
+        unit = DesignMatrix(np.ones((5, 1)), ("intercept",))
+        np.testing.assert_array_equal(unit.weights, np.ones(5), strict=True)
+
+    def test_weighted_constants_are_read_only_and_exact(self):
+        rng = np.random.default_rng(6)
+        values = np.column_stack([np.ones(40), rng.standard_normal((40, 2)), np.full(40, 3.0)])
+        counts = rng.integers(1, 5, 40)
+        X = DesignMatrix(values, ("intercept", "x1", "x2", "c"), counts)
+        # the formulas each fit formed for itself
+        w = counts.astype(float)
+        colsum = np.sum(w[:, None] * values, axis=0)
+        np.testing.assert_array_equal(X.weighted_sums, colsum, strict=True)
+        np.testing.assert_array_equal(X.scaled_transposed, values.T * np.sqrt(w), strict=True)
+        total = np.sum(w)
+        sd = np.sqrt(np.sum(w[:, None] * (values - colsum / total) ** 2, axis=0) / total)
+        np.testing.assert_array_equal(X.column_scale, np.where(sd > 0, sd, 1.0), strict=True)
+        assert X.column_scale[0] == X.column_scale[3] == 1.0
+        for a in (X.weights, X.weighted_sums, X.scaled_transposed, X.column_scale):
+            assert not a.flags.writeable
+        # unit weights: the unweighted sums and np.std itself
+        unit = DesignMatrix(values, X.columns)
+        np.testing.assert_array_equal(unit.weighted_sums, np.sum(values, axis=0), strict=True)
+        np.testing.assert_array_equal(unit.column_scale[1:3], np.std(values[:, 1:3], axis=0),
+                                      strict=True)

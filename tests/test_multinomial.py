@@ -44,8 +44,8 @@ from quantcord.multinomial import (
 from oracles import loglik_parts
 
 
-def _intercept_design(n):
-    return DesignMatrix(np.ones((n, 1)), ("intercept",))
+def _intercept_design(n, weights=None):
+    return DesignMatrix(np.ones((n, 1)), ("intercept",), weights)
 
 
 def _score(gamma, X2, z, merged=False):
@@ -381,16 +381,16 @@ class TestFrequencyWeights:
         return values, z, counts, np.flatnonzero(counts), bool(seed % 2)
 
     @staticmethod
-    def _design(values):
-        return DesignMatrix(values, ("intercept", "x", "g"))
+    def _design(values, weights=None):
+        return DesignMatrix(values, ("intercept", "x", "g"), weights)
 
     def test_loglik_matches_expanded_fit(self):
         for seed in range(60):
             values, z, counts, rows, merged = self._draw(seed)
             idx = np.repeat(np.arange(len(z)), counts)
             expanded = fit_multinomial(self._design(values[idx]), z[idx], merged)
-            weighted = fit_multinomial(self._design(values[rows]), z[rows], merged,
-                                       weights=counts[rows])
+            weighted = fit_multinomial(self._design(values[rows], counts[rows]), z[rows],
+                                       merged)
             assert weighted.converged and expanded.converged, f"seed {seed}"
             assert weighted.loglik == pytest.approx(expanded.loglik, rel=1e-12), f"seed {seed}"
             assert weighted.separation == expanded.separation, f"seed {seed}"
@@ -406,14 +406,15 @@ class TestFrequencyWeights:
                 for factor in (1.0 - 1e-9, 1.0 + 1e-9):
                     gamma = np.zeros((3, 3))
                     gamma[seed % 3, j] = factor * SEPARATION_COEF / sd
-                    flagged = _separation_detected(gamma, values[rows], counts[rows] * 1.0)
+                    flagged = _separation_detected(
+                        gamma, self._design(values[rows], counts[rows] * 1.0))
                     assert flagged == (factor > 1.0), (seed, j, factor)
 
     def test_unit_weights_equal_no_weights(self, monkeypatch):
         for seed in range(10):
             values, z, _, _, merged = self._draw(seed)
             plain = fit_multinomial(self._design(values), z, merged)
-            unit = fit_multinomial(self._design(values), z, merged, weights=np.ones(len(z)))
+            unit = fit_multinomial(self._design(values, np.ones(len(z))), z, merged)
             assert np.array_equal(plain.gamma, unit.gamma)
             assert plain.loglik == unit.loglik
             assert (plain.iterations, plain.separation) == (unit.iterations, unit.separation)
@@ -425,14 +426,14 @@ class TestFrequencyWeights:
                     capped = []
                     for w in (None, np.ones(len(z))):
                         with pytest.raises(NonConvergenceError) as excinfo:
-                            fit_multinomial(self._design(values), z, merged, weights=w)
+                            fit_multinomial(self._design(values, w), z, merged)
                         capped.append(excinfo.value.last_fit)
                     assert capped[0].loglik == capped[1].loglik, (seed, k)
 
     @pytest.mark.parametrize("weights", [[0.0] * 8, [-1.0] * 8, [np.nan] * 8, [1.0] * 7])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(InvalidArgumentError, match="weights"):
-            fit_multinomial(_intercept_design(8), np.arange(8) % 4, weights=weights)
+            _intercept_design(8, weights)
 
 
 class TestPredict:

@@ -86,6 +86,7 @@ class TestAnalysisSpecValidation:
         ((None,), "tau must be in \\(0, 1\\), got None"),
         (("a",), "tau must be in \\(0, 1\\), got 'a'"),
         ((0.2, "0.5"), "tau must be in \\(0, 1\\), got '0.5'"),
+        ("0.5", "taus must be a sequence of quantile levels, got '0.5'"),
     ])
     def test_taus_must_be_a_sequence_of_numbers(self, taus, message):
         with pytest.raises(InvalidArgumentError, match=message):
@@ -472,12 +473,34 @@ class TestSampleDesigns:
         with pytest.raises(InvalidArgumentError, match="build_designs"):
             run_two_step(rows, 0.5)
 
+    def test_both_designs_carry_the_sample_weights(self):
+        data = _dependent_data()
+        spec = _spec(step1_terms=(spline("x"),), step2_terms=(identity("x"),))
+        counts = np.random.default_rng(5).integers(1, 4, size=data.n)
+        sample = build_designs(data, spec, counts)
+        for X in (sample.X1, sample.X2):
+            np.testing.assert_array_equal(X.weights, counts.astype(float), strict=True)
+
+    def test_each_weighted_constant_is_formed_once_per_sample(self):
+        data = _dependent_data()
+        spec = _spec(step2_terms=(identity("x"),))
+        counts = np.random.default_rng(6).integers(1, 4, size=data.n)
+        sample = build_designs(data, spec, counts)
+        # the constants the fits read, as each design caches them
+        read = {"X1": ("weighted_sums",), "X2": ("scaled_transposed", "column_scale")}
+        formed = []
+        for tau in (0.25, 0.75):
+            run_two_step(sample, tau)
+            formed.append([vars(getattr(sample, d))[name] for d in read for name in read[d]])
+        assert all(a is b for a, b in zip(*formed))
+
     def test_a_sample_owns_its_spec_and_its_unweighted_grid(self):
         data = _dependent_data()
         spec = _spec(step2_terms=(identity("x"),), grid_points=5)
         counts = np.random.default_rng(4).integers(1, 4, size=data.n)
         sample = build_designs(data, spec, counts)
-        assert sample.spec is spec and sample.weights is counts
+        assert sample.spec is spec
+        np.testing.assert_array_equal(sample.X1.weights, counts)
         grid = build_grid(data, spec)
         assert sample.grid.varying == grid.varying
         np.testing.assert_array_equal(sample.grid.columns["x"], grid.columns["x"], strict=True)

@@ -30,15 +30,15 @@ from oracles import ratio_test_full_sort, ratio_test_tie_walk, start_basis_row_b
 # Helpers
 # ──────────────────────────────────────────────────────────────────────
 
-def _design(values, columns=None):
+def _design(values, columns=None, weights=None):
     values = np.asarray(values, dtype=float)
     if columns is None:
         columns = ["intercept"] + [f"x{j}" for j in range(1, values.shape[1])]
-    return DesignMatrix(values, tuple(columns))
+    return DesignMatrix(values, tuple(columns), weights)
 
 
-def _intercept_only(n):
-    return _design(np.ones((n, 1)), ["intercept"])
+def _intercept_only(n, weights=None):
+    return _design(np.ones((n, 1)), ["intercept"], weights)
 
 
 def _random_problem(rng, n, q):
@@ -344,8 +344,8 @@ class TestLinearProgramOracle:
 
             counts = np.bincount(idx, minlength=n)
             rows = np.flatnonzero(counts)
-            weighted = fit_quantile_regression(_design(full[rows]), y[rows], tau,
-                                               start=start, weights=counts[rows])
+            weighted = fit_quantile_regression(_design(full[rows], weights=counts[rows]),
+                                               y[rows], tau, start=start)
             gap = (weighted.objective - reference) / reference
             assert gap <= 1e-9, f"seed {seed}, weighted: gap {gap:.3e}"
             assert weighted.margin >= 0.0, f"seed {seed}, weighted: margin {weighted.margin}"
@@ -373,8 +373,8 @@ class TestLinearProgramOracle:
             rows = np.flatnonzero(counts)
             start = fit_quantile_regression(_design(full), y, tau).beta
             for beta0 in (None, start):
-                fit = fit_quantile_regression(_design(full[rows]), y[rows], tau,
-                                              start=beta0, weights=counts[rows])
+                fit = fit_quantile_regression(_design(full[rows], weights=counts[rows]),
+                                              y[rows], tau, start=beta0)
                 gap = (fit.objective - reference) / max(reference, 1.0)
                 label = f"seed {seed}, {'warm' if beta0 is not None else 'cold'}"
                 assert fit.margin >= 0.0, label
@@ -389,7 +389,8 @@ class TestLinearProgramOracle:
             y = np.round(y, int(rng.integers(0, 3)))
             tau = float(rng.choice([0.1, 0.5, 0.75]))
             plain = fit_quantile_regression(X, y, tau)
-            unit = fit_quantile_regression(X, y, tau, weights=np.ones(X.n))
+            unit = fit_quantile_regression(_design(X.values, X.columns, np.ones(X.n)),
+                                           y, tau)
             for field in ("beta", "residuals", "objective", "iterations", "basis",
                           "ties", "margin"):
                 assert np.array_equal(getattr(plain, field), getattr(unit, field)), field
@@ -564,8 +565,8 @@ class TestSelectionMatchesFullSort:
             fit_quantile_regression(_design(full[idx]), y[idx], tau, start=start)
             counts = np.bincount(idx, minlength=n)
             rows = np.flatnonzero(counts)
-            fit_quantile_regression(_design(full[rows]), y[rows], tau, start=start,
-                                    weights=counts[rows])
+            fit_quantile_regression(_design(full[rows], weights=counts[rows]), y[rows], tau,
+                                    start=start)
         assert calls["start"] == 160 and calls["ratio"] > 160
 
 
@@ -609,11 +610,11 @@ class TestFitErrors:
     @pytest.mark.parametrize("weights", [
         [1.0, 2.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0, 1.0],
         [1.0, np.nan, 1.0, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0, 1.0],
-        [1.0, 1.0, 1.0, 1.0], np.ones((5, 1)), ["a"] * 5,
-    ], ids=["zero", "negative", "nan", "inf", "short", "2-d", "text"])
+        [1.0, 1.0, 1.0, 1.0], np.ones((5, 1)), ["a"] * 5, ["1"] * 5, [True] * 5,
+    ], ids=["zero", "negative", "nan", "inf", "short", "2-d", "text", "numeric-text", "bool"])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(InvalidArgumentError, match="weights"):
-            fit_quantile_regression(_intercept_only(5), np.arange(5.0), 0.5, weights=weights)
+            _intercept_only(5, weights)
 
     def test_start_shape_checked(self):
         X = _intercept_only(5)

@@ -13,6 +13,7 @@ from quantcord import (
     CovariateSpec,
     ScenarioSpec,
     bootstrap,
+    build_designs,
     generate,
     identity,
     oracle_phi_gaussian,
@@ -34,7 +35,7 @@ spec = AnalysisSpec(
     step2_terms=(identity("g"),),
     binary=("g",),
 )
-result = bootstrap(data, spec, 0.5, B=200, seed=17)
+(result,) = bootstrap(build_designs(data, spec), B=200, seed=17)
 surface = result.estimate.surface
 
 # every draw array has one row per replicate; a failed one is NaN and

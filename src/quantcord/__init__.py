@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .basis import (
     BasisRecipe,
     TermSpec,
-    apply_recipe,
     build_design,
     center,
     identity,
@@ -87,9 +86,9 @@ from .synthetic import (
 __all__ = [
     "__version__",
     # basis
-    "BasisRecipe", "TermSpec", "apply_recipe", "build_design", "center",
-    "identity", "interaction", "natural_spline_columns", "recipe_values",
-    "spline", "tertile_knots",
+    "BasisRecipe", "TermSpec", "build_design", "center", "identity",
+    "interaction", "natural_spline_columns", "recipe_values", "spline",
+    "tertile_knots",
     # bootstrap
     "BootstrapResult", "bootstrap", "bootstrap_indices",
     # concordance

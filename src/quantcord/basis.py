@@ -222,12 +222,3 @@ def recipe_values(recipe, data):
         blocks.append(_eval_term(term, data))
     return np.hstack(blocks)
 
-
-def apply_recipe(recipe, data):
-    """Evaluate a fitted recipe on new rows.
-
-    Stored knots and centers are reused, never re-estimated.  Spline
-    inputs beyond the boundary knots extrapolate linearly (natural
-    spline property).
-    """
-    return DesignMatrix(values=recipe_values(recipe, data), columns=recipe.columns)

@@ -9,14 +9,15 @@ the same fits as on the resample with its repeats, at about 63% of the
 rows (the pairs bootstrap written as a multinomial-weight bootstrap,
 Koenker 2005, ch. 3).  Replicates start both steps from the full-sample
 coefficients, which only shortens the solvers' paths: each fit still
-stops on its own optimality test.  Replicate b fits one resample, drawn
-from the substream keyed by (seed, b), at every tau, built once (no
-design depends on tau) and evaluated on the full sample's grid: results are
-reproducible for a fixed seed whatever the execution order, worker count
-or other taus of the call, and row b of every tau's draws is that
-resample (NaN where its fit failed).  The full-sample fits run first,
-then the replicates, one task each, in the calling process and in one
-pool of child processes beside it.
+stops on its own optimality test.  ``bootstrap`` takes the full sample
+that ``build_designs`` made and fits every tau of its spec.  Replicate b
+fits one resample, drawn from the substream keyed by (seed, b), at every
+tau, built once (no design depends on tau) and evaluated on the full
+sample's grid: results are reproducible for a fixed seed whatever the
+execution order, worker count or other taus of the spec, and row b of
+every tau's draws is that resample (NaN where its fit failed).  The
+full-sample fits run first, then the replicates, one task each, in the
+calling process and in one pool of child processes beside it.
 
 The interval arithmetic needs no scipy, so that importing this module
 stays cheap: the normal quantile is the standard library's
@@ -41,7 +42,7 @@ from .exceptions import (
     QuantcordError,
     check_number,
 )
-from .pipeline import build_designs, run_two_step
+from .pipeline import SampleDesigns, build_designs, run_two_step
 
 DEFAULT_B = 1000
 DEFAULT_LEVEL = 0.95
@@ -179,8 +180,9 @@ def check_arguments(B, seed, level, workers):
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """One tau's draws, row b from replicate b (NaN where the success mask
-    ``ok`` is False), plus the SEs and intervals of the rows where it holds.
+    """One spec tau's draws, row b from replicate b (NaN where the success
+    mask ``ok`` is False), plus the SEs and intervals of the rows where it
+    holds; :func:`bootstrap` returns one per tau of the sample's spec.
 
     ``estimate`` is the full-sample TwoStepResult; its surface carries
     the phi bands: the bootstrap ``se`` and the ``lower``/``upper`` Wald
@@ -209,23 +211,23 @@ class BootstrapResult:
         return int(np.count_nonzero(~self.ok))
 
 
-def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
-    """Bootstrap the two-step procedure at one or several quantile levels.
+def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
+    """Bootstrap the two-step procedure at every quantile level of the
+    sample's spec.
 
     Parameters
     ----------
-    data, spec
-        As for :func:`quantcord.pipeline.build_designs`, at unit weights.
-    tau : float or sequence of float
-        One quantile level, or several, as ``np.quantile`` takes ``q``.
+    sample : SampleDesigns
+        The full sample, from :func:`quantcord.pipeline.build_designs` at
+        unit weights; it is fitted at each of ``sample.spec.taus``, and its
+        grid serves every replicate.
     B : int
-        Replicate count, at least 2; each replicate serves every tau.
-        The full sample and each resample are built once, whatever the
-        number of taus, and the full sample's grid serves every replicate.
+        Replicate count, at least 2; each replicate serves every tau, and
+        each resample is built once, whatever the number of taus.
     seed : int
         Non-negative seed.  Replicate b resamples from substream
         (seed, b) and fits that one resample at every tau, so a tau's
-        draws are those of a lone call at the same seed.
+        draws are those of a one-tau spec at the same seed.
     level : float
         Coverage level for all intervals.
     workers : int
@@ -236,11 +238,10 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
 
     Returns
     -------
-    BootstrapResult for a float ``tau``; a tuple of them, one per tau in
-    order, for a sequence: views of one B x T mask ``ok`` and one (B, T,
-    ...) array per quantity.  Its ``estimate`` is the full-sample
-    :func:`~quantcord.pipeline.run_two_step` result with the phi bands
-    set on ``estimate.surface``.
+    A tuple of BootstrapResult, one per spec tau in spec order: views of
+    one B x T mask ``ok`` and one (B, T, ...) array per quantity.  Each
+    ``estimate`` is the full-sample :func:`~quantcord.pipeline.run_two_step`
+    result with the phi bands set on ``estimate.surface``.
 
     Raises
     ------
@@ -248,18 +249,22 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
         When more than 20% of a tau's replicates fail, for the first such
         tau in order; its ``partial`` holds that tau's ``ok`` and draws.
     InvalidArgumentError
-        Before any fit, for an empty tau sequence, a level outside (0, 1),
-        or a ``B``, ``seed`` or ``workers`` not an integer in range (a bool is
+        Before any fit, for a ``sample`` that is not a SampleDesigns or
+        whose rows carry weights other than 1, a level outside (0, 1), or
+        a ``B``, ``seed`` or ``workers`` not an integer in range (a bool is
         not one).
     """
-    single = np.ndim(tau) == 0
-    taus = (tau,) if single else tuple(tau)
-    if not taus:
-        raise InvalidArgumentError("tau must be a float or a nonempty sequence")
+    if not isinstance(sample, SampleDesigns):
+        raise InvalidArgumentError(
+            f"bootstrap resamples a sample from build_designs, got {type(sample).__name__}")
+    # a replicate resamples rows, not the copies that weights stand for
+    if np.any(sample.X1.weights != 1.0):
+        raise InvalidArgumentError("bootstrap resamples unweighted rows; "
+                                   "build the sample without weights")
     check_arguments(B, seed, level, workers)
 
-    sample = build_designs(data, spec)
-    bases = [run_two_step(sample, t) for t in taus]
+    data, spec = sample.data, sample.spec
+    bases = [run_two_step(sample, t) for t in spec.taus]
     # the pool forks all its workers at the first submit, needed or not
     workers = min(workers, B)
     if workers == 1:
@@ -286,9 +291,8 @@ def bootstrap(data, spec, tau, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers
     for b, i in zip(*np.nonzero(ok)):
         for array, x in zip(draws, results[b][i]):
             array[b, i] = x
-    out = tuple(_summarize(spec, base, level, ok[:, i], *(a[:, i] for a in draws))
-                for i, base in enumerate(bases))
-    return out[0] if single else out
+    return tuple(_summarize(spec, base, level, ok[:, i], *(a[:, i] for a in draws))
+                 for i, base in enumerate(bases))
 
 
 def _summarize(spec, base, level, ok, gamma, beta, phi):

@@ -220,15 +220,12 @@ def _cmd_analyze(args):
             file=sys.stderr,
         )
 
+    sample = build_designs(data, spec)
     if boot_cfg.enabled:
-        boots = bootstrap(
-            data, spec, spec.taus,
-            B=boot_cfg.replicates, seed=boot_cfg.seed,
-            level=boot_cfg.level, workers=boot_cfg.workers,
-        )
+        boots = bootstrap(sample, B=boot_cfg.replicates, seed=boot_cfg.seed,
+                          level=boot_cfg.level, workers=boot_cfg.workers)
         results = [(boot.estimate, boot) for boot in boots]
     else:
-        sample = build_designs(data, spec)
         results = [(run_two_step(sample, tau), None) for tau in spec.taus]
 
     files = _render_analysis(cfg, spec, boot_cfg, data, report, results)

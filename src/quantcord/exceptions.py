@@ -85,10 +85,11 @@ class IngestionError(QuantcordError):
 
 
 class InferenceUnreliableError(QuantcordError):
-    """Too many bootstrap replicates failed for the results to be trusted.
+    """Too many bootstrap replicates failed at one of the spec's taus for
+    the results to be trusted; raised for the first such tau in spec order.
 
     ``partial`` maps ``ok``, ``gamma_draws``, ``beta_draws`` and ``phi_draws`` to
-    the tau's draws as a BootstrapResult holds them, NaN where ``ok`` is False.
+    that tau's draws as a BootstrapResult holds them, NaN where ``ok`` is False.
     """
 
     def __init__(self, message, partial=None):

@@ -16,7 +16,6 @@ import yaml
 from quantcord import (
     AnalysisSpec,
     Dataset,
-    apply_recipe,
     bootstrap,
     build_design,
     build_designs,
@@ -28,6 +27,7 @@ from quantcord import (
     phi,
     phi_bounds,
     pinball_loss,
+    recipe_values,
     run_two_step,
     spline,
     tertile_knots,
@@ -247,8 +247,8 @@ class TestAcceptance:
     def test_criterion_08_bootstrap_sanity(self):
         start = time.perf_counter()
         data = generate(ScenarioSpec(n=1000, rho=0.5, seed=108))
-        boot = bootstrap(data, SPEC, 0.5, B=1000, seed=42)
-        again = bootstrap(data, SPEC, 0.5, B=1000, seed=42)
+        (boot,) = bootstrap(build_designs(data, SPEC), B=1000, seed=42)
+        (again,) = bootstrap(build_designs(data, SPEC), B=1000, seed=42)
         reproducible = bool(
             np.array_equal(boot.ok, again.ok)
             and np.array_equal(boot.phi_draws, again.phi_draws, equal_nan=True)
@@ -285,8 +285,8 @@ class TestAcceptance:
             }
         )
         X, recipe = build_design(data, (spline("x"),))
-        replay = apply_recipe(recipe, data)
-        exact = bool(np.array_equal(X.values, replay.values))
+        replay = recipe_values(recipe, data)
+        exact = bool(np.array_equal(X.values, replay))
         ok = worst <= 1e-8 and exact
         _report(9, "natural spline linearity and recipe replay", ok,
                 f"2nd deriv {worst:.1e}, exact replay {exact}")

@@ -11,7 +11,6 @@ from quantcord import (
     InvalidArgumentError,
     SingularDesignError,
     TermSpec,
-    apply_recipe,
     build_design,
     center,
     check_full_rank,
@@ -158,7 +157,7 @@ class TestFrequencyWeights:
             assert recipe.terms[0].knots == expanded.terms[0].knots
             assert recipe.terms[1].spec.center == pytest.approx(
                 expanded.terms[1].spec.center, rel=1e-14, abs=1e-14)
-            np.testing.assert_array_equal(X.values, apply_recipe(recipe, distinct).values)
+            np.testing.assert_array_equal(X.values, recipe_values(recipe, distinct))
 
     def test_unit_weights_equal_no_weights(self):
         rng = np.random.default_rng(5)
@@ -336,9 +335,9 @@ class TestRecipeReuse:
 
     def test_round_trip_bit_for_bit(self, fitted):
         data, X, recipe = fitted
-        again = apply_recipe(recipe, data)
-        np.testing.assert_array_equal(again.values, X.values)
-        assert again.columns == X.columns
+        again = recipe_values(recipe, data)
+        np.testing.assert_array_equal(again, X.values)
+        assert recipe.columns == X.columns
 
     def test_single_training_row_reproduced(self, fitted):
         data, X, recipe = fitted
@@ -376,9 +375,8 @@ class TestRecipeReuse:
 
     @pytest.mark.parametrize("call", [
         lambda data, recipe: build_design(data, [identity("x")]),
-        lambda data, recipe: apply_recipe(recipe, data),
         lambda data, recipe: recipe_values(recipe, data),
-    ], ids=["build_design", "apply_recipe", "recipe_values"])
+    ], ids=["build_design", "recipe_values"])
     def test_rows_must_be_a_dataset(self, fitted, call):
         data, _, recipe = fitted
         with pytest.raises(InvalidArgumentError, match="data must be a Dataset"):

@@ -34,15 +34,15 @@ import json
 import sys
 import numpy as np
 import tracer
-from quantcord import AnalysisSpec, Dataset
+from quantcord import AnalysisSpec, Dataset, build_designs
 t = tracer.Tracer(sys.argv[1])
 tracer.install(t)
 boot = sys.modules["quantcord.bootstrap"]
 rng = np.random.default_rng(4)
 e = rng.standard_normal((2, 80))
 data = Dataset(columns={"y1": e[0], "y2": 0.5 * e[0] + e[1]})
-spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
-boot.bootstrap(data, spec, (0.25, 0.75), B=6, seed=1, workers=2)
+spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.25, 0.75))
+boot.bootstrap(build_designs(data, spec), B=6, seed=1, workers=2)
 spans = t.collect()
 print(json.dumps({
     "parent": t.root_pid,

@@ -32,6 +32,12 @@ from quantcord.bootstrap import WINSOR_EPS, _expit, _logit, _normal_quantile, _p
 SPEC = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
 
 
+def _sample(data, *taus, spec=SPEC):
+    """The full sample of ``data`` under ``spec``, at quantile levels
+    ``taus`` when any are given."""
+    return build_designs(data, dataclasses.replace(spec, taus=taus) if taus else spec)
+
+
 def _copula_like(n, seed, rho=0.5):
     rng = np.random.default_rng(seed)
     e1 = rng.normal(size=n)
@@ -108,8 +114,8 @@ class TestBootstrapDeterminism:
 
     def test_same_seed_reproduces_everything(self):
         data = _copula_like(150, seed=80)
-        r1 = bootstrap(data, SPEC, 0.5, B=24, seed=7)
-        r2 = bootstrap(data, SPEC, 0.5, B=24, seed=7)
+        (r1,) = bootstrap(_sample(data), B=24, seed=7)
+        (r2,) = bootstrap(_sample(data), B=24, seed=7)
         np.testing.assert_array_equal(r1.gamma_draws, r2.gamma_draws)
         np.testing.assert_array_equal(r1.phi_draws, r2.phi_draws)
         np.testing.assert_array_equal(r1.estimate.surface.lower, r2.estimate.surface.lower)
@@ -123,14 +129,14 @@ class TestBootstrapDeterminism:
 
     def test_different_seed_changes_draws(self):
         data = _copula_like(150, seed=80)
-        r1 = bootstrap(data, SPEC, 0.5, B=12, seed=7)
-        r2 = bootstrap(data, SPEC, 0.5, B=12, seed=8)
+        (r1,) = bootstrap(_sample(data), B=12, seed=7)
+        (r2,) = bootstrap(_sample(data), B=12, seed=8)
         assert not np.array_equal(r1.phi_draws, r2.phi_draws)
 
     def test_workers_do_not_change_results(self):
         data = _copula_like(120, seed=80)
-        serial = bootstrap(data, SPEC, 0.5, B=12, seed=3, workers=1)
-        par = bootstrap(data, SPEC, 0.5, B=12, seed=3, workers=2)
+        (serial,) = bootstrap(_sample(data), B=12, seed=3, workers=1)
+        (par,) = bootstrap(_sample(data), B=12, seed=3, workers=2)
         np.testing.assert_array_equal(serial.gamma_draws, par.gamma_draws)
         np.testing.assert_array_equal(serial.phi_draws, par.phi_draws)
         np.testing.assert_array_equal(serial.estimate.surface.lower, par.estimate.surface.lower)
@@ -139,6 +145,10 @@ class TestBootstrapDeterminism:
 
 _FIELDS = ("B", "level", "failures", "ok", "gamma_draws", "phi_draws",
            "gamma_se", "gamma_lower", "gamma_upper", "winsorized")
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("fitted before validating")
 
 
 def _assert_same_fields(a, b):
@@ -180,14 +190,38 @@ def _assert_same_result(a, b):
 class TestManyTaus:
 
     def test_matches_lone_calls_at_the_same_seed(self):
+        # one result per spec tau, in spec order, each that of a one-tau spec
         data = _copula_like(120, seed=80)
-        taus = (0.25, 0.75)
-        both = bootstrap(data, SPEC, taus, B=8, seed=5, workers=2)
-        assert isinstance(both, tuple) and len(both) == 2
-        for i, tau in enumerate(taus):
-            alone = bootstrap(data, SPEC, tau, B=8, seed=5)
-            assert both[i].estimate.tau == tau
-            _assert_same_result(both[i], alone)
+        spec = dataclasses.replace(SPEC, taus=(0.25, 0.5, 0.75))
+        alone = [bootstrap(_sample(data, tau), B=8, seed=5)[0] for tau in spec.taus]
+        for workers in (1, 2):
+            every = bootstrap(build_designs(data, spec), B=8, seed=5, workers=workers)
+            assert isinstance(every, tuple) and len(every) == len(spec.taus)
+            for result, lone, tau in zip(every, alone, spec.taus):
+                assert result.estimate.tau == tau
+                _assert_same_result(result, lone)
+
+    def test_a_one_tau_spec_returns_a_one_tuple(self):
+        out = bootstrap(_sample(_copula_like(80, seed=2)), B=4, seed=3)
+        assert isinstance(out, tuple) and len(out) == 1
+        assert out[0].estimate.tau == 0.5
+
+    def test_rows_must_be_a_sample(self, monkeypatch):
+        module = importlib.import_module("quantcord.bootstrap")
+        monkeypatch.setattr(module, "run_two_step", _no_fit)
+        with pytest.raises(InvalidArgumentError,
+                           match="bootstrap resamples a sample from build_designs, got Dataset"):
+            bootstrap(_copula_like(60, seed=1), B=4)
+
+    def test_weighted_sample_rejected(self, monkeypatch):
+        # a replicate draws rows, so weights would not stand for repeated rows
+        module = importlib.import_module("quantcord.bootstrap")
+        monkeypatch.setattr(module, "run_two_step", _no_fit)
+        data = _copula_like(60, seed=1)
+        weights = np.ones(data.n)
+        weights[7] = 2.0
+        with pytest.raises(InvalidArgumentError, match="bootstrap resamples unweighted rows"):
+            bootstrap(build_designs(data, SPEC, weights), B=4)
 
     def test_one_resample_serves_every_tau(self, monkeypatch):
         module = importlib.import_module("quantcord.bootstrap")
@@ -201,7 +235,7 @@ class TestManyTaus:
         monkeypatch.setattr(module, "_run_replicate", recorded)
         data = _copula_like(80, seed=2)
         taus = (0.25, 0.5, 0.75)
-        bootstrap(data, SPEC, taus, B=5, seed=4)
+        bootstrap(_sample(data, *taus), B=5, seed=4)
         assert [tau for tau, _ in calls] == list(taus) * 5
         for b in range(5):
             counts = np.bincount(bootstrap_indices(4, b, data.n), minlength=data.n)
@@ -217,7 +251,7 @@ class TestManyTaus:
         monkeypatch.setattr(pipeline, "build_design",
                             lambda *a, **k: built.append(a[0].n) or build(*a, **k))
         data = _copula_like(80, seed=2)
-        bootstrap(data, SPEC, taus, B=5, seed=4)
+        bootstrap(_sample(data, *np.atleast_1d(taus)), B=5, seed=4)
         assert len(built) == 2 * (5 + 1)
         assert built[:2] == [80, 80]
 
@@ -232,31 +266,12 @@ class TestManyTaus:
         run, held = module._run_replicate, []
         monkeypatch.setattr(module, "_run_replicate",
                             lambda sample, base: held.append(sample.grid) or run(sample, base))
-        out = bootstrap(_copula_like(80, seed=2), SPEC, taus, B=5, seed=4)
+        out = bootstrap(_sample(_copula_like(80, seed=2), *np.atleast_1d(taus)), B=5, seed=4)
         assert len(grids) == 1
         assert len(held) == 5 * np.size(taus)
         assert all(grid is grids[0] for grid in held)
-        for result in (out,) if np.ndim(taus) == 0 else out:
+        for result in out:
             assert result.estimate.surface.grid is grids[0]
-
-    def test_a_tau_does_not_depend_on_the_other_taus(self):
-        data = _copula_like(100, seed=6)
-        ab = bootstrap(data, SPEC, (0.25, 0.75), B=6, seed=9)
-        ba = bootstrap(data, SPEC, (0.75, 0.25), B=6, seed=9)
-        _assert_same_result(ab[1], ba[0])
-        _assert_same_result(ab[0], ba[1])
-
-    def test_float_tau_returns_one_result_and_a_list_a_tuple(self):
-        data = _copula_like(80, seed=2)
-        one = bootstrap(data, SPEC, 0.5, B=4, seed=3)
-        listed = bootstrap(data, SPEC, [0.5], B=4, seed=3)
-        assert not isinstance(one, tuple)
-        assert isinstance(listed, tuple) and len(listed) == 1
-        _assert_same_result(one, listed[0])
-
-    def test_empty_tau_sequence_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="nonempty"):
-            bootstrap(_copula_like(60, seed=1), SPEC, (), B=4)
 
     @pytest.fixture()
     def pool_sizes(self, monkeypatch):
@@ -285,33 +300,33 @@ class TestManyTaus:
         monkeypatch.setattr(module, "_run_replicate", counted)
         data = _copula_like(80, seed=2)
         taus = (0.25, 0.5, 0.75)
-        out = bootstrap(data, SPEC, taus, B=4, seed=1, workers=2)
+        out = bootstrap(_sample(data, *taus), B=4, seed=1, workers=2)
         assert len(out) == 3
         assert pool_sizes == [1]
         assert len(in_parent) >= 1
-        serial = bootstrap(data, SPEC, taus, B=4, seed=1, workers=1)
+        serial = bootstrap(_sample(data, *taus), B=4, seed=1, workers=1)
         for pooled, alone in zip(out, serial):
             _assert_same_result(pooled, alone)
 
     def test_pool_has_no_more_workers_than_tasks(self, pool_sizes):
         data = _copula_like(60, seed=4)
-        pooled = bootstrap(data, SPEC, 0.5, B=2, seed=1, workers=4)
+        (pooled,) = bootstrap(_sample(data), B=2, seed=1, workers=4)
         assert pool_sizes == [1]
-        serial = bootstrap(data, SPEC, 0.5, B=2, seed=1, workers=1)
+        (serial,) = bootstrap(_sample(data), B=2, seed=1, workers=1)
         np.testing.assert_array_equal(pooled.phi_draws, serial.phi_draws)
 
     def test_first_unreliable_tau_raises_its_lone_partial(self):
         data = _rare_upper_discordance()
-        assert bootstrap(data, SPEC, 0.5, B=30, seed=10).failures == 0
+        assert bootstrap(_sample(data), B=30, seed=10)[0].failures == 0
         with pytest.raises(InferenceUnreliableError) as lone:
-            bootstrap(data, SPEC, 0.8, B=30, seed=10)
+            bootstrap(_sample(data, 0.8), B=30, seed=10)
         with pytest.raises(InferenceUnreliableError) as third:
-            bootstrap(data, SPEC, 0.85, B=30, seed=10)
+            bootstrap(_sample(data, 0.85), B=30, seed=10)
         assert (np.count_nonzero(~third.value.partial["ok"])
                 != np.count_nonzero(~lone.value.partial["ok"]))
         # taus 2 and 3 both fail; the second tau raises
         with pytest.raises(InferenceUnreliableError) as many:
-            bootstrap(data, SPEC, (0.5, 0.8, 0.85), B=30, seed=10, workers=2)
+            bootstrap(_sample(data, 0.5, 0.8, 0.85), B=30, seed=10, workers=2)
         assert str(many.value) == str(lone.value)
         assert str(many.value).startswith("at tau 0.8, ")
         expected, got = lone.value.partial, many.value.partial
@@ -330,7 +345,7 @@ class TestAlignedDraws:
         module = importlib.import_module("quantcord.bootstrap")
         data = _copula_like(120, seed=80)
         taus, B, seed, b, bad = (0.25, 0.75), 12, 3, 4, 1
-        clean = bootstrap(data, SPEC, taus, B=B, seed=seed)
+        clean = bootstrap(_sample(data, *taus), B=B, seed=seed)
         counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
         run = module._run_replicate
 
@@ -341,8 +356,8 @@ class TestAlignedDraws:
             return run(sample, base)
 
         monkeypatch.setattr(module, "_run_replicate", fails_once)
-        serial = bootstrap(data, SPEC, taus, B=B, seed=seed, workers=1)
-        pooled = bootstrap(data, SPEC, taus, B=B, seed=seed, workers=2)
+        serial = bootstrap(_sample(data, *taus), B=B, seed=seed, workers=1)
+        pooled = bootstrap(_sample(data, *taus), B=B, seed=seed, workers=2)
         bases = [run_two_step(build_designs(data, SPEC), t) for t in taus]
         replicate = module._replicate(data, SPEC, bases, seed, b)
         assert replicate[bad] is None
@@ -372,7 +387,7 @@ class TestAlignedDraws:
 
 @pytest.fixture(scope="module")
 def result():
-    return bootstrap(_copula_like(150, seed=80), SPEC, 0.5, B=24, seed=7)
+    return bootstrap(_sample(_copula_like(150, seed=80)), B=24, seed=7)[0]
 
 
 class TestBootstrapResultShape:
@@ -428,7 +443,7 @@ class TestBootstrapFailures:
         labels = classify(residual_signs(base.step1[0]), residual_signs(base.step1[1]))
         assert set(np.asarray(LABELS)[labels]) == {"00", "11", "01", "10"}
         with pytest.raises(InferenceUnreliableError, match="bootstrap replicates failed") as err:
-            bootstrap(data, SPEC, 0.5, B=30, seed=11)
+            bootstrap(_sample(data), B=30, seed=11)
         partial = err.value.partial
         failed = ~partial["ok"]
         assert np.count_nonzero(failed) > 0.2 * 30
@@ -491,7 +506,7 @@ class TestBootstrapFailures:
             failed.append(error is not None)
         assert singular >= 6
         with pytest.raises(InferenceUnreliableError) as err:
-            bootstrap(data, spec, 0.5, B=30, seed=3)
+            bootstrap(build_designs(data, spec), B=30, seed=3)
         np.testing.assert_array_equal(~err.value.partial["ok"], failed)
 
     def test_unconverged_replicate_counts_as_failure(self, monkeypatch):
@@ -510,7 +525,7 @@ class TestBootstrapFailures:
                 return fit(*args, start=start, **kwargs)
 
         monkeypatch.setattr(pipeline, "fit_multinomial", first_replicate_capped)
-        result = bootstrap(_copula_like(400, 5), SPEC, 0.5, B=10, seed=1)
+        (result,) = bootstrap(_sample(_copula_like(400, 5)), B=10, seed=1)
         assert capped
         assert result.failures == 1
         assert np.flatnonzero(~result.ok).tolist() == [0]
@@ -518,19 +533,19 @@ class TestBootstrapFailures:
 
     def test_b_floor(self):
         with pytest.raises(InvalidArgumentError, match="B must be at least 2"):
-            bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=1)
+            bootstrap(_sample(_copula_like(60, seed=1)), B=1)
 
     def test_level_validated(self):
         with pytest.raises(InvalidArgumentError, match="level"):
-            bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, level=1.0)
+            bootstrap(_sample(_copula_like(60, seed=1)), B=4, level=1.0)
 
     def test_workers_validated(self):
         with pytest.raises(InvalidArgumentError, match="workers"):
-            bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, workers=0)
+            bootstrap(_sample(_copula_like(60, seed=1)), B=4, workers=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
-            bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, seed=-1)
+            bootstrap(_sample(_copula_like(60, seed=1)), B=4, seed=-1)
 
     @pytest.mark.parametrize("name,value", [
         ("B", 2.5), ("B", 4.0), ("B", "4"), ("seed", 1.5), ("seed", np.float64(3.0)),
@@ -540,21 +555,17 @@ class TestBootstrapFailures:
     ])
     def test_non_integral_counts_rejected_before_any_fit(self, name, value, monkeypatch):
         module = importlib.import_module("quantcord.bootstrap")
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before validating")
-
-        monkeypatch.setattr(module, "run_two_step", no_fit)
+        monkeypatch.setattr(module, "run_two_step", _no_fit)
         kwargs = {"B": 4, "seed": 1, "workers": 1, name: value}
         what = "a finite number" if name == "level" else "an integer"
         with pytest.raises(InvalidArgumentError, match=f"{name} must be {what}"):
-            bootstrap(_copula_like(60, seed=1), SPEC, (0.25, 0.5), **kwargs)
+            bootstrap(_sample(_copula_like(60, seed=1), 0.25, 0.5), **kwargs)
 
     def test_numpy_integer_counts_accepted(self):
         data = _copula_like(60, seed=1)
-        numpy_ints = bootstrap(data, SPEC, 0.5, B=np.int64(4), seed=np.uint32(3),
-                               workers=np.int32(1))
-        _assert_same_result(numpy_ints, bootstrap(data, SPEC, 0.5, B=4, seed=3))
+        (numpy_ints,) = bootstrap(_sample(data), B=np.int64(4), seed=np.uint32(3),
+                                  workers=np.int32(1))
+        _assert_same_result(numpy_ints, bootstrap(_sample(data), B=4, seed=3)[0])
 
 
 def _band(draws, estimate, tau, level=0.95):
@@ -635,7 +646,7 @@ class TestPhiInterval:
         # the bands' level is checked where bootstrap() takes it;
         # TestBootstrapFailures covers level 1
         with pytest.raises(InvalidArgumentError, match="level"):
-            bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=4, level=0.0)
+            bootstrap(_sample(_copula_like(60, seed=1)), B=4, level=0.0)
 
     def test_level_just_below_one_gives_inner_band(self):
         # 0.5 + level / 2 rounds to 1 here, where the upper-tail normal
@@ -692,7 +703,7 @@ class TestWinsorizedCount:
         # replicates of a near-degenerate sample can push phi draws to
         # the boundary; the per-row count is reported on the result
         data = _copula_like(150, seed=80)
-        result = bootstrap(data, SPEC, 0.5, B=16, seed=5)
+        (result,) = bootstrap(_sample(data), B=16, seed=5)
         b = result.winsorized
         assert b.shape == result.estimate.surface.phi.shape
         assert np.all(b >= 0)
@@ -784,7 +795,7 @@ class TestBandPass:
         monkeypatch.setattr(module, "_run_replicate", pinned)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = bootstrap(_copula_like(60, seed=1), SPEC, 0.5, B=6, seed=2)
+            (result,) = bootstrap(_sample(_copula_like(60, seed=1)), B=6, seed=2)
         estimate = result.estimate.surface.phi[0]
         surf = result.estimate.surface
         assert surf.lower[0] == surf.upper[0] == estimate

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import quantcord
-from quantcord import bootstrap, bootstrap_indices, load_run_config, read_csv
+from quantcord import bootstrap, bootstrap_indices, build_designs, load_run_config, read_csv
 from quantcord.bootstrap import _phi_bands
 from quantcord.cli import main
 from quantcord.dataset import FLOAT_FMT, csv_text
@@ -510,7 +510,7 @@ class TestAnalyzeProfiles:
         data, _ = read_csv("small.csv", columns=spec.columns)
         tables = {name: _table(workdir / "w1" / name) for name in (
             "phi_profile_x.csv", "step1_coefficients.csv", "step2_coefficients.csv")}
-        for boot in bootstrap(data, spec, spec.taus, B=B, seed=seed):
+        for boot in bootstrap(build_designs(data, spec), B=B, seed=seed):
             tau, ok = boot.estimate.tau, boot.ok
             assert ok.tolist() == [tau != 0.75 or r != b for r in range(B)]
 

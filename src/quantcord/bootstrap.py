@@ -16,8 +16,9 @@ tau, built once (no design depends on tau) and evaluated on the full
 sample's grid: results are reproducible for a fixed seed whatever the
 execution order, worker count or other taus of the spec, and row b of
 every tau's draws is that resample (NaN where its fit failed).  The
-full-sample fits run first, then the replicates, one task each, in the
-calling process and in one pool of child processes beside it.
+full-sample fits run first, then the replicates, split into one
+contiguous block per process: each child process of one pool fits one
+block, and the calling process fits the last.
 
 The interval arithmetic needs no scipy, so that importing this module
 stays cheap: the normal quantile is the standard library's
@@ -26,6 +27,7 @@ stays cheap: the normal quantile is the standard library's
 numpy and ``math`` supplying the elementary functions.
 """
 
+import contextlib
 import math
 import statistics
 import warnings
@@ -127,9 +129,7 @@ def _run_replicate(sample, base):
     """One replicate's draw at ``base.tau`` from ``sample``, the SampleDesigns
     of its distinct rows and their counts, or None when it fails."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = run_two_step(sample, base.tau, start=base)
+        res = run_two_step(sample, base.tau, start=base)
     except QuantcordError:
         return None
     return _draw(res)
@@ -137,16 +137,17 @@ def _run_replicate(sample, base):
 
 def _replicate(data, spec, bases, seed, b):
     """Replicate b's result at every base's tau, from one resample built once
-    on the full-sample grid; None at every tau when its designs cannot be built."""
+    on the full-sample grid; None at every tau when its designs cannot be built.
+    A resample's warnings are silenced: its failures are counted instead."""
     counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
     rows = np.flatnonzero(counts)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
             sample = build_designs(data.take(rows), spec, counts[rows], bases[0].surface.grid)
-    except QuantcordError:
-        return [None] * len(bases)
-    return [_run_replicate(sample, base) for base in bases]
+        except QuantcordError:
+            return [None] * len(bases)
+        return [_run_replicate(sample, base) for base in bases]
 
 
 _WORKER_CTX = {}
@@ -156,9 +157,9 @@ def _init_worker(data, spec, bases, seed):
     _WORKER_CTX["args"] = (data, spec, bases, seed)
 
 
-def _replicate_task(b):
-    """Replicate b, from the context the initializer stored."""
-    return _replicate(*_WORKER_CTX["args"], b)
+def _replicate_task(block):
+    """The replicates in range ``block``, from the context the initializer stored."""
+    return [_replicate(*_WORKER_CTX["args"], b) for b in block]
 
 
 def check_arguments(B, seed, level, workers):
@@ -231,10 +232,11 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
     level : float
         Coverage level for all intervals.
     workers : int
-        Process count, the calling process included; any value yields
-        identical results.  All full-sample fits run first, then the caller
-        and one pool of ``workers - 1`` child processes (fewer when there
-        are fewer replicates) run the replicates.
+        Process count, the calling process included (at most ``B`` are
+        used); any value yields identical results.  All full-sample fits
+        run first.  The replicates are then split into one contiguous block
+        per process: each of one pool's ``workers - 1`` child processes fits
+        one block, and the caller fits the last.
 
     Returns
     -------
@@ -265,25 +267,19 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
 
     data, spec = sample.data, sample.spec
     bases = [run_two_step(sample, t) for t in spec.taus]
-    # the pool forks all its workers at the first submit, needed or not
+    # one contiguous block per process; the caller fits the last, with no pool when alone
     workers = min(workers, B)
-    if workers == 1:
-        results = [_replicate(data, spec, bases, seed, b) for b in range(B)]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers - 1,
-            initializer=_init_worker,
-            initargs=(data, spec, bases, seed),
-        ) as pool:
-            futures = [pool.submit(_replicate_task, b) for b in range(B)]
-            # the parent is the last worker: it runs replicates from the end
-            # of the queue, which the children take from the front
-            own = {}
-            for b in reversed(range(B)):
-                if not futures[b].cancel():
-                    break
-                own[b] = _replicate(data, spec, bases, seed, b)
-            results = [own[b] if f.cancelled() else f.result() for b, f in enumerate(futures)]
+    edges = [B * k // workers for k in range(workers + 1)]
+    *blocks, own = (range(lo, hi) for lo, hi in zip(edges, edges[1:]))
+    pool = ProcessPoolExecutor(
+        max_workers=workers - 1,
+        initializer=_init_worker,
+        initargs=(data, spec, bases, seed),
+    ) if blocks else contextlib.nullcontext()
+    with pool:
+        futures = [pool.submit(_replicate_task, block) for block in blocks]
+        mine = [_replicate(data, spec, bases, seed, b) for b in own]
+        results = [r for f in futures for r in f.result()] + mine
 
     # row b of each array is replicate b at every tau, NaN where it failed
     ok = np.array([[r is not None for r in row] for row in results])

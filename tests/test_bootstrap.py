@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import types
 import warnings
 
 import numpy as np
@@ -274,20 +275,26 @@ class TestManyTaus:
             assert result.estimate.surface.grid is grids[0]
 
     @pytest.fixture()
-    def pool_sizes(self, monkeypatch):
-        """The ``max_workers`` of every pool that bootstrap() makes."""
+    def pools(self, monkeypatch):
+        """The ``max_workers`` of every pool that bootstrap() makes, in
+        ``sizes``, and the arguments of every task submitted to one, in
+        ``tasks``."""
         module = importlib.import_module("quantcord.bootstrap")
-        made = []
+        made = types.SimpleNamespace(sizes=[], tasks=[])
 
         class CountingPool(module.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                made.append(kwargs.get("max_workers"))
+                made.sizes.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                made.tasks.append(args)
+                return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
         return made
 
-    def test_one_pool_serves_every_tau(self, pool_sizes, monkeypatch):
+    def test_one_pool_serves_every_tau(self, pools, monkeypatch):
         # the parent is one of the ``workers`` processes: one child beside it
         module = importlib.import_module("quantcord.bootstrap")
         run = module._run_replicate
@@ -302,18 +309,41 @@ class TestManyTaus:
         taus = (0.25, 0.5, 0.75)
         out = bootstrap(_sample(data, *taus), B=4, seed=1, workers=2)
         assert len(out) == 3
-        assert pool_sizes == [1]
+        assert pools.sizes == [1]
         assert len(in_parent) >= 1
         serial = bootstrap(_sample(data, *taus), B=4, seed=1, workers=1)
         for pooled, alone in zip(out, serial):
             _assert_same_result(pooled, alone)
 
-    def test_pool_has_no_more_workers_than_tasks(self, pool_sizes):
+    def test_pool_has_no_more_workers_than_tasks(self, pools):
         data = _copula_like(60, seed=4)
         (pooled,) = bootstrap(_sample(data), B=2, seed=1, workers=4)
-        assert pool_sizes == [1]
+        assert pools.sizes == [1]
         (serial,) = bootstrap(_sample(data), B=2, seed=1, workers=1)
         np.testing.assert_array_equal(pooled.phi_draws, serial.phi_draws)
+
+    def test_each_process_fits_one_contiguous_block(self, pools, monkeypatch):
+        # B = 7 over 3 processes splits at the edges 7k // 3: each child
+        # gets one block, and the caller fits the last
+        module = importlib.import_module("quantcord.bootstrap")
+        run = module._run_replicate
+        in_parent = []  # a forked child appends to its own copy
+
+        def counted(sample, base):
+            in_parent.append(sample.X1.weights)
+            return run(sample, base)
+
+        monkeypatch.setattr(module, "_run_replicate", counted)
+        data = _copula_like(80, seed=2)
+        (pooled,) = bootstrap(_sample(data), B=7, seed=1, workers=3)
+        assert pools.sizes == [2]
+        assert pools.tasks == [(range(0, 2),), (range(2, 4),)]
+        assert len(in_parent) == 3
+        for b, weights in zip(range(4, 7), in_parent):
+            counts = np.bincount(bootstrap_indices(1, b, data.n), minlength=data.n)
+            np.testing.assert_array_equal(weights, counts[counts > 0])
+        (serial,) = bootstrap(_sample(data), B=7, seed=1, workers=1)
+        _assert_same_result(pooled, serial)
 
     def test_first_unreliable_tau_raises_its_lone_partial(self):
         data = _rare_upper_discordance()

@@ -28,7 +28,6 @@ from .concordance import (
     PhiBounds,
     classify,
     empirical_cells,
-    limiting_cells,
     phi,
     phi_bounds,
 )
@@ -93,7 +92,7 @@ __all__ = [
     "BootstrapResult", "bootstrap", "bootstrap_indices",
     # concordance
     "LABELS", "MERGED_LABELS", "PhiBounds", "classify", "empirical_cells",
-    "limiting_cells", "phi", "phi_bounds",
+    "phi", "phi_bounds",
     # config
     "BootstrapConfig", "RunConfig", "load_run_config", "load_scenario",
     "parse_term", "run_config_from_dict", "scenario_from_dict",

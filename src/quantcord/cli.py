@@ -290,10 +290,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuantcordError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (QuantcordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except yaml.YAMLError as err:

@@ -121,20 +121,3 @@ def phi_bounds(tau):
         lo = -(1.0 - tau) / tau
     return PhiBounds(phi_min=lo, phi_max=1.0)
 
-
-def limiting_cells(case, tau):
-    """Cell probabilities, in code order, of the three limiting dependence
-    patterns.
-
-    ``case`` is one of ``"independence"``, ``"max"``, ``"min"``.
-    """
-    check_tau(tau)
-    if case == "independence":
-        return np.array([(1 - tau) ** 2, tau**2, tau - tau**2, tau - tau**2])
-    if case == "max":
-        return np.array([1 - tau, tau, 0.0, 0.0])
-    if case == "min":
-        if tau <= 0.5:
-            return np.array([1 - 2 * tau, 0.0, tau, tau])
-        return np.array([0.0, 2 * tau - 1, 1 - tau, 1 - tau])
-    raise InvalidArgumentError(f"unknown limiting case {case!r}")

@@ -10,12 +10,13 @@ carry frequency weights (a bootstrap resample's distinct rows and their
 counts) give the fits of the repeated rows.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
-from .basis import BasisRecipe, build_design, recipe_values
+from .basis import build_design, recipe_values
 from .concordance import PhiBounds, classify, empirical_cells, phi, phi_bounds
 from .dataset import Dataset
 from .design import DesignMatrix
@@ -208,18 +209,15 @@ class PhiSurface:
     upper: np.ndarray = None
 
 
-def evaluate_surface(fit2, recipe2, grid, tau):
-    """Predict cell probabilities on the grid and map them to phi."""
-    if grid.columns:
-        X = recipe_values(recipe2, Dataset(columns=grid.columns))
-    else:
-        X = np.ones((grid.m, 1))
-    cells = predict_cells_rows(fit2, X)
+def evaluate_surface(fit2, sample, tau):
+    """Predict cell probabilities on the grid rows of ``sample``, a
+    :class:`SampleDesigns`, and map them to phi."""
+    cells = predict_cells_rows(fit2, sample.grid_X2)
     phi_vals = phi(cells, tau)
     bounds = phi_bounds(tau)
     return PhiSurface(
         tau=tau,
-        grid=grid,
+        grid=sample.grid,
         bounds=bounds,
         cells=cells,
         phi=phi_vals,
@@ -240,18 +238,22 @@ class TwoStepResult:
     empirical: object
 
 
-def _tag_step(err, prefix):
-    if err.args:
-        err.args = (f"{prefix}: {err.args[0]}",) + err.args[1:]
-    else:
-        err.args = (prefix,)
+@contextmanager
+def _step(name):
+    """Prefix ``name`` to the message of a QuantcordError raised inside."""
+    try:
+        yield
+    except QuantcordError as err:
+        err.args = (f"{name}: {err.args[0]}",) + err.args[1:] if err.args else (name,)
+        raise
 
 
 @dataclass(frozen=True)
 class SampleDesigns:
     """One sample, ready to fit at any tau: the rows ``data``, the
-    ``spec``, step 1's design ``X1``, step 2's design ``X2`` with the
-    ``recipe2`` that evaluates it on the evaluation ``grid``.  Both designs
+    ``spec``, step 1's design ``X1``, step 2's design ``X2``, the
+    evaluation ``grid`` and ``grid_X2``, step 2's design values on the
+    grid rows (a constant column when step 2 has no terms).  Both designs
     carry the rows' frequency weights.  No tau changes any of them.
     Built by :func:`build_designs`."""
 
@@ -259,8 +261,8 @@ class SampleDesigns:
     spec: AnalysisSpec
     X1: DesignMatrix
     X2: DesignMatrix
-    recipe2: BasisRecipe
     grid: EvaluationGrid
+    grid_X2: np.ndarray
 
 
 def build_designs(data, spec, weights=None, grid=None):
@@ -268,16 +270,18 @@ def build_designs(data, spec, weights=None, grid=None):
     unit weights), built once to serve :func:`run_two_step` at every tau.
     ``grid`` defaults to ``build_grid(data, spec)``, of the rows without
     their weights; the bootstrap gives every replicate the full sample's.
-    An error building step 2's design is tagged ``step 2``."""
-    X1, _ = build_design(data, spec.step1_terms, weights)
-    try:
+    An error building a step's design is tagged ``step 1`` or ``step 2``."""
+    with _step("step 1"):
+        X1, _ = build_design(data, spec.step1_terms, weights)
+    with _step("step 2"):
         X2, recipe2 = build_design(data, spec.step2_terms, weights)
-    except QuantcordError as err:
-        _tag_step(err, "step 2")
-        raise
-    if grid is None:
-        grid = build_grid(data, spec)
-    return SampleDesigns(data, spec, X1, X2, recipe2, grid)
+        if grid is None:
+            grid = build_grid(data, spec)
+        if spec.step2_terms:
+            grid_X2 = recipe_values(recipe2, Dataset(columns=grid.columns))
+        else:
+            grid_X2 = np.ones((grid.m, 1))
+    return SampleDesigns(data, spec, X1, X2, grid, grid_X2)
 
 
 def run_two_step(sample, tau, start=None):
@@ -299,24 +303,18 @@ def run_two_step(sample, tau, start=None):
     fits = []
     for j, name in enumerate(spec.responses):
         beta0 = None if start is None else start.step1[j].beta
-        try:
+        with _step(f"step 1, response {name!r}"):
             fits.append(fit_quantile_regression(
                 sample.X1, data.column(name), tau, start=beta0))
-        except QuantcordError as err:
-            _tag_step(err, f"step 1, response {name!r}")
-            raise
     omega1 = residual_signs(fits[0])
     omega2 = residual_signs(fits[1])
     labels = classify(omega1, omega2)
 
-    try:
+    with _step("step 2"):
         fit2 = fit_multinomial(sample.X2, labels, merged=spec.merged,
                                start=None if start is None else start.step2.gamma)
-    except QuantcordError as err:
-        _tag_step(err, "step 2")
-        raise
 
-    surface = evaluate_surface(fit2, sample.recipe2, sample.grid, tau)
+    surface = evaluate_surface(fit2, sample, tau)
     return TwoStepResult(
         tau=tau,
         step1=tuple(fits),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from quantcord.dataset import MISSING_TOKENS
-from quantcord.exceptions import InvalidArgumentError
+from quantcord.exceptions import InvalidArgumentError, check_tau
 from quantcord.multinomial import _loglik_terms
 
 
@@ -78,6 +78,23 @@ def bvn_cdf_monte_carlo(h, k, rho, draws=10_000_000, seed=0, chunk=1_000_000):
 def oracle_phi_gaussian_median_closed_form(rho):
     """Arcsine closed form at tau = 0.5, for cross-checking the quadrature."""
     return 2.0 * np.arcsin(rho) / np.pi
+
+
+def limiting_cells(case, tau):
+    """Cell probabilities, in code order, of the three limiting dependence
+    patterns at fixed tau margins, in closed form: ``"independence"``,
+    ``"max"`` (comonotone) and ``"min"`` (as discordant as the margins
+    allow), where phi is 0, 1 and ``phi_bounds(tau).phi_min``."""
+    check_tau(tau)
+    if case == "independence":
+        return np.array([(1 - tau) ** 2, tau**2, tau - tau**2, tau - tau**2])
+    if case == "max":
+        return np.array([1 - tau, tau, 0.0, 0.0])
+    if case == "min":
+        if tau <= 0.5:
+            return np.array([1 - 2 * tau, 0.0, tau, tau])
+        return np.array([0.0, 2 * tau - 1, 1 - tau, 1 - tau])
+    raise InvalidArgumentError(f"unknown limiting case {case!r}")
 
 
 def loglik_parts(gamma, X, Y):

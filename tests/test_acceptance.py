@@ -22,7 +22,6 @@ from quantcord import (
     fit_multinomial,
     fit_quantile_regression,
     identity,
-    limiting_cells,
     natural_spline_columns,
     phi,
     phi_bounds,
@@ -41,7 +40,7 @@ from quantcord.synthetic import (
     generate,
     oracle_phi_gaussian,
 )
-from oracles import loglik_parts
+from oracles import limiting_cells, loglik_parts
 
 SPEC = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
 

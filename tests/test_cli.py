@@ -269,6 +269,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
         out = tmp_path / "data.csv"
         assert self._run(script, fixtures_dir / "scenario_n5000.yaml", out) == []
         assert Path(str(out) + ".oracle.json").exists()
+        # the committed fixture is this scenario's synth output
+        assert out.read_bytes() == (fixtures_dir / "copula_n5000.csv").read_bytes()
 
     def test_analyze_does_not_import_numpy_ma(self, tmp_path):
         # tertile knots, the held median and the percentile intervals would

@@ -10,11 +10,11 @@ from quantcord import (
     InvalidArgumentError,
     classify,
     empirical_cells,
-    limiting_cells,
     phi,
     phi_bounds,
 )
 from quantcord.concordance import pool, split_cells
+from oracles import limiting_cells
 
 TAU_GRID = np.arange(0.05, 0.951, 0.05)
 

@@ -27,6 +27,7 @@ from quantcord import (
     spline,
 )
 import quantcord.multinomial as multinomial
+import quantcord.pipeline as pipeline
 import quantcord.quantreg as quantreg
 from quantcord.multinomial import MultinomialFit
 from quantcord.pipeline import (
@@ -393,10 +394,8 @@ class TestRunTwoStep:
             iterations=1,
             columns=("intercept",),
         )
-        grid = EvaluationGrid(
-            varying=(CONSTANT_PROFILE,), value=np.array([np.nan]), columns={}
-        )
-        surface = evaluate_surface(fit, None, grid, 0.25)
+        sample = build_designs(_dependent_data(), _spec())
+        surface = evaluate_surface(fit, sample, 0.25)
         expected = (p[1] * p[0] - p[2] * p[3]) / (0.25 * 0.75)
         assert expected > 1.0
         np.testing.assert_allclose(surface.phi[0], expected, rtol=0, atol=1e-12)
@@ -494,6 +493,23 @@ class TestSampleDesigns:
             formed.append([vars(getattr(sample, d))[name] for d in read for name in read[d]])
         assert all(a is b for a, b in zip(*formed))
 
+    def test_the_grid_rows_are_built_once_per_sample(self, monkeypatch):
+        calls = []
+        values = pipeline.recipe_values
+        monkeypatch.setattr(pipeline, "recipe_values",
+                            lambda *args: calls.append(1) or values(*args))
+        sample = build_designs(_dependent_data(), _spec(step2_terms=(identity("x"),)))
+        assert len(calls) == 1
+        for tau in (0.25, 0.75):
+            run_two_step(sample, tau)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("columns", [{}, {"z": np.array([0.5])}], ids=["none", "other"])
+    def test_a_grid_without_the_step2_columns_fails_to_build(self, columns):
+        grid = EvaluationGrid(varying=("x",), value=np.array([0.5]), columns=columns)
+        with pytest.raises(InvalidArgumentError, match="^step 2: "):
+            build_designs(_dependent_data(), _spec(step2_terms=(identity("x"),)), grid=grid)
+
     def test_a_sample_owns_its_spec_and_its_unweighted_grid(self):
         data = _dependent_data()
         spec = _spec(step2_terms=(identity("x"),), grid_points=5)
@@ -506,12 +522,13 @@ class TestSampleDesigns:
         np.testing.assert_array_equal(sample.grid.columns["x"], grid.columns["x"], strict=True)
         assert run_two_step(sample, 0.5).surface.grid is sample.grid
 
-    def test_a_step2_design_error_is_tagged(self):
+    @pytest.mark.parametrize("step", [1, 2], ids=["step1", "step2"])
+    def test_a_design_error_is_tagged_with_its_step(self, step):
         rng = np.random.default_rng(9)
         data = Dataset(columns={"y1": rng.normal(size=60), "y2": rng.normal(size=60),
                                 "g": np.arange(60) % 3.0})
-        with pytest.raises(InvalidArgumentError, match="^step 2: spline term needs"):
-            build_designs(data, _spec(step2_terms=(spline("g"),)))
+        with pytest.raises(InvalidArgumentError, match=f"^step {step}: spline term needs"):
+            build_designs(data, _spec(**{f"step{step}_terms": (spline("g"),)}))
 
 
 class TestFrequencyWeights:

@@ -153,36 +153,6 @@ def parse_term(d):
     return TermSpec(t.get("transform", "identity"), t["column"], center=t.get("value"))
 
 
-_TAU_RANGE = dict.fromkeys(("start", "stop", "step"), _float)
-MAX_RANGE_TAUS = 1000  # the most taus a {start, stop, step} range may give
-
-
-def _parse_taus(key, value):
-    if isinstance(value, dict):
-        r = _read(key, value, _TAU_RANGE, required=tuple(_TAU_RANGE))
-        start, stop, step = (r[k] for k in _TAU_RANGE)
-        if step <= 0:
-            raise InvalidArgumentError(f"tau step must be positive, got {step}")
-        top = stop + 1e-12
-        after_first = (top - start) / step
-        if after_first >= MAX_RANGE_TAUS:
-            raise InvalidArgumentError(
-                f"{key} range gives {after_first + 1:.0f} taus; at most "
-                f"{MAX_RANGE_TAUS} are allowed")
-        taus = []
-        k = 0
-        while True:
-            t = start + k * step
-            if t > top:
-                break
-            taus.append(round(t, 12))
-            k += 1
-        return tuple(taus)
-    if isinstance(value, (list, tuple)):
-        return _list_of(_float)(key, value)
-    raise InvalidArgumentError("taus must be a list or a {start, stop, step} range")
-
-
 _TERMS = _list_of(lambda key, t: parse_term(t))
 _GRID = {"points": _int, "values": _table(_list_of(_float)), "held": _table(_float)}
 _GRID_FIELDS = {"points": "grid_points", "values": "grid_values", "held": "held"}
@@ -192,7 +162,7 @@ _RUN = {
     "input": _str,
     "output_dir": _str,
     "responses": _list_of(_str),
-    "taus": _parse_taus,
+    "taus": _list_of(_float),
     "merged": _bool,
     "binary": _list_of(_str),
     "step1_terms": _TERMS,
@@ -210,10 +180,7 @@ def run_config_from_dict(d):
 
 
 def _group_values(key, value):
-    """rho by group, from a two-item list (groups 0 and 1) or a mapping, whose
-    groups ``ScenarioSpec`` checks."""
-    if isinstance(value, dict):
-        return {g: _float(f"{key}.{g}", v) for g, v in value.items()}
+    """rho by group: a two-item list, for groups 0 and 1."""
     if len(_list(key, value)) != 2:
         raise InvalidArgumentError("rho_by_group needs values for groups 0 and 1")
     return {g: _float(key, value[g]) for g in (0, 1)}
@@ -230,7 +197,7 @@ _SCENARIO = {
         _section("covariate", _COVARIATE, required=("name",), make=CovariateSpec)),
     "coefficients": _table(_table(_float)),
     "responses": _list_of(_str),
-    "taus": _parse_taus,
+    "taus": _list_of(_float),
 }
 
 

@@ -173,8 +173,9 @@ def fit_quantile_regression(X, y, tau, start=None):
     ``margin`` on the result is the smallest slack of v against those
     bounds without the tolerance, reported as 0 for entries
     within the tolerance of a bound; it is negative only on a failed fit.
-    Reaching ``MAX_PIVOTS`` pivots without the certificate raises
-    NonConvergenceError carrying the last vertex as ``last_fit``.
+    Reaching ``MAX_PIVOTS`` pivots without the certificate, or an edge
+    that no row blocks, raises NonConvergenceError carrying the last
+    vertex as ``last_fit``; its message gives the pivots taken.
 
     Each pivot takes the edge with the steepest descent.  Residuals and
     edge movements within the rounding error of the basis solve count as
@@ -274,7 +275,7 @@ def fit_quantile_regression(X, y, tau, start=None):
     )
     if not converged:
         raise NonConvergenceError(
-            f"quantile regression did not converge in {MAX_PIVOTS} pivots",
+            f"quantile regression did not converge in {pivots} pivots",
             last_fit=fit,
         )
     return fit

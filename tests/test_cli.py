@@ -131,8 +131,13 @@ class TestSynth:
         ("coefficients", {"y1": 5}, "coefficients.y1 must be a mapping"),
         ("covariates", 0, "covariates must be a list, got 0"),
         ("coefficients", {"y1": 0}, "coefficients.y1 must be a mapping, got 0"),
+        ("taus", {"start": 0.1, "stop": 0.9, "step": 0.2},
+         "taus must be a list, got {'start': 0.1, 'step': 0.2, 'stop': 0.9}"),
+        ("rho_by_group", {"column": "g", "values": {0: 0.2, 1: 0.8}},
+         "rho_by_group.values must be a list, got {0: 0.2, 1: 0.8}"),
     ], ids=["covariates", "rho_by_group", "responses", "coefficients.y1",
-            "covariates-0", "coefficients.y1-0"])
+            "covariates-0", "coefficients.y1-0", "taus-mapping",
+            "rho_by_group.values-mapping"])
     def test_wrong_yaml_type_exits_2(self, tmp_path, capsys, key, value, message):
         scenario = {k: v for k, v in SMALL_SCENARIO.items() if k != "rho"}
         cfg = _write_yaml(tmp_path / "bad.yaml", dict(scenario, **{key: value}))
@@ -142,11 +147,11 @@ class TestSynth:
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,message", [
-        ("taus", {"start": 0.1, "stop": float("inf"), "step": 0.1}, "taus.stop"),
+        ("taus", [0.5, float("inf")], "taus"),
         ("covariates", [{"name": "x", "kind": "uniform", "low": -1.0, "high": float("inf")}],
          "covariate.high"),
         ("coefficients", {"y1": {"x": float("nan")}}, "coefficients.y1.x"),
-    ], ids=["taus-range", "covariate-high", "coefficient"])
+    ], ids=["taus", "covariate-high", "coefficient"])
     def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys, key, value, message):
         cfg = _write_yaml(tmp_path / "bad.yaml", dict(SMALL_SCENARIO, **{key: value}))
         out = tmp_path / "x.csv"
@@ -410,11 +415,11 @@ class TestAnalyzeProfiles:
         assert meta["bootstrap"]["seed"] is None
 
     @pytest.mark.parametrize("overrides,key", [
-        ({"taus": {"start": 0.1, "stop": float("inf"), "step": 0.1}}, "taus.stop"),
+        ({"taus": [0.5, float("inf")]}, "taus"),
         ({"grid": {"values": {"x": [0.2, float("nan")]}}}, "grid.values.x"),
         ({"step2_terms": [{"column": "x", "transform": "center", "value": float("inf")}]},
          "term.value"),
-    ], ids=["taus-range", "grid-values", "center-value"])
+    ], ids=["taus", "grid-values", "center-value"])
     def test_non_finite_config_number_exits_2(self, workdir, capsys, overrides, key):
         cfg = self._config(workdir, **overrides)
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
@@ -617,7 +622,9 @@ class TestAnalyzeFailures:
         start = time.perf_counter()
         assert main(["analyze", "--config", cfg]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "error: taus range gives 80000000001 taus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: taus must be a list, got {'start': 0.1, 'step': 1e-11, 'stop': 0.9}" in err
+        assert "none.csv" not in err
 
     def test_empty_grid_values_exit_2_before_reading_input(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "run.yaml",

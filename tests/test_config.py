@@ -3,7 +3,6 @@
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -21,7 +20,6 @@ from quantcord import (
 )
 from quantcord.config import (
     DEFAULT_TAUS,
-    MAX_RANGE_TAUS,
     load_run_config,
     load_scenario,
     parse_term,
@@ -143,47 +141,16 @@ class TestTauParsing:
         cfg = run_config_from_dict(_run_dict(taus=[0.1, 0.5, 0.9]))
         assert cfg.spec.taus == (0.1, 0.5, 0.9)
 
-    def test_range_form(self):
-        cfg = run_config_from_dict(
-            _run_dict(taus={"start": 0.1, "stop": 0.9, "step": 0.2})
-        )
-        np.testing.assert_allclose(cfg.spec.taus, (0.1, 0.3, 0.5, 0.7, 0.9))
-
-    def test_range_endpoint_inclusive_despite_rounding(self):
-        cfg = run_config_from_dict(
-            _run_dict(taus={"start": 0.05, "stop": 0.95, "step": 0.05})
-        )
-        assert len(cfg.spec.taus) == 19
-        assert cfg.spec.taus[-1] == 0.95
-
-    def test_range_step_positive(self):
-        with pytest.raises(InvalidArgumentError, match="step must be positive"):
-            run_config_from_dict(
-                _run_dict(taus={"start": 0.1, "stop": 0.9, "step": 0.0})
-            )
-
-    def test_range_keys_required(self):
-        with pytest.raises(InvalidArgumentError, match="missing required key"):
-            run_config_from_dict(_run_dict(taus={"start": 0.1, "stop": 0.9}))
-
-    def test_range_of_the_most_taus_allowed(self):
-        cfg = run_config_from_dict(
-            _run_dict(taus={"start": 0.0005, "stop": 0.9995, "step": 0.001})
-        )
-        assert len(cfg.spec.taus) == MAX_RANGE_TAUS
-        assert (cfg.spec.taus[0], cfg.spec.taus[-1]) == (0.0005, 0.9995)
-
-    @pytest.mark.parametrize("step,count", [(0.000999, "1001"), (1e-11, "99900000001")])
-    def test_range_longer_than_allowed_rejected(self, step, count):
-        with pytest.raises(InvalidArgumentError,
-                           match=f"taus range gives {count} taus; at most 1000"):
-            run_config_from_dict(
-                _run_dict(taus={"start": 0.0005, "stop": 0.9995, "step": step})
-            )
-
     def test_scalar_rejected(self):
         with pytest.raises(InvalidArgumentError, match="taus must be a list"):
             run_config_from_dict(_run_dict(taus=0.5))
+
+    def test_mapping_rejected(self):
+        taus = {"start": 0.1, "stop": 0.9, "step": 0.2}
+        with pytest.raises(InvalidArgumentError, match="^taus must be a list, got {'start'"):
+            run_config_from_dict(_run_dict(taus=taus))
+        with pytest.raises(InvalidArgumentError, match="^taus must be a list, got {'start'"):
+            scenario_from_dict({"n": 100, "taus": taus})
 
     def test_default_grid(self):
         cfg = run_config_from_dict(_run_dict())
@@ -318,15 +285,14 @@ class TestScenarioConfig:
         assert scenario.rho_by_group == {0: 0.2, 1: 0.8}
         assert scenario.group_column == "g"
 
-    def test_rho_by_group_mapping_values(self):
-        scenario, _ = scenario_from_dict(
-            {
+    def test_rho_by_group_values_must_be_a_list(self):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^rho_by_group.values must be a list, got \{0: 0.1, 1: 0.9\}"):
+            scenario_from_dict({
                 "n": 100,
                 "rho_by_group": {"column": "g", "values": {0: 0.1, 1: 0.9}},
                 "covariates": [{"name": "g", "kind": "binary"}],
-            }
-        )
-        assert scenario.rho_by_group == {0: 0.1, 1: 0.9}
+            })
 
     def test_rho_by_group_needs_two_values(self):
         with pytest.raises(InvalidArgumentError, match="groups 0 and 1"):
@@ -337,15 +303,6 @@ class TestScenarioConfig:
                     "covariates": [{"name": "g", "kind": "binary"}],
                 }
             )
-
-    @pytest.mark.parametrize("values", [{0: 0.2}, {0: 0.2, 1: 0.8, 2: 0.5}, {"0": 0.2, "1": 0.8}])
-    def test_rho_by_group_mapping_names_groups_0_and_1(self, values):
-        with pytest.raises(InvalidArgumentError, match="needs values for groups 0 and 1"):
-            scenario_from_dict({
-                "n": 100,
-                "rho_by_group": {"column": "g", "values": values},
-                "covariates": [{"name": "g", "kind": "binary"}],
-            })
 
     def test_unknown_scenario_key(self):
         with pytest.raises(InvalidArgumentError, match="unknown keys in scenario"):
@@ -466,7 +423,7 @@ class TestNumberParsing:
         ({"bootstrap": {"level": "abc"}}, "bootstrap.level"),
         ({"bootstrap": {"level": True}}, "bootstrap.level"),
         ({"taus": [0.5, "high"]}, "taus"),
-        ({"taus": {"start": 0.1, "stop": "x", "step": 0.1}}, "taus.stop"),
+        ({"taus": [0.5, True]}, "taus"),
         ({"grid": {"held": {"g": "one"}}}, "grid.held.g"),
         ({"grid": {"values": {"x": [0, None]}}}, "grid.values.x"),
     ])
@@ -487,7 +444,7 @@ class TestNumberParsing:
 
     @pytest.mark.parametrize("extra,key", [
         ({"bootstrap": {"level": float("nan")}}, "bootstrap.level"),
-        ({"taus": {"start": 0.1, "stop": float("inf"), "step": 0.1}}, "taus.stop"),
+        ({"taus": [0.5, float("inf")]}, "taus"),
         ({"grid": {"values": {"x": [0.2, "nan"]}}}, "grid.values.x"),
         ({"grid": {"held": {"x": "-inf"}}}, "grid.held.x"),
         ({"step2_terms": [{"column": "x", "transform": "center",
@@ -502,7 +459,7 @@ class TestNumberParsing:
         ({"rho": 10**400}, "rho"),
         ({"covariates": [{"name": "x", "high": float("inf")}]}, "covariate.high"),
         ({"coefficients": {"y1": {"x": float("nan")}}}, "coefficients.y1.x"),
-        ({"taus": {"start": 0.1, "stop": "inf", "step": 0.1}}, "taus.stop"),
+        ({"taus": [0.5, "inf"]}, "taus"),
     ])
     def test_scenario_float_keys_reject_non_finite(self, extra, key):
         with pytest.raises(InvalidArgumentError, match=f"{key} must be a finite number"):

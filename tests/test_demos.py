@@ -34,5 +34,20 @@ def test_readme_python_example_exits_0(tmp_path):
     _run_python(["-c", blocks[0]], tmp_path)
 
 
+def test_readme_configs_synthesise_and_analyse(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for name in ("scenario.yaml", "run.yaml"):
+        (block,) = re.findall(rf"^```yaml\n(# {re.escape(name)}\n.*?)^```", readme,
+                              re.S | re.M)
+        (tmp_path / name).write_text(block, encoding="utf-8")
+    cli = ["-m", "quantcord.cli"]
+    _run_python([*cli, "synth", "--config", "scenario.yaml", "--out", "copula.csv"],
+                tmp_path)
+    _run_python([*cli, "analyze", "--config", "run.yaml", "--bootstrap", "0"], tmp_path)
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+        "metadata.json", "phi_profile_g.csv", "phi_profile_x.csv",
+        "step1_coefficients.csv", "step2_coefficients.csv", "summary.txt"]
+
+
 def test_demos_found():
     assert DEMOS

@@ -262,6 +262,45 @@ class TestFitBehavior:
         assert last.iterations == 1
         assert last.gamma.shape == (3, 1)
 
+    def test_singular_information_falls_back_to_pinv(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        n = 400
+        X = DesignMatrix(np.column_stack([np.ones(n), rng.standard_normal(n)]),
+                         ("intercept", "x"))
+        z = rng.integers(0, 4, n)
+        solved = fit_multinomial(X, z)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(mn.np.linalg, "solve", singular)
+        fit = fit_multinomial(X, z)
+        assert fit.converged
+        assert fit.iterations == solved.iterations
+        np.testing.assert_allclose(fit.gamma, solved.gamma, rtol=0, atol=1e-12)
+
+    def test_no_ascent_raises_with_the_start(self, monkeypatch):
+        # every trial step's log-likelihood is -inf, so the step-halving
+        # gives up and the fit stops at its start
+        z = _labels_from_counts(30, 20, 10, 5)
+        real = mn._loglik_terms
+        calls = []
+
+        def first_only(*args):
+            ll, probs, scale = real(*args)
+            calls.append(ll)
+            return (ll if len(calls) == 1 else -np.inf), probs, scale
+
+        monkeypatch.setattr(mn, "_loglik_terms", first_only)
+        start = np.full((3, 1), 0.5)
+        with pytest.raises(NonConvergenceError,
+                           match="did not converge in 0 Newton steps") as excinfo:
+            fit_multinomial(_intercept_design(65), z, start=start)
+        last = excinfo.value.last_fit
+        assert last.converged is False
+        assert np.array_equal(last.gamma, start)
+        assert len(calls) == 1 + 40
+
     @pytest.mark.parametrize("data_seed, boot_seed", [(2000, 2001), (6000, 6000)])
     def test_tail_quantile_fits_converge(self, tmp_path, data_seed, boot_seed):
         """At tau = 0.95 the log-likelihood (about -300) is the difference of

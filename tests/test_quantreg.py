@@ -644,6 +644,14 @@ class TestFitErrors:
         assert last.margin < 0
         assert last.beta.shape == (3,)
 
+    def test_nonconvergence_gives_the_pivots_taken(self, monkeypatch):
+        # no row blocks the edge, so the fit stops short of MAX_PIVOTS
+        X, y = _random_problem(np.random.default_rng(6), 200, 2)
+        monkeypatch.setattr(qr, "_ratio_test", lambda *args: None)
+        with pytest.raises(NonConvergenceError, match="did not converge in 0 pivots") as excinfo:
+            fit_quantile_regression(X, y, 0.2, start=[5.0, -3.0])
+        assert excinfo.value.last_fit.iterations == 0
+
 
 # ──────────────────────────────────────────────────────────────────────
 # residual_signs

@@ -16,12 +16,10 @@ from .basis import (
     center,
     identity,
     interaction,
-    natural_spline_columns,
     recipe_values,
     spline,
-    tertile_knots,
 )
-from .bootstrap import BootstrapResult, bootstrap, bootstrap_indices
+from .bootstrap import BootstrapResult, bootstrap
 from .concordance import (
     LABELS,
     MERGED_LABELS,
@@ -69,12 +67,7 @@ from .pipeline import (
     phi_profile,
     run_two_step,
 )
-from .quantreg import (
-    QuantileFit,
-    fit_quantile_regression,
-    pinball_loss,
-    residual_signs,
-)
+from .quantreg import QuantileFit, fit_quantile_regression
 from .synthetic import (
     CovariateSpec,
     ScenarioSpec,
@@ -86,10 +79,9 @@ __all__ = [
     "__version__",
     # basis
     "BasisRecipe", "TermSpec", "build_design", "center", "identity",
-    "interaction", "natural_spline_columns", "recipe_values", "spline",
-    "tertile_knots",
+    "interaction", "recipe_values", "spline",
     # bootstrap
-    "BootstrapResult", "bootstrap", "bootstrap_indices",
+    "BootstrapResult", "bootstrap",
     # concordance
     "LABELS", "MERGED_LABELS", "PhiBounds", "classify", "empirical_cells",
     "phi", "phi_bounds",
@@ -111,8 +103,7 @@ __all__ = [
     "TwoStepResult", "build_designs", "build_grid", "evaluate_surface",
     "phi_profile", "run_two_step",
     # quantreg
-    "QuantileFit", "fit_quantile_regression", "pinball_loss",
-    "residual_signs",
+    "QuantileFit", "fit_quantile_regression",
     # synthetic
     "CovariateSpec", "ScenarioSpec", "generate", "oracle_phi_gaussian",
 ]

@@ -1,13 +1,15 @@
 """Command-line front end: ``quantcord analyze`` and ``quantcord synth``.
 
-Each command renders every output file to text before it writes any,
-and :func:`_write_outputs` removes the files already written if a later
-write fails, so a failing run leaves no partial outputs.  Outputs contain no timestamps; rerunning
-with the same config and seed reproduces every file byte for byte.
+Each command takes a YAML config and an output path, and nothing else:
+the config and the input fix every output byte, and ``--out`` only says
+where the files go.  Each command renders every output file to text
+before it writes any, and :func:`_write_outputs` removes the files
+already written if a later write fails, so a failing run leaves no
+partial outputs.  Outputs contain no timestamps; rerunning a config
+reproduces every file byte for byte.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -59,13 +61,14 @@ def _profile_filename(covariate):
     return f"phi_profile_{safe or 'constant'}.csv"
 
 
-def _render_analysis(cfg, spec, boot_cfg, data, report, results):
+def _render_analysis(cfg, data, report, results):
     """Every output file of ``analyze`` as ``{file name: text}``, in the
     order that ``metadata.json`` lists them under ``outputs``.
 
     ``results`` holds one (TwoStepResult, BootstrapResult or None) pair
     per tau; with the bootstrap, the first is the second's estimate.
     """
+    spec, boot_cfg = cfg.spec, cfg.bootstrap
     files = {}
 
     rows = []
@@ -182,11 +185,7 @@ def _summary_text(spec, data, report, results):
 
 def _cmd_analyze(args):
     cfg = load_run_config(args.config)
-    spec = cfg.spec
-    if args.taus:
-        spec = dataclasses.replace(spec, taus=tuple(sorted(set(args.taus))))
-    if args.merged:
-        spec = dataclasses.replace(spec, merged=True)
+    spec, boot_cfg = cfg.spec, cfg.bootstrap
     profiles = {}
     for cov in spec.profile_columns:
         name = _profile_filename(cov)
@@ -194,25 +193,9 @@ def _cmd_analyze(args):
             raise InvalidArgumentError(
                 f"covariates {profiles[name]!r} and {cov!r} would both write {name}")
         profiles[name] = cov
-    boot_cfg = cfg.bootstrap
-    if args.bootstrap is not None:
-        if args.bootstrap < 0:
-            raise InvalidArgumentError(
-                f"--bootstrap must be non-negative, got {args.bootstrap}")
-        if args.bootstrap > 0:
-            boot_cfg = dataclasses.replace(
-                boot_cfg, enabled=True, replicates=args.bootstrap)
-        else:
-            boot_cfg = dataclasses.replace(boot_cfg, enabled=False)
-    if args.seed is not None:
-        boot_cfg = dataclasses.replace(boot_cfg, seed=args.seed)
     out_dir = args.out or cfg.output_dir
 
-    data, report = read_csv(
-        cfg.input,
-        columns=spec.columns,
-        binary=[b for b in spec.binary if b in spec.columns],
-    )
+    data, report = read_csv(cfg.input, columns=spec.columns, binary=spec.binary)
     if report.n_dropped:
         print(
             f"dropped {report.n_dropped} rows with missing cells "
@@ -228,7 +211,7 @@ def _cmd_analyze(args):
     else:
         results = [(run_two_step(sample, tau), None) for tau in spec.taus]
 
-    files = _render_analysis(cfg, spec, boot_cfg, data, report, results)
+    files = _render_analysis(cfg, data, report, results)
     os.makedirs(out_dir, exist_ok=True)
     _write_outputs({os.path.join(out_dir, name): text for name, text in files.items()})
     print(f"wrote {len(files)} files to {out_dir}")
@@ -267,15 +250,8 @@ def build_parser():
 
     a = sub.add_parser("analyze", help="run the two-step analysis on a CSV")
     a.add_argument("--config", required=True, help="YAML run configuration")
-    a.add_argument("--taus", nargs="+", type=float, default=None,
-                   help="override the config tau list")
-    a.add_argument("--bootstrap", type=int, default=None, metavar="B",
-                   help="bootstrap replicates (0 disables)")
-    a.add_argument("--seed", type=int, default=None,
-                   help="override the bootstrap base seed")
-    a.add_argument("--merged", action="store_true",
-                   help="pool the discordant categories in step 2")
-    a.add_argument("--out", default=None, help="output directory")
+    a.add_argument("--out", default=None,
+                   help="output directory (overrides the config's output_dir)")
     a.set_defaults(func=_cmd_analyze)
 
     s = sub.add_parser("synth", help="generate a synthetic fixture CSV")

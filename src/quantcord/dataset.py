@@ -133,8 +133,11 @@ def read_csv(path, columns=None, binary=()):
     -------
     (Dataset, DropReport)
 
-    A cell that is neither missing nor a finite number raises
-    IngestionError naming the first such cell by data row, then by column.
+    A row with more cells than the header raises IngestionError naming
+    the first such row, before any cell is parsed; a shorter row's
+    absent cells are missing.  A cell that is neither missing nor a
+    finite number raises IngestionError naming the first such cell by
+    data row, then by column.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
@@ -165,6 +168,10 @@ def read_csv(path, columns=None, binary=()):
     rownums, rows = [], []
     for rownum, row in enumerate(reader, start=1):
         if "".join(row).strip():  # not a blank line or a row of blank cells
+            if len(row) > len(header):  # a decimal comma would shift later cells
+                raise IngestionError(
+                    f"{path}: too many cells at data row {rownum}: {len(row)}, "
+                    f"where the header has {len(header)}")
             rownums.append(rownum)
             rows.append(row)
 

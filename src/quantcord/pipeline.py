@@ -39,7 +39,8 @@ CONSTANT_PROFILE = "(constant)"
 class AnalysisSpec:
     """Everything needed to run the two-step procedure on a dataset.
 
-    ``binary`` names covariates whose profile grid is {0, 1} and whose
+    ``binary`` names 0/1 term columns; a name that no term reads is an
+    error.  A binary covariate's profile grid is {0, 1} and its
     held-constant default is the majority value.  ``grid_values`` (a
     non-empty list per covariate) and ``held`` (one value per covariate)
     override the per-covariate defaults; every value in them must be a
@@ -103,6 +104,12 @@ class AnalysisSpec:
                         f"{what} given for {name!r}, which has no profile; "
                         f"available covariates: {list(self.profile_columns)}"
                     )
+        term_columns = _term_columns(self.step1_terms + self.step2_terms)
+        unread = [name for name in self.binary if name not in term_columns]
+        if unread:
+            raise InvalidArgumentError(
+                f"binary names {unread}, which no term reads; "
+                f"term columns: {list(term_columns)}")
 
     @property
     def profile_columns(self):

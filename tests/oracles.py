@@ -161,14 +161,18 @@ def ratio_test_tie_walk(r, rho, above, c, w, free, slope, head=32):
 def read_csv_cell_by_cell(path, columns):
     """``read_csv`` of the used ``columns`` by one ``float()`` per cell in
     row-major order: the columns and dropped row numbers, or the message of
-    the first bad cell."""
+    the first row longer than the header, else of the first bad cell."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
+        rows = [(rownum, row) for rownum, row in enumerate(reader, start=1)
+                if any(cell.strip() for cell in row)]
+        for rownum, row in rows:
+            if len(row) > len(header):
+                return (f"{path}: too many cells at data row {rownum}: {len(row)}, "
+                        f"where the header has {len(header)}")
         parsed, dropped = {c: [] for c in columns}, []
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
+        for rownum, row in rows:
             values = {}
             for c in columns:
                 j = header.index(c)

@@ -22,18 +22,17 @@ from quantcord import (
     fit_multinomial,
     fit_quantile_regression,
     identity,
-    natural_spline_columns,
     phi,
     phi_bounds,
-    pinball_loss,
     recipe_values,
     run_two_step,
     spline,
-    tertile_knots,
 )
+from quantcord.basis import natural_spline_columns, tertile_knots
 from quantcord.cli import main as cli_main
 from quantcord.design import DesignMatrix
 from quantcord.multinomial import _indicators
+from quantcord.quantreg import pinball_loss
 from quantcord.synthetic import (
     CovariateSpec,
     ScenarioSpec,

@@ -16,12 +16,10 @@ from quantcord import (
     check_full_rank,
     identity,
     interaction,
-    natural_spline_columns,
     recipe_values,
     spline,
-    tertile_knots,
 )
-from quantcord.basis import sorted_quantile
+from quantcord.basis import natural_spline_columns, sorted_quantile, tertile_knots
 
 
 class TestTermSpec:

@@ -19,16 +19,22 @@ from quantcord import (
     QuantcordError,
     SingularDesignError,
     bootstrap,
-    bootstrap_indices,
     build_designs,
     classify,
     identity,
     phi_bounds,
-    residual_signs,
     run_two_step,
     spline,
 )
-from quantcord.bootstrap import WINSOR_EPS, _expit, _logit, _normal_quantile, _phi_bands
+from quantcord.bootstrap import (
+    WINSOR_EPS,
+    _expit,
+    _logit,
+    _normal_quantile,
+    _phi_bands,
+    bootstrap_indices,
+)
+from quantcord.quantreg import residual_signs
 
 SPEC = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
 

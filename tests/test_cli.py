@@ -14,8 +14,8 @@ import pytest
 import yaml
 
 import quantcord
-from quantcord import bootstrap, bootstrap_indices, build_designs, load_run_config, read_csv
-from quantcord.bootstrap import _phi_bands
+from quantcord import bootstrap, build_designs, load_run_config, read_csv
+from quantcord.bootstrap import _phi_bands, bootstrap_indices
 from quantcord.cli import main
 from quantcord.dataset import FLOAT_FMT, csv_text
 from quantcord.synthetic import oracle_phi_gaussian
@@ -350,24 +350,15 @@ class TestAnalyzeProfiles:
         assert [r["category"] for r in step2] == ["11", "11", "01", "01", "10", "10"]
         assert all(r["term"] in ("intercept", "x") for r in step2)
 
-    def test_merged_flag_pools_discordant_categories(self, workdir):
-        cfg = self._config(workdir)
-        assert main(["analyze", "--config", cfg, "--merged", "--out", "out"]) == 0
+    def test_merged_config_pools_discordant_categories(self, workdir):
+        cfg = self._config(workdir, merged=True)
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 0
         step2 = _table(workdir / "out" / "step2_coefficients.csv")
         assert sorted({r["category"] for r in step2}) == ["01+10", "11"]
 
-    def test_taus_flag_overrides_config(self, workdir):
-        cfg = self._config(workdir)  # config says taus: [0.5]
-        assert main(["analyze", "--config", cfg, "--taus", "0.9", "0.1",
-                     "--out", "out"]) == 0
-        rows = _table(workdir / "out" / "phi_profile_x.csv")
-        taus = sorted({round(float(r["tau"]), 3) for r in rows})
-        assert taus == [0.1, 0.9]
-
-    def test_bootstrap_flag_fills_ci_columns(self, workdir):
-        cfg = self._config(workdir)
-        assert main(["analyze", "--config", cfg, "--bootstrap", "16",
-                     "--seed", "3", "--out", "out"]) == 0
+    def test_bootstrap_config_fills_ci_columns(self, workdir):
+        cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 16, "seed": 3})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 0
         rows = _table(workdir / "out" / "phi_profile_x.csv")
         assert all(r["ci_lower"] != "" and r["ci_upper"] != "" for r in rows)
         assert all(
@@ -383,28 +374,20 @@ class TestAnalyzeProfiles:
         assert meta["bootstrap"]["replicates"] == 16
 
     def test_bootstrap_rerun_is_byte_identical(self, workdir):
-        cfg = self._config(workdir)
-        args = ["analyze", "--config", cfg, "--bootstrap", "12", "--seed", "9"]
-        assert main(args + ["--out", "b1"]) == 0
-        assert main(args + ["--out", "b2"]) == 0
+        cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 12, "seed": 9})
+        assert main(["analyze", "--config", cfg, "--out", "b1"]) == 0
+        assert main(["analyze", "--config", cfg, "--out", "b2"]) == 0
         assert _tree_bytes(workdir / "b1") == _tree_bytes(workdir / "b2")
 
     def test_negative_seed_exits_2(self, workdir, capsys):
-        cfg = self._config(workdir)
-        assert main(["analyze", "--config", cfg, "--bootstrap", "4",
-                     "--seed", "-1", "--out", "out"]) == 2
+        cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 4, "seed": -1})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
         assert "error: bootstrap seed must be non-negative" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
-    def test_negative_bootstrap_exits_2(self, workdir, capsys):
-        cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 4})
-        assert main(["analyze", "--config", cfg, "--bootstrap", "-3", "--out", "out"]) == 2
-        assert "error: --bootstrap must be non-negative, got -3" in capsys.readouterr().err
-        assert not (workdir / "out").exists()
-
-    def test_bootstrap_zero_switches_off_the_configured_bootstrap(self, workdir):
-        cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 8})
-        assert main(["analyze", "--config", cfg, "--bootstrap", "0", "--out", "out"]) == 0
+    def test_disabled_bootstrap_writes_no_bands(self, workdir):
+        cfg = self._config(workdir, bootstrap={"enabled": False, "replicates": 8, "seed": 5})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 0
         out = workdir / "out"
         assert all(r["se"] == "" for r in _table(out / "step1_coefficients.csv"))
         for name in ("step2_coefficients.csv", "phi_profile_x.csv"):
@@ -413,6 +396,18 @@ class TestAnalyzeProfiles:
         assert meta["bootstrap"]["enabled"] is False
         assert meta["bootstrap"]["replicates"] == 0
         assert meta["bootstrap"]["seed"] is None
+
+    @pytest.mark.parametrize("flag", [["--taus", "0.5"], ["--bootstrap", "4"],
+                                      ["--seed", "1"], ["--merged"]],
+                             ids=lambda flag: flag[0])
+    def test_config_keys_are_not_flags(self, workdir, capsys, flag):
+        # the config and the input fix every output byte
+        cfg = self._config(workdir)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--config", cfg, *flag, "--out", "out"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("overrides,key", [
         ({"taus": [0.5, float("inf")]}, "taus"),
@@ -701,6 +696,19 @@ class TestAnalyzeFailures:
                            "binary": ["g"], "step2_terms": [{"column": "g"}]})
         assert main(["analyze", "--config", cfg]) == 2
         assert "binary column" in capsys.readouterr().err
+
+    def test_binary_name_no_term_reads_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a typo of g would leave g a continuous covariate, unchecked
+        monkeypatch.chdir(tmp_path)
+        with open("groups.csv", "w", encoding="utf-8") as fh:
+            fh.write("y1,y2,g\n1.0,2.0,0\n2.0,1.0,1\n3.0,0.5,1\n")
+        cfg = _write_yaml(tmp_path / "run.yaml",
+                          {"input": "groups.csv", "responses": ["y1", "y2"],
+                           "binary": ["gg"], "step2_terms": [{"column": "g"}]})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert ("error: binary names ['gg'], which no term reads; term columns: ['g']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_dropped_rows_reported(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

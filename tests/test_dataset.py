@@ -185,6 +185,17 @@ class TestReadCsv:
         data, _ = read_csv(p)
         np.testing.assert_array_equal(data.column("y1"), [1.5])
 
+    @pytest.mark.parametrize("text, message", [
+        # a decimal comma in y1 would read as y1 = 1, y2 = 5, x = 2.0
+        ("y1,y2,x\n1,5,2.0,3.0\n", "data row 1: 4, where the header has 3"),
+        # found before any cell is parsed: row 1's bad cell is not named
+        ("y1,y2\nabc,1\n2,3\n4,5,\n", "data row 3: 3, where the header has 2"),
+    ], ids=["decimal-comma", "before-cells"])
+    def test_row_longer_than_header_rejected(self, tmp_path, text, message):
+        p = self._write(tmp_path, text)
+        with pytest.raises(IngestionError, match=f"too many cells at {message}$"):
+            read_csv(p)
+
 
 # cells float() accepts, with their values, and cells it rejects
 ACCEPTED = {
@@ -217,6 +228,7 @@ class TestColumnConversion:
     def test_matches_cell_by_cell_reference(self, tmp_path):
         # random tables of numbers, missing tokens, short rows, blank lines,
         # an unused column and, in some, cells that are not finite numbers
+        # or rows longer than the header
         pool = ["1.5", " -2 ", "+3", "1_000", "\u0663.25", "7", "0.125", "1e-3"]
         missing = ["", "NA", "nan", " None ", "null", "  "]
         bad = ["abc", "-nan", "inf", "1e400", "0x10", "-Infinity"]
@@ -236,6 +248,8 @@ class TestColumnConversion:
                     cells.append(src[int(rng.integers(len(src)))])
                 if u < 0.15:
                     cells = cells[:int(rng.integers(1, 4))]
+                elif u > 0.98:
+                    cells += pool[:int(rng.integers(1, 3))]
                 lines.append(",".join(cells))
             p = self._write(tmp_path, "\n".join(lines) + "\n")
             expected = read_csv_cell_by_cell(p, ["y1", "y2", "x"])
@@ -252,7 +266,7 @@ class TestColumnConversion:
                 assert data.column(c).tolist() == values, f"seed {seed}"
             outcomes.add("dropped" if dropped else "clean")
         assert outcomes >= {"clean", "dropped", "cannot parse", "non-finite",
-                            "no usable data rows"}
+                            "too many", "no usable data rows"}
 
     def _write(self, tmp_path, text):
         p = tmp_path / "data.csv"

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -40,10 +41,14 @@ def test_readme_configs_synthesise_and_analyse(tmp_path):
         (block,) = re.findall(rf"^```yaml\n(# {re.escape(name)}\n.*?)^```", readme,
                               re.S | re.M)
         (tmp_path / name).write_text(block, encoding="utf-8")
+    # without the README's 1000 replicates, to keep the test short
+    run = yaml.safe_load((tmp_path / "run.yaml").read_text(encoding="utf-8"))
+    run["bootstrap"]["enabled"] = False
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(run), encoding="utf-8")
     cli = ["-m", "quantcord.cli"]
     _run_python([*cli, "synth", "--config", "scenario.yaml", "--out", "copula.csv"],
                 tmp_path)
-    _run_python([*cli, "analyze", "--config", "run.yaml", "--bootstrap", "0"], tmp_path)
+    _run_python([*cli, "analyze", "--config", "run.yaml"], tmp_path)
     assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
         "metadata.json", "phi_profile_g.csv", "phi_profile_x.csv",
         "step1_coefficients.csv", "step2_coefficients.csv", "summary.txt"]

@@ -20,7 +20,6 @@ from quantcord import (
     NonConvergenceError,
     SeparationWarning,
     SingularDesignError,
-    bootstrap_indices,
     build_design,
     build_designs,
     classify,
@@ -28,9 +27,9 @@ from quantcord import (
     identity,
     predict_cells_rows,
     read_csv,
-    residual_signs,
     run_two_step,
 )
+from quantcord.bootstrap import bootstrap_indices
 from quantcord.cli import main as quantcord_main
 from quantcord.multinomial import (
     GRADIENT_TOL,
@@ -41,6 +40,7 @@ from quantcord.multinomial import (
     _loglik_terms,
     _separation_detected,
 )
+from quantcord.quantreg import residual_signs
 from oracles import loglik_parts
 
 

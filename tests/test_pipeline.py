@@ -22,7 +22,6 @@ from quantcord import (
     phi,
     phi_bounds,
     phi_profile,
-    residual_signs,
     run_two_step,
     spline,
 )
@@ -36,6 +35,7 @@ from quantcord.pipeline import (
     _held_default,
     evaluate_surface,
 )
+from quantcord.quantreg import residual_signs
 
 
 def _labels(result):
@@ -125,6 +125,21 @@ class TestAnalysisSpecValidation:
             _spec(step2_terms=terms, held={"alsonot": 1.0})
         with pytest.raises(InvalidArgumentError, match="available covariates: \\[\\]"):
             _spec(held={"x": 1.0})
+
+    @pytest.mark.parametrize("binary, unread", [
+        (("gg",), "\\['gg'\\]"),  # a typo of g
+        (("y1", "g", "z"), "\\['y1', 'z'\\]"),  # a response is read by no term
+    ], ids=["typo", "response"])
+    def test_binary_must_name_term_columns(self, binary, unread):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"binary names {unread}, which no term reads; "
+                                 "term columns: \\['x', 'g'\\]"):
+            _spec(step1_terms=(identity("x"),), step2_terms=(identity("g"),),
+                  binary=binary)
+
+    def test_binary_may_name_a_step1_column(self):
+        spec = _spec(step1_terms=(identity("g"),), binary=("g",))
+        assert spec.binary == ("g",) and spec.profile_columns == ()
 
     @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan], [0.0, "abc"], [True, False]])
     def test_grid_values_must_be_finite_numbers(self, values):

@@ -19,11 +19,10 @@ from quantcord import (
     build_design,
     fit_quantile_regression,
     identity,
-    pinball_loss,
     read_csv,
-    residual_signs,
 )
 from quantcord.cli import main as quantcord_main
+from quantcord.quantreg import pinball_loss, residual_signs
 from oracles import ratio_test_full_sort, ratio_test_tie_walk, start_basis_row_by_row
 
 # ──────────────────────────────────────────────────────────────────────

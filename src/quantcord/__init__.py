@@ -29,16 +29,7 @@ from .concordance import (
     phi,
     phi_bounds,
 )
-from .config import (
-    BootstrapConfig,
-    RunConfig,
-    load_run_config,
-    load_scenario,
-    parse_term,
-    run_config_from_dict,
-    scenario_from_dict,
-)
-from .dataset import Dataset, DropReport, read_csv
+from .dataset import Dataset, read_csv
 from .design import DesignMatrix, check_full_rank
 from .exceptions import (
     EmptyCategoryError,
@@ -85,11 +76,8 @@ __all__ = [
     # concordance
     "LABELS", "MERGED_LABELS", "PhiBounds", "classify", "empirical_cells",
     "phi", "phi_bounds",
-    # config
-    "BootstrapConfig", "RunConfig", "load_run_config", "load_scenario",
-    "parse_term", "run_config_from_dict", "scenario_from_dict",
     # dataset
-    "Dataset", "DropReport", "read_csv",
+    "Dataset", "read_csv",
     # design
     "DesignMatrix", "check_full_rank",
     # exceptions

@@ -85,13 +85,15 @@ def _phi_bands(draws, estimates, tau, level):
     ``draws``, an m x B C-contiguous matrix of bootstrap draws, around
     the m ``estimates``.
 
-    phi is mapped affinely from (phi_min(tau), phi_max(tau)) onto (0, 1)
-    and logit-transformed; each band is centered at its estimate's
-    transform with the bootstrap SE of the row's transformed draws, then
-    mapped back.  Out-of-range draws, infinite ones included, are
-    winsorized first.  Equal draws, or draws all at one bound, give the
-    point mass at the estimate.  Returns lower, upper and the winsorized
-    count per row.
+    phi is mapped affinely from (phi_min(tau), phi_max(tau)) onto (0, 1),
+    winsorized to [WINSOR_EPS, 1 - WINSOR_EPS] and logit-transformed, the
+    draws (infinite ones included) and the estimates alike; each band is
+    centered at its estimate's transform with the bootstrap SE of the
+    row's transformed draws, then mapped back.  So an estimate outside
+    the bounds, which the surface flags and keeps, gets a band within the
+    bounds that excludes it.  Equal draws, or draws all at one bound, give
+    the point mass at the estimate.  Returns lower, upper and the
+    winsorized count of draws per row.
     """
     b = phi_bounds(tau)
     span = b.phi_max - b.phi_min

@@ -61,10 +61,11 @@ def _profile_filename(covariate):
     return f"phi_profile_{safe or 'constant'}.csv"
 
 
-def _render_analysis(cfg, data, report, results):
+def _render_analysis(cfg, data, dropped, results):
     """Every output file of ``analyze`` as ``{file name: text}``, in the
     order that ``metadata.json`` lists them under ``outputs``.
 
+    ``dropped`` is ``read_csv``'s tuple of dropped data row numbers, and
     ``results`` holds one (TwoStepResult, BootstrapResult or None) pair
     per tau; with the bootstrap, the first is the second's estimate.
     """
@@ -120,7 +121,7 @@ def _render_analysis(cfg, data, report, results):
         "numpy_version": np.__version__,
         "input": cfg.input,
         "n_rows": data.n,
-        "dropped_rows": list(report.dropped_rows),
+        "dropped_rows": list(dropped),
         "responses": list(spec.responses),
         "taus": list(spec.taus),
         "merged": spec.merged,
@@ -141,15 +142,15 @@ def _render_analysis(cfg, data, report, results):
         "outputs": [*files, "metadata.json", "summary.txt"],
     }
     files["metadata.json"] = _json_text(meta)
-    files["summary.txt"] = _summary_text(spec, data, report, results)
+    files["summary.txt"] = _summary_text(spec, data, dropped, results)
     return files
 
 
-def _summary_text(spec, data, report, results):
-    """Human-readable recap, 3 decimals."""
+def _summary_text(spec, data, dropped, results):
+    """Human-readable recap, 3 decimals; ``dropped`` as in ``_render_analysis``."""
     lines = [
         "quantcord analysis summary",
-        f"rows used: {data.n} (dropped: {report.n_dropped})",
+        f"rows used: {data.n} (dropped: {len(dropped)})",
         f"responses: {spec.responses[0]}, {spec.responses[1]}"
         + ("  [merged discordant categories]" if spec.merged else ""),
         "",
@@ -195,13 +196,10 @@ def _cmd_analyze(args):
         profiles[name] = cov
     out_dir = args.out or cfg.output_dir
 
-    data, report = read_csv(cfg.input, columns=spec.columns, binary=spec.binary)
-    if report.n_dropped:
-        print(
-            f"dropped {report.n_dropped} rows with missing cells "
-            f"(data rows {list(report.dropped_rows)})",
-            file=sys.stderr,
-        )
+    data, dropped = read_csv(cfg.input, columns=spec.columns, binary=spec.binary)
+    if dropped:
+        print(f"dropped {len(dropped)} rows with missing cells (data rows {list(dropped)})",
+              file=sys.stderr)
 
     sample = build_designs(data, spec)
     if boot_cfg.enabled:
@@ -211,7 +209,7 @@ def _cmd_analyze(args):
     else:
         results = [(run_two_step(sample, tau), None) for tau in spec.taus]
 
-    files = _render_analysis(cfg, data, report, results)
+    files = _render_analysis(cfg, data, dropped, results)
     os.makedirs(out_dir, exist_ok=True)
     _write_outputs({os.path.join(out_dir, name): text for name, text in files.items()})
     print(f"wrote {len(files)} files to {out_dir}")

@@ -80,17 +80,6 @@ class Dataset:
         return Dataset(columns={k: v[idx] for k, v in self.columns.items()})
 
 
-@dataclass(frozen=True)
-class DropReport:
-    """Rows removed during ingestion because a used cell was missing."""
-
-    dropped_rows: tuple  # 1-based data row numbers (header excluded)
-
-    @property
-    def n_dropped(self):
-        return len(self.dropped_rows)
-
-
 def _column_values(cells):
     """The numbers in a column of cells, and the positions of the cells that
     need a closer look: those ``float()`` rejects, which come out NaN, and
@@ -131,7 +120,9 @@ def read_csv(path, columns=None, binary=()):
 
     Returns
     -------
-    (Dataset, DropReport)
+    (Dataset, dropped)
+        ``dropped`` is the tuple of the 1-based data row numbers (header
+        excluded) of the rows dropped for a missing cell.
 
     A row with more cells than the header raises IngestionError naming
     the first such row, before any cell is parsed; a shorter row's
@@ -212,8 +203,7 @@ def read_csv(path, columns=None, binary=()):
                 f"{path}: binary column {b!r} contains {float(arr[bad[0]])!r} "
                 f"at data row {kept[bad[0]]}"
             )
-    dropped = tuple(r for r, m in zip(rownums, missing.tolist()) if m)
-    return data, DropReport(dropped_rows=dropped)
+    return data, tuple(r for r, m in zip(rownums, missing.tolist()) if m)
 
 
 def csv_text(header, rows):

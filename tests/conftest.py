@@ -17,7 +17,8 @@ def fixtures_dir():
 @pytest.fixture(scope="session")
 def copula_data():
     """The committed n=5000, rho=0.5 Gaussian-copula fixture."""
-    data, report = read_csv(FIXTURES / "copula_n5000.csv")
+    data, dropped = read_csv(FIXTURES / "copula_n5000.csv")
+    assert dropped == ()
     assert data.n == 5000
     return data
 

@@ -1,7 +1,9 @@
 """Reference implementations that the tests check the package against."""
 
 import csv
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -156,6 +158,71 @@ def ratio_test_tie_walk(r, rho, above, c, w, free, slope, head=32):
     tied = tied[np.argsort(rho[block[tied]] / cb[tied], kind="stable")]
     k = int(np.searchsorted(np.cumsum(weight[tied]), -slope - np.sum(weight[t < stop])))
     return int(block[tied[min(k, tied.size - 1)]])
+
+
+def _solve_exact(A, b):
+    """x with ``A @ x == b`` in rationals, by Gauss-Jordan elimination on a
+    square nonsingular ``A`` of Fractions."""
+    q = len(A)
+    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(q):
+        piv = next(i for i in range(col, q) if M[i][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        for i in range(q):
+            if i != col and M[i][col] != 0:
+                f = M[i][col] / M[col][col]
+                M[i] = [a - f * p for a, p in zip(M[i], M[col])]
+    return [M[i][q] / M[i][i] for i in range(q)]
+
+
+def exact_certificate(X, y, tau, weights, basis):
+    """The smallest slack of step 1's optimality certificate at ``basis``,
+    in exact rational arithmetic on the literal floats, with no tolerance.
+
+    beta solves the basis rows exactly, so each basis residual is exactly
+    0.  With psi_i = tau above the fit and tau - 1 below it for every other
+    row, ``v = -X(h)^-T sum w_i psi_i x_i`` is optimal when each v_k lies
+    in ``[w_k (tau - 1), w_k tau]``; the result is the smallest distance of
+    a v_k inside those bounds (negative when one lies outside).  Returns
+    None when a non-basis residual is exactly 0, a tie that psi does not
+    side.  Every float is a dyadic rational, so the rows are scaled by the
+    largest denominator to integers and the n-row sums run in integers.
+    """
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
+    fx = [[Fraction(v) for v in row] for row in X.tolist()]
+    fy = [Fraction(v) for v in y.tolist()]
+    scale = max(f.denominator for f in itertools.chain(fy, *fx))
+    xi = [[int(v * scale) for v in row] for row in fx]
+    yi = [int(v * scale) for v in fy]
+    basis = [int(k) for k in basis]
+    beta = _solve_exact([[Fraction(v) for v in xi[k]] for k in basis],
+                        [Fraction(yi[k]) for k in basis])
+    den = math.lcm(*(b.denominator for b in beta))
+    num = [int(b * den) for b in beta]
+    # each residual times scale * den, an integer with the residual's sign
+    r = [yv * den - sum(a * b for a, b in zip(row, num)) for row, yv in zip(xi, yi)]
+    assert all(r[k] == 0 for k in basis)
+    in_basis = set(basis)
+    if any(r[i] == 0 for i in range(len(r)) if i not in in_basis):
+        return None
+    fw = [Fraction(v) for v in w.tolist()]
+    wscale = max(f.denominator for f in fw)
+    wi = [int(v * wscale) for v in fw]
+    q = X.shape[1]
+    above, below = [0] * q, [0] * q
+    for i, (ri, row) in enumerate(zip(r, xi)):
+        if i in in_basis:
+            continue
+        acc = above if ri > 0 else below
+        for j in range(q):
+            acc[j] += wi[i] * row[j]
+    t = Fraction(tau)
+    # X(h)^T v = -g, with X(h) and g both carrying the factor 1 / scale
+    g = [(a * t + b * (t - 1)) / wscale for a, b in zip(above, below)]
+    v = _solve_exact([[Fraction(xi[k][j]) for k in basis] for j in range(q)],
+                     [-x for x in g])
+    return min(min(vk - fw[k] * (t - 1), fw[k] * t - vk) for vk, k in zip(v, basis))
 
 
 def read_csv_cell_by_cell(path, columns):

@@ -14,9 +14,10 @@ import pytest
 import yaml
 
 import quantcord
-from quantcord import bootstrap, build_designs, load_run_config, read_csv
+from quantcord import bootstrap, build_designs, read_csv
 from quantcord.bootstrap import _phi_bands, bootstrap_indices
 from quantcord.cli import main
+from quantcord.config import load_run_config
 from quantcord.dataset import FLOAT_FMT, csv_text
 from quantcord.synthetic import oracle_phi_gaussian
 
@@ -298,6 +299,18 @@ print(json.dumps("numpy.ma" in sys.modules))
 """
         assert self._run(script, config, tmp_path / "out") is False
 
+    def test_package_import_loads_no_config_layer(self):
+        # the YAML loaders belong to the command line; the Python API reads
+        # no YAML, and quantcord.config and quantcord.cli keep them
+        script = """
+import json
+import sys
+import quantcord
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "yaml"
+                        or m in ("quantcord.config", "quantcord.cli"))))
+"""
+        assert self._run(script) == []
+
 
 class TestAnalyzeProfiles:
 
@@ -372,6 +385,34 @@ class TestAnalyzeProfiles:
         meta = json.loads((workdir / "out" / "metadata.json").read_text(encoding="utf-8"))
         assert meta["bootstrap"]["seed"] == 3
         assert meta["bootstrap"]["replicates"] == 16
+
+    def test_flagged_estimate_lies_outside_its_band(self, workdir):
+        # the estimate is clipped inside the bounds, as each draw is, before
+        # the band is centred on it: a flagged phi_hat stays as fitted, and
+        # its band lies within the bounds without it
+        scenario = {
+            "n": 1000, "seed": 3, "rho": 0.5,
+            "covariates": [{"name": "x", "kind": "uniform", "low": 0.0, "high": 1.0}],
+            "coefficients": {"y1": {"intercept": 0.5, "x": 1.0},
+                             "y2": {"intercept": -0.5, "x": 2.0}},
+        }
+        cfg = self._config(
+            workdir, input=_synth(workdir, "band.csv", scenario), taus=[0.05, 0.95],
+            step1_terms=[{"column": "x"}], step2_terms=[{"column": "x", "transform": "spline"}],
+            grid=None, bootstrap={"enabled": True, "replicates": 50, "seed": 1})
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 0
+        rows = [{k: float(v) for k, v in r.items() if k != "covariate"}
+                for r in _table(workdir / "out" / "phi_profile_x.csv")]
+        flagged = [r for r in rows if r["out_of_bounds_flag"]]
+        assert flagged and len(flagged) < len(rows)
+        for r in rows:
+            lo, est, hi = r["ci_lower"], r["phi_hat"], r["ci_upper"]
+            if r["out_of_bounds_flag"]:
+                assert not r["phi_min"] <= est <= r["phi_max"]
+                assert r["phi_min"] <= lo < hi <= r["phi_max"]
+                assert not lo <= est <= hi
+            else:
+                assert lo <= est <= hi
 
     def test_bootstrap_rerun_is_byte_identical(self, workdir):
         cfg = self._config(workdir, bootstrap={"enabled": True, "replicates": 12, "seed": 9})

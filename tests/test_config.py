@@ -8,10 +8,8 @@ import yaml
 
 from quantcord import (
     AnalysisSpec,
-    BootstrapConfig,
     CovariateSpec,
     InvalidArgumentError,
-    RunConfig,
     ScenarioSpec,
     center,
     identity,
@@ -20,6 +18,8 @@ from quantcord import (
 )
 from quantcord.config import (
     DEFAULT_TAUS,
+    BootstrapConfig,
+    RunConfig,
     load_run_config,
     load_scenario,
     parse_term,

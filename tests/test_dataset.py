@@ -79,29 +79,29 @@ class TestReadCsv:
 
     def test_clean_three_rows(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1.5,2.5\n-0.5,0.25\n3,4\n")
-        data, report = read_csv(p)
+        data, dropped = read_csv(p)
         assert data.n == 3
-        assert report.n_dropped == 0
+        assert dropped == ()
         np.testing.assert_array_equal(data.column("y1"), [1.5, -0.5, 3.0])
 
     def test_missing_cell_drops_row_with_report(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1,2\n,3\n4,5\n")
-        data, report = read_csv(p)
+        data, dropped = read_csv(p)
         assert data.n == 2
-        assert report.dropped_rows == (2,)
+        assert dropped == (2,)
         np.testing.assert_array_equal(data.column("y1"), [1.0, 4.0])
 
     def test_na_tokens_count_as_missing(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1,NA\nnan,2\n3,4\n")
-        data, report = read_csv(p)
-        assert report.dropped_rows == (1, 2)
+        data, dropped = read_csv(p)
+        assert dropped == (1, 2)
         assert data.n == 1
 
     def test_unused_column_with_missing_values_is_ignored(self, tmp_path):
         p = self._write(tmp_path, "y1,y2,extra\n1,2,\n3,4,x\n")
-        data, report = read_csv(p, columns=["y1", "y2"])
+        data, dropped = read_csv(p, columns=["y1", "y2"])
         assert data.n == 2
-        assert report.n_dropped == 0
+        assert dropped == ()
         assert "extra" not in data.names
 
     def test_unparseable_cell_names_coordinates(self, tmp_path):
@@ -161,9 +161,9 @@ class TestReadCsv:
 
     def test_blank_lines_skipped(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1,2\n\n3,4\n")
-        data, report = read_csv(p)
+        data, dropped = read_csv(p)
         assert data.n == 2
-        assert report.n_dropped == 0
+        assert dropped == ()
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         p = tmp_path / "bom.csv"
@@ -259,9 +259,9 @@ class TestColumnConversion:
                 assert str(err.value) == expected, f"seed {seed}"
                 outcomes.add(expected.split(": ")[1].split(" cell")[0])
                 continue
-            data, report = read_csv(p, columns=["y1", "y2", "x"])
-            columns, dropped = expected
-            assert report.dropped_rows == dropped, f"seed {seed}"
+            data, dropped = read_csv(p, columns=["y1", "y2", "x"])
+            columns, expected_dropped = expected
+            assert dropped == expected_dropped, f"seed {seed}"
             for c, values in columns.items():
                 assert data.column(c).tolist() == values, f"seed {seed}"
             outcomes.add("dropped" if dropped else "clean")

@@ -23,7 +23,12 @@ from quantcord import (
 )
 from quantcord.cli import main as quantcord_main
 from quantcord.quantreg import pinball_loss, residual_signs
-from oracles import ratio_test_full_sort, ratio_test_tie_walk, start_basis_row_by_row
+from oracles import (
+    exact_certificate,
+    ratio_test_full_sort,
+    ratio_test_tie_walk,
+    start_basis_row_by_row,
+)
 
 # ──────────────────────────────────────────────────────────────────────
 # Helpers
@@ -287,6 +292,10 @@ class TestLinearProgramOracle:
             gap = (fit.objective - reference) / reference
             assert gap <= 1e-9, f"trial {trial}: gap {gap:.3e}"
             assert fit.margin >= 0.0, f"trial {trial}: margin {fit.margin}"
+            if trial % 3 == 0:
+                # continuous data: the vertex is exactly optimal, with no tie
+                slack = exact_certificate(X, y, tau, None, fit.basis)
+                assert slack is not None and slack >= 0, f"trial {trial}: slack {slack}"
 
     @pytest.mark.parametrize("offset, spread", [(1.7e9, 3e7), (1e9, 1e6), (5e4, 1e4)])
     def test_matches_highs_with_large_offset_covariate(self, offset, spread):
@@ -348,6 +357,8 @@ class TestLinearProgramOracle:
             gap = (weighted.objective - reference) / reference
             assert gap <= 1e-9, f"seed {seed}, weighted: gap {gap:.3e}"
             assert weighted.margin >= 0.0, f"seed {seed}, weighted: margin {weighted.margin}"
+            slack = exact_certificate(full[rows], y[rows], tau, counts[rows], weighted.basis)
+            assert slack is not None and slack >= 0, f"seed {seed}, weighted: slack {slack}"
 
     def test_weighted_fit_matches_highs_on_expanded_rows(self):
         """A resample's distinct rows weighted by their counts have the

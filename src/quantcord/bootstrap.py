@@ -137,26 +137,28 @@ def _run_replicate(sample, base):
     return _draw(res)
 
 
-def _replicate(data, spec, bases, seed, b):
-    """Replicate b's result at every base's tau, from one resample built once
-    on the full-sample grid; None at every tau when its designs cannot be built.
-    A resample's warnings are silenced: its failures are counted instead."""
+def _replicate(sample, bases, seed, b):
+    """Replicate b's result at every base's tau, from one resample of the full
+    ``sample``, built once on ``sample.grid``; None at every tau when its designs
+    cannot be built.  A resample's warnings are silenced: its failures are counted."""
+    data = sample.data
     counts = np.bincount(bootstrap_indices(seed, b, data.n), minlength=data.n)
     rows = np.flatnonzero(counts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            sample = build_designs(data.take(rows), spec, counts[rows], bases[0].surface.grid)
+            resample = build_designs(data.take(rows), sample.spec, counts[rows], sample.grid)
         except QuantcordError:
             return [None] * len(bases)
-        return [_run_replicate(sample, base) for base in bases]
+        return [_run_replicate(resample, base) for base in bases]
 
 
 _WORKER_CTX = {}
 
 
-def _init_worker(data, spec, bases, seed):
-    _WORKER_CTX["args"] = (data, spec, bases, seed)
+def _init_worker(sample, bases, seed):
+    """Keep the full ``sample``, its fits ``bases`` and ``seed`` for the tasks."""
+    _WORKER_CTX["args"] = (sample, bases, seed)
 
 
 def _replicate_task(block):
@@ -267,8 +269,7 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
                                    "build the sample without weights")
     check_arguments(B, seed, level, workers)
 
-    data, spec = sample.data, sample.spec
-    bases = [run_two_step(sample, t) for t in spec.taus]
+    bases = [run_two_step(sample, t) for t in sample.spec.taus]
     # one contiguous block per process; the caller fits the last, with no pool when alone
     workers = min(workers, B)
     edges = [B * k // workers for k in range(workers + 1)]
@@ -276,11 +277,11 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
     pool = ProcessPoolExecutor(
         max_workers=workers - 1,
         initializer=_init_worker,
-        initargs=(data, spec, bases, seed),
+        initargs=(sample, bases, seed),
     ) if blocks else contextlib.nullcontext()
     with pool:
         futures = [pool.submit(_replicate_task, block) for block in blocks]
-        mine = [_replicate(data, spec, bases, seed, b) for b in own]
+        mine = [_replicate(sample, bases, seed, b) for b in own]
         results = [r for f in futures for r in f.result()] + mine
 
     # row b of each array is replicate b at every tau, NaN where it failed
@@ -289,7 +290,7 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
     for b, i in zip(*np.nonzero(ok)):
         for array, x in zip(draws, results[b][i]):
             array[b, i] = x
-    return tuple(_summarize(spec, base, level, ok[:, i], *(a[:, i] for a in draws))
+    return tuple(_summarize(sample.spec, base, level, ok[:, i], *(a[:, i] for a in draws))
                  for i, base in enumerate(bases))
 
 

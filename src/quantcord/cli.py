@@ -17,7 +17,6 @@ import platform
 import sys
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .bootstrap import bootstrap
@@ -25,6 +24,7 @@ from .config import load_run_config, load_scenario
 from .dataset import FLOAT_FMT, csv_text, read_csv
 from .exceptions import InvalidArgumentError, QuantcordError
 from .pipeline import CONSTANT_PROFILE, build_designs, phi_profile, run_two_step
+from .synthetic import generate, oracle
 
 
 def _fmt(x):
@@ -217,8 +217,6 @@ def _cmd_analyze(args):
 
 
 def _cmd_synth(args):
-    from .synthetic import generate, oracle
-
     scenario, taus = load_scenario(args.config)
     data = generate(scenario)
     sidecar = {
@@ -266,9 +264,6 @@ def main(argv=None):
         return args.func(args)
     except (QuantcordError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except yaml.YAMLError as err:
-        print(f"error: invalid YAML: {err}", file=sys.stderr)
         return 2
 
 

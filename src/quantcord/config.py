@@ -220,15 +220,21 @@ def _load_mapping(path):
             d = yaml.safe_load(fh)
     except UnicodeDecodeError as err:
         raise InvalidArgumentError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except yaml.YAMLError as err:
+        raise InvalidArgumentError(f"invalid YAML: {err}") from None
     if not isinstance(d, dict):
         raise InvalidArgumentError(f"{path}: config must be a mapping")
     return d
 
 
 def load_run_config(path):
+    """The RunConfig of the run config at ``path``; a file that is malformed
+    YAML, not UTF-8 text or not a mapping raises InvalidArgumentError."""
     return run_config_from_dict(_load_mapping(path))
 
 
 def load_scenario(path):
+    """The scenario and the sidecar taus of the synth config at ``path``; a file
+    that is malformed YAML, not UTF-8 text or not a mapping raises InvalidArgumentError."""
     return scenario_from_dict(_load_mapping(path))
 

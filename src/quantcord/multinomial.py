@@ -147,11 +147,11 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
     q, K = X2.q, len(categories)
     gamma = np.zeros((K, q)) if start is None else check_start(start, (K, q))
     ll, probs, scale = _loglik_terms(gamma, Xt, Yt, w)
-
-    g = _gradient(Xt, Yt, w, probs)
-    converged = bool(np.max(np.abs(g)) <= GRADIENT_TOL)
-    it = 0
-    while not converged and it < MAX_NEWTON_ITER:
+    for it in range(MAX_NEWTON_ITER + 1):  # it: the Newton steps taken
+        g = _gradient(Xt, Yt, w, probs)
+        converged = bool(np.max(np.abs(g)) <= GRADIENT_TOL)
+        if converged or it == MAX_NEWTON_ITER:
+            break
         info = _information(Xs, probs)
         try:
             step = np.linalg.solve(info, g).reshape(K, q)
@@ -165,21 +165,14 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
         # scales with those sums: a slack in ulps of |ll| rejects the
         # converging step near tail quantiles
         slack = 4.0 * np.finfo(float).eps * max(1.0, scale)
-        t = 1.0
-        improved = False
-        for _ in range(40):
-            trial = gamma + t * step
+        for k in range(40):
+            trial = gamma + 0.5 ** k * step
             ll_trial, probs_trial, scale_trial = _loglik_terms(trial, Xt, Yt, w)
             if np.isfinite(ll_trial) and ll_trial >= ll - slack:
-                improved = True
                 break
-            t /= 2.0
-        if not improved:
+        else:
             break  # no ascent left at this iterate
         gamma, ll, probs, scale = trial, ll_trial, probs_trial, scale_trial
-        it += 1
-        g = _gradient(Xt, Yt, w, probs)
-        converged = bool(np.max(np.abs(g)) <= GRADIENT_TOL)
 
     separation = _separation_detected(gamma, X2)
     if separation:

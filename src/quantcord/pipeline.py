@@ -74,11 +74,9 @@ class AnalysisSpec:
             raise InvalidArgumentError(
                 f"taus must be a sequence of quantile levels, got {self.taus!r}")
         check_taus(taus)
-        object.__setattr__(self, "responses", tuple(self.responses))
         object.__setattr__(self, "taus", tuple(float(t) for t in taus))
-        object.__setattr__(self, "step1_terms", tuple(self.step1_terms))
-        object.__setattr__(self, "step2_terms", tuple(self.step2_terms))
-        object.__setattr__(self, "binary", tuple(self.binary))
+        for name in ("responses", "step1_terms", "step2_terms", "binary"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.responses) != 2 or self.responses[0] == self.responses[1]:
             raise InvalidArgumentError(
                 f"responses must be two distinct columns, got {self.responses}"
@@ -162,12 +160,8 @@ def build_grid(data, spec):
         return EvaluationGrid(
             varying=(CONSTANT_PROFILE,), value=np.array([np.nan]), columns={}
         )
-    held = {}
-    for name in names:
-        if name in spec.held:
-            held[name] = float(spec.held[name])
-        else:
-            held[name] = _held_default(data, name, spec.binary)
+    held = {name: float(spec.held[name]) if name in spec.held
+            else _held_default(data, name, spec.binary) for name in names}
 
     varying = []
     value_blocks = []

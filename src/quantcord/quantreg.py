@@ -212,8 +212,7 @@ def fit_quantile_regression(X, y, tau, start=None):
     basis = _start_basis(Xv, y - Xv @ start)
     free = np.ones(n, dtype=bool)
     free[basis] = False
-    pivots = 0
-    while True:
+    for pivots in range(MAX_PIVOTS + 1):  # pivots: the pivots taken
         inv = np.linalg.inv(Xv[basis])
         # z = inv @ b is exact for X[h] perturbed by rounding in each
         # column's own scale, so X @ z can be off by noise * (col_max @ |z|);
@@ -248,7 +247,7 @@ def fit_quantile_regression(X, y, tau, start=None):
         else:
             rate = np.where(raise_fit, v + wb - high, high - v)
         candidates = np.flatnonzero(raise_fit | lower_fit)
-        if candidates.size == 0 or pivots >= MAX_PIVOTS:
+        if candidates.size == 0 or pivots == MAX_PIVOTS:
             break
         k = candidates[np.argmin(rate[candidates])]
         d = inv[:, k] if raise_fit[k] else -inv[:, k]
@@ -259,7 +258,6 @@ def fit_quantile_regression(X, y, tau, start=None):
             break
         free[basis[k]], free[enter] = True, False
         basis[k] = enter
-        pivots += 1
 
     margin = float(np.min(np.minimum(v - low, high - v)))
     residuals = y - Xv @ beta

@@ -12,40 +12,10 @@ from quantcord.exceptions import InvalidArgumentError, check_tau
 from quantcord.multinomial import _loglik_terms
 
 
-def bvn_cdf(h, k, rho):
-    """P(X <= h, Y <= k) for standard bivariate normal, by Plackett's
-    identity: Phi(h) Phi(k) plus a 1-d integral over the correlation,
-
-        (1 / 2 pi) int_0^rho exp(-(h^2 - 2 r h k + k^2) / (2 (1 - r^2)))
-                             / sqrt(1 - r^2) dr.
-    """
-    from scipy.integrate import quad
-    from scipy.special import ndtr
-
-    if not -1.0 < rho < 1.0:
-        raise InvalidArgumentError(f"|rho| must be < 1, got {rho}")
-
-    def integrand(r):
-        s = 1.0 - r * r
-        return np.exp(-(h * h - 2.0 * r * h * k + k * k) / (2.0 * s)) / np.sqrt(s)
-
-    val, _ = quad(integrand, 0.0, rho, epsabs=1e-14, epsrel=1e-12)
-    return float(ndtr(h) * ndtr(k) + val / (2.0 * np.pi))
-
-
-def oracle_phi_gaussian_quad(rho, tau):
-    """The Gaussian phi oracle by scipy's adaptive quadrature: ``bvn_cdf``
-    at the matched marginal quantiles, centered and scaled by the fixed
-    margins."""
-    from scipy.special import ndtri
-
-    z = float(ndtri(tau))
-    return (bvn_cdf(z, z, rho) - tau * tau) / (tau * (1.0 - tau))
-
-
 def oracle_phi_gaussian_mpmath(rho, tau, digits=40):
-    """The Gaussian phi oracle's integral for rho < 0 in ``digits``-digit
-    arithmetic by mpmath's tanh-sinh quadrature in theta, split at
+    """The Gaussian phi oracle's integral over theta in [0, asin(rho)], in
+    ``digits``-digit arithmetic by mpmath's tanh-sinh quadrature.  It is
+    taken from asin(rho) to 0 and negated; for rho < 0 it is split at
     theta = -pi/2 + u_0 2^k, u_0 = asin(rho) + pi/2, where the integrand
     turns toward 0."""
     import mpmath
@@ -56,25 +26,10 @@ def oracle_phi_gaussian_mpmath(rho, tau, digits=40):
         points = [mpmath.asin(rho)]
         while points[-1] < 0:
             points.append(min(2 * points[-1] + mpmath.pi / 2, 0))
+        if rho >= 0:
+            points.append(0)
         value = -mpmath.quad(lambda t: mpmath.exp(-z2 / (1 + mpmath.sin(t))), points)
         return float(value / (2 * mpmath.pi * tau * (1 - tau)))
-
-
-def bvn_cdf_monte_carlo(h, k, rho, draws=10_000_000, seed=0, chunk=1_000_000):
-    """Plain Monte Carlo estimate of the bivariate normal CDF.
-
-    Independent of the quadrature path; used to cross-check it.
-    """
-    rng = np.random.default_rng(seed)
-    hits = 0
-    left = draws
-    while left > 0:
-        m = min(chunk, left)
-        z1 = rng.standard_normal(m)
-        z2 = rho * z1 + np.sqrt(1.0 - rho**2) * rng.standard_normal(m)
-        hits += int(np.count_nonzero((z1 <= h) & (z2 <= k)))
-        left -= m
-    return hits / draws
 
 
 def oracle_phi_gaussian_median_closed_form(rho):

@@ -394,8 +394,9 @@ class TestAlignedDraws:
         monkeypatch.setattr(module, "_run_replicate", fails_once)
         serial = bootstrap(_sample(data, *taus), B=B, seed=seed, workers=1)
         pooled = bootstrap(_sample(data, *taus), B=B, seed=seed, workers=2)
-        bases = [run_two_step(build_designs(data, SPEC), t) for t in taus]
-        replicate = module._replicate(data, SPEC, bases, seed, b)
+        sample = build_designs(data, SPEC)
+        bases = [run_two_step(sample, t) for t in taus]
+        replicate = module._replicate(sample, bases, seed, b)
         assert replicate[bad] is None
         others = np.arange(B) != b
         for i, (got, ref) in enumerate(zip(serial, clean)):
@@ -498,12 +499,13 @@ class TestBootstrapFailures:
         data = Dataset(columns={"y1": rng.normal(size=n), "y2": rng.normal(size=n), "g": g})
         spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.25, 0.75),
                             step1_terms=(spline("g"),))
-        bases = [run_two_step(build_designs(data, spec), t) for t in spec.taus]
+        sample = build_designs(data, spec)
+        bases = [run_two_step(sample, t) for t in spec.taus]
         module = importlib.import_module("quantcord.bootstrap")
         drawn = []
         for b in range(12):
             has_row_0 = bool(np.any(bootstrap_indices(3, b, n) == 0))
-            replicate = module._replicate(data, spec, bases, 3, b)
+            replicate = module._replicate(sample, bases, 3, b)
             if not has_row_0:
                 assert replicate == [None, None]
             drawn.append(has_row_0)
@@ -519,14 +521,15 @@ class TestBootstrapFailures:
         g[0] = 0.0
         data = Dataset(columns={"y1": rng.normal(size=n), "y2": rng.normal(size=n), "g": g})
         spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,), step1_terms=(identity("g"),))
-        base = run_two_step(build_designs(data, spec), 0.5)
+        sample = build_designs(data, spec)
+        base = run_two_step(sample, 0.5)
         module = importlib.import_module("quantcord.bootstrap")
         failed, singular = [], 0
         for b in range(30):
             idx = bootstrap_indices(3, b, n)
             counts = np.bincount(idx, minlength=n)
             rows = np.flatnonzero(counts)
-            grid = base.surface.grid
+            grid = sample.grid
             try:
                 run_two_step(build_designs(data.take(idx), spec, grid=grid), 0.5, start=base)
                 error = None
@@ -537,12 +540,12 @@ class TestBootstrapFailures:
                 with pytest.raises(SingularDesignError, match="offending columns: g"):
                     run_two_step(build_designs(data.take(rows), spec, counts[rows], grid), 0.5,
                                  start=base)
-            replicate = module._replicate(data, spec, [base], 3, b)[0]
+            replicate = module._replicate(sample, [base], 3, b)[0]
             assert (replicate is None) == (error is not None), f"replicate {b}"
             failed.append(error is not None)
         assert singular >= 6
         with pytest.raises(InferenceUnreliableError) as err:
-            bootstrap(build_designs(data, spec), B=30, seed=3)
+            bootstrap(sample, B=30, seed=3)
         np.testing.assert_array_equal(~err.value.partial["ok"], failed)
 
     def test_unconverged_replicate_counts_as_failure(self, monkeypatch):

@@ -106,6 +106,10 @@ class TestEmpiricalCells:
         with pytest.raises(InvalidArgumentError, match="empty"):
             empirical_cells(np.array([], dtype=int))
 
+    def test_two_dimensional_labels_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"^labels must be 1-d, got shape \(2, 2\)$"):
+            empirical_cells(np.zeros((2, 2), int))
+
     def test_unknown_label(self):
         for read_codes in (empirical_cells, lambda z: pool(z, merged=True)):
             with pytest.raises(InvalidArgumentError, match="unknown labels"):

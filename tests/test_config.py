@@ -252,6 +252,13 @@ class TestRunConfig:
         with pytest.raises(InvalidArgumentError, match="config must be a mapping"):
             load_run_config(path)
 
+    def test_malformed_yaml_raises_the_package_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("input: [unclosed\n", encoding="utf-8")
+        for load in (load_run_config, load_scenario):
+            with pytest.raises(InvalidArgumentError, match="^invalid YAML: "):
+                load(path)
+
 
 class TestScenarioConfig:
 

@@ -24,6 +24,10 @@ class TestDataset:
         with pytest.raises(InvalidArgumentError, match="at least one column"):
             Dataset(columns={})
 
+    def test_column_must_be_1d(self):
+        with pytest.raises(InvalidArgumentError, match="^column 'a' is not 1-d$"):
+            Dataset(columns={"a": [[1.0, 2.0]]})
+
     def test_unknown_column_lists_available(self):
         d = Dataset(columns={"a": [1.0, 2.0]})
         with pytest.raises(InvalidArgumentError, match="available"):
@@ -153,6 +157,11 @@ class TestReadCsv:
         p = self._write(tmp_path, "y1,y2,x,x\n1,2,3,4\n5,6,7,8\n")
         with pytest.raises(IngestionError, match="repeats columns \\['x'\\]"):
             read_csv(p, columns=["y1", "y2", "x"])
+
+    def test_binary_column_must_be_used(self, tmp_path):
+        p = self._write(tmp_path, "a,b\n1,0\n2,1\n")
+        with pytest.raises(IngestionError, match="binary column 'b' is not among the used columns$"):
+            read_csv(p, columns=["a"], binary=["b"])
 
     def test_binary_ok(self, tmp_path):
         p = self._write(tmp_path, "y,g\n1,0\n2,1\n3,1\n")

@@ -401,6 +401,14 @@ class TestFitBehavior:
         with pytest.raises(InvalidArgumentError, match="integer cell codes"):
             fit_multinomial(_intercept_design(4), z)
 
+    @pytest.mark.parametrize("X2, n_labels, message", [
+        (_intercept_design(6), 5, "5 labels for 6 design rows"),
+        (np.ones((8, 1)), 8, "X2 must be a DesignMatrix"),
+    ], ids=["label-count", "plain-array"])
+    def test_entry_checks(self, X2, n_labels, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            fit_multinomial(X2, np.arange(n_labels) % 4)
+
 
 class TestFrequencyWeights:
     """Distinct rows weighted by their counts fit as the repeated rows do."""

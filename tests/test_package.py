@@ -12,6 +12,16 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 RUNTIME_PACKAGES = {"numpy", "yaml", "quantcord"}
 
 
+def _absolute_imports(path):
+    """The modules that each absolute import statement in ``path`` names,
+    a lazy one inside a function too."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
 class TestPublicNames:
 
     def test_all_has_no_duplicates(self):
@@ -39,20 +49,18 @@ class TestModuleBoundaries:
         assert found == []
 
     def test_every_import_is_stdlib_numpy_yaml_or_the_package(self):
-        # every import statement counts, a lazy one inside a function too;
         # TestImportClosure sees only the paths a test runs
-        found = []
-        for path in sorted(SRC.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    modules = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    modules = [node.module]
-                else:
-                    continue
-                found += [f"{path.name}: {m}" for m in modules if m.split(".")[0]
-                          not in sys.stdlib_module_names | RUNTIME_PACKAGES]
+        found = [f"{path.name}: {m}" for path in sorted(SRC.glob("*.py"))
+                 for m in _absolute_imports(path)
+                 if m.split(".")[0] not in sys.stdlib_module_names | RUNTIME_PACKAGES]
         assert found == []
+
+    def test_only_the_config_layer_imports_yaml(self):
+        # config reads the YAML files and turns PyYAML's errors into the
+        # package's InvalidArgumentError, so no other module needs PyYAML
+        found = [path.name for path in sorted(SRC.glob("*.py"))
+                 if any(m.split(".")[0] == "yaml" for m in _absolute_imports(path))]
+        assert found == ["config.py"]
 
     def test_runtime_dependencies_are_numpy_and_pyyaml(self):
         # read without tomllib, which Python 3.10 lacks

@@ -611,6 +611,10 @@ class TestFitErrors:
         with pytest.raises(InvalidArgumentError, match="length"):
             fit_quantile_regression(X, np.arange(4.0), 0.5)
 
+    def test_design_must_be_a_design_matrix(self):
+        with pytest.raises(InvalidArgumentError, match="^X must be a DesignMatrix$"):
+            fit_quantile_regression(np.ones((5, 1)), np.arange(5.0), 0.5)
+
     def test_nonfinite_response(self):
         X = _intercept_only(5)
         y = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
@@ -621,7 +625,9 @@ class TestFitErrors:
         [1.0, 2.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0, 1.0],
         [1.0, np.nan, 1.0, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0, 1.0],
         [1.0, 1.0, 1.0, 1.0], np.ones((5, 1)), ["a"] * 5, ["1"] * 5, [True] * 5,
-    ], ids=["zero", "negative", "nan", "inf", "short", "2-d", "text", "numeric-text", "bool"])
+        [[1, 2], [3]],
+    ], ids=["zero", "negative", "nan", "inf", "short", "2-d", "text", "numeric-text", "bool",
+            "ragged"])
     def test_bad_weights_rejected(self, weights):
         with pytest.raises(InvalidArgumentError, match="weights"):
             _intercept_only(5, weights)

@@ -26,7 +26,6 @@ scenario = {
 
 run = {
     "input": "copula.csv",
-    "output_dir": "results",
     "responses": ["y1", "y2"],
     "taus": [0.25, 0.5, 0.75],
     "step1_terms": [{"column": "x", "transform": "identity"}],
@@ -49,7 +48,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     os.chdir(root)  # run config paths are relative to the cwd
     try:
-        rc = main(["analyze", "--config", "run.yaml"])
+        rc = main(["analyze", "--config", "run.yaml", "--out", "results"])
         print(f"analyze exit code: {rc}\n")
 
         out = root / "results"

@@ -1,12 +1,12 @@
 """Command-line front end: ``quantcord analyze`` and ``quantcord synth``.
 
-Each command takes a YAML config and an output path, and nothing else:
-the config and the input fix every output byte, and ``--out`` only says
-where the files go.  Each command renders every output file to text
-before it writes any, and :func:`_write_outputs` removes the files
-already written if a later write fails, so a failing run leaves no
-partial outputs.  Outputs contain no timestamps; rerunning a config
-reproduces every file byte for byte.
+Each command takes a YAML config and an output path, both required, and
+nothing else: the config and the input fix every output byte, and
+``--out`` alone says where the files go.  Each command renders every
+output file to text before it writes any, and :func:`_write_outputs`
+removes the files already written if a later write fails, so a failing
+run leaves no partial outputs.  Outputs contain no timestamps; rerunning
+a config reproduces every file byte for byte.
 """
 
 import argparse
@@ -194,9 +194,8 @@ def _cmd_analyze(args):
             raise InvalidArgumentError(
                 f"covariates {profiles[name]!r} and {cov!r} would both write {name}")
         profiles[name] = cov
-    out_dir = args.out or cfg.output_dir
 
-    data, dropped = read_csv(cfg.input, columns=spec.columns, binary=spec.binary)
+    data, dropped = read_csv(cfg.input, columns=spec.columns)
     if dropped:
         print(f"dropped {len(dropped)} rows with missing cells (data rows {list(dropped)})",
               file=sys.stderr)
@@ -210,9 +209,9 @@ def _cmd_analyze(args):
         results = [(run_two_step(sample, tau), None) for tau in spec.taus]
 
     files = _render_analysis(cfg, data, dropped, results)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_outputs({os.path.join(out_dir, name): text for name, text in files.items()})
-    print(f"wrote {len(files)} files to {out_dir}")
+    os.makedirs(args.out, exist_ok=True)
+    _write_outputs({os.path.join(args.out, name): text for name, text in files.items()})
+    print(f"wrote {len(files)} files to {args.out}")
     return 0
 
 
@@ -246,8 +245,7 @@ def build_parser():
 
     a = sub.add_parser("analyze", help="run the two-step analysis on a CSV")
     a.add_argument("--config", required=True, help="YAML run configuration")
-    a.add_argument("--out", default=None,
-                   help="output directory (overrides the config's output_dir)")
+    a.add_argument("--out", required=True, help="output directory")
     a.set_defaults(func=_cmd_analyze)
 
     s = sub.add_parser("synth", help="generate a synthetic fixture CSV")

@@ -38,12 +38,12 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One analysis run: where the data lives, what to fit, what to write."""
+    """One analysis run: where the data lives and what to fit; where the
+    outputs go is the command line's ``--out`` alone."""
 
     input: str
     spec: AnalysisSpec
     bootstrap: BootstrapConfig = BootstrapConfig()
-    output_dir: str = "quantcord_out"
 
 
 def _read(section, d, table, required=(), prefix=None):
@@ -160,7 +160,6 @@ _BOOTSTRAP = {"enabled": _bool, "replicates": _int, "seed": _int, "level": _floa
               "workers": _int}
 _RUN = {
     "input": _str,
-    "output_dir": _str,
     "responses": _list_of(_str),
     "taus": _list_of(_float),
     "merged": _bool,
@@ -174,7 +173,7 @@ _RUN = {
 
 def run_config_from_dict(d):
     given = _read("config", d, _RUN, required=("input", "responses"), prefix="")
-    run = {k: given.pop(k) for k in ("input", "output_dir", "bootstrap") if k in given}
+    run = {k: given.pop(k) for k in ("input", "bootstrap") if k in given}
     grid = {_GRID_FIELDS[k]: v for k, v in given.pop("grid", {}).items()}
     return RunConfig(spec=AnalysisSpec(**given, **grid), **run)
 

@@ -14,11 +14,9 @@ FLOAT_FMT = "%.17g"  # round-trips every float64
 
 @dataclass(frozen=True)
 class Dataset:
-    """Named numeric columns of equal length.
-
-    Binary indicator columns are stored as 0/1 floats like everything
-    else; ingestion validates the declared ones.
-    """
+    """Named numeric columns of equal length, stored as floats; what a
+    column may hold is the analysis's to check (see
+    :class:`quantcord.pipeline.AnalysisSpec`)."""
 
     columns: dict
 
@@ -103,7 +101,7 @@ def _float_or_nan(cell):
         return float("nan")
 
 
-def read_csv(path, columns=None, binary=()):
+def read_csv(path, columns=None):
     """Parse a comma-separated file into a Dataset.
 
     Parameters
@@ -115,8 +113,6 @@ def read_csv(path, columns=None, binary=()):
         The columns actually used; rows with missing cells in these
         columns are dropped (and reported), other columns are ignored.
         Default: all columns in the file.
-    binary : sequence of str
-        Columns that must contain only 0 and 1.
 
     Returns
     -------
@@ -128,7 +124,8 @@ def read_csv(path, columns=None, binary=()):
     the first such row, before any cell is parsed; a shorter row's
     absent cells are missing.  A cell that is neither missing nor a
     finite number raises IngestionError naming the first such cell by
-    data row, then by column.
+    data row, then by column.  Only parsing is checked here: what a
+    used column may hold is the analysis's to check.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
@@ -150,11 +147,6 @@ def read_csv(path, columns=None, binary=()):
     repeated = [c for c in dict.fromkeys(used) if header.count(c) > 1]
     if repeated:
         raise IngestionError(f"{path}: header repeats columns {repeated}")
-    for b in binary:
-        if b not in used:
-            raise IngestionError(
-                f"{path}: binary column {b!r} is not among the used columns"
-            )
     col_idx = {c: header.index(c) for c in used}
     rownums, rows = [], []
     for rownum, row in enumerate(reader, start=1):
@@ -190,19 +182,9 @@ def read_csv(path, columns=None, binary=()):
             f"{path}: {what} cell {cell!r} at data row {rownums[k]}, column {c!r}"
         )
 
-    kept = [r for r, m in zip(rownums, missing.tolist()) if not m]
-    if not kept:
+    if missing.all():
         raise IngestionError(f"{path}: no usable data rows")
-
     data = Dataset(columns={c: v[~missing] for c, v in parsed.items()})
-    for b in binary:
-        arr = data.column(b)
-        bad = np.nonzero(~np.isin(arr, (0.0, 1.0)))[0]
-        if bad.size:
-            raise IngestionError(
-                f"{path}: binary column {b!r} contains {float(arr[bad[0]])!r} "
-                f"at data row {kept[bad[0]]}"
-            )
     return data, tuple(r for r, m in zip(rownums, missing.tolist()) if m)
 
 

@@ -40,7 +40,8 @@ class AnalysisSpec:
     """Everything needed to run the two-step procedure on a dataset.
 
     ``binary`` names 0/1 term columns; a name that no term reads is an
-    error.  A binary covariate's profile grid is {0, 1} and its
+    error here, and :func:`build_grid` checks that each column holds only
+    0 and 1.  A binary covariate's profile grid is {0, 1} and its
     held-constant default is the majority value.  ``grid_values`` (a
     non-empty list per covariate) and ``held`` (one value per covariate)
     override the per-covariate defaults; every value in them must be a
@@ -154,7 +155,13 @@ def _held_default(data, name, binary):
 def build_grid(data, spec):
     """Default evaluation grid: binary covariates take {0, 1}, others an
     equally spaced grid over the observed range; held-out covariates sit
-    at their majority value (binary) or median."""
+    at their majority value (binary) or median.  A ``spec.binary`` column
+    that holds a value other than 0 and 1 raises InvalidArgumentError."""
+    for name in spec.binary:
+        col = data.column(name)
+        other = col[(col != 0.0) & (col != 1.0)]
+        if other.size:
+            raise InvalidArgumentError(f"binary column {name!r} contains {float(other[0])!r}")
     names = spec.profile_columns
     if not names:
         return EvaluationGrid(
@@ -270,14 +277,15 @@ def build_designs(data, spec, weights=None, grid=None):
     """The sample of the rows of ``data`` with frequency ``weights`` (None:
     unit weights), built once to serve :func:`run_two_step` at every tau.
     ``grid`` defaults to ``build_grid(data, spec)``, of the rows without
-    their weights; the bootstrap gives every replicate the full sample's.
-    An error building a step's design is tagged ``step 1`` or ``step 2``."""
+    their weights, and built first; the bootstrap gives every replicate
+    the full sample's.  An error building a step's design is tagged
+    ``step 1`` or ``step 2``."""
+    if grid is None:
+        grid = build_grid(data, spec)
     with _step("step 1"):
         X1, _ = build_design(data, spec.step1_terms, weights)
     with _step("step 2"):
         X2, recipe2 = build_design(data, spec.step2_terms, weights)
-        if grid is None:
-            grid = build_grid(data, spec)
         if spec.step2_terms:
             grid_X2 = recipe_values(recipe2, Dataset(columns=grid.columns))
         else:

@@ -130,18 +130,21 @@ def _solve_exact(A, b):
     return [M[i][q] / M[i][i] for i in range(q)]
 
 
-def exact_certificate(X, y, tau, weights, basis):
+def exact_certificate(X, y, tau, weights, basis, perturbation):
     """The smallest slack of step 1's optimality certificate at ``basis``,
-    in exact rational arithmetic on the literal floats, with no tolerance.
+    and the non-basis rows whose residual is exactly 0, in exact rational
+    arithmetic on the literal floats, with no tolerance.
 
     beta solves the basis rows exactly, so each basis residual is exactly
-    0.  With psi_i = tau above the fit and tau - 1 below it for every other
-    row, ``v = -X(h)^-T sum w_i psi_i x_i`` is optimal when each v_k lies
-    in ``[w_k (tau - 1), w_k tau]``; the result is the smallest distance of
-    a v_k inside those bounds (negative when one lies outside).  Returns
-    None when a non-basis residual is exactly 0, a tie that psi does not
-    side.  Every float is a dyadic rational, so the rows are scaled by the
-    largest denominator to integers and the n-row sums run in integers.
+    0.  Every other row takes psi_i = tau above the fit and tau - 1 below
+    it.  A row whose residual is exactly 0 is above when
+    ``rho_i = delta_i - x_i' X(h)^-1 delta(h) > 0``, with delta the design's
+    ``perturbation``, and below otherwise: the solver's tie rule.
+    ``v = -X(h)^-T sum w_i psi_i x_i`` is optimal when each v_k lies in
+    ``[w_k (tau - 1), w_k tau]``; the slack is the smallest distance of a
+    v_k inside those bounds (negative when one lies outside).  Every float
+    is a dyadic rational, so the rows are scaled by the largest
+    denominator to integers and the n-row sums run in integers.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
@@ -159,8 +162,11 @@ def exact_certificate(X, y, tau, weights, basis):
     r = [yv * den - sum(a * b for a, b in zip(row, num)) for row, yv in zip(xi, yi)]
     assert all(r[k] == 0 for k in basis)
     in_basis = set(basis)
-    if any(r[i] == 0 for i in range(len(r)) if i not in in_basis):
-        return None
+    ties = tuple(i for i, ri in enumerate(r) if ri == 0 and i not in in_basis)
+    # z = X(h)^-1 delta(h) / scale, so x_i' X(h)^-1 delta(h) = xi_i' z
+    delta = [Fraction(v) for v in np.asarray(perturbation, dtype=float).tolist()]
+    z = _solve_exact([[Fraction(v) for v in xi[k]] for k in basis], [delta[k] for k in basis])
+    up = {i for i in ties if delta[i] - sum(a * b for a, b in zip(xi[i], z)) > 0}
     fw = [Fraction(v) for v in w.tolist()]
     wscale = max(f.denominator for f in fw)
     wi = [int(v * wscale) for v in fw]
@@ -169,7 +175,7 @@ def exact_certificate(X, y, tau, weights, basis):
     for i, (ri, row) in enumerate(zip(r, xi)):
         if i in in_basis:
             continue
-        acc = above if ri > 0 else below
+        acc = above if ri > 0 or i in up else below
         for j in range(q):
             acc[j] += wi[i] * row[j]
     t = Fraction(tau)
@@ -177,7 +183,8 @@ def exact_certificate(X, y, tau, weights, basis):
     g = [(a * t + b * (t - 1)) / wscale for a, b in zip(above, below)]
     v = _solve_exact([[Fraction(xi[k][j]) for k in basis] for j in range(q)],
                      [-x for x in g])
-    return min(min(vk - fw[k] * (t - 1), fw[k] * t - vk) for vk, k in zip(v, basis))
+    slack = min(min(vk - fw[k] * (t - 1), fw[k] * t - vk) for vk, k in zip(v, basis))
+    return slack, ties
 
 
 def read_csv_cell_by_cell(path, columns):

@@ -572,28 +572,32 @@ class TestAnalyzeProfiles:
             se = np.std(boot.gamma_draws[ok], axis=0, ddof=1)
             assert column("step2_coefficients.csv", "se") == se.ravel().tolist()
 
-    def test_null_output_dir_takes_the_default(self, workdir):
-        cfg = self._config(workdir, output_dir=None)
-        assert main(["analyze", "--config", cfg]) == 0
-        assert (workdir / "quantcord_out" / "metadata.json").exists()
-        assert not (workdir / "None").exists()
-
     @pytest.mark.parametrize("overrides,message", [
-        ({"output_dir": [1]}, "output_dir must be a string, got [1]"),
         ({"step2_terms": [{"column": "x", "transform": "center", "value": "abc"}]},
          "term.value must be a number, got 'abc'"),
-    ], ids=["output_dir-list", "term.value-string"])
+    ], ids=["term.value-string"])
     def test_bad_name_or_term_value_exits_2(self, workdir, capsys, overrides, message):
         cfg = self._config(workdir, **overrides)
-        assert main(["analyze", "--config", cfg]) == 2
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
-        assert not (workdir / "[1]").exists()
-        assert not (workdir / "quantcord_out").exists()
+        assert not (workdir / "out").exists()
 
-    def test_default_output_dir_from_config(self, workdir):
-        cfg = self._config(workdir, output_dir="from_config")
-        assert main(["analyze", "--config", cfg]) == 0
-        assert (workdir / "from_config" / "metadata.json").exists()
+    def test_output_dir_in_config_exits_2(self, workdir, capsys):
+        # --out alone says where the files go
+        cfg = self._config(workdir, output_dir="elsewhere")
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert "error: unknown keys in config: ['output_dir']" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+        assert not (workdir / "elsewhere").exists()
+
+    def test_analyze_without_out_exits_2(self, workdir, capsys):
+        cfg = self._config(workdir)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--config", cfg])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "run.yaml", "scenario.yaml", "small.csv", "small.csv.oracle.json"]
 
     def test_summary_is_human_readable(self, workdir):
         cfg = self._config(workdir)
@@ -641,14 +645,15 @@ class TestAnalyzeFailures:
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
-        assert main(["analyze", "--config", str(tmp_path / "none.yaml")]) == 2
+        assert main(["analyze", "--config", str(tmp_path / "none.yaml"),
+                     "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_missing_input_csv_exits_2(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "run.yaml",
                           {"input": str(tmp_path / "none.csv"),
                            "responses": ["y1", "y2"]})
-        assert main(["analyze", "--config", cfg]) == 2
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_long_tau_range_exits_2_at_once(self, tmp_path, capsys):
@@ -656,7 +661,7 @@ class TestAnalyzeFailures:
                           {"input": str(tmp_path / "none.csv"), "responses": ["y1", "y2"],
                            "taus": {"start": 0.1, "stop": 0.9, "step": 1.0e-11}})
         start = time.perf_counter()
-        assert main(["analyze", "--config", cfg]) == 2
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "error: taus must be a list, got {'start': 0.1, 'step': 1e-11, 'stop': 0.9}" in err
@@ -666,13 +671,13 @@ class TestAnalyzeFailures:
         cfg = _write_yaml(tmp_path / "run.yaml",
                           {"input": str(tmp_path / "none.csv"), "responses": ["y1", "y2"],
                            "step2_terms": [{"column": "x"}], "grid": {"values": {"x": []}}})
-        assert main(["analyze", "--config", cfg]) == 2
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "error: grid values for 'x' must be a non-empty 1-d list" in err
         assert "none.csv" not in err
 
     def test_directory_as_config_exits_2(self, tmp_path, capsys):
-        assert main(["analyze", "--config", str(tmp_path)]) == 2
+        assert main(["analyze", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def _small_run(self, tmp_path, monkeypatch, **overrides):
@@ -690,9 +695,9 @@ class TestAnalyzeFailures:
         assert not (tmp_path / "out").exists()
 
     def test_output_dir_below_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
-        cfg = self._small_run(tmp_path, monkeypatch, output_dir="small.csv/out")
+        cfg = self._small_run(tmp_path, monkeypatch)
         before = (tmp_path / "small.csv").read_bytes()
-        assert main(["analyze", "--config", cfg]) == 2
+        assert main(["analyze", "--config", cfg, "--out", "small.csv/out"]) == 2
         assert "error:" in capsys.readouterr().err
         assert (tmp_path / "small.csv").read_bytes() == before
 
@@ -725,7 +730,7 @@ class TestAnalyzeFailures:
     def test_invalid_yaml_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("input: [unclosed\n", encoding="utf-8")
-        assert main(["analyze", "--config", str(path)]) == 2
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "invalid YAML" in capsys.readouterr().err
 
     def test_binary_violation_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -735,8 +740,9 @@ class TestAnalyzeFailures:
         cfg = _write_yaml(tmp_path / "run.yaml",
                           {"input": "bad.csv", "responses": ["y1", "y2"],
                            "binary": ["g"], "step2_terms": [{"column": "g"}]})
-        assert main(["analyze", "--config", cfg]) == 2
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
         assert "binary column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_binary_name_no_term_reads_exits_2(self, tmp_path, monkeypatch, capsys):
         # a typo of g would leave g a continuous covariate, unchecked

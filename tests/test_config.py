@@ -162,14 +162,12 @@ class TestRunConfig:
     def test_minimal_uses_defaults(self):
         cfg = run_config_from_dict(_run_dict())
         assert cfg.input == "data.csv"
-        assert cfg.output_dir == "quantcord_out"
         assert cfg.spec.responses == ("y1", "y2")
         assert not cfg.bootstrap.enabled
 
     def test_full_config(self):
         cfg = run_config_from_dict(
             _run_dict(
-                output_dir="out",
                 merged=True,
                 binary=["g"],
                 step1_terms=[{"column": "x"}],
@@ -212,7 +210,6 @@ class TestRunConfig:
         # every key spelled out, defaults and empty tables included
         cfg = run_config_from_dict({
             "input": "data.csv",
-            "output_dir": "quantcord_out",
             "responses": ["y1", "y2"],
             "taus": [0.25, 0.75],
             "merged": False,
@@ -489,7 +486,7 @@ class TestNumberParsing:
 class TestNullsAndNames:
 
     @pytest.mark.parametrize("extra", [
-        {"output_dir": None}, {"merged": None}, {"taus": None}, {"binary": None},
+        {"merged": None}, {"taus": None}, {"binary": None},
         {"step1_terms": None}, {"grid": None}, {"grid": {"points": None}},
         {"grid": {"values": {"x": None}, "held": {"x": None}}}, {"bootstrap": None},
         {"bootstrap": {"level": None, "seed": None, "enabled": None}},
@@ -525,8 +522,8 @@ class TestNullsAndNames:
 
     @pytest.mark.parametrize("extra,key", [
         ({"input": True}, "input"),
-        ({"output_dir": [1]}, "output_dir"),
-        ({"output_dir": {"a": 1}}, "output_dir"),
+        ({"input": [1]}, "input"),
+        ({"input": {"a": 1}}, "input"),
         ({"responses": ["y1", ["y2"]]}, "responses"),
         ({"binary": [False]}, "binary"),
         ({"step1_terms": [{"column": True}]}, "term.column"),
@@ -575,7 +572,7 @@ class TestReadmeConfigs:
         path = tmp_path / "run.yaml"
         path.write_text(_readme_block("run.yaml"), encoding="utf-8")
         cfg = load_run_config(path)
-        assert (cfg.input, cfg.output_dir) == ("copula.csv", "results")
+        assert cfg.input == "copula.csv"
         assert cfg.spec.step2_terms == (spline("x"), identity("g"), interaction("x", "g"))
         assert cfg.spec.grid_values == {"x": (-1.0, 0.0, 1.0)}
         assert cfg.bootstrap == BootstrapConfig(enabled=True)

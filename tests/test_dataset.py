@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from quantcord import Dataset, IngestionError, InvalidArgumentError, read_csv
+from quantcord import (
+    AnalysisSpec,
+    Dataset,
+    IngestionError,
+    InvalidArgumentError,
+    build_grid,
+    identity,
+    read_csv,
+)
 from quantcord.dataset import FLOAT_FMT, _column_values, csv_text
 from oracles import read_csv_cell_by_cell
 
@@ -137,36 +145,26 @@ class TestReadCsv:
         with pytest.raises(IngestionError, match="no usable data rows"):
             read_csv(p)
 
+    # read_csv only parses: the grid of the analysis checks a binary column
+    _GROUPS = AnalysisSpec(responses=("y1", "y2"), step2_terms=(identity("g"),),
+                           binary=("g",))
+
     def test_binary_column_validated(self, tmp_path):
-        p = self._write(tmp_path, "y,g\n1,0\n2,1\n3,2\n")
-        with pytest.raises(IngestionError, match="binary column 'g' contains 2.0"):
-            read_csv(p, binary=["g"])
+        p = self._write(tmp_path, "y1,y2,g\n1,3,0\n2,1,1\n3,2,2\n")
+        data, _ = read_csv(p)
+        with pytest.raises(InvalidArgumentError, match="^binary column 'g' contains 2.0$"):
+            build_grid(data, self._GROUPS)
 
-    def test_binary_error_names_row(self, tmp_path):
-        p = self._write(tmp_path, "y,g\n1,0\n2,2\n3,1\n")
-        with pytest.raises(IngestionError, match="data row 2"):
-            read_csv(p, binary=["g"])
-
-    def test_binary_error_counts_blank_lines(self, tmp_path):
-        # data rows are numbered as in dropped_rows, blank lines included
-        p = self._write(tmp_path, "y1,y2,g\n1,2,0\n\n\n3,4,1\n5,6,7\n")
-        with pytest.raises(IngestionError, match="contains 7.0 at data row 5$"):
-            read_csv(p, binary=["g"])
+    def test_binary_ok(self, tmp_path):
+        p = self._write(tmp_path, "y1,y2,g\n1,3,0\n2,1,1\n3,2,1\n")
+        data, _ = read_csv(p)
+        np.testing.assert_array_equal(build_grid(data, self._GROUPS).columns["g"], [0.0, 1.0])
+        np.testing.assert_array_equal(data.column("g"), [0.0, 1.0, 1.0])
 
     def test_repeated_header_column_rejected(self, tmp_path):
         p = self._write(tmp_path, "y1,y2,x,x\n1,2,3,4\n5,6,7,8\n")
         with pytest.raises(IngestionError, match="repeats columns \\['x'\\]"):
             read_csv(p, columns=["y1", "y2", "x"])
-
-    def test_binary_column_must_be_used(self, tmp_path):
-        p = self._write(tmp_path, "a,b\n1,0\n2,1\n")
-        with pytest.raises(IngestionError, match="binary column 'b' is not among the used columns$"):
-            read_csv(p, columns=["a"], binary=["b"])
-
-    def test_binary_ok(self, tmp_path):
-        p = self._write(tmp_path, "y,g\n1,0\n2,1\n3,1\n")
-        data, _ = read_csv(p, binary=["g"])
-        np.testing.assert_array_equal(data.column("g"), [0.0, 1.0, 1.0])
 
     def test_blank_lines_skipped(self, tmp_path):
         p = self._write(tmp_path, "y1,y2\n1,2\n\n3,4\n")

@@ -48,7 +48,7 @@ def test_readme_configs_synthesise_and_analyse(tmp_path):
     cli = ["-m", "quantcord.cli"]
     _run_python([*cli, "synth", "--config", "scenario.yaml", "--out", "copula.csv"],
                 tmp_path)
-    _run_python([*cli, "analyze", "--config", "run.yaml"], tmp_path)
+    _run_python([*cli, "analyze", "--config", "run.yaml", "--out", "results"], tmp_path)
     assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
         "metadata.json", "phi_profile_g.csv", "phi_profile_x.csv",
         "step1_coefficients.csv", "step2_coefficients.csv", "summary.txt"]

@@ -388,6 +388,25 @@ class TestFitBehavior:
         assert fit.separation
         assert np.max(np.abs(fit.gamma)) > 30.0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_quasi_separation_in_one_group_is_flagged(self):
+        # "11" never occurs where g = 1, so gamma("11", g) has no finite
+        # MLE; Newton stops at about -23.5 and the coefficient threshold
+        # misses it
+        flags = []
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            n = 400
+            g = rng.integers(0, 2, n).astype(float)
+            z = rng.integers(0, 4, n)
+            gone = (g == 1) & (z == 1)
+            z[gone] = rng.choice([0, 2, 3], size=int(gone.sum()))
+            X = DesignMatrix(np.column_stack([np.ones(n), g]), ("intercept", "g"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SeparationWarning)
+                flags.append(fit_multinomial(X, z).separation)
+        assert all(flags)
+
     def test_empty_labels(self):
         with pytest.raises(InvalidArgumentError, match="empty"):
             fit_multinomial(_intercept_design(2), np.array([], dtype=int))

@@ -537,6 +537,28 @@ class TestSampleDesigns:
         np.testing.assert_array_equal(sample.grid.columns["x"], grid.columns["x"], strict=True)
         assert run_two_step(sample, 0.5).surface.grid is sample.grid
 
+    def test_a_binary_column_holding_another_value_fails_to_build(self):
+        # a 0/2 indicator would get a grid at g = 0 and 1, and a phi at g = 1
+        # where g is never 1
+        rng = np.random.default_rng(0)
+        n = 400
+        g = 2 * rng.integers(0, 2, n)
+        e = rng.standard_normal((2, n))
+        data = Dataset(columns={"y1": e[0] + g, "y2": e[1] - g, "g": g})
+        spec = _spec(step1_terms=(identity("g"),), step2_terms=(identity("g"),),
+                     binary=("g",))
+        with pytest.raises(InvalidArgumentError, match="^binary column 'g' contains 2.0$"):
+            build_designs(data, spec)
+
+    def test_a_binary_column_read_by_step1_alone_is_checked(self):
+        data = _dependent_data()
+        g = np.arange(data.n) % 2.0
+        g[7] = 2.0
+        spec = _spec(step1_terms=(identity("g"),), step2_terms=(identity("x"),),
+                     binary=("g",))
+        with pytest.raises(InvalidArgumentError, match="^binary column 'g' contains 2.0$"):
+            build_designs(Dataset(columns=dict(data.columns, g=g)), spec)
+
     @pytest.mark.parametrize("step", [1, 2], ids=["step1", "step2"])
     def test_a_design_error_is_tagged_with_its_step(self, step):
         rng = np.random.default_rng(9)

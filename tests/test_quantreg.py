@@ -275,7 +275,9 @@ class TestLinearProgramOracle:
     def test_matches_highs_on_random_and_tied_problems(self):
         """300 problems; a third with rounded responses, a third with rounded
         responses and one rounded covariate, so ties and degenerate vertices
-        are common."""
+        are common.  Every vertex is exactly optimal, its exact ties sided
+        by the perturbation as the solver sides them, and those ties are
+        the fit's."""
         rng = np.random.default_rng(47)
         for trial in range(300):
             n = int(rng.integers(30, 401))
@@ -287,15 +289,15 @@ class TestLinearProgramOracle:
                 y = np.round(y)
             if trial % 3 == 2:
                 X[:, 1] = np.round(X[:, 1])
-            fit = fit_quantile_regression(_design(X), y, tau)
+            D = _design(X)
+            fit = fit_quantile_regression(D, y, tau)
             reference = _lp_objective(X, y, tau)
             gap = (fit.objective - reference) / reference
             assert gap <= 1e-9, f"trial {trial}: gap {gap:.3e}"
             assert fit.margin >= 0.0, f"trial {trial}: margin {fit.margin}"
-            if trial % 3 == 0:
-                # continuous data: the vertex is exactly optimal, with no tie
-                slack = exact_certificate(X, y, tau, None, fit.basis)
-                assert slack is not None and slack >= 0, f"trial {trial}: slack {slack}"
+            slack, ties = exact_certificate(X, y, tau, None, fit.basis, D.perturbation)
+            assert slack >= 0, f"trial {trial}: slack {slack}"
+            assert ties == fit.ties, f"trial {trial}: exact ties {ties}, fit's {fit.ties}"
 
     @pytest.mark.parametrize("offset, spread", [(1.7e9, 3e7), (1e9, 1e6), (5e4, 1e4)])
     def test_matches_highs_with_large_offset_covariate(self, offset, spread):
@@ -352,13 +354,15 @@ class TestLinearProgramOracle:
 
             counts = np.bincount(idx, minlength=n)
             rows = np.flatnonzero(counts)
-            weighted = fit_quantile_regression(_design(full[rows], weights=counts[rows]),
-                                               y[rows], tau, start=start)
+            D = _design(full[rows], weights=counts[rows])
+            weighted = fit_quantile_regression(D, y[rows], tau, start=start)
             gap = (weighted.objective - reference) / reference
             assert gap <= 1e-9, f"seed {seed}, weighted: gap {gap:.3e}"
             assert weighted.margin >= 0.0, f"seed {seed}, weighted: margin {weighted.margin}"
-            slack = exact_certificate(full[rows], y[rows], tau, counts[rows], weighted.basis)
-            assert slack is not None and slack >= 0, f"seed {seed}, weighted: slack {slack}"
+            slack, ties = exact_certificate(full[rows], y[rows], tau, counts[rows],
+                                            weighted.basis, D.perturbation)
+            assert slack >= 0, f"seed {seed}, weighted: slack {slack}"
+            assert ties == weighted.ties, f"seed {seed}, weighted: ties {ties}, {weighted.ties}"
 
     def test_weighted_fit_matches_highs_on_expanded_rows(self):
         """A resample's distinct rows weighted by their counts have the
@@ -428,7 +432,7 @@ class TestLinearProgramOracle:
         out = tmp_path / "data.csv"
         with contextlib.redirect_stdout(io.StringIO()):
             assert quantcord_main(["synth", "--config", str(config), "--out", str(out)]) == 0
-        data, _ = read_csv(out, binary=("g",))
+        data, _ = read_csv(out)
         X, _ = build_design(data, (identity("x"), identity("g")))
         y = data.column("y1")
         tau = 0.9

@@ -10,7 +10,6 @@ bootstrap confidence bands.
 __version__ = "0.1.0"
 
 from .basis import (
-    BasisRecipe,
     TermSpec,
     build_design,
     center,
@@ -69,8 +68,8 @@ from .synthetic import (
 __all__ = [
     "__version__",
     # basis
-    "BasisRecipe", "TermSpec", "build_design", "center", "identity",
-    "interaction", "recipe_values", "spline",
+    "TermSpec", "build_design", "center", "identity", "interaction",
+    "recipe_values", "spline",
     # bootstrap
     "BootstrapResult", "bootstrap",
     # concordance

@@ -1,10 +1,11 @@
 """Design-matrix construction: raw, centered, spline and product terms.
 
-A list of term declarations is turned into a numeric design plus a
-recipe holding every data-dependent constant (spline knots, centering
-values), so that prediction grids are evaluated with the training
-constants and reproduce the training design bit for bit.  With frequency
-weights the constants are those of the rows repeated by their weights.
+A list of term declarations is turned into a numeric design plus its
+fitted terms, which hold every data-dependent constant (spline knots,
+centering values), so that prediction grids are evaluated with the
+training constants and reproduce the training design bit for bit.
+With frequency weights the constants are those of the rows repeated by
+their weights.
 """
 
 from dataclasses import dataclass, replace
@@ -78,20 +79,6 @@ class FittedTerm:
         if s.kind == "interaction":
             return (f"{s.column}:{s.column2}",)
         return tuple(f"s({s.column}).{j}" for j in (1, 2, 3))
-
-
-@dataclass(frozen=True)
-class BasisRecipe:
-    """Fitted terms, after the intercept; immutable and reusable."""
-
-    terms: tuple
-
-    @property
-    def columns(self):
-        names = ("intercept",)
-        for t in self.terms:
-            names = names + t.names
-        return names
 
 
 def natural_spline_columns(x, knots):
@@ -196,7 +183,7 @@ def build_design(data, terms, weights=None):
     ``weights``, positive finite frequency weights of the rows (None: unit
     weights), give the knots and centres of the rows repeated that often;
     the design has one row per data row, and carries the weights.
-    Returns the design matrix and the recipe that rebuilds its values.
+    Returns the design matrix and the tuple of its fitted terms.
     """
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
@@ -205,20 +192,18 @@ def build_design(data, terms, weights=None):
         for name in (t.column, t.column2):
             if name and not np.isfinite(data.column(name)).all():
                 raise InvalidArgumentError(f"{t.kind} column {name!r} is not finite")
-    recipe = BasisRecipe(terms=tuple(_fit_term(t, data, w) for t in terms))
-    return DesignMatrix(recipe_values(recipe, data), recipe.columns, w), recipe
+    fitted = tuple(_fit_term(t, data, w) for t in terms)
+    columns = ("intercept",) + tuple(n for t in fitted for n in t.names)
+    return DesignMatrix(recipe_values(fitted, data), columns, w), fitted
 
 
-def recipe_values(recipe, data):
-    """Raw design values of a fitted recipe on the Dataset ``data``, with
-    no row-count floor.
+def recipe_values(fitted, data):
+    """Raw design values on the Dataset ``data`` of the tuple of fitted
+    terms from :func:`build_design`, with no row-count floor.
 
     Used for prediction grids, which may have fewer rows than columns.
     """
     if not isinstance(data, Dataset):
         raise InvalidArgumentError("data must be a Dataset")
-    blocks = [np.ones((data.n, 1))]
-    for term in recipe.terms:
-        blocks.append(_eval_term(term, data))
-    return np.hstack(blocks)
+    return np.hstack([np.ones((data.n, 1))] + [_eval_term(t, data) for t in fitted])
 

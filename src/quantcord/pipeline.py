@@ -285,9 +285,9 @@ def build_designs(data, spec, weights=None, grid=None):
     with _step("step 1"):
         X1, _ = build_design(data, spec.step1_terms, weights)
     with _step("step 2"):
-        X2, recipe2 = build_design(data, spec.step2_terms, weights)
+        X2, fitted2 = build_design(data, spec.step2_terms, weights)
         if spec.step2_terms:
-            grid_X2 = recipe_values(recipe2, Dataset(columns=grid.columns))
+            grid_X2 = recipe_values(fitted2, Dataset(columns=grid.columns))
         else:
             grid_X2 = np.ones((grid.m, 1))
     return SampleDesigns(data, spec, X1, X2, grid, grid_X2)

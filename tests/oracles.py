@@ -146,6 +146,29 @@ def exact_certificate(X, y, tau, weights, basis, perturbation):
     is a dyadic rational, so the rows are scaled by the largest
     denominator to integers and the n-row sums run in integers.
     """
+    slack, ties, _ = _certificate(X, y, tau, weights, basis, perturbation, move=False)
+    return slack, ties
+
+
+def rounded_certificate(X, y, tau, weights, basis, perturbation):
+    """:func:`exact_certificate` of the input with each row that step 1
+    zeroes by rounding moved onto the fit: the slack, the tied rows, and
+    the largest move as a share of its row's rounding bound (0.0 when no
+    row moves).
+
+    The solver counts a non-basis row as a tie when its float residual
+    lies within ``4 q eps (|y_i| + (|x_i|' |X(h)^-1| 1) (col_max' |beta|))``,
+    col_max the largest ``|x|`` of each column over the basis rows, formed
+    in floats from the basis as ``fit_quantile_regression`` forms it.
+    Such a row whose exact residual is not 0 has its y moved by exactly
+    that residual, which leaves beta unchanged, and is sided as a tie.
+    So the certificate is for that input, within the bound of the literal
+    floats.
+    """
+    return _certificate(X, y, tau, weights, basis, perturbation, move=True)
+
+
+def _certificate(X, y, tau, weights, basis, perturbation, move):
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
     fx = [[Fraction(v) for v in row] for row in X.tolist()]
@@ -162,6 +185,13 @@ def exact_certificate(X, y, tau, weights, basis, perturbation):
     r = [yv * den - sum(a * b for a, b in zip(row, num)) for row, yv in zip(xi, yi)]
     assert all(r[k] == 0 for k in basis)
     in_basis = set(basis)
+    share = 0.0
+    if move:
+        residuals, bound = _float_residuals(X, y, basis)
+        for i in np.flatnonzero(np.abs(residuals) <= bound).tolist():
+            if r[i] != 0:  # so not a basis row
+                share = max(share, float(Fraction(abs(r[i]), scale * den) / Fraction(bound[i])))
+                r[i] = 0
     ties = tuple(i for i, ri in enumerate(r) if ri == 0 and i not in in_basis)
     # z = X(h)^-1 delta(h) / scale, so x_i' X(h)^-1 delta(h) = xi_i' z
     delta = [Fraction(v) for v in np.asarray(perturbation, dtype=float).tolist()]
@@ -184,7 +214,20 @@ def exact_certificate(X, y, tau, weights, basis, perturbation):
     v = _solve_exact([[Fraction(xi[k][j]) for k in basis] for j in range(q)],
                      [-x for x in g])
     slack = min(min(vk - fw[k] * (t - 1), fw[k] * t - vk) for vk, k in zip(v, basis))
-    return slack, ties
+    return slack, ties, share
+
+
+def _float_residuals(X, y, basis):
+    """Step 1's float residuals at ``basis`` and each row's bound at or
+    below which one counts as 0, as ``fit_quantile_regression`` forms them."""
+    q = X.shape[1]
+    eps = np.finfo(float).eps
+    abs_x = np.abs(X)
+    inv = np.linalg.inv(X[basis])
+    noise = 4 * q * eps * (abs_x @ np.abs(inv).sum(axis=1))
+    col_max = abs_x[basis].max(axis=0)
+    beta = inv @ y[basis]
+    return y - X @ beta, 4 * q * eps * np.abs(y) + noise * (col_max @ np.abs(beta))
 
 
 def read_csv_cell_by_cell(path, columns):

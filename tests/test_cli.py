@@ -702,11 +702,51 @@ class TestAnalyzeFailures:
         assert (tmp_path / "small.csv").read_bytes() == before
 
     def test_unwritable_output_removes_written_files(self, tmp_path, monkeypatch, capsys):
+        # the first file is written into the new directory, the second fails
         cfg = self._small_run(tmp_path, monkeypatch)
-        (tmp_path / "out" / "summary.txt").mkdir(parents=True)
+        written = []
+
+        def open_once(path, *args, **kwargs):
+            if written:
+                raise OSError(f"cannot write {path}")
+            written.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(quantcord.cli, "open", open_once, raising=False)
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert [p.name for p in (tmp_path / "out").iterdir()] == ["summary.txt"]
+        assert "error: cannot write out" in capsys.readouterr().err
+        assert len(written) == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_non_empty_output_directory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a second run into one directory would leave the first run's
+        # phi_profile_x.csv beside its own phi_profile_z.csv
+        monkeypatch.chdir(tmp_path)
+        _synth(tmp_path, scenario=dict(SMALL_SCENARIO, covariates=[
+            {"name": "x", "kind": "uniform", "low": -1.0, "high": 1.0},
+            {"name": "z", "kind": "uniform", "low": -1.0, "high": 1.0}]))
+
+        def run(column):
+            cfg = _write_yaml(tmp_path / "run.yaml", {
+                "input": "small.csv", "responses": ["y1", "y2"], "taus": [0.5],
+                "step2_terms": [{"column": column}]})
+            return main(["analyze", "--config", cfg, "--out", "out"])
+
+        assert run("x") == 0
+        first = _tree_bytes(tmp_path / "out")
+        assert "phi_profile_x.csv" in first
+        capsys.readouterr()
+        assert run("z") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: output directory out is not empty\n"
+        assert captured.out == ""
+        assert _tree_bytes(tmp_path / "out") == first
+
+    def test_empty_output_directory_is_written(self, tmp_path, monkeypatch):
+        cfg = self._small_run(tmp_path, monkeypatch)
+        (tmp_path / "out").mkdir()
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 0
+        assert "summary.txt" in _tree_bytes(tmp_path / "out")
 
     def test_non_utf8_csv_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

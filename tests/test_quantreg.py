@@ -27,6 +27,7 @@ from oracles import (
     exact_certificate,
     ratio_test_full_sort,
     ratio_test_tie_walk,
+    rounded_certificate,
     start_basis_row_by_row,
 )
 
@@ -298,6 +299,29 @@ class TestLinearProgramOracle:
             slack, ties = exact_certificate(X, y, tau, None, fit.basis, D.perturbation)
             assert slack >= 0, f"trial {trial}: slack {slack}"
             assert ties == fit.ties, f"trial {trial}: exact ties {ties}, fit's {fit.ties}"
+
+    def test_rows_zeroed_by_rounding_certify_once_moved(self):
+        """Rounded decimal data: a row whose exact residual is not 0 but
+        whose float residual lies within the solver's rounding bound is a
+        tie of the fit (trial 110, row 49, float residual 2.1e-16).  Moved
+        onto the fit, by less than its bound, it certifies as one."""
+        rng = np.random.default_rng(5)
+        moved = []
+        for trial in range(120):
+            n = int(rng.integers(30, 301))
+            q = int(rng.integers(2, 5))
+            X = np.column_stack([np.ones(n), np.round(rng.standard_normal((n, q - 1)), 2)])
+            y = np.round(X @ rng.uniform(-2.0, 2.0, size=q) + rng.standard_t(df=2, size=n), 2)
+            tau = float(rng.uniform(0.05, 0.95))
+            D = _design(X)
+            fit = fit_quantile_regression(D, y, tau)
+            slack, ties, share = rounded_certificate(X, y, tau, None, fit.basis, D.perturbation)
+            assert slack >= 0, f"trial {trial}: slack {slack}"
+            assert ties == fit.ties, f"trial {trial}: ties {ties}, fit's {fit.ties}"
+            assert share <= 1.0, f"trial {trial}: a row moved {share:.3g} of its bound"
+            if share > 0:
+                moved.append(trial)
+        assert moved == [110]
 
     @pytest.mark.parametrize("offset, spread", [(1.7e9, 3e7), (1e9, 1e6), (5e4, 1e4)])
     def test_matches_highs_with_large_offset_covariate(self, offset, spread):

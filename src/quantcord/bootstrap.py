@@ -170,17 +170,11 @@ def check_arguments(B, seed, level, workers):
     """Raise InvalidArgumentError unless ``B`` >= 2, ``seed`` >= 0 and
     ``workers`` >= 1 are integers (not bools) and ``level`` is a number in
     (0, 1)."""
-    for name, value in (("B", B), ("seed", seed), ("workers", workers)):
-        check_number(f"bootstrap {name}", value, integer=True)
+    for name, value, minimum in (("B", B, 2), ("seed", seed, 0), ("workers", workers, 1)):
+        check_number(f"bootstrap {name}", value, integer=True, minimum=minimum)
     check_number("bootstrap level", level)
-    if B < 2:
-        raise InvalidArgumentError(f"bootstrap B must be at least 2, got {B}")
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"bootstrap level must be in (0, 1), got {level}")
-    if workers < 1:
-        raise InvalidArgumentError(f"bootstrap workers must be at least 1, got {workers}")
-    if seed < 0:
-        raise InvalidArgumentError(f"bootstrap seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,12 @@ Each command takes a YAML config and an output path, both required, and
 nothing else: the config and the input fix every output byte, and
 ``--out`` alone says where the files go.  ``analyze`` writes into a
 missing or empty directory only, so a directory holds one run: an
-``--out`` that holds any entry is an error before any fit.  Each command
-renders every output file to text before it writes any, and
-:func:`_write_outputs` removes the files already written if a later
-write fails, so a failing run leaves no partial outputs.  Outputs
-contain no timestamps; rerunning a config reproduces every file byte
-for byte.
+``--out`` that holds any entry, or that is not a directory, is an error
+before the config is read.  Each command renders every output file to
+text before it writes any, and :func:`_write_outputs` removes the files
+already written if a later write fails, so a failing run leaves no
+partial outputs.  Outputs contain no timestamps; rerunning a config
+reproduces every file byte for byte.
 """
 
 import argparse
@@ -188,8 +188,11 @@ def _summary_text(spec, data, dropped, results):
 
 
 def _cmd_analyze(args):
-    if os.path.isdir(args.out) and os.listdir(args.out):
-        raise InvalidArgumentError(f"output directory {args.out} is not empty")
+    if os.path.isdir(args.out):
+        if os.listdir(args.out):
+            raise InvalidArgumentError(f"output directory {args.out} is not empty")
+    elif os.path.lexists(args.out):
+        raise InvalidArgumentError(f"output path {args.out} is not a directory")
     cfg = load_run_config(args.config)
     spec, boot_cfg = cfg.spec, cfg.bootstrap
     profiles = {}

@@ -17,7 +17,7 @@ import yaml
 
 from .basis import TermSpec, interaction
 from .bootstrap import DEFAULT_B, DEFAULT_LEVEL, check_arguments
-from .exceptions import InvalidArgumentError, check_taus
+from .exceptions import InvalidArgumentError, check_number, check_taus
 from .pipeline import DEFAULT_TAUS, AnalysisSpec
 from .synthetic import CovariateSpec, ScenarioSpec
 
@@ -69,12 +69,12 @@ def _section(name, table, required=(), make=dict):
 
 
 def _int(key, value):
-    """An integer config value: integral numbers only, never a string or bool."""
+    """An integer config value: integral numbers only (5.0 reads as 5),
+    never a string or bool."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+        value = int(value)
+    check_number(key, value, integer=True)
+    return value
 
 
 def _bool(key, value):
@@ -118,8 +118,7 @@ def _float(key, value):
         x = math.inf
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise InvalidArgumentError(f"{key} must be a finite number, got {value!r}")
+    check_number(key, x)
     return x
 
 

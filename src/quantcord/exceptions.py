@@ -19,14 +19,18 @@ def check_tau(tau):
         raise InvalidArgumentError(f"tau must be in (0, 1), got {tau!r}")
 
 
-def check_number(name, value, integer=False):
+def check_number(name, value, integer=False, minimum=None):
     """Raise InvalidArgumentError naming ``name`` unless ``value`` is a
-    finite number, or an integer when ``integer``; never a bool."""
+    finite number, or an integer when ``integer``, and not below
+    ``minimum`` when one is given; never a bool."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind) or not (
             integer or math.isfinite(value)):
         what = "an integer" if integer else "a finite number"
         raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")
+    if minimum is not None and value < minimum:
+        floor = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise InvalidArgumentError(f"{name} must be {floor}, got {value}")
 
 
 def check_taus(taus):

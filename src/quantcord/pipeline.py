@@ -66,7 +66,7 @@ class AnalysisSpec:
                     f"{name} must be a sequence of column names, got {value!r}")
         if not isinstance(self.merged, bool):  # "no" is truthy
             raise InvalidArgumentError(f"merged must be True or False, got {self.merged!r}")
-        check_number("grid_points", self.grid_points, integer=True)
+        check_number("grid_points", self.grid_points, integer=True, minimum=2)
         try:  # a lone tau is not a sequence of them, nor is a string
             taus = None if isinstance(self.taus, (str, bytes)) else tuple(self.taus)
         except TypeError:
@@ -82,8 +82,6 @@ class AnalysisSpec:
             raise InvalidArgumentError(
                 f"responses must be two distinct columns, got {self.responses}"
             )
-        if self.grid_points < 2:
-            raise InvalidArgumentError("grid_points must be at least 2")
         for name, vals in self.grid_values.items():
             try:
                 one_d = np.ndim(vals) == 1 and np.size(vals) > 0
@@ -302,35 +300,36 @@ def run_two_step(sample, tau, start=None):
     starting coefficients; the bootstrap passes the full-sample result.
     Both steps' fits and the empirical cells are those of the sample's
     rows repeated by their weights, while the step-1 residuals keep one
-    entry per row.
+    entry per row.  An error from the tau's work is tagged ``tau <tau>``.
     """
     if not isinstance(sample, SampleDesigns):
         raise InvalidArgumentError(
             f"run_two_step fits a sample from build_designs, got {type(sample).__name__}")
     check_tau(tau)
     data, spec = sample.data, sample.spec
-    fits = []
-    for j, name in enumerate(spec.responses):
-        beta0 = None if start is None else start.step1[j].beta
-        with _step(f"step 1, response {name!r}"):
-            fits.append(fit_quantile_regression(
-                sample.X1, data.column(name), tau, start=beta0))
-    omega1 = residual_signs(fits[0])
-    omega2 = residual_signs(fits[1])
-    labels = classify(omega1, omega2)
+    with _step(f"tau {float(tau):g}"):
+        fits = []
+        for j, name in enumerate(spec.responses):
+            beta0 = None if start is None else start.step1[j].beta
+            with _step(f"step 1, response {name!r}"):
+                fits.append(fit_quantile_regression(
+                    sample.X1, data.column(name), tau, start=beta0))
+        omega1 = residual_signs(fits[0])
+        omega2 = residual_signs(fits[1])
+        labels = classify(omega1, omega2)
 
-    with _step("step 2"):
-        fit2 = fit_multinomial(sample.X2, labels, merged=spec.merged,
-                               start=None if start is None else start.step2.gamma)
+        with _step("step 2"):
+            fit2 = fit_multinomial(sample.X2, labels, merged=spec.merged,
+                                   start=None if start is None else start.step2.gamma)
 
-    surface = evaluate_surface(fit2, sample, tau)
-    return TwoStepResult(
-        tau=tau,
-        step1=tuple(fits),
-        step2=fit2,
-        surface=surface,
-        empirical=empirical_cells(labels, sample.X1.weights),
-    )
+        surface = evaluate_surface(fit2, sample, tau)
+        return TwoStepResult(
+            tau=tau,
+            step1=tuple(fits),
+            step2=fit2,
+            surface=surface,
+            empirical=empirical_cells(labels, sample.X1.weights),
+        )
 
 
 def phi_profile(surfaces, covariate):

@@ -175,7 +175,8 @@ def fit_quantile_regression(X, y, tau, start=None):
     within the tolerance of a bound; it is negative only on a failed fit.
     Reaching ``MAX_PIVOTS`` pivots without the certificate, or an edge
     that no row blocks, raises NonConvergenceError carrying the last
-    vertex as ``last_fit``; its message gives the pivots taken.
+    vertex as ``last_fit``; its message gives the pivots taken and, for
+    the unblocked edge, its numerical cause.
 
     Each pivot takes the edge with the steepest descent.  Residuals and
     edge movements within the rounding error of the basis solve count as
@@ -272,8 +273,13 @@ def fit_quantile_regression(X, y, tau, start=None):
         margin=max(margin, 0.0) if converged else margin,
     )
     if not converged:
+        # short of the cap, the loop stopped because no row blocked the edge
+        cause = "" if pivots == MAX_PIVOTS else (
+            ": no non-basic row blocks the edge, which cannot happen in exact"
+            " arithmetic, so rounding zeroed its entries; design columns of very"
+            " different scale cause this")
         raise NonConvergenceError(
-            f"quantile regression did not converge in {pivots} pivots",
+            f"quantile regression did not converge in {pivots} pivots{cause}",
             last_fit=fit,
         )
     return fit

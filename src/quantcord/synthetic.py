@@ -3,7 +3,7 @@
 The generator draws error pairs from a bivariate normal with unit
 margins and a fixed (or group-dependent) correlation, so the true
 sign-concordance correlation at any quantile has an independent
-ground truth: one integral, on a Gauss-Legendre rule chosen from rho.
+ground truth: one integral, on one graded Gauss-Legendre rule.
 """
 
 import math
@@ -17,11 +17,6 @@ from .exceptions import InvalidArgumentError, check_number, check_tau
 
 MIN_ROWS = 50
 GAUSS_LEGENDRE_NODES = 20
-# below this rho, 1 + sin(theta) nears 0 and the integrand steepens
-STEEP_RHO = -0.95
-STEEP_NODES = 100
-# below this rho, the integral is split into panels halving toward -pi/2
-GRADED_RHO = -0.9999
 
 
 def _check_rho(name, rho):
@@ -73,12 +68,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_number("n", self.n, integer=True)
-        check_number("seed", self.seed, integer=True)
-        if self.n < MIN_ROWS:
-            raise InvalidArgumentError(f"n must be at least {MIN_ROWS}, got {self.n}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
+        check_number("n", self.n, integer=True, minimum=MIN_ROWS)
+        check_number("seed", self.seed, integer=True, minimum=0)
         if self.rho_by_group is None:
             object.__setattr__(self, "rho", 0.5 if self.rho is None else self.rho)
             rhos = {"rho": self.rho}
@@ -174,36 +165,25 @@ def oracle_phi_gaussian(rho, tau):
     """Ground-truth sign-concordance correlation under bivariate normal errors
     with correlation ``rho``: with z = Phi^-1(tau), Plackett's identity and
     r = sin(theta) give phi = int_0^asin(rho) exp(-z^2 / (1 + sin theta)) dtheta
-    / (2 pi tau (1 - tau)), here on a Gauss-Legendre rule of 20 nodes, or of 100
-    below rho = -0.95: within 1e-13 of the exact integral for rho >= -0.9999.
-
-    Below rho = -0.9999 the integrand falls to 0 within a few multiples of
-    |z| of theta = -pi/2.  There, with u = theta + pi/2, so that
-    1 + sin(theta) = 2 sin^2(u / 2) without cancellation, the integral over
-    [acos(-rho), pi/2] is split into panels that halve toward its lower
-    end, each on the 20-node rule: within 1e-15 of the exact integral."""
+    / (2 pi tau (1 - tau)).  With u = theta + pi/2, so that 1 + sin(theta) =
+    2 sin^2(u / 2) without cancellation, the integral runs from pi/2 to
+    acos(-rho) on 20-node Gauss-Legendre panels that halve toward acos(-rho)
+    while it lies below them: one panel down to rho = -0.71, and more as rho
+    nears -1, where the integrand falls to 0 within a few multiples of |z|
+    of u = 0.  Within 5e-15 of the exact integral for every rho in (-1, 1)."""
     _check_rho("rho", rho)
     check_tau(tau)
     z = statistics.NormalDist().inv_cdf(tau)
-    scale = 2.0 * math.pi * tau * (1.0 - tau)
-    if rho < GRADED_RHO:
-        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
-        low = math.acos(-rho)
-        ends = [math.pi / 2.0]
-        while ends[-1] / 2.0 > low:
-            ends.append(ends[-1] / 2.0)
-        ends.append(low)
-        total = 0.0
-        for hi, lo in zip(ends, ends[1:]):
-            half = (hi - lo) / 2.0
-            u = lo + half * (nodes + 1.0)
-            total += half * np.dot(weights, np.exp(-z * z / (2.0 * np.sin(u / 2.0) ** 2)))
-        return float(-total / scale)
-    nodes, weights = np.polynomial.legendre.leggauss(
-        GAUSS_LEGENDRE_NODES if rho >= STEEP_RHO else STEEP_NODES)
-    half = math.asin(rho) / 2.0
-    integrand = np.exp(-z * z / (1.0 + np.sin(half * (nodes + 1.0))))
-    return float(half * np.dot(weights, integrand) / scale)
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+    end = math.acos(-rho)
+    a, total = math.pi / 2.0, 0.0
+    while a != end:
+        b = max(a / 2.0, end)
+        half = (b - a) / 2.0
+        u = a + half * (nodes + 1.0)
+        total += half * np.dot(weights, np.exp(-z * z / (2.0 * np.sin(u / 2.0) ** 2)))
+        a = b
+    return float(total / (2.0 * math.pi * tau * (1.0 - tau)))
 
 
 def oracle(scenario, taus):

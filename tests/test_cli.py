@@ -621,7 +621,22 @@ class TestAnalyzeFailures:
                           {"input": "ident.csv", "responses": ["y1", "y2"],
                            "taus": [0.5]})
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
-        assert "error: step 2:" in capsys.readouterr().err
+        assert "error: tau 0.5: step 2:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_failure_at_one_tau_names_that_tau(self, tmp_path, monkeypatch, capsys):
+        # at rho = -0.8 the responses are rarely in their lower 5% tails
+        # together, so tau 0.05 has no row in cell "11"; the later taus fit
+        monkeypatch.chdir(tmp_path)
+        _synth(tmp_path, scenario={"n": 400, "seed": 0, "rho": -0.8})
+        cfg = _write_yaml(tmp_path / "run.yaml", {
+            "input": "small.csv", "responses": ["y1", "y2"],
+            "taus": [0.05, 0.25, 0.5, 0.75]})
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: tau 0.05: step 2: no observations for categories '11'; "
+            "consider merged discordance mode or coarser covariates\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -741,6 +756,18 @@ class TestAnalyzeFailures:
         assert captured.err == "error: output directory out is not empty\n"
         assert captured.out == ""
         assert _tree_bytes(tmp_path / "out") == first
+
+    def test_output_path_that_is_a_file_exits_2_before_the_config_is_read(
+            self, tmp_path, monkeypatch, capsys):
+        # the config does not exist, so any work before the check would fail
+        # with another error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+        assert main(["analyze", "--config", "none.yaml", "--out", "afile"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: output path afile is not a directory\n"
+        assert captured.out == ""
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
 
     def test_empty_output_directory_is_written(self, tmp_path, monkeypatch):
         cfg = self._small_run(tmp_path, monkeypatch)

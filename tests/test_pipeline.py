@@ -13,6 +13,7 @@ from quantcord import (
     EmptyCategoryError,
     InvalidArgumentError,
     NonConvergenceError,
+    SeparationWarning,
     SingularDesignError,
     build_designs,
     build_grid,
@@ -274,7 +275,7 @@ class TestRunTwoStep:
         rng = np.random.default_rng(61)
         y1 = rng.normal(size=200)
         data = Dataset(columns={"y1": y1, "y2": y1.copy()})
-        with pytest.raises(EmptyCategoryError, match="^step 2:") as err:
+        with pytest.raises(EmptyCategoryError, match="^tau 0.5: step 2:") as err:
             run_two_step(build_designs(data, _spec()), 0.5)
         assert tuple(err.value.missing) == ("01", "10")
 
@@ -284,7 +285,7 @@ class TestRunTwoStep:
         rng = np.random.default_rng(61)
         y1 = rng.normal(size=200)
         data = Dataset(columns={"y1": y1, "y2": -y1})
-        with pytest.raises(EmptyCategoryError, match="^step 2:") as err:
+        with pytest.raises(EmptyCategoryError, match="^tau 0.5: step 2:") as err:
             run_two_step(build_designs(data, _spec()), 0.5)
         assert tuple(err.value.missing) == ("00", "11")
 
@@ -324,7 +325,7 @@ class TestRunTwoStep:
     def test_unconverged_step2_raises_with_provenance(self, monkeypatch):
         monkeypatch.setattr(multinomial, "MAX_NEWTON_ITER", 0)
         with pytest.raises(NonConvergenceError,
-                           match="^step 2: multinomial fit did not converge") as excinfo:
+                           match="^tau 0.5: step 2: multinomial fit did not converge") as excinfo:
             run_two_step(build_designs(_dependent_data(), _spec(step2_terms=(identity("x"),))),
                          0.5)
         assert excinfo.value.last_fit.converged is False
@@ -479,7 +480,7 @@ class TestSampleDesigns:
             with pytest.raises(SingularDesignError) as err:
                 run_two_step(designs, tau)
             assert str(err.value) == (
-                "step 1, response 'y1': design matrix is rank deficient; "
+                f"tau {tau}: step 1, response 'y1': design matrix is rank deficient; "
                 "offending columns: x2")
 
     @pytest.mark.parametrize("rows", [_dependent_data(), None])
@@ -678,9 +679,26 @@ class TestMetamorphicRelations:
             np.testing.assert_array_equal(_labels(mapped), _labels(base))
             np.testing.assert_array_equal(mapped.surface.phi, base.surface.phi)
 
-    @pytest.mark.parametrize("step2", sorted(STEP2))
-    def test_affine_map_of_the_covariate_on_the_mapped_grid(self, step2):
-        a, b = 2.5, -1.25
+    @pytest.mark.parametrize("step2,a,b", [
+        pytest.param("identity", 2.5, -1.25, id="identity"),
+        pytest.param("spline", 2.5, -1.25, id="spline"),
+        *(pytest.param("identity", a, 0.0, id=f"identity-a={a:g}")
+          for a in (1e-6, 1e-3, 1e3, 1e6)),
+        pytest.param("spline", 1e-6, 0.0, id="spline-a=1e-06", marks=pytest.mark.xfail(
+            strict=True, raises=SingularDesignError,
+            reason="ROADMAP item 23: the rank check calls s(x).3 redundant")),
+        pytest.param("spline", 1e-3, 0.0, id="spline-a=0.001"),
+        *(pytest.param("spline", a, 0.0, id=f"spline-a={a:g}", marks=pytest.mark.xfail(
+            strict=True, raises=NonConvergenceError,
+            reason="ROADMAP item 23: step 2's score tolerance is absolute"))
+          for a in (1e3, 1e6)),
+        *(pytest.param(step2, 1.0, b, id=f"{step2}-b={b:g}", marks=pytest.mark.xfail(
+            strict=True, raises=SeparationWarning,
+            reason="ROADMAP items 1 and 23: the shift pushes the intercept past "
+                   "SEPARATION_COEF"))
+          for step2 in ("identity", "spline") for b in (1e3, 1e5)),
+    ])
+    def test_affine_map_of_the_covariate_on_the_mapped_grid(self, step2, a, b):
         data = self._data()
         grid = build_grid(data, self._spec(step2))
         mapped_grid = EvaluationGrid(varying=grid.varying, value=a * grid.value + b,

@@ -683,6 +683,7 @@ class TestFitErrors:
         monkeypatch.setattr(qr, "MAX_PIVOTS", 1)
         with pytest.raises(NonConvergenceError, match="did not converge in 1 pivots") as excinfo:
             fit_quantile_regression(X, y, 0.5)
+        assert str(excinfo.value) == "quantile regression did not converge in 1 pivots"
         last = excinfo.value.last_fit
         assert last is not None
         assert last.margin < 0
@@ -695,6 +696,7 @@ class TestFitErrors:
         with pytest.raises(NonConvergenceError, match="did not converge in 0 pivots") as excinfo:
             fit_quantile_regression(X, y, 0.2, start=[5.0, -3.0])
         assert excinfo.value.last_fit.iterations == 0
+        assert "no non-basic row blocks the edge" in str(excinfo.value)
 
 
 # ──────────────────────────────────────────────────────────────────────

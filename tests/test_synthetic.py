@@ -1,5 +1,7 @@
 """Tests for scenario generation and the Gaussian phi oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -236,8 +238,10 @@ class TestGenerate:
 class TestOraclePhi:
 
     def test_zero_rho_gives_zero(self):
-        for tau in (0.1, 0.5, 0.9):
-            np.testing.assert_allclose(oracle_phi_gaussian(0.0, tau), 0.0, atol=1e-9)
+        # +0.0 exactly, so that no sidecar prints -0.0
+        for tau in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            value = oracle_phi_gaussian(0.0, tau)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_median_closed_form_agreement(self):
         for rho in (-0.9, -0.3, 0.0, 0.5, 0.8):
@@ -289,25 +293,22 @@ class TestOraclePhi:
         assert oracle_phi_gaussian(0.999, 0.5) > 0.95
 
     def test_matches_scipy_quadrature(self):
-        # the Gauss-Legendre rule against a 20-digit integral over the whole
-        # rho range, near rho = -1 too, where 1 + sin(theta) nears 0 and 20
-        # nodes err by 6e-7
+        # the Gauss-Legendre panels against a 20-digit integral over the whole
+        # rho range, near rho = -1 too, where 1 + sin(theta) nears 0
         pytest.importorskip("mpmath")
         taus = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
         rhos = [*np.linspace(-0.95, 0.95, 39), -0.999, -0.995, -0.99, 0.99, 0.999]
         worst = max(abs(oracle_phi_gaussian(rho, tau) - oracle_phi_gaussian_mpmath(rho, tau, 20))
                     for rho in map(float, rhos) for tau in taus)
-        assert worst <= 1e-13
+        assert worst <= 5e-15
 
     def test_matches_a_40_digit_integral_near_rho_minus_one(self):
-        # below rho = -0.9999 the 100-node rule erred by up to 6.4e-10
         pytest.importorskip("mpmath")
         taus = (0.01, 0.05, 0.1, 0.25, 0.4, 0.49, 0.5, 0.51, 0.6, 0.75, 0.9, 0.95, 0.99)
         rhos = (-0.9999, -0.99991, -0.99999, -0.999999, -1 + 1e-10, float(np.nextafter(-1, 0)))
-        worst = {rho: max(abs(oracle_phi_gaussian(rho, t) - oracle_phi_gaussian_mpmath(rho, t))
-                          for t in taus) for rho in rhos}
-        assert worst.pop(-0.9999) <= 1e-13  # the 100-node rule's floor
-        assert max(worst.values()) <= 1e-15  # the graded rule below it
+        worst = max(abs(oracle_phi_gaussian(rho, t) - oracle_phi_gaussian_mpmath(rho, t))
+                    for rho in rhos for t in taus)
+        assert worst <= 1e-15
 
     def test_median_equals_arcsine_to_rounding(self):
         for rho in [0.5, *np.linspace(-0.99, 0.99, 199)]:

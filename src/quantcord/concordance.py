@@ -115,9 +115,5 @@ class PhiBounds:
 def phi_bounds(tau):
     """Theoretical limits of phi: depend on tau only, not on the data."""
     check_tau(tau)
-    if tau <= 0.5:
-        lo = -tau / (1.0 - tau)
-    else:
-        lo = -(1.0 - tau) / tau
-    return PhiBounds(phi_min=lo, phi_max=1.0)
+    return PhiBounds(phi_min=-min(tau, 1.0 - tau) / max(tau, 1.0 - tau), phi_max=1.0)
 

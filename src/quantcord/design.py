@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, SingularDesignError
+from .exceptions import InvalidArgumentError, SingularDesignError, check_names
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,9 @@ class DesignMatrix:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        if isinstance(self.columns, (str, bytes)):  # it would split into letters
-            raise InvalidArgumentError(
-                f"design columns must be a sequence of names, got {self.columns!r}")
+        object.__setattr__(self, "columns", check_names("design columns", self.columns))
         values = _read_only(np.array(self.values, dtype=float))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "columns", tuple(self.columns))
         if values.ndim != 2:
             raise InvalidArgumentError("design values must be a 2-d array")
         n, q = values.shape

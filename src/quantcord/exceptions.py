@@ -33,6 +33,14 @@ def check_number(name, value, integer=False, minimum=None):
         raise InvalidArgumentError(f"{name} must be {floor}, got {value}")
 
 
+def check_names(name, value, what="names"):
+    """``value`` as a tuple; raise InvalidArgumentError naming ``name`` when
+    it is a str or bytes, which would split into one name per letter."""
+    if isinstance(value, (str, bytes)):
+        raise InvalidArgumentError(f"{name} must be a sequence of {what}, got {value!r}")
+    return tuple(value)
+
+
 def check_taus(taus):
     """Raise InvalidArgumentError unless ``taus`` is a non-empty, strictly
     increasing sequence of quantile levels in (0, 1)."""

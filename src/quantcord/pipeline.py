@@ -23,6 +23,7 @@ from .design import DesignMatrix
 from .exceptions import (
     InvalidArgumentError,
     QuantcordError,
+    check_names,
     check_number,
     check_tau,
     check_taus,
@@ -59,11 +60,8 @@ class AnalysisSpec:
     binary: tuple = ()
 
     def __post_init__(self):
-        for name in ("responses", "binary"):  # a string would split into letters
-            value = getattr(self, name)
-            if isinstance(value, (str, bytes)):
-                raise InvalidArgumentError(
-                    f"{name} must be a sequence of column names, got {value!r}")
+        for name in ("responses", "binary"):
+            object.__setattr__(self, name, check_names(name, getattr(self, name), "column names"))
         if not isinstance(self.merged, bool):  # "no" is truthy
             raise InvalidArgumentError(f"merged must be True or False, got {self.merged!r}")
         check_number("grid_points", self.grid_points, integer=True, minimum=2)
@@ -76,7 +74,7 @@ class AnalysisSpec:
                 f"taus must be a sequence of quantile levels, got {self.taus!r}")
         check_taus(taus)
         object.__setattr__(self, "taus", tuple(float(t) for t in taus))
-        for name in ("responses", "step1_terms", "step2_terms", "binary"):
+        for name in ("step1_terms", "step2_terms"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.responses) != 2 or self.responses[0] == self.responses[1]:
             raise InvalidArgumentError(

@@ -1,11 +1,12 @@
 """Linear quantile regression by pinball-loss minimization.
 
 Exact simplex (basis-exchange) solver for the linear program behind the
-check function (Barrodale & Roberts 1973; Koenker & d'Orey 1987).  A
-vertex is an exact fit through q observations, the basis h.  The solver
-starts at the basis nearest a starting fit (least squares unless one is
-given) and stops when the vertex optimality condition of Koenker (2005,
-Thm 2.1) holds: with psi_i = tau or tau - 1 the side of each non-basic row,
+check function, ``tau*u`` for u > 0 and ``(tau - 1)*u`` otherwise
+(Barrodale & Roberts 1973; Koenker & d'Orey 1987).  A vertex is an exact
+fit through q observations, the basis h.  The solver starts at the basis
+nearest a starting fit (least squares unless one is given) and stops
+when the vertex optimality condition of Koenker (2005, Thm 2.1) holds:
+with psi_i = tau or tau - 1 the side of each non-basic row,
 ``v = -X(h)^-T sum_{i not in h} psi_i x_i`` lies in ``[tau - 1, tau]``.
 The design's frequency weights w_i scale row i's loss, so a weighted fit
 on distinct rows is the fit on the rows repeated w_i times: psi_i becomes
@@ -31,26 +32,14 @@ _HEAD = 32  # breakpoints sorted at first by the ratio test
 _EPS = np.finfo(float).eps
 
 
-def pinball_loss(u, tau):
-    """Check-function loss: ``tau*u`` for positive u, ``(tau-1)*u`` otherwise.
-
-    Nonnegative, zero exactly at ``u == 0``.  Accepts scalars or arrays.
-    """
-    check_tau(tau)
-    u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise InvalidArgumentError("residual argument must be finite")
-    out = np.where(u > 0, tau * u, (tau - 1.0) * u)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class QuantileFit:
     """Result of one quantile regression, at the tau its caller passed
     (a run keeps it as ``TwoStepResult.tau``).
 
     ``residuals`` always equals ``y - X @ beta`` as computed with the
-    returned coefficients, so it can be recomputed bit for bit.
+    returned coefficients, so it, and from it the objective
+    ``sum(weights * check(residuals))``, can be recomputed bit for bit.
     ``basis`` holds the q rows the fit passes through exactly, ``ties``
     the other rows whose residual is zero to rounding, and ``margin`` the
     smallest slack of the optimality certificate (see
@@ -59,7 +48,6 @@ class QuantileFit:
 
     beta: np.ndarray
     residuals: np.ndarray
-    objective: float
     iterations: int
     columns: tuple = ()
     basis: tuple = ()
@@ -149,7 +137,8 @@ def _ratio_test(r, rho, above, c, w, free, slope):
 
 
 def fit_quantile_regression(X, y, tau, start=None):
-    """Minimize ``sum(X.weights * pinball_loss(y - X @ beta, tau))`` over beta.
+    """Minimize ``sum(X.weights * check(y - X @ beta))`` over beta, with the
+    check function ``check(u) = tau*u`` for u > 0 and ``(tau - 1)*u`` otherwise.
 
     Parameters
     ----------
@@ -261,11 +250,9 @@ def fit_quantile_regression(X, y, tau, start=None):
         basis[k] = enter
 
     margin = float(np.min(np.minimum(v - low, high - v)))
-    residuals = y - Xv @ beta
     fit = QuantileFit(
         beta=beta,
-        residuals=residuals,
-        objective=float(np.sum(w * pinball_loss(residuals, tau))),
+        residuals=y - Xv @ beta,
         iterations=pivots,
         columns=X.columns,
         basis=tuple(sorted(basis)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import FLOAT_FMT, Dataset
-from .exceptions import InvalidArgumentError, check_number, check_tau
+from .exceptions import InvalidArgumentError, check_names, check_number, check_tau
 
 MIN_ROWS = 50
 GAUSS_LEGENDRE_NODES = 20
@@ -93,9 +93,8 @@ class ScenarioSpec:
                     f"group column {self.group_column!r} must be a declared "
                     "binary covariate"
                 )
-        if isinstance(self.response_names, str):  # "ab" would name columns a and b
-            raise InvalidArgumentError(
-                f"response_names must be a sequence of two names, got {self.response_names!r}")
+        object.__setattr__(self, "response_names",
+                           check_names("response_names", self.response_names, "two names"))
         if len(self.response_names) != 2:
             raise InvalidArgumentError("exactly two response names required")
         columns = list(self.response_names) + [c.name for c in self.covariates]

@@ -12,6 +12,21 @@ from quantcord.exceptions import InvalidArgumentError, check_tau
 from quantcord.multinomial import _loglik_terms
 
 
+def pinball_loss(u, tau):
+    """The check function: ``tau*u`` for u > 0, ``(tau - 1)*u`` otherwise,
+    on a scalar or elementwise on an array."""
+    u = np.asarray(u, dtype=float)
+    out = np.where(u > 0, tau * u, (tau - 1.0) * u)
+    return float(out) if out.ndim == 0 else out
+
+
+def objective(fit, tau, weights=None):
+    """A step-1 fit's objective ``sum(weights * check(residuals))``, with
+    unit weights when None."""
+    w = np.ones(fit.residuals.size) if weights is None else np.asarray(weights, dtype=float)
+    return float(np.sum(w * pinball_loss(fit.residuals, tau)))
+
+
 def oracle_phi_gaussian_mpmath(rho, tau, digits=40):
     """The Gaussian phi oracle's integral over theta in [0, asin(rho)], in
     ``digits``-digit arithmetic by mpmath's tanh-sinh quadrature.  It is

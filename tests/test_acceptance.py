@@ -32,14 +32,13 @@ from quantcord.basis import natural_spline_columns, tertile_knots
 from quantcord.cli import main as cli_main
 from quantcord.design import DesignMatrix
 from quantcord.multinomial import _indicators
-from quantcord.quantreg import pinball_loss
 from quantcord.synthetic import (
     CovariateSpec,
     ScenarioSpec,
     generate,
     oracle_phi_gaussian,
 )
-from oracles import limiting_cells, loglik_parts
+from oracles import exact_certificate, limiting_cells, loglik_parts, objective, pinball_loss
 
 SPEC = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,))
 
@@ -114,7 +113,7 @@ class TestAcceptance:
     def test_criterion_02_solver_vs_exhaustive_oracle(self):
         start = time.perf_counter()
         rng = np.random.default_rng(12)
-        worst = 0.0
+        worst, certified = 0.0, 0
         for _ in range(100):
             n = int(rng.integers(4, 13))
             q = int(rng.integers(1, 3))
@@ -122,12 +121,15 @@ class TestAcceptance:
             y = rng.normal(size=n)
             tau = float(rng.uniform(0.1, 0.9))
             cols = ("intercept",) + tuple(f"x{j}" for j in range(1, q + 1))
-            fit = fit_quantile_regression(DesignMatrix(X, cols), y, tau)
-            worst = max(worst, abs(fit.objective - _exhaustive_objective(X, y, tau)))
+            D = DesignMatrix(X, cols)
+            fit = fit_quantile_regression(D, y, tau)
+            worst = max(worst, abs(objective(fit, tau) - _exhaustive_objective(X, y, tau)))
+            slack, ties = exact_certificate(X, y, tau, None, fit.basis, D.perturbation)
+            certified += slack >= 0 and ties == fit.ties
         elapsed = time.perf_counter() - start
-        ok = worst <= 1e-8 and elapsed < 10.0
+        ok = worst <= 1e-8 and certified == 100 and elapsed < 10.0
         _report(2, "solver matches exhaustive vertex oracle", ok,
-                f"worst gap {worst:.2e}, {elapsed:.1f}s")
+                f"worst gap {worst:.2e}, {certified}/100 exactly certified, {elapsed:.1f}s")
         assert ok
 
     def test_criterion_03_bounds_reproduction(self):

@@ -83,8 +83,9 @@ class TestScenarioValidation:
                          covariates=(CovariateSpec("g", "binary"),))
 
     def test_response_names_must_not_be_a_string(self):
-        with pytest.raises(InvalidArgumentError, match="response_names must be a sequence"):
-            ScenarioSpec(n=100, response_names="ab")
+        for names in ("ab", b"ab"):  # bytes would name the responses 97 and 98
+            with pytest.raises(InvalidArgumentError, match="response_names must be a sequence"):
+                ScenarioSpec(n=100, response_names=names)
 
     @pytest.mark.parametrize("field,value,what", [
         ("n", "100", "an integer"), ("n", 100.0, "an integer"), ("n", True, "an integer"),

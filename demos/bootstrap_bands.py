@@ -9,6 +9,7 @@ the Gaussian-copula truth and clearly separate the two groups.
 import numpy as np
 
 from quantcord import (
+    LABELS,
     AnalysisSpec,
     CovariateSpec,
     ScenarioSpec,
@@ -35,7 +36,8 @@ spec = AnalysisSpec(
     step2_terms=(identity("g"),),
     binary=("g",),
 )
-(result,) = bootstrap(build_designs(data, spec), B=200, seed=17)
+sample = build_designs(data, spec)
+(result,) = bootstrap(sample, B=200, seed=17)
 surface = result.estimate.surface
 
 # every draw array has one row per replicate; a failed one is NaN and
@@ -54,9 +56,10 @@ for i, value in enumerate(surface.grid.value):
 
 print("\nstep-2 coefficients (percentile intervals):")
 print("category  term        estimate   95% interval")
+# row r of gamma is fitted code r + 1; the design owns the term names
 fit = result.estimate.step2
-for r, cat in enumerate(fit.categories):
-    for c, term in enumerate(fit.columns):
+for r, cat in enumerate(LABELS[1:]):
+    for c, term in enumerate(sample.X2.columns):
         print(
             f"{cat:<9} {term:<11} {fit.gamma[r, c]:+.4f}"
             f"    [{result.gamma_lower[r, c]:+.4f}, "

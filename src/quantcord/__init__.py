@@ -54,7 +54,6 @@ from .pipeline import (
     build_designs,
     build_grid,
     evaluate_surface,
-    phi_profile,
     run_two_step,
 )
 from .quantreg import QuantileFit, fit_quantile_regression
@@ -88,7 +87,7 @@ __all__ = [
     # pipeline
     "AnalysisSpec", "EvaluationGrid", "PhiSurface", "SampleDesigns",
     "TwoStepResult", "build_designs", "build_grid", "evaluate_surface",
-    "phi_profile", "run_two_step",
+    "run_two_step",
     # quantreg
     "QuantileFit", "fit_quantile_regression",
     # synthetic

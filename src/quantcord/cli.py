@@ -26,7 +26,8 @@ from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
 from .dataset import FLOAT_FMT, csv_text, read_csv
 from .exceptions import InvalidArgumentError, QuantcordError
-from .pipeline import CONSTANT_PROFILE, build_designs, phi_profile, run_two_step
+from .concordance import LABELS, MERGED_LABELS
+from .pipeline import CONSTANT_PROFILE, build_designs, run_two_step
 from .synthetic import generate, oracle
 
 
@@ -64,15 +65,17 @@ def _profile_filename(covariate):
     return f"phi_profile_{safe or 'constant'}.csv"
 
 
-def _render_analysis(cfg, data, dropped, results):
+def _render_analysis(cfg, sample, dropped, results):
     """Every output file of ``analyze`` as ``{file name: text}``, in the
     order that ``metadata.json`` lists them under ``outputs``.
 
-    ``dropped`` is ``read_csv``'s tuple of dropped data row numbers, and
-    ``results`` holds one (TwoStepResult, BootstrapResult or None) pair
-    per tau; with the bootstrap, the first is the second's estimate.
+    ``sample`` is the SampleDesigns that was fitted, ``dropped`` is
+    ``read_csv``'s tuple of dropped data row numbers, and ``results``
+    holds one (TwoStepResult, BootstrapResult or None) pair per tau, in
+    spec order; with the bootstrap, the first is the second's estimate.
     """
-    spec, boot_cfg = cfg.spec, cfg.bootstrap
+    spec, boot_cfg, grid = cfg.spec, cfg.bootstrap, sample.grid
+    categories = (MERGED_LABELS if spec.merged else LABELS)[1:]
     files = {}
 
     rows = []
@@ -80,7 +83,7 @@ def _render_analysis(cfg, data, dropped, results):
         for j, name in enumerate(spec.responses):
             fit = run.step1[j]
             se = boot.beta_se[name] if boot is not None else None
-            for k, term in enumerate(fit.columns):
+            for k, term in enumerate(sample.X1.columns):
                 rows.append([
                     _fmt(run.tau), name, term, _fmt(fit.beta[k]),
                     _fmt(se[k]) if se is not None else "",
@@ -91,8 +94,8 @@ def _render_analysis(cfg, data, dropped, results):
     rows = []
     for run, boot in results:
         fit2 = run.step2
-        for k, cat in enumerate(fit2.categories):
-            for q, term in enumerate(fit2.columns):
+        for k, cat in enumerate(categories):
+            for q, term in enumerate(sample.X2.columns):
                 se = lo = hi = ""
                 if boot is not None:
                     se = _fmt(boot.gamma_se[k, q])
@@ -107,14 +110,17 @@ def _render_analysis(cfg, data, dropped, results):
 
     header = ["tau", "covariate", "value", "phi_hat", "ci_lower", "ci_upper",
               "phi_min", "phi_max", "out_of_bounds_flag"]
-    surfaces = [run.surface for run, _ in results]
-    for cov in dict.fromkeys(surfaces[0].grid.varying):
-        t = phi_profile(surfaces, cov)
-        blank = [None] * len(t["tau"])
-        rows = zip(t["tau"], t["value"], t["phi_hat"], t.get("lower", blank),
-                   t.get("upper", blank), t["phi_min"], t["phi_max"], t["out_of_bounds"])
-        files[_profile_filename(cov)] = csv_text(header, [
-            [_fmt(tau), cov, *map(_fmt, vals), int(flag)] for tau, *vals, flag in rows])
+    for cov in dict.fromkeys(grid.varying):
+        at = np.flatnonzero(np.asarray(grid.varying) == cov)
+        rows = []
+        for run, _ in results:
+            s = run.surface
+            for i in at:
+                lo, hi = (None, None) if s.lower is None else (s.lower[i], s.upper[i])
+                rows.append([_fmt(run.tau), cov, *map(_fmt, (
+                    grid.value[i], s.phi[i], lo, hi, s.bounds.phi_min, s.bounds.phi_max,
+                )), int(s.out_of_bounds[i])])
+        files[_profile_filename(cov)] = csv_text(header, rows)
 
     files = dict(sorted(files.items()))
     meta = {
@@ -123,7 +129,7 @@ def _render_analysis(cfg, data, dropped, results):
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "input": cfg.input,
-        "n_rows": data.n,
+        "n_rows": sample.data.n,
         "dropped_rows": list(dropped),
         "responses": list(spec.responses),
         "taus": list(spec.taus),
@@ -145,15 +151,17 @@ def _render_analysis(cfg, data, dropped, results):
         "outputs": [*files, "metadata.json", "summary.txt"],
     }
     files["metadata.json"] = _json_text(meta)
-    files["summary.txt"] = _summary_text(spec, data, dropped, results)
+    files["summary.txt"] = _summary_text(sample, dropped, results)
     return files
 
 
-def _summary_text(spec, data, dropped, results):
-    """Human-readable recap, 3 decimals; ``dropped`` as in ``_render_analysis``."""
+def _summary_text(sample, dropped, results):
+    """Human-readable recap, 3 decimals; arguments as in ``_render_analysis``."""
+    spec = sample.spec
+    categories = (MERGED_LABELS if spec.merged else LABELS)[1:]
     lines = [
         "quantcord analysis summary",
-        f"rows used: {data.n} (dropped: {len(dropped)})",
+        f"rows used: {sample.data.n} (dropped: {len(dropped)})",
         f"responses: {spec.responses[0]}, {spec.responses[1]}"
         + ("  [merged discordant categories]" if spec.merged else ""),
         "",
@@ -163,12 +171,12 @@ def _summary_text(spec, data, dropped, results):
         for j, name in enumerate(spec.responses):
             fit = run.step1[j]
             coefs = "  ".join(
-                f"{c}={v:.3f}" for c, v in zip(fit.columns, fit.beta))
+                f"{c}={v:.3f}" for c, v in zip(sample.X1.columns, fit.beta))
             lines.append(f"  quantile fit {name}: {coefs}")
         fit2 = run.step2
-        for k, cat in enumerate(fit2.categories):
+        for k, cat in enumerate(categories):
             coefs = "  ".join(
-                f"{c}={v:.3f}" for c, v in zip(fit2.columns, fit2.gamma[k]))
+                f"{c}={v:.3f}" for c, v in zip(sample.X2.columns, fit2.gamma[k]))
             lines.append(f"  log-odds {cat} vs 00: {coefs}")
         s = run.surface
         for cov in dict.fromkeys(s.grid.varying):
@@ -216,7 +224,7 @@ def _cmd_analyze(args):
     else:
         results = [(run_two_step(sample, tau), None) for tau in spec.taus]
 
-    files = _render_analysis(cfg, data, dropped, results)
+    files = _render_analysis(cfg, sample, dropped, results)
     os.makedirs(args.out, exist_ok=True)
     _write_outputs({os.path.join(args.out, name): text for name, text in files.items()})
     print(f"wrote {len(files)} files to {args.out}")

@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, SingularDesignError, check_names
+from .exceptions import InvalidArgumentError, SingularDesignError, check_sequence
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class DesignMatrix:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", check_names("design columns", self.columns))
+        object.__setattr__(self, "columns", check_sequence("design columns", self.columns))
         values = _read_only(np.array(self.values, dtype=float))
         object.__setattr__(self, "values", values)
         if values.ndim != 2:

@@ -33,12 +33,16 @@ def check_number(name, value, integer=False, minimum=None):
         raise InvalidArgumentError(f"{name} must be {floor}, got {value}")
 
 
-def check_names(name, value, what="names"):
+def check_sequence(name, value, what="names"):
     """``value`` as a tuple; raise InvalidArgumentError naming ``name`` when
-    it is a str or bytes, which would split into one name per letter."""
-    if isinstance(value, (str, bytes)):
-        raise InvalidArgumentError(f"{name} must be a sequence of {what}, got {value!r}")
-    return tuple(value)
+    it is not iterable, or is a str or bytes, which would split into one
+    item per letter."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"{name} must be a sequence of {what}, got {value!r}")
 
 
 def check_taus(taus):

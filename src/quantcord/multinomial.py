@@ -35,10 +35,9 @@ SEPARATION_COEF = 30.0
 
 @dataclass(frozen=True)
 class MultinomialFit:
-    """Fitted category log-odds against the "00" reference, one row of
-    ``gamma`` per entry of ``categories``: the fitted codes 1..K of
-    ``concordance``, ``MERGED_LABELS[1:]`` for a merged-mode fit and
-    ``LABELS[1:]`` otherwise.
+    """Fitted category log-odds against the "00" reference: row k - 1 of
+    ``gamma`` is fitted code k of ``concordance``, named
+    ``MERGED_LABELS[k]`` for a merged-mode fit and ``LABELS[k]`` otherwise.
 
     ``fit_multinomial`` returns only converged fits, so ``converged`` is
     True on every fit it returns; it is False only on the ``last_fit`` of
@@ -46,18 +45,16 @@ class MultinomialFit:
     (``bench/tracer.py``) reads it.
     """
 
-    categories: tuple
     gamma: np.ndarray  # one row of coefficients per non-reference category
     loglik: float
     converged: bool
     iterations: int
-    columns: tuple
     separation: bool = False
 
 
 def _indicators(z, merged, n):
-    """The categories and their K x n indicators ``z == k``, k = 1..K, for
-    the fitted codes of ``n`` observations' cell codes.
+    """The K x n indicators ``z == k``, k = 1..K, of the fitted codes of
+    ``n`` observations' cell codes.
 
     Raises EmptyCategoryError naming every fitted code 0..K with no
     observations.
@@ -69,7 +66,7 @@ def _indicators(z, merged, n):
     empty = np.flatnonzero(np.bincount(z, minlength=len(names)) == 0)
     if empty.size:
         raise EmptyCategoryError([names[k] for k in empty])
-    return names[1:], (z == np.arange(1, len(names))[:, None]).astype(float)
+    return (z == np.arange(1, len(names))[:, None]).astype(float)
 
 
 # The Newton kernel keeps one row per non-reference category and one column
@@ -141,10 +138,10 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
     if not isinstance(X2, DesignMatrix):
         raise InvalidArgumentError("X2 must be a DesignMatrix")
     check_full_rank(X2)
-    categories, Yt = _indicators(z, merged, X2.n)
+    Yt = _indicators(z, merged, X2.n)
     w, Xt, Xs = X2.weights, X2.transposed, X2.scaled_transposed
     Yt = Yt * w
-    q, K = X2.q, len(categories)
+    q, K = X2.q, Yt.shape[0]
     gamma = np.zeros((K, q)) if start is None else check_start(start, (K, q))
     ll, probs, scale = _loglik_terms(gamma, Xt, Yt, w)
     for it in range(MAX_NEWTON_ITER + 1):  # it: the Newton steps taken
@@ -184,12 +181,10 @@ def fit_multinomial(X2, z, merged=False, *, start=None):
         )
 
     fit = MultinomialFit(
-        categories=categories,
         gamma=gamma,
         loglik=ll,
         converged=converged,
         iterations=it,
-        columns=X2.columns,
         separation=separation,
     )
     if not converged:

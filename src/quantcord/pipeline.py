@@ -12,7 +12,6 @@ counts) give the fits of the repeated rows.
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .design import DesignMatrix
 from .exceptions import (
     InvalidArgumentError,
     QuantcordError,
-    check_names,
+    check_sequence,
     check_number,
     check_tau,
     check_taus,
@@ -60,22 +59,15 @@ class AnalysisSpec:
     binary: tuple = ()
 
     def __post_init__(self):
-        for name in ("responses", "binary"):
-            object.__setattr__(self, name, check_names(name, getattr(self, name), "column names"))
+        for name, what in (("responses", "column names"), ("binary", "column names"),
+                           ("step1_terms", "terms"), ("step2_terms", "terms")):
+            object.__setattr__(self, name, check_sequence(name, getattr(self, name), what))
         if not isinstance(self.merged, bool):  # "no" is truthy
             raise InvalidArgumentError(f"merged must be True or False, got {self.merged!r}")
         check_number("grid_points", self.grid_points, integer=True, minimum=2)
-        try:  # a lone tau is not a sequence of them, nor is a string
-            taus = None if isinstance(self.taus, (str, bytes)) else tuple(self.taus)
-        except TypeError:
-            taus = None
-        if taus is None:
-            raise InvalidArgumentError(
-                f"taus must be a sequence of quantile levels, got {self.taus!r}")
+        taus = check_sequence("taus", self.taus, "quantile levels")
         check_taus(taus)
         object.__setattr__(self, "taus", tuple(float(t) for t in taus))
-        for name in ("step1_terms", "step2_terms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.responses) != 2 or self.responses[0] == self.responses[1]:
             raise InvalidArgumentError(
                 f"responses must be two distinct columns, got {self.responses}"
@@ -329,33 +321,3 @@ def run_two_step(sample, tau, start=None):
             empirical=empirical_cells(labels, sample.X1.weights),
         )
 
-
-def phi_profile(surfaces, covariate):
-    """Long-format profile table for one covariate across surfaces.
-
-    Columns: tau, value, phi_hat, phi_min, phi_max, out_of_bounds, plus
-    lower/upper when every surface carries confidence bands.  Rows are
-    ordered by tau, then by grid position.
-    """
-    surfaces = sorted(surfaces, key=lambda s: s.tau)
-    if not surfaces:
-        raise InvalidArgumentError("no surfaces given")
-    known = {v for s in surfaces for v in s.grid.varying}
-    if covariate not in known:
-        raise InvalidArgumentError(
-            f"covariate {covariate!r} has no profile; available: {sorted(known)}"
-        )
-    masks = [np.asarray(s.grid.varying) == covariate for s in surfaces]
-
-    def column(attr):
-        get = attrgetter(attr)
-        return np.concatenate(
-            [np.broadcast_to(get(s), m.shape)[m] for s, m in zip(surfaces, masks)]
-        )
-
-    sources = {"tau": "tau", "value": "grid.value", "phi_hat": "phi",
-             "phi_min": "bounds.phi_min", "phi_max": "bounds.phi_max",
-             "out_of_bounds": "out_of_bounds"}
-    if all(s.lower is not None and s.upper is not None for s in surfaces):
-        sources.update(lower="lower", upper="upper")
-    return {k: column(attr) for k, attr in sources.items()}

@@ -49,7 +49,6 @@ class QuantileFit:
     beta: np.ndarray
     residuals: np.ndarray
     iterations: int
-    columns: tuple = ()
     basis: tuple = ()
     ties: tuple = ()
     margin: float = float("nan")
@@ -254,7 +253,6 @@ def fit_quantile_regression(X, y, tau, start=None):
         beta=beta,
         residuals=y - Xv @ beta,
         iterations=pivots,
-        columns=X.columns,
         basis=tuple(sorted(basis)),
         ties=tuple(np.flatnonzero(free & (r == 0)).tolist()),
         margin=max(margin, 0.0) if converged else margin,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import FLOAT_FMT, Dataset
-from .exceptions import InvalidArgumentError, check_names, check_number, check_tau
+from .exceptions import InvalidArgumentError, check_number, check_sequence, check_tau
 
 MIN_ROWS = 50
 GAUSS_LEGENDRE_NODES = 20
@@ -94,7 +94,7 @@ class ScenarioSpec:
                     "binary covariate"
                 )
         object.__setattr__(self, "response_names",
-                           check_names("response_names", self.response_names, "two names"))
+                           check_sequence("response_names", self.response_names, "two names"))
         if len(self.response_names) != 2:
             raise InvalidArgumentError("exactly two response names required")
         columns = list(self.response_names) + [c.name for c in self.covariates]

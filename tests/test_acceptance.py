@@ -164,7 +164,7 @@ class TestAcceptance:
             # analytic score vs central differences at a random point
             Xg = np.column_stack([np.ones(80), rng.normal(size=80)])
             zg = rng.choice(4, size=80)
-            Y = _indicators(zg, False, 80)[1].T
+            Y = _indicators(zg, False, 80).T
             gamma = rng.normal(scale=0.5, size=(3, 2))
             _, probs = loglik_parts(gamma, Xg, Y)
             analytic = (Xg.T @ (Y - probs)).T.reshape(-1)

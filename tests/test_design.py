@@ -50,6 +50,11 @@ class TestDesignMatrixValidation:
         with pytest.raises(InvalidArgumentError, match="sequence of names, got"):
             DesignMatrix(np.ones((5, 2)), columns)
 
+    def test_non_iterable_columns_rejected(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="design columns must be a sequence of names, got None"):
+            DesignMatrix(np.ones((3, 1)), None)
+
     def test_frozen(self):
         X = DesignMatrix(np.ones((5, 1)), ("intercept",))
         with pytest.raises(AttributeError):

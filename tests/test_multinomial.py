@@ -50,8 +50,8 @@ def _intercept_design(n, weights=None):
 
 def _score(gamma, X2, z, merged=False):
     """The score at ``gamma`` from the kernel ``fit_multinomial`` runs."""
-    categories, Yt = _indicators(z, merged, X2.n)
-    gamma = np.asarray(gamma, dtype=float).reshape(len(categories), X2.q)
+    Yt = _indicators(z, merged, X2.n)
+    gamma = np.asarray(gamma, dtype=float).reshape(Yt.shape[0], X2.q)
     Xt = X2.values.T
     w = np.ones(X2.n)
     _, probs, _ = _loglik_terms(gamma, Xt, Yt, w)
@@ -70,14 +70,16 @@ def _labels_from_counts(c00, c11, c01, c10):
 class TestCategoryConstants:
 
     def test_reference_and_orderings(self):
-        # fitted code 0, "00", is the reference; a fit's categories are the
-        # other fitted codes, in code order
+        # fitted code 0, "00", is the reference; row k - 1 of a fit's gamma
+        # is fitted code k
         z = _labels_from_counts(40, 40, 10, 10)
         full = fit_multinomial(_intercept_design(100), z)
         merged = fit_multinomial(_intercept_design(100), z, merged=True)
         assert LABELS[0] == MERGED_LABELS[0] == "00"
-        assert full.categories == LABELS[1:] == ("11", "01", "10")
-        assert merged.categories == MERGED_LABELS[1:] == ("11", "01+10")
+        assert full.gamma.shape[0] == len(LABELS) - 1
+        assert LABELS[1:] == ("11", "01", "10")
+        assert merged.gamma.shape[0] == len(MERGED_LABELS) - 1
+        assert MERGED_LABELS[1:] == ("11", "01+10")
 
 
 class TestInterceptOnlyClosedForm:
@@ -97,7 +99,7 @@ class TestInterceptOnlyClosedForm:
     def test_merged_pools_before_fitting(self):
         z = _labels_from_counts(40, 40, 10, 10)
         fit = fit_multinomial(_intercept_design(100), z, merged=True)
-        assert fit.categories == ("11", "01+10")
+        assert fit.gamma.shape[0] == len(MERGED_LABELS) - 1
         np.testing.assert_allclose(fit.gamma[0, 0], 0.0, atol=1e-8)
         np.testing.assert_allclose(fit.gamma[1, 0], np.log(20.0 / 40.0), atol=1e-8)
 
@@ -176,7 +178,7 @@ class TestGradient:
             z = rng.integers(0, 4, n)
             gamma = 0.5 * rng.standard_normal((3, q2))
             g = _score(gamma, X, z)
-            Y = _indicators(z, False, n)[1].T
+            Y = _indicators(z, False, n).T
             fd = np.zeros(3 * q2)
             for k in range(3 * q2):
                 plus = gamma.reshape(-1).copy()
@@ -195,7 +197,7 @@ class TestGradient:
         rng = np.random.default_rng(18)
         n, q = 200, 3
         X = np.column_stack([np.ones(n), rng.standard_normal((n, q - 1))])
-        Y = _indicators(rng.integers(0, 4, n), False, n)[1].T
+        Y = _indicators(rng.integers(0, 4, n), False, n).T
         for scale in (0.5, 400.0):
             gamma = scale * rng.standard_normal((3, q))
             ll, probs = loglik_parts(gamma, X, Y)

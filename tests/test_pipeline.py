@@ -1,6 +1,7 @@
 """Tests for the end-to-end two-step procedure and its profile grids."""
 
-import dataclasses
+import csv
+import io
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from quantcord import (
     LABELS,
+    MERGED_LABELS,
     AnalysisSpec,
     Dataset,
     EmptyCategoryError,
@@ -22,13 +24,15 @@ from quantcord import (
     interaction,
     phi,
     phi_bounds,
-    phi_profile,
     run_two_step,
     spline,
 )
 import quantcord.multinomial as multinomial
 import quantcord.pipeline as pipeline
 import quantcord.quantreg as quantreg
+from quantcord.cli import _render_analysis
+from quantcord.config import RunConfig
+from quantcord.dataset import FLOAT_FMT
 from quantcord.multinomial import MultinomialFit
 from quantcord.pipeline import (
     CONSTANT_PROFILE,
@@ -117,6 +121,18 @@ class TestAnalysisSpecValidation:
                     "merged": "True or False", "grid_points": "an integer"}[field]
         with pytest.raises(InvalidArgumentError, match=f"{field} must be {expected}"):
             _spec(**{field: value})
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("responses", 5, "column names"), ("binary", 5, "column names"),
+        ("step1_terms", 5, "terms"), ("step2_terms", 5, "terms"),
+        ("step1_terms", "x", "terms"),
+    ])
+    def test_non_sequences_rejected(self, field, value, what):
+        # tuple() of a number raises a bare TypeError; a string splits into letters
+        kwargs = {"responses": ("a", "b"), field: value}
+        with pytest.raises(InvalidArgumentError,
+                           match=f"{field} must be a sequence of {what}, got {value!r}"):
+            AnalysisSpec(**kwargs)
 
     def test_grid_overrides_must_name_profiled_covariates(self):
         terms = (identity("x"),)
@@ -404,12 +420,10 @@ class TestRunTwoStep:
         # as computed with the flag set
         p = np.array([0.28, 0.70, 0.01, 0.01])  # p00, p11, p01, p10
         fit = MultinomialFit(
-            categories=("11", "01", "10"),
             gamma=np.log(p[1:] / p[0])[:, None],
             loglik=0.0,
             converged=True,
             iterations=1,
-            columns=("intercept",),
         )
         sample = build_designs(_dependent_data(), _spec())
         surface = evaluate_surface(fit, sample, 0.25)
@@ -421,7 +435,8 @@ class TestRunTwoStep:
     def test_merged_mode_threads_through(self):
         data = _dependent_data()
         result = run_two_step(build_designs(data, _spec(merged=True)), 0.5)
-        assert result.step2.categories == ("11", "01+10")
+        assert result.step2.gamma.shape[0] == len(MERGED_LABELS) - 1
+        assert MERGED_LABELS[1:] == ("11", "01+10")
         assert result.surface.cells[0, 2] == result.surface.cells[0, 3]
 
     def test_explicit_grid_is_used_verbatim(self):
@@ -659,7 +674,8 @@ class TestMetamorphicRelations:
     def test_swapping_responses_swaps_discordant_cells(self, step2):
         spec = self._spec(step2, responses=("y2", "y1"))
         for base, swapped in self._pairs(step2, self._data(), spec=spec):
-            assert swapped.step2.categories == base.step2.categories == ("11", "01", "10")
+            assert swapped.step2.gamma.shape[0] == base.step2.gamma.shape[0] == len(LABELS) - 1
+            assert LABELS[1:] == ("11", "01", "10")
             np.testing.assert_allclose(swapped.step2.gamma, base.step2.gamma[[0, 2, 1]],
                                        rtol=0, atol=3e-13)
             np.testing.assert_allclose(swapped.surface.phi, base.surface.phi,
@@ -732,58 +748,42 @@ class TestMetamorphicRelations:
 
 
 class TestPhiProfile:
+    """The ``phi_profile_x.csv`` text that ``analyze`` writes from the surfaces."""
 
-    def _surfaces(self, taus=(0.1, 0.5)):
+    def _profile(self, taus):
         data = _dependent_data()
         spec = _spec(taus=taus, step2_terms=(identity("x"),), grid_points=3)
-        return data, [run_two_step(build_designs(data, spec), t).surface for t in taus]
+        sample = build_designs(data, spec)
+        results = [(run_two_step(sample, tau), None) for tau in spec.taus]
+        files = _render_analysis(RunConfig(input="data.csv", spec=spec), sample, (), results)
+        rows = list(csv.DictReader(io.StringIO(files["phi_profile_x.csv"])))
+        return data, [run.surface for run, _ in results], rows
 
     def test_three_point_grid_gives_three_rows(self):
-        data, surfaces = self._surfaces(taus=(0.5,))
-        table = phi_profile(surfaces, "x")
+        data, (surface,), rows = self._profile(taus=(0.5,))
         x = data.column("x")
-        assert table["tau"].shape == (3,)
-        np.testing.assert_allclose(table["value"], np.linspace(x.min(), x.max(), 3))
+        assert len(rows) == 3
+        np.testing.assert_allclose([float(r["value"]) for r in rows],
+                                   np.linspace(x.min(), x.max(), 3))
         bounds = phi_bounds(0.5)
-        np.testing.assert_array_equal(table["phi_min"], np.full(3, bounds.phi_min))
-        np.testing.assert_array_equal(table["phi_max"], np.full(3, bounds.phi_max))
-        np.testing.assert_array_equal(table["phi_hat"], surfaces[0].phi)
-        np.testing.assert_array_equal(table["out_of_bounds"], surfaces[0].out_of_bounds)
+        assert [float(r["phi_min"]) for r in rows] == [bounds.phi_min] * 3
+        assert [float(r["phi_max"]) for r in rows] == [bounds.phi_max] * 3
+        assert [r["phi_hat"] for r in rows] == [FLOAT_FMT % v for v in surface.phi]
+        assert [r["out_of_bounds_flag"] for r in rows] == [
+            str(int(flag)) for flag in surface.out_of_bounds]
+        assert all(r["ci_lower"] == r["ci_upper"] == "" for r in rows)
 
     def test_tau_010_bound_columns(self):
-        _, surfaces = self._surfaces(taus=(0.1,))
-        table = phi_profile(surfaces, "x")
-        np.testing.assert_allclose(table["phi_min"], np.full(3, -1.0 / 9.0),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(table["phi_max"], np.ones(3))
-
-    def test_band_columns_absent_without_bootstrap(self):
-        _, surfaces = self._surfaces()
-        table = phi_profile(surfaces, "x")
-        assert set(table) == {"tau", "value", "phi_hat", "phi_min", "phi_max",
-                              "out_of_bounds"}
-
-    def test_band_columns_present_when_all_surfaces_have_bands(self):
-        _, surfaces = self._surfaces()
-        banded = [
-            dataclasses.replace(s, se=np.full(s.phi.shape, 0.1),
-                                lower=s.phi - 0.2, upper=s.phi + 0.2)
-            for s in surfaces
-        ]
-        table = phi_profile(banded, "x")
-        assert {"lower", "upper"} <= set(table)
-        np.testing.assert_allclose(table["upper"] - table["phi_hat"], 0.2)
+        _, _, rows = self._profile(taus=(0.1,))
+        np.testing.assert_allclose([float(r["phi_min"]) for r in rows],
+                                   np.full(3, -1.0 / 9.0), rtol=0, atol=1e-12)
+        assert [float(r["phi_max"]) for r in rows] == [1.0] * 3
 
     def test_rows_ordered_by_tau_then_grid(self):
-        _, surfaces = self._surfaces()
-        table = phi_profile(list(reversed(surfaces)), "x")
-        np.testing.assert_array_equal(table["tau"], [0.1] * 3 + [0.5] * 3)
-
-    def test_unknown_covariate(self):
-        _, surfaces = self._surfaces()
-        with pytest.raises(InvalidArgumentError, match="available"):
-            phi_profile(surfaces, "z")
-
-    def test_empty_surface_list(self):
-        with pytest.raises(InvalidArgumentError, match="no surfaces"):
-            phi_profile([], "x")
+        data, surfaces, rows = self._profile(taus=(0.1, 0.5))
+        x = data.column("x")
+        values = np.linspace(x.min(), x.max(), 3)
+        assert [float(r["tau"]) for r in rows] == [0.1] * 3 + [0.5] * 3
+        np.testing.assert_allclose([float(r["value"]) for r in rows], np.tile(values, 2))
+        assert [r["phi_hat"] for r in rows] == [
+            FLOAT_FMT % v for s in surfaces for v in s.phi]

@@ -699,7 +699,6 @@ class TestResidualSigns:
             beta=np.array([0.0]),
             residuals=np.asarray(residuals, dtype=float),
             iterations=1,
-            columns=("intercept",),
         )
 
     def test_indicator_with_tie_at_zero(self):
@@ -723,7 +722,6 @@ class TestResidualSigns:
             beta=np.array([0.0]),
             residuals=np.array([-1.0, 5e-324, 2.0, 1e-300]),
             iterations=1,
-            columns=("intercept",),
             basis=(1,),
             ties=(3,),
         )

@@ -87,6 +87,11 @@ class TestScenarioValidation:
             with pytest.raises(InvalidArgumentError, match="response_names must be a sequence"):
                 ScenarioSpec(n=100, response_names=names)
 
+    def test_response_names_must_be_iterable(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="response_names must be a sequence of two names, got 7"):
+            ScenarioSpec(n=60, response_names=7)
+
     @pytest.mark.parametrize("field,value,what", [
         ("n", "100", "an integer"), ("n", 100.0, "an integer"), ("n", True, "an integer"),
         ("seed", "3", "an integer"), ("seed", None, "an integer"),

@@ -38,26 +38,27 @@ spec = AnalysisSpec(
 )
 sample = build_designs(data, spec)
 (result,) = bootstrap(sample, B=200, seed=17)
-surface = result.estimate.surface
+# the estimate is the full-sample fit; its bands sit on the result
+estimate = result.estimate
 
 # every draw array has one row per replicate; a failed one is NaN and
 # False in result.ok, and the SEs and bands read the other rows
 print(f"replicates: {result.B}, failures: {result.failures}, "
       f"phi draws: {result.phi_draws.shape[0]} x {result.phi_draws.shape[1]}")
 print("\ng    phi_hat   se       95% band             oracle   covered")
-for i, value in enumerate(surface.grid.value):
+for i, value in enumerate(sample.grid.value):
     truth = oracle_phi_gaussian({0.0: 0.2, 1.0: 0.8}[value], 0.5)
-    lo, hi = surface.lower[i], surface.upper[i]
+    lo, hi = result.phi_lower[i], result.phi_upper[i]
     covered = "yes" if lo <= truth <= hi else "no"
     print(
-        f"{value:.0f}    {surface.phi[i]:+.4f}   {surface.se[i]:.4f}"
+        f"{value:.0f}    {estimate.phi[i]:+.4f}   {result.phi_se[i]:.4f}"
         f"   [{lo:+.4f}, {hi:+.4f}]   {truth:+.4f}   {covered}"
     )
 
 print("\nstep-2 coefficients (percentile intervals):")
 print("category  term        estimate   95% interval")
 # row r of gamma is fitted code r + 1; the design owns the term names
-fit = result.estimate.step2
+fit = estimate.step2
 for r, cat in enumerate(LABELS[1:]):
     for c, term in enumerate(sample.X2.columns):
         print(

@@ -43,18 +43,18 @@ spec = AnalysisSpec(
 )
 # one sample (its designs and grid) serves every tau
 sample = build_designs(data, spec)
-surfaces = [run_two_step(sample, tau).surface for tau in spec.taus]
+results = [run_two_step(sample, tau) for tau in spec.taus]
 rho = {0.0: 0.2, 1.0: 0.8}
 
 # the grid varies g alone, so every grid row is one of g's profile rows
 print("tau    g    phi_hat   oracle    error")
 worst = 0.0
-for surface in surfaces:
-    for value, est in zip(sample.grid.value, surface.phi):
-        truth = oracle_phi_gaussian(rho[value], surface.tau)
+for result in results:
+    for value, est in zip(sample.grid.value, result.phi):
+        truth = oracle_phi_gaussian(rho[value], result.tau)
         worst = max(worst, abs(est - truth))
         print(
-            f"{surface.tau:.2f}   {value:.0f}   {est:+.4f}   {truth:+.4f}   "
+            f"{result.tau:.2f}   {value:.0f}   {est:+.4f}   {truth:+.4f}   "
             f"{abs(est - truth):.4f}"
         )
 

@@ -48,7 +48,6 @@ from .multinomial import (
 from .pipeline import (
     AnalysisSpec,
     EvaluationGrid,
-    PhiSurface,
     SampleDesigns,
     TwoStepResult,
     build_designs,
@@ -85,9 +84,8 @@ __all__ = [
     # multinomial
     "MultinomialFit", "fit_multinomial", "predict_cells_rows",
     # pipeline
-    "AnalysisSpec", "EvaluationGrid", "PhiSurface", "SampleDesigns",
-    "TwoStepResult", "build_designs", "build_grid", "evaluate_surface",
-    "run_two_step",
+    "AnalysisSpec", "EvaluationGrid", "SampleDesigns", "TwoStepResult",
+    "build_designs", "build_grid", "evaluate_surface", "run_two_step",
     # quantreg
     "QuantileFit", "fit_quantile_regression",
     # synthetic

@@ -32,7 +32,7 @@ import math
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,10 +90,11 @@ def _phi_bands(draws, estimates, tau, level):
     draws (infinite ones included) and the estimates alike; each band is
     centered at its estimate's transform with the bootstrap SE of the
     row's transformed draws, then mapped back.  So an estimate outside
-    the bounds, which the surface flags and keeps, gets a band within the
-    bounds that excludes it.  Equal draws, or draws all at one bound, give
-    the point mass at the estimate.  Returns lower, upper and the
-    winsorized count of draws per row.
+    the bounds, which ``TwoStepResult.out_of_bounds`` flags and keeps,
+    gets a band within the bounds that excludes it.  Equal draws, or
+    draws all at one bound, give the point mass at the estimate.  Returns
+    a BootstrapResult's ``phi_lower``, ``phi_upper`` and ``winsorized``,
+    the winsorized count of draws per row.
     """
     b = phi_bounds(tau)
     span = b.phi_max - b.phi_min
@@ -124,7 +125,7 @@ def _phi_bands(draws, estimates, tau, level):
 
 def _draw(res):
     """A two-step result's gamma, the beta of each response, and phi."""
-    return res.step2.gamma, tuple(f.beta for f in res.step1), res.surface.phi
+    return res.step2.gamma, tuple(f.beta for f in res.step1), res.phi
 
 
 def _run_replicate(sample, base):
@@ -183,10 +184,11 @@ class BootstrapResult:
     mask ``ok`` is False), plus the SEs and intervals of the rows where it
     holds; :func:`bootstrap` returns one per tau of the sample's spec.
 
-    ``estimate`` is the full-sample TwoStepResult; its surface carries
-    the phi bands: the bootstrap ``se`` and the ``lower``/``upper`` Wald
-    intervals on the rescaled-logit scale.  ``gamma_lower``/``gamma_upper``
-    are percentile intervals.
+    ``estimate`` is the full-sample :func:`~quantcord.pipeline.run_two_step`
+    result.  ``gamma_lower``/``gamma_upper`` are percentile intervals;
+    ``phi_lower``/``phi_upper``, one per grid row, are Wald intervals on
+    the rescaled-logit scale (see :func:`_phi_bands`), and ``phi_se`` the
+    bootstrap SEs of the draws of phi.
     """
 
     level: float
@@ -197,8 +199,11 @@ class BootstrapResult:
     phi_draws: np.ndarray
     gamma_se: np.ndarray
     beta_se: dict
+    phi_se: np.ndarray
     gamma_lower: np.ndarray
     gamma_upper: np.ndarray
+    phi_lower: np.ndarray
+    phi_upper: np.ndarray
     winsorized: np.ndarray
 
     @property
@@ -241,7 +246,7 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
     A tuple of BootstrapResult, one per spec tau in spec order: views of
     one B x T mask ``ok`` and one (B, T, ...) array per quantity.  Each
     ``estimate`` is the full-sample :func:`~quantcord.pipeline.run_two_step`
-    result with the phi bands set on ``estimate.surface``.
+    result, and the phi bands sit beside the gamma bands.
 
     Raises
     ------
@@ -305,18 +310,18 @@ def _summarize(spec, base, level, ok, gamma, beta, phi):
     gammas, phis = gamma[ok], phi[ok]
     alpha = 1.0 - level
     ordered = np.sort(gammas, axis=0)
-    lower, upper, winsorized = _phi_bands(
-        np.ascontiguousarray(phis.T), base.surface.phi, base.tau, level
-    )
-    surface = replace(base.surface, se=np.std(phis, axis=0, ddof=1),
-                      lower=lower, upper=upper)
+    phi_lower, phi_upper, winsorized = _phi_bands(
+        np.ascontiguousarray(phis.T), base.phi, base.tau, level)
     return BootstrapResult(
         level=level,
-        estimate=replace(base, surface=surface),
+        estimate=base,
         gamma_se=np.std(gammas, axis=0, ddof=1),
         beta_se={k: np.std(v[ok], axis=0, ddof=1) for k, v in draws["beta_draws"].items()},
+        phi_se=np.std(phis, axis=0, ddof=1),
         gamma_lower=sorted_quantile(ordered, alpha / 2.0),
         gamma_upper=sorted_quantile(ordered, 1.0 - alpha / 2.0),
+        phi_lower=phi_lower,
+        phi_upper=phi_upper,
         winsorized=winsorized,
         **draws,
     )

@@ -26,7 +26,7 @@ from .bootstrap import bootstrap
 from .config import load_run_config, load_scenario
 from .dataset import FLOAT_FMT, csv_text, read_csv
 from .exceptions import InvalidArgumentError, QuantcordError
-from .concordance import LABELS, MERGED_LABELS
+from .concordance import LABELS, MERGED_LABELS, phi_bounds
 from .pipeline import CONSTANT_PROFILE, build_designs, run_two_step
 from .synthetic import generate, oracle
 
@@ -113,13 +113,14 @@ def _render_analysis(cfg, sample, dropped, results):
     for cov in dict.fromkeys(grid.varying):
         at = np.flatnonzero(np.asarray(grid.varying) == cov)
         rows = []
-        for run, _ in results:
-            s = run.surface
+        for run, boot in results:
+            bounds = phi_bounds(run.tau)
             for i in at:
-                lo, hi = (None, None) if s.lower is None else (s.lower[i], s.upper[i])
+                lo, hi = (None, None) if boot is None else (
+                    boot.phi_lower[i], boot.phi_upper[i])
                 rows.append([_fmt(run.tau), cov, *map(_fmt, (
-                    grid.value[i], s.phi[i], lo, hi, s.bounds.phi_min, s.bounds.phi_max,
-                )), int(s.out_of_bounds[i])])
+                    grid.value[i], run.phi[i], lo, hi, bounds.phi_min, bounds.phi_max,
+                )), int(run.out_of_bounds[i])])
         files[_profile_filename(cov)] = csv_text(header, rows)
 
     files = dict(sorted(files.items()))
@@ -178,15 +179,15 @@ def _summary_text(sample, dropped, results):
             coefs = "  ".join(
                 f"{c}={v:.3f}" for c, v in zip(sample.X2.columns, fit2.gamma[k]))
             lines.append(f"  log-odds {cat} vs 00: {coefs}")
-        s = run.surface
-        for cov in dict.fromkeys(s.grid.varying):
-            mask = np.asarray(s.grid.varying) == cov
+        bounds = phi_bounds(run.tau)
+        for cov in dict.fromkeys(sample.grid.varying):
+            mask = np.asarray(sample.grid.varying) == cov
             label = "phi (constant model)" if cov == CONSTANT_PROFILE \
                 else f"phi along {cov}"
             lines.append(
-                f"  {label}: {np.min(s.phi[mask]):.3f} "
-                f"to {np.max(s.phi[mask]):.3f} "
-                f"(bounds {s.bounds.phi_min:.3f}, {s.bounds.phi_max:.3f})")
+                f"  {label}: {np.min(run.phi[mask]):.3f} "
+                f"to {np.max(run.phi[mask]):.3f} "
+                f"(bounds {bounds.phi_min:.3f}, {bounds.phi_max:.3f})")
         if boot is not None:
             lines.append(
                 f"  bootstrap: B={boot.B}, failures={boot.failures}, "

@@ -3,11 +3,12 @@
 Step 1 fits one quantile regression per response; step 2 classifies
 the residual-sign pairs and fits the multinomial model; finally the
 conditional sign-correlation phi is evaluated on per-covariate
-profile grids, never clipped to its theoretical bounds.  No design
-depends on tau, so one sample (``build_designs``) serves every tau's
-``run_two_step``.  Both steps are M-estimators, so designs whose rows
-carry frequency weights (a bootstrap resample's distinct rows and their
-counts) give the fits of the repeated rows.
+profile grids, never clipped to its theoretical bounds: one
+``TwoStepResult`` per tau.  No design depends on tau, so one sample
+(``build_designs``) serves every tau's ``run_two_step``.  Both steps
+are M-estimators, so designs whose rows carry frequency weights (a
+bootstrap resample's distinct rows and their counts) give the fits of
+the repeated rows.
 """
 
 from contextlib import contextmanager
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_design, recipe_values
-from .concordance import PhiBounds, classify, empirical_cells, phi, phi_bounds
+from .concordance import classify, empirical_cells, phi, phi_bounds
 from .dataset import Dataset
 from .design import DesignMatrix
 from .exceptions import (
@@ -39,6 +40,7 @@ CONSTANT_PROFILE = "(constant)"
 class AnalysisSpec:
     """Everything needed to run the two-step procedure on a dataset.
 
+    No step-1 or step-2 term may read a column of ``responses``.
     ``binary`` names 0/1 term columns; a name that no term reads is an
     error here, and :func:`build_grid` checks that each column holds only
     0 and 1.  A binary covariate's profile grid is {0, 1} and its
@@ -92,6 +94,10 @@ class AnalysisSpec:
                         f"available covariates: {list(self.profile_columns)}"
                     )
         term_columns = _term_columns(self.step1_terms + self.step2_terms)
+        for name in self.responses:
+            if name in term_columns:
+                raise InvalidArgumentError(
+                    f"a term reads response {name!r}; terms read covariates only")
         unread = [name for name in self.binary if name not in term_columns]
         if unread:
             raise InvalidArgumentError(
@@ -182,55 +188,32 @@ def build_grid(data, spec):
     )
 
 
-@dataclass(frozen=True)
-class PhiSurface:
-    """Conditional phi at one tau on ``grid``, an EvaluationGrid, with
-    ``bounds``, the PhiBounds of that tau.
-
-    ``cells`` column k is the probability of cell code k (see
-    ``concordance``), so phi is recomputable from them.  ``se``,
-    ``lower`` and ``upper`` are the bootstrap bands, None until
-    :func:`quantcord.bootstrap.bootstrap` sets them with
-    ``dataclasses.replace``.
-    """
-
-    tau: float
-    grid: EvaluationGrid
-    bounds: PhiBounds
-    cells: np.ndarray
-    phi: np.ndarray
-    out_of_bounds: np.ndarray
-    se: np.ndarray = None
-    lower: np.ndarray = None
-    upper: np.ndarray = None
-
-
+# bench/tracer.py times this stage by its name, pipeline.evaluate_surface
 def evaluate_surface(fit2, sample, tau):
-    """Predict cell probabilities on the grid rows of ``sample``, a
-    :class:`SampleDesigns`, and map them to phi."""
+    """Cell probabilities on the grid rows of ``sample``, a
+    :class:`SampleDesigns`, their phi, and where phi leaves
+    ``phi_bounds(tau)``: ``(cells, phi, out_of_bounds)``."""
     cells = predict_cells_rows(fit2, sample.grid_X2)
     phi_vals = phi(cells, tau)
     bounds = phi_bounds(tau)
-    return PhiSurface(
-        tau=tau,
-        grid=sample.grid,
-        bounds=bounds,
-        cells=cells,
-        phi=phi_vals,
-        out_of_bounds=(phi_vals < bounds.phi_min) | (phi_vals > bounds.phi_max),
-    )
+    return cells, phi_vals, (phi_vals < bounds.phi_min) | (phi_vals > bounds.phi_max)
 
 
 @dataclass(frozen=True)
 class TwoStepResult:
-    """Both step-1 fits (response order as declared), the step-2 fit,
-    the evaluated surface and the empirical cells, the relative
-    frequencies of the cell codes of ``concordance``."""
+    """One tau's estimate: both step-1 fits (response order as declared),
+    the step-2 fit, and on the sample's grid (row i of ``phi`` is row i of
+    ``sample.grid``) the cell probabilities ``cells``, column k that of
+    cell code k (see ``concordance``), their ``phi``, never clipped, and
+    ``out_of_bounds``, where phi leaves ``phi_bounds(tau)``; then the
+    empirical cells, the relative frequencies of the cell codes."""
 
     tau: float
     step1: tuple
     step2: object
-    surface: PhiSurface
+    cells: np.ndarray
+    phi: np.ndarray
+    out_of_bounds: np.ndarray
     empirical: object
 
 
@@ -312,12 +295,10 @@ def run_two_step(sample, tau, start=None):
             fit2 = fit_multinomial(sample.X2, labels, merged=spec.merged,
                                    start=None if start is None else start.step2.gamma)
 
-        surface = evaluate_surface(fit2, sample, tau)
+        cells, phi_vals, out_of_bounds = evaluate_surface(fit2, sample, tau)
         return TwoStepResult(
-            tau=tau,
-            step1=tuple(fits),
-            step2=fit2,
-            surface=surface,
+            tau=tau, step1=tuple(fits), step2=fit2,
+            cells=cells, phi=phi_vals, out_of_bounds=out_of_bounds,
             empirical=empirical_cells(labels, sample.X1.weights),
         )
 

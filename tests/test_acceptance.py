@@ -192,7 +192,7 @@ class TestAcceptance:
         for i, rho in enumerate((0.0, 0.5, 0.9)):
             data = generate(ScenarioSpec(n=5000, rho=rho, seed=301 + i))
             for tau in (0.1, 0.5, 0.9):
-                phi_hat = run_two_step(build_designs(data, SPEC), tau).surface.phi[0]
+                phi_hat = run_two_step(build_designs(data, SPEC), tau).phi[0]
                 worst = max(worst, abs(phi_hat - oracle_phi_gaussian(rho, tau)))
         closed = abs(oracle_phi_gaussian(0.5, 0.5) - 1.0 / 3.0)
         elapsed = time.perf_counter() - start
@@ -215,11 +215,12 @@ class TestAcceptance:
             responses=("y1", "y2"), taus=(0.5,),
             step2_terms=(identity("g"),), binary=("g",),
         )
-        surface = run_two_step(build_designs(data, gspec), 0.5).surface
+        sample = build_designs(data, gspec)
+        result = run_two_step(sample, 0.5)
         worst = 0.0
         for val, rho in ((0.0, 0.2), (1.0, 0.8)):
-            i = int(np.where(surface.grid.columns["g"] == val)[0][0])
-            worst = max(worst, abs(surface.phi[i] - oracle_phi_gaussian(rho, 0.5)))
+            i = int(np.where(sample.grid.columns["g"] == val)[0][0])
+            worst = max(worst, abs(result.phi[i] - oracle_phi_gaussian(rho, 0.5)))
         ok = worst <= 0.07
         _report(6, "two-group phi recovery (rho 0.2 / 0.8)", ok,
                 f"worst {worst:.3f}")
@@ -235,9 +236,9 @@ class TestAcceptance:
         merged_spec = AnalysisSpec(responses=("y1", "y2"), taus=(0.5,), merged=True)
         unmerged = run_two_step(build_designs(data, SPEC), 0.5)
         merged = run_two_step(build_designs(data, merged_spec), 0.5)
-        diff = abs(unmerged.surface.phi[0] - merged.surface.phi[0])
+        diff = abs(unmerged.phi[0] - merged.phi[0])
         split_exact = bool(
-            np.all(merged.surface.cells[:, 2] == merged.surface.cells[:, 3])
+            np.all(merged.cells[:, 2] == merged.cells[:, 3])
         )
         ok = diff <= 0.02 and split_exact
         _report(7, "exchangeable fixture, merged vs full", ok,
@@ -257,8 +258,8 @@ class TestAcceptance:
         phis = []
         for d in range(200):
             fresh = generate(ScenarioSpec(n=1000, rho=0.5, seed=5000 + d))
-            phis.append(run_two_step(build_designs(fresh, SPEC), 0.5).surface.phi[0])
-        se = float(boot.estimate.surface.se[0])
+            phis.append(run_two_step(build_designs(fresh, SPEC), 0.5).phi[0])
+        se = float(boot.phi_se[0])
         sd = float(np.std(phis, ddof=1))
         ratio = se / sd
         elapsed = time.perf_counter() - start

@@ -125,8 +125,8 @@ class TestBootstrapDeterminism:
         (r2,) = bootstrap(_sample(data), B=24, seed=7)
         np.testing.assert_array_equal(r1.gamma_draws, r2.gamma_draws)
         np.testing.assert_array_equal(r1.phi_draws, r2.phi_draws)
-        np.testing.assert_array_equal(r1.estimate.surface.lower, r2.estimate.surface.lower)
-        np.testing.assert_array_equal(r1.estimate.surface.upper, r2.estimate.surface.upper)
+        np.testing.assert_array_equal(r1.phi_lower, r2.phi_lower)
+        np.testing.assert_array_equal(r1.phi_upper, r2.phi_upper)
         np.testing.assert_array_equal(r1.gamma_se, r2.gamma_se)
         for name in SPEC.responses:
             np.testing.assert_array_equal(
@@ -146,12 +146,13 @@ class TestBootstrapDeterminism:
         (par,) = bootstrap(_sample(data), B=12, seed=3, workers=2)
         np.testing.assert_array_equal(serial.gamma_draws, par.gamma_draws)
         np.testing.assert_array_equal(serial.phi_draws, par.phi_draws)
-        np.testing.assert_array_equal(serial.estimate.surface.lower, par.estimate.surface.lower)
-        np.testing.assert_array_equal(serial.estimate.surface.upper, par.estimate.surface.upper)
+        np.testing.assert_array_equal(serial.phi_lower, par.phi_lower)
+        np.testing.assert_array_equal(serial.phi_upper, par.phi_upper)
 
 
 _FIELDS = ("B", "level", "failures", "ok", "gamma_draws", "phi_draws",
-           "gamma_se", "gamma_lower", "gamma_upper", "winsorized")
+           "gamma_se", "gamma_lower", "gamma_upper", "phi_se", "phi_lower", "phi_upper",
+           "winsorized")
 
 
 def _no_fit(*args, **kwargs):
@@ -159,8 +160,7 @@ def _no_fit(*args, **kwargs):
 
 
 def _assert_same_fields(a, b):
-    """Dataclasses ``a`` and ``b`` equal field by field, arrays exactly
-    (NaN equal to NaN)."""
+    """Dataclasses ``a`` and ``b`` equal field by field, bit for bit."""
     assert type(a) is type(b)
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
@@ -175,7 +175,9 @@ def _assert_same_fields(a, b):
             for k in x:
                 np.testing.assert_array_equal(x[k], y[k], err_msg=f"{f.name}[{k!r}]")
         else:
-            np.testing.assert_array_equal(x, y, err_msg=f.name)
+            # the bytes too: assert_array_equal takes -0.0 for 0.0
+            np.testing.assert_array_equal(x, y, err_msg=f.name, strict=True)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
 
 
 def _assert_same_result(a, b):
@@ -189,9 +191,7 @@ def _assert_same_result(a, b):
         np.testing.assert_array_equal(a.beta_se[name], b.beta_se[name], strict=True)
     assert a.estimate.tau == b.estimate.tau
     assert np.array_equal(a.estimate.step2.gamma, b.estimate.step2.gamma)
-    for field in ("phi", "se", "lower", "upper"):
-        assert np.array_equal(getattr(a.estimate.surface, field),
-                              getattr(b.estimate.surface, field))
+    assert np.array_equal(a.estimate.phi, b.estimate.phi)
 
 
 class TestManyTaus:
@@ -278,7 +278,7 @@ class TestManyTaus:
         assert len(held) == 5 * np.size(taus)
         assert all(grid is grids[0] for grid in held)
         for result in out:
-            assert result.estimate.surface.grid is grids[0]
+            assert result.estimate.phi.shape == (grids[0].m,)
 
     @pytest.fixture()
     def pools(self, monkeypatch):
@@ -441,28 +441,22 @@ class TestBootstrapResultShape:
         assert result.estimate.tau == 0.5
         assert len(result.estimate.step1) == 2
 
-    def test_estimate_equals_run_two_step_but_for_bands(self, result):
-        # every field but the surface's bands is the full-sample fit's
+    def test_estimate_equals_run_two_step(self, result):
+        # the full-sample fit itself: the bands live on the BootstrapResult
         fresh = run_two_step(build_designs(_copula_like(150, seed=80), SPEC), 0.5)
-        banded = result.estimate.surface
-        assert fresh.surface.se is fresh.surface.lower is fresh.surface.upper is None
-        _assert_same_fields(
-            result.estimate, dataclasses.replace(fresh, surface=dataclasses.replace(
-                fresh.surface, se=banded.se, lower=banded.lower, upper=banded.upper)))
+        _assert_same_fields(result.estimate, fresh)
 
-    def test_surface_carries_bands(self, result):
-        surf = result.estimate.surface
+    def test_result_carries_phi_bands(self, result):
         draws = result.phi_draws[result.ok]
         lower, upper, _ = _phi_bands(
-            np.ascontiguousarray(draws.T), surf.phi, 0.5, result.level)
-        np.testing.assert_array_equal(surf.lower, lower)
-        np.testing.assert_array_equal(surf.upper, upper)
-        np.testing.assert_array_equal(surf.se, np.std(draws, axis=0, ddof=1))
+            np.ascontiguousarray(draws.T), result.estimate.phi, 0.5, result.level)
+        np.testing.assert_array_equal(result.phi_lower, lower)
+        np.testing.assert_array_equal(result.phi_upper, upper)
+        np.testing.assert_array_equal(result.phi_se, np.std(draws, axis=0, ddof=1))
 
     def test_interval_contains_estimate(self, result):
-        surf = result.estimate.surface
-        assert np.all(surf.lower <= surf.phi)
-        assert np.all(surf.phi <= surf.upper)
+        assert np.all(result.phi_lower <= result.estimate.phi)
+        assert np.all(result.estimate.phi <= result.phi_upper)
 
     def test_gamma_percentile_interval_brackets_draws(self, result):
         assert np.all(result.gamma_lower <= result.gamma_upper)
@@ -744,7 +738,7 @@ class TestWinsorizedCount:
         data = _copula_like(150, seed=80)
         (result,) = bootstrap(_sample(data), B=16, seed=5)
         b = result.winsorized
-        assert b.shape == result.estimate.surface.phi.shape
+        assert b.shape == result.estimate.phi.shape
         assert np.all(b >= 0)
         expected = np.sum(
             (result.phi_draws[:, 0] <= -1.0 + 2e-6)
@@ -835,7 +829,6 @@ class TestBandPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (result,) = bootstrap(_sample(_copula_like(60, seed=1)), B=6, seed=2)
-        estimate = result.estimate.surface.phi[0]
-        surf = result.estimate.surface
-        assert surf.lower[0] == surf.upper[0] == estimate
+        estimate = result.estimate.phi[0]
+        assert result.phi_lower[0] == result.phi_upper[0] == estimate
         assert result.winsorized[0] == 6

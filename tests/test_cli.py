@@ -312,6 +312,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "yaml"
         assert self._run(script) == []
 
 
+def _no_fit(*args, **kwargs):
+    raise AssertionError("fitted a config that names a response as a term")
+
+
 class TestAnalyzeProfiles:
 
     @pytest.fixture()
@@ -563,7 +567,7 @@ class TestAnalyzeProfiles:
 
             phis = boot.phi_draws[ok]
             lower, upper, _ = _phi_bands(np.ascontiguousarray(phis.T),
-                                         boot.estimate.surface.phi, tau, boot.level)
+                                         boot.estimate.phi, tau, boot.level)
             assert column("phi_profile_x.csv", "ci_lower") == lower.tolist()
             assert column("phi_profile_x.csv", "ci_upper") == upper.tolist()
             for name in spec.responses:
@@ -581,6 +585,25 @@ class TestAnalyzeProfiles:
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("overrides, response", [
+        ({"step2_terms": [{"column": "y1"}]}, "y1"),
+        ({"step1_terms": [{"column": "y2"}]}, "y2"),
+        ({"taus": [0.25], "step2_terms": [{"column": "x"},
+                                          {"column": "y2", "transform": "spline"}]}, "y2"),
+    ], ids=["step2", "step1", "step2-spline"])
+    def test_a_term_reading_a_response_exits_2_before_any_fit(
+            self, workdir, capsys, monkeypatch, overrides, response):
+        # a step-2 term on y1 gave phi_hat = 0 on every grid row; the others
+        # failed late, with messages that named no response
+        pipeline = importlib.import_module("quantcord.pipeline")
+        monkeypatch.setattr(pipeline, "fit_quantile_regression", _no_fit)
+        cfg = self._config(workdir, **overrides)
+        assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a term reads response '{response}'"), err
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "run.yaml", "scenario.yaml", "small.csv", "small.csv.oracle.json"]
 
     def test_output_dir_in_config_exits_2(self, workdir, capsys):
         # --out alone says where the files go

@@ -159,6 +159,18 @@ class TestAnalysisSpecValidation:
         spec = _spec(step1_terms=(identity("g"),), binary=("g",))
         assert spec.binary == ("g",) and spec.profile_columns == ()
 
+    @pytest.mark.parametrize("step1_terms, step2_terms, response", [
+        ((identity("y2"),), (), "y2"),
+        ((identity("x"),), (spline("y2"),), "y2"),
+        ((), (identity("x"), interaction("x", "y1")), "y1"),
+    ], ids=["step1-identity", "step2-spline", "interaction"])
+    def test_no_term_may_read_a_response(self, step1_terms, step2_terms, response):
+        # a response as a covariate gives a phi with no meaning (a step-2
+        # term on y1 gives phi_hat = 0 on every grid row) or a late,
+        # misleading failure (a step-1 term on y2 empties two cells)
+        with pytest.raises(InvalidArgumentError, match=f"a term reads response '{response}'"):
+            _spec(step1_terms=step1_terms, step2_terms=step2_terms)
+
     @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan], [0.0, "abc"], [True, False]])
     def test_grid_values_must_be_finite_numbers(self, values):
         with pytest.raises(InvalidArgumentError,
@@ -179,7 +191,7 @@ class TestAnalysisSpecValidation:
 
     def test_columns_are_responses_then_terms_deduplicated(self):
         spec = _spec(
-            step1_terms=(identity("w"), identity("y1")),
+            step1_terms=(identity("w"), identity("x")),
             step2_terms=(identity("x"), interaction("x", "w")),
         )
         assert spec.columns == ("y1", "y2", "w", "x")
@@ -312,9 +324,9 @@ class TestRunTwoStep:
         noise = rng.normal(size=4000)
         data = Dataset(columns={"y1": e, "y2": e + 0.15 * noise})
         result = run_two_step(build_designs(data, _spec()), 0.5)
-        assert result.surface.phi[0] > 0.85
-        assert result.surface.bounds.phi_max == 1.0
-        assert not result.surface.out_of_bounds[0]
+        assert result.phi[0] > 0.85
+        assert phi_bounds(result.tau).phi_max == 1.0
+        assert not result.out_of_bounds[0]
 
     def test_near_antithetic_responses_push_phi_toward_minimum(self):
         rng = np.random.default_rng(62)
@@ -322,12 +334,12 @@ class TestRunTwoStep:
         noise = rng.normal(size=4000)
         data = Dataset(columns={"y1": e, "y2": -e + 0.15 * noise})
         result = run_two_step(build_designs(data, _spec()), 0.5)
-        assert result.surface.phi[0] < -0.85
-        assert result.surface.bounds.phi_min == -1.0
+        assert result.phi[0] < -0.85
+        assert phi_bounds(result.tau).phi_min == -1.0
 
     def test_copula_fixture_recovers_oracle_phi(self, copula_data):
         result = run_two_step(build_designs(copula_data, _spec()), 0.5)
-        assert abs(result.surface.phi[0] - 1.0 / 3.0) < 0.05
+        assert abs(result.phi[0] - 1.0 / 3.0) < 0.05
 
     def test_step1_error_carries_provenance(self):
         data = Dataset(
@@ -370,7 +382,7 @@ class TestRunTwoStep:
         forward = run_two_step(build_designs(data, _spec(responses=("y1", "y2"))), 0.5)
         swapped = run_two_step(build_designs(data, _spec(responses=("y2", "y1"))), 0.5)
         np.testing.assert_allclose(
-            forward.surface.phi, swapped.surface.phi, rtol=0, atol=1e-10
+            forward.phi, swapped.phi, rtol=0, atol=1e-10
         )
 
     def test_margin_check(self):
@@ -392,27 +404,31 @@ class TestRunTwoStep:
         assert set(labels.tolist()) == {0, 1, 2, 3}
 
     def test_phi_recomputable_from_stored_cells(self):
-        # phi of the m x 4 cells is the surface, and phi of each row its
+        # phi of the m x 4 cells is ``result.phi``, and phi of each row its
         # entry, bit for bit
         data = _dependent_data()
         spec = _spec(step2_terms=(identity("x"),), grid_points=9)
-        result = run_two_step(build_designs(data, spec), 0.5)
-        surface = result.surface
-        np.testing.assert_array_equal(phi(surface.cells, surface.tau), surface.phi)
-        for i in range(surface.grid.m):
-            assert phi(surface.cells[i], surface.tau) == surface.phi[i]
+        sample = build_designs(data, spec)
+        result = run_two_step(sample, 0.5)
+        assert result.phi.shape == (sample.grid.m,)
+        np.testing.assert_array_equal(phi(result.cells, result.tau), result.phi)
+        for i in range(sample.grid.m):
+            assert phi(result.cells[i], result.tau) == result.phi[i]
 
     def test_saturated_surface_matches_empirical_cells(self):
         data = _dependent_data()
         result = run_two_step(build_designs(data, _spec()), 0.5)
-        np.testing.assert_allclose(result.surface.cells[0], result.empirical,
+        np.testing.assert_allclose(result.cells[0], result.empirical,
                                    rtol=0, atol=1e-10)
 
-    def test_bounds_annotated_on_surface(self):
+    def test_out_of_bounds_is_where_phi_leaves_its_bounds(self):
         data = _dependent_data()
         for tau in (0.1, 0.5, 0.8):
-            surface = run_two_step(build_designs(data, _spec()), tau).surface
-            assert surface.bounds == phi_bounds(tau)
+            result = run_two_step(build_designs(data, _spec()), tau)
+            bounds = phi_bounds(tau)
+            np.testing.assert_array_equal(
+                result.out_of_bounds,
+                (result.phi < bounds.phi_min) | (result.phi > bounds.phi_max), strict=True)
 
     def test_out_of_bounds_flagged_but_never_clipped(self):
         # model-based cell probabilities need not honor the tau margins,
@@ -426,18 +442,18 @@ class TestRunTwoStep:
             iterations=1,
         )
         sample = build_designs(_dependent_data(), _spec())
-        surface = evaluate_surface(fit, sample, 0.25)
+        cells, phi_vals, out_of_bounds = evaluate_surface(fit, sample, 0.25)
         expected = (p[1] * p[0] - p[2] * p[3]) / (0.25 * 0.75)
         assert expected > 1.0
-        np.testing.assert_allclose(surface.phi[0], expected, rtol=0, atol=1e-12)
-        assert surface.out_of_bounds[0]
+        np.testing.assert_allclose(phi_vals[0], expected, rtol=0, atol=1e-12)
+        assert out_of_bounds[0]
 
     def test_merged_mode_threads_through(self):
         data = _dependent_data()
         result = run_two_step(build_designs(data, _spec(merged=True)), 0.5)
         assert result.step2.gamma.shape[0] == len(MERGED_LABELS) - 1
         assert MERGED_LABELS[1:] == ("11", "01+10")
-        assert result.surface.cells[0, 2] == result.surface.cells[0, 3]
+        assert result.cells[0, 2] == result.cells[0, 3]
 
     def test_explicit_grid_is_used_verbatim(self):
         data = _dependent_data()
@@ -446,9 +462,10 @@ class TestRunTwoStep:
             varying=("x", "x"), value=np.array([0.0, 1.0]),
             columns={"x": np.array([0.0, 1.0])},
         )
-        result = run_two_step(build_designs(data, spec, grid=grid), 0.5)
-        assert result.surface.grid is grid
-        assert result.surface.phi.shape == (2,)
+        sample = build_designs(data, spec, grid=grid)
+        result = run_two_step(sample, 0.5)
+        assert sample.grid is grid
+        assert result.phi.shape == (sample.grid.m,) == (2,)
 
 
 class TestSampleDesigns:
@@ -466,7 +483,7 @@ class TestSampleDesigns:
                     np.testing.assert_array_equal(a.beta, b.beta, strict=True)
                     np.testing.assert_array_equal(a.residuals, b.residuals, strict=True)
                 np.testing.assert_array_equal(shared.step2.gamma, alone.step2.gamma, strict=True)
-                np.testing.assert_array_equal(shared.surface.phi, alone.surface.phi, strict=True)
+                np.testing.assert_array_equal(shared.phi, alone.phi, strict=True)
 
     def test_one_rank_check_per_fit_one_factoring_per_design(self, monkeypatch):
         checks, factorings = [], []
@@ -552,7 +569,7 @@ class TestSampleDesigns:
         grid = build_grid(data, spec)
         assert sample.grid.varying == grid.varying
         np.testing.assert_array_equal(sample.grid.columns["x"], grid.columns["x"], strict=True)
-        assert run_two_step(sample, 0.5).surface.grid is sample.grid
+        assert run_two_step(sample, 0.5).phi.shape == (sample.grid.m,)
 
     def test_a_binary_column_holding_another_value_fails_to_build(self):
         # a 0/2 indicator would get a grid at g = 0 and 1, and a phi at g = 1
@@ -597,11 +614,12 @@ class TestFrequencyWeights:
         unique = 0
         for seed in range(40):
             tau = (0.2, 0.5, 0.8)[seed % 3]
-            base = run_two_step(build_designs(data, self.SPEC), tau)
+            full = build_designs(data, self.SPEC)
+            base = run_two_step(full, tau)
             rng = np.random.default_rng(seed)
             counts = np.bincount(rng.integers(0, data.n, data.n), minlength=data.n)
             rows = np.flatnonzero(counts)
-            grid = base.surface.grid
+            grid = full.grid
             expanded = run_two_step(build_designs(data.take(np.repeat(np.arange(data.n), counts)),
                                                   self.SPEC, grid=grid), tau, start=base)
             weighted = run_two_step(build_designs(data.take(rows), self.SPEC, counts[rows], grid),
@@ -615,7 +633,7 @@ class TestFrequencyWeights:
             np.testing.assert_array_equal(weighted.empirical, expanded.empirical,
                                           err_msg=f"seed {seed}")
             assert weighted.step2.loglik == pytest.approx(expanded.step2.loglik, rel=1e-12)
-            np.testing.assert_allclose(weighted.surface.phi, expanded.surface.phi,
+            np.testing.assert_allclose(weighted.phi, expanded.phi,
                                        rtol=0, atol=1e-9)
         assert unique >= 30
 
@@ -629,7 +647,7 @@ class TestFrequencyWeights:
             assert np.array_equal(plain.step2.gamma, unit.step2.gamma)
             assert np.array_equal(_labels(plain), _labels(unit))
             assert np.array_equal(plain.empirical, unit.empirical)
-            assert np.array_equal(plain.surface.phi, unit.surface.phi)
+            assert np.array_equal(plain.phi, unit.phi)
 
     @pytest.mark.parametrize("weights", [np.zeros(50), np.full(50, np.nan), np.ones(49)])
     def test_bad_weights_rejected(self, weights):
@@ -678,7 +696,7 @@ class TestMetamorphicRelations:
             assert LABELS[1:] == ("11", "01", "10")
             np.testing.assert_allclose(swapped.step2.gamma, base.step2.gamma[[0, 2, 1]],
                                        rtol=0, atol=3e-13)
-            np.testing.assert_allclose(swapped.surface.phi, base.surface.phi,
+            np.testing.assert_allclose(swapped.phi, base.phi,
                                        rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("step2", sorted(STEP2))
@@ -686,7 +704,7 @@ class TestMetamorphicRelations:
         perm = np.random.default_rng(99).permutation(800)
         for base, permuted in self._pairs(step2, self._data().take(perm)):
             np.testing.assert_array_equal(_labels(permuted), _labels(base)[perm])
-            np.testing.assert_allclose(permuted.surface.phi, base.surface.phi,
+            np.testing.assert_allclose(permuted.phi, base.phi,
                                        rtol=0, atol=3e-14)
 
     @pytest.mark.parametrize("step2", sorted(STEP2))
@@ -695,7 +713,7 @@ class TestMetamorphicRelations:
         columns["y1"] = 3.0 * columns["y1"] - 7.5
         for base, mapped in self._pairs(step2, Dataset(columns=columns)):
             np.testing.assert_array_equal(_labels(mapped), _labels(base))
-            np.testing.assert_array_equal(mapped.surface.phi, base.surface.phi)
+            np.testing.assert_array_equal(mapped.phi, base.phi)
 
     @pytest.mark.parametrize("step2,a,b", [
         pytest.param("identity", 2.5, -1.25, id="identity"),
@@ -727,7 +745,7 @@ class TestMetamorphicRelations:
             np.testing.assert_array_equal(_labels(mapped), _labels(base))
             # step 2's Newton fits stop at a score below 1e-8, on
             # differently scaled columns
-            np.testing.assert_allclose(mapped.surface.phi, base.surface.phi,
+            np.testing.assert_allclose(mapped.phi, base.phi,
                                        rtol=0, atol=3e-10)
 
     @pytest.mark.parametrize("step2", sorted(STEP2))
@@ -743,12 +761,12 @@ class TestMetamorphicRelations:
             np.testing.assert_array_equal(np.repeat(_labels(weighted), counts),
                                           _labels(expanded))
             np.testing.assert_array_equal(weighted.empirical, expanded.empirical)
-            np.testing.assert_allclose(weighted.surface.phi, expanded.surface.phi,
+            np.testing.assert_allclose(weighted.phi, expanded.phi,
                                        rtol=0, atol=5e-14)
 
 
 class TestPhiProfile:
-    """The ``phi_profile_x.csv`` text that ``analyze`` writes from the surfaces."""
+    """The ``phi_profile_x.csv`` text that ``analyze`` writes from the results."""
 
     def _profile(self, taus):
         data = _dependent_data()
@@ -757,10 +775,10 @@ class TestPhiProfile:
         results = [(run_two_step(sample, tau), None) for tau in spec.taus]
         files = _render_analysis(RunConfig(input="data.csv", spec=spec), sample, (), results)
         rows = list(csv.DictReader(io.StringIO(files["phi_profile_x.csv"])))
-        return data, [run.surface for run, _ in results], rows
+        return data, [run for run, _ in results], rows
 
     def test_three_point_grid_gives_three_rows(self):
-        data, (surface,), rows = self._profile(taus=(0.5,))
+        data, (run,), rows = self._profile(taus=(0.5,))
         x = data.column("x")
         assert len(rows) == 3
         np.testing.assert_allclose([float(r["value"]) for r in rows],
@@ -768,9 +786,9 @@ class TestPhiProfile:
         bounds = phi_bounds(0.5)
         assert [float(r["phi_min"]) for r in rows] == [bounds.phi_min] * 3
         assert [float(r["phi_max"]) for r in rows] == [bounds.phi_max] * 3
-        assert [r["phi_hat"] for r in rows] == [FLOAT_FMT % v for v in surface.phi]
+        assert [r["phi_hat"] for r in rows] == [FLOAT_FMT % v for v in run.phi]
         assert [r["out_of_bounds_flag"] for r in rows] == [
-            str(int(flag)) for flag in surface.out_of_bounds]
+            str(int(flag)) for flag in run.out_of_bounds]
         assert all(r["ci_lower"] == r["ci_upper"] == "" for r in rows)
 
     def test_tau_010_bound_columns(self):
@@ -780,10 +798,10 @@ class TestPhiProfile:
         assert [float(r["phi_max"]) for r in rows] == [1.0] * 3
 
     def test_rows_ordered_by_tau_then_grid(self):
-        data, surfaces, rows = self._profile(taus=(0.1, 0.5))
+        data, runs, rows = self._profile(taus=(0.1, 0.5))
         x = data.column("x")
         values = np.linspace(x.min(), x.max(), 3)
         assert [float(r["tau"]) for r in rows] == [0.1] * 3 + [0.5] * 3
         np.testing.assert_allclose([float(r["value"]) for r in rows], np.tile(values, 2))
         assert [r["phi_hat"] for r in rows] == [
-            FLOAT_FMT % v for s in surfaces for v in s.phi]
+            FLOAT_FMT % v for run in runs for v in run.phi]

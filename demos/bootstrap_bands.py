@@ -46,7 +46,7 @@ estimate = result.estimate
 print(f"replicates: {result.B}, failures: {result.failures}, "
       f"phi draws: {result.phi_draws.shape[0]} x {result.phi_draws.shape[1]}")
 print("\ng    phi_hat   se       95% band             oracle   covered")
-for i, value in enumerate(sample.grid.value):
+for i, value in enumerate(sample.grid.columns["g"]):
     truth = oracle_phi_gaussian({0.0: 0.2, 1.0: 0.8}[value], 0.5)
     lo, hi = result.phi_lower[i], result.phi_upper[i]
     covered = "yes" if lo <= truth <= hi else "no"

@@ -50,7 +50,7 @@ rho = {0.0: 0.2, 1.0: 0.8}
 print("tau    g    phi_hat   oracle    error")
 worst = 0.0
 for result in results:
-    for value, est in zip(sample.grid.value, result.phi):
+    for value, est in zip(sample.grid.columns["g"], result.phi):
         truth = oracle_phi_gaussian(rho[value], result.tau)
         worst = max(worst, abs(est - truth))
         print(

@@ -102,22 +102,22 @@ def natural_spline_columns(x, knots):
     return np.column_stack(cols)
 
 
-def sorted_quantile(s, q, ends=None):
-    """``np.quantile(s, q, axis=0)`` for ``s`` sorted along axis 0.
+def sorted_quantile(s, q, ends):
+    """``np.quantile(s, q, axis=0)`` for ``s`` sorted along axis 0, with
+    entry j repeated ``ends[j] - ends[j - 1]`` times: ``ends`` is the
+    running sum of frequency weights along ``s``, ``np.arange(1, len(s) + 1)``
+    for one of each, and the repeats are never built.
 
     numpy's default linear method, term for term: the virtual index
     ``(n - 1) * q``, its floor and fraction, and numpy's two-sided lerp.
     Sorting once serves several levels, and ``np.quantile`` imports
-    ``numpy.ma`` on its first call.  ``ends``, the running sum of
-    frequency weights along ``s``, gives the quantile of ``s`` with entry
-    j repeated ``ends[j] - ends[j - 1]`` times, without repeating it.
+    ``numpy.ma`` on its first call.
     """
-    n = len(s) if ends is None else ends[-1]
+    n = ends[-1]
     v = (n - 1) * q
     i = min(int(v), n - 1)  # the floor, as v >= 0
-    at = (i, min(i + 1, n - 1))
-    if ends is not None:  # the entries at those positions of the repeats
-        at = np.searchsorted(ends, at, side="right")
+    # the entries of s at those positions of the repeats
+    at = np.searchsorted(ends, (i, min(i + 1, n - 1)), side="right")
     lo, hi = s[at[0]], s[at[1]]
     g = v - i
     diff = hi - lo

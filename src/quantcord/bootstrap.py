@@ -29,6 +29,7 @@ numpy and ``math`` supplying the elementary functions.
 
 import contextlib
 import math
+import os
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -154,6 +155,13 @@ def _replicate(sample, bases, seed, b):
         return [_run_replicate(resample, base) for base in bases]
 
 
+def _usable_cpus():
+    """The CPUs this process may run on (all of them without an affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _WORKER_CTX = {}
 
 
@@ -235,11 +243,11 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
     level : float
         Coverage level for all intervals.
     workers : int
-        Process count, the calling process included (at most ``B`` are
-        used); any value yields identical results.  All full-sample fits
-        run first.  The replicates are then split into one contiguous block
-        per process: each of one pool's ``workers - 1`` child processes fits
-        one block, and the caller fits the last.
+        Process count, the calling process included, capped at ``B`` and at
+        the CPUs this process may run on; any value yields identical results.
+        All full-sample fits run first.  The replicates are then split into
+        one contiguous block per process: each child process of one pool fits
+        one block, and the caller fits the last, with no pool when alone.
 
     Returns
     -------
@@ -270,7 +278,7 @@ def bootstrap(sample, B=DEFAULT_B, seed=0, level=DEFAULT_LEVEL, workers=1):
 
     bases = [run_two_step(sample, t) for t in sample.spec.taus]
     # one contiguous block per process; the caller fits the last, with no pool when alone
-    workers = min(workers, B)
+    workers = min(workers, B, _usable_cpus())
     edges = [B * k // workers for k in range(workers + 1)]
     *blocks, own = (range(lo, hi) for lo, hi in zip(edges, edges[1:]))
     pool = ProcessPoolExecutor(
@@ -310,6 +318,7 @@ def _summarize(spec, base, level, ok, gamma, beta, phi):
     gammas, phis = gamma[ok], phi[ok]
     alpha = 1.0 - level
     ordered = np.sort(gammas, axis=0)
+    ends = np.arange(1, len(ordered) + 1)  # every successful draw counted once
     phi_lower, phi_upper, winsorized = _phi_bands(
         np.ascontiguousarray(phis.T), base.phi, base.tau, level)
     return BootstrapResult(
@@ -318,8 +327,8 @@ def _summarize(spec, base, level, ok, gamma, beta, phi):
         gamma_se=np.std(gammas, axis=0, ddof=1),
         beta_se={k: np.std(v[ok], axis=0, ddof=1) for k, v in draws["beta_draws"].items()},
         phi_se=np.std(phis, axis=0, ddof=1),
-        gamma_lower=sorted_quantile(ordered, alpha / 2.0),
-        gamma_upper=sorted_quantile(ordered, 1.0 - alpha / 2.0),
+        gamma_lower=sorted_quantile(ordered, alpha / 2.0, ends),
+        gamma_upper=sorted_quantile(ordered, 1.0 - alpha / 2.0, ends),
         phi_lower=phi_lower,
         phi_upper=phi_upper,
         winsorized=winsorized,

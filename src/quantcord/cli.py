@@ -112,6 +112,8 @@ def _render_analysis(cfg, sample, dropped, results):
               "phi_min", "phi_max", "out_of_bounds_flag"]
     for cov in dict.fromkeys(grid.varying):
         at = np.flatnonzero(np.asarray(grid.varying) == cov)
+        # the constant profile has no column, and _fmt leaves NaN blank
+        value = grid.columns.get(cov, np.full(len(grid.varying), np.nan))
         rows = []
         for run, boot in results:
             bounds = phi_bounds(run.tau)
@@ -119,7 +121,7 @@ def _render_analysis(cfg, sample, dropped, results):
                 lo, hi = (None, None) if boot is None else (
                     boot.phi_lower[i], boot.phi_upper[i])
                 rows.append([_fmt(run.tau), cov, *map(_fmt, (
-                    grid.value[i], run.phi[i], lo, hi, bounds.phi_min, bounds.phi_max,
+                    value[i], run.phi[i], lo, hi, bounds.phi_min, bounds.phi_max,
                 )), int(run.out_of_bounds[i])])
         files[_profile_filename(cov)] = csv_text(header, rows)
 
@@ -240,7 +242,7 @@ def _cmd_synth(args):
         "package_version": __version__,
         "n": scenario.n,
         "seed": scenario.seed,
-        "responses": list(scenario.response_names),
+        "responses": list(scenario.responses),
         "taus": list(taus),
         "oracle": oracle(scenario, taus),
     }

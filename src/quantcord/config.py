@@ -207,8 +207,6 @@ def scenario_from_dict(d):
     if "rho_by_group" in given:
         rbg = given.pop("rho_by_group")
         given.update(rho_by_group=rbg["values"], group_column=rbg["column"])
-    if "responses" in given:
-        given["response_names"] = given.pop("responses")
     return ScenarioSpec(**given), taus
 
 

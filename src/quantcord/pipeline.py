@@ -123,16 +123,12 @@ def _term_columns(terms):
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """Stacked per-covariate profiles: each row varies one covariate
-    (named in ``varying``) and holds the others at ``columns`` values."""
+    """Stacked per-covariate profiles: row i sets covariate ``varying[i]``
+    to ``columns[varying[i]][i]`` and holds the others at their ``columns``
+    values.  The constant model's one row varies ``CONSTANT_PROFILE``."""
 
     varying: tuple
-    value: np.ndarray
     columns: dict
-
-    @property
-    def m(self):
-        return len(self.varying)
 
 
 def _held_default(data, name, binary):
@@ -147,9 +143,9 @@ def _held_default(data, name, binary):
 
 
 def build_grid(data, spec):
-    """Default evaluation grid: binary covariates take {0, 1}, others an
-    equally spaced grid over the observed range; held-out covariates sit
-    at their majority value (binary) or median.  A ``spec.binary`` column
+    """Default evaluation grid, one profile per covariate: binary ones take
+    {0, 1}, others an equally spaced grid over the observed range; held-out
+    covariates sit at their majority value (binary) or median.  A ``spec.binary`` column
     that holds a value other than 0 and 1 raises InvalidArgumentError."""
     for name in spec.binary:
         col = data.column(name)
@@ -158,14 +154,11 @@ def build_grid(data, spec):
             raise InvalidArgumentError(f"binary column {name!r} contains {float(other[0])!r}")
     names = spec.profile_columns
     if not names:
-        return EvaluationGrid(
-            varying=(CONSTANT_PROFILE,), value=np.array([np.nan]), columns={}
-        )
+        return EvaluationGrid(varying=(CONSTANT_PROFILE,), columns={})
     held = {name: float(spec.held[name]) if name in spec.held
             else _held_default(data, name, spec.binary) for name in names}
 
     varying = []
-    value_blocks = []
     column_blocks = {name: [] for name in names}
     for name in names:
         if name in spec.grid_values:
@@ -176,16 +169,12 @@ def build_grid(data, spec):
             col = data.column(name)
             vals = np.linspace(float(np.min(col)), float(np.max(col)), spec.grid_points)
         varying.extend([name] * len(vals))
-        value_blocks.append(vals)
         for other in names:
             column_blocks[other].append(
                 vals if other == name else np.full(len(vals), held[other])
             )
-    return EvaluationGrid(
-        varying=tuple(varying),
-        value=np.concatenate(value_blocks),
-        columns={n: np.concatenate(b) for n, b in column_blocks.items()},
-    )
+    return EvaluationGrid(tuple(varying),
+                          {n: np.concatenate(b) for n, b in column_blocks.items()})
 
 
 # bench/tracer.py times this stage by its name, pipeline.evaluate_surface
@@ -260,7 +249,7 @@ def build_designs(data, spec, weights=None, grid=None):
         if spec.step2_terms:
             grid_X2 = recipe_values(fitted2, Dataset(columns=grid.columns))
         else:
-            grid_X2 = np.ones((grid.m, 1))
+            grid_X2 = np.ones((len(grid.varying), 1))
     return SampleDesigns(data, spec, X1, X2, grid, grid_X2)
 
 

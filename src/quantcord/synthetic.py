@@ -49,7 +49,7 @@ class CovariateSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Recipe for one synthetic dataset.
+    """Recipe for one synthetic dataset: two ``responses`` and the ``covariates``.
 
     The errors' correlation is either ``rho`` (0.5 when neither is given)
     or, together with ``group_column`` (a binary covariate),
@@ -64,7 +64,7 @@ class ScenarioSpec:
     group_column: str = None
     covariates: tuple = ()
     coefficients: dict = field(default_factory=dict)
-    response_names: tuple = ("y1", "y2")
+    responses: tuple = ("y1", "y2")
     seed: int = 0
 
     def __post_init__(self):
@@ -93,11 +93,11 @@ class ScenarioSpec:
                     f"group column {self.group_column!r} must be a declared "
                     "binary covariate"
                 )
-        object.__setattr__(self, "response_names",
-                           check_sequence("response_names", self.response_names, "two names"))
-        if len(self.response_names) != 2:
+        object.__setattr__(self, "responses",
+                           check_sequence("responses", self.responses, "two names"))
+        if len(self.responses) != 2:
             raise InvalidArgumentError("exactly two response names required")
-        columns = list(self.response_names) + [c.name for c in self.covariates]
+        columns = list(self.responses) + [c.name for c in self.covariates]
         repeated = sorted({c for c in columns if columns.count(c) > 1})
         if repeated:
             raise InvalidArgumentError(
@@ -108,7 +108,7 @@ class ScenarioSpec:
             raise InvalidArgumentError(
                 f"coefficients must be a mapping, got {self.coefficients!r}")
         for resp, coefs in self.coefficients.items():
-            if resp not in self.response_names:
+            if resp not in self.responses:
                 raise InvalidArgumentError(
                     f"coefficients given for unknown response {resp!r}"
                 )
@@ -148,7 +148,7 @@ def generate(scenario):
     e2 = rho * z1 + np.sqrt(1.0 - rho**2) * z2
 
     out = {}
-    for name, err in zip(scenario.response_names, (e1, e2)):
+    for name, err in zip(scenario.responses, (e1, e2)):
         coefs = scenario.coefficients.get(name, {})
         y = np.full(n, float(coefs.get("intercept", 0.0)))
         for cov, b in coefs.items():

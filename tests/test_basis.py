@@ -66,6 +66,11 @@ class TestTermSpec:
         assert recipe[0].spec == center("x", 3.0)
 
 
+def _one_each(s):
+    """The running sum of unit weights along ``s``."""
+    return np.arange(1, len(s) + 1)
+
+
 class TestSortedQuantile:
     """np.quantile's linear method from one sort; equality is ``==``, so
     only the sign of an exact zero may differ (numpy's partition order
@@ -77,7 +82,7 @@ class TestSortedQuantile:
         for x in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1)):
             s = np.sort(x)
             for q in (0.0, 0.025, 1 / 3, 0.5, 2 / 3, 0.975, 1.0):
-                assert sorted_quantile(s, q) == np.quantile(x, q), (n, q)
+                assert sorted_quantile(s, q, _one_each(s)) == np.quantile(x, q), (n, q)
 
     @pytest.mark.parametrize("n", [2, 7, 24, 25])
     def test_matches_numpy_along_axis_0(self, n):
@@ -87,7 +92,8 @@ class TestSortedQuantile:
         draws[: n // 2, 1] = np.round(draws[: n // 2, 1])
         s = np.sort(draws, axis=0)
         for q in (0.025, 0.05, 0.5, 0.95, 0.975):
-            np.testing.assert_array_equal(sorted_quantile(s, q), np.quantile(draws, q, axis=0))
+            np.testing.assert_array_equal(sorted_quantile(s, q, _one_each(s)),
+                                          np.quantile(draws, q, axis=0))
 
 
 class TestTertileKnots:
@@ -143,7 +149,7 @@ class TestFrequencyWeights:
             expanded = np.sort(np.repeat(x, counts))
             for q in (0.0, 0.025, 1 / 3, 0.5, 2 / 3, 0.975, 1.0):
                 assert sorted_quantile(x[rows][order], q, ends) == \
-                    sorted_quantile(expanded, q), (seed, q)
+                    sorted_quantile(expanded, q, _one_each(expanded)), (seed, q)
 
     def test_design_constants_match_expanded_rows(self):
         terms = [spline("x"), center("x")]

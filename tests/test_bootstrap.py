@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import os
 import types
 import warnings
 
@@ -278,19 +279,22 @@ class TestManyTaus:
         assert len(held) == 5 * np.size(taus)
         assert all(grid is grids[0] for grid in held)
         for result in out:
-            assert result.estimate.phi.shape == (grids[0].m,)
+            assert result.estimate.phi.shape == (len(grids[0].varying),)
 
     @pytest.fixture()
     def pools(self, monkeypatch):
         """The ``max_workers`` of every pool that bootstrap() makes, in
         ``sizes``, and the arguments of every task submitted to one, in
-        ``tasks``."""
+        ``tasks``.  A pool with a child for every usable CPU fails the
+        test before any child starts."""
         module = importlib.import_module("quantcord.bootstrap")
         made = types.SimpleNamespace(sizes=[], tasks=[])
 
         class CountingPool(module.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 made.sizes.append(kwargs.get("max_workers"))
+                # before any child starts: the caller is one of the usable CPUs
+                assert made.sizes[-1] < module._usable_cpus(), made.sizes
                 super().__init__(*args, **kwargs)
 
             def submit(self, fn, /, *args, **kwargs):
@@ -299,6 +303,12 @@ class TestManyTaus:
 
         monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
         return made
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        """Let bootstrap() see ``count`` usable CPUs, whatever the host has."""
+        module = importlib.import_module("quantcord.bootstrap")
+        monkeypatch.setattr(module, "_usable_cpus", lambda: count)
 
     def test_one_pool_serves_every_tau(self, pools, monkeypatch):
         # the parent is one of the ``workers`` processes: one child beside it
@@ -311,6 +321,7 @@ class TestManyTaus:
             return run(*args)
 
         monkeypatch.setattr(module, "_run_replicate", counted)
+        self._cpus(monkeypatch, 2)
         data = _copula_like(80, seed=2)
         taus = (0.25, 0.5, 0.75)
         out = bootstrap(_sample(data, *taus), B=4, seed=1, workers=2)
@@ -321,7 +332,8 @@ class TestManyTaus:
         for pooled, alone in zip(out, serial):
             _assert_same_result(pooled, alone)
 
-    def test_pool_has_no_more_workers_than_tasks(self, pools):
+    def test_pool_has_no_more_workers_than_tasks(self, pools, monkeypatch):
+        self._cpus(monkeypatch, 4)
         data = _copula_like(60, seed=4)
         (pooled,) = bootstrap(_sample(data), B=2, seed=1, workers=4)
         assert pools.sizes == [1]
@@ -340,6 +352,7 @@ class TestManyTaus:
             return run(sample, base)
 
         monkeypatch.setattr(module, "_run_replicate", counted)
+        self._cpus(monkeypatch, 3)
         data = _copula_like(80, seed=2)
         (pooled,) = bootstrap(_sample(data), B=7, seed=1, workers=3)
         assert pools.sizes == [2]
@@ -350,6 +363,30 @@ class TestManyTaus:
             np.testing.assert_array_equal(weights, counts[counts > 0])
         (serial,) = bootstrap(_sample(data), B=7, seed=1, workers=1)
         _assert_same_result(pooled, serial)
+
+    @pytest.mark.parametrize("cpus,workers,sizes,tasks", [
+        (1, 5000, [], []),  # one CPU forks nothing, whatever workers asks
+        (2, 64, [1], [(range(0, 4),)]),
+    ], ids=["one-cpu", "two-cpus"])
+    def test_workers_are_capped_at_the_usable_cpus(self, pools, monkeypatch,
+                                                   cpus, workers, sizes, tasks):
+        self._cpus(monkeypatch, cpus)
+        data = _copula_like(60, seed=4)
+        (capped,) = bootstrap(_sample(data), B=8, seed=1, workers=workers)
+        assert pools.sizes == sizes
+        assert pools.tasks == tasks
+        (serial,) = bootstrap(_sample(data), B=8, seed=1, workers=1)
+        _assert_same_result(capped, serial)
+
+    def test_usable_cpus_are_the_affinity_set_else_every_cpu(self, monkeypatch):
+        module = importlib.import_module("quantcord.bootstrap")
+        if hasattr(os, "sched_getaffinity"):
+            assert module._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert module._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert module._usable_cpus() == 1
 
     def test_first_unreliable_tau_raises_its_lone_partial(self):
         data = _rare_upper_discordance()

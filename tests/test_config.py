@@ -264,7 +264,7 @@ class TestScenarioConfig:
         assert scenario.n == 100
         assert scenario.rho == 0.5
         assert scenario.seed == 0
-        assert scenario.response_names == ("y1", "y2")
+        assert scenario.responses == ("y1", "y2")
         assert taus == DEFAULT_TAUS
 
     def test_rho_and_rho_by_group_exclusive(self):

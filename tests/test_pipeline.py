@@ -1,6 +1,7 @@
 """Tests for the end-to-end two-step procedure and its profile grids."""
 
 import csv
+import dataclasses
 import io
 import re
 
@@ -203,15 +204,15 @@ class TestBuildGrid:
         data = _dependent_data()
         grid = build_grid(data, _spec())
         assert grid.varying == (CONSTANT_PROFILE,)
-        assert grid.value.shape == (1,)
-        assert np.isnan(grid.value[0])
         assert grid.columns == {}
 
     def test_continuous_default_is_linspace_over_range(self):
         data = _dependent_data()
         grid = build_grid(data, _spec(step2_terms=(identity("x"),)))
         x = data.column("x")
-        assert grid.m == 100
+        # row i's value is columns[varying[i]][i]; no field restates it
+        assert [f.name for f in dataclasses.fields(grid)] == ["varying", "columns"]
+        assert len(grid.varying) == 100
         np.testing.assert_allclose(
             grid.columns["x"], np.linspace(x.min(), x.max(), 100)
         )
@@ -220,7 +221,7 @@ class TestBuildGrid:
     def test_grid_points_override(self):
         data = _dependent_data()
         grid = build_grid(data, _spec(step2_terms=(identity("x"),), grid_points=7))
-        assert grid.m == 7
+        assert len(grid.varying) == 7
 
     def test_binary_covariate_grid_is_zero_one(self):
         rng = np.random.default_rng(5)
@@ -410,9 +411,9 @@ class TestRunTwoStep:
         spec = _spec(step2_terms=(identity("x"),), grid_points=9)
         sample = build_designs(data, spec)
         result = run_two_step(sample, 0.5)
-        assert result.phi.shape == (sample.grid.m,)
+        assert result.phi.shape == (len(sample.grid.varying),)
         np.testing.assert_array_equal(phi(result.cells, result.tau), result.phi)
-        for i in range(sample.grid.m):
+        for i in range(len(sample.grid.varying)):
             assert phi(result.cells[i], result.tau) == result.phi[i]
 
     def test_saturated_surface_matches_empirical_cells(self):
@@ -459,13 +460,12 @@ class TestRunTwoStep:
         data = _dependent_data()
         spec = _spec(step2_terms=(identity("x"),))
         grid = EvaluationGrid(
-            varying=("x", "x"), value=np.array([0.0, 1.0]),
-            columns={"x": np.array([0.0, 1.0])},
+            varying=("x", "x"), columns={"x": np.array([0.0, 1.0])},
         )
         sample = build_designs(data, spec, grid=grid)
         result = run_two_step(sample, 0.5)
         assert sample.grid is grid
-        assert result.phi.shape == (sample.grid.m,) == (2,)
+        assert result.phi.shape == (len(sample.grid.varying),) == (2,)
 
 
 class TestSampleDesigns:
@@ -555,7 +555,7 @@ class TestSampleDesigns:
 
     @pytest.mark.parametrize("columns", [{}, {"z": np.array([0.5])}], ids=["none", "other"])
     def test_a_grid_without_the_step2_columns_fails_to_build(self, columns):
-        grid = EvaluationGrid(varying=("x",), value=np.array([0.5]), columns=columns)
+        grid = EvaluationGrid(varying=("x",), columns=columns)
         with pytest.raises(InvalidArgumentError, match="^step 2: "):
             build_designs(_dependent_data(), _spec(step2_terms=(identity("x"),)), grid=grid)
 
@@ -569,7 +569,7 @@ class TestSampleDesigns:
         grid = build_grid(data, spec)
         assert sample.grid.varying == grid.varying
         np.testing.assert_array_equal(sample.grid.columns["x"], grid.columns["x"], strict=True)
-        assert run_two_step(sample, 0.5).phi.shape == (sample.grid.m,)
+        assert run_two_step(sample, 0.5).phi.shape == (len(sample.grid.varying),)
 
     def test_a_binary_column_holding_another_value_fails_to_build(self):
         # a 0/2 indicator would get a grid at g = 0 and 1, and a phi at g = 1
@@ -737,7 +737,7 @@ class TestMetamorphicRelations:
     def test_affine_map_of_the_covariate_on_the_mapped_grid(self, step2, a, b):
         data = self._data()
         grid = build_grid(data, self._spec(step2))
-        mapped_grid = EvaluationGrid(varying=grid.varying, value=a * grid.value + b,
+        mapped_grid = EvaluationGrid(varying=grid.varying,
                                      columns={"x": a * grid.columns["x"] + b})
         columns = dict(data.columns)
         columns["x"] = a * columns["x"] + b
@@ -747,6 +747,23 @@ class TestMetamorphicRelations:
             # differently scaled columns
             np.testing.assert_allclose(mapped.phi, base.phi,
                                        rtol=0, atol=3e-10)
+
+    @pytest.mark.parametrize("step2", sorted(STEP2))
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 11(b): every basis row and tie counts as "
+                              "at or below, so the labels are not reflection-equivariant")
+    def test_reflecting_both_responses_and_tau(self, step2):
+        # phi(tau; y1, y2) = phi(1 - tau; -y1, -y2)
+        data, spec = self._data(), self._spec(step2)
+        grid = build_grid(data, spec)
+        columns = dict(data.columns)
+        columns["y1"], columns["y2"] = -columns["y1"], -columns["y2"]
+        base = build_designs(data, spec, grid=grid)
+        reflected = build_designs(Dataset(columns=columns), spec, grid=grid)
+        for tau in self.TAUS:
+            # 1 - 0.9 != 0.1 in floats: fit at the computed level
+            np.testing.assert_allclose(run_two_step(reflected, 1.0 - tau).phi,
+                                       run_two_step(base, tau).phi, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("step2", sorted(STEP2))
     def test_integer_weights_equal_repeated_rows(self, step2):

@@ -21,7 +21,7 @@ class TestScenarioValidation:
     def test_minimal_scenario(self):
         s = ScenarioSpec(n=50)
         assert s.rho == 0.5
-        assert s.response_names == ("y1", "y2")
+        assert s.responses == ("y1", "y2")
 
     def test_n_floor(self):
         with pytest.raises(InvalidArgumentError, match="at least 50"):
@@ -52,7 +52,7 @@ class TestScenarioValidation:
 
     def test_two_response_names_required(self):
         with pytest.raises(InvalidArgumentError, match="two response names"):
-            ScenarioSpec(n=100, response_names=("y",))
+            ScenarioSpec(n=100, responses=("y",))
 
     @pytest.mark.parametrize("responses,covariates", [
         (("y1", "y2"), ("x", "y1")),
@@ -61,7 +61,7 @@ class TestScenarioValidation:
     ], ids=["covariate-shadows-response", "two-covariates", "two-responses"])
     def test_column_names_must_be_distinct(self, responses, covariates):
         with pytest.raises(InvalidArgumentError, match="distinct names, repeated"):
-            ScenarioSpec(n=100, response_names=responses,
+            ScenarioSpec(n=100, responses=responses,
                          covariates=tuple(CovariateSpec(c) for c in covariates))
 
     def test_rho_and_rho_by_group_exclusive(self):
@@ -82,15 +82,15 @@ class TestScenarioValidation:
             ScenarioSpec(n=100, rho_by_group=groups, group_column="g",
                          covariates=(CovariateSpec("g", "binary"),))
 
-    def test_response_names_must_not_be_a_string(self):
+    def test_responses_must_not_be_a_string(self):
         for names in ("ab", b"ab"):  # bytes would name the responses 97 and 98
-            with pytest.raises(InvalidArgumentError, match="response_names must be a sequence"):
-                ScenarioSpec(n=100, response_names=names)
+            with pytest.raises(InvalidArgumentError, match="responses must be a sequence"):
+                ScenarioSpec(n=100, responses=names)
 
-    def test_response_names_must_be_iterable(self):
+    def test_responses_must_be_iterable(self):
         with pytest.raises(InvalidArgumentError,
-                           match="response_names must be a sequence of two names, got 7"):
-            ScenarioSpec(n=60, response_names=7)
+                           match="responses must be a sequence of two names, got 7"):
+            ScenarioSpec(n=60, responses=7)
 
     @pytest.mark.parametrize("field,value,what", [
         ("n", "100", "an integer"), ("n", 100.0, "an integer"), ("n", True, "an integer"),

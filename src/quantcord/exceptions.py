@@ -19,10 +19,10 @@ def check_tau(tau):
         raise InvalidArgumentError(f"tau must be in (0, 1), got {tau!r}")
 
 
-def check_number(name, value, integer=False, minimum=None):
+def check_number(name, value, integer=False, minimum=None, maximum=None):
     """Raise InvalidArgumentError naming ``name`` unless ``value`` is a
-    finite number, or an integer when ``integer``, and not below
-    ``minimum`` when one is given; never a bool."""
+    finite number, or an integer when ``integer``, not below ``minimum``
+    and not above ``maximum`` when they are given; never a bool."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind) or not (
             integer or math.isfinite(value)):
@@ -31,6 +31,8 @@ def check_number(name, value, integer=False, minimum=None):
     if minimum is not None and value < minimum:
         floor = "non-negative" if minimum == 0 else f"at least {minimum}"
         raise InvalidArgumentError(f"{name} must be {floor}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidArgumentError(f"{name} must be at most {maximum}, got {value}")
 
 
 def check_sequence(name, value, what="names"):

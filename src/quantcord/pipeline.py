@@ -32,6 +32,13 @@ from .multinomial import fit_multinomial, predict_cells_rows
 from .quantreg import fit_quantile_regression, residual_signs
 
 DEFAULT_GRID_POINTS = 100
+# a bootstrap holds each replicate's phi at every tau and grid row twice
+# (the replicates' results and the draw arrays), and a tau's bands take
+# about six more arrays of one draw per replicate and row: 16 B T m + 48 B m
+# bytes for m rows (57 MB measured at B = 200, T = 5, m = 2000).  At the
+# default 1000 replicates and five taus, 10^4 points of one continuous
+# covariate take about 1.3 GB
+MAX_GRID_POINTS = 10**4
 DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
 CONSTANT_PROFILE = "(constant)"
 
@@ -66,7 +73,8 @@ class AnalysisSpec:
             object.__setattr__(self, name, check_sequence(name, getattr(self, name), what))
         if not isinstance(self.merged, bool):  # "no" is truthy
             raise InvalidArgumentError(f"merged must be True or False, got {self.merged!r}")
-        check_number("grid_points", self.grid_points, integer=True, minimum=2)
+        check_number("grid_points", self.grid_points, integer=True, minimum=2,
+                     maximum=MAX_GRID_POINTS)
         taus = check_sequence("taus", self.taus, "quantile levels")
         check_taus(taus)
         object.__setattr__(self, "taus", tuple(float(t) for t in taus))

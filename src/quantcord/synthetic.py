@@ -16,6 +16,11 @@ from .dataset import FLOAT_FMT, Dataset
 from .exceptions import InvalidArgumentError, check_number, check_sequence, check_tau
 
 MIN_ROWS = 50
+# synth holds every column as float64 and its %.17g text twice (the CSV
+# buffer and the string it returns) before writing: three columns at
+# n = 10^6 peaked 158 MB above the interpreter's 28 MB, about 160 bytes a
+# row, so 10^7 rows take about 2 GB, the most one run may ask for
+MAX_ROWS = 10**7
 GAUSS_LEGENDRE_NODES = 20
 
 
@@ -68,7 +73,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_number("n", self.n, integer=True, minimum=MIN_ROWS)
+        check_number("n", self.n, integer=True, minimum=MIN_ROWS, maximum=MAX_ROWS)
         check_number("seed", self.seed, integer=True, minimum=0)
         if self.rho_by_group is None:
             object.__setattr__(self, "rho", 0.5 if self.rho is None else self.rho)

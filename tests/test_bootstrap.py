@@ -281,6 +281,23 @@ class TestManyTaus:
         for result in out:
             assert result.estimate.phi.shape == (len(grids[0].varying),)
 
+    def test_the_pool_child_fits_its_block_as_the_caller_would(self, monkeypatch):
+        # _init_worker and _replicate_task run only in pool children; here
+        # they run in this process, on a context the test restores
+        module = importlib.import_module("quantcord.bootstrap")
+        monkeypatch.setattr(module, "_WORKER_CTX", {})
+        sample = _sample(_copula_like(80, seed=2), 0.25, 0.75)
+        bases = [run_two_step(sample, tau) for tau in sample.spec.taus]
+        module._init_worker(sample, bases, 4)
+        got = module._replicate_task(range(2, 5))
+        want = [module._replicate(sample, bases, 4, b) for b in range(2, 5)]
+
+        def bits(replicate):  # each tau's gamma, betas and phi, bit for bit
+            return [(x.dtype, x.shape, x.tobytes())
+                    for gamma, betas, phi in replicate for x in (gamma, *betas, phi)]
+
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+
     @pytest.fixture()
     def pools(self, monkeypatch):
         """The ``max_workers`` of every pool that bootstrap() makes, in

@@ -19,7 +19,8 @@ from quantcord.bootstrap import _phi_bands, bootstrap_indices
 from quantcord.cli import main
 from quantcord.config import load_run_config
 from quantcord.dataset import FLOAT_FMT, csv_text
-from quantcord.synthetic import oracle_phi_gaussian
+from quantcord.pipeline import MAX_GRID_POINTS
+from quantcord.synthetic import MAX_ROWS, oracle_phi_gaussian
 
 SMALL_SCENARIO = {
     "n": 300,
@@ -42,6 +43,10 @@ def _synth(tmp_path, name="small.csv", scenario=SMALL_SCENARIO):
     out = str(tmp_path / name)
     assert main(["synth", "--config", cfg, "--out", out]) == 0
     return out
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("a size ceiling must refuse the config before this call")
 
 
 def _table(path):
@@ -159,6 +164,14 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
         assert f"error: {message} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_n_exits_2_before_any_row_is_drawn(self, tmp_path, monkeypatch, capsys):
+        # numpy.random would fail on 10^30 rows, and try to allocate 10^10
+        monkeypatch.setattr(quantcord.cli, "generate", _unreachable)
+        cfg = _write_yaml(tmp_path / "big.yaml", dict(SMALL_SCENARIO, n=10**30))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: n must be at most {MAX_ROWS}, got {10**30}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["big.yaml"]
 
     def test_unwritable_sidecar_removes_the_csv(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "scenario.yaml", SMALL_SCENARIO)
@@ -713,6 +726,19 @@ class TestAnalyzeFailures:
         err = capsys.readouterr().err
         assert "error: grid values for 'x' must be a non-empty 1-d list" in err
         assert "none.csv" not in err
+
+    def test_oversized_grid_points_exit_2_before_reading_input(
+            self, tmp_path, monkeypatch, capsys):
+        # np.linspace, after read_csv, would fail on 10^30 points
+        monkeypatch.setattr(quantcord.cli, "read_csv", _unreachable)
+        monkeypatch.setattr(np, "linspace", _unreachable)
+        cfg = _write_yaml(tmp_path / "run.yaml",
+                          {"input": str(tmp_path / "none.csv"), "responses": ["y1", "y2"],
+                           "step2_terms": [{"column": "x"}], "grid": {"points": 10**30}})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid_points must be at most {MAX_GRID_POINTS}, got {10**30}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
     def test_directory_as_config_exits_2(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2

@@ -1,5 +1,5 @@
 """Every demo script, and the README's Python example, runs to completion
-against the package sources."""
+against the package sources, with every warning an error."""
 
 import os
 import re
@@ -15,9 +15,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run_python(args, cwd):
+    """Run the interpreter on ``args`` under ``-W error``, as pytest's
+    ``filterwarnings = ["error"]`` treats warnings raised in process."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env,
+        [sys.executable, "-W", "error", *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -37,6 +37,7 @@ from quantcord.dataset import FLOAT_FMT
 from quantcord.multinomial import MultinomialFit
 from quantcord.pipeline import (
     CONSTANT_PROFILE,
+    MAX_GRID_POINTS,
     EvaluationGrid,
     _held_default,
     evaluate_surface,
@@ -109,6 +110,13 @@ class TestAnalysisSpecValidation:
     def test_grid_points_floor(self):
         with pytest.raises(InvalidArgumentError, match="grid_points"):
             _spec(grid_points=1)
+
+    def test_grid_points_ceiling(self):
+        assert _spec(grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+        for points in (MAX_GRID_POINTS + 1, 10**30):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"grid_points must be at most {MAX_GRID_POINTS}, got {points}$"):
+                _spec(grid_points=points)
 
     @pytest.mark.parametrize("field, value", [
         ("responses", "y1"), ("binary", "gx"), ("merged", "no"), ("merged", 1),

@@ -13,6 +13,7 @@ from quantcord import (
     oracle_phi_gaussian,
     phi_bounds,
 )
+from quantcord.synthetic import MAX_ROWS
 from oracles import oracle_phi_gaussian_median_closed_form, oracle_phi_gaussian_mpmath
 
 
@@ -26,6 +27,17 @@ class TestScenarioValidation:
     def test_n_floor(self):
         with pytest.raises(InvalidArgumentError, match="at least 50"):
             ScenarioSpec(n=49)
+
+    @pytest.mark.parametrize("n", [MAX_ROWS + 1, 10**10, 10**30])
+    def test_n_ceiling(self, n):
+        # only constructed: the check reads n, and no row is drawn
+        with pytest.raises(InvalidArgumentError, match=f"n must be at most {MAX_ROWS}, got {n}$"):
+            ScenarioSpec(n=n)
+
+    @pytest.mark.parametrize("n", [10**6, MAX_ROWS])
+    def test_n_up_to_the_ceiling_constructs(self, n):
+        # ROADMAP item 4's Monte Carlo gates draw 10^6 rows; nothing is generated here
+        assert ScenarioSpec(n=n).n == n
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
     def test_rho_open_interval(self, rho):

@@ -1,5 +1,7 @@
-"""Shared fixtures: paths to committed data and a cached copula dataset."""
+"""Shared fixtures: paths to committed data, a cached copula dataset and
+a pinned count of usable CPUs."""
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,14 @@ def copula_data():
     assert dropped == ()
     assert data.n == 5000
     return data
+
+
+@pytest.fixture()
+def pin_cpus(monkeypatch):
+    """Let bootstrap() see ``count`` usable CPUs, whatever the host has, so
+    that a pooled run forks on a one-CPU host too."""
+    module = importlib.import_module("quantcord.bootstrap")
+    return lambda count: monkeypatch.setattr(module, "_usable_cpus", lambda: count)
 
 
 def pytest_terminal_summary(terminalreporter):

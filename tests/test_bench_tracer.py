@@ -38,6 +38,7 @@ from quantcord import AnalysisSpec, Dataset, build_designs
 t = tracer.Tracer(sys.argv[1])
 tracer.install(t)
 boot = sys.modules["quantcord.bootstrap"]
+boot._usable_cpus = lambda: 2  # a pool of one child on a one-CPU host too
 rng = np.random.default_rng(4)
 e = rng.standard_normal((2, 80))
 data = Dataset(columns={"y1": e[0], "y2": 0.5 * e[0] + e[1]})

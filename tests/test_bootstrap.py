@@ -141,7 +141,8 @@ class TestBootstrapDeterminism:
         (r2,) = bootstrap(_sample(data), B=12, seed=8)
         assert not np.array_equal(r1.phi_draws, r2.phi_draws)
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, pin_cpus):
+        pin_cpus(2)
         data = _copula_like(120, seed=80)
         (serial,) = bootstrap(_sample(data), B=12, seed=3, workers=1)
         (par,) = bootstrap(_sample(data), B=12, seed=3, workers=2)
@@ -197,8 +198,9 @@ def _assert_same_result(a, b):
 
 class TestManyTaus:
 
-    def test_matches_lone_calls_at_the_same_seed(self):
+    def test_matches_lone_calls_at_the_same_seed(self, pin_cpus):
         # one result per spec tau, in spec order, each that of a one-tau spec
+        pin_cpus(2)
         data = _copula_like(120, seed=80)
         spec = dataclasses.replace(SPEC, taus=(0.25, 0.5, 0.75))
         alone = [bootstrap(_sample(data, tau), B=8, seed=5)[0] for tau in spec.taus]
@@ -321,13 +323,7 @@ class TestManyTaus:
         monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
         return made
 
-    @staticmethod
-    def _cpus(monkeypatch, count):
-        """Let bootstrap() see ``count`` usable CPUs, whatever the host has."""
-        module = importlib.import_module("quantcord.bootstrap")
-        monkeypatch.setattr(module, "_usable_cpus", lambda: count)
-
-    def test_one_pool_serves_every_tau(self, pools, monkeypatch):
+    def test_one_pool_serves_every_tau(self, pools, monkeypatch, pin_cpus):
         # the parent is one of the ``workers`` processes: one child beside it
         module = importlib.import_module("quantcord.bootstrap")
         run = module._run_replicate
@@ -338,7 +334,7 @@ class TestManyTaus:
             return run(*args)
 
         monkeypatch.setattr(module, "_run_replicate", counted)
-        self._cpus(monkeypatch, 2)
+        pin_cpus(2)
         data = _copula_like(80, seed=2)
         taus = (0.25, 0.5, 0.75)
         out = bootstrap(_sample(data, *taus), B=4, seed=1, workers=2)
@@ -349,15 +345,15 @@ class TestManyTaus:
         for pooled, alone in zip(out, serial):
             _assert_same_result(pooled, alone)
 
-    def test_pool_has_no_more_workers_than_tasks(self, pools, monkeypatch):
-        self._cpus(monkeypatch, 4)
+    def test_pool_has_no_more_workers_than_tasks(self, pools, pin_cpus):
+        pin_cpus(4)
         data = _copula_like(60, seed=4)
         (pooled,) = bootstrap(_sample(data), B=2, seed=1, workers=4)
         assert pools.sizes == [1]
         (serial,) = bootstrap(_sample(data), B=2, seed=1, workers=1)
         np.testing.assert_array_equal(pooled.phi_draws, serial.phi_draws)
 
-    def test_each_process_fits_one_contiguous_block(self, pools, monkeypatch):
+    def test_each_process_fits_one_contiguous_block(self, pools, monkeypatch, pin_cpus):
         # B = 7 over 3 processes splits at the edges 7k // 3: each child
         # gets one block, and the caller fits the last
         module = importlib.import_module("quantcord.bootstrap")
@@ -369,7 +365,7 @@ class TestManyTaus:
             return run(sample, base)
 
         monkeypatch.setattr(module, "_run_replicate", counted)
-        self._cpus(monkeypatch, 3)
+        pin_cpus(3)
         data = _copula_like(80, seed=2)
         (pooled,) = bootstrap(_sample(data), B=7, seed=1, workers=3)
         assert pools.sizes == [2]
@@ -385,9 +381,9 @@ class TestManyTaus:
         (1, 5000, [], []),  # one CPU forks nothing, whatever workers asks
         (2, 64, [1], [(range(0, 4),)]),
     ], ids=["one-cpu", "two-cpus"])
-    def test_workers_are_capped_at_the_usable_cpus(self, pools, monkeypatch,
+    def test_workers_are_capped_at_the_usable_cpus(self, pools, pin_cpus,
                                                    cpus, workers, sizes, tasks):
-        self._cpus(monkeypatch, cpus)
+        pin_cpus(cpus)
         data = _copula_like(60, seed=4)
         (capped,) = bootstrap(_sample(data), B=8, seed=1, workers=workers)
         assert pools.sizes == sizes
@@ -405,7 +401,8 @@ class TestManyTaus:
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
         assert module._usable_cpus() == 1
 
-    def test_first_unreliable_tau_raises_its_lone_partial(self):
+    def test_first_unreliable_tau_raises_its_lone_partial(self, pin_cpus):
+        pin_cpus(2)
         data = _rare_upper_discordance()
         assert bootstrap(_sample(data), B=30, seed=10)[0].failures == 0
         with pytest.raises(InferenceUnreliableError) as lone:
@@ -431,8 +428,10 @@ class TestManyTaus:
 
 class TestAlignedDraws:
 
-    def test_a_replicate_failing_at_one_tau_keeps_its_row_at_every_tau(self, monkeypatch):
+    def test_a_replicate_failing_at_one_tau_keeps_its_row_at_every_tau(self, monkeypatch,
+                                                                       pin_cpus):
         module = importlib.import_module("quantcord.bootstrap")
+        pin_cpus(2)
         data = _copula_like(120, seed=80)
         taus, B, seed, b, bad = (0.25, 0.75), 12, 3, 4, 1
         clean = bootstrap(_sample(data, *taus), B=B, seed=seed)

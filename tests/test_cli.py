@@ -193,28 +193,40 @@ class TestSynth:
 
 class TestAnalyzeCommittedFixture:
 
-    def _run(self, fixtures_dir, monkeypatch, out_dir):
+    OUTPUTS = [
+        "metadata.json",
+        "phi_profile_constant.csv",
+        "step1_coefficients.csv",
+        "step2_coefficients.csv",
+        "summary.txt",
+    ]
+
+    def _run(self, fixtures_dir, monkeypatch, out_dir, config="analyze_config.yaml"):
         monkeypatch.chdir(fixtures_dir)
-        return main(["analyze", "--config", "analyze_config.yaml",
-                     "--out", str(out_dir)])
+        return main(["analyze", "--config", config, "--out", str(out_dir)])
 
     def test_outputs_and_oracle_recovery(self, fixtures_dir, monkeypatch,
                                           tmp_path, capsys):
         out = tmp_path / "out"
         assert self._run(fixtures_dir, monkeypatch, out) == 0
         assert "wrote 5 files" in capsys.readouterr().out
-        names = sorted(p.name for p in out.iterdir())
-        assert names == [
-            "metadata.json",
-            "phi_profile_constant.csv",
-            "step1_coefficients.csv",
-            "step2_coefficients.csv",
-            "summary.txt",
-        ]
+        assert sorted(p.name for p in out.iterdir()) == self.OUTPUTS
         rows = _table(out / "phi_profile_constant.csv")
         assert len(rows) == 1
         assert abs(float(rows[0]["phi_hat"]) - 1.0 / 3.0) < 0.05
         assert rows[0]["ci_lower"] == "" and rows[0]["ci_upper"] == ""
+
+    def test_bootstrap_fills_every_band(self, fixtures_dir, monkeypatch, tmp_path):
+        # the fixture's config with a 20-replicate bootstrap for its own section
+        config = yaml.safe_load((fixtures_dir / "analyze_config.yaml").read_text(
+            encoding="utf-8"))
+        config["bootstrap"] = {"enabled": True, "replicates": 20, "seed": 1}
+        path = _write_yaml(tmp_path / "bootstrap.yaml", config)
+        out = tmp_path / "out"
+        assert self._run(fixtures_dir, monkeypatch, out, config=path) == 0
+        assert sorted(p.name for p in out.iterdir()) == self.OUTPUTS
+        rows = _table(out / "phi_profile_constant.csv")
+        assert rows and all(r["ci_lower"] != "" and r["ci_upper"] != "" for r in rows)
 
     def test_rerun_is_byte_identical(self, fixtures_dir, monkeypatch, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -526,19 +538,22 @@ class TestAnalyzeProfiles:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
-    def test_two_taus_in_one_pool_match_serial_bytes(self, workdir):
+    def test_two_taus_in_one_pool_match_serial_bytes(self, workdir, pin_cpus):
+        # 64 workers are capped at 3 CPUs: a 3-process split that 2 never gives
+        pin_cpus(3)
         trees = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 64):
             cfg = self._config(workdir, taus=[0.25, 0.75], bootstrap={
                 "enabled": True, "replicates": 8, "seed": 4, "workers": workers})
             assert main(["analyze", "--config", cfg, "--out", f"w{workers}"]) == 0
             trees[workers] = _tree_bytes(workdir / f"w{workers}")
-        assert trees[1] == trees[2]
+        assert trees[1] == trees[2] == trees[64]
         meta = json.loads(trees[2]["metadata.json"])
         assert meta["bootstrap"]["seed"] == 4
 
-    def test_a_failed_replicate_leaves_only_its_tau(self, workdir, monkeypatch):
+    def test_a_failed_replicate_leaves_only_its_tau(self, workdir, monkeypatch, pin_cpus):
         module = importlib.import_module("quantcord.bootstrap")
+        pin_cpus(2)
         run = module._run_replicate
         B, seed, b = 8, 4, 2
 
@@ -676,10 +691,12 @@ class TestAnalyzeFailures:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_bootstrap_replicates_exit_2(self, tmp_path, monkeypatch, capsys, workers):
+    def test_failed_bootstrap_replicates_exit_2(self, tmp_path, monkeypatch, capsys, pin_cpus,
+                                                workers):
         # two responses concordant but for one swapped pair of rows beside
         # the median: every replicate's step 2 finds an empty cell
         monkeypatch.chdir(tmp_path)
+        pin_cpus(2)
         y1 = np.random.default_rng(11).normal(size=40)
         y2 = y1.copy()
         swap = np.argsort(y1)[[18, 21]]
@@ -847,7 +864,8 @@ class TestAnalyzeFailures:
         path = tmp_path / "broken.yaml"
         path.write_text("input: [unclosed\n", encoding="utf-8")
         assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "invalid YAML" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: invalid YAML: ")
+        assert not (tmp_path / "out").exists()
 
     def test_binary_violation_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -43,9 +43,9 @@ def test_readme_configs_synthesise_and_analyse(tmp_path):
         (block,) = re.findall(rf"^```yaml\n(# {re.escape(name)}\n.*?)^```", readme,
                               re.S | re.M)
         (tmp_path / name).write_text(block, encoding="utf-8")
-    # without the README's 1000 replicates, to keep the test short
+    # 20 of the README's 1000 replicates, to keep the test short
     run = yaml.safe_load((tmp_path / "run.yaml").read_text(encoding="utf-8"))
-    run["bootstrap"]["enabled"] = False
+    run["bootstrap"].update(replicates=20, seed=1)
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(run), encoding="utf-8")
     cli = ["-m", "quantcord.cli"]
     _run_python([*cli, "synth", "--config", "scenario.yaml", "--out", "copula.csv"],

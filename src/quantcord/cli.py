@@ -73,58 +73,77 @@ def _render_analysis(cfg, sample, dropped, results):
     ``read_csv``'s tuple of dropped data row numbers, and ``results``
     holds one (TwoStepResult, BootstrapResult or None) pair per tau, in
     spec order; with the bootstrap, the first is the second's estimate.
+    One pass over ``results`` gives each tau's rows of every table, its
+    ``metadata.json`` entries and its ``summary.txt`` lines (3 decimals).
     """
     spec, boot_cfg, grid = cfg.spec, cfg.bootstrap, sample.grid
     categories = (MERGED_LABELS if spec.merged else LABELS)[1:]
-    files = {}
-
-    rows = []
+    # each profile's grid rows and covariate values: the constant profile
+    # has no column, and _fmt leaves NaN blank
+    varying = np.asarray(grid.varying)
+    profiles = {cov: (np.flatnonzero(varying == cov),
+                      grid.columns.get(cov, np.full(len(varying), np.nan)))
+                for cov in dict.fromkeys(grid.varying)}
+    step1, step2, failures, winsorized = [], [], {}, {}
+    profile_rows = {cov: [] for cov in profiles}
+    summary = [
+        "quantcord analysis summary",
+        f"rows used: {sample.data.n} (dropped: {len(dropped)})",
+        f"responses: {spec.responses[0]}, {spec.responses[1]}"
+        + ("  [merged discordant categories]" if spec.merged else ""),
+        "",
+    ]
     for run, boot in results:
+        tau = _fmt(run.tau)
+        summary.append(f"tau = {run.tau:g}")
         for j, name in enumerate(spec.responses):
-            fit = run.step1[j]
-            se = boot.beta_se[name] if boot is not None else None
+            beta = run.step1[j].beta
+            se = boot.beta_se[name] if boot is not None else [None] * len(beta)
             for k, term in enumerate(sample.X1.columns):
-                rows.append([
-                    _fmt(run.tau), name, term, _fmt(fit.beta[k]),
-                    _fmt(se[k]) if se is not None else "",
-                ])
-    files["step1_coefficients.csv"] = csv_text(
-        ["tau", "response", "term", "estimate", "se"], rows)
+                step1.append([tau, name, term, _fmt(beta[k]), _fmt(se[k])])
+            coefs = "  ".join(f"{c}={v:.3f}" for c, v in zip(sample.X1.columns, beta))
+            summary.append(f"  quantile fit {name}: {coefs}")
 
-    rows = []
-    for run, boot in results:
-        fit2 = run.step2
+        gamma = run.step2.gamma
         for k, cat in enumerate(categories):
             for q, term in enumerate(sample.X2.columns):
-                se = lo = hi = ""
-                if boot is not None:
-                    se = _fmt(boot.gamma_se[k, q])
-                    lo = _fmt(boot.gamma_lower[k, q])
-                    hi = _fmt(boot.gamma_upper[k, q])
-                rows.append([
-                    _fmt(run.tau), cat, term, _fmt(fit2.gamma[k, q]), se, lo, hi,
-                ])
-    files["step2_coefficients.csv"] = csv_text(
-        ["tau", "category", "term", "estimate", "se", "ci_lower", "ci_upper"],
-        rows)
+                se, lo, hi = (None,) * 3 if boot is None else (
+                    boot.gamma_se[k, q], boot.gamma_lower[k, q], boot.gamma_upper[k, q])
+                step2.append([tau, cat, term, *map(_fmt, (gamma[k, q], se, lo, hi))])
+            coefs = "  ".join(f"{c}={v:.3f}" for c, v in zip(sample.X2.columns, gamma[k]))
+            summary.append(f"  log-odds {cat} vs 00: {coefs}")
 
-    header = ["tau", "covariate", "value", "phi_hat", "ci_lower", "ci_upper",
-              "phi_min", "phi_max", "out_of_bounds_flag"]
-    for cov in dict.fromkeys(grid.varying):
-        at = np.flatnonzero(np.asarray(grid.varying) == cov)
-        # the constant profile has no column, and _fmt leaves NaN blank
-        value = grid.columns.get(cov, np.full(len(grid.varying), np.nan))
-        rows = []
-        for run, boot in results:
-            bounds = phi_bounds(run.tau)
+        bounds = phi_bounds(run.tau)
+        for cov, (at, value) in profiles.items():
             for i in at:
                 lo, hi = (None, None) if boot is None else (
                     boot.phi_lower[i], boot.phi_upper[i])
-                rows.append([_fmt(run.tau), cov, *map(_fmt, (
+                profile_rows[cov].append([tau, cov, *map(_fmt, (
                     value[i], run.phi[i], lo, hi, bounds.phi_min, bounds.phi_max,
                 )), int(run.out_of_bounds[i])])
-        files[_profile_filename(cov)] = csv_text(header, rows)
+            label = "phi (constant model)" if cov == CONSTANT_PROFILE else f"phi along {cov}"
+            summary.append(
+                f"  {label}: {np.min(run.phi[at]):.3f} to {np.max(run.phi[at]):.3f} "
+                f"(bounds {bounds.phi_min:.3f}, {bounds.phi_max:.3f})")
 
+        if boot is None:
+            failures[tau] = winsorized[tau] = 0
+        else:
+            failures[tau], winsorized[tau] = boot.failures, int(boot.winsorized.sum())
+            summary.append(
+                f"  bootstrap: B={boot.B}, failures={boot.failures}, level={boot.level:g}")
+        summary.append("")
+
+    files = {
+        "step1_coefficients.csv": csv_text(
+            ["tau", "response", "term", "estimate", "se"], step1),
+        "step2_coefficients.csv": csv_text(
+            ["tau", "category", "term", "estimate", "se", "ci_lower", "ci_upper"], step2),
+    }
+    header = ["tau", "covariate", "value", "phi_hat", "ci_lower", "ci_upper",
+              "phi_min", "phi_max", "out_of_bounds_flag"]
+    for cov, rows in profile_rows.items():
+        files[_profile_filename(cov)] = csv_text(header, rows)
     files = dict(sorted(files.items()))
     meta = {
         "command": "analyze",
@@ -143,59 +162,13 @@ def _render_analysis(cfg, sample, dropped, results):
             "level": boot_cfg.level,
             "seed": boot_cfg.seed if boot_cfg.enabled else None,
         },
-        "replicate_failures": {
-            _fmt(run.tau): (boot.failures if boot is not None else 0)
-            for run, boot in results
-        },
-        "winsorized_draws": {
-            _fmt(run.tau): (int(boot.winsorized.sum()) if boot is not None else 0)
-            for run, boot in results
-        },
+        "replicate_failures": failures,
+        "winsorized_draws": winsorized,
         "outputs": [*files, "metadata.json", "summary.txt"],
     }
     files["metadata.json"] = _json_text(meta)
-    files["summary.txt"] = _summary_text(sample, dropped, results)
+    files["summary.txt"] = "\n".join(summary)
     return files
-
-
-def _summary_text(sample, dropped, results):
-    """Human-readable recap, 3 decimals; arguments as in ``_render_analysis``."""
-    spec = sample.spec
-    categories = (MERGED_LABELS if spec.merged else LABELS)[1:]
-    lines = [
-        "quantcord analysis summary",
-        f"rows used: {sample.data.n} (dropped: {len(dropped)})",
-        f"responses: {spec.responses[0]}, {spec.responses[1]}"
-        + ("  [merged discordant categories]" if spec.merged else ""),
-        "",
-    ]
-    for run, boot in results:
-        lines.append(f"tau = {run.tau:g}")
-        for j, name in enumerate(spec.responses):
-            fit = run.step1[j]
-            coefs = "  ".join(
-                f"{c}={v:.3f}" for c, v in zip(sample.X1.columns, fit.beta))
-            lines.append(f"  quantile fit {name}: {coefs}")
-        fit2 = run.step2
-        for k, cat in enumerate(categories):
-            coefs = "  ".join(
-                f"{c}={v:.3f}" for c, v in zip(sample.X2.columns, fit2.gamma[k]))
-            lines.append(f"  log-odds {cat} vs 00: {coefs}")
-        bounds = phi_bounds(run.tau)
-        for cov in dict.fromkeys(sample.grid.varying):
-            mask = np.asarray(sample.grid.varying) == cov
-            label = "phi (constant model)" if cov == CONSTANT_PROFILE \
-                else f"phi along {cov}"
-            lines.append(
-                f"  {label}: {np.min(run.phi[mask]):.3f} "
-                f"to {np.max(run.phi[mask]):.3f} "
-                f"(bounds {bounds.phi_min:.3f}, {bounds.phi_max:.3f})")
-        if boot is not None:
-            lines.append(
-                f"  bootstrap: B={boot.B}, failures={boot.failures}, "
-                f"level={boot.level:g}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _cmd_analyze(args):

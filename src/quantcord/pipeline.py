@@ -270,7 +270,9 @@ def run_two_step(sample, tau, start=None):
     starting coefficients; the bootstrap passes the full-sample result.
     Both steps' fits and the empirical cells are those of the sample's
     rows repeated by their weights, while the step-1 residuals keep one
-    entry per row.  An error from the tau's work is tagged ``tau <tau>``.
+    entry per row.  An error from the tau's work is tagged ``tau <tau>``;
+    a tau where rows x min(tau, 1 - tau) < 1, weights counted as rows, is
+    refused before step 1, since no row is expected beyond its quantile.
     """
     if not isinstance(sample, SampleDesigns):
         raise InvalidArgumentError(
@@ -278,6 +280,10 @@ def run_two_step(sample, tau, start=None):
     check_tau(tau)
     data, spec = sample.data, sample.spec
     with _step(f"tau {float(tau):g}"):
+        rows = float(np.sum(sample.X1.weights))
+        if rows * min(tau, 1.0 - tau) < 1.0:
+            raise InvalidArgumentError(f"{rows:g} rows x min(tau, 1 - tau) is below 1, "
+                                       "so no row is expected beyond the quantile")
         fits = []
         for j, name in enumerate(spec.responses):
             beta0 = None if start is None else start.step1[j].beta

@@ -529,9 +529,10 @@ class TestAnalyzeProfiles:
         ({"bootstrap": False}, "bootstrap must be a mapping, got False"),
         ({"binary": 0}, "binary must be a list, got 0"),
         ({"step1_terms": 0}, "step1_terms must be a list, got 0"),
+        ({"taus": [1e-300]}, "tau 1e-300: 300 rows x min(tau, 1 - tau) is below 1"),
     ], ids=["grid", "bootstrap", "responses", "binary", "grid.values.x", "merged",
             "bootstrap.enabled", "grid.values.nosuch", "grid.held.alsonot",
-            "grid-0", "bootstrap-false", "binary-0", "step1_terms-0"])
+            "grid-0", "bootstrap-false", "binary-0", "step1_terms-0", "taus-1e-300"])
     def test_bad_config_value_exits_2(self, workdir, capsys, overrides, message):
         cfg = self._config(workdir, **overrides)
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 2
@@ -650,13 +651,51 @@ class TestAnalyzeProfiles:
         assert sorted(p.name for p in workdir.iterdir()) == [
             "run.yaml", "scenario.yaml", "small.csv", "small.csv.oracle.json"]
 
-    def test_summary_is_human_readable(self, workdir):
-        cfg = self._config(workdir)
+    def test_summary_is_human_readable(self, workdir, monkeypatch):
+        # one failed replicate at tau 0.75, so the taus' failure counts differ
+        module = importlib.import_module("quantcord.bootstrap")
+        run, failed = module._run_replicate, []
+
+        def fails_once(sample, base):
+            if base.tau == 0.75 and not failed:
+                return failed.append(base.tau)
+            return run(sample, base)
+
+        monkeypatch.setattr(module, "_run_replicate", fails_once)
+        cfg = self._config(workdir, taus=[0.25, 0.75],
+                           bootstrap={"enabled": True, "replicates": 16, "seed": 3})
         assert main(["analyze", "--config", cfg, "--out", "out"]) == 0
-        text = (workdir / "out" / "summary.txt").read_text(encoding="utf-8")
-        assert "tau = 0.5" in text
-        assert "phi along x" in text
+        out = workdir / "out"
+        text = (out / "summary.txt").read_text(encoding="utf-8")
         assert "rows used: 300 (dropped: 0)" in text
+        blocks = text.split("\ntau = ")[1:]
+        assert [b.split("\n", 1)[0] for b in blocks] == ["0.25", "0.75"]
+        meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+        assert meta["replicate_failures"] == {"0.25": 0, "0.75": 1}
+        step1, step2, profile = (_table(out / name) for name in (
+            "step1_coefficients.csv", "step2_coefficients.csv", "phi_profile_x.csv"))
+
+        # each tau's lines read that tau's rows of the tables, at 3 decimals
+        for block, tau in zip(blocks, ("0.25", "0.75")):
+            lines = block.splitlines()
+            estimates = {}
+            for r in step1:
+                if float(r["tau"]) == float(tau):
+                    estimates.setdefault(f"quantile fit {r['response']}", []).append(
+                        f"{r['term']}={float(r['estimate']):.3f}")
+            for r in step2:
+                if float(r["tau"]) == float(tau):
+                    estimates.setdefault(f"log-odds {r['category']} vs 00", []).append(
+                        f"{r['term']}={float(r['estimate']):.3f}")
+            assert len(estimates) == 5
+            for label, coefs in estimates.items():
+                assert f"  {label}: {'  '.join(coefs)}" in lines, (tau, label)
+            phis = [float(r["phi_hat"]) for r in profile if float(r["tau"]) == float(tau)]
+            (phi_line,) = [line for line in lines if line.startswith("  phi along x: ")]
+            assert phi_line.startswith(f"  phi along x: {min(phis):.3f} to {max(phis):.3f} ")
+            (boot_line,) = [line for line in lines if line.startswith("  bootstrap: ")]
+            failures, level = meta["replicate_failures"][tau], meta["bootstrap"]["level"]
+            assert boot_line == f"  bootstrap: B=16, failures={failures}, level={level:g}"
 
 
 class TestAnalyzeFailures:

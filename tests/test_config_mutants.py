@@ -6,20 +6,30 @@ a seed fixes every mutant.  Each changes one or two values of ``RUN`` (the
 run config of ``analyze``) or ``SCENARIO`` (the scenario config of
 ``synth``): a wrong type, null, a missing or unknown key, an empty list, a
 repeated name, a number written as a string, or an extreme number.  The
-invariant: exit 0, or exit 2 with exactly one stderr line, which starts
-with ``error: ``, and nothing written.  A warning fails a mutant, as
-pytest's ``filterwarnings = ["error"]`` makes any warning fail tier 1; from
-a shell it would be one more stderr line.  Tier 1 runs the first ``SLICE``
-mutants at seed 0; other seeds and counts run the same test body.
+invariant, which :func:`broken` checks: exit 0 with nothing on stderr, or
+exit 2 with exactly one stderr line, which starts with ``error: ``, and
+nothing written.  A warning fails a mutant: pytest's ``filterwarnings =
+["error"]`` makes it raise in tier 1, and from a shell it is one more
+stderr line.  Tier 1 runs the first ``SLICE`` mutants at seed 0.
+``python tests/test_config_mutants.py`` runs ``SWEEP`` mutants at each of
+seeds 0-4 under the interpreter's default warning filters, in a temporary
+directory, and exits 1 listing each mutant that breaks the invariant.
 """
 
+import contextlib
 import copy
+import io
+import os
 import random
+import shutil
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 import yaml
 
-from quantcord import SeparationWarning
 from quantcord.cli import main
 from quantcord.synthetic import MAX_ROWS
 
@@ -48,6 +58,7 @@ SCENARIO = {
 EXTREMES = (10**30, -10**30, -1, 0, -0.5, 1e-300)
 OTHER_TYPES = (True, "text", [1], {"key": 1}, 2.5)
 SLICE = 200
+SWEEP = 2440
 
 
 def _paths(node, path=()):
@@ -136,41 +147,77 @@ def mutants(seed, count):
     return out
 
 
-@pytest.fixture(scope="module")
-def csv_bytes(tmp_path_factory):
-    """The CSV of ``SCENARIO``, 300 rows, which every analyze mutant reads."""
-    root = tmp_path_factory.mktemp("mutant-data")
+def scenario_csv(root):
+    """The CSV of ``SCENARIO``, 300 rows, which every analyze mutant reads,
+    synthesised under ``root``."""
     (root / "s.yaml").write_text(yaml.safe_dump(SCENARIO), encoding="utf-8")
-    assert main(["synth", "--config", str(root / "s.yaml"), "--out", str(root / "d.csv")]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(root / "s.yaml"), "--out", str(root / "d.csv")]) == 0
     return (root / "d.csv").read_bytes()
 
 
-# slice mutants that break the invariant, pinned until ROADMAP item 28 mends them
-BROKEN = {
-    93: "ROADMAP item 28: tau 1e-300 is valid, and its full-sample step-2 fit warns "
-        "of separation before its replicates fail, so exit 2 prints more than one line",
-}
+def broken(command, config, csv_bytes, workdir):
+    """Run one mutant through ``cli.main`` in the empty directory
+    ``workdir``: None when it keeps the invariant, else how it breaks it."""
+    if command == "analyze":
+        (workdir / "data.csv").write_bytes(csv_bytes)
+    out = "out" if command == "analyze" else "x.csv"
+    (workdir / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    before = sorted(p.name for p in workdir.iterdir())
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(workdir)  # a mutated input or output path is relative
+    try:
+        # a fresh registry per mutant, so that each warning is shown again
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, "--config", "config.yaml", "--out", out])
+    finally:
+        os.chdir(cwd)
+    err = err.getvalue()
+    if rc == 0:
+        return f"exit 0 with stderr {err!r}" if err else None
+    if rc != 2 or not (err.startswith("error: ") and err.count("\n") == 1
+                       and err.endswith("\n")):
+        return f"exit {rc} with stderr {err!r}"
+    if sorted(p.name for p in workdir.iterdir()) != before:
+        return "exit 2, but it wrote files"
+    return None
+
+
+@pytest.fixture(scope="module")
+def csv_bytes(tmp_path_factory):
+    return scenario_csv(tmp_path_factory.mktemp("mutant-data"))
 
 
 @pytest.mark.parametrize("command, config, what", [
-    pytest.param(*mutant, id=f"{i:03d}-{mutant[0]}-{mutant[2]}", marks=[
-        pytest.mark.xfail(strict=True, raises=SeparationWarning, reason=BROKEN[i])
-    ] if i in BROKEN else [])
+    pytest.param(*mutant, id=f"{i:03d}-{mutant[0]}-{mutant[2]}")
     for i, mutant in enumerate(mutants(0, SLICE))])
-def test_a_mutant_gives_a_result_or_one_error_line(
-        command, config, what, csv_bytes, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # a mutated input or output path is relative
-    if command == "analyze":
-        (tmp_path / "data.csv").write_bytes(csv_bytes)
-        out = "out"
-    else:
-        out = "x.csv"
-    (tmp_path / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
-    before = sorted(p.name for p in tmp_path.iterdir())
-    rc = main([command, "--config", "config.yaml", "--out", out])
-    err = capsys.readouterr().err
-    if rc != 0:
-        assert rc == 2, what
-        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, \
-            (what, err)
-        assert sorted(p.name for p in tmp_path.iterdir()) == before, what
+def test_a_mutant_gives_a_result_or_one_error_line(command, config, what, csv_bytes, tmp_path):
+    reason = broken(command, config, csv_bytes, tmp_path)
+    assert reason is None, (what, reason)
+
+
+def sweep(seeds=range(5), count=SWEEP):
+    """Run ``count`` mutants of each seed, each in its own temporary
+    directory, and print each one that breaks the invariant; 1 if any did."""
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        data = scenario_csv(Path(tmp))
+        for seed in seeds:
+            for i, (command, config, what) in enumerate(mutants(seed, count)):
+                workdir = Path(tmp, f"{seed}-{i}")
+                workdir.mkdir()
+                try:
+                    reason = broken(command, config, data, workdir)
+                except Exception as exc:  # from a shell, a traceback and exit 1
+                    reason = f"raised {type(exc).__name__}: {exc}"
+                shutil.rmtree(workdir)
+                if reason:
+                    failed.append(f"seed {seed} mutant {i:04d} {command} {what}: {reason}")
+    print(*failed, f"{len(failed)} of {len(seeds) * count} mutants break the invariant",
+          sep="\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(sweep())

@@ -377,6 +377,24 @@ class TestRunTwoStep:
         with pytest.raises(InvalidArgumentError, match="tau must be in"):
             run_two_step(build_designs(data, _spec()), 1.5)
 
+    def test_weights_count_as_rows_beyond_the_quantile(self):
+        # 8 distinct rows at tau 0.1 place 0.8 rows below the quantile in
+        # expectation; counted twice each they place 1.6, and fit as the 16
+        # repeated rows do
+        y1 = np.array([0.0, 0.0, 5.0, 1.0, 2.0, 3.0, 4.0, 6.0])
+        y2 = np.array([0.0, 5.0, 0.0, 4.0, 3.0, 2.0, 1.0, 6.0])
+        data = Dataset(columns={"y1": y1, "y2": y2})
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                "tau 0.1: 8 rows x min(tau, 1 - tau) is below 1, so no row is expected")):
+            run_two_step(build_designs(data, _spec()), 0.1)
+        weighted = run_two_step(build_designs(data, _spec(), np.full(8, 2)), 0.1)
+        repeated = run_two_step(build_designs(
+            Dataset(columns={"y1": np.repeat(y1, 2), "y2": np.repeat(y2, 2)}), _spec()), 0.1)
+        for a, b in zip(weighted.step1, repeated.step1):
+            np.testing.assert_array_equal(a.beta, b.beta)
+        np.testing.assert_allclose(weighted.step2.gamma, repeated.step2.gamma, rtol=1e-12)
+        np.testing.assert_allclose(weighted.phi, repeated.phi, rtol=1e-12)
+
     @pytest.mark.parametrize("tau", ["0.5", None, np.array([0.5]), np.array(0.5)])
     def test_tau_must_be_a_real_number(self, tau):
         with pytest.raises(InvalidArgumentError,
